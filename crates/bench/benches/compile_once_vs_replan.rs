@@ -1,12 +1,11 @@
 //! Amortized planning: execute N amplitudes on one `CompiledCircuit` vs N
-//! `Simulator::amplitude`-style plan-and-execute round trips.
+//! plan-and-execute round trips.
 //!
 //! The paper's workload plans once and sweeps millions of subtasks; this
 //! bench demonstrates the same cost model at laptop scale. `compile_once`
 //! reuses one plan and rebinds the output projectors per bitstring;
 //! `replan_every_call` runs the full planning pipeline (path search +
-//! lifetime slicing + SA refinement) for every amplitude, which is what the
-//! facade used to do before the engine API.
+//! lifetime slicing + SA refinement) for every amplitude.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qtn_circuit::{OutputSpec, RqcConfig};
@@ -51,8 +50,8 @@ fn bench_amortized_planning(c: &mut Criterion) {
             &circuit,
             |b, circuit| {
                 b.iter(|| {
-                    // A fresh engine per amplitude defeats the plan cache,
-                    // reproducing the old Simulator::amplitude cost model.
+                    // A fresh engine per amplitude defeats the plan cache:
+                    // every call pays the whole planning pipeline.
                     bits.iter()
                         .map(|bs| {
                             let engine = Engine::with_configs(planner(), ExecutorConfig::default());

@@ -5,16 +5,20 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qtn_circuit::{OutputSpec, RqcConfig};
-use qtnsim_core::{execute_plan, plan_simulation, ExecutorConfig, PlannerConfig};
+use qtnsim_core::{
+    execute_on_pool, plan_simulation, ExecutorConfig, LeafOverrides, PlannerConfig, WorkerPool,
+};
+use std::sync::Arc;
 
 fn bench_strong_scaling(c: &mut Criterion) {
     let circuit = RqcConfig::small(3, 4, 10, 5).build();
     let n = circuit.num_qubits();
-    let plan = plan_simulation(
+    let plan = Arc::new(plan_simulation(
         &circuit,
         &OutputSpec::Amplitude(vec![0; n]),
         &PlannerConfig { target_rank: 8, ..Default::default() },
-    );
+    ));
+    let no_overrides = Arc::new(LeafOverrides::new());
     let subtasks = plan.num_subtasks().min(64);
 
     let mut group = c.benchmark_group("strong_scaling");
@@ -26,21 +30,18 @@ fn bench_strong_scaling(c: &mut Criterion) {
             continue;
         }
         group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
-            b.iter(|| {
-                // Full replay: the bench measures how the per-subtask sweep
-                // scales with workers; the reuse path would prepend a serial
-                // frontier build to every call and shrink the parallel
-                // portion to the stem, capping the apparent speedup.
-                execute_plan(
-                    &plan,
-                    &ExecutorConfig {
-                        workers: w,
-                        max_subtasks: subtasks,
-                        reuse: false,
-                        ..Default::default()
-                    },
-                )
-            })
+            // Full replay: the bench measures how the per-subtask sweep
+            // scales with workers; the reuse path would prepend a serial
+            // frontier build to every call and shrink the parallel
+            // portion to the stem, capping the apparent speedup.
+            let config = ExecutorConfig {
+                workers: w,
+                max_subtasks: subtasks,
+                reuse: false,
+                ..Default::default()
+            };
+            let pool = WorkerPool::new(w);
+            b.iter(|| execute_on_pool(&pool, &plan, &no_overrides, &config).expect("execute"))
         });
     }
     group.finish();
@@ -50,11 +51,12 @@ fn bench_weak_scaling(c: &mut Criterion) {
     // Weak scaling: subtasks proportional to the worker count.
     let circuit = RqcConfig::small(3, 4, 10, 6).build();
     let n = circuit.num_qubits();
-    let plan = plan_simulation(
+    let plan = Arc::new(plan_simulation(
         &circuit,
         &OutputSpec::Amplitude(vec![0; n]),
         &PlannerConfig { target_rank: 8, ..Default::default() },
-    );
+    ));
+    let no_overrides = Arc::new(LeafOverrides::new());
     let per_worker = 8usize;
 
     let mut group = c.benchmark_group("weak_scaling");
@@ -66,21 +68,18 @@ fn bench_weak_scaling(c: &mut Criterion) {
         }
         let subtasks = (per_worker * workers).min(plan.num_subtasks());
         group.bench_with_input(BenchmarkId::from_parameter(workers), &workers, |b, &w| {
-            b.iter(|| {
-                // Full replay: the bench measures how the per-subtask sweep
-                // scales with workers; the reuse path would prepend a serial
-                // frontier build to every call and shrink the parallel
-                // portion to the stem, capping the apparent speedup.
-                execute_plan(
-                    &plan,
-                    &ExecutorConfig {
-                        workers: w,
-                        max_subtasks: subtasks,
-                        reuse: false,
-                        ..Default::default()
-                    },
-                )
-            })
+            // Full replay: the bench measures how the per-subtask sweep
+            // scales with workers; the reuse path would prepend a serial
+            // frontier build to every call and shrink the parallel
+            // portion to the stem, capping the apparent speedup.
+            let config = ExecutorConfig {
+                workers: w,
+                max_subtasks: subtasks,
+                reuse: false,
+                ..Default::default()
+            };
+            let pool = WorkerPool::new(w);
+            b.iter(|| execute_on_pool(&pool, &plan, &no_overrides, &config).expect("execute"))
         });
     }
     group.finish();

@@ -13,7 +13,7 @@
 use qtn_bench::arg_or;
 use qtn_circuit::{OutputSpec, RqcConfig};
 use qtn_sunway::scaling::ScalingModel;
-use qtnsim_core::{execute_plan, plan_simulation, ExecutorConfig, PlannerConfig};
+use qtnsim_core::{Engine, ExecutorConfig, PlannerConfig};
 
 fn main() {
     let rows: usize = arg_or("rows", 4);
@@ -25,11 +25,23 @@ fn main() {
     println!("# Figure 11 reproduction: strong and weak scaling");
     let circuit = RqcConfig::small(rows, cols, cycles, 3).build();
     let n = circuit.num_qubits();
-    let plan = plan_simulation(
-        &circuit,
-        &OutputSpec::Amplitude(vec![0; n]),
-        &PlannerConfig { target_rank: target, ..Default::default() },
+    // Measure the per-subtask cost by running a bounded number of subtasks.
+    // Force the full per-subtask replay: the projection multiplies this cost
+    // by the whole 2^|S| sweep, so it must measure a standalone subtask, not
+    // a stem-only replay plus an amortized one-off cache build.
+    let engine = Engine::with_configs(
+        PlannerConfig { target_rank: target, ..Default::default() },
+        ExecutorConfig {
+            workers: 1,
+            max_subtasks: measure_subtasks,
+            reuse: false,
+            ..Default::default()
+        },
     );
+    let zeros = vec![0u8; n];
+    let compiled =
+        engine.compile(&circuit, &OutputSpec::Amplitude(zeros.clone())).expect("compile");
+    let plan = compiled.plan();
     println!(
         "# workload: {rows}x{cols} grid, m = {cycles}, {} sliced edges -> {} subtasks, overhead {:.3}",
         plan.slicing.len(),
@@ -37,19 +49,7 @@ fn main() {
         plan.overhead
     );
 
-    // Measure the per-subtask cost by running a bounded number of subtasks.
-    // Force the full per-subtask replay: the projection multiplies this cost
-    // by the whole 2^|S| sweep, so it must measure a standalone subtask, not
-    // a stem-only replay plus an amortized one-off cache build.
-    let (_, stats) = execute_plan(
-        &plan,
-        &ExecutorConfig {
-            workers: 1,
-            max_subtasks: measure_subtasks,
-            reuse: false,
-            ..Default::default()
-        },
-    );
+    let stats = compiled.execute_amplitude(&zeros).expect("execute").1.stats;
     let subtask_time = stats.seconds_per_subtask;
     println!(
         "# measured {} subtasks on 1 worker: {:.6} s per subtask, {:.1} Mflop per subtask",

@@ -18,7 +18,7 @@ use qtn_circuit::{OutputSpec, RqcConfig};
 use qtn_slicing::{lifetime_slice_finder, refine_slicing, subtask_log_cost, RefinerConfig};
 use qtn_sunway::scaling::{project_full_system, ScalingModel};
 use qtn_sunway::SunwayArch;
-use qtnsim_core::{execute_plan, plan_simulation, ExecutorConfig, PlannerConfig};
+use qtnsim_core::{Engine, ExecutorConfig, PlannerConfig};
 
 /// The 2021 Gordon Bell Prize sustained performance the paper compares to.
 const GORDON_BELL_2021_PFLOPS: f64 = 60.4;
@@ -64,23 +64,24 @@ fn main() {
 
     // --- 2. Measure executable subtasks to calibrate sustained efficiency --
     let cal_circuit = RqcConfig::small(4, 4, 12, 9).build();
-    let cal_plan = plan_simulation(
-        &cal_circuit,
-        &OutputSpec::Amplitude(vec![0; 16]),
-        &PlannerConfig { target_rank: 10, ..Default::default() },
-    );
     // Full replay: the calibration extrapolates per-subtask cost across the
     // whole sweep, so it must not fold the one-off branch-cache build into
     // the per-subtask figure (see fig11_scaling).
-    let (_, cal_stats) = execute_plan(
-        &cal_plan,
-        &ExecutorConfig {
+    let cal_engine = Engine::with_configs(
+        PlannerConfig { target_rank: 10, ..Default::default() },
+        ExecutorConfig {
             workers: 1,
             max_subtasks: measure_subtasks,
             reuse: false,
             ..Default::default()
         },
     );
+    let cal_stats = cal_engine
+        .compile(&cal_circuit, &OutputSpec::Amplitude(vec![0; 16]))
+        .and_then(|compiled| compiled.execute_amplitude(&[0; 16]))
+        .expect("calibration run")
+        .1
+        .stats;
     println!(
         "# calibration: {} subtasks, {:.2} Gflop/s sustained on this host",
         cal_stats.subtasks_run,

@@ -514,8 +514,7 @@ impl Engine {
 
     /// Compile `circuit` for the open qubits (riding the plan cache) and
     /// draw `count` correlated samples with the remaining qubits projected
-    /// onto `fixed` — the one-call sampling entry the [`crate::Simulator`]
-    /// shim rides.
+    /// onto `fixed` — the one-call sampling entry.
     ///
     /// All `2^|open|` amplitudes come from **one** batched execution of the
     /// compiled plan ([`CompiledCircuit::execute_batch`]): the stem sweep

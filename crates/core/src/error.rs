@@ -69,6 +69,13 @@ pub enum Error {
         /// The slot the non-finite value targeted.
         slot: usize,
     },
+    /// A plan slices so many edges that its `2^|S|` subtasks cannot be
+    /// addressed by a `usize`; no such sweep could ever finish, so the
+    /// executor refuses it before any worker starts.
+    TooManySlicedEdges {
+        /// Sliced edges of the plan (`|S|`).
+        sliced: usize,
+    },
     /// Sampling was requested from an amplitude tensor whose total
     /// probability mass is zero (every amplitude is exactly 0).
     ZeroAmplitudeDistribution,
@@ -115,6 +122,9 @@ impl std::fmt::Display for Error {
             }
             Error::NonFiniteParam { slot } => {
                 write!(f, "non-finite value for parameter slot {slot}")
+            }
+            Error::TooManySlicedEdges { sliced } => {
+                write!(f, "plan slices {sliced} edges: 2^{sliced} subtasks are not addressable")
             }
             Error::ZeroAmplitudeDistribution => {
                 write!(f, "cannot sample from an all-zero amplitude tensor")
@@ -179,6 +189,7 @@ mod tests {
             ),
             (Error::UnknownParamSlot { slot: 6, slots: 3 }, "slot 6"),
             (Error::NonFiniteParam { slot: 2 }, "non-finite"),
+            (Error::TooManySlicedEdges { sliced: 64 }, "2^64 subtasks"),
             (Error::ZeroAmplitudeDistribution, "all-zero"),
             (Error::ExecutionPanic("index out of bounds".into()), "panicked"),
             (Error::Internal("oops".into()), "oops"),

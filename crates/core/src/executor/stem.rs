@@ -1,0 +1,538 @@
+//! The compiled stem program and its one interpreter.
+//!
+//! A [`StemExec`] is the per-subtask stem replay compiled once per plan:
+//! one slicing recipe per stem leaf ([`DenseTensor::slice_into`] gathers)
+//! and one [`ContractionKernel`] per stem contraction. The interpreter runs
+//! it over a [`BufferSource`] — the worker's persistent [`BufferPool`], or
+//! plain heap allocations when [`super::ExecutorConfig::pool`] is off — so
+//! pooling is an allocator swap under the same steps, never a second
+//! algorithm.
+//!
+//! There are two step loops:
+//!
+//! * **consume-and-release** ([`StemExec::consume`]) over a step filter:
+//!   every buffer returns to the source the moment the step that consumes
+//!   it has run. All steps for a single amplitude; the StemPure steps for
+//!   the shared prefix of a batch.
+//! * **keyed hold-in-place** ([`StemExec::refresh_keyed`]) for a batch's
+//!   StemMixed suffix: one buffer per mixed node is held across the whole
+//!   bitstring loop and recomputed in place only when the bitstring's
+//!   dependent-bits key differs from the one the buffer holds.
+//!
+//! [`StemExec::interpret`] picks between them from the batch size it
+//! observes, and each sequence of acquires and releases mirrors a
+//! [`qtn_tensornet::lifetime`] phase simulation step for step
+//! (`MemoryPlan::stem` for a batch of one, `MemoryPlan::batched_stem`
+//! otherwise), which is why the predicted peak and slot counts are exact.
+
+use super::batch::{BatchKeys, FrontierSeeds};
+use super::branch::BranchCache;
+use super::stats::GemmTally;
+use super::LeafOverrides;
+use crate::error::Error;
+use crate::fault::{self, FaultPoint};
+use crate::planner::SimulationPlan;
+use crate::pool::{BufferPool, PoolCounters};
+use qtn_tensor::{Complex64, ContractionKernel, DenseTensor, IndexId, IndexSet};
+use qtn_tensornet::NodeClass;
+use std::sync::Arc;
+
+/// One stem leaf's slicing recipe: which axes of the (possibly overridden)
+/// source tensor are fixed by which sliced-edge bit. Applying it is a
+/// single [`DenseTensor::slice_into`] gather — no clone, no per-edge
+/// re-slicing.
+#[derive(Debug)]
+struct StemLeafExec {
+    /// Tree node this leaf occupies.
+    node: usize,
+    /// Network vertex the data comes from (override key).
+    vertex: usize,
+    /// `(axis position in the source tensor, bit position in the slicing
+    /// set)` for every sliced edge the leaf carries.
+    fixes: Vec<(usize, usize)>,
+    /// Elements of the sliced leaf tensor.
+    len: usize,
+    /// Whether the leaf is StemMixed-class (an overridable projector that
+    /// also carries a sliced edge): re-sliced per bitstring in a batched
+    /// execution. StemPure leaves are sliced once per subtask.
+    mixed: bool,
+}
+
+/// One stem contraction, fully compiled: operand/output tree nodes plus the
+/// reusable [`ContractionKernel`] (spec + TTGT permutation maps). Shapes and
+/// axis orders are identical across all `2^|S|` subtasks.
+#[derive(Debug)]
+struct StemStepExec {
+    left: usize,
+    right: usize,
+    out: usize,
+    kernel: ContractionKernel,
+    /// Whether the contraction is StemMixed-class (projector-dependent):
+    /// replayed per distinct key in a batched execution, while StemPure
+    /// steps (`mixed == false`) run once per subtask for the whole batch.
+    mixed: bool,
+}
+
+/// The compiled form of the per-subtask stem replay. It only depends on
+/// index sets, which [`qtn_circuit::NetworkBuild::rebind_output`] overrides
+/// preserve, so it is compiled once in the plan's lifetime and memoized on
+/// the [`SimulationPlan`] like the branch cache; shared read-only by all
+/// workers. Overrides that *do* change a leaf's axis order get a fresh,
+/// uncached compile instead.
+#[derive(Debug)]
+pub(crate) struct StemExec {
+    leaves: Vec<StemLeafExec>,
+    steps: Vec<StemStepExec>,
+    /// The tree root.
+    root: usize,
+    /// The root tensor's compiled index set; `None` when the root is not
+    /// Stem-class (an unsliced plan) — then there is nothing to interpret
+    /// and the subtask result is a cached tensor.
+    root_indices: Option<IndexSet>,
+    /// Whether the root is StemMixed: a batch then needs the keyed suffix.
+    root_is_mixed: bool,
+}
+
+/// Compile the stem replay: resolve every stem leaf's slicing recipe and
+/// build one [`ContractionKernel`] per stem contraction. Pure shape work —
+/// no amplitude is touched.
+pub(super) fn build_stem_exec(io: &StemInputs<'_>) -> Result<StemExec, Error> {
+    let (plan, overrides) = (io.plan, &io.overrides[0]);
+    let cls = &plan.classification;
+    let sliced = &plan.slicing.sliced;
+    let root = plan.tree.root();
+    let mut exec = StemExec {
+        leaves: Vec::new(),
+        steps: Vec::with_capacity(cls.stem_schedule().len()),
+        root,
+        root_indices: None,
+        root_is_mixed: cls.class(root) == NodeClass::StemMixed,
+    };
+    if !cls.class(root).is_stem() {
+        return Ok(exec);
+    }
+
+    // Index set of each Stem-class node's tensor, by tree-node id.
+    let mut node_indices: Vec<Option<IndexSet>> = vec![None; plan.tree.nodes().len()];
+    for (node_id, node) in plan.tree.nodes().iter().enumerate() {
+        let Some(vertex) = node.leaf_vertex else { continue };
+        if !cls.class(node_id).is_stem() {
+            continue;
+        }
+        let src = overrides.get(&vertex).unwrap_or(&plan.build.nodes[vertex].data);
+        let mut fixes = Vec::new();
+        for (bit_pos, &edge) in sliced.iter().enumerate() {
+            if let Some(axis) = src.indices().position(edge) {
+                fixes.push((axis, bit_pos));
+            }
+        }
+        let kept: Vec<IndexId> = src.indices().iter().filter(|a| !sliced.contains(a)).collect();
+        let indices = IndexSet::new(kept);
+        exec.leaves.push(StemLeafExec {
+            node: node_id,
+            vertex,
+            fixes,
+            len: indices.len(),
+            mixed: cls.class(node_id) == NodeClass::StemMixed,
+        });
+        node_indices[node_id] = Some(indices);
+    }
+
+    for &(l, r, out) in cls.stem_schedule() {
+        // A stem node's precomputed set, or the axis order of the cached
+        // tensor (frontier seed or branch cache) the operand is read from.
+        let indices_of = |id: usize| {
+            node_indices[id]
+                .as_ref()
+                .or_else(|| io.cached(id, 0).map(DenseTensor::indices))
+                .ok_or_else(|| Error::Internal(format!("operand {id} missing in stem compile")))
+        };
+        let kernel = ContractionKernel::new(indices_of(l)?, indices_of(r)?);
+        node_indices[out] = Some(kernel.output().clone());
+        let mixed = cls.class(out) == NodeClass::StemMixed;
+        exec.steps.push(StemStepExec { left: l, right: r, out, kernel, mixed });
+    }
+    exec.root_indices = node_indices[root].take();
+    if exec.root_indices.is_none() {
+        return Err(Error::Internal("root index set missing from stem compile".into()));
+    }
+    Ok(exec)
+}
+
+/// Where the interpreter's buffers come from.
+pub(super) enum BufferSource {
+    /// The worker's persistent size-classed pool: every buffer is recycled
+    /// and the [`PoolCounters`] track the traffic.
+    Pool(BufferPool),
+    /// Plain allocations: acquire is a fresh `Vec`, release drops it, and
+    /// the pool counters stay untouched.
+    Heap,
+}
+
+impl BufferSource {
+    fn acquire(&mut self, len: usize, counters: &mut PoolCounters) -> Vec<Complex64> {
+        match self {
+            BufferSource::Pool(pool) => pool.acquire(len, counters),
+            BufferSource::Heap => vec![Complex64::ZERO; len],
+        }
+    }
+
+    fn release(&mut self, buf: Vec<Complex64>, counters: &mut PoolCounters) {
+        if let BufferSource::Pool(pool) = self {
+            pool.release(buf, counters);
+        }
+    }
+}
+
+/// Per-worker state that survives the whole sweep: the buffer source and
+/// its per-execution counters, the slot table, the keyed loop's
+/// most-recent-key table, the reusable fix buffer (cleared, never
+/// reallocated, between subtasks), and the root index set recycled from the
+/// previous subtask's result tensor.
+pub(super) struct StemWorkspace {
+    source: BufferSource,
+    counters: PoolCounters,
+    slots: Vec<Option<Vec<Complex64>>>,
+    held_keys: Vec<Option<u32>>,
+    fix_buf: Vec<(usize, u8)>,
+    root_indices: Option<IndexSet>,
+}
+
+impl StemWorkspace {
+    pub(super) fn new(num_nodes: usize, source: BufferSource) -> Self {
+        Self {
+            source,
+            counters: PoolCounters::default(),
+            slots: vec![None; num_nodes],
+            held_keys: vec![None; num_nodes],
+            fix_buf: Vec::new(),
+            root_indices: None,
+        }
+    }
+
+    /// Return every buffer still in the slot table to the source.
+    fn release_held(&mut self) {
+        for slot in self.slots.iter_mut() {
+            if let Some(buf) = slot.take() {
+                self.source.release(buf, &mut self.counters);
+            }
+        }
+    }
+
+    /// End of the sweep, success or failure: buffers a failed replay left
+    /// in the slot table are drained back first, so even an error leaves a
+    /// pool's free lists warm. Yields the execution's counters and the
+    /// source for check-in.
+    pub(super) fn retire(mut self) -> (PoolCounters, BufferSource) {
+        self.release_held();
+        (self.counters, self.source)
+    }
+}
+
+/// What one worker's stem sweep executed. In a batched execution
+/// `mixed_*` + `skipped_*` always equals `mixed schedule length ×
+/// bitstrings × subtasks run` — the exact mixed bill a loop of single
+/// executions pays.
+#[derive(Debug, Default, Clone, Copy)]
+pub(super) struct SweepTally {
+    pub(super) flops: u64,
+    pub(super) pure_flops: u64,
+    pub(super) mixed_flops: u64,
+    pub(super) mixed_contractions: u64,
+    /// Mixed work the keyed loop skipped because the held buffer already
+    /// carried the bitstring's key.
+    pub(super) skipped_flops: u64,
+    pub(super) skipped_contractions: u64,
+    pub(super) gemm: GemmTally,
+}
+
+impl SweepTally {
+    pub(super) fn merge(&mut self, other: &SweepTally) {
+        self.flops += other.flops;
+        self.pure_flops += other.pure_flops;
+        self.mixed_flops += other.mixed_flops;
+        self.mixed_contractions += other.mixed_contractions;
+        self.skipped_flops += other.skipped_flops;
+        self.skipped_contractions += other.skipped_contractions;
+        self.gemm.add(&other.gemm);
+    }
+}
+
+/// Chaos hook: the [`FaultPoint::WorkerPanic`] injection point, checked
+/// once per executed stem contraction — in every configuration, since every
+/// configuration runs [`contract_step`] — so a fault plan can panic a
+/// worker at exactly the Nth contraction. One relaxed atomic load when no
+/// plan is installed.
+#[inline]
+fn fault_contraction_tick() {
+    if fault::fire(FaultPoint::WorkerPanic) {
+        panic!("injected fault: worker panic at contraction step");
+    }
+}
+
+/// Data of bitstring `b`'s stem operand: a buffer from the slot table, or
+/// a borrowed cache tensor's amplitudes.
+fn operand_data<'a>(
+    slot: Option<&'a [Complex64]>,
+    io: &StemInputs<'a>,
+    id: usize,
+    b: usize,
+) -> Result<&'a [Complex64], Error> {
+    slot.or_else(|| io.cached(id, b).map(DenseTensor::data))
+        .ok_or_else(|| Error::Internal(format!("operand {id} missing from slots and caches")))
+}
+
+/// Apply one step's kernel: TTGT scratch for both operands comes from the
+/// source and goes straight back; the output buffer is `held_out` when the
+/// keyed loop recomputes in place, else freshly acquired.
+fn contract_step(
+    step: &StemStepExec,
+    left: &[Complex64],
+    right: &[Complex64],
+    held_out: Option<Vec<Complex64>>,
+    source: &mut BufferSource,
+    counters: &mut PoolCounters,
+    tally: &mut SweepTally,
+) -> Vec<Complex64> {
+    fault_contraction_tick();
+    let mut left_scratch = source.acquire(left.len(), counters);
+    let mut right_scratch = source.acquire(right.len(), counters);
+    let mut out = held_out.unwrap_or_else(|| source.acquire(step.kernel.output().len(), counters));
+    step.kernel.contract_into(left, right, &mut left_scratch, &mut right_scratch, &mut out);
+    source.release(left_scratch, counters);
+    source.release(right_scratch, counters);
+    let flops = step.kernel.flops();
+    tally.flops += flops;
+    tally.gemm.record_kernel(&step.kernel);
+    if step.mixed {
+        tally.mixed_flops += flops;
+        tally.mixed_contractions += 1;
+    } else {
+        tally.pure_flops += flops;
+    }
+    out
+}
+
+/// The read-only inputs of one execution's stem sweep, shared by workers.
+pub(super) struct StemInputs<'a> {
+    pub(super) plan: &'a SimulationPlan,
+    pub(super) cache: &'a BranchCache,
+    pub(super) seeds: &'a FrontierSeeds,
+    /// Leaf overrides, one per bitstring of the batch.
+    pub(super) overrides: &'a [Arc<LeafOverrides>],
+    pub(super) keys: &'a BatchKeys,
+}
+
+impl<'a> StemInputs<'a> {
+    /// Resolve bitstring `b`'s slice-invariant tensor at `node`: a
+    /// per-execution frontier seed or a plan-lifetime branch-cache entry.
+    pub(super) fn cached(&self, node: usize, b: usize) -> Option<&'a DenseTensor<Complex64>> {
+        self.seeds.get(self.keys, node, b).or_else(|| self.cache.tensor(node))
+    }
+}
+
+impl StemExec {
+    /// Whether there is a stem to interpret (the tree root is Stem-class).
+    pub(super) fn has_stem(&self) -> bool {
+        self.root_indices.is_some()
+    }
+
+    /// Run one slice assignment for the whole batch, handing each
+    /// bitstring's subtask root tensor to `emit`.
+    ///
+    /// A batch of one is a plain consume-and-release pass over every step.
+    /// A larger batch contracts the StemPure prefix once — what remains in
+    /// the slot table is exactly the classification's StemPure keep set
+    /// (plus the root when the whole stem is pure), held for every
+    /// bitstring to read — then runs the keyed StemMixed suffix per
+    /// bitstring in the batch's dedup order.
+    pub(super) fn interpret(
+        &self,
+        io: &StemInputs<'_>,
+        ws: &mut StemWorkspace,
+        assignment: usize,
+        tally: &mut SweepTally,
+        mut emit: impl FnMut(usize, &DenseTensor<Complex64>),
+    ) -> Result<(), Error> {
+        let batch = io.overrides.len();
+        if batch == 1 {
+            self.consume(io, ws, 0, assignment, false, tally)?;
+            let root = self.take_root(ws)?;
+            emit(0, &root);
+            self.put_root(ws, root, false);
+            return Ok(());
+        }
+        // StemPure nodes depend on no projector, so any bitstring's inputs
+        // resolve them identically.
+        self.consume(io, ws, 0, assignment, true, tally)?;
+        if self.root_is_mixed {
+            self.hold_mixed(ws);
+            for &b in &io.keys.order {
+                self.refresh_keyed(io, ws, b, assignment, tally)?;
+                // Borrow the held root buffer as a tensor, then put it
+                // back for the next bitstring to overwrite.
+                let root = self.take_root(ws)?;
+                emit(b, &root);
+                self.put_root(ws, root, true);
+            }
+        } else {
+            // The whole stem is StemPure: the prefix root *is* every
+            // bitstring's subtask result.
+            let root = self.take_root(ws)?;
+            (0..batch).for_each(|b| emit(b, &root));
+            self.put_root(ws, root, false);
+        }
+        // The batch is done with this subtask: the held keep set and mixed
+        // buffers go back to the source.
+        ws.release_held();
+        Ok(())
+    }
+
+    /// Gather one leaf for one slice assignment into `dst`.
+    fn gather(
+        leaf: &StemLeafExec,
+        src: &DenseTensor<Complex64>,
+        assignment: usize,
+        fix_buf: &mut Vec<(usize, u8)>,
+        dst: &mut [Complex64],
+    ) {
+        fix_buf.clear();
+        fix_buf.extend(
+            leaf.fixes.iter().map(|&(axis, bit_pos)| (axis, ((assignment >> bit_pos) & 1) as u8)),
+        );
+        src.slice_into(fix_buf, dst);
+    }
+
+    /// The consume-and-release loop: materialise the leaves, replay the
+    /// steps, and release every buffer the moment the step consuming it has
+    /// run (each node feeds exactly one parent). With `pure_only` the
+    /// StemMixed leaves and steps are left out — a pure node consumed by a
+    /// *mixed* step then never shows up as an operand and stays held.
+    fn consume(
+        &self,
+        io: &StemInputs<'_>,
+        ws: &mut StemWorkspace,
+        b: usize,
+        assignment: usize,
+        pure_only: bool,
+        tally: &mut SweepTally,
+    ) -> Result<(), Error> {
+        let StemWorkspace { source, counters, slots, fix_buf, .. } = ws;
+        let overrides = &io.overrides[b];
+        for leaf in self.leaves.iter().filter(|l| !(pure_only && l.mixed)) {
+            let src = overrides.get(&leaf.vertex).unwrap_or(&io.plan.build.nodes[leaf.vertex].data);
+            let mut buf = source.acquire(leaf.len, counters);
+            Self::gather(leaf, src, assignment, fix_buf, &mut buf);
+            slots[leaf.node] = Some(buf);
+        }
+        for step in self.steps.iter().filter(|s| !(pure_only && s.mixed)) {
+            let left_owned = slots[step.left].take();
+            let right_owned = slots[step.right].take();
+            let left = operand_data(left_owned.as_deref(), io, step.left, b)?;
+            let right = operand_data(right_owned.as_deref(), io, step.right, b)?;
+            let out = contract_step(step, left, right, None, source, counters, tally);
+            for buf in [left_owned, right_owned].into_iter().flatten() {
+                source.release(buf, counters);
+            }
+            slots[step.out] = Some(out);
+        }
+        Ok(())
+    }
+
+    /// Acquire every StemMixed node's buffer up front (leaves, then step
+    /// outputs — the lifetime simulation's exact sequence) to hold across
+    /// the whole bitstring loop: keyed recomputes overwrite in place, so the
+    /// live set is constant and the first bitstring deterministically hits
+    /// the predicted peak whatever keys the batch contains. The key table is
+    /// invalidated, so every subtask recomputes its first bitstring in full.
+    fn hold_mixed(&self, ws: &mut StemWorkspace) {
+        let StemWorkspace { source, counters, slots, held_keys, .. } = ws;
+        for leaf in self.leaves.iter().filter(|l| l.mixed) {
+            slots[leaf.node] = Some(source.acquire(leaf.len, counters));
+        }
+        for step in self.steps.iter().filter(|s| s.mixed) {
+            slots[step.out] = Some(source.acquire(step.kernel.output().len(), counters));
+        }
+        held_keys.fill(None);
+    }
+
+    /// The keyed hold-in-place loop for bitstring `b`: a mixed node whose
+    /// held key matches this bitstring's is skipped outright; a changed key
+    /// recomputes the buffer **in place** (the kernel overwrites its
+    /// output, leaves re-gather), so held buffers never cycle through the
+    /// source and only the per-step TTGT scratch is transient. Because a
+    /// node's dependency mask contains its children's masks, a matching
+    /// output key guarantees both operands hold exactly the values a
+    /// per-bitstring replay would produce — skipping is bit-exact reuse,
+    /// never approximation.
+    fn refresh_keyed(
+        &self,
+        io: &StemInputs<'_>,
+        ws: &mut StemWorkspace,
+        b: usize,
+        assignment: usize,
+        tally: &mut SweepTally,
+    ) -> Result<(), Error> {
+        let StemWorkspace { source, counters, slots, held_keys, fix_buf, .. } = ws;
+        let overrides = &io.overrides[b];
+        for leaf in self.leaves.iter().filter(|l| l.mixed) {
+            let key = Some(io.keys.id(leaf.node, b));
+            if held_keys[leaf.node] == key {
+                continue;
+            }
+            let src = overrides.get(&leaf.vertex).unwrap_or(&io.plan.build.nodes[leaf.vertex].data);
+            let buf = slots[leaf.node].as_mut().ok_or_else(|| {
+                Error::Internal(format!("mixed leaf buffer {} not held", leaf.node))
+            })?;
+            Self::gather(leaf, src, assignment, fix_buf, buf);
+            held_keys[leaf.node] = key;
+        }
+        for step in self.steps.iter().filter(|s| s.mixed) {
+            let key = Some(io.keys.id(step.out, b));
+            if held_keys[step.out] == key {
+                tally.skipped_flops += step.kernel.flops();
+                tally.skipped_contractions += 1;
+                continue;
+            }
+            let held = slots[step.out].take().ok_or_else(|| {
+                Error::Internal(format!("mixed output buffer {} not held", step.out))
+            })?;
+            // Mixed children were refreshed earlier in this pass (children
+            // precede parents); StemPure keeps sit in the slot table too.
+            let left = operand_data(slots[step.left].as_deref(), io, step.left, b)?;
+            let right = operand_data(slots[step.right].as_deref(), io, step.right, b)?;
+            let out = contract_step(step, left, right, Some(held), source, counters, tally);
+            slots[step.out] = Some(out);
+            held_keys[step.out] = key;
+        }
+        Ok(())
+    }
+
+    /// Wrap the root buffer as a tensor, recycling the previous subtask's
+    /// root index set instead of cloning the compiled one: the steady-state
+    /// loop allocates nothing at all.
+    fn take_root(&self, ws: &mut StemWorkspace) -> Result<DenseTensor<Complex64>, Error> {
+        let buf = ws.slots[self.root]
+            .take()
+            .ok_or_else(|| Error::Internal("root tensor missing after stem replay".into()))?;
+        let indices = ws
+            .root_indices
+            .take()
+            .or_else(|| self.root_indices.clone())
+            .ok_or_else(|| Error::Internal("stem program has no root".into()))?;
+        Ok(DenseTensor::from_data(indices, buf))
+    }
+
+    /// Take a root tensor apart again: its index set is kept for the next
+    /// [`take_root`](Self::take_root), its buffer goes back into the slot
+    /// table (`hold`) or to the source.
+    fn put_root(&self, ws: &mut StemWorkspace, root: DenseTensor<Complex64>, hold: bool) {
+        let (indices, buf) = root.into_parts();
+        ws.root_indices = Some(indices);
+        if hold {
+            ws.slots[self.root] = Some(buf);
+        } else {
+            ws.source.release(buf, &mut ws.counters);
+        }
+    }
+}

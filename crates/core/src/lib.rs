@@ -13,8 +13,7 @@
 //! [`BranchCache`], projector-dependent frontiers once per execution, and
 //! only the slice-dependent stem replays per subtask — bit-identically to
 //! a full replay. All fallible operations return [`Error`] instead of
-//! panicking. The legacy [`Simulator`] facade survives as a thin shim over
-//! the engine.
+//! panicking.
 
 #![warn(missing_docs)]
 
@@ -27,21 +26,19 @@ pub mod planner;
 pub mod pool;
 pub mod projection;
 pub mod sampling;
-pub mod simulator;
 pub mod sync;
 pub mod verify;
 
 pub use engine::{CacheStats, CompiledCircuit, Engine, ExecutionReport, OutputShape};
 pub use error::Error;
 pub use executor::{
-    execute_amplitudes_on_pool, execute_on_pool, execute_plan, try_execute_plan, BranchCache,
-    ExecutionStats, ExecutorConfig, GemmTally, LeafOverrides, WorkerPool,
+    execute_amplitudes_on_pool, execute_on_pool, BranchCache, ExecutionStats, ExecutorConfig,
+    GemmTally, LeafOverrides, WorkerPool,
 };
 pub use fault::{FaultPlan, FaultPoint};
 pub use planner::{plan_simulation, PlannerConfig, SimulationPlan};
 pub use pool::{BufferPool, PoolCounters, SharedWorkerPools};
 pub use projection::{project_run, RunProjection};
 pub use sampling::sample_bitstrings;
-pub use simulator::Simulator;
 pub use sync::lock_unpoisoned;
 pub use verify::verify_against_statevector;

@@ -1,7 +1,7 @@
 //! Cross-validation against the state-vector reference.
 
-use crate::executor::{execute_plan, ExecutorConfig};
-use crate::planner::{plan_simulation, PlannerConfig};
+use crate::engine::Engine;
+use crate::planner::PlannerConfig;
 use qtn_circuit::{Circuit, OutputSpec};
 use qtn_statevector::StateVector;
 
@@ -31,6 +31,11 @@ pub fn verify_against_statevector(
     let n = circuit.num_qubits();
     assert!(n <= StateVector::MAX_QUBITS, "circuit too large for state-vector verification");
     let sv = StateVector::simulate(circuit);
+    // One compile serves every probed bitstring: only the projectors rebind.
+    let compiled = Engine::new()
+        .with_planner(planner.clone())
+        .compile(circuit, &OutputSpec::Amplitude(vec![0; n]))
+        .expect("an all-zero bitstring of the circuit's width is a valid output spec");
 
     let mut max_error: f64 = 0.0;
     let mut compared = 0;
@@ -38,9 +43,7 @@ pub fn verify_against_statevector(
         // Spread the probed bitstrings deterministically over the space.
         let pattern = k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - n.min(63));
         let bits: Vec<u8> = (0..n).map(|q| ((pattern >> (n - 1 - q)) & 1) as u8).collect();
-        let plan = plan_simulation(circuit, &OutputSpec::Amplitude(bits.clone()), planner);
-        let (result, _) = execute_plan(&plan, &ExecutorConfig::default());
-        let got = result.scalar_value();
+        let (got, _) = compiled.execute_amplitude(&bits).expect("execution failed");
         let expected = sv.amplitude(&bits);
         max_error = max_error.max((got - expected).abs());
         compared += 1;

@@ -55,9 +55,7 @@
 //! # Ok::<(), qtnsim::Error>(())
 //! ```
 //!
-//! Every fallible operation returns [`Error`] instead of panicking; the
-//! legacy [`Simulator`] facade (panic-on-error, `&mut self`) remains as a
-//! thin shim over [`Engine`].
+//! Every fallible operation returns [`Error`] instead of panicking.
 //!
 //! ## Crate map
 //!
@@ -86,7 +84,6 @@ pub use qtnsim_core as core;
 pub use qtn_circuit::{sycamore_rqc, Circuit, Gate, OutputSpec, RqcConfig};
 pub use qtn_tensor::{c64, Complex64, DenseTensor};
 pub use qtnsim_core::{
-    execute_plan, plan_simulation, try_execute_plan, BufferPool, CompiledCircuit, Engine, Error,
-    ExecutionReport, ExecutionStats, ExecutorConfig, OutputShape, PlannerConfig, PoolCounters,
-    Simulator, WorkerPool,
+    plan_simulation, BufferPool, CompiledCircuit, Engine, Error, ExecutionReport, ExecutionStats,
+    ExecutorConfig, OutputShape, PlannerConfig, PoolCounters, WorkerPool,
 };

@@ -74,7 +74,9 @@ fn random_bitstrings(n: usize, count: usize, seed: u64) -> Vec<Vec<u8>> {
     (0..count).map(|_| (0..n).map(|_| rng.gen_range(0..2u32) as u8).collect()).collect()
 }
 
-/// Ground truth from a direct engine run (computed before faults arm).
+/// Ground truth from a direct engine run. Call it under the suite lock with
+/// no plan installed (`arm("")`): outside the lock another test's armed
+/// fault can fire inside this execution — and be used up by it.
 fn direct_amplitude(circuit: &Circuit, bits: &[u8]) -> qtnsim::Complex64 {
     let engine = Engine::with_configs(planner(), executor());
     let compiled =
@@ -89,9 +91,8 @@ fn direct_amplitude(circuit: &Circuit, bits: &[u8]) -> qtnsim::Complex64 {
 fn worker_panics_fail_only_their_batch_and_the_service_keeps_serving() {
     let circuit = sliced_circuit(5);
     let zeros = vec![0u8; circuit.num_qubits()];
-    let expected = direct_amplitude(&circuit, &zeros);
-
     let _guard = arm("");
+    let expected = direct_amplitude(&circuit, &zeros);
     let server = Server::bind("127.0.0.1:0", config(BatchConfig::default())).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
@@ -128,9 +129,9 @@ fn worker_panics_fail_only_their_batch_and_the_service_keeps_serving() {
 fn pool_allocation_failure_is_contained_like_a_worker_panic() {
     let circuit = sliced_circuit(7);
     let zeros = vec![0u8; circuit.num_qubits()];
+    let _guard = arm("");
     let expected = direct_amplitude(&circuit, &zeros);
-
-    let _guard = arm("pool_alloc:nth=1");
+    fault::install(Some(FaultPlan::parse("pool_alloc:nth=1").unwrap()));
     let server = Server::bind("127.0.0.1:0", config(BatchConfig::default())).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
 
@@ -149,6 +150,33 @@ fn pool_allocation_failure_is_contained_like_a_worker_panic() {
     assert_eq!(snap.panics_caught, 1);
     assert_eq!(snap.requests_failed, 1);
     assert_eq!(snap.requests_completed, 1);
+}
+
+/// The contraction tick fires in every executor configuration, not only
+/// the pooled one: an unpooled batch of four with `worker_panic` armed
+/// fails with a typed `ExecutionPanic`, and the same compiled circuit then
+/// re-runs clean, bit-identical to the fault-free result.
+#[test]
+fn worker_panic_reaches_the_unpooled_batched_sweep() {
+    let circuit = sliced_circuit(13);
+    let bitstrings = random_bitstrings(circuit.num_qubits(), 4, 29);
+    let batch: Vec<&[u8]> = bitstrings.iter().map(Vec::as_slice).collect();
+
+    let _guard = arm("");
+    let engine = Engine::with_configs(planner(), ExecutorConfig { pool: false, ..executor() });
+    let compiled = engine
+        .compile(&circuit, &OutputSpec::Amplitude(vec![0; circuit.num_qubits()]))
+        .expect("compile");
+    let (expected, _) = compiled.execute_amplitudes(&batch).expect("fault-free batch");
+
+    fault::install(Some(FaultPlan::parse("worker_panic:nth=1").unwrap()));
+    let err = compiled.execute_amplitudes(&batch).unwrap_err();
+    assert!(matches!(err, qtnsim::Error::ExecutionPanic(_)), "untyped failure: {err:?}");
+
+    fault::install(None);
+    let (again, report) = compiled.execute_amplitudes(&batch).expect("clean re-run");
+    assert_eq!(again, expected, "bit-identity after a contained panic");
+    assert_eq!(report.stats.buffers_allocated, 0, "the unpooled sweep never touches a pool");
 }
 
 /// A request whose deadline is already spent when it reaches admission is
@@ -255,12 +283,13 @@ fn queued_requests_past_their_deadline_are_shed_at_dispatch() {
 fn retrying_client_reconnects_through_transport_faults() {
     let circuit = sliced_circuit(11);
     let zeros = vec![0u8; circuit.num_qubits()];
+    let _guard = arm("");
     let expected = direct_amplitude(&circuit, &zeros);
 
     // read_io hit 1 is the first connection's first poll; write_io hit 2
     // is the second connection's response write (hit 1 is the first
     // connection's dying error frame).
-    let _guard = arm("seed=3 read_io:nth=1 write_io:nth=2");
+    fault::install(Some(FaultPlan::parse("seed=3 read_io:nth=1 write_io:nth=2").unwrap()));
     let server = Server::bind("127.0.0.1:0", config(BatchConfig::default())).expect("bind");
     let mut client = RetryingClient::connect(
         server.local_addr(),

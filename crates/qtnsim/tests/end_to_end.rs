@@ -2,18 +2,14 @@
 //! planning → sliced parallel execution → validation against the
 //! state-vector reference.
 
-use qtnsim::core::{execute_plan, plan_simulation, ExecutorConfig, PlannerConfig, Simulator};
+use qtnsim::core::{plan_simulation, PlannerConfig};
 use qtnsim::statevector::StateVector;
 use qtnsim::{Circuit, Engine, Gate, OutputSpec, RqcConfig};
 
 fn amplitude_via_tn(circuit: &Circuit, bits: &[u8], target_rank: usize) -> qtnsim::Complex64 {
-    let plan = plan_simulation(
-        circuit,
-        &OutputSpec::Amplitude(bits.to_vec()),
-        &PlannerConfig { target_rank, ..Default::default() },
-    );
-    let (result, _) = execute_plan(&plan, &ExecutorConfig::default());
-    result.scalar_value()
+    let engine = Engine::new().with_planner(PlannerConfig { target_rank, ..Default::default() });
+    let compiled = engine.compile(circuit, &OutputSpec::Amplitude(bits.to_vec())).unwrap();
+    compiled.execute_amplitude(bits).unwrap().0
 }
 
 #[test]
@@ -55,18 +51,19 @@ fn engine_compile_once_execute_many_round_trip() {
 }
 
 #[test]
-fn simulator_api_round_trip() {
+fn closed_and_open_outputs_round_trip() {
     let circuit = RqcConfig::small(2, 4, 8, 11).build();
     let n = circuit.num_qubits();
     let sv = StateVector::simulate(&circuit);
-    let mut sim = Simulator::new(circuit)
-        .with_planner(PlannerConfig { target_rank: 8, ..Default::default() });
+    let engine = Engine::new().with_planner(PlannerConfig { target_rank: 8, ..Default::default() });
     // Closed amplitude.
     let bits = vec![0u8; n];
-    assert!((sim.amplitude(&bits) - sv.amplitude(&bits)).abs() < 1e-8);
+    let closed = engine.compile(&circuit, &OutputSpec::Amplitude(bits.clone())).unwrap();
+    assert!((closed.execute_amplitude(&bits).unwrap().0 - sv.amplitude(&bits)).abs() < 1e-8);
     // Open batch over three qubits.
     let open = vec![2usize, 5, 7];
-    let batch = sim.batch_amplitudes(&bits, &open);
+    let spec = OutputSpec::Open { fixed: bits.clone(), open: open.clone() };
+    let (batch, _) = engine.compile(&circuit, &spec).unwrap().execute_batch(&bits).unwrap();
     assert_eq!(batch.rank(), 3);
     for k in 0..8usize {
         let open_bits: Vec<u8> = (0..3).map(|a| ((k >> (2 - a)) & 1) as u8).collect();
@@ -98,9 +95,10 @@ fn ghz_circuit_with_every_gate_flavour() {
         .push1(Gate::Rx(1.1), 2)
         .push1(Gate::Ry(-0.7), 4);
     let sv = StateVector::simulate(&circuit);
-    let mut sim = Simulator::new(circuit);
+    let compiled = Engine::new().compile(&circuit, &OutputSpec::Amplitude(vec![0; 5])).unwrap();
     for bits in [[0, 0, 0, 0, 0], [1, 0, 1, 0, 1], [1, 1, 1, 1, 1]] {
-        assert!((sim.amplitude(&bits) - sv.amplitude(&bits)).abs() < 1e-9);
+        let (amp, _) = compiled.execute_amplitude(&bits).unwrap();
+        assert!((amp - sv.amplitude(&bits)).abs() < 1e-9);
     }
 }
 
