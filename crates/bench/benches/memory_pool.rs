@@ -6,8 +6,8 @@
 //! each slicing depth the pooled and unpooled executors sweep the same
 //! compiled plan, and the pool counters of one execution are printed next
 //! to the plan-time prediction — `allocated` collapses to 0 in the pooled
-//! steady state while the unpooled path pays fresh buffers for every leaf,
-//! intermediate and permutation scratch of all `2^|S|` subtasks.
+//! steady state while the unpooled path pays fresh buffers for every leaf
+//! and intermediate of all `2^|S|` subtasks.
 //!
 //! One circuit (3x4 qubits, 10 cycles) is planned at three memory targets
 //! to sweep `|S| ∈ {2, 4, 6}` — i.e. 4, 16 and 64 subtasks per execution.

@@ -58,10 +58,12 @@
 //! [`ExecutorConfig::reuse`] `= false` bypasses all of the above for the
 //! *independent oracle*: every subtask slices every leaf and replays the
 //! whole tree through per-call [`qtn_tensor::contract_pair`], sharing no
-//! code with the interpreter. It exists so tests and benchmarks have
-//! something to be bit-identical **to**; results agree because every
-//! node's tensor is produced by the same pairwise contractions in the same
-//! order — reuse only changes how often they run.
+//! code with the interpreter above the tensor layer. It exists so tests
+//! and benchmarks have something to be bit-identical **to**; results agree
+//! because every node's tensor is produced by the same pairwise
+//! contractions in the same order on the same kernels (`contract_pair`
+//! compiles the very [`qtn_tensor::ContractionKernel`] the stem program
+//! holds) — reuse only changes how often they run.
 //!
 //! ## Determinism
 //!
@@ -120,10 +122,11 @@ pub struct ExecutorConfig {
     /// oracle instead — the result is bit-identical, only slower.
     pub reuse: bool,
     /// Feed the stem interpreter from per-worker [`crate::BufferPool`]s:
-    /// every sliced leaf, intermediate and permutation-scratch buffer is
-    /// recycled, so after the first subtask warms the free lists the hot
-    /// loop performs zero heap allocations (pools persist across executions
-    /// of the same plan, like the branch cache). Disable to feed the same
+    /// every sliced leaf and intermediate buffer is recycled (contraction
+    /// reads its operands in place and needs nothing else), so after the
+    /// first subtask warms the free lists the hot loop performs zero heap
+    /// allocations (pools persist across executions of the same plan, like
+    /// the branch cache). Disable to feed the same
     /// interpreter from the heap — identical steps and results, the pool
     /// counters stay zero. No effect on the [`reuse`](Self::reuse)`: false`
     /// oracle, which always allocates.
@@ -583,7 +586,7 @@ fn sliced_leaf_tensor(
 /// The full-replay oracle (`reuse: false`): execute one slice assignment by
 /// slicing every leaf and replaying the whole tree schedule through
 /// per-call [`contract_pair`]. Deliberately shares nothing with the stem
-/// interpreter. Returns the subtask's root tensor and its flop count.
+/// interpreter but the tensor-layer kernels. Returns the subtask's root tensor and its flop count.
 fn run_subtask(
     plan: &SimulationPlan,
     overrides: &LeafOverrides,

@@ -285,7 +285,7 @@ execution_stats! {
     /// Contractions whose GEMM degenerated to a matrix–vector product
     /// (m == 1 or n == 1) and took the dedicated GEMV row/column kernel.
     gemm_gemv: u64, sum;
-    /// Contractions dispatched to the streaming narrow-matrix kernel.
+    /// Contractions dispatched to the narrow-matrix kernel.
     gemm_narrow: u64, sum;
     /// Contractions dispatched to the packed/blocked GEMM.
     gemm_blocked: u64, sum;

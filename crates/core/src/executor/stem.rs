@@ -59,7 +59,7 @@ struct StemLeafExec {
 }
 
 /// One stem contraction, fully compiled: operand/output tree nodes plus the
-/// reusable [`ContractionKernel`] (spec + TTGT permutation maps). Shapes and
+/// reusable [`ContractionKernel`] (spec + operand offset tables). Shapes and
 /// axis orders are identical across all `2^|S|` subtasks.
 #[derive(Debug)]
 struct StemStepExec {
@@ -282,9 +282,9 @@ fn operand_data<'a>(
         .ok_or_else(|| Error::Internal(format!("operand {id} missing from slots and caches")))
 }
 
-/// Apply one step's kernel: TTGT scratch for both operands comes from the
-/// source and goes straight back; the output buffer is `held_out` when the
-/// keyed loop recomputes in place, else freshly acquired.
+/// Apply one step's kernel. The operands are read in place, so the only
+/// buffer a step needs is its output: `held_out` when the keyed loop
+/// recomputes in place, else freshly acquired.
 fn contract_step(
     step: &StemStepExec,
     left: &[Complex64],
@@ -295,12 +295,8 @@ fn contract_step(
     tally: &mut SweepTally,
 ) -> Vec<Complex64> {
     fault_contraction_tick();
-    let mut left_scratch = source.acquire(left.len(), counters);
-    let mut right_scratch = source.acquire(right.len(), counters);
     let mut out = held_out.unwrap_or_else(|| source.acquire(step.kernel.output().len(), counters));
-    step.kernel.contract_into(left, right, &mut left_scratch, &mut right_scratch, &mut out);
-    source.release(left_scratch, counters);
-    source.release(right_scratch, counters);
+    step.kernel.contract(left, right, &mut out);
     let flops = step.kernel.flops();
     tally.flops += flops;
     tally.gemm.record_kernel(&step.kernel);
@@ -460,7 +456,7 @@ impl StemExec {
     /// held key matches this bitstring's is skipped outright; a changed key
     /// recomputes the buffer **in place** (the kernel overwrites its
     /// output, leaves re-gather), so held buffers never cycle through the
-    /// source and only the per-step TTGT scratch is transient. Because a
+    /// source and the suffix acquires nothing at all. Because a
     /// node's dependency mask contains its children's masks, a matching
     /// output key guarantees both operands hold exactly the values a
     /// per-bitstring replay would produce — skipping is bit-exact reuse,

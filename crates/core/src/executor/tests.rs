@@ -362,6 +362,32 @@ fn pool_counters_prove_zero_alloc_steady_state() {
 }
 
 #[test]
+fn a_pooled_sweep_acquires_one_buffer_per_stem_leaf_and_output() {
+    let circuit = RqcConfig::small(3, 3, 8, 2).build();
+    let n = circuit.num_qubits();
+    let plan = Arc::new(plan_simulation(
+        &circuit,
+        &OutputSpec::Amplitude(vec![0; n]),
+        &PlannerConfig { target_rank: 7, ..Default::default() },
+    ));
+    let cls = &plan.classification;
+    let stem_leaves = (plan.tree.nodes().iter().enumerate())
+        .filter(|(id, node)| node.is_leaf() && cls.class(*id).is_stem())
+        .count() as u64;
+    let outputs = cls.stem_schedule().len() as u64;
+    assert!(stem_leaves > 0 && outputs > 0);
+    let config = ExecutorConfig { workers: 1, max_subtasks: 0, reuse: true, pool: true };
+    let (_, stats) = execute(&plan, &config);
+    // Contraction reads its operands in place: a subtask takes its sliced
+    // leaves and one output per step from the pool, and nothing else.
+    assert_eq!(
+        stats.buffers_allocated + stats.buffers_reused,
+        stats.subtasks_run as u64 * (stem_leaves + outputs),
+        "{stem_leaves} leaves + {outputs} outputs per subtask, no scratch"
+    );
+}
+
+#[test]
 fn unsliced_plan_bypasses_the_buffer_pool() {
     let circuit = RqcConfig::small(2, 3, 6, 7).build();
     let n = circuit.num_qubits();

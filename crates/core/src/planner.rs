@@ -171,8 +171,7 @@ impl SimulationPlan {
     /// contracts (a sliced edge is fixed to one value everywhere, so it
     /// vanishes from every tensor; GEMM shape depends only on index-set
     /// membership, never axis order). Returns `((m, n, k), count)` pairs
-    /// sorted by descending total flops — the real workload the `gemm`
-    /// microbenchmark sweeps.
+    /// sorted by descending total flops.
     pub fn gemm_shape_histogram(&self) -> Vec<((usize, usize, usize), u64)> {
         use qtn_tensor::{ContractionSpec, IndexSet};
         use std::collections::HashMap;

@@ -4,9 +4,9 @@
 //! fall into a small number of exact size classes and recycling is trivial:
 //! a freed buffer of length `L` serves any later request for length `L`.
 //! [`BufferPool`] keeps one free list per class; the pooled executor
-//! acquires every stem-loop buffer (sliced leaves, intermediates, TTGT
-//! permutation scratch) from it and releases them when their statically
-//! known lifetime ends (see [`qtn_tensornet::lifetime`]). After the first
+//! acquires every stem-loop buffer (sliced leaves and contraction outputs —
+//! contraction reads its operands in place, so there is no scratch) from it
+//! and releases them when their statically known lifetime ends (see [`qtn_tensornet::lifetime`]). After the first
 //! slice subtask warms the free lists, the loop allocates nothing: the
 //! plan-time greedy slot assignment proves the working set, and the pool
 //! realises it.

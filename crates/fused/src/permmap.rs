@@ -37,8 +37,9 @@ impl PermutationStats {
 /// Build the operand permutation plans for a contraction.
 ///
 /// The left operand is permuted to `[left_free..., contracted...]` and the
-/// right operand to `[contracted..., right_free...]`, matching the TTGT
-/// lowering in `qtn_tensor::contract`. Returns the two reduced-map plans and
+/// right operand to `[contracted..., right_free...]` — the TTGT lowering
+/// of the modeled Sunway kernel (the host's `qtn_tensor::contract` groups
+/// the same axes but reads them in place). Returns the two reduced-map plans and
 /// their footprint statistics.
 pub fn operand_permutations(
     left: &IndexSet,

@@ -61,7 +61,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`tensor`] | complex scalars, dense tensors, permutation, GEMM, TTGT contraction |
+//! | [`tensor`] | complex scalars, dense tensors, permutation, GEMM, transpose-free contraction |
 //! | [`circuit`] | gate library, circuit IR, Sycamore-style RQC generator, circuit → network |
 //! | [`tensornet`] | network graph, contraction trees, path search, stem extraction |
 //! | [`slicing`] | lifetime, overheads, the slice finder (Alg. 1), the SA refiner (Alg. 2), baselines |

@@ -6,7 +6,7 @@
 //! `#[repr(C)]` structs so slices of them can be reinterpreted as interleaved
 //! real/imaginary arrays by the GEMM micro-kernels.
 
-use crate::kernels::{SimdLevel, SimdSupport};
+use crate::kernels::{Layout, MatRef, SimdLevel, SimdSupport};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -119,51 +119,47 @@ pub trait Scalar:
     /// and only when [`Scalar::simd_support`] reports `micro`; the default
     /// falls back to the unrolled scalar micro-kernel.
     #[inline]
-    fn gemm_micro_simd(
+    fn gemm_micro_simd<L: Layout>(
         level: SimdLevel,
-        a: &[Self],
-        b: &[Self],
+        a: MatRef<'_, Self, L>,
+        b: MatRef<'_, Self, L>,
         c: &mut [Self],
-        m: usize,
-        n: usize,
-        k: usize,
     ) {
         let _ = level;
-        crate::kernels::micro_scalar(a, b, c, m, n, k);
+        crate::kernels::micro::run_scalar(a, b, c);
     }
 
     /// Narrow-shape kernel on the type's SIMD path. Called only when
     /// [`Scalar::simd_support`] reports `narrow`; the default falls back to
-    /// the scalar streaming kernel.
+    /// the scalar streaming kernel. With `overwrite` the prior contents of
+    /// `c` are ignored (`C = A·B`) instead of accumulated into.
     #[inline]
-    fn gemm_narrow_simd(
+    fn gemm_narrow_simd<L: Layout>(
         level: SimdLevel,
-        a: &[Self],
-        b: &[Self],
+        a: MatRef<'_, Self, L>,
+        b: MatRef<'_, Self, L>,
         c: &mut [Self],
-        m: usize,
-        n: usize,
-        k: usize,
+        overwrite: bool,
     ) {
         let _ = level;
-        crate::gemm::gemm_narrow(a, b, c, m, n, k);
+        if overwrite {
+            c.fill(Self::zero());
+        }
+        crate::gemm::gemm_narrow(a, b, c);
     }
 
     /// Packed/blocked kernel on the type's SIMD path. Called only when
     /// [`Scalar::simd_support`] reports `blocked`; the default falls back to
     /// the scalar cache-blocked kernel.
     #[inline]
-    fn gemm_blocked_simd(
+    fn gemm_blocked_simd<L: Layout>(
         level: SimdLevel,
-        a: &[Self],
-        b: &[Self],
+        a: MatRef<'_, Self, L>,
+        b: MatRef<'_, Self, L>,
         c: &mut [Self],
-        m: usize,
-        n: usize,
-        k: usize,
     ) {
         let _ = level;
-        crate::gemm::gemm(a, b, c, m, n, k);
+        crate::gemm::gemm(a, b, c);
     }
 }
 
@@ -370,40 +366,32 @@ macro_rules! impl_complex {
                 crate::kernels::simd::$simd::support(level)
             }
             #[inline(always)]
-            fn gemm_micro_simd(
+            fn gemm_micro_simd<L: Layout>(
                 level: SimdLevel,
-                a: &[Self],
-                b: &[Self],
+                a: MatRef<'_, Self, L>,
+                b: MatRef<'_, Self, L>,
                 c: &mut [Self],
-                m: usize,
-                n: usize,
-                k: usize,
             ) {
-                crate::kernels::simd::$simd::micro(level, a, b, c, m, n, k)
+                crate::kernels::simd::$simd::micro(level, a, b, c)
             }
             #[inline(always)]
-            fn gemm_narrow_simd(
+            fn gemm_narrow_simd<L: Layout>(
                 level: SimdLevel,
-                a: &[Self],
-                b: &[Self],
+                a: MatRef<'_, Self, L>,
+                b: MatRef<'_, Self, L>,
                 c: &mut [Self],
-                m: usize,
-                n: usize,
-                k: usize,
+                overwrite: bool,
             ) {
-                crate::kernels::simd::$simd::narrow(level, a, b, c, m, n, k)
+                crate::kernels::simd::$simd::narrow(level, a, b, c, overwrite)
             }
             #[inline(always)]
-            fn gemm_blocked_simd(
+            fn gemm_blocked_simd<L: Layout>(
                 level: SimdLevel,
-                a: &[Self],
-                b: &[Self],
+                a: MatRef<'_, Self, L>,
+                b: MatRef<'_, Self, L>,
                 c: &mut [Self],
-                m: usize,
-                n: usize,
-                k: usize,
             ) {
-                crate::kernels::simd::$simd::blocked(level, a, b, c, m, n, k)
+                crate::kernels::simd::$simd::blocked(level, a, b, c)
             }
         }
     };

@@ -1,27 +1,38 @@
-//! Pairwise tensor contraction via TTGT.
+//! Pairwise tensor contraction, transpose-free.
 //!
-//! A contraction of two tensors over their shared indices is lowered to
-//! matrix multiplication: both operands are permuted so that the contracted
-//! indices are contiguous (Transpose, Transpose), multiplied (GEMM), and the
-//! output inherits the free indices of both operands (no final transpose is
-//! needed because we choose the output axis order to be exactly what GEMM
-//! produces). This is the same fused TTGT strategy used by the 2021 Gordon
-//! Bell work on Sunway that the paper builds on.
+//! A contraction of two tensors over their shared indices is one matrix
+//! multiplication: the left operand's free indices are the rows of `A`, the
+//! shared indices its columns and the rows of `B`, the right operand's free
+//! indices the columns of `B`. The classic lowering (TTGT —
+//! Transpose-Transpose-GEMM-Transpose, the strategy of the 2021 Gordon Bell
+//! work on Sunway that the paper builds on) first *permutes* both operands
+//! so those groups are contiguous. Here nothing is permuted: every axis has
+//! dimension 2, so regrouping axes only reassigns offset bits, and the
+//! source offset of matrix element `(i, p)` is `row_off[i] + col_off[p]`
+//! for two small tables ([`OffsetTable`]). A [`ContractionKernel`] builds
+//! the tables for both operands once (`m + k` and `k + n` entries, where a
+//! permutation map has up to `2^rank`) and the GEMM kernels read the
+//! operands where they lie — the transposes of TTGT became address
+//! arithmetic, and their scratch buffers are gone. The output needs no
+//! transpose either: its axis order is chosen to be exactly what the GEMM
+//! produces (`left_free ++ right_free`).
+//!
+//! There is one implementation: [`contract_pair`] compiles a kernel and
+//! applies it, so one-off contractions (the branch and frontier builders,
+//! the full-replay oracle) and the executor's compiled stem run the same
+//! kernels and agree bit for bit by construction.
 
 use crate::complex::Scalar;
 use crate::dense::DenseTensor;
-use crate::gemm::{gemm_auto, gemm_flops};
+use crate::gemm::gemm_flops;
 use crate::index::{IndexId, IndexSet};
-use crate::kernels::KernelPlan;
-use crate::permute::{permutation_to_order, permute_into, PermutePlan};
+use crate::kernels::{KernelPlan, OffsetTable};
 
 /// A fully resolved plan for contracting a pair of tensors.
 ///
-/// The spec is independent of the numeric data so it can be reused across
-/// all slice subtasks, which share identical shapes. The TTGT operand
-/// orders ([`left_order`](Self::left_order) / [`right_order`](Self::right_order))
-/// are precomputed here so the per-contraction hot path performs no index
-/// bookkeeping allocations.
+/// The spec is independent of the numeric data *and of the operands' axis
+/// orders* (only index-set membership matters), so it can be reused across
+/// all slice subtasks, which share identical shapes.
 #[derive(Debug, Clone)]
 pub struct ContractionSpec {
     /// Free (kept) indices of the left operand, in output order.
@@ -32,10 +43,6 @@ pub struct ContractionSpec {
     pub contracted: Vec<IndexId>,
     /// Index set of the output tensor: `left_free ++ right_free`.
     pub output: IndexSet,
-    /// Axis order the left operand is permuted to: `left_free ++ contracted`.
-    left_order: IndexSet,
-    /// Axis order the right operand is permuted to: `contracted ++ right_free`.
-    right_order: IndexSet,
 }
 
 impl ContractionSpec {
@@ -51,32 +58,7 @@ impl ContractionSpec {
         let mut out = Vec::with_capacity(left_free.len() + right_free.len());
         out.extend_from_slice(&left_free);
         out.extend_from_slice(&right_free);
-        let mut left_order = Vec::with_capacity(left_free.len() + contracted.len());
-        left_order.extend_from_slice(&left_free);
-        left_order.extend_from_slice(&contracted);
-        let mut right_order = Vec::with_capacity(contracted.len() + right_free.len());
-        right_order.extend_from_slice(&contracted);
-        right_order.extend_from_slice(&right_free);
-        Self {
-            left_free,
-            right_free,
-            contracted,
-            output: IndexSet::new(out),
-            left_order: IndexSet::new(left_order),
-            right_order: IndexSet::new(right_order),
-        }
-    }
-
-    /// The axis order the left operand is permuted to before the GEMM:
-    /// `left_free ++ contracted` (free indices become GEMM rows).
-    pub fn left_order(&self) -> &IndexSet {
-        &self.left_order
-    }
-
-    /// The axis order the right operand is permuted to before the GEMM:
-    /// `contracted ++ right_free` (free indices become GEMM columns).
-    pub fn right_order(&self) -> &IndexSet {
-        &self.right_order
+        Self { left_free, right_free, contracted, output: IndexSet::new(out) }
     }
 
     /// GEMM shape `(m, n, k)` implied by this spec.
@@ -116,95 +98,47 @@ impl ContractionSpec {
 /// Returns a tensor whose axes are the left operand's free indices followed
 /// by the right operand's free indices. If no indices are shared this is an
 /// outer product; if all indices are shared the result is a scalar
-/// (rank-0 tensor).
+/// (rank-0 tensor). Compiles a [`ContractionKernel`] for the pair and
+/// applies it once — callers that contract the same index sets repeatedly
+/// should keep the kernel.
 pub fn contract_pair<T: Scalar>(left: &DenseTensor<T>, right: &DenseTensor<T>) -> DenseTensor<T> {
-    let spec = ContractionSpec::new(left.indices(), right.indices());
-    contract_pair_with_spec(left, right, &spec)
+    let kernel = ContractionKernel::new(left.indices(), right.indices());
+    let mut out = vec![T::zero(); kernel.output().len()];
+    kernel.contract(left.data(), right.data(), &mut out);
+    DenseTensor::from_data(kernel.spec.output, out)
 }
 
-/// Contract two tensors using a precomputed [`ContractionSpec`].
-pub fn contract_pair_with_spec<T: Scalar>(
-    left: &DenseTensor<T>,
-    right: &DenseTensor<T>,
-    spec: &ContractionSpec,
-) -> DenseTensor<T> {
-    let mut left_scratch = vec![T::zero(); left.len()];
-    let mut right_scratch = vec![T::zero(); right.len()];
-    let mut out = DenseTensor::zeros(spec.output.clone());
-    contract_pair_into_with_spec(
-        left,
-        right,
-        spec,
-        &mut left_scratch,
-        &mut right_scratch,
-        out.data_mut(),
-    );
-    out
-}
-
-/// Contract two tensors into caller-provided buffers — no allocation.
-///
-/// Permutes `left` into `left_scratch` (length `left.len()`) and `right`
-/// into `right_scratch` (length `right.len()`), zeroes `out` (length
-/// `spec.output.len()`) and runs the GEMM. `out` receives the amplitudes of
-/// the contraction in `spec.output` axis order; the result is bit-identical
-/// to [`contract_pair_with_spec`], which is itself built on this function.
-///
-/// This is the pooled-execution entry point: the executor's steady-state
-/// subtask loop feeds recycled buffers here instead of allocating a fresh
-/// tensor per contraction. For a reusable, fully precomputed variant (the
-/// permutation maps built once per plan rather than per call) see
-/// [`ContractionKernel`].
-pub fn contract_pair_into_with_spec<T: Scalar>(
-    left: &DenseTensor<T>,
-    right: &DenseTensor<T>,
-    spec: &ContractionSpec,
-    left_scratch: &mut [T],
-    right_scratch: &mut [T],
-    out: &mut [T],
-) {
-    // Permute left to [left_free..., contracted...] and right to
-    // [contracted..., right_free...], then a single GEMM yields the output
-    // in [left_free..., right_free...] order directly.
-    permute_into(left, &permutation_to_order(left.indices(), &spec.left_order), left_scratch);
-    permute_into(right, &permutation_to_order(right.indices(), &spec.right_order), right_scratch);
-    let (m, n, k) = spec.gemm_shape();
-    assert_eq!(out.len(), m * n, "output buffer length mismatch");
-    out.fill(T::zero());
-    gemm_auto(left_scratch, right_scratch, out, m, n, k);
-}
-
-/// A fully compiled pairwise contraction: the [`ContractionSpec`] plus the
-/// two TTGT [`PermutePlan`]s, built once per `(left, right)` index-set pair
-/// and applied to many buffers.
+/// A fully compiled pairwise contraction: the [`ContractionSpec`], the
+/// separable offset tables of both operands and the frozen GEMM dispatch,
+/// built once per `(left, right)` index-set pair and applied to many
+/// buffers.
 ///
 /// This is what the executor's stem loop replays per slice subtask: every
 /// subtask contracts tensors of identical shape and axis order, so the spec,
-/// the permutation maps (reduced with the recursion formula of §5.3.1 where
-/// possible) and the GEMM shape are all plan-time constants. Applying a
-/// kernel performs **zero heap allocations** — all buffers are supplied by
-/// the caller.
+/// the tables and the GEMM shape are all plan-time constants. Applying a
+/// kernel performs **zero heap allocations** and needs no scratch: the
+/// operands are read in place and only the output is written.
 #[derive(Debug, Clone)]
 pub struct ContractionKernel {
     spec: ContractionSpec,
-    left_plan: PermutePlan,
-    right_plan: PermutePlan,
+    /// Left operand as `A`: rows `left_free`, columns `contracted`.
+    left: OffsetTable,
+    /// Right operand as `B`: rows `contracted`, columns `right_free`.
+    right: OffsetTable,
     gemm_plan: KernelPlan,
 }
 
 impl ContractionKernel {
     /// Compile the contraction of two operand index sets (order matters: it
-    /// fixes the permutation maps). The GEMM dispatch decision — shape
-    /// class and SIMD level — is frozen here, so applying the kernel never
+    /// fixes the offset tables). The GEMM dispatch decision — shape class
+    /// and SIMD level — is frozen here, so applying the kernel never
     /// re-probes or re-classifies.
     pub fn new(left: &IndexSet, right: &IndexSet) -> Self {
         let spec = ContractionSpec::new(left, right);
-        let left_plan =
-            PermutePlan::reduced(left.rank(), &permutation_to_order(left, &spec.left_order));
-        let right_plan =
-            PermutePlan::reduced(right.rank(), &permutation_to_order(right, &spec.right_order));
+        let left = OffsetTable::new(left, &spec.left_free, &spec.contracted);
+        let right = OffsetTable::new(right, &spec.contracted, &spec.right_free);
         let gemm_plan = spec.kernel_plan();
-        Self { spec, left_plan, right_plan, gemm_plan }
+        Self { spec, left, right, gemm_plan }
     }
 
     /// The underlying contraction spec.
@@ -227,26 +161,30 @@ impl ContractionKernel {
         self.spec.flops()
     }
 
-    /// Contract raw operand buffers into `out`, using the caller's scratch
-    /// buffers for the TTGT permutations. Buffer lengths must match the
-    /// operand index sets the kernel was compiled for (`left_scratch` the
-    /// left operand, `right_scratch` the right, `out` the output). The
-    /// values written are bit-identical to [`contract_pair`] on tensors with
-    /// the compiled axis orders.
+    /// Contract raw operand buffers into `out`: `out` is overwritten with
+    /// the contraction in [`output`](Self::output) axis order, the operands
+    /// are read in place. Buffer lengths must match the index sets the
+    /// kernel was compiled for.
+    ///
+    /// # Panics
+    /// If a buffer has the wrong length.
+    pub fn contract<T: Scalar>(&self, left: &[T], right: &[T], out: &mut [T]) {
+        assert_eq!(out.len(), self.spec.output.len(), "output buffer length mismatch");
+        self.gemm_plan.run(self.left.view(left), self.right.view(right), out, true);
+    }
+
+    /// [`contract`](Self::contract) under its pre-fusion signature: the two
+    /// scratch slices TTGT's permuted copies used to occupy are ignored.
+    /// Kept only because the frozen repo benchmark calls it.
     pub fn contract_into<T: Scalar>(
         &self,
         left: &[T],
         right: &[T],
-        left_scratch: &mut [T],
-        right_scratch: &mut [T],
+        _left_scratch: &mut [T],
+        _right_scratch: &mut [T],
         out: &mut [T],
     ) {
-        self.left_plan.apply_into(left, left_scratch);
-        self.right_plan.apply_into(right, right_scratch);
-        let (m, n, k) = self.spec.gemm_shape();
-        assert_eq!(out.len(), m * n, "output buffer length mismatch");
-        out.fill(T::zero());
-        self.gemm_plan.apply(left_scratch, right_scratch, out, m, n, k);
+        self.contract(left, right, out);
     }
 }
 
@@ -436,68 +374,114 @@ mod tests {
         assert_tensor_close(&seq, &direct);
     }
 
-    #[test]
-    fn spec_precomputes_ttgt_orders() {
-        let a = IndexSet::new(vec![0, 1, 2]);
-        let b = IndexSet::new(vec![2, 3]);
-        let spec = ContractionSpec::new(&a, &b);
-        assert_eq!(spec.left_order().axes(), &[0, 1, 2]);
-        assert_eq!(spec.right_order().axes(), &[2, 3]);
-    }
-
-    #[test]
-    fn contract_into_is_bit_identical_to_contract_pair() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let cases: Vec<(Vec<IndexId>, Vec<IndexId>)> = vec![
+    /// Index sets whose contraction lands in every dispatch class, with
+    /// the contracted axes leading, trailing and interleaved in the
+    /// operands and the unit-stride axis both free and contracted.
+    fn cases_of_every_class() -> Vec<(Vec<IndexId>, Vec<IndexId>)> {
+        let range = |lo: u32, hi: u32| (lo..hi).collect::<Vec<IndexId>>();
+        let with = |mut head: Vec<IndexId>, tail: Vec<IndexId>| {
+            head.extend(tail);
+            head
+        };
+        vec![
+            // Micro 4x4x4 and 2x4x8.
             (vec![0, 1, 2, 3], vec![2, 3, 4, 5]),
-            (vec![7, 3, 5], vec![5, 3, 9, 11]),
-            (vec![0, 1], vec![2, 3]),
-            (vec![4, 6], vec![6, 4]),
-        ];
-        for (la, lb) in cases {
-            let a = random_tensor(&mut rng, la);
-            let b = random_tensor(&mut rng, lb);
-            let owned = contract_pair(&a, &b);
-            let spec = ContractionSpec::new(a.indices(), b.indices());
-            let mut ls = vec![Complex64::ZERO; a.len()];
-            let mut rs = vec![Complex64::ZERO; b.len()];
-            // A dirty output buffer must be fully overwritten.
-            let mut out = vec![c64(7.0, -7.0); spec.output.len()];
-            contract_pair_into_with_spec(&a, &b, &spec, &mut ls, &mut rs, &mut out);
-            assert_eq!(out.as_slice(), owned.data(), "into-variant must be bit-identical");
-        }
+            (vec![9, 0, 8, 7], vec![7, 1, 9, 2, 8]),
+            // GemvRow (left fully contracted) and GemvCol.
+            (range(0, 5), with(range(0, 5), range(10, 16))),
+            (with(range(10, 16), range(0, 5)), vec![4, 2, 0, 1, 3]),
+            // Narrow: tall 512x4x4, wide 4x512x4, deep 8x4x256, outer product.
+            (with(vec![20, 21], range(0, 9)), vec![30, 21, 31, 20]),
+            (vec![20, 30, 21, 31], with(range(0, 5), with(vec![21, 20], range(5, 9)))),
+            (
+                with(range(0, 8), vec![40, 41, 42]),
+                with(vec![50, 51], range(0, 8).into_iter().rev().collect()),
+            ),
+            (range(0, 6), vec![10, 11]),
+            // Blocked 64x32x32, contracted axes interleaved with free ones.
+            (
+                vec![0, 20, 1, 21, 2, 22, 3, 23, 4, 24, 5],
+                vec![24, 30, 23, 31, 22, 32, 21, 33, 20, 34],
+            ),
+        ]
     }
 
     #[test]
     fn kernel_matches_contract_pair_bit_for_bit() {
+        use crate::kernels::{DispatchClass, SimdLevel};
+        use crate::permute::{permutation_to_order, PermutePlan};
         let mut rng = StdRng::seed_from_u64(22);
-        let a = random_tensor(&mut rng, vec![0, 1, 2, 3, 4]);
-        let b = random_tensor(&mut rng, vec![4, 3, 5, 6]);
-        let owned = contract_pair(&a, &b);
-        let kernel = ContractionKernel::new(a.indices(), b.indices());
-        assert_eq!(kernel.output(), owned.indices());
-        assert_eq!(kernel.flops(), kernel.spec().flops());
-        let mut ls = vec![Complex64::ZERO; a.len()];
-        let mut rs = vec![Complex64::ZERO; b.len()];
-        let mut out = vec![c64(1.0, 1.0); kernel.output().len()];
-        // Apply twice to the same dirty buffer: reuse must not change bits.
-        for _ in 0..2 {
+        let mut classes = std::collections::HashSet::new();
+        for (la, lb) in cases_of_every_class() {
+            let a = random_tensor(&mut rng, la);
+            let b = random_tensor(&mut rng, lb);
+            let owned = contract_pair(&a, &b);
+            let kernel = ContractionKernel::new(a.indices(), b.indices());
+            assert_eq!(kernel.output(), owned.indices());
+            assert_eq!(kernel.flops(), kernel.spec().flops());
+            classes.insert(std::mem::discriminant(&kernel.gemm_plan().class()));
+
+            // Apply twice to the same dirty buffer: reuse must not change
+            // bits, and the legacy five-argument shim is the same call.
+            let mut out = vec![c64(1.0, 1.0); kernel.output().len()];
+            for _ in 0..2 {
+                kernel.contract(a.data(), b.data(), &mut out);
+                assert_eq!(out.as_slice(), owned.data(), "kernel must be bit-identical");
+            }
+            let (mut ls, mut rs) = (vec![Complex64::ZERO; 1], vec![Complex64::ZERO; 1]);
             kernel.contract_into(a.data(), b.data(), &mut ls, &mut rs, &mut out);
-            assert_eq!(out.as_slice(), owned.data(), "kernel must be bit-identical");
+            assert_eq!(out.as_slice(), owned.data());
+
+            // Reading in place equals running the same plan on explicitly
+            // permuted dense copies — the TTGT it replaced — bit for bit,
+            // at the probed level and on the scalar path.
+            let spec = kernel.spec();
+            let order = |head: &[IndexId], tail: &[IndexId]| {
+                IndexSet::new(head.iter().chain(tail).copied().collect())
+            };
+            let permuted = |t: &DenseTensor<Complex64>, to: &IndexSet| {
+                PermutePlan::full(t.rank(), &permutation_to_order(t.indices(), to)).apply(t)
+            };
+            let pa = permuted(&a, &order(&spec.left_free, &spec.contracted));
+            let pb = permuted(&b, &order(&spec.contracted, &spec.right_free));
+            let (m, n, k) = spec.gemm_shape();
+            for level in [kernel.gemm_plan().level(), SimdLevel::Scalar] {
+                let plan = KernelPlan::select_with_level(m, n, k, level);
+                let mut dense = vec![Complex64::ZERO; m * n];
+                plan.apply(pa.data(), pb.data(), &mut dense, m, n, k);
+                let mut in_place = vec![Complex64::ZERO; m * n];
+                let (va, vb) = (kernel.left.view(a.data()), kernel.right.view(b.data()));
+                plan.apply_views(va, vb, &mut in_place);
+                assert_eq!(in_place, dense, "{m}x{n}x{k} at {level:?}: view changed the bits");
+            }
+            assert_tensor_close(&owned, &contract_naive(&a, &b));
+        }
+        let all = [
+            DispatchClass::Micro { m: 1, n: 1, k: 2 },
+            DispatchClass::GemvRow,
+            DispatchClass::GemvCol,
+            DispatchClass::Narrow,
+            DispatchClass::Blocked,
+        ];
+        for class in all {
+            assert!(classes.contains(&std::mem::discriminant(&class)), "no case reached {class:?}");
         }
     }
 
     #[test]
     #[should_panic(expected = "output buffer length mismatch")]
-    fn contract_into_rejects_wrong_output_length() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let a = random_tensor(&mut rng, vec![0, 1]);
-        let b = random_tensor(&mut rng, vec![1, 2]);
-        let spec = ContractionSpec::new(a.indices(), b.indices());
-        let mut ls = vec![Complex64::ZERO; a.len()];
-        let mut rs = vec![Complex64::ZERO; b.len()];
-        let mut out = vec![Complex64::ZERO; 1];
-        contract_pair_into_with_spec(&a, &b, &spec, &mut ls, &mut rs, &mut out);
+    fn contract_rejects_wrong_output_length() {
+        let kernel = ContractionKernel::new(&IndexSet::new(vec![0, 1]), &IndexSet::new(vec![1, 2]));
+        let operand = vec![Complex64::ZERO; 4];
+        kernel.contract(&operand, &operand, &mut [Complex64::ZERO; 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "operand buffer length mismatch")]
+    fn contract_rejects_wrong_operand_length() {
+        let kernel = ContractionKernel::new(&IndexSet::new(vec![0, 1]), &IndexSet::new(vec![1, 2]));
+        let operand = vec![Complex64::ZERO; 4];
+        kernel.contract(&operand[..3], &operand, &mut [Complex64::ZERO; 4]);
     }
 
     #[test]

@@ -1,25 +1,34 @@
 //! Complex matrix multiplication kernels — the scalar reference set.
 //!
-//! Tensor contraction is lowered to GEMM (`C = A * B`) after the TTGT
-//! permutations. This module holds the portable scalar kernels, mirroring
-//! the discussion in §5.1 of the paper:
+//! A contraction is one GEMM (`C += A * B`) whose operands are read **in
+//! place** through [`MatRef`] views (see [`crate::kernels::view`]): dense
+//! row-major slices and the regrouped-axes tables of a compiled contraction
+//! are the same code path. This module holds the portable scalar kernels,
+//! mirroring the discussion in §5.1 of the paper:
 //!
 //! * [`gemm`] — a cache-blocked kernel with a 4×4 register micro-kernel,
 //!   effective for square-ish shapes;
-//! * [`gemm_narrow`] — a simple streaming kernel for the *narrow* shapes
-//!   (two of `m`, `n`, `k` ≤ 16) that dominate quantum-circuit contractions
-//!   and are bandwidth- rather than compute-bound;
+//! * [`gemm_narrow`] — a plain streaming loop for the *narrow* shapes (two
+//!   of `m`, `n`, `k` ≤ 16) that dominate quantum-circuit contractions.
+//!   The paper calls these bandwidth-bound, and on its machine they are;
+//!   measured on an AVX2 host they are not — the streaming loop reaches
+//!   3.5–7 Gflop/s where the register-blocked tile of
+//!   [`crate::kernels`] reaches 2–4x that on the same operands, so this
+//!   body is the *reference*, not the production path, wherever a SIMD
+//!   level is available;
 //! * [`gemv_row`] / [`gemv_col`] — the degenerate `m == 1` / `n == 1`
 //!   products;
-//! * [`gemm_reference`] — the naive triple loop every other path is
-//!   conformance-tested against (`crates/tensor/tests/gemm_conformance.rs`).
+//! * [`gemm_reference`] — the naive triple loop on dense slices every other
+//!   path is conformance-tested against
+//!   (`crates/tensor/tests/gemm_conformance.rs`).
 //!
-//! [`gemm_auto`] is what the contraction layer calls; it routes through the
-//! [`crate::kernels`] dispatcher, which picks a shape class (including the
-//! fully unrolled micro-kernels) and a SIMD level via the one-time hardware
-//! probe. The scalar kernels here are preserved as-is: they are both the
-//! reference oracle and the forced path under `QTNSIM_FORCE_SCALAR` /
-//! [`crate::kernels::set_simd_override`].
+//! [`gemm_auto`] routes dense slices through the [`crate::kernels`]
+//! dispatcher, which picks a shape class (including the fully unrolled
+//! micro-kernels) and a SIMD level via the one-time hardware probe. The
+//! scalar kernels here are both the reference oracle and the forced path
+//! under `QTNSIM_FORCE_SCALAR` / [`crate::kernels::set_simd_override`];
+//! they contain no intrinsics and are generic over the view, so they also
+//! serve every target without a hand-written tile.
 //!
 //! # Accumulation contract
 //!
@@ -27,10 +36,12 @@
 //! `C += A * B`) and never reads `C` beyond that. Callers zero `C` when a
 //! plain product is wanted; accumulation is exactly what slice subtask
 //! reduction needs. The conformance suite runs each path against a dirty
-//! `C` to pin this contract.
+//! `C` to pin this contract. For a fixed output element every kernel adds
+//! its `k` terms in ascending `p`, whatever the view, so a result never
+//! depends on how the operands happen to be laid out.
 
 use crate::complex::Scalar;
-use crate::kernels::KernelPlan;
+use crate::kernels::{KernelPlan, Layout, MatRef};
 
 /// Threshold below which a dimension counts as "narrow" (paper: two of
 /// m, n, k less than 16 make GEMM bandwidth bound).
@@ -66,71 +77,87 @@ pub fn is_narrow(m: usize, n: usize, k: usize) -> bool {
 /// the fully unrolled kernels, degenerate `m == 1` / `n == 1` products to
 /// the dedicated GEMV-style kernels (frontier-heavy contractions — a
 /// projector absorbed into a gate, a scalar-producing root — are dominated
-/// by these shapes), narrow shapes to the streaming kernel, everything else
-/// to the packed/blocked kernel; compute-bound classes take the process's
-/// probed SIMD path. Callers that apply one shape many times should compile
-/// the plan once ([`crate::ContractionKernel`] does).
+/// by these shapes), narrow shapes to the narrow kernel, everything else to
+/// the packed/blocked kernel; the narrow and blocked classes take the
+/// process's probed SIMD path. Callers that apply one shape many times
+/// should compile the plan once ([`crate::ContractionKernel`] does).
 pub fn gemm_auto<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, n: usize, k: usize) {
     KernelPlan::select(m, n, k).apply(a, b, c, m, n, k);
 }
 
+/// The GEMM shape `(m, n, k)` two views and an output imply.
+///
+/// # Panics
+/// If `A`'s columns differ from `B`'s rows or `C` is not `m * n` long.
+#[inline(always)]
+pub(crate) fn shape_of<T: Copy, L: Layout>(
+    a: &MatRef<'_, T, L>,
+    b: &MatRef<'_, T, L>,
+    c: &[T],
+) -> (usize, usize, usize) {
+    let (m, n, k) = (a.rows(), b.cols(), a.cols());
+    assert_eq!(b.rows(), k, "A's columns differ from B's rows");
+    assert_eq!(c.len(), m * n, "C has wrong length");
+    (m, n, k)
+}
+
 /// `C += a · B` for a row vector `a` of length `k`, `B` of shape `k x n`:
-/// the `m == 1` GEMM. One streaming axpy per row of `B` — no row-slicing
-/// arithmetic, no tile bookkeeping.
-pub fn gemv_row<T: Scalar>(a: &[T], b: &[T], c: &mut [T], n: usize, k: usize) {
-    check_shapes(a, b, c, 1, n, k);
-    for (p, &a_p) in a.iter().enumerate() {
-        let b_row = &b[p * n..(p + 1) * n];
-        for (c_j, &b_pj) in c.iter_mut().zip(b_row.iter()) {
-            *c_j += a_p * b_pj;
-        }
+/// the `m == 1` GEMM. One streaming axpy per row of `B` — no tile
+/// bookkeeping.
+pub fn gemv_row<T: Scalar, L: Layout>(a: MatRef<'_, T, L>, b: MatRef<'_, T, L>, c: &mut [T]) {
+    let (m, n, k) = shape_of(&a, &b, c);
+    assert_eq!(m, 1, "gemv_row needs m == 1");
+    for p in 0..k {
+        let a_p = a.at(0, p);
+        b.for_each_run(p, 0, n, |j, b_run| {
+            for (c_j, &b_pj) in c[j..].iter_mut().zip(b_run) {
+                *c_j += a_p * b_pj;
+            }
+        });
     }
 }
 
 /// `C += A · b` for `A` of shape `m x k` and a column vector `b` of length
 /// `k`: the `n == 1` GEMM. One register-accumulated dot product per row of
 /// `A` — `C[i]` is loaded and stored once instead of once per `k` term.
-pub fn gemv_col<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, k: usize) {
-    check_shapes(a, b, c, m, 1, k);
-    for (a_row, c_i) in a.chunks_exact(k).zip(c.iter_mut()) {
+pub fn gemv_col<T: Scalar, L: Layout>(a: MatRef<'_, T, L>, b: MatRef<'_, T, L>, c: &mut [T]) {
+    let (_, n, k) = shape_of(&a, &b, c);
+    assert_eq!(n, 1, "gemv_col needs n == 1");
+    for (i, c_i) in c.iter_mut().enumerate() {
         let mut acc = T::zero();
-        for (&a_ip, &b_p) in a_row.iter().zip(b.iter()) {
-            acc += a_ip * b_p;
+        for p in 0..k {
+            acc += a.at(i, p) * b.at(p, 0);
         }
         *c_i += acc;
     }
 }
 
-pub(crate) fn check_shapes<T>(a: &[T], b: &[T], c: &[T], m: usize, n: usize, k: usize) {
+fn check_shapes<T>(a: &[T], b: &[T], c: &[T], m: usize, n: usize, k: usize) {
     assert_eq!(a.len(), m * k, "A has wrong length");
     assert_eq!(b.len(), k * n, "B has wrong length");
     assert_eq!(c.len(), m * n, "C has wrong length");
 }
 
 /// Streaming kernel for narrow shapes: plain triple loop ordered for
-/// sequential access of `B` and `C`.
-///
-/// `#[inline(always)]` so the AVX2+FMA twin in the kernels module compiles
-/// this same body under `#[target_feature]`; the scalar instantiation is
-/// unchanged.
-#[inline(always)]
-pub fn gemm_narrow<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, n: usize, k: usize) {
-    check_shapes(a, b, c, m, n, k);
+/// sequential access of `C`.
+pub fn gemm_narrow<T: Scalar, L: Layout>(a: MatRef<'_, T, L>, b: MatRef<'_, T, L>, c: &mut [T]) {
+    let (m, n, k) = shape_of(&a, &b, c);
     for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
         let c_row = &mut c[i * n..(i + 1) * n];
-        for (p, &a_ip) in a_row.iter().enumerate() {
-            let b_row = &b[p * n..(p + 1) * n];
-            for (c_ij, &b_pj) in c_row.iter_mut().zip(b_row.iter()) {
-                *c_ij += a_ip * b_pj;
-            }
+        for p in 0..k {
+            let a_ip = a.at(i, p);
+            b.for_each_run(p, 0, n, |j, b_run| {
+                for (c_ij, &b_pj) in c_row[j..].iter_mut().zip(b_run) {
+                    *c_ij += a_ip * b_pj;
+                }
+            });
         }
     }
 }
 
 /// Cache-blocked kernel with a 4×4 micro-kernel, `C += A * B`.
-pub fn gemm<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, n: usize, k: usize) {
-    check_shapes(a, b, c, m, n, k);
+pub fn gemm<T: Scalar, L: Layout>(a: MatRef<'_, T, L>, b: MatRef<'_, T, L>, c: &mut [T]) {
+    let (m, n, k) = shape_of(&a, &b, c);
     let mut i0 = 0;
     while i0 < m {
         let ib = BLOCK_M.min(m - i0);
@@ -140,7 +167,7 @@ pub fn gemm<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, n: usize, k: usi
             let mut j0 = 0;
             while j0 < n {
                 let jb = BLOCK_N.min(n - j0);
-                block_kernel(a, b, c, m, n, k, i0, j0, p0, ib, jb, pb);
+                block_kernel(&a, &b, c, n, i0, j0, p0, ib, jb, pb);
                 j0 += BLOCK_N;
             }
             p0 += BLOCK_K;
@@ -151,13 +178,11 @@ pub fn gemm<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, n: usize, k: usi
 
 /// Multiply one cache block, using a 4x4 register tile in the interior.
 #[allow(clippy::too_many_arguments)]
-fn block_kernel<T: Scalar>(
-    a: &[T],
-    b: &[T],
+fn block_kernel<T: Scalar, L: Layout>(
+    a: &MatRef<'_, T, L>,
+    b: &MatRef<'_, T, L>,
     c: &mut [T],
-    _m: usize,
     n: usize,
-    k: usize,
     i0: usize,
     j0: usize,
     p0: usize,
@@ -174,33 +199,14 @@ fn block_kernel<T: Scalar>(
         let mut j = 0;
         while j < full_j {
             let mut acc = [[T::zero(); 4]; 4];
-            for p in 0..pb {
-                let arow = p0 + p;
-                let a0 = a[(i0 + i) * k + arow];
-                let a1 = a[(i0 + i + 1) * k + arow];
-                let a2 = a[(i0 + i + 2) * k + arow];
-                let a3 = a[(i0 + i + 3) * k + arow];
-                let bbase = arow * n + j0 + j;
-                let b0 = b[bbase];
-                let b1 = b[bbase + 1];
-                let b2 = b[bbase + 2];
-                let b3 = b[bbase + 3];
-                acc[0][0] += a0 * b0;
-                acc[0][1] += a0 * b1;
-                acc[0][2] += a0 * b2;
-                acc[0][3] += a0 * b3;
-                acc[1][0] += a1 * b0;
-                acc[1][1] += a1 * b1;
-                acc[1][2] += a1 * b2;
-                acc[1][3] += a1 * b3;
-                acc[2][0] += a2 * b0;
-                acc[2][1] += a2 * b1;
-                acc[2][2] += a2 * b2;
-                acc[2][3] += a2 * b3;
-                acc[3][0] += a3 * b0;
-                acc[3][1] += a3 * b1;
-                acc[3][2] += a3 * b2;
-                acc[3][3] += a3 * b3;
+            for p in p0..p0 + pb {
+                let a_col: [T; 4] = std::array::from_fn(|di| a.at(i0 + i + di, p));
+                let b_row: [T; 4] = std::array::from_fn(|dj| b.at(p, j0 + j + dj));
+                for (acc_row, &a_ip) in acc.iter_mut().zip(&a_col) {
+                    for (acc_ij, &b_pj) in acc_row.iter_mut().zip(&b_row) {
+                        *acc_ij += a_ip * b_pj;
+                    }
+                }
             }
             for (di, row) in acc.iter().enumerate() {
                 let cbase = (i0 + i + di) * n + j0 + j;
@@ -214,8 +220,8 @@ fn block_kernel<T: Scalar>(
         for jj in full_j..jb {
             for di in 0..4 {
                 let mut acc = T::zero();
-                for p in 0..pb {
-                    acc += a[(i0 + i + di) * k + p0 + p] * b[(p0 + p) * n + j0 + jj];
+                for p in p0..p0 + pb {
+                    acc += a.at(i0 + i + di, p) * b.at(p, j0 + jj);
                 }
                 c[(i0 + i + di) * n + j0 + jj] += acc;
             }
@@ -226,8 +232,8 @@ fn block_kernel<T: Scalar>(
     for ii in full_i..ib {
         for jj in 0..jb {
             let mut acc = T::zero();
-            for p in 0..pb {
-                acc += a[(i0 + ii) * k + p0 + p] * b[(p0 + p) * n + j0 + jj];
+            for p in p0..p0 + pb {
+                acc += a.at(i0 + ii, p) * b.at(p, j0 + jj);
             }
             c[(i0 + ii) * n + j0 + jj] += acc;
         }
@@ -276,20 +282,21 @@ mod tests {
         let mut c_nar = vec![Complex64::ZERO; m * n];
         let mut c_auto = vec![Complex64::ZERO; m * n];
         gemm_reference(&a, &b, &mut c_ref, m, n, k);
-        gemm(&a, &b, &mut c_blk, m, n, k);
-        gemm_narrow(&a, &b, &mut c_nar, m, n, k);
+        let (va, vb) = (MatRef::dense(&a, m, k), MatRef::dense(&b, k, n));
+        gemm(va, vb, &mut c_blk);
+        gemm_narrow(va, vb, &mut c_nar);
         gemm_auto(&a, &b, &mut c_auto, m, n, k);
         assert_close(&c_blk, &c_ref);
         assert_close(&c_nar, &c_ref);
         assert_close(&c_auto, &c_ref);
         if m == 1 {
             let mut c_row = vec![Complex64::ZERO; n];
-            gemv_row(&a, &b, &mut c_row, n, k);
+            gemv_row(va, vb, &mut c_row);
             assert_close(&c_row, &c_ref);
         }
         if n == 1 {
             let mut c_col = vec![Complex64::ZERO; m];
-            gemv_col(&a, &b, &mut c_col, m, k);
+            gemv_col(va, vb, &mut c_col);
             assert_close(&c_col, &c_ref);
         }
     }
@@ -336,10 +343,10 @@ mod tests {
         let a = vec![Complex64::ONE; 3];
         let b = vec![c64(2.0, 0.0); 3];
         let mut c = vec![c64(1.0, 0.0)];
-        gemv_row(&a, &b, &mut c, 1, 3);
+        gemv_row(MatRef::dense(&a, 1, 3), MatRef::dense(&b, 3, 1), &mut c);
         assert_eq!(c[0], c64(7.0, 0.0)); // 1 + 3·2
         let mut c = vec![c64(1.0, 0.0)];
-        gemv_col(&a, &b, &mut c, 1, 3);
+        gemv_col(MatRef::dense(&a, 1, 3), MatRef::dense(&b, 3, 1), &mut c);
         assert_eq!(c[0], c64(7.0, 0.0));
     }
 

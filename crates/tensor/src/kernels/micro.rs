@@ -5,8 +5,10 @@
 //! `m`/`n` ∈ {1, 2, 4} and `k` ∈ {2, 4, 8} dominate the dispatch histogram
 //! of real plans. Each gets a const-generic kernel whose three loops have
 //! compile-time trip counts, so the optimizer fully unrolls them and keeps
-//! the whole accumulator set in registers — no loop control, no bounds
-//! checks after the up-front slice.
+//! the whole accumulator set in registers — no loop control. Operands are
+//! read through [`MatRef`] views: for dense slices the offsets fold to
+//! constants, for a contraction's offset tables each is one small-table
+//! load, and in neither case is an operand copied first.
 //!
 //! The scalar instantiation iterates `i, j, p` exactly like
 //! [`crate::gemm::gemm_reference`], making it **bit-identical** to the
@@ -15,6 +17,7 @@
 //! summation order, last-bit rounding may differ (bounded by the
 //! conformance suite's ulp budget).
 
+use super::view::{Layout, MatRef};
 use crate::complex::Scalar;
 
 /// `m`/`n` values covered by the micro-kernels.
@@ -28,22 +31,41 @@ pub fn is_micro_shape(m: usize, n: usize, k: usize) -> bool {
     matches!(m, 1 | 2 | 4) && matches!(n, 1 | 2 | 4) && matches!(k, 2 | 4 | 8)
 }
 
+/// Copy an `R x C` operand out of its view: a row at a time where rows are
+/// contiguous in memory, element by element (unrolled) where they are not.
+#[inline(always)]
+fn fetch<T: Scalar, L: Layout, const R: usize, const C: usize>(m: MatRef<'_, T, L>) -> [[T; C]; R] {
+    let mut local = [[T::zero(); C]; R];
+    let whole_rows = m.layout().col_run() >= C;
+    for (r, row) in local.iter_mut().enumerate() {
+        if whole_rows {
+            m.for_each_run(r, 0, C, |_, run| row.copy_from_slice(run));
+        } else {
+            for (c, slot) in row.iter_mut().enumerate() {
+                *slot = m.at(r, c);
+            }
+        }
+    }
+    local
+}
+
 /// One unrolled kernel: `C += A * B` with compile-time shape. Summation
 /// order (`p` innermost, ascending) matches `gemm_reference`.
 #[inline(always)]
-fn kernel<T: Scalar, const M: usize, const N: usize, const K: usize>(
-    a: &[T],
-    b: &[T],
+fn kernel<T: Scalar, L: Layout, const M: usize, const N: usize, const K: usize>(
+    a: MatRef<'_, T, L>,
+    b: MatRef<'_, T, L>,
     c: &mut [T],
 ) {
-    let a = &a[..M * K];
-    let b = &b[..K * N];
+    // Fetch each operand once, a contiguous stretch at a time; the unrolled
+    // triple loop below then runs on locals.
+    let (a, b) = (fetch::<T, L, M, K>(a), fetch::<T, L, K, N>(b));
     let c = &mut c[..M * N];
     for i in 0..M {
         for j in 0..N {
             let mut acc = T::zero();
             for p in 0..K {
-                acc += a[i * K + p] * b[p * N + j];
+                acc += a[i][p] * b[p][j];
             }
             c[i * N + j] += acc;
         }
@@ -91,11 +113,16 @@ macro_rules! for_each_micro_shape {
 /// # Panics
 /// If `(m, n, k)` is not a micro shape.
 #[inline(always)]
-pub(crate) fn run_scalar<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, n: usize, k: usize) {
+pub(crate) fn run_scalar<T: Scalar, L: Layout>(
+    a: MatRef<'_, T, L>,
+    b: MatRef<'_, T, L>,
+    c: &mut [T],
+) {
+    let (m, n, k) = crate::gemm::shape_of(&a, &b, c);
     macro_rules! arm {
         ($m:literal, $n:literal, $k:literal) => {
             if m == $m && n == $n && k == $k {
-                return kernel::<T, $m, $n, $k>(a, b, c);
+                return kernel::<T, L, $m, $n, $k>(a, b, c);
             }
         };
     }
@@ -134,7 +161,7 @@ mod tests {
                     let mut c_ref = vec![dirty; m * n];
                     let mut c_micro = vec![dirty; m * n];
                     gemm_reference(&a, &b, &mut c_ref, m, n, k);
-                    run_scalar(&a, &b, &mut c_micro, m, n, k);
+                    run_scalar(MatRef::dense(&a, m, k), MatRef::dense(&b, k, n), &mut c_micro);
                     assert_eq!(c_micro, c_ref, "micro {m}x{n}x{k} must match reference bitwise");
                 }
             }
@@ -147,6 +174,6 @@ mod tests {
         let a = vec![Complex64::ZERO; 3 * 2];
         let b = vec![Complex64::ZERO; 2 * 3];
         let mut c = vec![Complex64::ZERO; 9];
-        run_scalar(&a, &b, &mut c, 3, 3, 2);
+        run_scalar(MatRef::dense(&a, 3, 2), MatRef::dense(&b, 2, 3), &mut c);
     }
 }

@@ -1,4 +1,4 @@
-//! Shape- and hardware-specialized GEMM dispatch.
+//! Shape- and hardware-specialized GEMM dispatch over in-place operand views.
 //!
 //! Every contraction in the simulator bottoms out in one complex GEMM, and
 //! because all bond dimensions are 2 the shapes are powers of two drawn from
@@ -7,18 +7,31 @@
 //!
 //! * **Shape axis** ([`DispatchClass`]): fully unrolled micro-kernels for the
 //!   rank-2 hot shapes (`m`/`n` ∈ {1, 2, 4}, `k` ∈ {2, 4, 8}), GEMV row/col
-//!   for degenerate products, the streaming narrow kernel, and the
-//!   packed/blocked kernel for everything square-ish.
+//!   for degenerate products, the narrow kernel (two of `m`, `n`, `k` ≤ 16 —
+//!   a gate tensor against the running stem tensor, the bulk of a real
+//!   plan's flops), and the packed/blocked kernel for everything
+//!   square-ish.
 //! * **Hardware axis** ([`SimdLevel`]): a one-time capability probe (AVX2+FMA
-//!   on x86_64, NEON on aarch64) selects split-real SIMD variants of the
-//!   compute-bound classes; the scalar kernels in [`crate::gemm`] are
-//!   preserved untouched as the reference path.
+//!   on x86_64, NEON on aarch64) selects the SIMD variants — for
+//!   `Complex64` a register-blocked interleaved tile for the narrow class
+//!   and a split-real packed tile for the blocked class; the scalar
+//!   kernels in [`crate::gemm`] are the reference path.
+//!
+//! Operands are never copied into GEMM layout first. Every kernel reads
+//! `A` and `B` through a [`MatRef`] ([`view`]): element `(r, c)` lives at
+//! `row(r) + col(c)`, which covers a dense row-major slice
+//! ([`KernelPlan::apply`]) and a tensor whose axes are merely *regrouped*
+//! into rows and columns ([`KernelPlan::apply_views`] on an
+//! [`OffsetTable`]) with one code path. That is what retired TTGT's two
+//! transposes: the "permute" is the address arithmetic of the loads (or of
+//! the pack step, for the blocked class).
 //!
 //! A [`KernelPlan`] freezes both axes. [`crate::ContractionKernel`] resolves
 //! its plan once at compile time, so the executor's zero-alloc steady state
 //! never re-probes or re-classifies. Dispatch is a pure function of
 //! `(shape, level, scalar type)`: deterministic per process, and repeated
-//! runs are bit-identical because every kernel fixes its summation order.
+//! runs are bit-identical because every kernel fixes its summation order
+//! (`p` ascending per output element, independent of the view).
 //!
 //! The probe can be overridden for testing: the `QTNSIM_FORCE_SCALAR`
 //! environment variable (read once per process) or the
@@ -29,27 +42,25 @@ mod avx2;
 pub(crate) mod micro;
 mod packed;
 pub(crate) mod simd;
+pub mod view;
 
 pub use micro::{is_micro_shape, MICRO_K, MICRO_MN};
-
-/// Minimum `n` for a narrow shape to take the SIMD twin: the streaming
-/// kernel vectorizes along rows of `B`/`C`, and with fewer columns than
-/// this the twin's per-call and shuffle overhead measurably loses to the
-/// plain scalar body (see `BENCH_gemm.json`).
-pub const NARROW_SIMD_MIN_N: usize = 32;
+pub use view::{Dense, Layout, MatRef, OffsetTable, Tables};
 
 use crate::complex::Scalar;
-use crate::gemm::{check_shapes, gemm, gemm_narrow, gemv_col, gemv_row, is_narrow};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use crate::gemm::{gemm, gemm_narrow, gemv_col, gemv_row, is_narrow, shape_of};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
 /// Run the fully unrolled scalar micro-kernel for a micro shape
-/// (`m`/`n` ∈ {1, 2, 4}, `k` ∈ {2, 4, 8}); panics on any other shape.
+/// (`m`/`n` ∈ {1, 2, 4}, `k` ∈ {2, 4, 8}) on dense row-major slices; panics
+/// on any other shape.
 ///
 /// Its summation order matches [`crate::gemm::gemm_reference`] exactly, so
 /// the scalar micro path is bit-identical to the reference kernel.
 pub fn micro_scalar<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, n: usize, k: usize) {
-    micro::run_scalar(a, b, c, m, n, k);
+    micro::run_scalar(MatRef::dense(a, m, k), MatRef::dense(b, k, n), c);
 }
 
 /// SIMD capability level a GEMM dispatches at.
@@ -159,13 +170,12 @@ pub fn simd_level() -> SimdLevel {
 
 /// Which dispatch classes a scalar type accelerates at a given level.
 /// Reported by [`Scalar::simd_support`]; the GEMV classes are always scalar
-/// (they are bandwidth-bound and their dot-product recurrences do not
-/// vectorize without FP reassociation).
+/// (a plan spends well under 0.1% of its GEMM time in them).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SimdSupport {
     /// SIMD variant of the unrolled micro-kernels.
     pub micro: bool,
-    /// SIMD variant of the streaming narrow kernel.
+    /// Register-blocked SIMD tile for the narrow class.
     pub narrow: bool,
     /// Split-real packed/blocked kernel.
     pub blocked: bool,
@@ -188,7 +198,7 @@ pub enum DispatchClass {
     GemvRow,
     /// `n == 1`: matrix times column vector.
     GemvCol,
-    /// Two of `m`, `n`, `k` ≤ 16: streaming kernel.
+    /// Two of `m`, `n`, `k` ≤ 16: the narrow kernel.
     Narrow,
     /// Square-ish shapes: packed/blocked kernel.
     Blocked,
@@ -233,13 +243,7 @@ impl KernelPlan {
     /// Priority: micro shapes first (they are also narrow by the size
     /// heuristic, but the unrolled kernels win), then the degenerate GEMV
     /// shapes, then narrow, then blocked.
-    ///
-    /// One shape-aware SIMD demotion: the narrow SIMD twin streams rows of
-    /// `B` and `C`, so its vectorization only pays off when those rows are
-    /// long; below [`NARROW_SIMD_MIN_N`] columns the plan freezes the
-    /// scalar body instead (and the tally honestly reports a scalar path).
     pub fn select_with_level(m: usize, n: usize, k: usize, level: SimdLevel) -> Self {
-        let mut level = level;
         let class = if micro::is_micro_shape(m, n, k) {
             DispatchClass::Micro { m: m as u8, n: n as u8, k: k as u8 }
         } else if m == 1 {
@@ -247,9 +251,6 @@ impl KernelPlan {
         } else if n == 1 {
             DispatchClass::GemvCol
         } else if is_narrow(m, n, k) {
-            if n < NARROW_SIMD_MIN_N {
-                level = SimdLevel::Scalar;
-            }
             DispatchClass::Narrow
         } else {
             DispatchClass::Blocked
@@ -311,11 +312,46 @@ impl KernelPlan {
         }
     }
 
-    /// `C += A * B` down the frozen path. Shapes are checked, the path is
-    /// not re-derived. Every path accumulates into `C` with a fixed
-    /// summation order, so repeated applications are bit-identical.
+    /// `C += A * B` down the frozen path, on dense row-major slices. Shapes
+    /// are checked, the path is not re-derived. Every path accumulates into
+    /// `C` with a fixed summation order, so repeated applications are
+    /// bit-identical.
     pub fn apply<T: Scalar>(self, a: &[T], b: &[T], c: &mut [T], m: usize, n: usize, k: usize) {
-        check_shapes(a, b, c, m, n, k);
+        self.apply_views(MatRef::dense(a, m, k), MatRef::dense(b, k, n), c);
+    }
+
+    /// `C += A * B` down the frozen path with both operands read in place
+    /// through their views — the same kernels [`apply`](Self::apply) runs,
+    /// and for a fixed output element the same summation order, so the
+    /// result equals applying the plan to explicitly permuted dense copies
+    /// bit for bit.
+    ///
+    /// # Panics
+    /// If `A`'s columns differ from `B`'s rows, `C` is not `m * n` long, or
+    /// the plan's class does not fit the shape (a `Micro` plan on another
+    /// shape, `GemvRow` with `m != 1`, `GemvCol` with `n != 1`).
+    pub fn apply_views<T: Scalar, L: Layout>(
+        self,
+        a: MatRef<'_, T, L>,
+        b: MatRef<'_, T, L>,
+        c: &mut [T],
+    ) {
+        self.run(a, b, c, false);
+    }
+
+    /// The one dispatch point. With `overwrite` the prior contents of `C`
+    /// are ignored (`C = A * B`, bit-identical to zeroing `C` first): the
+    /// narrow SIMD tile then starts its accumulators at zero instead of
+    /// loading `C`, which spares a contraction one full pass over its
+    /// output; every other path zero-fills and accumulates.
+    pub(crate) fn run<T: Scalar, L: Layout>(
+        self,
+        a: MatRef<'_, T, L>,
+        b: MatRef<'_, T, L>,
+        c: &mut [T],
+        overwrite: bool,
+    ) {
+        let (m, n, k) = shape_of(&a, &b, c);
         if let DispatchClass::Micro { m: mm, n: nn, k: kk } = self.class {
             assert_eq!(
                 (mm as usize, nn as usize, kk as usize),
@@ -325,30 +361,28 @@ impl KernelPlan {
         }
         let path = self.taken::<T>();
         record_path(path);
+        if overwrite && path != GemmPath::NarrowSimd {
+            c.fill(T::zero());
+        }
         match path {
-            GemmPath::MicroSimd => T::gemm_micro_simd(self.level, a, b, c, m, n, k),
-            GemmPath::MicroScalar => micro::run_scalar(a, b, c, m, n, k),
-            GemmPath::GemvRow => {
-                assert_eq!(m, 1, "GemvRow plan applied to m != 1");
-                gemv_row(a, b, c, n, k)
-            }
-            GemmPath::GemvCol => {
-                assert_eq!(n, 1, "GemvCol plan applied to n != 1");
-                gemv_col(a, b, c, m, k)
-            }
-            GemmPath::NarrowSimd => T::gemm_narrow_simd(self.level, a, b, c, m, n, k),
-            GemmPath::NarrowScalar => gemm_narrow(a, b, c, m, n, k),
-            GemmPath::BlockedSimd => T::gemm_blocked_simd(self.level, a, b, c, m, n, k),
-            GemmPath::BlockedScalar => gemm(a, b, c, m, n, k),
+            GemmPath::MicroSimd => T::gemm_micro_simd(self.level, a, b, c),
+            GemmPath::MicroScalar => micro::run_scalar(a, b, c),
+            GemmPath::GemvRow => gemv_row(a, b, c),
+            GemmPath::GemvCol => gemv_col(a, b, c),
+            GemmPath::NarrowSimd => T::gemm_narrow_simd(self.level, a, b, c, overwrite),
+            GemmPath::NarrowScalar => gemm_narrow(a, b, c),
+            GemmPath::BlockedSimd => T::gemm_blocked_simd(self.level, a, b, c),
+            GemmPath::BlockedScalar => gemm(a, b, c),
         }
     }
 }
 
-/// Process-global dispatch counters, one per [`GemmPath`].
+/// Dispatch counters of the calling thread, one per [`GemmPath`].
 ///
-/// Relaxed atomics: cheap on the hot path, exact totals when read at a
-/// quiescent point. The conformance suite uses deltas of these to prove
-/// every dispatch path is actually exercised.
+/// Thread-local: a worker's GEMMs touch no cache line another worker
+/// writes. The conformance suite uses deltas of these (on its own thread)
+/// to prove every dispatch path is actually exercised; per-execution
+/// accounting is `ExecutionStats`' own tally, not these.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DispatchCounts {
     /// Micro-kernel invocations on the SIMD path.
@@ -369,42 +403,34 @@ pub struct DispatchCounts {
     pub blocked_scalar: u64,
 }
 
-static MICRO_SIMD: AtomicU64 = AtomicU64::new(0);
-static MICRO_SCALAR: AtomicU64 = AtomicU64::new(0);
-static GEMV_ROW: AtomicU64 = AtomicU64::new(0);
-static GEMV_COL: AtomicU64 = AtomicU64::new(0);
-static NARROW_SIMD: AtomicU64 = AtomicU64::new(0);
-static NARROW_SCALAR: AtomicU64 = AtomicU64::new(0);
-static BLOCKED_SIMD: AtomicU64 = AtomicU64::new(0);
-static BLOCKED_SCALAR: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Indexed by `GemmPath as usize`.
+    static COUNTS: [Cell<u64>; 8] = const { [const { Cell::new(0) }; 8] };
+}
 
 #[inline]
 fn record_path(path: GemmPath) {
-    let slot = match path {
-        GemmPath::MicroSimd => &MICRO_SIMD,
-        GemmPath::MicroScalar => &MICRO_SCALAR,
-        GemmPath::GemvRow => &GEMV_ROW,
-        GemmPath::GemvCol => &GEMV_COL,
-        GemmPath::NarrowSimd => &NARROW_SIMD,
-        GemmPath::NarrowScalar => &NARROW_SCALAR,
-        GemmPath::BlockedSimd => &BLOCKED_SIMD,
-        GemmPath::BlockedScalar => &BLOCKED_SCALAR,
-    };
-    slot.fetch_add(1, Ordering::Relaxed);
+    COUNTS.with(|counts| {
+        let slot = &counts[path as usize];
+        slot.set(slot.get() + 1);
+    });
 }
 
-/// Snapshot of the process-global dispatch counters.
+/// Snapshot of the calling thread's dispatch counters.
 pub fn dispatch_counts() -> DispatchCounts {
-    DispatchCounts {
-        micro_simd: MICRO_SIMD.load(Ordering::Relaxed),
-        micro_scalar: MICRO_SCALAR.load(Ordering::Relaxed),
-        gemv_row: GEMV_ROW.load(Ordering::Relaxed),
-        gemv_col: GEMV_COL.load(Ordering::Relaxed),
-        narrow_simd: NARROW_SIMD.load(Ordering::Relaxed),
-        narrow_scalar: NARROW_SCALAR.load(Ordering::Relaxed),
-        blocked_simd: BLOCKED_SIMD.load(Ordering::Relaxed),
-        blocked_scalar: BLOCKED_SCALAR.load(Ordering::Relaxed),
-    }
+    COUNTS.with(|counts| {
+        let of = |path: GemmPath| counts[path as usize].get();
+        DispatchCounts {
+            micro_simd: of(GemmPath::MicroSimd),
+            micro_scalar: of(GemmPath::MicroScalar),
+            gemv_row: of(GemmPath::GemvRow),
+            gemv_col: of(GemmPath::GemvCol),
+            narrow_simd: of(GemmPath::NarrowSimd),
+            narrow_scalar: of(GemmPath::NarrowScalar),
+            blocked_simd: of(GemmPath::BlockedSimd),
+            blocked_scalar: of(GemmPath::BlockedScalar),
+        }
+    })
 }
 
 #[cfg(test)]

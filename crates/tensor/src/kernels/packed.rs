@@ -7,7 +7,10 @@
 //! into a contiguous block-sized arena (the classic 4M split-real scheme:
 //! four real multiplies per complex multiply, chosen over 3M-Karatsuba
 //! because its `±a·b` terms map 1:1 onto FMA instructions and avoid the
-//! Karatsuba cancellation error). The inner tile then runs four
+//! Karatsuba cancellation error). The pack step reads the operand through
+//! its [`MatRef`] view, so packing *is* the TTGT transpose: a
+//! contraction's regrouped axes are gathered straight into the planes,
+//! never into a permuted copy first. The inner tile then runs four
 //! plane-by-plane real GEMMs' worth of work with unit-stride loads:
 //!
 //! ```text
@@ -26,6 +29,7 @@
 //! ascending order and each block accumulates `p` ascending, so results are
 //! deterministic and repeated runs bit-identical.
 
+use super::view::{Layout, MatRef};
 use crate::complex::{RealScalar, Scalar};
 
 /// A-panel rows per block.
@@ -70,51 +74,26 @@ impl<R: RealScalar> PackArena<R> {
     }
 }
 
-/// Split-pack an A panel: `a[(i0+i)·k + p0+p] → planes[i·pb + p]`.
+/// Split-pack the `rb x cb` panel of `src` at `(r0, c0)` into row-major
+/// planes: `src(r0+r, c0+c) → planes[r·cb + c]`. Serves `A` panels
+/// (`rows = i`, `cols = p`) and `B` panels (`rows = p`, `cols = j`) alike.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn pack_a<T: Scalar>(
-    a: &[T],
-    a_re: &mut [T::Real],
-    a_im: &mut [T::Real],
-    k: usize,
-    i0: usize,
-    p0: usize,
-    ib: usize,
-    pb: usize,
+fn pack_panel<T: Scalar, L: Layout>(
+    src: &MatRef<'_, T, L>,
+    re: &mut [T::Real],
+    im: &mut [T::Real],
+    (r0, c0): (usize, usize),
+    (rb, cb): (usize, usize),
 ) {
-    for i in 0..ib {
-        let src = &a[(i0 + i) * k + p0..(i0 + i) * k + p0 + pb];
-        let dst_re = &mut a_re[i * pb..(i + 1) * pb];
-        let dst_im = &mut a_im[i * pb..(i + 1) * pb];
-        for p in 0..pb {
-            dst_re[p] = src[p].re_native();
-            dst_im[p] = src[p].im_native();
-        }
-    }
-}
-
-/// Split-pack a B panel: `b[(p0+p)·n + j0+j] → planes[p·jb + j]`.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn pack_b<T: Scalar>(
-    b: &[T],
-    b_re: &mut [T::Real],
-    b_im: &mut [T::Real],
-    n: usize,
-    p0: usize,
-    j0: usize,
-    pb: usize,
-    jb: usize,
-) {
-    for p in 0..pb {
-        let src = &b[(p0 + p) * n + j0..(p0 + p) * n + j0 + jb];
-        let dst_re = &mut b_re[p * jb..(p + 1) * jb];
-        let dst_im = &mut b_im[p * jb..(p + 1) * jb];
-        for j in 0..jb {
-            dst_re[j] = src[j].re_native();
-            dst_im[j] = src[j].im_native();
-        }
+    for r in 0..rb {
+        let dst_re = &mut re[r * cb..(r + 1) * cb];
+        let dst_im = &mut im[r * cb..(r + 1) * cb];
+        src.for_each_run(r0 + r, c0, cb, |c, chunk| {
+            for ((v, d_re), d_im) in chunk.iter().zip(&mut dst_re[c..]).zip(&mut dst_im[c..]) {
+                *d_re = v.re_native();
+                *d_im = v.im_native();
+            }
+        });
     }
 }
 
@@ -180,19 +159,16 @@ pub(crate) fn tile_generic<R: RealScalar>(
 /// `(a_re, a_im, b_re, b_im, c_re, c_im, ib, jb, pb)` with the C planes
 /// zeroed; it must accumulate `p` ascending so the overall summation order
 /// stays deterministic.
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
-pub(crate) fn gemm_packed_with<T, F>(
+pub(crate) fn gemm_packed_with<T, L, F>(
     arena: &mut PackArena<T::Real>,
-    a: &[T],
-    b: &[T],
+    a: MatRef<'_, T, L>,
+    b: MatRef<'_, T, L>,
     c: &mut [T],
-    m: usize,
-    n: usize,
-    k: usize,
     mut tile: F,
 ) where
     T: Scalar,
+    L: Layout,
     F: FnMut(
         &[T::Real],
         &[T::Real],
@@ -205,6 +181,7 @@ pub(crate) fn gemm_packed_with<T, F>(
         usize,
     ),
 {
+    let (m, n, k) = crate::gemm::shape_of(&a, &b, c);
     arena.ensure();
     let mut j0 = 0;
     while j0 < n {
@@ -212,11 +189,11 @@ pub(crate) fn gemm_packed_with<T, F>(
         let mut p0 = 0;
         while p0 < k {
             let pb = PBK.min(k - p0);
-            pack_b(b, &mut arena.b_re, &mut arena.b_im, n, p0, j0, pb, jb);
+            pack_panel(&b, &mut arena.b_re, &mut arena.b_im, (p0, j0), (pb, jb));
             let mut i0 = 0;
             while i0 < m {
                 let ib = PBM.min(m - i0);
-                pack_a(a, &mut arena.a_re, &mut arena.a_im, k, i0, p0, ib, pb);
+                pack_panel(&a, &mut arena.a_re, &mut arena.a_im, (i0, p0), (ib, pb));
                 arena.c_re[..ib * jb].fill(T::Real::ZERO);
                 arena.c_im[..ib * jb].fill(T::Real::ZERO);
                 tile(
@@ -270,14 +247,11 @@ mod tests {
             let mut c_ref = vec![dirty; m * n];
             let mut c_pack = vec![dirty; m * n];
             gemm_reference(&a, &b, &mut c_ref, m, n, k);
-            gemm_packed_with::<Complex64, _>(
+            gemm_packed_with(
                 &mut arena,
-                &a,
-                &b,
+                MatRef::dense(&a, m, k),
+                MatRef::dense(&b, k, n),
                 &mut c_pack,
-                m,
-                n,
-                k,
                 tile_generic,
             );
             for (x, y) in c_pack.iter().zip(c_ref.iter()) {
@@ -293,11 +267,23 @@ mod tests {
         let a: Vec<Complex64> = vec![];
         let b: Vec<Complex64> = vec![];
         let mut c = vec![c64(2.0, 3.0); 4 * 5];
-        gemm_packed_with::<Complex64, _>(&mut arena, &a, &b, &mut c, 4, 5, 0, tile_generic);
+        gemm_packed_with(
+            &mut arena,
+            MatRef::dense(&a, 4, 0),
+            MatRef::dense(&b, 0, 5),
+            &mut c,
+            tile_generic,
+        );
         assert!(c.iter().all(|&z| z == c64(2.0, 3.0)));
         // m = 0: nothing to write, must not panic.
         let mut empty: Vec<Complex64> = vec![];
         let b = vec![Complex64::ONE; 3 * 5];
-        gemm_packed_with::<Complex64, _>(&mut arena, &a, &b, &mut empty, 0, 5, 3, tile_generic);
+        gemm_packed_with(
+            &mut arena,
+            MatRef::dense(&a, 0, 3),
+            MatRef::dense(&b, 3, 5),
+            &mut empty,
+            tile_generic,
+        );
     }
 }

@@ -9,13 +9,18 @@
 //!
 //! Two acceleration strategies appear:
 //!
-//! * **Intrinsics** — `Complex64` blocked panels use the hand-written
-//!   AVX2+FMA tile in [`super::avx2`].
-//! * **`#[target_feature]` twins** — the micro-kernels, the narrow kernel
-//!   and the `Complex32` packed driver reuse the *scalar* bodies compiled a
-//!   second time in an AVX2+FMA context, where LLVM unrolls, vectorizes and
-//!   fuses them. Same code, different instruction selection; the scalar
-//!   originals stay untouched as the reference path.
+//! * **Intrinsics** — `Complex64` narrow shapes and blocked panels use the
+//!   hand-written AVX2+FMA tiles in [`super::avx2`].
+//! * **`#[target_feature]` twins** — the micro-kernels and the `Complex32`
+//!   packed driver reuse the *scalar* bodies compiled a second time in an
+//!   AVX2+FMA context, where LLVM unrolls and vectorizes them. Same code,
+//!   different instruction selection; the scalar originals stay untouched
+//!   as the reference path.
+//!
+//! A precision without a hand-written narrow tile (`Complex32`) reports no
+//! narrow support and runs the scalar streaming loop: recompiling that loop
+//! under AVX2 measured 1.0–1.3x, which is not a second code path worth
+//! keeping.
 //!
 //! On aarch64, NEON is a baseline feature: the portable bodies already
 //! compile to vector code, so only the split-real blocked driver (whose
@@ -24,6 +29,7 @@
 
 use super::micro;
 use super::packed::{gemm_packed_with, tile_generic, PackArena};
+use super::view::{Layout, MatRef};
 use super::{SimdLevel, SimdSupport};
 use crate::complex::{Complex32, Complex64, Scalar};
 use crate::gemm::gemm_narrow;
@@ -43,31 +49,12 @@ mod x86 {
     /// # Safety
     /// Requires AVX2+FMA.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn micro_avx2<T: Scalar>(
-        a: &[T],
-        b: &[T],
+    pub(super) unsafe fn micro_avx2<T: Scalar, L: Layout>(
+        a: MatRef<'_, T, L>,
+        b: MatRef<'_, T, L>,
         c: &mut [T],
-        m: usize,
-        n: usize,
-        k: usize,
     ) {
-        micro::run_scalar(a, b, c, m, n, k)
-    }
-
-    /// Streaming narrow kernel compiled with AVX2+FMA codegen.
-    ///
-    /// # Safety
-    /// Requires AVX2+FMA.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn narrow_avx2<T: Scalar>(
-        a: &[T],
-        b: &[T],
-        c: &mut [T],
-        m: usize,
-        n: usize,
-        k: usize,
-    ) {
-        gemm_narrow(a, b, c, m, n, k)
+        micro::run_scalar(a, b, c)
     }
 
     /// Split-real packed driver with the portable tile, compiled with
@@ -77,21 +64,24 @@ mod x86 {
     /// # Safety
     /// Requires AVX2+FMA.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn packed_avx2_c32(
+    pub(super) unsafe fn packed_avx2_c32<L: Layout>(
         arena: &mut PackArena<f32>,
-        a: &[Complex32],
-        b: &[Complex32],
+        a: MatRef<'_, Complex32, L>,
+        b: MatRef<'_, Complex32, L>,
         c: &mut [Complex32],
-        m: usize,
-        n: usize,
-        k: usize,
     ) {
-        gemm_packed_with::<Complex32, _>(arena, a, b, c, m, n, k, tile_generic)
+        gemm_packed_with(arena, a, b, c, tile_generic)
     }
 }
 
 macro_rules! simd_entries {
-    ($mod_name:ident, $ty:ty, $arena:ident, $blocked_avx2:expr) => {
+    (@given) => {
+        false
+    };
+    (@given $narrow_avx2:path) => {
+        true
+    };
+    ($mod_name:ident, $ty:ty, $arena:ident, $blocked_avx2:path $(, $narrow_avx2:path)?) => {
         /// SIMD entry points for this precision (see module docs).
         pub(crate) mod $mod_name {
             use super::*;
@@ -101,7 +91,8 @@ macro_rules! simd_entries {
                     SimdLevel::Scalar => SimdSupport::default(),
                     SimdLevel::Avx2Fma => SimdSupport {
                         micro: cfg!(target_arch = "x86_64"),
-                        narrow: cfg!(target_arch = "x86_64"),
+                        narrow: cfg!(target_arch = "x86_64")
+                            && simd_entries!(@given $($narrow_avx2)?),
                         blocked: true,
                     },
                     SimdLevel::Neon => SimdSupport { micro: false, narrow: false, blocked: true },
@@ -110,50 +101,50 @@ macro_rules! simd_entries {
 
             // Off x86_64 the match collapses to its portable arm.
             #[allow(clippy::match_single_binding)]
-            pub(crate) fn micro(
+            pub(crate) fn micro<L: Layout>(
                 level: SimdLevel,
-                a: &[$ty],
-                b: &[$ty],
+                a: MatRef<'_, $ty, L>,
+                b: MatRef<'_, $ty, L>,
                 c: &mut [$ty],
-                m: usize,
-                n: usize,
-                k: usize,
             ) {
                 match level {
                     #[cfg(target_arch = "x86_64")]
                     // SAFETY: Avx2Fma is only dispatched after runtime detection.
-                    SimdLevel::Avx2Fma => unsafe { x86::micro_avx2(a, b, c, m, n, k) },
-                    _ => micro::run_scalar(a, b, c, m, n, k),
+                    SimdLevel::Avx2Fma => unsafe { x86::micro_avx2(a, b, c) },
+                    _ => micro::run_scalar(a, b, c),
                 }
             }
 
             #[allow(clippy::match_single_binding)]
-            pub(crate) fn narrow(
+            pub(crate) fn narrow<L: Layout>(
                 level: SimdLevel,
-                a: &[$ty],
-                b: &[$ty],
+                a: MatRef<'_, $ty, L>,
+                b: MatRef<'_, $ty, L>,
                 c: &mut [$ty],
-                m: usize,
-                n: usize,
-                k: usize,
+                overwrite: bool,
             ) {
                 match level {
-                    #[cfg(target_arch = "x86_64")]
-                    // SAFETY: Avx2Fma is only dispatched after runtime detection.
-                    SimdLevel::Avx2Fma => unsafe { x86::narrow_avx2(a, b, c, m, n, k) },
-                    _ => gemm_narrow(a, b, c, m, n, k),
+                    $(
+                        #[cfg(target_arch = "x86_64")]
+                        // SAFETY: Avx2Fma is only dispatched after runtime
+                        // detection.
+                        SimdLevel::Avx2Fma => unsafe { $narrow_avx2(a, b, c, overwrite) },
+                    )?
+                    _ => {
+                        if overwrite {
+                            c.fill(<$ty>::ZERO);
+                        }
+                        gemm_narrow(a, b, c)
+                    }
                 }
             }
 
             #[allow(clippy::match_single_binding)]
-            pub(crate) fn blocked(
+            pub(crate) fn blocked<L: Layout>(
                 level: SimdLevel,
-                a: &[$ty],
-                b: &[$ty],
+                a: MatRef<'_, $ty, L>,
+                b: MatRef<'_, $ty, L>,
                 c: &mut [$ty],
-                m: usize,
-                n: usize,
-                k: usize,
             ) {
                 $arena.with(|arena| {
                     let arena = &mut *arena.borrow_mut();
@@ -161,8 +152,8 @@ macro_rules! simd_entries {
                         #[cfg(target_arch = "x86_64")]
                         // SAFETY: Avx2Fma is only dispatched after runtime
                         // detection.
-                        SimdLevel::Avx2Fma => unsafe { $blocked_avx2(arena, a, b, c, m, n, k) },
-                        _ => gemm_packed_with::<$ty, _>(arena, a, b, c, m, n, k, tile_generic),
+                        SimdLevel::Avx2Fma => unsafe { $blocked_avx2(arena, a, b, c) },
+                        _ => gemm_packed_with(arena, a, b, c, tile_generic),
                     }
                 });
             }
@@ -171,7 +162,13 @@ macro_rules! simd_entries {
 }
 
 #[cfg(target_arch = "x86_64")]
-simd_entries!(c64_simd, Complex64, PACK_F64, super::super::avx2::gemm_avx2_c64);
+simd_entries!(
+    c64_simd,
+    Complex64,
+    PACK_F64,
+    super::super::avx2::gemm_avx2_c64,
+    super::super::avx2::gemm_narrow_avx2_c64
+);
 #[cfg(target_arch = "x86_64")]
 simd_entries!(c32_simd, Complex32, PACK_F32, x86::packed_avx2_c32);
 

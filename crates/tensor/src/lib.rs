@@ -4,10 +4,10 @@
 //! it: complex scalar types, dense tensors whose bond dimensions are all 2
 //! (qubit tensor networks), tensor permutation kernels (including the
 //! recursion-formula reduced permutation map from §5.3.1 of the paper),
-//! blocked complex GEMM with rank-specialized micro-kernels and
-//! runtime-probed SIMD paths (AVX2+FMA / NEON — see [`kernels`]), and the
-//! Transpose-Transpose-GEMM-Transpose (TTGT) pairwise contraction that the
-//! higher-level contraction engine is built on.
+//! complex GEMM with rank-specialized micro-kernels and runtime-probed SIMD
+//! paths (AVX2+FMA / NEON — see [`kernels`]) that read their operands in
+//! place through offset views, and the transpose-free pairwise contraction
+//! ([`contract`]) that the higher-level contraction engine is built on.
 //!
 //! No external BLAS or complex-number crates are used: everything needed by
 //! the simulator is implemented here so the workspace builds offline.
@@ -24,15 +24,12 @@ pub mod kernels;
 pub mod permute;
 
 pub use complex::{c32, c64, Complex32, Complex64, RealScalar, Scalar};
-pub use contract::{
-    contract_pair, contract_pair_into_with_spec, contract_pair_with_spec, ContractionKernel,
-    ContractionSpec,
-};
+pub use contract::{contract_pair, ContractionKernel, ContractionSpec};
 pub use convert::{to_double, to_single};
 pub use dense::DenseTensor;
 pub use index::{IndexId, IndexSet};
 pub use kernels::{
     detected_simd, dispatch_counts, set_simd_override, simd_level, DispatchClass, DispatchCounts,
-    GemmPath, KernelPlan, SimdLevel,
+    GemmPath, KernelPlan, MatRef, OffsetTable, SimdLevel,
 };
-pub use permute::{permute, permute_into, PermutePlan};
+pub use permute::{permute, PermutePlan};

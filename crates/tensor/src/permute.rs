@@ -8,9 +8,16 @@
 //! permutation of the remaining axes has to be tabulated; offsets for the
 //! unchanged run follow from `map[i + k] = map[i] + k * offset`.
 //!
+//! The host contraction path no longer permutes at all — it reads operands
+//! in place through the separable offset tables of
+//! [`crate::kernels::view`], which take the same idea to its end (`m + k`
+//! entries instead of a `2^rank` map). What remains here aligns results
+//! for accumulation ([`permute_to_order`]) and backs `qtn-fused`'s model
+//! of the Sunway kernel's permutation maps.
+//!
 //! Three strategies are provided:
-//! * [`permute`] / [`permute_into`] — direct in-situ computation of target
-//!   offsets (no auxiliary table, `O(N log N)` work);
+//! * [`permute`] — direct in-situ computation of target offsets (no
+//!   auxiliary table, `O(N log N)` work);
 //! * [`PermutePlan::full`] — a precomputed map (`O(N)` reuse cost, `O(N)`
 //!   memory);
 //! * [`PermutePlan::reduced`] — the paper's reduced map, shrinking the table
@@ -52,19 +59,11 @@ pub fn permute<T: Scalar>(tensor: &DenseTensor<T>, perm: &[usize]) -> DenseTenso
     let rank = check_perm(perm, tensor.rank());
     let new_axes: Vec<IndexId> = perm.iter().map(|&p| tensor.indices().axes()[p]).collect();
     let mut out = DenseTensor::zeros(IndexSet::new(new_axes));
-    permute_into(tensor, perm, out.data_mut());
-    debug_assert_eq!(out.len(), 1usize << rank);
-    out
-}
-
-/// Permute into a caller-provided destination buffer of length `tensor.len()`.
-pub fn permute_into<T: Scalar>(tensor: &DenseTensor<T>, perm: &[usize], dst: &mut [T]) {
-    let rank = check_perm(perm, tensor.rank());
-    assert_eq!(dst.len(), tensor.len(), "destination buffer length mismatch");
-    let src = tensor.data();
-    for (i, &v) in src.iter().enumerate() {
+    let dst = out.data_mut();
+    for (i, &v) in tensor.data().iter().enumerate() {
         dst[permuted_offset(i, perm, rank)] = v;
     }
+    out
 }
 
 /// The axis permutation taking `from`'s order to `to`

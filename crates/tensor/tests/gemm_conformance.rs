@@ -1,30 +1,34 @@
 //! Kernel-conformance harness for the GEMM dispatch stack.
 //!
 //! Every dispatch path — the unrolled micro-kernels, the GEMV row/col
-//! products, the streaming narrow kernel, the packed/blocked kernel, and
-//! each of their SIMD variants reachable on this machine — is checked
-//! against [`qtn_tensor::gemm::gemm_reference`] on a seeded-random shape
-//! grid, with exact equality on integer-valued inputs and a stated
-//! floating-point bound on random inputs. A dispatch-counter delta test
-//! proves each path was *actually executed*, not merely selected.
+//! products, the narrow kernel, the packed/blocked kernel, and each of
+//! their SIMD variants reachable on this machine — is checked against
+//! [`qtn_tensor::gemm::gemm_reference`] on a seeded-random shape grid, with
+//! exact equality on integer-valued inputs and a stated floating-point
+//! bound on random inputs. The shapes of the real `amp-m20` / `amp-l30`
+//! stems additionally run *in place* — operands left in a shuffled axis
+//! order and read through offset tables — against the reference on
+//! explicitly permuted copies. A dispatch-counter delta test proves each
+//! path was *actually executed*, not merely selected.
 //!
-//! Tests serialize on a file-scoped mutex: the SIMD override and the
-//! dispatch counters are process-global, and counter deltas are only exact
-//! at quiescent points.
+//! Tests serialize on a file-scoped mutex: the SIMD override is
+//! process-global. (The dispatch counters are per thread, and every test
+//! runs on its own.)
 
 use qtn_tensor::gemm::gemm_reference;
 use qtn_tensor::kernels::micro_scalar;
+use qtn_tensor::permute::permute_to_order;
 use qtn_tensor::{
-    c32, c64, dispatch_counts, set_simd_override, simd_level, Complex32, Complex64, DispatchClass,
-    DispatchCounts, GemmPath, KernelPlan, SimdLevel,
+    c32, c64, dispatch_counts, set_simd_override, simd_level, Complex32, Complex64, DenseTensor,
+    DispatchClass, DispatchCounts, GemmPath, IndexId, IndexSet, KernelPlan, OffsetTable, SimdLevel,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard};
 
-/// The override and dispatch counters are process-global; serialize every
-/// test in this binary so counter deltas are exact and levels stable.
+/// The override is process-global; serialize every test in this binary so
+/// levels are stable.
 static LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -171,6 +175,131 @@ fn random_grid_matches_reference() {
     }
 }
 
+/// The narrow steps of the real stems — `amp-m20`'s heavy ones, then the
+/// three `amp-l30` ones whose long operand leaves L2 — and two shapes that
+/// put the half-height and half-width tiles behind tables.
+const PLAN_SHAPES: [(usize, usize, usize); 11] = [
+    (16384, 4, 4),
+    (4, 16384, 4),
+    (8192, 4, 8),
+    (8, 4, 4096),
+    (2048, 8, 8),
+    (1024, 16, 4),
+    (65536, 8, 8),
+    (8, 65536, 8),
+    (4, 131072, 4),
+    (2, 1024, 4),
+    (1024, 2, 4),
+];
+
+fn shuffled(rng: &mut StdRng, mut axes: Vec<IndexId>) -> Vec<IndexId> {
+    for i in (1..axes.len()).rev() {
+        axes.swap(i, rng.gen_range(0usize..i + 1));
+    }
+    axes
+}
+
+fn interleaved(a: &[IndexId], b: &[IndexId]) -> Vec<IndexId> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    for i in 0..a.len().max(b.len()) {
+        out.extend(a.get(i));
+        out.extend(b.get(i));
+    }
+    out
+}
+
+/// Every real plan shape, dense *and* in place from eight axis orders per
+/// operand — contracted axes trailing, leading (so the unit-stride axis is
+/// contracted in `B` and free in `A`, then the reverse), interleaved, and
+/// five random shuffles — at the scalar and the probed level, against the
+/// reference on explicitly permuted operands, starting from a dirty `C`.
+/// Reading in place must also reproduce the dense result bit for bit.
+#[test]
+fn plan_shapes_in_place_match_reference_on_permuted_operands() {
+    let _guard = lock();
+    let mut rng = StdRng::seed_from_u64(0x57E4);
+    for &(m, n, k) in &PLAN_SHAPES {
+        let bits = |d: usize| d.trailing_zeros();
+        let left_free: Vec<IndexId> = (0..bits(m)).collect();
+        let contracted: Vec<IndexId> = (100..100 + bits(k)).collect();
+        let right_free: Vec<IndexId> = (200..200 + bits(n)).collect();
+        let join = |x: &[IndexId], y: &[IndexId]| [x, y].concat();
+        let mut orders = vec![
+            (join(&left_free, &contracted), join(&contracted, &right_free)),
+            (join(&contracted, &left_free), join(&right_free, &contracted)),
+            (interleaved(&left_free, &contracted), interleaved(&contracted, &right_free)),
+        ];
+        while orders.len() < 8 {
+            orders.push((
+                shuffled(&mut rng, join(&left_free, &contracted)),
+                shuffled(&mut rng, join(&contracted, &right_free)),
+            ));
+        }
+        let dirty = random_c64(&mut rng, m * n);
+        let tol = tol_f64(k);
+        for (left_axes, right_axes) in orders {
+            let left = DenseTensor::from_data(
+                IndexSet::new(left_axes.clone()),
+                random_c64(&mut rng, m * k),
+            );
+            let right = DenseTensor::from_data(
+                IndexSet::new(right_axes.clone()),
+                random_c64(&mut rng, k * n),
+            );
+            // The TTGT copies the tables replace, made by the permute oracle.
+            let a = permute_to_order(&left, &IndexSet::new(join(&left_free, &contracted)));
+            let b = permute_to_order(&right, &IndexSet::new(join(&contracted, &right_free)));
+            let mut c_ref = dirty.clone();
+            gemm_reference(a.data(), b.data(), &mut c_ref, m, n, k);
+            let left_table = OffsetTable::new(left.indices(), &left_free, &contracted);
+            let right_table = OffsetTable::new(right.indices(), &contracted, &right_free);
+            for level in levels() {
+                let plan = KernelPlan::select_with_level(m, n, k, level);
+                assert_eq!(plan.class(), DispatchClass::Narrow, "({m},{n},{k})");
+                let mut c_dense = dirty.clone();
+                plan.apply(a.data(), b.data(), &mut c_dense, m, n, k);
+                let mut c_in_place = dirty.clone();
+                plan.apply_views(
+                    left_table.view(left.data()),
+                    right_table.view(right.data()),
+                    &mut c_in_place,
+                );
+                assert!(
+                    c_in_place == c_dense,
+                    "({m},{n},{k}) at {level:?}: {left_axes:?} x {right_axes:?} read in place \
+                     differs from the dense result"
+                );
+                for (i, (g, r)) in c_in_place.iter().zip(c_ref.iter()).enumerate() {
+                    assert!(
+                        (*g - *r).abs() <= tol,
+                        "({m},{n},{k}) at {level:?} path {:?} entry {i}: {g:?} vs {r:?}",
+                        plan.taken::<Complex64>()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Remainder tiles of the narrow SIMD kernel — odd `m`, odd `n`, `k` past
+/// one `p` chunk, single rows and columns, `k == 1` — forced onto shapes
+/// selection would classify otherwise.
+#[test]
+fn narrow_remainder_tiles_conform() {
+    let _guard = lock();
+    for (idx, &(m, n, k)) in
+        [(7usize, 5usize, 9usize), (3, 11, 300), (13, 3, 2), (1, 7, 5), (6, 1, 4), (5, 6, 1)]
+            .iter()
+            .enumerate()
+    {
+        for level in levels() {
+            let plan = KernelPlan::forced(DispatchClass::Narrow, level);
+            apply_vs_reference_c64(plan, m, n, k, 0xA11 + idx as u64);
+            apply_vs_reference_c32(plan, m, n, k, 0xA12 + idx as u64);
+        }
+    }
+}
+
 /// Forced-class dispatch: the blocked kernel on shapes far below its packing
 /// panels (pure remainder handling) and the narrow kernel on a square-ish
 /// shape it would never be selected for. Both must still conform.
@@ -306,7 +435,7 @@ fn bump(counts: &mut DispatchCounts, path: GemmPath) {
     }
 }
 
-/// Drive the grid through `apply` and prove — via process-global dispatch
+/// Drive the grid through `apply` and prove — via this thread's dispatch
 /// counter deltas — that every path reachable at this machine's levels was
 /// *executed*, and that the recorded counts match `KernelPlan::taken`
 /// prediction exactly, path by path.

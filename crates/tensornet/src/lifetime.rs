@@ -21,14 +21,13 @@
 //!   when none is free — so per class the slot count equals the maximum
 //!   number of simultaneously live buffers of that class;
 //! * the predicted `peak_bytes`: the exact high-water mark of live buffer
-//!   bytes, including the transient TTGT permutation scratch of each
-//!   contraction.
+//!   bytes. A contraction reads both operands in place, so the only buffer
+//!   a step adds is its output.
 //!
 //! The simulation mirrors the executor's pooled stem replay step for step —
-//! leaves acquired in node-id order, then per contraction: left scratch,
-//! right scratch, output acquired; scratch released; consumed phase-owned
-//! operands released; kept tensors (the classification's keep sets and the
-//! phase root) held to the end. Because the executor performs the *same*
+//! leaves acquired in node-id order, then per contraction: output
+//! acquired; consumed phase-owned operands released; kept tensors (the
+//! classification's keep sets and the phase root) held to the end. Because the executor performs the *same*
 //! sequence against its runtime buffer pool, the predicted peak and slot
 //! counts are not estimates but exact: a pooled execution's
 //! `peak_bytes_in_flight` equals the stem phase's `peak_bytes`, and the
@@ -44,11 +43,10 @@
 //! replayed on top of them. The executor holds **one buffer per StemMixed
 //! node** (leaves and step outputs alike) across the entire bitstring loop
 //! and overwrites a node's buffer in place only when its dependent-bits
-//! key changes — so the live set of the suffix is constant and only the
-//! per-step TTGT permutation scratch is transient. The simulation runs
-//! exactly that sequence (pure leaves, pure schedule, then every mixed
-//! buffer acquired up front followed by one scratch-only pass over the
-//! mixed schedule), which is why a batched pooled execution's
+//! key changes — so the live set of the suffix is constant and the
+//! bitstring loop acquires nothing. The simulation runs exactly that
+//! sequence (pure leaves, pure schedule, then every mixed buffer acquired
+//! up front), which is why a batched pooled execution's
 //! `peak_bytes_in_flight` equals `batched_stem.peak_bytes()` exactly,
 //! regardless of batch size or which keys the batch happens to contain.
 
@@ -101,8 +99,7 @@ impl PhaseMemoryPlan {
         &self.intervals
     }
 
-    /// Size class (rank) of every slot the greedy assignment opened,
-    /// including the transient permutation-scratch slots.
+    /// Size class (rank) of every slot the greedy assignment opened.
     pub fn slot_ranks(&self) -> &[usize] {
         &self.slot_ranks
     }
@@ -120,7 +117,7 @@ impl PhaseMemoryPlan {
         self.slot_ranks.iter().map(|&r| bytes_of_rank(r)).sum()
     }
 
-    /// Predicted high-water mark of live buffer bytes, scratch included.
+    /// Predicted high-water mark of live buffer bytes.
     pub fn peak_bytes(&self) -> u64 {
         self.peak_bytes
     }
@@ -167,8 +164,7 @@ pub struct MemoryPlan {
     /// contracted once with its keep set held live, then the keyed
     /// StemMixed suffix — one buffer per mixed node acquired up front and
     /// held across the whole bitstring loop (recomputes overwrite in
-    /// place), with only per-step permutation scratch transient. One pass
-    /// fixes both peak and slot count for any batch.
+    /// place), so peak and slot count are fixed for any batch.
     pub batched_stem: PhaseMemoryPlan,
 }
 
@@ -282,10 +278,9 @@ impl PhaseSim {
     }
 
     /// Replay a schedule, mirroring the executor's acquire/release order
-    /// exactly (left scratch, right scratch, output; release scratch;
-    /// release consumed operands — but only operands the `consumable`
-    /// predicate owns: borrowed cache tensors and, in the batched mixed
-    /// pass, the held StemPure keep set are never released here).
+    /// exactly (acquire the output, release consumed operands — but only
+    /// operands the `consumable` predicate owns: borrowed cache tensors
+    /// are never released here).
     fn replay(
         &mut self,
         tree: &ContractionTree,
@@ -296,14 +291,8 @@ impl PhaseSim {
     ) {
         for &(l, r, out) in schedule {
             self.step += 1;
-            // TTGT scratch for both operands (pooled even when the operand
-            // itself is a borrowed cache tensor), then the output buffer.
-            let left_scratch = self.sim.acquire(effective_rank(tree, sliced, l));
-            let right_scratch = self.sim.acquire(effective_rank(tree, sliced, r));
             let rank = effective_rank(tree, sliced, out);
             let slot = self.sim.acquire(rank);
-            self.sim.release(left_scratch);
-            self.sim.release(right_scratch);
             for operand in [l, r] {
                 if consumable(classification.class(operand)) {
                     let idx = self.interval_of[&operand];
@@ -361,11 +350,10 @@ fn analyze_phase(
 /// one buffer per mixed node (leaves and step outputs, node-id order) at
 /// suffix start and holds them across the whole bitstring loop — a node
 /// whose dependent-bits key changes is recomputed *in place* (the
-/// contraction kernel overwrites its output buffer), so no mixed buffer is
-/// ever released inside the loop and only each step's TTGT permutation
-/// scratch is transient. The live set is therefore constant and one pass
-/// over the mixed schedule fixes the exact peak and slot count for any
-/// batch content.
+/// contraction kernel overwrites its output buffer, reading its operands
+/// where they lie), so no buffer is acquired or released inside the loop.
+/// The live set is therefore constant, and the up-front acquisitions fix
+/// the exact peak and slot count for any batch content.
 fn analyze_batched_stem(
     tree: &ContractionTree,
     classification: &NodeClassification,
@@ -392,14 +380,6 @@ fn analyze_batched_stem(
             consumed: None,
             slot,
         });
-    }
-    // One pass over the mixed schedule: only scratch comes and goes.
-    for &(l, r, _) in classification.stem_mixed_schedule() {
-        sim.step += 1;
-        let left_scratch = sim.sim.acquire(effective_rank(tree, sliced, l));
-        let right_scratch = sim.sim.acquire(effective_rank(tree, sliced, r));
-        sim.sim.release(left_scratch);
-        sim.sim.release(right_scratch);
     }
     sim.finish()
 }
@@ -469,22 +449,23 @@ mod tests {
 
         // Everything is Branch class; hand simulation (in amplitudes):
         //   t0: leaves r1+r2+r2+r1 = 12 live.
-        //   step1 (0,1→4): +scratch r1+r2, +out r1 → 20 amps = 320 B peak.
-        //   step2 (4,2→5): 8 live, +r1+r2 scratch +r1 out → 16 amps.
-        //   step3 (5,3→6): 4 live, +r1+r1 scratch +r0 out → 9 amps.
-        assert_eq!(plan.branch.peak_bytes(), 320);
+        //   step1 (0,1→4): +out r1 → 14 amps = 224 B peak; operands go → 8.
+        //   step2 (4,2→5): +out r1 → 10 amps; operands go → 4.
+        //   step3 (5,3→6): +out r0 → 5 amps.
+        assert_eq!(plan.branch.peak_bytes(), 224);
         assert_eq!(plan.frontier.peak_bytes(), 0);
         assert_eq!(plan.stem.peak_bytes(), 0);
-        assert_eq!(plan.peak_bytes(), 320);
+        assert_eq!(plan.peak_bytes(), 224);
         // Only the root survives the phase.
         assert_eq!(plan.branch.kept_bytes(), 16);
-        // Slots: rank 1 peaks at 4 concurrent, rank 2 at 3, rank 0 at 1.
+        // Slots: rank 1 peaks at 3 concurrent (leaf 0, leaf 3, node 4),
+        // rank 2 at 2 (the two middle leaves), rank 0 at 1.
         let slots = plan.branch.slot_count_by_rank();
-        assert_eq!(slots.get(&1), Some(&4));
-        assert_eq!(slots.get(&2), Some(&3));
+        assert_eq!(slots.get(&1), Some(&3));
+        assert_eq!(slots.get(&2), Some(&2));
         assert_eq!(slots.get(&0), Some(&1));
-        assert_eq!(plan.branch.num_slots(), 8);
-        assert_eq!(plan.branch.arena_bytes(), 4 * 32 + 3 * 64 + 16);
+        assert_eq!(plan.branch.num_slots(), 6);
+        assert_eq!(plan.branch.arena_bytes(), 3 * 32 + 2 * 64 + 16);
         assert!(plan.branch.arena_bytes() >= plan.branch.peak_bytes());
     }
 
@@ -502,10 +483,10 @@ mod tests {
         assert!(plan.branch.intervals().iter().all(|iv| iv.consumed.is_none()));
 
         // Stem phase (sliced ranks): leaf0 r0, leaf1 r1; node4 r1, node5 r1,
-        // root r0. Peak is at step2: node4 live (2 amps) + scratch r1 + r2
-        // (cached branch operand still needs permute scratch) + out r1
-        // = 10 amps = 160 B.
-        assert_eq!(plan.stem.peak_bytes(), 160);
+        // root r0. Peak is at step1: both leaves live (3 amps) + out r1
+        // = 5 amps = 80 B; the cached branch operands of steps 2 and 3 are
+        // read in place and cost the phase nothing.
+        assert_eq!(plan.stem.peak_bytes(), 80);
         assert_eq!(plan.stem.kept_bytes(), 16); // root r0
         let root_interval = plan.stem.intervals().iter().find(|iv| iv.node == tree.root()).unwrap();
         assert_eq!(root_interval.consumed, None);
@@ -575,9 +556,9 @@ mod tests {
         assert_eq!(plan.branch.intervals().len(), 5); // leaves 0,1,2 + nodes 4,5
         assert_eq!(plan.frontier.intervals().len(), 2); // leaf 3 + root
         assert_eq!(plan.stem.intervals().len(), 0);
-        // Frontier: leaf3 r1 at t0 (2 amps); root step: scratch r1 (node5,
-        // cached) + scratch r1 (leaf3) + out r0 → 2+5 = 7 amps = 112 B.
-        assert_eq!(plan.frontier.peak_bytes(), 112);
+        // Frontier: leaf3 r1 at t0 (2 amps); root step: + out r0 → 3 amps
+        // = 48 B (node5 is a borrowed cache tensor).
+        assert_eq!(plan.frontier.peak_bytes(), 48);
         assert_eq!(plan.frontier.kept_bytes(), 16);
     }
 
@@ -592,25 +573,25 @@ mod tests {
         // Hand simulation of one batched subtask (in bytes, rank r = 16·2^r;
         // sliced ranks: leaf0 r0, leaf1 r1, node4 r1, node5 r1, root r0):
         //   t0: pure leaves 0 (16) + 1 (32)                          = 48
-        //   step1 (0,1→4): +scratch 16+32 +out 32 → 128; drop to 32
-        //   step2 (4,2→5): +scratch 32+64 (branch operand 2 keeps its
-        //     full rank 2) +out 32 → 160 ← peak; drop to 32 (node5 kept)
+        //   step1 (0,1→4): +out 32 → 80 ← peak; drop to 32
+        //   step2 (4,2→5): +out 32 → 64 (branch operand 2 is read in
+        //     place); drop to 32 (node5 kept)
         //   keyed suffix: root buffer (16) acquired up front → 48 held;
-        //   pass (5,3→6): +scratch 32+32 → 112; scratch released.
-        assert_eq!(plan.batched_stem.peak_bytes(), 160);
+        //   the pass (5,3→6) overwrites it in place.
+        assert_eq!(plan.batched_stem.peak_bytes(), 80);
         // Outliving the pass: the held pure keep (node5) and the root.
         assert_eq!(plan.batched_stem.kept_bytes(), 32 + 16);
         let node5 =
             plan.batched_stem.intervals().iter().find(|iv| iv.node == 5).expect("node5 interval");
         assert_eq!(node5.consumed, None, "pure keeps are borrowed, never consumed, by mixed steps");
-        // Slots: rank 0 peaks at 2 (leaf0 + its step-1 scratch), rank 1 at 3
-        // (operand + scratch + output in flight), rank 2 at 1 (the branch
-        // operand's scratch).
+        // Slots: rank 0 peaks at 1 (the root reuses leaf0's slot), rank 1
+        // at 2 (operand + output in flight); nothing of rank 2 is ever
+        // acquired.
         let slots = plan.batched_stem.slot_count_by_rank();
-        assert_eq!(slots.get(&0), Some(&2));
-        assert_eq!(slots.get(&1), Some(&3));
-        assert_eq!(slots.get(&2), Some(&1));
-        assert_eq!(plan.batched_stem.num_slots(), 6);
+        assert_eq!(slots.get(&0), Some(&1));
+        assert_eq!(slots.get(&1), Some(&2));
+        assert_eq!(slots.get(&2), None);
+        assert_eq!(plan.batched_stem.num_slots(), 3);
     }
 
     #[test]
@@ -625,13 +606,11 @@ mod tests {
 
         // Hand simulation (bytes; sliced ranks: leaf0 r0, leaf1 r1,
         // node4 r1, node5 r1, root r0):
-        //   pure: t0 leaves 0+1 = 48; step1 (0,1→4): +16+32 scratch
-        //     +32 out → 128; drop to 32 (node4 kept).
-        //   suffix up-front: node5 (32) + root (16) held → 80.
-        //   pass (4,2→5): +scratch 32+64 (frontier operand 2 at full
-        //     rank 2) → 176 ← peak; scratch released → 80.
-        //   pass (5,3→6): +scratch 32+32 → 144.
-        assert_eq!(plan.batched_stem.peak_bytes(), 176);
+        //   pure: t0 leaves 0+1 = 48; step1 (0,1→4): +32 out → 80 ← peak;
+        //     drop to 32 (node4 kept).
+        //   suffix up-front: node5 (32) + root (16) held → 80 again, and
+        //     the passes (4,2→5), (5,3→6) acquire nothing.
+        assert_eq!(plan.batched_stem.peak_bytes(), 80);
         // Everything held: node4 (pure keep) + node5 + root outlive the
         // suffix — mixed buffers are never consumed inside the loop.
         assert_eq!(plan.batched_stem.kept_bytes(), 32 + 32 + 16);
