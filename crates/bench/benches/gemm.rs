@@ -30,12 +30,11 @@
 //! kernel layer, so a dispatch regression is attributable before it smears
 //! into `op_s`.
 //!
-//! **Quick mode** (`--quick` argument or `QTNSIM_BENCH_QUICK=1`): the same
-//! shapes and the same correctness checks, one short repetition each, no
-//! criterion harness and no JSON refresh. CI runs it in both the SIMD and
-//! the forced-scalar job; it has no timing threshold.
+//! **Quick mode** (`--quick` argument): the same shapes and the same
+//! correctness checks, one short repetition each, no JSON refresh. CI runs
+//! it in both the SIMD and the forced-scalar job; it has no timing
+//! threshold.
 
-use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use qtn_circuit::{OutputSpec, RqcConfig};
 use qtn_tensor::gemm::{gemm_flops, gemm_reference};
 use qtn_tensor::permute::permute_to_order;
@@ -258,7 +257,12 @@ fn run(reps: usize, flops_per_rep: u64) -> (Vec<String>, String) {
     (records, config.finish())
 }
 
-fn bench_gemm(c: &mut Criterion) {
+fn main() {
+    if std::env::args().any(|a| a == "--quick") {
+        let (records, _) = run(1, 1 << 20);
+        eprintln!("gemm --quick: {} stem shapes match the reference", records.len());
+        return;
+    }
     let (records, config) = run(REPS, FLOPS_PER_REP);
     let mut top = JsonObject::new();
     top.field_str("schema", "qtnsim-bench/gemm")
@@ -268,36 +272,4 @@ fn bench_gemm(c: &mut Criterion) {
     let json = format!("{}\n", top.finish());
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");
     std::fs::write(path, json).expect("write BENCH_gemm.json");
-
-    // Criterion harness over the heaviest tall, wide and blocked shapes so
-    // the kernel layer also lands in the standard bench report.
-    let level = simd_level();
-    let mut group = c.benchmark_group("gemm");
-    group.sample_size(20);
-    for (m, n, k) in [(16384usize, 4usize, 4usize), (4, 16384, 4), (128, 128, 128)] {
-        let a = deterministic_matrix(m * k, 1);
-        let b = deterministic_matrix(k * n, 2);
-        let mut cbuf = vec![Complex64::ZERO; m * n];
-        group.throughput(Throughput::Elements(gemm_flops(m, n, k)));
-        let auto_plan = KernelPlan::select_with_level(m, n, k, level);
-        group.bench_with_input(
-            BenchmarkId::new("dense", format!("{m}x{n}x{k}")),
-            &(m, n, k),
-            |bench, &(m, n, k)| bench.iter(|| auto_plan.apply(&a, &b, &mut cbuf, m, n, k)),
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_gemm);
-
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("QTNSIM_BENCH_QUICK").map(|v| v == "1").unwrap_or(false);
-    if quick {
-        let (records, _) = run(1, 1 << 20);
-        eprintln!("gemm --quick: {} stem shapes match the reference", records.len());
-        return;
-    }
-    benches();
 }

@@ -1,10 +1,10 @@
 //! Shared helpers for the benchmark harness.
 //!
 //! Every figure and table of the paper's evaluation section has a binary in
-//! `src/bin/` that regenerates it (see DESIGN.md's per-experiment index) and,
-//! where the artifact is a timing, a Criterion bench under `benches/`. The
-//! helpers here build the workloads those targets share: Sycamore-style
-//! tensor networks, contraction trees, and stems.
+//! `src/bin/` that regenerates it; timings live in the repo benchmark
+//! (`benchmark/`), plus the `gemm` and `serve` benches under `benches/`. The
+//! helpers here build the workloads the figure binaries share:
+//! Sycamore-style tensor networks, contraction trees, and stems.
 
 #![warn(missing_docs)]
 
@@ -31,13 +31,6 @@ pub struct PlannedNetwork {
 pub fn plan_sycamore(cycles: usize, seed: u64, path_candidates: usize) -> PlannedNetwork {
     let circuit = RqcConfig::sycamore(cycles, seed).build();
     plan_circuit(circuit, seed, path_candidates)
-}
-
-/// Build and plan a random circuit on a small `rows x cols` grid (executable
-/// on a laptop end to end).
-pub fn plan_grid(rows: usize, cols: usize, cycles: usize, seed: u64) -> PlannedNetwork {
-    let circuit = RqcConfig::small(rows, cols, cycles, seed).build();
-    plan_circuit(circuit, seed, 4)
 }
 
 fn plan_circuit(circuit: Circuit, seed: u64, path_candidates: usize) -> PlannedNetwork {
@@ -69,7 +62,7 @@ mod tests {
 
     #[test]
     fn plan_grid_produces_consistent_structures() {
-        let p = plan_grid(3, 3, 8, 1);
+        let p = plan_circuit(RqcConfig::small(3, 3, 8, 1).build(), 1, 4);
         assert_eq!(p.circuit.num_qubits(), 9);
         assert_eq!(p.tree.node(p.tree.root()).rank(), 0);
         assert!(!p.stem.is_empty());

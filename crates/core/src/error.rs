@@ -79,6 +79,14 @@ pub enum Error {
     /// Sampling was requested from an amplitude tensor whose total
     /// probability mass is zero (every amplitude is exactly 0).
     ZeroAmplitudeDistribution,
+    /// A circuit is too wide for a dense reference method that holds all
+    /// `2^n` amplitudes (the facade's state-vector verification).
+    TooManyQubits {
+        /// Qubits in the circuit.
+        qubits: usize,
+        /// The reference method's qubit limit.
+        max: usize,
+    },
     /// An execution worker panicked and the panic was caught at the
     /// execution boundary: only the affected execution fails, the worker
     /// pool and any serving layer above keep running. Carries the panic
@@ -128,6 +136,9 @@ impl std::fmt::Display for Error {
             }
             Error::ZeroAmplitudeDistribution => {
                 write!(f, "cannot sample from an all-zero amplitude tensor")
+            }
+            Error::TooManyQubits { qubits, max } => {
+                write!(f, "{qubits} qubits exceed the {max}-qubit limit of the dense reference")
             }
             Error::ExecutionPanic(msg) => write!(f, "an execution worker panicked: {msg}"),
             Error::Internal(msg) => write!(f, "internal executor invariant violated: {msg}"),
@@ -191,6 +202,7 @@ mod tests {
             (Error::NonFiniteParam { slot: 2 }, "non-finite"),
             (Error::TooManySlicedEdges { sliced: 64 }, "2^64 subtasks"),
             (Error::ZeroAmplitudeDistribution, "all-zero"),
+            (Error::TooManyQubits { qubits: 30, max: 26 }, "26-qubit limit"),
             (Error::ExecutionPanic("index out of bounds".into()), "panicked"),
             (Error::Internal("oops".into()), "oops"),
         ];

@@ -24,10 +24,8 @@ pub mod fault;
 pub mod json;
 pub mod planner;
 pub mod pool;
-pub mod projection;
 pub mod sampling;
 pub mod sync;
-pub mod verify;
 
 pub use engine::{CacheStats, CompiledCircuit, Engine, ExecutionReport, OutputShape};
 pub use error::Error;
@@ -38,7 +36,5 @@ pub use executor::{
 pub use fault::{FaultPlan, FaultPoint};
 pub use planner::{plan_simulation, PlannerConfig, SimulationPlan};
 pub use pool::{BufferPool, PoolCounters, SharedWorkerPools};
-pub use projection::{project_run, RunProjection};
 pub use sampling::sample_bitstrings;
 pub use sync::lock_unpoisoned;
-pub use verify::verify_against_statevector;

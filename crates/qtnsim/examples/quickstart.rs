@@ -5,7 +5,8 @@
 //! Run with `cargo run --release --example quickstart`.
 
 use qtnsim::circuit::{Circuit, Gate, OutputSpec, RqcConfig};
-use qtnsim::core::{verify_against_statevector, Engine, ExecutorConfig, PlannerConfig};
+use qtnsim::core::{Engine, ExecutorConfig, PlannerConfig};
+use qtnsim::verify_against_statevector;
 
 fn main() -> Result<(), qtnsim::Error> {
     // --- 1. A hand-written circuit -----------------------------------------
@@ -66,7 +67,7 @@ fn main() -> Result<(), qtnsim::Error> {
     println!("Five correlated samples of qubits {open:?}: {samples:?}");
 
     // --- 3. Verification against the state-vector reference ----------------
-    let verification = verify_against_statevector(&circuit, &planner, 4, 1e-8);
+    let verification = verify_against_statevector(&circuit, &planner, 4, 1e-8)?;
     println!(
         "\nVerification against the state vector: {} amplitudes compared, max |error| = {:.2e}, passed = {}",
         verification.compared, verification.max_error, verification.passed

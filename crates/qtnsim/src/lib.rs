@@ -68,7 +68,8 @@
 //! | [`sunway`] | SW26010pro machine model: memory hierarchy, roofline, scaling projection |
 //! | [`fused`] | secondary slicing and the fused vs step-by-step thread-level executors |
 //! | [`statevector`] | reference full-state simulator for validation |
-//! | [`core`] | engine, planner, stem-only sliced executor, sampling, verification, projection |
+//! | [`core`] | engine, planner, stem-only sliced executor, sampling |
+//! | [`verify`] | tensor-network amplitudes cross-checked against [`statevector`] |
 
 #![warn(missing_docs)]
 
@@ -81,9 +82,12 @@ pub use qtn_tensor as tensor;
 pub use qtn_tensornet as tensornet;
 pub use qtnsim_core as core;
 
+pub mod verify;
+
 pub use qtn_circuit::{sycamore_rqc, Circuit, Gate, OutputSpec, RqcConfig};
 pub use qtn_tensor::{c64, Complex64, DenseTensor};
 pub use qtnsim_core::{
     plan_simulation, BufferPool, CompiledCircuit, Engine, Error, ExecutionReport, ExecutionStats,
     ExecutorConfig, OutputShape, PlannerConfig, PoolCounters, WorkerPool,
 };
+pub use verify::{verify_against_statevector, Verification};

@@ -33,7 +33,7 @@ fn random_circuits_match_statevector_across_slicing_targets() {
 
 #[test]
 fn engine_compile_once_execute_many_round_trip() {
-    // The acceptance criterion of the engine API: compile once, sweep many
+    // The acceptance test of the engine API: compile once, sweep many
     // bitstrings, match the state-vector reference to 1e-8, and never run
     // the planner more than once.
     let circuit = RqcConfig::small(2, 4, 8, 11).build();

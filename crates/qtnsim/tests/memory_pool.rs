@@ -75,28 +75,37 @@ fn pooled_open_batches_are_bit_identical() {
 fn steady_state_sweeps_allocate_nothing() {
     let circuit = sliced_circuit();
     let n = circuit.num_qubits();
-    let engine = Engine::with_configs(planner(), executor(true));
-    let compiled = engine.compile(&circuit, &OutputSpec::Amplitude(vec![0; n])).unwrap();
-    let plan = compiled.plan();
-    let slots = plan.memory_plan.stem.num_slots() as u64;
-    assert!(slots > 0);
-
-    // The first execution warms each worker's pool on its first subtask:
-    // exactly the predicted slot count per worker, nothing more — even
-    // though each worker sweeps several subtasks.
-    let (_, first) = compiled.execute_amplitude(&vec![0; n]).unwrap();
-    assert_eq!(first.stats.buffers_allocated, first.stats.workers as u64 * slots);
-    assert!(first.stats.buffers_reused > 0);
-
-    // Pools persist on the compiled plan: every later execution — here a
-    // 16-bitstring sweep — allocates zero buffers.
-    for bits in bitstrings(n, 16) {
-        let (_, report) = compiled.execute_amplitude(&bits).unwrap();
-        assert_eq!(
-            report.stats.buffers_allocated, 0,
-            "steady-state execution must be allocation-free for {bits:?}"
+    // Three slicing depths of the same circuit: |S| = 2, 4 and 6, i.e. 4,
+    // 16 and 64 subtasks per execution.
+    for (target_rank, sliced_edges) in [(10, 2), (8, 4), (6, 6)] {
+        let engine = Engine::with_configs(
+            PlannerConfig { target_rank, ..Default::default() },
+            executor(true),
         );
-        assert!(report.stats.buffers_reused >= first.stats.buffers_reused);
+        let compiled = engine.compile(&circuit, &OutputSpec::Amplitude(vec![0; n])).unwrap();
+        let plan = compiled.plan();
+        assert_eq!(plan.slicing.len(), sliced_edges, "target rank {target_rank}");
+        let slots = plan.memory_plan.stem.num_slots() as u64;
+        assert!(slots > 0);
+
+        // The first execution warms each worker's pool on its first
+        // subtask: exactly the predicted slot count per worker, nothing
+        // more — even though each worker sweeps several subtasks.
+        let (_, first) = compiled.execute_amplitude(&vec![0; n]).unwrap();
+        assert_eq!(first.stats.buffers_allocated, first.stats.workers as u64 * slots);
+        assert!(first.stats.buffers_reused > 0);
+
+        // Pools persist on the compiled plan: every later execution — here
+        // a 16-bitstring sweep — allocates zero buffers.
+        for bits in bitstrings(n, 16) {
+            let (_, report) = compiled.execute_amplitude(&bits).unwrap();
+            assert_eq!(
+                report.stats.buffers_allocated, 0,
+                "steady-state execution at |S| = {sliced_edges} must be allocation-free for \
+                 {bits:?}"
+            );
+            assert!(report.stats.buffers_reused >= first.stats.buffers_reused);
+        }
     }
 }
 

@@ -141,7 +141,7 @@ fn open_batch_and_sampling_reuse_is_bit_identical() {
 fn amortized_work_approaches_the_stem_only_floor() {
     // Across many executions of one compiled plan, the mean flops per
     // execute should approach frontier + stem — the branch build amortizes
-    // away. This is the quantity the branch_reuse bench measures in time.
+    // away. The repo benchmark times the same gap as `executor.cold_extra_s`.
     let circuit = sliced_circuit();
     let n = circuit.num_qubits();
     let engine = Engine::with_configs(planner(), executor(true));
