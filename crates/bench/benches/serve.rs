@@ -53,7 +53,6 @@ fn serve_config(deadline: Duration) -> ServeConfig {
         planner: PlannerConfig { target_rank: 8, ..Default::default() },
         executor: ExecutorConfig { workers: WORKERS, max_subtasks: 0, reuse: true, pool: true },
         batch: BatchConfig { max_batch: 64, batch_deadline: deadline, max_queue: 4096 },
-        ..ServeConfig::default()
     }
 }
 

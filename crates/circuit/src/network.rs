@@ -206,62 +206,14 @@ impl NetworkBuild {
         &self,
         bits: &[u8],
     ) -> Result<Vec<(usize, DenseTensor<Complex64>)>, RebindError> {
-        let mut overrides = Vec::new();
-        self.rebind_output_into(bits, &mut overrides)?;
-        Ok(overrides)
-    }
-
-    /// [`NetworkBuild::rebind_output`] into a caller-owned vector, reusing
-    /// the projector tensors already in `overrides` (same shape, same wire)
-    /// instead of allocating fresh ones — the hot path for sweeps that
-    /// rebind the output bitstring many times over one plan. On error,
-    /// `overrides` is left exactly as it was.
-    pub fn rebind_output_into(
-        &self,
-        bits: &[u8],
-        overrides: &mut Vec<(usize, DenseTensor<Complex64>)>,
-    ) -> Result<(), RebindError> {
         self.validate_bits(bits)?;
-        overrides.truncate(self.projector_leaves.len());
-        for (i, &(qubit, node)) in self.projector_leaves.iter().enumerate() {
-            let wire = self.nodes[node].indices.axes()[0];
-            let reusable = overrides
-                .get(i)
-                .is_some_and(|(_, t)| t.data().len() == 2 && t.indices().axes() == [wire]);
-            if reusable {
-                let (id, tensor) = &mut overrides[i];
-                *id = node;
-                write_projector(tensor.data_mut(), bits[qubit]);
-            } else {
-                let fresh = (node, projection_node(qubit, wire, bits[qubit]).data);
-                if i < overrides.len() {
-                    overrides[i] = fresh;
-                } else {
-                    overrides.push(fresh);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Rewrite the projector leaves in place to target a new bitstring,
-    /// reusing the existing leaf buffers (the wire index of each projector
-    /// never changes, so neither do its `indices`). Mutating sibling of
-    /// [`NetworkBuild::rebind_output`]. On error the build is untouched.
-    pub fn rebind_output_in_place(&mut self, bits: &[u8]) -> Result<(), RebindError> {
-        self.validate_bits(bits)?;
-        for i in 0..self.projector_leaves.len() {
-            let (qubit, node) = self.projector_leaves[i];
-            write_projector(self.nodes[node].data.data_mut(), bits[qubit]);
-        }
-        Ok(())
-    }
-
-    /// Rewrite the projector leaves in place to target a new bitstring.
-    /// Alias of [`NetworkBuild::rebind_output_in_place`], kept for the
-    /// original rebind API surface.
-    pub fn apply_rebind(&mut self, bits: &[u8]) -> Result<(), RebindError> {
-        self.rebind_output_in_place(bits)
+        Ok(self
+            .projector_leaves
+            .iter()
+            .map(|&(qubit, node)| {
+                (node, projector(self.nodes[node].indices.axes()[0], bits[qubit]))
+            })
+            .collect())
     }
 
     fn validate_bits(&self, bits: &[u8]) -> Result<(), RebindError> {
@@ -340,9 +292,14 @@ impl NetworkBuild {
     }
 }
 
-fn write_projector(data: &mut [Complex64], bit: u8) {
-    data[0] = if bit == 0 { Complex64::ONE } else { Complex64::ZERO };
-    data[1] = if bit == 0 { Complex64::ZERO } else { Complex64::ONE };
+/// The rank-1 projector `⟨bit|` on wire `w`.
+fn projector(w: IndexId, bit: u8) -> DenseTensor<Complex64> {
+    let (zero, one) = if bit == 0 {
+        (Complex64::ONE, Complex64::ZERO)
+    } else {
+        (Complex64::ZERO, Complex64::ONE)
+    };
+    DenseTensor::from_data(IndexSet::new(vec![w]), vec![zero, one])
 }
 
 /// Convert a circuit and output specification into a tensor network.
@@ -462,14 +419,7 @@ pub fn circuit_to_network(circuit: &Circuit, output: &OutputSpec) -> NetworkBuil
 
 fn projection_node(q: usize, w: IndexId, bit: u8) -> TensorNode {
     assert!(bit <= 1, "projection bit must be 0 or 1");
-    let data = DenseTensor::from_data(
-        IndexSet::new(vec![w]),
-        if bit == 0 {
-            vec![Complex64::ONE, Complex64::ZERO]
-        } else {
-            vec![Complex64::ZERO, Complex64::ONE]
-        },
-    );
+    let data = projector(w, bit);
     TensorNode { indices: data.indices().clone(), data, label: format!("proj[{q}]={bit}") }
 }
 
@@ -611,31 +561,37 @@ mod tests {
         circuit_to_network(&c, &OutputSpec::Amplitude(vec![0]));
     }
 
+    /// `build` with its projector leaves replaced by [`NetworkBuild::rebind_output`]'s
+    /// overrides for `bits` — what the executor does per execution.
+    fn rebound(build: &NetworkBuild, bits: &[u8]) -> NetworkBuild {
+        let mut out = build.clone();
+        for (node, data) in build.rebind_output(bits).unwrap() {
+            out.nodes[node].data = data;
+        }
+        out
+    }
+
     #[test]
     fn rebind_output_retargets_amplitudes_without_rebuilding() {
         let mut c = Circuit::new(2);
         c.push1(Gate::H, 0).push2(Gate::Cnot, 0, 1);
-        let mut build = circuit_to_network(&c, &OutputSpec::Amplitude(vec![0, 0]));
+        let build = circuit_to_network(&c, &OutputSpec::Amplitude(vec![0, 0]));
         assert_eq!(build.projector_leaves.len(), 2);
         let h = 1.0 / 2f64.sqrt();
         // Rebinding |00> -> |11> must reproduce the freshly-built network.
-        build.apply_rebind(&[1, 1]).unwrap();
-        let rebound = contract_network_naive(&build).scalar_value();
-        assert!((rebound - c64(h, 0.0)).abs() < 1e-12);
-        build.apply_rebind(&[0, 1]).unwrap();
-        assert!(contract_network_naive(&build).scalar_value().abs() < 1e-12);
+        let rebound_11 = contract_network_naive(&rebound(&build, &[1, 1])).scalar_value();
+        assert!((rebound_11 - c64(h, 0.0)).abs() < 1e-12);
+        assert!(contract_network_naive(&rebound(&build, &[0, 1])).scalar_value().abs() < 1e-12);
     }
 
     #[test]
     fn rebind_output_ignores_open_qubits() {
         let mut c = Circuit::new(2);
         c.push1(Gate::H, 0).push2(Gate::Cnot, 0, 1);
-        let mut build =
-            circuit_to_network(&c, &OutputSpec::Open { fixed: vec![0, 0], open: vec![1] });
+        let build = circuit_to_network(&c, &OutputSpec::Open { fixed: vec![0, 0], open: vec![1] });
         assert_eq!(build.projector_leaves.len(), 1);
         // Project qubit 0 onto |1>; qubit 1 stays open.
-        build.apply_rebind(&[1, 0]).unwrap();
-        let t = contract_network_naive(&build);
+        let t = contract_network_naive(&rebound(&build, &[1, 0]));
         let h = 1.0 / 2f64.sqrt();
         assert!(t.get(&[0]).abs() < 1e-12);
         assert!((t.get(&[1]) - c64(h, 0.0)).abs() < 1e-12);
@@ -653,51 +609,6 @@ mod tests {
             build.rebind_output(&[0, 2]),
             Err(RebindError::InvalidBit { qubit: 1, value: 2 })
         );
-    }
-
-    #[test]
-    fn rebind_output_in_place_reuses_leaf_buffers() {
-        let mut c = Circuit::new(2);
-        c.push1(Gate::H, 0).push2(Gate::Cnot, 0, 1);
-        let mut build = circuit_to_network(&c, &OutputSpec::Amplitude(vec![0, 0]));
-        let ptrs: Vec<_> = build
-            .projector_leaves
-            .iter()
-            .map(|&(_, n)| build.nodes[n].data.data().as_ptr())
-            .collect();
-        build.rebind_output_in_place(&[1, 1]).unwrap();
-        let after: Vec<_> = build
-            .projector_leaves
-            .iter()
-            .map(|&(_, n)| build.nodes[n].data.data().as_ptr())
-            .collect();
-        assert_eq!(ptrs, after, "in-place rebind must not reallocate projector buffers");
-        let h = 1.0 / 2f64.sqrt();
-        assert!((contract_network_naive(&build).scalar_value() - c64(h, 0.0)).abs() < 1e-12);
-        // A failed rebind leaves the build untouched.
-        let snapshot: Vec<_> = build.nodes.iter().map(|n| n.data.clone()).collect();
-        assert!(build.rebind_output_in_place(&[1, 2]).is_err());
-        let unchanged: Vec<_> = build.nodes.iter().map(|n| n.data.clone()).collect();
-        assert_eq!(snapshot, unchanged);
-    }
-
-    #[test]
-    fn rebind_output_into_reuses_caller_buffers() {
-        let mut c = Circuit::new(2);
-        c.push1(Gate::H, 0).push2(Gate::Cnot, 0, 1);
-        let build = circuit_to_network(&c, &OutputSpec::Amplitude(vec![0, 0]));
-        let mut overrides = Vec::new();
-        build.rebind_output_into(&[1, 1], &mut overrides).unwrap();
-        assert_eq!(overrides, build.rebind_output(&[1, 1]).unwrap());
-        let ptrs: Vec<_> = overrides.iter().map(|(_, t)| t.data().as_ptr()).collect();
-        build.rebind_output_into(&[0, 1], &mut overrides).unwrap();
-        let after: Vec<_> = overrides.iter().map(|(_, t)| t.data().as_ptr()).collect();
-        assert_eq!(ptrs, after, "second rebind must reuse the caller's tensors");
-        assert_eq!(overrides, build.rebind_output(&[0, 1]).unwrap());
-        // A failed rebind leaves the caller's vector exactly as it was.
-        let snapshot = overrides.clone();
-        assert!(build.rebind_output_into(&[0, 7], &mut overrides).is_err());
-        assert_eq!(overrides, snapshot);
     }
 
     #[test]

@@ -118,8 +118,7 @@ struct PlanKey {
     shape: OutputShape,
 }
 
-/// A tiny LRU: most-recently-used entry at the front. One of these per cache
-/// shard; with the default single shard it is the whole plan cache.
+/// A tiny LRU: most-recently-used entry at the front.
 struct PlanCache {
     capacity: usize,
     entries: Vec<(PlanKey, Arc<SimulationPlan>)>,
@@ -140,8 +139,8 @@ impl PlanCache {
     fn insert(&mut self, key: PlanKey, plan: Arc<SimulationPlan>) -> usize {
         self.entries.retain(|(k, _)| k != &key);
         self.entries.insert(0, (key, plan));
-        let evicted = self.entries.len().saturating_sub(self.capacity.max(1));
-        self.entries.truncate(self.capacity.max(1));
+        let evicted = self.entries.len().saturating_sub(self.capacity);
+        self.entries.truncate(self.capacity);
         evicted
     }
 }
@@ -156,7 +155,7 @@ pub struct CacheStats {
     /// Compiles that had to run the full planning pipeline.
     pub misses: usize,
     /// Plans dropped from the cache by capacity pressure (LRU eviction or a
-    /// capacity shrink), summed over all shards.
+    /// capacity shrink).
     pub evictions: usize,
 }
 
@@ -175,46 +174,17 @@ impl CacheStats {
 /// circuits. Kept separate from the worker pool so reconfiguring the pool
 /// never discards cached plans or resets counters.
 ///
-/// The plan cache is split into independently locked shards selected by
-/// circuit fingerprint, so concurrent compiles of *different* circuits (a
-/// server's acceptor threads) never contend on one mutex. The default is a
-/// single shard, which preserves exact global LRU semantics.
+/// One exact LRU behind one mutex: `compile` holds the lock only for the
+/// short `Vec` scan of a lookup or an insert and plans outside it, so
+/// concurrent compiles of different circuits never wait on each other's
+/// planning.
 struct EngineState {
-    shards: Vec<Mutex<PlanCache>>,
+    cache: Mutex<PlanCache>,
+    /// Compiles that missed the cache and ran the planner — the cache's
+    /// miss count and [`Engine::plans_built`] at once.
     plans_built: AtomicUsize,
     cache_hits: AtomicUsize,
-    cache_misses: AtomicUsize,
     cache_evictions: AtomicUsize,
-}
-
-impl EngineState {
-    fn with_shards(shards: usize, capacity_per_shard: usize) -> Self {
-        let shards = shards.max(1);
-        EngineState {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(PlanCache { capacity: capacity_per_shard, entries: Vec::new() })
-                })
-                .collect(),
-            plans_built: AtomicUsize::new(0),
-            cache_hits: AtomicUsize::new(0),
-            cache_misses: AtomicUsize::new(0),
-            cache_evictions: AtomicUsize::new(0),
-        }
-    }
-
-    fn shard(&self, fingerprint: u64) -> &Mutex<PlanCache> {
-        // FNV-1a's low bits cluster badly for structurally similar circuits
-        // (a family of same-shape RQCs can land ≡ each other mod the shard
-        // count), so finalize with a splitmix64-style mix before reducing.
-        let mut x = fingerprint;
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58476d1ce4e5b9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94d049bb133111eb);
-        x ^= x >> 31;
-        &self.shards[(x % self.shards.len() as u64) as usize]
-    }
 }
 
 /// A compile-once / execute-many simulation engine.
@@ -267,7 +237,15 @@ impl Engine {
 
     /// Create an engine with explicit configurations.
     pub fn with_configs(planner: PlannerConfig, executor: ExecutorConfig) -> Self {
-        let state = Arc::new(EngineState::with_shards(1, DEFAULT_PLAN_CACHE_CAPACITY));
+        let state = Arc::new(EngineState {
+            cache: Mutex::new(PlanCache {
+                capacity: DEFAULT_PLAN_CACHE_CAPACITY,
+                entries: Vec::new(),
+            }),
+            plans_built: AtomicUsize::new(0),
+            cache_hits: AtomicUsize::new(0),
+            cache_evictions: AtomicUsize::new(0),
+        });
         Self {
             planner,
             executor: executor.clone(),
@@ -310,64 +288,20 @@ impl Engine {
         self
     }
 
-    /// Set how many plans the LRU cache retains in total (builder style).
-    /// With multiple shards the capacity is split evenly (rounded up, at
-    /// least one plan per shard); shrinking below the current population
-    /// evicts least-recently-used entries and counts them in
-    /// [`cache_stats`](Self::cache_stats).
-    pub fn with_cache_capacity(self, capacity: usize) -> Self {
-        let per_shard = capacity.max(1).div_ceil(self.state.shards.len()).max(1);
-        for shard in &self.state.shards {
-            let mut cache = crate::sync::lock_unpoisoned(shard);
-            cache.capacity = per_shard;
-            let evicted = cache.entries.len().saturating_sub(per_shard);
-            cache.entries.truncate(per_shard);
+    /// Set how many plans the LRU cache retains (builder style); shrinking
+    /// below the current population evicts least-recently-used entries and
+    /// counts them in [`cache_stats`](Self::cache_stats).
+    #[cfg(test)]
+    pub(crate) fn with_cache_capacity(self, capacity: usize) -> Self {
+        let capacity = capacity.max(1);
+        {
+            let mut cache = crate::sync::lock_unpoisoned(&self.state.cache);
+            cache.capacity = capacity;
+            let evicted = cache.entries.len().saturating_sub(capacity);
+            cache.entries.truncate(capacity);
             self.state.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
         }
         self
-    }
-
-    /// Split the plan cache into `shards` independently locked LRU shards
-    /// selected by circuit fingerprint (builder style). One shard — the
-    /// default — is an exact global LRU; more shards trade eviction
-    /// precision for lock-contention-free concurrent compiles of distinct
-    /// circuits, the access pattern of a multi-threaded amplitude server.
-    ///
-    /// Resharding rebuilds the engine's shared state: existing cached plans
-    /// are redistributed by fingerprint and all counters carry over, but
-    /// clones made *before* this call keep the old state — reshard before
-    /// cloning or compiling, as [`crate::Engine::with_executor`] users
-    /// reconfigure pools.
-    pub fn with_cache_shards(mut self, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let total_capacity: usize =
-            self.state.shards.iter().map(|s| crate::sync::lock_unpoisoned(s).capacity).sum();
-        let per_shard = total_capacity.max(1).div_ceil(shards).max(1);
-        let next = EngineState::with_shards(shards, per_shard);
-        next.plans_built.store(self.plans_built(), Ordering::Relaxed);
-        next.cache_hits.store(self.state.cache_hits.load(Ordering::Relaxed), Ordering::Relaxed);
-        next.cache_misses.store(self.state.cache_misses.load(Ordering::Relaxed), Ordering::Relaxed);
-        next.cache_evictions
-            .store(self.state.cache_evictions.load(Ordering::Relaxed), Ordering::Relaxed);
-        let mut evicted = 0;
-        for shard in &self.state.shards {
-            let cache = crate::sync::lock_unpoisoned(shard);
-            // Iterate oldest-first so re-inserting preserves LRU order
-            // (insert places each entry at the front of its new shard).
-            for (key, plan) in cache.entries.iter().rev() {
-                let mut target = crate::sync::lock_unpoisoned(next.shard(key.fingerprint));
-                evicted += target.insert(key.clone(), Arc::clone(plan));
-            }
-        }
-        next.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
-        self.state = Arc::new(next);
-        self
-    }
-
-    /// Number of plan-cache shards (1 unless raised with
-    /// [`with_cache_shards`](Self::with_cache_shards)).
-    pub fn cache_shards(&self) -> usize {
-        self.state.shards.len()
     }
 
     /// The planner configuration.
@@ -386,18 +320,13 @@ impl Engine {
         self.state.plans_built.load(Ordering::Relaxed)
     }
 
-    /// How many compiles were served from the plan cache.
-    pub fn cache_hits(&self) -> usize {
-        self.state.cache_hits.load(Ordering::Relaxed)
-    }
-
     /// Cumulative plan-cache observability counters
     /// (hits / misses / evictions), shared across engine clones — the
     /// numbers a serving layer exports as cache metrics.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
             hits: self.state.cache_hits.load(Ordering::Relaxed),
-            misses: self.state.cache_misses.load(Ordering::Relaxed),
+            misses: self.plans_built(),
             evictions: self.state.cache_evictions.load(Ordering::Relaxed),
         }
     }
@@ -469,20 +398,19 @@ impl Engine {
             shape: OutputShape::of(output),
         };
 
-        // Poisoned shards recover (`lock_unpoisoned`): the LRU map stays
+        // A poisoned cache recovers (`lock_unpoisoned`): the LRU map stays
         // consistent across an unwind, so a panic elsewhere must not wedge
-        // every later compile of circuits hashing into this shard.
-        let cached = crate::sync::lock_unpoisoned(self.state.shard(key.fingerprint)).get(&key);
+        // every later compile.
+        let cached = crate::sync::lock_unpoisoned(&self.state.cache).get(&key);
         let (plan, cache_hit) = match cached {
             Some(plan) => {
                 self.state.cache_hits.fetch_add(1, Ordering::Relaxed);
                 (plan, true)
             }
             None => {
-                self.state.cache_misses.fetch_add(1, Ordering::Relaxed);
                 let plan = Arc::new(plan_simulation(circuit, output, &self.planner));
                 self.state.plans_built.fetch_add(1, Ordering::Relaxed);
-                let evicted = crate::sync::lock_unpoisoned(self.state.shard(key.fingerprint))
+                let evicted = crate::sync::lock_unpoisoned(&self.state.cache)
                     .insert(key.clone(), Arc::clone(&plan));
                 self.state.cache_evictions.fetch_add(evicted, Ordering::Relaxed);
                 (plan, false)
@@ -579,8 +507,8 @@ impl CompiledCircuit {
         self.num_qubits
     }
 
-    /// The [`Circuit::fingerprint`] this circuit was compiled from — the key
-    /// the engine's plan cache shards on, and the key a serving layer
+    /// The [`Circuit::fingerprint`] this circuit was compiled from — part of
+    /// the engine's plan-cache key, and the key a serving layer
     /// coalesces concurrent requests under: two compiled circuits with equal
     /// fingerprints and shapes share one plan, so their amplitude requests
     /// can ride one batched execution.
@@ -968,7 +896,7 @@ mod tests {
         let b = engine.compile(&circuit, &OutputSpec::Amplitude(other)).unwrap();
         assert!(b.plan_cache_hit(), "same shape must hit the plan cache");
         assert_eq!(engine.plans_built(), 1);
-        assert_eq!(engine.cache_hits(), 1);
+        assert_eq!(engine.cache_stats().hits, 1);
         // A different shape (open batch) misses.
         let c = engine
             .compile(&circuit, &OutputSpec::Open { fixed: vec![0; n], open: vec![0, 1] })
@@ -1091,7 +1019,7 @@ mod tests {
         engine.compile(&c3, &spec(&c3)).unwrap(); // hit
         engine.compile(&c1, &spec(&c1)).unwrap(); // miss: was evicted
         assert_eq!(engine.plans_built(), 4);
-        assert_eq!(engine.cache_hits(), 1);
+        assert_eq!(engine.cache_stats().hits, 1);
     }
 
     #[test]
@@ -1105,36 +1033,25 @@ mod tests {
         engine.compile(&c2, &spec(&c2)).unwrap(); // miss
         engine.compile(&c3, &spec(&c3)).unwrap(); // miss, evicts c1
         assert_eq!(engine.cache_stats(), CacheStats { hits: 1, misses: 3, evictions: 1 });
-        // The legacy accessor and the struct agree.
-        assert_eq!(engine.cache_hits(), engine.cache_stats().hits);
+        assert_eq!(engine.plans_built(), engine.cache_stats().misses);
         let json = engine.cache_stats().to_json();
         assert!(json.contains("\"plan_cache_evictions\": 1"), "{json}");
     }
 
     #[test]
-    fn sharded_cache_serves_and_keeps_plans() {
+    fn concurrent_compiles_share_one_cache() {
         let mk = |seed: u64| RqcConfig::small(2, 2, 4, seed).build();
         let circuits: Vec<Circuit> = (1..=5).map(mk).collect();
         let spec = |c: &Circuit| OutputSpec::Amplitude(vec![0; c.num_qubits()]);
-        // Populate unsharded, then reshard: cached plans must survive the
-        // redistribution and keep serving hits.
         let engine = Engine::new();
         for c in &circuits {
             engine.compile(c, &spec(c)).unwrap();
         }
-        let engine = engine.with_cache_shards(4);
-        assert_eq!(engine.cache_shards(), 4);
-        assert_eq!(engine.plans_built(), circuits.len(), "resharding must keep counters");
-        for c in &circuits {
-            assert!(engine.compile(c, &spec(c)).unwrap().plan_cache_hit());
-        }
-        assert_eq!(engine.cache_stats().hits, circuits.len());
-        // Concurrent compiles of distinct circuits across shards stay exact.
-        let engine = std::sync::Arc::new(engine);
+        // Concurrent compiles of distinct circuits are all exact hits.
         let handles: Vec<_> = circuits
             .iter()
             .map(|c| {
-                let engine = std::sync::Arc::clone(&engine);
+                let engine = engine.clone();
                 let c = c.clone();
                 std::thread::spawn(move || {
                     engine.compile(&c, &OutputSpec::Amplitude(vec![0; c.num_qubits()])).unwrap();
@@ -1145,6 +1062,7 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(engine.plans_built(), circuits.len(), "all concurrent compiles were hits");
+        assert_eq!(engine.cache_stats().hits, circuits.len());
     }
 
     #[test]

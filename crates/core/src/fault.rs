@@ -238,11 +238,6 @@ impl FaultPlan {
             })
             .collect()
     }
-
-    /// Total fires across every point.
-    pub fn total_fires(&self) -> u64 {
-        self.fires.iter().map(|f| f.load(Ordering::Relaxed)).sum()
-    }
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -357,7 +352,6 @@ mod tests {
         assert_eq!(fired, vec![false, false, true, false, true, false, false, false, false, false]);
         let (_, hits, fires) = plan.counts()[0];
         assert_eq!((hits, fires), (10, 2));
-        assert_eq!(plan.total_fires(), 2);
     }
 
     #[test]

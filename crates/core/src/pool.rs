@@ -117,14 +117,6 @@ impl BufferPool {
         self.free.values().map(Vec::len).sum()
     }
 
-    /// Total bytes held on free lists.
-    pub fn free_bytes(&self) -> u64 {
-        self.free
-            .iter()
-            .map(|(len, bufs)| *len as u64 * BYTES_PER_ELEMENT * bufs.len() as u64)
-            .sum()
-    }
-
     /// Absorb another pool's free buffers (used when two concurrent
     /// executions checked out pools for the same worker slot).
     fn absorb(&mut self, other: BufferPool) {
@@ -206,7 +198,6 @@ mod tests {
         assert_eq!(b.len(), 8);
         assert_eq!(counters.allocated, 2, "a length-4 buffer cannot serve a length-8 request");
         assert_eq!(pool.free_buffers(), 1);
-        assert_eq!(pool.free_bytes(), 4 * 16);
     }
 
     #[test]

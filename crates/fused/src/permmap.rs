@@ -115,7 +115,7 @@ mod tests {
         let spec = ContractionSpec::new(&left, &right);
         let (m, n, k) = spec.gemm_shape();
         let mut c = vec![qtn_tensor::Complex64::ZERO; m * n];
-        qtn_tensor::gemm::gemm_auto(la.data(), rb.data(), &mut c, m, n, k);
+        qtn_tensor::KernelPlan::select(m, n, k).apply(la.data(), rb.data(), &mut c, m, n, k);
         let direct = qtn_tensor::contract_pair(&a, &b);
         for (x, y) in c.iter().zip(direct.data().iter()) {
             assert!((*x - *y).abs() < 1e-9);

@@ -66,7 +66,7 @@ fn executor() -> ExecutorConfig {
 }
 
 fn config(batch: BatchConfig) -> ServeConfig {
-    ServeConfig { planner: planner(), executor: executor(), batch, ..ServeConfig::default() }
+    ServeConfig { planner: planner(), executor: executor(), batch }
 }
 
 fn random_bitstrings(n: usize, count: usize, seed: u64) -> Vec<Vec<u8>> {

@@ -77,7 +77,7 @@ fn plan_cache_hit_does_not_rerun_the_refiner() {
         assert!(c.plan_cache_hit());
     }
     assert_eq!(engine.plans_built(), 1, "cache hits must not re-run the planner");
-    assert_eq!(engine.cache_hits(), 5);
+    assert_eq!(engine.cache_stats().hits, 5);
 
     // The cached plan is shared, not rebuilt: both compilations expose the
     // same slicing decision.

@@ -15,9 +15,9 @@
 use qtnsim::circuit::circuit_to_network;
 use qtnsim::slicing::overhead::{sliced_max_rank, slicing_overhead};
 use qtnsim::slicing::{compute_lifetimes, lifetime_slice_finder};
-use qtnsim::tensor::gemm::{gemm_auto, gemm_reference};
+use qtnsim::tensor::gemm::gemm_reference;
 use qtnsim::tensor::permute::{permute, PermutePlan};
-use qtnsim::tensor::{c64, contract_pair, Complex64, DenseTensor, IndexSet};
+use qtnsim::tensor::{c64, contract_pair, Complex64, DenseTensor, IndexSet, KernelPlan};
 use qtnsim::tensornet::{
     extract_stem, greedy_path, simplify_network, ContractionTree, PathConfig, TensorNetwork,
 };
@@ -128,7 +128,7 @@ fn gemm_kernels_agree_with_reference() {
         let mut c_ref = vec![Complex64::ZERO; m * n];
         let mut c_opt = vec![Complex64::ZERO; m * n];
         gemm_reference(&a, &b, &mut c_ref, m, n, k);
-        gemm_auto(&a, &b, &mut c_opt, m, n, k);
+        KernelPlan::select(m, n, k).apply(&a, &b, &mut c_opt, m, n, k);
         for (x, y) in c_ref.iter().zip(c_opt.iter()) {
             assert!((*x - *y).abs() < 1e-9, "seed {seed} shape {m}x{n}x{k}");
         }

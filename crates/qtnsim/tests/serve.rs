@@ -5,6 +5,7 @@
 //! must drain every admitted request before the listener goes away.
 
 use qtnsim::circuit::{OutputSpec, RqcConfig};
+use qtnsim::core::engine::DEFAULT_PLAN_CACHE_CAPACITY;
 use qtnsim::{Circuit, Engine, ExecutorConfig, Gate, PlannerConfig};
 use qtnsim_serve::{BatchConfig, Client, Reply, ServeConfig, Server, ShedReason};
 use rand::rngs::StdRng;
@@ -31,7 +32,7 @@ fn random_bitstrings(n: usize, count: usize, seed: u64) -> Vec<Vec<u8>> {
 }
 
 fn config(batch: BatchConfig) -> ServeConfig {
-    ServeConfig { planner: planner(), executor: executor(), batch, ..ServeConfig::default() }
+    ServeConfig { planner: planner(), executor: executor(), batch }
 }
 
 /// Batched service responses agree bit for bit with direct engine
@@ -237,6 +238,57 @@ fn stats_endpoint_reports_service_and_engine_counters() {
         assert!(json.contains(key), "stats JSON missing {key}: {json}");
     }
     server.shutdown();
+}
+
+/// A default server keeps every circuit it has room for: one exact LRU of
+/// `DEFAULT_PLAN_CACHE_CAPACITY` plans, so a second pass over that many
+/// distinct circuits is all hits and nothing was evicted.
+#[test]
+fn default_server_keeps_every_circuit_it_has_room_for() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig { planner: planner(), executor: executor(), ..ServeConfig::default() },
+    )
+    .expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let circuits: Vec<Circuit> = (1..=DEFAULT_PLAN_CACHE_CAPACITY as u64)
+        .map(|seed| RqcConfig::small(2, 2, 4, seed).build())
+        .collect();
+    for _pass in 0..2 {
+        for circuit in &circuits {
+            let zeros = vec![0u8; circuit.num_qubits()];
+            let reply = client.request_amplitudes(circuit, &[&zeros]).expect("reply");
+            assert!(matches!(reply, Reply::Amplitudes(_)), "cache-test reply: {reply:?}");
+        }
+    }
+
+    let json = client.stats().expect("stats");
+    for key in [
+        "\"plans_built\": 16,",
+        "\"plan_cache_hits\": 16,",
+        "\"plan_cache_misses\": 16,",
+        "\"plan_cache_evictions\": 0}",
+    ] {
+        assert!(json.contains(key), "stats JSON missing {key:?}: {json}");
+    }
+    server.shutdown();
+}
+
+/// Remote shutdown — the only way the `qtnsim-serve` binary stops: a
+/// client's `Shutdown` frame drains the server and `wait` returns the final
+/// snapshot.
+#[test]
+fn client_shutdown_frame_drains_a_waiting_server() {
+    let circuit = sliced_circuit(23);
+    let server = Server::bind("127.0.0.1:0", config(BatchConfig::default())).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let zeros = vec![0u8; circuit.num_qubits()];
+    let reply = client.request_amplitudes(&circuit, &[&zeros]).expect("reply");
+    assert!(matches!(reply, Reply::Amplitudes(_)), "request answered before shutdown: {reply:?}");
+
+    client.shutdown_server().expect("send shutdown");
+    let snapshot = server.wait();
+    assert_eq!(snapshot.requests_completed, 1);
 }
 
 /// Solo dispatch: under single-stream load (one request in flight at a

@@ -162,7 +162,7 @@ impl Batcher {
         state.queued_amplitudes += amplitudes;
         let fingerprint = compiled.fingerprint();
         // A zero deadline disables coalescing outright: every request gets
-        // its own immediately-ready batch, even while dispatchers are busy
+        // its own immediately-ready batch, even while the dispatcher is busy
         // (otherwise queued requests would still merge, and the serve
         // bench's unbatched baseline would quietly batch under load).
         let coalesce = !self.config.batch_deadline.is_zero();
@@ -183,7 +183,7 @@ impl Batcher {
                 });
             }
         }
-        // Wake dispatchers: a batch may have become ready (full, or opened
+        // Wake the dispatcher: a batch may have become ready (full, or opened
         // with a zero deadline), or the earliest deadline may have moved.
         self.ready.notify_all();
         Ok(())
@@ -241,8 +241,8 @@ impl Batcher {
         }
     }
 
-    /// Record that a claimed batch finished executing. Dispatchers call
-    /// this as soon as the engine returns (before delivering responses): a
+    /// Record that a claimed batch finished executing. The dispatcher
+    /// calls this as soon as the engine returns (before delivering responses): a
     /// lone open batch that was parked behind the in-flight execution
     /// becomes solo-ready the moment the engine frees up.
     pub fn finish_batch(&self) {
@@ -252,7 +252,7 @@ impl Batcher {
     }
 
     /// Stop admitting work and make every pending batch immediately ready;
-    /// dispatchers drain the queue and then receive `None`.
+    /// the dispatcher drains the queue and then receives `None`.
     pub fn drain(&self) {
         let mut state = lock_unpoisoned(&self.state);
         state.draining = true;

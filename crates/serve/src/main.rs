@@ -3,23 +3,20 @@
 //!
 //! ```text
 //! qtnsim-serve [--addr HOST:PORT] [--max-batch N] [--deadline-ms MS]
-//!              [--queue N] [--dispatchers N] [--workers N]
-//!              [--target-rank N] [--memory-budget-mb MB] [--cache-shards N]
+//!              [--queue N] [--workers N] [--target-rank N] [--memory-budget-mb MB]
 //! ```
 //!
 //! Every flag has a serving-oriented default; `--deadline-ms 0` disables
 //! micro-batching (each request dispatches alone), which is the baseline
 //! the serve bench compares against.
 
-use qtnsim_core::{ExecutorConfig, PlannerConfig};
-use qtnsim_serve::{BatchConfig, ServeConfig, Server};
+use qtnsim_serve::{ServeConfig, Server};
 use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
         "usage: qtnsim-serve [--addr HOST:PORT] [--max-batch N] [--deadline-ms MS]\n\
-         \x20                   [--queue N] [--dispatchers N] [--workers N]\n\
-         \x20                   [--target-rank N] [--memory-budget-mb MB] [--cache-shards N]"
+         \x20                   [--queue N] [--workers N] [--target-rank N] [--memory-budget-mb MB]"
     );
     std::process::exit(2);
 }
@@ -36,10 +33,7 @@ fn parse<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
 
 fn main() {
     let mut addr = "127.0.0.1:7878".to_string();
-    let mut config =
-        ServeConfig { batch: BatchConfig::default(), dispatchers: 1, ..ServeConfig::default() };
-    let mut planner = PlannerConfig::default();
-    let mut executor = ExecutorConfig::default();
+    let mut config = ServeConfig::default();
 
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -51,13 +45,12 @@ fn main() {
                     Duration::from_millis(parse::<u64>(&flag, args.next()));
             }
             "--queue" => config.batch.max_queue = parse(&flag, args.next()),
-            "--dispatchers" => config.dispatchers = parse(&flag, args.next()),
-            "--workers" => executor.workers = parse(&flag, args.next()),
-            "--target-rank" => planner.target_rank = parse(&flag, args.next()),
+            "--workers" => config.executor.workers = parse(&flag, args.next()),
+            "--target-rank" => config.planner.target_rank = parse(&flag, args.next()),
             "--memory-budget-mb" => {
-                planner.memory_budget_bytes = Some(parse::<u64>(&flag, args.next()) * 1024 * 1024);
+                config.planner.memory_budget_bytes =
+                    Some(parse::<u64>(&flag, args.next()) * 1024 * 1024);
             }
-            "--cache-shards" => config.cache_shards = parse(&flag, args.next()),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other}");
@@ -65,8 +58,6 @@ fn main() {
             }
         }
     }
-    config.planner = planner;
-    config.executor = executor;
 
     let server = match Server::bind(&addr, config.clone()) {
         Ok(server) => server,
@@ -76,14 +67,11 @@ fn main() {
         }
     };
     println!(
-        "qtnsim-serve listening on {} (max_batch={}, deadline={:?}, queue={}, \
-         dispatchers={}, cache_shards={})",
+        "qtnsim-serve listening on {} (max_batch={}, deadline={:?}, queue={})",
         server.local_addr(),
         config.batch.max_batch,
         config.batch.batch_deadline,
         config.batch.max_queue,
-        config.dispatchers,
-        config.cache_shards,
     );
     let snapshot = server.wait();
     println!(

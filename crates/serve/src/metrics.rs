@@ -4,8 +4,8 @@ use qtnsim_core::{CacheStats, ExecutionStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Live service counters, updated lock-free by connection handlers and
-/// dispatchers (the aggregated [`ExecutionStats`] is the one mutex, touched
+/// Live service counters, updated lock-free by connection handlers and the
+/// dispatcher (the aggregated [`ExecutionStats`] is the one mutex, touched
 /// once per dispatched batch, not per request).
 #[derive(Debug, Default)]
 pub struct ServiceMetrics {
@@ -55,8 +55,9 @@ impl ServiceMetrics {
     }
 
     /// Capture a consistent point-in-time copy, pairing the service
-    /// counters with the engine's plan-cache counters.
-    pub fn snapshot(&self, cache: CacheStats, plans_built: usize) -> MetricsSnapshot {
+    /// counters with the engine's plan-cache counters (every miss built one
+    /// plan, so `plans_built` is `cache.misses`).
+    pub fn snapshot(&self, cache: CacheStats) -> MetricsSnapshot {
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         MetricsSnapshot {
             requests_accepted: load(&self.requests_accepted),
@@ -73,7 +74,7 @@ impl ServiceMetrics {
             solo_flushes: load(&self.solo_flushes),
             drain_flushes: load(&self.drain_flushes),
             queue_micros: load(&self.queue_micros),
-            plans_built: plans_built as u64,
+            plans_built: cache.misses as u64,
             cache,
             execution: qtnsim_core::lock_unpoisoned(&self.execution).clone(),
             faults: qtnsim_core::fault::installed()
@@ -191,7 +192,7 @@ mod tests {
         metrics.batched_amplitudes.store(12, Ordering::Relaxed);
         let stats = ExecutionStats { flops: 1234, ..Default::default() };
         metrics.absorb_execution(&stats);
-        let snap = metrics.snapshot(CacheStats { hits: 3, misses: 1, evictions: 0 }, 1);
+        let snap = metrics.snapshot(CacheStats { hits: 3, misses: 1, evictions: 0 });
         assert_eq!(snap.mean_batch_occupancy(), 3.0);
         let json = snap.to_json();
         for needle in [

@@ -5,27 +5,26 @@
 //! 1. **Accept** — one acceptor thread takes TCP connections and spawns a
 //!    reader/writer thread pair per connection.
 //! 2. **Decode + compile** — the reader decodes frames and compiles each
-//!    request's circuit on the shared [`Engine`] (the sharded,
-//!    fingerprint-keyed plan cache makes repeat circuits a cheap hit, and
-//!    compiles of *different* circuits never contend on one lock).
+//!    request's circuit on the shared [`Engine`] (its fingerprint-keyed LRU
+//!    plan cache makes repeat circuits a cheap hit; planning runs outside
+//!    the cache lock).
 //! 3. **Admit + coalesce** — the request enters the per-fingerprint
 //!    micro-batch, or is refused with an explicit `Shed` frame when the
 //!    bounded queue is full, the plan busts `memory_budget_bytes`, or the
 //!    server is draining.
-//! 4. **Dispatch** — dispatcher threads claim batches that filled up, hit
-//!    their latency deadline, or were the only admitted work in flight
+//! 4. **Dispatch** — the dispatcher thread claims batches that filled up,
+//!    hit their latency deadline, or were the only admitted work in flight
 //!    (solo dispatch skips a deadline that could not attract partners) and
-//!    run **one**
-//!    [`qtnsim_core::CompiledCircuit::execute_amplitudes`] per batch, so every coalesced
-//!    request shares the StemPure prefix sweep.
+//!    runs **one** [`qtnsim_core::CompiledCircuit::execute_amplitudes`] per
+//!    batch, so every coalesced request shares the StemPure prefix sweep.
 //! 5. **Reduce + respond** — the batch's amplitudes are split back per
 //!    request (order-preserving, bit-identical to single-shot execution)
 //!    and queued on each connection's writer.
 //!
 //! Shutdown ([`Server::shutdown`]) is graceful by construction: admission
-//! closes first (`Shed`/`Draining`), then dispatchers drain every pending
-//! batch and deliver its responses, and only then are connections closed
-//! and threads joined.
+//! closes first (`Shed`/`Draining`), then the dispatcher drains every
+//! pending batch and delivers its responses, and only then are connections
+//! closed and threads joined.
 
 use crate::batcher::{BatchConfig, BatchEntry, Batcher, EntryOutcome, FlushCause};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
@@ -41,7 +40,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Full service configuration: engine knobs plus batching/admission knobs.
-#[derive(Debug, Clone)]
+/// The server runs one engine (one LRU plan cache of
+/// [`qtnsim_core::engine::DEFAULT_PLAN_CACHE_CAPACITY`] plans) and one
+/// dispatcher thread.
+#[derive(Debug, Clone, Default)]
 pub struct ServeConfig {
     /// Planner configuration for the shared engine;
     /// `memory_budget_bytes` doubles as the admission-control knob —
@@ -50,25 +52,8 @@ pub struct ServeConfig {
     /// Executor configuration for the shared engine (worker threads of the
     /// contraction pool, reuse/pooling toggles).
     pub executor: ExecutorConfig,
-    /// Plan-cache shards (see [`Engine::with_cache_shards`]).
-    pub cache_shards: usize,
     /// Micro-batching and admission control.
     pub batch: BatchConfig,
-    /// Dispatcher threads executing ready batches. One is enough on small
-    /// machines; more lets distinct circuit families execute concurrently.
-    pub dispatchers: usize,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            planner: PlannerConfig::default(),
-            executor: ExecutorConfig::default(),
-            cache_shards: 8,
-            batch: BatchConfig::default(),
-            dispatchers: 1,
-        }
-    }
 }
 
 struct Shared {
@@ -84,6 +69,11 @@ struct Shared {
 }
 
 impl Shared {
+    /// A point-in-time metrics snapshot with the engine's cache counters.
+    fn snapshot(&self) -> MetricsSnapshot {
+        self.metrics.snapshot(self.engine.cache_stats())
+    }
+
     /// Flip into draining mode: refuse new work, make pending batches
     /// immediately ready, and wake the acceptor with a loopback connection.
     fn begin_drain(&self) {
@@ -103,7 +93,7 @@ impl Shared {
 pub struct Server {
     shared: Arc<Shared>,
     acceptor: JoinHandle<()>,
-    dispatchers: Vec<JoinHandle<()>>,
+    dispatcher: JoinHandle<()>,
 }
 
 impl Server {
@@ -111,11 +101,9 @@ impl Server {
     pub fn bind(addr: impl ToSocketAddrs, config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let engine = Engine::with_configs(config.planner.clone(), config.executor.clone())
-            .with_cache_shards(config.cache_shards);
         let shared = Arc::new(Shared {
-            engine,
-            batcher: Batcher::new(config.batch.clone()),
+            engine: Engine::with_configs(config.planner, config.executor),
+            batcher: Batcher::new(config.batch),
             metrics: ServiceMetrics::default(),
             shutting_down: AtomicBool::new(false),
             addr: local_addr,
@@ -127,14 +115,12 @@ impl Server {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || accept_loop(listener, shared))
         };
-        let dispatchers = (0..config.dispatchers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || dispatch_loop(shared))
-            })
-            .collect();
+        let dispatcher = {
+            let shared = Arc::clone(&shared);
+            std::thread::spawn(move || dispatch_loop(shared))
+        };
 
-        Ok(Server { shared, acceptor, dispatchers })
+        Ok(Server { shared, acceptor, dispatcher })
     }
 
     /// The bound address (useful with port 0).
@@ -145,9 +131,7 @@ impl Server {
     /// A point-in-time metrics snapshot (the in-process equivalent of a
     /// `StatsRequest` frame).
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared
-            .metrics
-            .snapshot(self.shared.engine.cache_stats(), self.shared.engine.plans_built())
+        self.shared.snapshot()
     }
 
     /// Drain and stop: refuse new work, flush every pending micro-batch,
@@ -168,11 +152,9 @@ impl Server {
         // Acceptor exits once the drain flag is set and its accept call is
         // unblocked (begin_drain connects to the listener).
         let _ = self.acceptor.join();
-        // Dispatchers drain every pending batch, deliver responses, then
-        // see `None` and exit.
-        for d in self.dispatchers {
-            let _ = d.join();
-        }
+        // The dispatcher drains every pending batch, delivers responses,
+        // then sees `None` and exits.
+        let _ = self.dispatcher.join();
         // Now close the read half of every connection: blocked readers see
         // EOF, drop their writer senders, and the writers flush out any
         // remaining queued responses before exiting.
@@ -183,9 +165,7 @@ impl Server {
         for t in threads {
             let _ = t.join();
         }
-        self.shared
-            .metrics
-            .snapshot(self.shared.engine.cache_stats(), self.shared.engine.plans_built())
+        self.shared.snapshot()
     }
 }
 
@@ -208,7 +188,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 
 /// Per-connection reader: decodes frames, compiles circuits, admits work.
 /// Responses flow through an mpsc channel to a dedicated writer thread so
-/// dispatchers never block on a slow client socket.
+/// the dispatcher never blocks on a slow client socket.
 fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
     let writer_stream = match stream.try_clone() {
         Ok(s) => s,
@@ -221,7 +201,7 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
         // written after it would be parsed mid-payload and desynchronize the
         // client. Once desynced, shut the write half down immediately (the
         // client sees EOF instead of garbage) but keep draining the channel
-        // so dispatchers finishing this connection's batches never observe
+        // so the dispatcher finishing this connection's batches never observes
         // a dropped receiver mid-send.
         let mut desynced = false;
         while let Ok(frame) = rx.recv() {
@@ -415,9 +395,7 @@ fn handle_frame(
             true
         }
         Frame::StatsRequest => {
-            let snapshot =
-                shared.metrics.snapshot(shared.engine.cache_stats(), shared.engine.plans_built());
-            let _ = tx.send(Frame::StatsResponse(snapshot.to_json()));
+            let _ = tx.send(Frame::StatsResponse(shared.snapshot().to_json()));
             true
         }
         Frame::Shutdown => {

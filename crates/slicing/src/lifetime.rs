@@ -97,14 +97,6 @@ impl LifetimeTable {
         self.num_positions
     }
 
-    /// Edges carried by a given stem tensor position.
-    pub fn edges_at(&self, pos: usize) -> Vec<IndexId> {
-        let mut v: Vec<IndexId> =
-            self.lifetimes.iter().filter(|(_, l)| l.contains(pos)).map(|(&e, _)| e).collect();
-        v.sort_unstable();
-        v
-    }
-
     /// The `count` edges with the longest lifetimes among `candidates`,
     /// longest first (ties broken by edge id for determinism).
     pub fn longest_lived(&self, candidates: &[IndexId], count: usize) -> Vec<IndexId> {
@@ -199,7 +191,10 @@ mod tests {
         for (p, t) in tensors.iter().enumerate() {
             let mut expected = t.clone();
             expected.sort_unstable();
-            assert_eq!(table.edges_at(p), expected, "mismatch at position {p}");
+            let mut carried: Vec<IndexId> =
+                table.edges().filter(|&e| table.get(e).unwrap().contains(p)).collect();
+            carried.sort_unstable();
+            assert_eq!(carried, expected, "mismatch at position {p}");
         }
     }
 

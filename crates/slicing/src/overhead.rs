@@ -14,7 +14,6 @@
 //! by none of the sliced edges is recomputed in every one of the `2^|S|`
 //! subtasks.
 
-use crate::lifetime::LifetimeTable;
 use qtn_tensor::IndexId;
 use qtn_tensornet::{log2_sum, ContractionTree, LogCost, Stem};
 use std::collections::HashSet;
@@ -48,19 +47,9 @@ impl SlicingPlan {
         self.sliced.is_empty()
     }
 
-    /// log2 of the number of subtasks (`|S|`).
-    pub fn log_num_subtasks(&self) -> usize {
-        self.sliced.len()
-    }
-
     /// Number of independent subtasks (`2^|S|`), saturating at `usize::MAX`.
     pub fn num_subtasks(&self) -> usize {
         1usize.checked_shl(self.sliced.len() as u32).unwrap_or(usize::MAX)
-    }
-
-    /// The sliced edges as a hash set.
-    pub fn as_set(&self) -> HashSet<IndexId> {
-        self.sliced.iter().copied().collect()
     }
 }
 
@@ -160,23 +149,6 @@ pub fn critical_positions(stem: &Stem, sliced: &[IndexId], target_rank: usize) -
         .filter(|(_, idx)| idx.iter().filter(|e| !s.contains(e)).count() == target_rank)
         .map(|(p, _)| p)
         .collect()
-}
-
-/// The overhead an *additional* edge would contribute if added to an existing
-/// slicing set: the fraction of stem cost outside its lifetime doubles
-/// (§3.2's superposition rule). Returns the multiplicative factor.
-pub fn marginal_overhead(
-    stem: &Stem,
-    table: &LifetimeTable,
-    current: &[IndexId],
-    extra: IndexId,
-) -> f64 {
-    let mut with = current.to_vec();
-    with.push(extra);
-    let before = sliced_log_cost(stem, current);
-    let after = sliced_log_cost(stem, &with);
-    let _ = table;
-    (after - before).exp2()
 }
 
 #[cfg(test)]
@@ -325,8 +297,6 @@ mod tests {
         assert_eq!(plan.sliced, vec![1, 3, 5]);
         assert_eq!(plan.len(), 3);
         assert_eq!(plan.num_subtasks(), 8);
-        assert_eq!(plan.log_num_subtasks(), 3);
         assert!(!plan.is_empty());
-        assert!(plan.as_set().contains(&3));
     }
 }

@@ -188,28 +188,6 @@ impl ContractionKernel {
     }
 }
 
-/// Contract a whole list of tensors sequentially in the given pairwise order.
-///
-/// `order` is a list of `(i, j)` positions into the evolving tensor list:
-/// at each step tensors `i` and `j` are removed and their contraction is
-/// appended. Used by tests and by the reference (un-sliced) executor.
-pub fn contract_sequence<T: Scalar>(
-    tensors: Vec<DenseTensor<T>>,
-    order: &[(usize, usize)],
-) -> DenseTensor<T> {
-    let mut slots: Vec<Option<DenseTensor<T>>> = tensors.into_iter().map(Some).collect();
-    let mut last = None;
-    for &(i, j) in order {
-        let a = slots[i].take().expect("tensor already consumed");
-        let b = slots[j].take().expect("tensor already consumed");
-        let c = contract_pair(&a, &b);
-        slots.push(Some(c));
-        last = Some(slots.len() - 1);
-    }
-    let idx = last.expect("empty contraction order");
-    slots[idx].take().expect("result missing")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,18 +338,6 @@ mod tests {
         // Same values, different axis order.
         let ba_reordered = crate::permute::permute_to_order(&ba, ab.indices());
         assert_tensor_close(&ab, &ba_reordered);
-    }
-
-    #[test]
-    fn contract_sequence_small_network() {
-        // Chain: T0[0,1] - T1[1,2] - T2[2,3]; contract (0,1) then with T2.
-        let mut rng = StdRng::seed_from_u64(15);
-        let t0 = random_tensor(&mut rng, vec![0, 1]);
-        let t1 = random_tensor(&mut rng, vec![1, 2]);
-        let t2 = random_tensor(&mut rng, vec![2, 3]);
-        let direct = contract_pair(&contract_pair(&t0, &t1), &t2);
-        let seq = contract_sequence(vec![t0, t1, t2], &[(0, 1), (3, 2)]);
-        assert_tensor_close(&seq, &direct);
     }
 
     /// Index sets whose contraction lands in every dispatch class, with

@@ -252,14 +252,6 @@ impl<T: Scalar> DenseTensor<T> {
         }
     }
 
-    /// Sum over (trace out) an index, producing a tensor of one lower rank.
-    pub fn sum_over(&self, index: IndexId) -> Self {
-        let mut out = self.slice_index(index, 0);
-        let one = self.slice_index(index, 1);
-        out.accumulate(&one);
-        out
-    }
-
     /// Row-major strides of this tensor.
     pub fn strides(&self) -> Vec<usize> {
         strides(self.rank())
@@ -387,14 +379,6 @@ mod tests {
         let t = iota(IndexSet::new(vec![0, 1]));
         let mut dst = vec![Complex64::ZERO; 1];
         t.slice_into(&[(0, 0), (0, 1)], &mut dst);
-    }
-
-    #[test]
-    fn sum_over_traces_an_axis() {
-        let t = iota(IndexSet::new(vec![5, 6]));
-        let s = t.sum_over(5);
-        assert_eq!(s.indices().axes(), &[6]);
-        assert_eq!(s.data(), &[c64(2.0, 0.0), c64(4.0, 0.0)]);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!   path is conformance-tested against
 //!   (`crates/tensor/tests/gemm_conformance.rs`).
 //!
-//! [`gemm_auto`] routes dense slices through the [`crate::kernels`]
-//! dispatcher, which picks a shape class (including the fully unrolled
+//! [`crate::KernelPlan::select`] is the [`crate::kernels`] dispatcher: it
+//! picks a shape class (including the fully unrolled
 //! micro-kernels) and a SIMD level via the one-time hardware probe. The
 //! scalar kernels here are both the reference oracle and the forced path
 //! under `QTNSIM_FORCE_SCALAR` / [`crate::kernels::set_simd_override`];
@@ -41,7 +41,7 @@
 //! depends on how the operands happen to be laid out.
 
 use crate::complex::Scalar;
-use crate::kernels::{KernelPlan, Layout, MatRef};
+use crate::kernels::{Layout, MatRef};
 
 /// Threshold below which a dimension counts as "narrow" (paper: two of
 /// m, n, k less than 16 make GEMM bandwidth bound).
@@ -68,21 +68,6 @@ pub fn is_narrow(m: usize, n: usize, k: usize) -> bool {
         }
     }
     small >= 2
-}
-
-/// `C += A * B` with `A` of shape `m x k`, `B` of shape `k x n`, `C` of shape
-/// `m x n`, all row-major.
-///
-/// Dispatches on the shape via [`KernelPlan::select`]: micro shapes go to
-/// the fully unrolled kernels, degenerate `m == 1` / `n == 1` products to
-/// the dedicated GEMV-style kernels (frontier-heavy contractions — a
-/// projector absorbed into a gate, a scalar-producing root — are dominated
-/// by these shapes), narrow shapes to the narrow kernel, everything else to
-/// the packed/blocked kernel; the narrow and blocked classes take the
-/// process's probed SIMD path. Callers that apply one shape many times
-/// should compile the plan once ([`crate::ContractionKernel`] does).
-pub fn gemm_auto<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, n: usize, k: usize) {
-    KernelPlan::select(m, n, k).apply(a, b, c, m, n, k);
 }
 
 /// The GEMM shape `(m, n, k)` two views and an output imply.
@@ -259,6 +244,7 @@ pub fn gemm_reference<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, n: usi
 mod tests {
     use super::*;
     use crate::complex::{c64, Complex64};
+    use crate::kernels::KernelPlan;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -285,7 +271,7 @@ mod tests {
         let (va, vb) = (MatRef::dense(&a, m, k), MatRef::dense(&b, k, n));
         gemm(va, vb, &mut c_blk);
         gemm_narrow(va, vb, &mut c_nar);
-        gemm_auto(&a, &b, &mut c_auto, m, n, k);
+        KernelPlan::select(m, n, k).apply(&a, &b, &mut c_auto, m, n, k);
         assert_close(&c_blk, &c_ref);
         assert_close(&c_nar, &c_ref);
         assert_close(&c_auto, &c_ref);
@@ -361,7 +347,7 @@ mod tests {
         let a = vec![Complex64::ONE; 4]; // 2x2 ones
         let b = vec![Complex64::ONE; 4];
         let mut c = vec![c64(1.0, 0.0); 4];
-        gemm_auto(&a, &b, &mut c, 2, 2, 2);
+        KernelPlan::select(2, 2, 2).apply(&a, &b, &mut c, 2, 2, 2);
         // C was 1 everywhere, A*B = 2 everywhere -> 3.
         for &v in &c {
             assert_eq!(v, c64(3.0, 0.0));

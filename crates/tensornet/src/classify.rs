@@ -182,7 +182,6 @@ pub fn ordinal_words(num_leaves: usize, ordinals: &[usize]) -> Vec<u64> {
 #[derive(Debug, Clone)]
 pub struct NodeClassification {
     classes: Vec<NodeClass>,
-    root: usize,
     branch_schedule: Vec<(usize, usize, usize)>,
     frontier_schedule: Vec<(usize, usize, usize)>,
     stem_schedule: Vec<(usize, usize, usize)>,
@@ -205,12 +204,6 @@ impl NodeClassification {
     /// Per-node classes, indexed by tree-node id.
     pub fn classes(&self) -> &[NodeClass] {
         &self.classes
-    }
-
-    /// Class of the tree's root (a stem class whenever the slicing set is
-    /// non-empty, since the root's subtree spans every leaf).
-    pub fn root_class(&self) -> NodeClass {
-        self.classes[self.root]
     }
 
     /// `(left, right, result)` contraction triples of the Branch-class
@@ -438,7 +431,6 @@ pub fn classify_nodes(
 
     NodeClassification {
         classes,
-        root: tree.root(),
         branch_schedule,
         frontier_schedule,
         stem_schedule,
@@ -518,7 +510,7 @@ mod tests {
         assert_eq!(c.class(1), NodeClass::StemPure);
         assert_eq!(c.class(2), NodeClass::Branch);
         assert_eq!(c.class(3), NodeClass::Branch);
-        assert_eq!(c.root_class(), NodeClass::StemPure);
+        assert_eq!(c.class(tree.root()), NodeClass::StemPure);
         assert_eq!(c.contraction_counts(), (0, 0, 3, 0));
         assert_eq!(c.stem_schedule(), c.stem_pure_schedule());
         // Leaves 2 and 3 feed Stem contractions directly.
@@ -537,7 +529,7 @@ mod tests {
         assert_eq!(c.class(0), NodeClass::Branch);
         // Only the final contraction (5+3 -> 6) consumes the projector.
         assert_eq!(c.contraction_counts(), (2, 1, 0, 0));
-        assert_eq!(c.root_class(), NodeClass::Frontier);
+        assert_eq!(c.class(tree.root()), NodeClass::Frontier);
         // Node 5 is a maximal Branch subtree feeding the Frontier phase.
         assert_eq!(c.branch_keep(), &[5]);
         assert_eq!(c.frontier_keep(), &[tree.root()]);

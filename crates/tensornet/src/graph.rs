@@ -88,11 +88,6 @@ impl TensorNetwork {
         self.indices(v).len()
     }
 
-    /// The vertices currently incident to an edge.
-    pub fn edge_endpoints(&self, e: IndexId) -> &[usize] {
-        &self.edge_vertices[e as usize]
-    }
-
     /// Edges incident to exactly one tensor (open/output indices).
     pub fn open_indices(&self) -> Vec<IndexId> {
         (0..self.edge_vertices.len() as IndexId)
@@ -130,15 +125,6 @@ impl TensorNetwork {
         out.extend(ib.iter().copied().filter(|e| !ia.contains(e)));
         out.sort_unstable();
         out
-    }
-
-    /// log2 of the time cost of contracting `a` with `b` (Eq. 1 term): the
-    /// number of distinct indices involved.
-    pub fn contraction_log_cost(&self, a: usize, b: usize) -> f64 {
-        let ia = self.indices(a);
-        let ib = self.indices(b);
-        let union = ia.len() + ib.iter().filter(|e| !ia.contains(e)).count();
-        union as f64
     }
 
     /// Contract vertices `a` and `b`, returning the id of the new vertex.
@@ -225,14 +211,6 @@ mod tests {
         let v3 = g.contract(v2, 3);
         assert_eq!(g.num_active(), 1);
         assert_eq!(g.rank(v3), 0);
-    }
-
-    #[test]
-    fn contraction_log_cost_counts_union() {
-        let g = chain4();
-        // T1[0,1] x T2[1,2]: union {0,1,2} -> 3
-        assert_eq!(g.contraction_log_cost(1, 2), 3.0);
-        assert_eq!(g.contraction_log_cost(0, 1), 2.0);
     }
 
     #[test]

@@ -43,8 +43,6 @@ impl TreeNode {
 pub struct ContractionTree {
     nodes: Vec<TreeNode>,
     root: usize,
-    /// Map from network vertex id (SSA) to tree node id.
-    vertex_to_node: Vec<Option<usize>>,
 }
 
 impl ContractionTree {
@@ -59,6 +57,7 @@ impl ContractionTree {
     pub fn from_pairs(network: &TensorNetwork, pairs: &[(usize, usize)]) -> Self {
         let mut g = network.clone();
         let mut nodes: Vec<TreeNode> = Vec::with_capacity(2 * network.num_active());
+        // Map from network vertex id (SSA) to tree node id.
         let mut vertex_to_node: Vec<Option<usize>> = vec![None; network.num_slots()];
 
         // Leaves for every active vertex.
@@ -99,7 +98,7 @@ impl ContractionTree {
             g.num_active()
         );
         let root = nodes.len() - 1;
-        Self { nodes, root, vertex_to_node }
+        Self { nodes, root }
     }
 
     /// All nodes, leaves first in network order, then internal nodes in
@@ -121,11 +120,6 @@ impl ContractionTree {
     /// Number of leaves.
     pub fn num_leaves(&self) -> usize {
         self.nodes.iter().filter(|n| n.is_leaf()).count()
-    }
-
-    /// Tree node id corresponding to a network vertex id.
-    pub fn node_of_vertex(&self, vertex: usize) -> Option<usize> {
-        self.vertex_to_node.get(vertex).copied().flatten()
     }
 
     /// Ids of internal nodes in execution (post) order.
