@@ -2,7 +2,7 @@
 //!
 //! Every figure and table of the paper's evaluation section has a binary in
 //! `src/bin/` that regenerates it; timings live in the repo benchmark
-//! (`benchmark/`), plus the `gemm` and `serve` benches under `benches/`. The
+//! (`benchmark/`), plus the `gemm` bench under `benches/`. The
 //! helpers here build the workloads the figure binaries share:
 //! Sycamore-style tensor networks, contraction trees, and stems.
 

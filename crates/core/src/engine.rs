@@ -417,11 +417,22 @@ impl Engine {
             }
         };
 
-        // The lifetime analysis finally gives the slicing's "memory budget"
-        // a real number to be checked against: reject plans whose predicted
-        // per-worker peak exceeds the configured byte budget. Rejected
-        // plans stay cached (the budget is not part of the cache key), so
-        // retrying with a raised budget is a cache hit, not a replan.
+        // Refuse plans the kernels cannot address at all, then (the lifetime
+        // analysis gives the slicing's "memory budget" a real number to be
+        // checked against) plans whose predicted per-worker peak exceeds
+        // the configured byte budget. Rejected plans stay cached (neither
+        // check is part of the cache key), so retrying with a raised budget
+        // is a cache hit, not a replan.
+        let memory = &plan.memory_plan;
+        let rank = [&memory.branch, &memory.frontier, &memory.stem, &memory.batched_stem]
+            .iter()
+            .flat_map(|phase| phase.slot_ranks())
+            .max()
+            .copied()
+            .unwrap_or(0);
+        if rank > qtn_tensor::MAX_RANK {
+            return Err(Error::TensorTooLarge { rank, max: qtn_tensor::MAX_RANK });
+        }
         if let Some(budget_bytes) = self.planner.memory_budget_bytes {
             let predicted_bytes = plan.predicted_peak_bytes();
             if predicted_bytes > budget_bytes {
@@ -1004,6 +1015,32 @@ mod tests {
         // (unbudgeted, rejected, accepted) shared one cached plan.
         assert!(compiled.plan_cache_hit());
         assert_eq!(unbudgeted.plans_built(), 1, "budget probing must never replan");
+    }
+
+    #[test]
+    fn plans_beyond_the_kernel_rank_limit_are_refused() {
+        // All 34 output qubits open: the result alone is a rank-34 tensor,
+        // which no slicing of internal edges can shrink. Compile must refuse
+        // it with a typed error instead of handing out a plan whose
+        // execution would panic or abort while allocating.
+        let n = 34;
+        let mut circuit = Circuit::new(n);
+        for q in 0..n {
+            circuit.push1(Gate::H, q);
+        }
+        for q in 0..n - 1 {
+            circuit.push2(Gate::Cz, q, q + 1);
+        }
+        let spec = OutputSpec::Open { fixed: vec![0; n], open: (0..n).collect() };
+        let engine =
+            Engine::new().with_planner(PlannerConfig { target_rank: 40, ..Default::default() });
+        match engine.compile(&circuit, &spec) {
+            Err(Error::TensorTooLarge { rank, max }) => {
+                assert_eq!(max, qtn_tensor::MAX_RANK);
+                assert!(rank > max, "rank {rank} reported against limit {max}");
+            }
+            other => panic!("expected TensorTooLarge, got {:?}", other.map(|_| ())),
+        }
     }
 
     #[test]

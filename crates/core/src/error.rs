@@ -56,6 +56,16 @@ pub enum Error {
         /// The configured budget.
         budget_bytes: u64,
     },
+    /// A compiled plan materialises a tensor of higher rank than the
+    /// contraction kernels address ([`qtn_tensor::MAX_RANK`]). Lower
+    /// `target_rank` or open fewer qubits so slicing produces smaller
+    /// tensors.
+    TensorTooLarge {
+        /// Largest tensor rank of the plan's memory phases.
+        rank: usize,
+        /// The kernels' rank limit.
+        max: usize,
+    },
     /// A parameter rebind named a slot index the compiled circuit does not
     /// have (see [`qtn_circuit::NetworkBuild::param_slots`]).
     UnknownParamSlot {
@@ -123,6 +133,13 @@ impl std::fmt::Display for Error {
                     f,
                     "plan's predicted peak memory ({predicted_bytes} bytes) exceeds the \
                      {budget_bytes}-byte budget"
+                )
+            }
+            Error::TensorTooLarge { rank, max } => {
+                write!(
+                    f,
+                    "plan materialises a rank-{rank} tensor; the kernels address at most \
+                     rank {max}"
                 )
             }
             Error::UnknownParamSlot { slot, slots } => {
@@ -201,6 +218,7 @@ mod tests {
             (Error::UnknownParamSlot { slot: 6, slots: 3 }, "slot 6"),
             (Error::NonFiniteParam { slot: 2 }, "non-finite"),
             (Error::TooManySlicedEdges { sliced: 64 }, "2^64 subtasks"),
+            (Error::TensorTooLarge { rank: 34, max: 32 }, "rank-34 tensor"),
             (Error::ZeroAmplitudeDistribution, "all-zero"),
             (Error::TooManyQubits { qubits: 30, max: 26 }, "26-qubit limit"),
             (Error::ExecutionPanic("index out of bounds".into()), "panicked"),

@@ -10,8 +10,8 @@
 //! per fingerprint and dispatches it when it **fills** (`max_batch`
 //! amplitudes) or when its **deadline** expires (`batch_deadline` after the
 //! batch opened), whichever comes first. A zero deadline degenerates to
-//! single-dispatch mode, which is what the serve bench uses as its
-//! unbatched baseline.
+//! single-dispatch mode: every request dispatches alone, the unbatched
+//! baseline batching is measured against.
 //!
 //! One refinement keeps the deadline from taxing idle traffic: when an open
 //! batch is the **only** admitted work in flight — no other pending batch
@@ -195,8 +195,8 @@ impl Batcher {
         let mut state = lock_unpoisoned(&self.state);
         // Solo dispatch only applies when coalescing is on at all; with a
         // zero deadline every batch is already immediately ready (and keeps
-        // its `Deadline` cause, which the serve bench's unbatched baseline
-        // counts on).
+        // its `Deadline` cause, so the flush counters of an unbatched run
+        // read as deadline flushes).
         let coalesce = !self.config.batch_deadline.is_zero();
         loop {
             let now = Instant::now();

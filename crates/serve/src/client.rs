@@ -1,7 +1,8 @@
 //! Blocking clients for the framed amplitude protocol.
 //!
 //! [`Client`] is the bare connection: one frame out, one frame in. It is
-//! used by the loopback integration tests and the serve bench, and doubles
+//! used by the loopback integration tests and the repo benchmark's
+//! `serve-s12` workload, and doubles
 //! as the reference implementation for anyone speaking the protocol from
 //! another language (see the README's protocol spec).
 //!

@@ -7,8 +7,7 @@
 //! ```
 //!
 //! Every flag has a serving-oriented default; `--deadline-ms 0` disables
-//! micro-batching (each request dispatches alone), which is the baseline
-//! the serve bench compares against.
+//! micro-batching (each request dispatches alone).
 
 use qtnsim_serve::{ServeConfig, Server};
 use std::time::Duration;

@@ -22,7 +22,7 @@
 //! the full-replay oracle) and the executor's compiled stem run the same
 //! kernels and agree bit for bit by construction.
 
-use crate::complex::Scalar;
+use crate::complex::Complex64;
 use crate::dense::DenseTensor;
 use crate::gemm::gemm_flops;
 use crate::index::{IndexId, IndexSet};
@@ -101,9 +101,12 @@ impl ContractionSpec {
 /// (rank-0 tensor). Compiles a [`ContractionKernel`] for the pair and
 /// applies it once — callers that contract the same index sets repeatedly
 /// should keep the kernel.
-pub fn contract_pair<T: Scalar>(left: &DenseTensor<T>, right: &DenseTensor<T>) -> DenseTensor<T> {
+pub fn contract_pair(
+    left: &DenseTensor<Complex64>,
+    right: &DenseTensor<Complex64>,
+) -> DenseTensor<Complex64> {
     let kernel = ContractionKernel::new(left.indices(), right.indices());
-    let mut out = vec![T::zero(); kernel.output().len()];
+    let mut out = vec![Complex64::ZERO; kernel.output().len()];
     kernel.contract(left.data(), right.data(), &mut out);
     DenseTensor::from_data(kernel.spec.output, out)
 }
@@ -168,7 +171,7 @@ impl ContractionKernel {
     ///
     /// # Panics
     /// If a buffer has the wrong length.
-    pub fn contract<T: Scalar>(&self, left: &[T], right: &[T], out: &mut [T]) {
+    pub fn contract(&self, left: &[Complex64], right: &[Complex64], out: &mut [Complex64]) {
         assert_eq!(out.len(), self.spec.output.len(), "output buffer length mismatch");
         self.gemm_plan.run(self.left.view(left), self.right.view(right), out, true);
     }
@@ -176,13 +179,13 @@ impl ContractionKernel {
     /// [`contract`](Self::contract) under its pre-fusion signature: the two
     /// scratch slices TTGT's permuted copies used to occupy are ignored.
     /// Kept only because the frozen repo benchmark calls it.
-    pub fn contract_into<T: Scalar>(
+    pub fn contract_into(
         &self,
-        left: &[T],
-        right: &[T],
-        _left_scratch: &mut [T],
-        _right_scratch: &mut [T],
-        out: &mut [T],
+        left: &[Complex64],
+        right: &[Complex64],
+        _left_scratch: &mut [Complex64],
+        _right_scratch: &mut [Complex64],
+        out: &mut [Complex64],
     ) {
         self.contract(left, right, out);
     }
@@ -191,7 +194,7 @@ impl ContractionKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::{c64, Complex64};
+    use crate::complex::c64;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

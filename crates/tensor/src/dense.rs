@@ -11,7 +11,8 @@ use crate::index::{ravel, strides, IndexId, IndexSet};
 /// A dense tensor whose axes all have dimension 2.
 ///
 /// Storage is row-major with axis 0 the most significant bit of the linear
-/// offset. The generic parameter selects single or double precision.
+/// offset. The element type is generic over [`Scalar`]; the simulator
+/// instantiates it with [`Complex64`](crate::Complex64).
 #[derive(Clone, PartialEq)]
 pub struct DenseTensor<T: Scalar> {
     indices: IndexSet,

@@ -6,8 +6,6 @@
 //! are the same code path. This module holds the portable scalar kernels,
 //! mirroring the discussion in §5.1 of the paper:
 //!
-//! * [`gemm`] — a cache-blocked kernel with a 4×4 register micro-kernel,
-//!   effective for square-ish shapes;
 //! * [`gemm_narrow`] — a plain streaming loop for the *narrow* shapes (two
 //!   of `m`, `n`, `k` ≤ 16) that dominate quantum-circuit contractions.
 //!   The paper calls these bandwidth-bound, and on its machine they are;
@@ -28,7 +26,10 @@
 //! scalar kernels here are both the reference oracle and the forced path
 //! under `QTNSIM_FORCE_SCALAR` / [`crate::kernels::set_simd_override`];
 //! they contain no intrinsics and are generic over the view, so they also
-//! serve every target without a hand-written tile.
+//! serve every target without a hand-written tile. Square-ish shapes have
+//! no kernel here: the blocked class's scalar path is the portable
+//! split-real packed driver in `kernels/packed.rs`, the same body NEON
+//! runs.
 //!
 //! # Accumulation contract
 //!
@@ -45,13 +46,7 @@ use crate::kernels::{Layout, MatRef};
 
 /// Threshold below which a dimension counts as "narrow" (paper: two of
 /// m, n, k less than 16 make GEMM bandwidth bound).
-pub const NARROW_DIM: usize = 16;
-
-/// Cache block sizes for the blocked kernel. Tuned for a 256 KB working set
-/// (the LDM size of an SW26010pro CPE) with double-precision complex data.
-const BLOCK_M: usize = 64;
-const BLOCK_N: usize = 64;
-const BLOCK_K: usize = 64;
+const NARROW_DIM: usize = 16;
 
 /// Count of real floating point operations for a complex GEMM of the given
 /// shape: each complex multiply-add is 8 real flops (4 mul + 4 add).
@@ -60,7 +55,7 @@ pub fn gemm_flops(m: usize, n: usize, k: usize) -> u64 {
 }
 
 /// Returns true if this shape should use the narrow-matrix path.
-pub fn is_narrow(m: usize, n: usize, k: usize) -> bool {
+pub(crate) fn is_narrow(m: usize, n: usize, k: usize) -> bool {
     let mut small = 0;
     for d in [m, n, k] {
         if d <= NARROW_DIM {
@@ -140,91 +135,6 @@ pub fn gemm_narrow<T: Scalar, L: Layout>(a: MatRef<'_, T, L>, b: MatRef<'_, T, L
     }
 }
 
-/// Cache-blocked kernel with a 4×4 micro-kernel, `C += A * B`.
-pub fn gemm<T: Scalar, L: Layout>(a: MatRef<'_, T, L>, b: MatRef<'_, T, L>, c: &mut [T]) {
-    let (m, n, k) = shape_of(&a, &b, c);
-    let mut i0 = 0;
-    while i0 < m {
-        let ib = BLOCK_M.min(m - i0);
-        let mut p0 = 0;
-        while p0 < k {
-            let pb = BLOCK_K.min(k - p0);
-            let mut j0 = 0;
-            while j0 < n {
-                let jb = BLOCK_N.min(n - j0);
-                block_kernel(&a, &b, c, n, i0, j0, p0, ib, jb, pb);
-                j0 += BLOCK_N;
-            }
-            p0 += BLOCK_K;
-        }
-        i0 += BLOCK_M;
-    }
-}
-
-/// Multiply one cache block, using a 4x4 register tile in the interior.
-#[allow(clippy::too_many_arguments)]
-fn block_kernel<T: Scalar, L: Layout>(
-    a: &MatRef<'_, T, L>,
-    b: &MatRef<'_, T, L>,
-    c: &mut [T],
-    n: usize,
-    i0: usize,
-    j0: usize,
-    p0: usize,
-    ib: usize,
-    jb: usize,
-    pb: usize,
-) {
-    let full_i = ib / 4 * 4;
-    let full_j = jb / 4 * 4;
-
-    // 4x4 register-tiled interior.
-    let mut i = 0;
-    while i < full_i {
-        let mut j = 0;
-        while j < full_j {
-            let mut acc = [[T::zero(); 4]; 4];
-            for p in p0..p0 + pb {
-                let a_col: [T; 4] = std::array::from_fn(|di| a.at(i0 + i + di, p));
-                let b_row: [T; 4] = std::array::from_fn(|dj| b.at(p, j0 + j + dj));
-                for (acc_row, &a_ip) in acc.iter_mut().zip(&a_col) {
-                    for (acc_ij, &b_pj) in acc_row.iter_mut().zip(&b_row) {
-                        *acc_ij += a_ip * b_pj;
-                    }
-                }
-            }
-            for (di, row) in acc.iter().enumerate() {
-                let cbase = (i0 + i + di) * n + j0 + j;
-                for (dj, &v) in row.iter().enumerate() {
-                    c[cbase + dj] += v;
-                }
-            }
-            j += 4;
-        }
-        // Remainder columns of the tiled rows.
-        for jj in full_j..jb {
-            for di in 0..4 {
-                let mut acc = T::zero();
-                for p in p0..p0 + pb {
-                    acc += a.at(i0 + i + di, p) * b.at(p, j0 + jj);
-                }
-                c[(i0 + i + di) * n + j0 + jj] += acc;
-            }
-        }
-        i += 4;
-    }
-    // Remainder rows.
-    for ii in full_i..ib {
-        for jj in 0..jb {
-            let mut acc = T::zero();
-            for p in p0..p0 + pb {
-                acc += a.at(i0 + ii, p) * b.at(p, j0 + jj);
-            }
-            c[(i0 + ii) * n + j0 + jj] += acc;
-        }
-    }
-}
-
 /// Reference kernel (naive triple loop) used by tests and kept public so the
 /// benchmark harness can measure the speedup of the optimised paths.
 pub fn gemm_reference<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, n: usize, k: usize) {
@@ -244,7 +154,7 @@ pub fn gemm_reference<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, n: usi
 mod tests {
     use super::*;
     use crate::complex::{c64, Complex64};
-    use crate::kernels::KernelPlan;
+    use crate::kernels::{DispatchClass, KernelPlan, SimdLevel};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -269,7 +179,8 @@ mod tests {
         let mut c_auto = vec![Complex64::ZERO; m * n];
         gemm_reference(&a, &b, &mut c_ref, m, n, k);
         let (va, vb) = (MatRef::dense(&a, m, k), MatRef::dense(&b, k, n));
-        gemm(va, vb, &mut c_blk);
+        let blocked = KernelPlan::forced(DispatchClass::Blocked, SimdLevel::Scalar);
+        blocked.apply(&a, &b, &mut c_blk, m, n, k);
         gemm_narrow(va, vb, &mut c_nar);
         KernelPlan::select(m, n, k).apply(&a, &b, &mut c_auto, m, n, k);
         assert_close(&c_blk, &c_ref);

@@ -302,7 +302,7 @@ impl Tile<'_> {
 /// (the dispatcher only routes here after the runtime probe).
 #[target_feature(enable = "avx2,fma")]
 pub(crate) unsafe fn gemm_avx2_c64<L: Layout>(
-    arena: &mut PackArena<f64>,
+    arena: &mut PackArena,
     a: MatRef<'_, Complex64, L>,
     b: MatRef<'_, Complex64, L>,
     c: &mut [Complex64],

@@ -20,14 +20,9 @@
 use super::view::{Layout, MatRef};
 use crate::complex::Scalar;
 
-/// `m`/`n` values covered by the micro-kernels.
-pub const MICRO_MN: [usize; 3] = [1, 2, 4];
-/// `k` values covered by the micro-kernels.
-pub const MICRO_K: [usize; 3] = [2, 4, 8];
-
 /// True if `(m, n, k)` has a dedicated fully unrolled kernel.
 #[inline(always)]
-pub fn is_micro_shape(m: usize, n: usize, k: usize) -> bool {
+pub(crate) fn is_micro_shape(m: usize, n: usize, k: usize) -> bool {
     matches!(m, 1 | 2 | 4) && matches!(n, 1 | 2 | 4) && matches!(k, 2 | 4 | 8)
 }
 
@@ -106,8 +101,8 @@ macro_rules! for_each_micro_shape {
 
 /// Dispatch to the unrolled kernel for a micro shape.
 ///
-/// `#[inline(always)]` so the `#[target_feature]` twins in
-/// [`super::simd`] inline the whole table (and all 27 kernels) into their
+/// `#[inline(always)]` so the `#[target_feature]` twin in
+/// [`super::simd`] inlines the whole table (and all 27 kernels) into its
 /// AVX2+FMA compilation context.
 ///
 /// # Panics
@@ -150,9 +145,9 @@ mod tests {
 
     #[test]
     fn scalar_micro_is_bit_identical_to_reference() {
-        for &m in &MICRO_MN {
-            for &n in &MICRO_MN {
-                for &k in &MICRO_K {
+        for m in [1usize, 2, 4] {
+            for n in [1usize, 2, 4] {
+                for k in [2usize, 4, 8] {
                     let a: Vec<Complex64> =
                         (0..m * k).map(|t| c64(0.37 * t as f64 - 1.0, 0.11 * t as f64)).collect();
                     let b: Vec<Complex64> =

@@ -12,10 +12,14 @@
 //!   plan's flops), and the packed/blocked kernel for everything
 //!   square-ish.
 //! * **Hardware axis** ([`SimdLevel`]): a one-time capability probe (AVX2+FMA
-//!   on x86_64, NEON on aarch64) selects the SIMD variants — for
-//!   `Complex64` a register-blocked interleaved tile for the narrow class
-//!   and a split-real packed tile for the blocked class; the scalar
-//!   kernels in [`crate::gemm`] are the reference path.
+//!   on x86_64, NEON on aarch64) selects the SIMD variants — a
+//!   register-blocked interleaved tile for the narrow class and a
+//!   split-real packed tile for the blocked class. The scalar kernels in
+//!   [`crate::gemm`], the unrolled micro-kernels and the portable packed
+//!   driver (the blocked class's scalar path, and its NEON path) are the
+//!   reference.
+//!
+//! Every kernel computes on [`Complex64`], the simulator's one precision.
 //!
 //! Operands are never copied into GEMM layout first. Every kernel reads
 //! `A` and `B` through a [`MatRef`] ([`view`]): element `(r, c)` lives at
@@ -29,7 +33,7 @@
 //! A [`KernelPlan`] freezes both axes. [`crate::ContractionKernel`] resolves
 //! its plan once at compile time, so the executor's zero-alloc steady state
 //! never re-probes or re-classifies. Dispatch is a pure function of
-//! `(shape, level, scalar type)`: deterministic per process, and repeated
+//! `(shape, level)`: deterministic per process, and repeated
 //! runs are bit-identical because every kernel fixes its summation order
 //! (`p` ascending per output element, independent of the view).
 //!
@@ -39,29 +43,18 @@
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
-pub(crate) mod micro;
+mod micro;
 mod packed;
-pub(crate) mod simd;
+mod simd;
 pub mod view;
 
-pub use micro::{is_micro_shape, MICRO_K, MICRO_MN};
-pub use view::{Dense, Layout, MatRef, OffsetTable, Tables};
+pub use view::{Dense, Layout, MatRef, OffsetTable, Tables, MAX_RANK};
 
-use crate::complex::Scalar;
-use crate::gemm::{gemm, gemm_narrow, gemv_col, gemv_row, is_narrow, shape_of};
+use crate::complex::{Complex64, Scalar};
+use crate::gemm::{gemm_narrow, gemv_col, gemv_row, is_narrow, shape_of};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
-
-/// Run the fully unrolled scalar micro-kernel for a micro shape
-/// (`m`/`n` ∈ {1, 2, 4}, `k` ∈ {2, 4, 8}) on dense row-major slices; panics
-/// on any other shape.
-///
-/// Its summation order matches [`crate::gemm::gemm_reference`] exactly, so
-/// the scalar micro path is bit-identical to the reference kernel.
-pub fn micro_scalar<T: Scalar>(a: &[T], b: &[T], c: &mut [T], m: usize, n: usize, k: usize) {
-    micro::run_scalar(MatRef::dense(a, m, k), MatRef::dense(b, k, n), c);
-}
 
 /// SIMD capability level a GEMM dispatches at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -103,9 +96,9 @@ fn probe() -> SimdLevel {
 }
 
 /// The raw hardware capability probe, cached after the first call. Ignores
-/// both the environment force and the test override — use [`simd_level`] for
+/// both the environment force and the test override — [`simd_level`] is
 /// what dispatch will actually do.
-pub fn detected_simd() -> SimdLevel {
+fn detected_simd() -> SimdLevel {
     static DETECTED: OnceLock<SimdLevel> = OnceLock::new();
     *DETECTED.get_or_init(probe)
 }
@@ -168,19 +161,6 @@ pub fn simd_level() -> SimdLevel {
     }
 }
 
-/// Which dispatch classes a scalar type accelerates at a given level.
-/// Reported by [`Scalar::simd_support`]; the GEMV classes are always scalar
-/// (a plan spends well under 0.1% of its GEMM time in them).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimdSupport {
-    /// SIMD variant of the unrolled micro-kernels.
-    pub micro: bool,
-    /// Register-blocked SIMD tile for the narrow class.
-    pub narrow: bool,
-    /// Split-real packed/blocked kernel.
-    pub blocked: bool,
-}
-
 /// The shape class a GEMM dispatches to, decided once per
 /// [`KernelPlan::select`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -205,7 +185,7 @@ pub enum DispatchClass {
 }
 
 /// The concrete code path one `apply` takes, combining the shape class with
-/// whether the type's SIMD variant is used. This is what the dispatch
+/// whether its SIMD variant is used. This is what the dispatch
 /// counters and `ExecutionStats` tally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
@@ -276,15 +256,12 @@ impl KernelPlan {
         self.level
     }
 
-    /// The concrete path `apply::<T>` will take — a pure function of the
-    /// plan and the type, so callers (the executor's stats tally) can
-    /// account for dispatch without running anything.
+    /// The concrete path `apply` will take — a pure function of the plan, so
+    /// callers (the executor's stats tally) can account for dispatch
+    /// without running anything. Every GEMM runs on [`Complex64`]; the type
+    /// parameter only lets callers name the element type they account for.
     pub fn taken<T: Scalar>(self) -> GemmPath {
-        let support = if self.level == SimdLevel::Scalar {
-            SimdSupport::default()
-        } else {
-            T::simd_support(self.level)
-        };
+        let support = simd::support(self.level);
         match self.class {
             DispatchClass::Micro { .. } => {
                 if support.micro {
@@ -316,7 +293,15 @@ impl KernelPlan {
     /// are checked, the path is not re-derived. Every path accumulates into
     /// `C` with a fixed summation order, so repeated applications are
     /// bit-identical.
-    pub fn apply<T: Scalar>(self, a: &[T], b: &[T], c: &mut [T], m: usize, n: usize, k: usize) {
+    pub fn apply(
+        self,
+        a: &[Complex64],
+        b: &[Complex64],
+        c: &mut [Complex64],
+        m: usize,
+        n: usize,
+        k: usize,
+    ) {
         self.apply_views(MatRef::dense(a, m, k), MatRef::dense(b, k, n), c);
     }
 
@@ -330,11 +315,11 @@ impl KernelPlan {
     /// If `A`'s columns differ from `B`'s rows, `C` is not `m * n` long, or
     /// the plan's class does not fit the shape (a `Micro` plan on another
     /// shape, `GemvRow` with `m != 1`, `GemvCol` with `n != 1`).
-    pub fn apply_views<T: Scalar, L: Layout>(
+    pub fn apply_views<L: Layout>(
         self,
-        a: MatRef<'_, T, L>,
-        b: MatRef<'_, T, L>,
-        c: &mut [T],
+        a: MatRef<'_, Complex64, L>,
+        b: MatRef<'_, Complex64, L>,
+        c: &mut [Complex64],
     ) {
         self.run(a, b, c, false);
     }
@@ -344,11 +329,11 @@ impl KernelPlan {
     /// narrow SIMD tile then starts its accumulators at zero instead of
     /// loading `C`, which spares a contraction one full pass over its
     /// output; every other path zero-fills and accumulates.
-    pub(crate) fn run<T: Scalar, L: Layout>(
+    pub(crate) fn run<L: Layout>(
         self,
-        a: MatRef<'_, T, L>,
-        b: MatRef<'_, T, L>,
-        c: &mut [T],
+        a: MatRef<'_, Complex64, L>,
+        b: MatRef<'_, Complex64, L>,
+        c: &mut [Complex64],
         overwrite: bool,
     ) {
         let (m, n, k) = shape_of(&a, &b, c);
@@ -359,20 +344,20 @@ impl KernelPlan {
                 "micro plan applied to a different shape"
             );
         }
-        let path = self.taken::<T>();
+        let path = self.taken::<Complex64>();
         record_path(path);
         if overwrite && path != GemmPath::NarrowSimd {
-            c.fill(T::zero());
+            c.fill(Complex64::ZERO);
         }
         match path {
-            GemmPath::MicroSimd => T::gemm_micro_simd(self.level, a, b, c),
+            GemmPath::MicroSimd => simd::micro(self.level, a, b, c),
             GemmPath::MicroScalar => micro::run_scalar(a, b, c),
             GemmPath::GemvRow => gemv_row(a, b, c),
             GemmPath::GemvCol => gemv_col(a, b, c),
-            GemmPath::NarrowSimd => T::gemm_narrow_simd(self.level, a, b, c, overwrite),
+            GemmPath::NarrowSimd => simd::narrow(self.level, a, b, c, overwrite),
             GemmPath::NarrowScalar => gemm_narrow(a, b, c),
-            GemmPath::BlockedSimd => T::gemm_blocked_simd(self.level, a, b, c),
-            GemmPath::BlockedScalar => gemm(a, b, c),
+            GemmPath::BlockedSimd => simd::blocked(self.level, a, b, c),
+            GemmPath::BlockedScalar => simd::blocked(SimdLevel::Scalar, a, b, c),
         }
     }
 }
@@ -399,7 +384,7 @@ pub struct DispatchCounts {
     pub narrow_scalar: u64,
     /// Blocked-kernel invocations on the split-real SIMD path.
     pub blocked_simd: u64,
-    /// Blocked-kernel invocations on the scalar path.
+    /// Blocked-kernel invocations on the portable packed path.
     pub blocked_scalar: u64,
 }
 

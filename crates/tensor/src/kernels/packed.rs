@@ -30,7 +30,7 @@
 //! deterministic and repeated runs bit-identical.
 
 use super::view::{Layout, MatRef};
-use crate::complex::{RealScalar, Scalar};
+use crate::complex::Complex64;
 
 /// A-panel rows per block.
 pub(crate) const PBM: usize = 32;
@@ -40,16 +40,16 @@ pub(crate) const PBN: usize = 64;
 pub(crate) const PBK: usize = 64;
 
 /// Grow-once scratch planes for packed panels, one per worker thread.
-pub(crate) struct PackArena<R> {
-    a_re: Vec<R>,
-    a_im: Vec<R>,
-    b_re: Vec<R>,
-    b_im: Vec<R>,
-    c_re: Vec<R>,
-    c_im: Vec<R>,
+pub(crate) struct PackArena {
+    a_re: Vec<f64>,
+    a_im: Vec<f64>,
+    b_re: Vec<f64>,
+    b_im: Vec<f64>,
+    c_re: Vec<f64>,
+    c_im: Vec<f64>,
 }
 
-impl<R: RealScalar> PackArena<R> {
+impl PackArena {
     /// An empty arena; planes are sized on first use.
     pub(crate) const fn new() -> Self {
         Self {
@@ -64,12 +64,12 @@ impl<R: RealScalar> PackArena<R> {
 
     fn ensure(&mut self) {
         if self.a_re.len() < PBM * PBK {
-            self.a_re.resize(PBM * PBK, R::ZERO);
-            self.a_im.resize(PBM * PBK, R::ZERO);
-            self.b_re.resize(PBK * PBN, R::ZERO);
-            self.b_im.resize(PBK * PBN, R::ZERO);
-            self.c_re.resize(PBM * PBN, R::ZERO);
-            self.c_im.resize(PBM * PBN, R::ZERO);
+            self.a_re.resize(PBM * PBK, 0.0);
+            self.a_im.resize(PBM * PBK, 0.0);
+            self.b_re.resize(PBK * PBN, 0.0);
+            self.b_im.resize(PBK * PBN, 0.0);
+            self.c_re.resize(PBM * PBN, 0.0);
+            self.c_im.resize(PBM * PBN, 0.0);
         }
     }
 }
@@ -78,10 +78,10 @@ impl<R: RealScalar> PackArena<R> {
 /// planes: `src(r0+r, c0+c) → planes[r·cb + c]`. Serves `A` panels
 /// (`rows = i`, `cols = p`) and `B` panels (`rows = p`, `cols = j`) alike.
 #[inline(always)]
-fn pack_panel<T: Scalar, L: Layout>(
-    src: &MatRef<'_, T, L>,
-    re: &mut [T::Real],
-    im: &mut [T::Real],
+fn pack_panel<L: Layout>(
+    src: &MatRef<'_, Complex64, L>,
+    re: &mut [f64],
+    im: &mut [f64],
     (r0, c0): (usize, usize),
     (rb, cb): (usize, usize),
 ) {
@@ -90,8 +90,8 @@ fn pack_panel<T: Scalar, L: Layout>(
         let dst_im = &mut im[r * cb..(r + 1) * cb];
         src.for_each_run(r0 + r, c0, cb, |c, chunk| {
             for ((v, d_re), d_im) in chunk.iter().zip(&mut dst_re[c..]).zip(&mut dst_im[c..]) {
-                *d_re = v.re_native();
-                *d_im = v.im_native();
+                *d_re = v.re;
+                *d_im = v.im;
             }
         });
     }
@@ -100,10 +100,10 @@ fn pack_panel<T: Scalar, L: Layout>(
 /// Merge the accumulated C tile planes back into interleaved `C` (`+=`).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn unpack_c<T: Scalar>(
-    c: &mut [T],
-    c_re: &[T::Real],
-    c_im: &[T::Real],
+fn unpack_c(
+    c: &mut [Complex64],
+    c_re: &[f64],
+    c_im: &[f64],
     n: usize,
     i0: usize,
     j0: usize,
@@ -115,25 +115,25 @@ fn unpack_c<T: Scalar>(
         let src_re = &c_re[i * jb..(i + 1) * jb];
         let src_im = &c_im[i * jb..(i + 1) * jb];
         for j in 0..jb {
-            dst[j] += T::from_parts(src_re[j], src_im[j]);
+            dst[j] += Complex64::new(src_re[j], src_im[j]);
         }
     }
 }
 
-/// Portable split-real tile kernel over packed planes. Written so the
-/// innermost `j` loops are unit-stride over disjoint slices — LLVM
-/// auto-vectorizes them under whatever features the enclosing compilation
-/// context enables (NEON baseline on aarch64; AVX2+FMA when inlined into a
-/// `#[target_feature]` twin).
+/// Portable split-real tile kernel over packed planes — the scalar
+/// blocked path, and the NEON one. Written so the innermost `j` loops are
+/// unit-stride over disjoint slices, which LLVM auto-vectorizes under
+/// whatever features the compilation target enables (NEON is baseline on
+/// aarch64).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn tile_generic<R: RealScalar>(
-    a_re: &[R],
-    a_im: &[R],
-    b_re: &[R],
-    b_im: &[R],
-    c_re: &mut [R],
-    c_im: &mut [R],
+pub(crate) fn tile_generic(
+    a_re: &[f64],
+    a_im: &[f64],
+    b_re: &[f64],
+    b_im: &[f64],
+    c_re: &mut [f64],
+    c_im: &mut [f64],
     ib: usize,
     jb: usize,
     pb: usize,
@@ -160,26 +160,15 @@ pub(crate) fn tile_generic<R: RealScalar>(
 /// zeroed; it must accumulate `p` ascending so the overall summation order
 /// stays deterministic.
 #[inline(always)]
-pub(crate) fn gemm_packed_with<T, L, F>(
-    arena: &mut PackArena<T::Real>,
-    a: MatRef<'_, T, L>,
-    b: MatRef<'_, T, L>,
-    c: &mut [T],
+pub(crate) fn gemm_packed_with<L, F>(
+    arena: &mut PackArena,
+    a: MatRef<'_, Complex64, L>,
+    b: MatRef<'_, Complex64, L>,
+    c: &mut [Complex64],
     mut tile: F,
 ) where
-    T: Scalar,
     L: Layout,
-    F: FnMut(
-        &[T::Real],
-        &[T::Real],
-        &[T::Real],
-        &[T::Real],
-        &mut [T::Real],
-        &mut [T::Real],
-        usize,
-        usize,
-        usize,
-    ),
+    F: FnMut(&[f64], &[f64], &[f64], &[f64], &mut [f64], &mut [f64], usize, usize, usize),
 {
     let (m, n, k) = crate::gemm::shape_of(&a, &b, c);
     arena.ensure();
@@ -194,8 +183,8 @@ pub(crate) fn gemm_packed_with<T, L, F>(
             while i0 < m {
                 let ib = PBM.min(m - i0);
                 pack_panel(&a, &mut arena.a_re, &mut arena.a_im, (i0, p0), (ib, pb));
-                arena.c_re[..ib * jb].fill(T::Real::ZERO);
-                arena.c_im[..ib * jb].fill(T::Real::ZERO);
+                arena.c_re[..ib * jb].fill(0.0);
+                arena.c_im[..ib * jb].fill(0.0);
                 tile(
                     &arena.a_re,
                     &arena.a_im,

@@ -21,6 +21,11 @@
 
 use crate::index::{IndexId, IndexSet};
 
+/// Largest operand rank an [`OffsetTable`] addresses: its offsets are
+/// `u32`, so a tensor may hold at most `2^32` elements. Plans whose tensors
+/// exceed it are refused before they execute.
+pub const MAX_RANK: usize = 32;
+
 mod sealed {
     pub trait Sealed {}
     impl Sealed for super::Dense {}
@@ -224,11 +229,11 @@ impl OffsetTable {
     /// `cols` (most significant axis first in both).
     ///
     /// # Panics
-    /// If `rows` and `cols` do not partition `source`'s axes, or the tensor
-    /// has more than `2^32` elements.
+    /// If `rows` and `cols` do not partition `source`'s axes, or the rank
+    /// exceeds [`MAX_RANK`].
     pub fn new(source: &IndexSet, rows: &[IndexId], cols: &[IndexId]) -> Self {
         let rank = source.rank();
-        assert!(rank <= 32, "operand rank {rank} exceeds the u32 offset range");
+        assert!(rank <= MAX_RANK, "operand rank {rank} exceeds MAX_RANK = {MAX_RANK}");
         let mut seen = 0u64;
         let row = axis_offsets(source, rows, &mut seen);
         let col = axis_offsets(source, cols, &mut seen);
@@ -243,16 +248,6 @@ impl OffsetTable {
             col_run *= 2;
         }
         Self { row, col, col_run }
-    }
-
-    /// Source offset contributed by each matrix row.
-    pub fn row_offsets(&self) -> &[u32] {
-        &self.row
-    }
-
-    /// Source offset contributed by each matrix column.
-    pub fn col_offsets(&self) -> &[u32] {
-        &self.col
     }
 
     /// Read `data` — a tensor in the axis order the table was built for —
@@ -272,7 +267,8 @@ impl OffsetTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::complex::{c64, Complex64};
+    use crate::complex::c64;
+    use crate::dense::DenseTensor;
     use crate::permute::{permutation_to_order, PermutePlan};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -305,8 +301,8 @@ mod tests {
         // 4x2 row-major reading.
         let source = IndexSet::new(vec![0, 1, 2]);
         let table = OffsetTable::new(&source, &[2], &[0, 1]);
-        assert_eq!(table.row_offsets(), &[0, 1]);
-        assert_eq!(table.col_offsets(), &[0, 2, 4, 6]);
+        assert_eq!(table.row, [0, 1]);
+        assert_eq!(table.col, [0, 2, 4, 6]);
         let data: Vec<u32> = (0..8).collect();
         let view = table.view(&data);
         assert_eq!(view.at(1, 2), 5);
@@ -346,15 +342,15 @@ mod tests {
             let table = OffsetTable::new(&source, rows, cols);
             let target = IndexSet::new(regrouped.clone());
             let full = PermutePlan::full(rank, &permutation_to_order(&source, &target));
-            let iota: Vec<Complex64> = (0..1u32 << rank).map(|i| c64(f64::from(i), 0.0)).collect();
-            let mut permuted = vec![Complex64::ZERO; iota.len()];
-            full.apply_into(&iota, &mut permuted);
-            let view = table.view(&iota);
+            let iota = (0..1u32 << rank).map(|i| c64(f64::from(i), 0.0)).collect();
+            let iota = DenseTensor::from_data(source.clone(), iota);
+            let permuted = full.apply(&iota);
+            let view = table.view(iota.data());
             for r in 0..view.rows() {
                 for c in 0..view.cols() {
                     assert_eq!(
                         view.at(r, c),
-                        permuted[r * view.cols() + c],
+                        permuted.data()[r * view.cols() + c],
                         "case {case}: {source:?} as {rows:?} x {cols:?} at ({r}, {c})"
                     );
                 }

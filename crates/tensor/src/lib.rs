@@ -1,13 +1,15 @@
 //! Dense complex tensor substrate for the qtnsim tensor-network simulator.
 //!
 //! This crate provides the numeric building blocks used by every layer above
-//! it: complex scalar types, dense tensors whose bond dimensions are all 2
-//! (qubit tensor networks), tensor permutation kernels (including the
-//! recursion-formula reduced permutation map from §5.3.1 of the paper),
-//! complex GEMM with rank-specialized micro-kernels and runtime-probed SIMD
-//! paths (AVX2+FMA / NEON — see [`kernels`]) that read their operands in
-//! place through offset views, and the transpose-free pairwise contraction
-//! ([`contract`]) that the higher-level contraction engine is built on.
+//! it: the double-precision complex scalar [`Complex64`], dense tensors whose
+//! bond dimensions are all 2 (qubit tensor networks), tensor permutation
+//! kernels (including the recursion-formula reduced permutation map from
+//! §5.3.1 of the paper), `Complex64` GEMM with rank-specialized
+//! micro-kernels, one portable packed/blocked kernel and runtime-probed
+//! SIMD paths (AVX2+FMA / NEON — see [`kernels`]) that read their operands
+//! in place through offset views, and the transpose-free pairwise
+//! contraction ([`contract`]) that the higher-level contraction engine is
+//! built on.
 //!
 //! No external BLAS or complex-number crates are used: everything needed by
 //! the simulator is implemented here so the workspace builds offline.
@@ -16,20 +18,18 @@
 
 pub mod complex;
 pub mod contract;
-pub mod convert;
 pub mod dense;
 pub mod gemm;
 pub mod index;
 pub mod kernels;
 pub mod permute;
 
-pub use complex::{c32, c64, Complex32, Complex64, RealScalar, Scalar};
+pub use complex::{c64, Complex64, Scalar};
 pub use contract::{contract_pair, ContractionKernel, ContractionSpec};
-pub use convert::{to_double, to_single};
 pub use dense::DenseTensor;
 pub use index::{IndexId, IndexSet};
 pub use kernels::{
-    detected_simd, dispatch_counts, set_simd_override, simd_level, DispatchClass, DispatchCounts,
-    GemmPath, KernelPlan, MatRef, OffsetTable, SimdLevel,
+    dispatch_counts, set_simd_override, simd_level, DispatchClass, DispatchCounts, GemmPath,
+    KernelPlan, MatRef, OffsetTable, SimdLevel, MAX_RANK,
 };
 pub use permute::{permute, PermutePlan};

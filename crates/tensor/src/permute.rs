@@ -211,14 +211,7 @@ impl PermutePlan {
         let new_axes: Vec<IndexId> =
             self.perm.iter().map(|&p| tensor.indices().axes()[p]).collect();
         let mut out = DenseTensor::zeros(IndexSet::new(new_axes));
-        self.apply_into(tensor.data(), out.data_mut());
-        out
-    }
-
-    /// Apply the plan from a source buffer into a destination buffer.
-    pub fn apply_into<T: Scalar>(&self, src: &[T], dst: &mut [T]) {
-        assert_eq!(src.len(), 1usize << self.rank, "source length mismatch");
-        assert_eq!(dst.len(), src.len(), "destination length mismatch");
+        let (src, dst) = (tensor.data(), out.data_mut());
         match self.kind {
             MapKind::Full => {
                 for (i, &v) in src.iter().enumerate() {
@@ -244,6 +237,7 @@ impl PermutePlan {
                 }
             }
         }
+        out
     }
 }
 

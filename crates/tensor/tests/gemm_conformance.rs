@@ -16,11 +16,10 @@
 //! runs on its own.)
 
 use qtn_tensor::gemm::gemm_reference;
-use qtn_tensor::kernels::micro_scalar;
 use qtn_tensor::permute::permute_to_order;
 use qtn_tensor::{
-    c32, c64, dispatch_counts, set_simd_override, simd_level, Complex32, Complex64, DenseTensor,
-    DispatchClass, DispatchCounts, GemmPath, IndexId, IndexSet, KernelPlan, OffsetTable, SimdLevel,
+    c64, dispatch_counts, set_simd_override, simd_level, Complex64, DenseTensor, DispatchClass,
+    DispatchCounts, GemmPath, IndexId, IndexSet, KernelPlan, OffsetTable, SimdLevel,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,7 +51,7 @@ fn levels() -> Vec<SimdLevel> {
 
 /// Shape grid: degenerate dims, every micro shape, GEMV shapes, narrow
 /// shapes, and blocked shapes straddling the packing block boundaries
-/// (PBM = 32, PBN = 64, PBK = 64) and the scalar cache blocks (64).
+/// (PBM = 32, PBN = 64, PBK = 64).
 fn grid() -> Vec<(usize, usize, usize)> {
     let mut g = vec![
         // Degenerate: zero dims must touch nothing and panic nowhere.
@@ -97,18 +96,8 @@ fn tol_f64(k: usize) -> f64 {
     1e-13 + 16.0 * (k as f64) * (k as f64) * f64::EPSILON
 }
 
-fn tol_f32(k: usize) -> f32 {
-    1e-6 + 16.0 * (k as f32) * (k as f32) * f32::EPSILON
-}
-
 fn random_c64(rng: &mut StdRng, len: usize) -> Vec<Complex64> {
     (0..len).map(|_| c64(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0))).collect()
-}
-
-fn random_c32(rng: &mut StdRng, len: usize) -> Vec<Complex32> {
-    (0..len)
-        .map(|_| c32(rng.gen_range(-1.0..1.0) as f32, rng.gen_range(-1.0..1.0) as f32))
-        .collect()
 }
 
 /// Integer-valued complex entries in `[-2, 2]`: products and sums stay
@@ -141,28 +130,8 @@ fn apply_vs_reference_c64(plan: KernelPlan, m: usize, n: usize, k: usize, seed: 
     }
 }
 
-fn apply_vs_reference_c32(plan: KernelPlan, m: usize, n: usize, k: usize, seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let a = random_c32(&mut rng, m * k);
-    let b = random_c32(&mut rng, k * n);
-    let dirty = random_c32(&mut rng, m * n);
-    let mut c_ref = dirty.clone();
-    gemm_reference(&a, &b, &mut c_ref, m, n, k);
-    let mut c_got = dirty.clone();
-    plan.apply(&a, &b, &mut c_got, m, n, k);
-    let tol = tol_f32(k);
-    for (i, (g, r)) in c_got.iter().zip(c_ref.iter()).enumerate() {
-        assert!(
-            (*g - *r).abs() <= tol,
-            "c32 shape ({m},{n},{k}) path {:?} entry {i}: {g:?} vs {r:?} (tol {tol:e})",
-            plan.taken::<Complex32>()
-        );
-    }
-}
-
 /// Every auto-selected path on the full grid matches the reference within
-/// the stated bound, for both scalar types, at every executable level,
-/// starting from a dirty `C`.
+/// the stated bound at every executable level, starting from a dirty `C`.
 #[test]
 fn random_grid_matches_reference() {
     let _guard = lock();
@@ -170,7 +139,6 @@ fn random_grid_matches_reference() {
         for level in levels() {
             let plan = KernelPlan::select_with_level(m, n, k, level);
             apply_vs_reference_c64(plan, m, n, k, 0xC0DE + idx as u64);
-            apply_vs_reference_c32(plan, m, n, k, 0xF00D + idx as u64);
         }
     }
 }
@@ -295,7 +263,6 @@ fn narrow_remainder_tiles_conform() {
         for level in levels() {
             let plan = KernelPlan::forced(DispatchClass::Narrow, level);
             apply_vs_reference_c64(plan, m, n, k, 0xA11 + idx as u64);
-            apply_vs_reference_c32(plan, m, n, k, 0xA12 + idx as u64);
         }
     }
 }
@@ -318,7 +285,6 @@ fn forced_class_remainder_coverage() {
         for level in levels() {
             let plan = KernelPlan::forced(class, level);
             apply_vs_reference_c64(plan, m, n, k, 0xBEEF + idx as u64);
-            apply_vs_reference_c32(plan, m, n, k, 0xFACE + idx as u64);
         }
     }
 }
@@ -364,7 +330,8 @@ fn scalar_micro_kernels_bit_identical_to_reference() {
                 let mut c_ref = dirty.clone();
                 gemm_reference(&a, &b, &mut c_ref, m, n, k);
                 let mut c_got = dirty;
-                micro_scalar(&a, &b, &mut c_got, m, n, k);
+                let class = DispatchClass::Micro { m: m as u8, n: n as u8, k: k as u8 };
+                KernelPlan::forced(class, SimdLevel::Scalar).apply(&a, &b, &mut c_got, m, n, k);
                 for (g, r) in c_got.iter().zip(c_ref.iter()) {
                     assert_eq!(g.re.to_bits(), r.re.to_bits(), "micro ({m},{n},{k}) re bits");
                     assert_eq!(g.im.to_bits(), r.im.to_bits(), "micro ({m},{n},{k}) im bits");
@@ -465,7 +432,7 @@ fn every_reachable_path_is_executed_and_counted() {
     }
 
     // The grid must reach every scalar-side path unconditionally, and every
-    // SIMD path Complex64 supports at the effective level.
+    // SIMD path a class has at the effective level.
     for path in [
         GemmPath::MicroScalar,
         GemmPath::GemvRow,
@@ -476,17 +443,11 @@ fn every_reachable_path_is_executed_and_counted() {
         assert!(predicted.contains(&path), "grid never reaches {path:?}");
     }
     let eff = simd_level();
-    if eff != SimdLevel::Scalar {
-        let support = <Complex64 as qtn_tensor::Scalar>::simd_support(eff);
-        for (on, path) in [
-            (support.micro, GemmPath::MicroSimd),
-            (support.narrow, GemmPath::NarrowSimd),
-            (support.blocked, GemmPath::BlockedSimd),
-        ] {
-            if on {
-                assert!(predicted.contains(&path), "grid never reaches {path:?} at {eff:?}");
-            }
-        }
+    for class in
+        [DispatchClass::Micro { m: 2, n: 2, k: 2 }, DispatchClass::Narrow, DispatchClass::Blocked]
+    {
+        let path = KernelPlan::forced(class, eff).taken::<Complex64>();
+        assert!(predicted.contains(&path), "grid never reaches {path:?} at {eff:?}");
     }
 
     // Execute and compare counter deltas field by field.
