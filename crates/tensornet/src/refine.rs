@@ -77,6 +77,11 @@ impl MutableTree {
 
     /// Recompute the index set of an internal node from its children
     /// (symmetric difference, matching `TensorNetwork::contract`).
+    ///
+    /// A rotation at `p` re-pairs `p`'s internal child but keeps `p`'s leaf
+    /// set, and a node's index set is the symmetric difference of its
+    /// leaves' sets — so only that child ever needs this; `p` and every
+    /// ancestor keep their indices.
     fn recompute(&mut self, n: usize) {
         if let Some((l, r)) = self.children[n] {
             let li = &self.indices[l];
@@ -88,25 +93,18 @@ impl MutableTree {
         }
     }
 
-    /// Recompute every internal node bottom-up (children of `n` first).
-    fn recompute_subtree(&mut self, n: usize) {
-        if let Some((l, r)) = self.children[n] {
-            self.recompute_subtree(l);
-            self.recompute_subtree(r);
-            self.recompute(n);
-        }
+    /// Size of the index union the contraction at `n` loops over, leaving
+    /// out the indices in `skip`; `None` for a leaf.
+    fn union_len(&self, n: usize, skip: &[IndexId]) -> Option<usize> {
+        let (l, r) = self.children[n]?;
+        let li = &self.indices[l];
+        let ri = &self.indices[r];
+        let union = li.iter().chain(ri.iter().filter(|e| !li.contains(e)));
+        Some(union.filter(|e| !skip.contains(e)).count())
     }
 
     fn node_log_cost(&self, n: usize) -> LogCost {
-        match self.children[n] {
-            None => f64::NEG_INFINITY,
-            Some((l, r)) => {
-                let li = &self.indices[l];
-                let ri = &self.indices[r];
-                let union = li.len() + ri.iter().filter(|e| !li.contains(e)).count();
-                union as LogCost
-            }
-        }
+        self.union_len(n, &[]).map_or(f64::NEG_INFINITY, |u| u as LogCost)
     }
 
     fn total_log_cost(&self) -> LogCost {
@@ -214,7 +212,6 @@ pub fn refine_path(
                     t.children[internal] = Some((a, other));
                     t.children[p] = Some((internal, b));
                     t.recompute(internal);
-                    t.recompute(p);
                     let local = t.local_cost(p, internal);
                     let penalty = match objective {
                         RefineObjective::Cost => 0,
@@ -233,10 +230,6 @@ pub fn refine_path(
                         t.children[int_node] = Some(int_children);
                         t.children[p] = Some(p_children);
                         t.recompute(int_node);
-                        t.recompute(p);
-                        // Ancestors' index sets may change; recompute the
-                        // whole tree (cheap relative to the search).
-                        t.recompute_subtree(t.root);
                         rotations += 1;
                         progressed = true;
                     }
@@ -248,7 +241,6 @@ pub fn refine_path(
                         t.children[internal] = Some((x, y));
                         t.children[p] = Some((c, z));
                         t.recompute(internal);
-                        t.recompute(p);
                     }
                 }
                 break; // only consider the first internal child arrangement per node per sweep
@@ -298,14 +290,6 @@ impl DepBits {
         }
     }
 
-    fn recompute_subtree(&mut self, t: &MutableTree, n: usize) {
-        if let Some((l, r)) = t.children[n] {
-            self.recompute_subtree(t, l);
-            self.recompute_subtree(t, r);
-            self.recompute(t, n);
-        }
-    }
-
     fn mixed(&self, n: usize) -> bool {
         self.slice[n] && self.proj[n]
     }
@@ -322,11 +306,23 @@ impl DepBits {
 /// orders are degenerate (every bond has weight 2), so there is real
 /// freedom in *where* the projector-dependent subtrees merge into the
 /// spine. This pass exploits it: a rotation is accepted only when it
-/// strictly shrinks the local StemMixed contraction cost while (a) not
-/// increasing the local contraction cost and (b) not raising any affected
-/// node's post-slicing rank above the tree's pre-existing maximum — so the
-/// slicing set chosen before the deferral stays exactly as feasible, and
-/// single-execution cost is untouched.
+/// strictly shrinks the local StemMixed contraction cost while
+///
+/// * (a) not increasing the local contraction cost,
+/// * (b) not raising any affected node's post-slicing rank above the
+///   tree's pre-existing maximum, so the slicing set chosen before the
+///   deferral stays exactly as feasible, and
+/// * (c) not raising the **execution bill** of the two affected
+///   contractions: what one execution pays for a node, in log2 — a
+///   slice-dependent node (its subtree touches a sliced edge) runs in all
+///   `2^|S|` subtasks on its sliced operands, `|u \ S| + |S|` (the Eq. 4
+///   term); a projector-only (Frontier) node runs once, `|u|`; a node with
+///   neither dependency (Branch) is contracted once per plan and is free.
+///
+/// Without (c) a rotation can move the spine onto contractions the slicing
+/// set does not cover, multiplying the slicing overhead while leaving the
+/// unsliced cost untouched. With it, the pass never increases the total
+/// unsliced cost, any post-slicing rank, or the per-execution bill.
 ///
 /// `sliced` and `overridable_leaves` have the same meaning as in
 /// [`crate::classify::classify_nodes`]. Returns the refined pair list and a
@@ -341,13 +337,31 @@ pub fn defer_projector_joins(
     let mut t = MutableTree::from_tree(tree);
     let nodes = tree.nodes();
     let mut deps = DepBits { slice: vec![false; nodes.len()], proj: vec![false; nodes.len()] };
+    // Children precede parents in a freshly built tree, so one forward
+    // pass sets every node's bits.
     for (id, node) in nodes.iter().enumerate() {
-        if let Some(vertex) = node.leaf_vertex {
-            deps.slice[id] = node.indices.iter().any(|e| sliced.contains(e));
-            deps.proj[id] = overridable_leaves.contains(&vertex);
+        match node.leaf_vertex {
+            Some(vertex) => {
+                deps.slice[id] = node.indices.iter().any(|e| sliced.contains(e));
+                deps.proj[id] = overridable_leaves.contains(&vertex);
+            }
+            None => deps.recompute(&t, id),
         }
     }
-    deps.recompute_subtree(&t, t.root);
+
+    let subtasks_log2 = sliced.len() as LogCost;
+    let bill = |t: &MutableTree, deps: &DepBits, n: usize| -> LogCost {
+        match (deps.slice[n], deps.proj[n]) {
+            (true, _) => {
+                t.union_len(n, sliced).map_or(f64::NEG_INFINITY, |u| u as LogCost + subtasks_log2)
+            }
+            (false, true) => t.node_log_cost(n),
+            (false, false) => f64::NEG_INFINITY,
+        }
+    };
+    let local_bill = |t: &MutableTree, deps: &DepBits, p: usize, c: usize| {
+        log2_add(bill(t, deps, p), bill(t, deps, c))
+    };
 
     let eff_rank =
         |t: &MutableTree, n: usize| t.indices[n].iter().filter(|e| !sliced.contains(e)).count();
@@ -393,6 +407,7 @@ pub fn defer_projector_joins(
                 let (x, y) = t.children[internal].unwrap();
                 let before_local = t.local_cost(p, internal);
                 let before_mixed = local_mixed(&t, &deps, p, internal);
+                let before_bill = local_bill(&t, &deps, p, internal);
                 for (a, b) in [(x, y), (y, x)] {
                     // internal := (a, other); p := (internal, b). Only
                     // `internal`'s subtree changes; p keeps its leaf set,
@@ -400,13 +415,13 @@ pub fn defer_projector_joins(
                     t.children[internal] = Some((a, other));
                     t.children[p] = Some((internal, b));
                     t.recompute(internal);
-                    t.recompute(p);
                     deps.recompute(&t, internal);
                     let local = t.local_cost(p, internal);
                     let mixed = local_mixed(&t, &deps, p, internal);
                     let feasible = local <= before_local + 1e-12
                         && eff_rank(&t, internal) <= rank_bound
-                        && mixed < before_mixed - 1e-12;
+                        && mixed < before_mixed - 1e-12
+                        && local_bill(&t, &deps, p, internal) <= before_bill + 1e-12;
                     let better = best
                         .map(|(bm, bl, ..)| {
                             mixed < bm - 1e-12 || (mixed < bm + 1e-12 && local < bl)
@@ -423,16 +438,13 @@ pub fn defer_projector_joins(
                 t.children[internal] = Some((x, y));
                 t.children[p] = Some((c, z));
                 t.recompute(internal);
-                t.recompute(p);
                 deps.recompute(&t, internal);
             }
             if let Some((_, _, int_node, int_children, p_children)) = best {
                 t.children[int_node] = Some(int_children);
                 t.children[p] = Some(p_children);
                 t.recompute(int_node);
-                t.recompute(p);
-                t.recompute_subtree(t.root);
-                deps.recompute_subtree(&t, t.root);
+                deps.recompute(&t, int_node);
                 rotations += 1;
                 progressed = true;
             }
@@ -462,6 +474,8 @@ pub fn defer_projector_joins(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::classify::{classify_nodes, NodeClass};
+    use crate::cost::log2_sum;
     use crate::graph::TensorNetwork;
     use crate::path::{greedy_path, PathConfig};
     use crate::simplify::simplify_network;
@@ -529,47 +543,89 @@ mod tests {
         assert!(improved >= 2, "refiner improved only {improved}/6 poor trees");
     }
 
+    /// What one execution of `tree` pays, in log2: slice-dependent nodes
+    /// at the Eq. 4 term `|u \ S| + |S|`, Frontier nodes at `|u|`, Branch
+    /// nodes nothing.
+    fn execution_bill(
+        tree: &ContractionTree,
+        sliced: &[IndexId],
+        overridable: &[usize],
+    ) -> LogCost {
+        let classes = classify_nodes(tree, sliced, overridable, &[]);
+        log2_sum(tree.internal_nodes().into_iter().map(|n| {
+            let union = tree.node_union(n);
+            match classes.class(n) {
+                NodeClass::StemPure | NodeClass::StemMixed => {
+                    let unsliced = union.iter().filter(|e| !sliced.contains(e)).count();
+                    (unsliced + sliced.len()) as LogCost
+                }
+                NodeClass::Frontier => union.len() as LogCost,
+                NodeClass::Branch => f64::NEG_INFINITY,
+            }
+        }))
+    }
+
     #[test]
     fn projector_deferral_is_cost_and_feasibility_neutral() {
-        let cfg = RqcConfig::small(3, 4, 10, 5);
-        let c = cfg.build();
-        let n = c.num_qubits();
-        let b = circuit_to_network(&c, &OutputSpec::Amplitude(vec![0; n]));
-        let g = TensorNetwork::from_build(&b);
-        let mut work = g.clone();
-        let mut pairs = simplify_network(&mut work);
-        pairs.extend(greedy_path(&mut work, &PathConfig { temperature: 0.0, seed: 1 }));
-        let tree = ContractionTree::from_pairs(&g, &pairs);
-        let overridable: Vec<usize> = b.projector_leaves.iter().map(|&(_, node)| node).collect();
-        // Slice two edges of the root contraction's operands so a real
-        // stem exists.
-        let sliced: Vec<qtn_tensor::IndexId> = {
-            let root = tree.root();
-            let (l, _) = tree.node(root).children.unwrap();
-            tree.node(l).indices.iter().copied().take(2).collect()
-        };
-        let (pairs2, report) = defer_projector_joins(&tree, &sliced, &overridable, 8);
-        assert!(report.cost_after <= report.cost_before + 1e-9, "cost must not increase");
-        assert!(
-            report.mixed_cost_after <= report.mixed_cost_before + 1e-9,
-            "deferral must never grow the StemMixed cost"
-        );
-        // The refined pair list is still a valid full contraction of the
-        // same network with the same root rank.
-        let refined = ContractionTree::from_pairs(&g, &pairs2);
-        assert_eq!(refined.node(refined.root()).rank(), tree.node(tree.root()).rank());
-        // Feasibility envelope: the maximum post-slicing rank is unchanged
-        // or smaller.
-        let max_eff = |t: &ContractionTree| {
-            t.nodes()
-                .iter()
-                .enumerate()
-                .filter(|(_, node)| !node.is_leaf())
-                .map(|(_, node)| node.indices.iter().filter(|e| !sliced.contains(e)).count())
-                .max()
-                .unwrap()
-        };
-        assert!(max_eff(&refined) <= max_eff(&tree));
+        let mut rotated = 0;
+        let cases = [(3, 10, 5u64, 0.0), (4, 10, 11, 0.5), (3, 12, 20, 0.0), (3, 12, 21, 0.5)];
+        for (rows, cycles, seed, temperature) in cases {
+            let c = RqcConfig::small(rows, 4, cycles, seed).build();
+            let b = circuit_to_network(&c, &OutputSpec::Amplitude(vec![0; c.num_qubits()]));
+            let g = TensorNetwork::from_build(&b);
+            let mut work = g.clone();
+            let mut pairs = simplify_network(&mut work);
+            pairs.extend(greedy_path(&mut work, &PathConfig { temperature, seed: 1 }));
+            let tree = ContractionTree::from_pairs(&g, &pairs);
+            let overridable: Vec<usize> =
+                b.projector_leaves.iter().map(|&(_, node)| node).collect();
+            // Hand-picked slicing sets: two edges of the root contraction's
+            // operands (a real stem exists), three edges of the widest
+            // intermediate, and every fifth edge of the network.
+            let (root_left, _) = tree.node(tree.root()).children.unwrap();
+            let widest = tree.internal_nodes().into_iter().max_by_key(|&n| tree.node(n).rank());
+            let mut edges: Vec<IndexId> =
+                tree.nodes().iter().flat_map(|n| n.indices.iter().copied()).collect();
+            edges.sort_unstable();
+            edges.dedup();
+            let slicings: [Vec<IndexId>; 3] = [
+                tree.node(root_left).indices.iter().copied().take(2).collect(),
+                tree.node(widest.unwrap()).indices.iter().copied().take(3).collect(),
+                edges.iter().copied().step_by(5).collect(),
+            ];
+            for sliced in slicings {
+                let case = format!("seed {seed}, sliced {sliced:?}");
+                let (pairs2, report) = defer_projector_joins(&tree, &sliced, &overridable, 8);
+                rotated += report.rotations;
+                assert!(report.cost_after <= report.cost_before + 1e-9, "cost rose: {case}");
+                assert!(
+                    report.mixed_cost_after <= report.mixed_cost_before + 1e-9,
+                    "deferral must never grow the StemMixed cost: {case}"
+                );
+                // The refined pair list is still a valid full contraction of
+                // the same network with the same root rank, and the
+                // incrementally maintained index sets price it exactly.
+                let refined = ContractionTree::from_pairs(&g, &pairs2);
+                assert_eq!(refined.node(refined.root()).rank(), tree.node(tree.root()).rank());
+                assert!((report.cost_before - tree.total_log_cost()).abs() < 1e-9, "{case}");
+                assert!((report.cost_after - refined.total_log_cost()).abs() < 1e-9, "{case}");
+                // Feasibility envelope: the maximum post-slicing rank is
+                // unchanged or smaller.
+                let max_eff = |t: &ContractionTree| {
+                    t.internal_nodes()
+                        .into_iter()
+                        .map(|n| t.node(n).indices.iter().filter(|e| !sliced.contains(e)).count())
+                        .max()
+                        .unwrap()
+                };
+                assert!(max_eff(&refined) <= max_eff(&tree), "{case}");
+                // What one execution pays does not rise.
+                let before = execution_bill(&tree, &sliced, &overridable);
+                let after = execution_bill(&refined, &sliced, &overridable);
+                assert!(after <= before + 1e-9, "bill rose {before} -> {after}: {case}");
+            }
+        }
+        assert!(rotated > 0, "no case exercised a rotation");
     }
 
     #[test]
