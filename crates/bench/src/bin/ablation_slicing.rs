@@ -16,10 +16,9 @@
 //! Usage: `cargo run --release -p qtn-bench --bin ablation_slicing
 //! [cycles=12] [instances=8] [delta=4]`
 
-use qtn_bench::{arg_or, plan_sycamore};
-use qtn_slicing::dynamic::dynamic_slicer;
-use qtn_slicing::overhead::{sliced_max_rank, slicing_overhead, slicing_overhead_tree};
-use qtn_slicing::{greedy_slicer, lifetime_slice_finder, refine_slicing, RefinerConfig};
+use qtn_bench::{arg_or, dynamic_slicer, greedy_slicer, plan_sycamore, slicing_overhead_tree};
+use qtn_slicing::overhead::{sliced_max_rank, slicing_overhead};
+use qtn_slicing::{lifetime_slice_finder, refine_slicing, RefinerConfig};
 
 fn main() {
     let cycles: usize = arg_or("cycles", 12);

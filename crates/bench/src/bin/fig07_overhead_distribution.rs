@@ -11,8 +11,8 @@
 //! Usage: `cargo run --release -p qtn-bench --bin fig07_overhead_distribution
 //! [cycles=20] [seed=1] [min_target=16] [max_target=36]`
 
-use qtn_bench::{arg_or, plan_sycamore};
-use qtn_slicing::{greedy_slicer, lifetime_slice_finder, slicing_overhead};
+use qtn_bench::{arg_or, greedy_slicer, plan_sycamore, slicing_overhead_tree};
+use qtn_slicing::{lifetime_slice_finder, slicing_overhead};
 use qtn_sunway::{MemoryHierarchy, StorageLevel};
 
 fn main() {
@@ -51,7 +51,7 @@ fn main() {
         let ours = lifetime_slice_finder(stem, target);
         let ours_overhead = slicing_overhead(stem, &ours.sliced);
         let greedy = greedy_slicer(tree, target);
-        let greedy_overhead = qtn_slicing::overhead::slicing_overhead_tree(tree, &greedy.sliced);
+        let greedy_overhead = slicing_overhead_tree(tree, &greedy.sliced);
         let level = if target <= ldm_rank {
             "LDM"
         } else if target <= mem_rank {

@@ -11,10 +11,10 @@
 //! Usage: `cargo run --release -p qtn-bench --bin fig10_slicing_vs_greedy
 //! [paths=400] [cycles=12] [delta=4] [seed=7] [refine=1]`
 
-use qtn_bench::arg_or;
+use qtn_bench::{arg_or, greedy_slicer, slicing_overhead_tree};
 use qtn_circuit::{circuit_to_network, OutputSpec, RqcConfig};
 use qtn_slicing::overhead::{sliced_max_rank, slicing_overhead};
-use qtn_slicing::{greedy_slicer, lifetime_slice_finder, refine_slicing, RefinerConfig};
+use qtn_slicing::{lifetime_slice_finder, refine_slicing, RefinerConfig};
 use qtn_tensornet::{extract_stem, random_greedy_paths, simplify_network, TensorNetwork};
 
 fn main() {
@@ -67,7 +67,7 @@ fn main() {
         }
         let theirs = greedy_slicer(&tree, target);
         let ours_overhead = slicing_overhead(&stem, &ours.sliced);
-        let theirs_overhead = qtn_slicing::overhead::slicing_overhead_tree(&tree, &theirs.sliced);
+        let theirs_overhead = slicing_overhead_tree(&tree, &theirs.sliced);
 
         total += 1;
         if ours.len() <= theirs.len() {

@@ -13,12 +13,12 @@
 //! Usage: `cargo run --release -p qtn-bench --bin headline_projection
 //! [cycles=20] [target=30] [measure_subtasks=16]`
 
-use qtn_bench::{arg_or, plan_sycamore};
+use qtn_bench::arg_or;
 use qtn_circuit::{OutputSpec, RqcConfig};
-use qtn_slicing::{lifetime_slice_finder, refine_slicing, subtask_log_cost, RefinerConfig};
+use qtn_slicing::sliced_log_cost;
 use qtn_sunway::scaling::{project_full_system, ScalingModel};
 use qtn_sunway::SunwayArch;
-use qtnsim_core::{Engine, ExecutorConfig, PlannerConfig};
+use qtnsim_core::{plan_simulation, Engine, ExecutorConfig, PlannerConfig};
 
 /// The 2021 Gordon Bell Prize sustained performance the paper compares to.
 const GORDON_BELL_2021_PFLOPS: f64 = 60.4;
@@ -36,16 +36,20 @@ fn main() {
     println!("# Headline projection (§6.2): 1M correlated samples of Sycamore m = {cycles}");
 
     // --- 1. Plan the real Sycamore workload (structure only) ---------------
-    let planned = plan_sycamore(cycles, 2023, 4);
-    let stem = planned.stem;
-    let slicing = {
-        let found = lifetime_slice_finder(&stem, target);
-        refine_slicing(&stem, &found, &RefinerConfig::default())
-    };
-    let overhead = qtn_slicing::slicing_overhead(&stem, &slicing.sliced);
-    // log2 of the flops of one subtask on the stem: each contraction of
-    // log-size s performs 8 * 2^s real flops (complex multiply-add).
-    let mut log_flops_per_subtask = subtask_log_cost(&stem, &slicing.sliced) + 3.0;
+    // The plan the engine would ship: path search, path refinement, slice
+    // finder, SA refiner and projector deferral, as `Engine::compile` runs
+    // them under the default planner configuration.
+    let plan = plan_simulation(
+        &RqcConfig::sycamore(cycles, 2023).build(),
+        &OutputSpec::Amplitude(vec![0; 53]),
+        &PlannerConfig { target_rank: target, ..Default::default() },
+    );
+    let slicing = &plan.slicing;
+    // log2 of the flops of one subtask on the stem: the sliced total (Eq. 4)
+    // shared by the 2^|S| subtasks, and each contraction of log-size s
+    // performs 8 * 2^s real flops (complex multiply-add).
+    let mut log_flops_per_subtask =
+        sliced_log_cost(&plan.stem, &slicing.sliced) - slicing.len() as f64 + 3.0;
     if assume_log_cost > 0.0 {
         // Keep our subtask count but rescale the per-subtask work so the
         // total matches the assumed path quality.
@@ -56,10 +60,10 @@ fn main() {
     }
     println!(
         "# plan: log2(cost) = {:.2}, sliced edges = {} (2^{} subtasks), overhead = {:.3}",
-        planned.tree.total_log_cost(),
+        plan.log_cost,
         slicing.len(),
         slicing.len(),
-        overhead
+        plan.overhead
     );
 
     // --- 2. Measure executable subtasks to calibrate sustained efficiency --

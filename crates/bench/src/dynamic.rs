@@ -12,7 +12,7 @@
 //! minimising the sliced cost, followed by one pass of adjacent absorption
 //! swaps, repeated until the memory target is met.
 
-use crate::overhead::{sliced_log_cost, sliced_max_rank, SlicingPlan};
+use qtn_slicing::{sliced_log_cost, sliced_max_rank, SlicingPlan};
 use qtn_tensor::IndexId;
 use qtn_tensornet::{Stem, StemStep};
 use std::collections::HashSet;
@@ -130,9 +130,8 @@ fn symmetric_difference(a: &[IndexId], b: &[IndexId]) -> Vec<IndexId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::finder::lifetime_slice_finder;
-    use crate::overhead::slicing_overhead;
     use qtn_circuit::{circuit_to_network, OutputSpec, RqcConfig};
+    use qtn_slicing::{lifetime_slice_finder, slicing_overhead};
     use qtn_tensornet::{
         extract_stem, greedy_path, simplify_network, ContractionTree, PathConfig, TensorNetwork,
     };

@@ -7,11 +7,42 @@
 //! slicing yields the smallest total sliced complexity (Eq. 4) is added to
 //! the set. Like most greedy methods it can get stuck in local minima, which
 //! is exactly what the lifetime-based finder plus refiner improve on.
+//!
+//! The whole-tree counterparts of the stem costs in `qtn_slicing::overhead`
+//! live here too: only this baseline and the figures comparing against it
+//! price a slicing set over the full tree.
 
-use crate::overhead::{sliced_max_rank_tree, SlicingPlan};
+use qtn_slicing::SlicingPlan;
 use qtn_tensor::IndexId;
-use qtn_tensornet::ContractionTree;
+use qtn_tensornet::{log2_sum, ContractionTree, LogCost};
 use std::collections::HashSet;
+
+/// log2 of the total sliced time complexity over a whole contraction tree
+/// (Eq. 4). Used by the cotengra-style baseline, which slices on the full
+/// tree rather than the stem.
+pub fn sliced_log_cost_tree(tree: &ContractionTree, sliced: &[IndexId]) -> LogCost {
+    let s: HashSet<IndexId> = sliced.iter().copied().collect();
+    log2_sum(tree.internal_nodes().into_iter().map(|n| {
+        let union = tree.node_union(n);
+        let hit = union.iter().filter(|e| s.contains(e)).count();
+        (union.len() + s.len() - hit) as LogCost
+    }))
+}
+
+/// Largest tensor rank in the whole tree after slicing.
+pub fn sliced_max_rank_tree(tree: &ContractionTree, sliced: &[IndexId]) -> usize {
+    let s: HashSet<IndexId> = sliced.iter().copied().collect();
+    tree.nodes()
+        .iter()
+        .map(|n| n.indices.iter().filter(|e| !s.contains(e)).count())
+        .max()
+        .unwrap_or(0)
+}
+
+/// Slicing overhead over the whole tree.
+pub fn slicing_overhead_tree(tree: &ContractionTree, sliced: &[IndexId]) -> f64 {
+    (sliced_log_cost_tree(tree, sliced) - tree.total_log_cost()).exp2()
+}
 
 /// Run the greedy slicer on a contraction tree until every tensor has rank
 /// at most `target_rank`.
@@ -82,9 +113,9 @@ pub fn greedy_slicer(tree: &ContractionTree, target_rank: usize) -> SlicingPlan 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::finder::lifetime_slice_finder;
-    use crate::overhead::{sliced_max_rank, slicing_overhead, slicing_overhead_tree};
     use qtn_circuit::{circuit_to_network, OutputSpec, RqcConfig};
+    use qtn_slicing::lifetime_slice_finder;
+    use qtn_slicing::overhead::{sliced_log_cost, sliced_max_rank, slicing_overhead};
     use qtn_tensornet::{
         extract_stem, greedy_path, simplify_network, ContractionTree, PathConfig, TensorNetwork,
     };
@@ -98,6 +129,15 @@ mod tests {
         let mut pairs = simplify_network(&mut work);
         pairs.extend(greedy_path(&mut work, &PathConfig::default()));
         ContractionTree::from_pairs(&g, &pairs)
+    }
+
+    #[test]
+    fn tree_and_stem_costs_are_consistent() {
+        let tree = rqc_tree(3, 4, 10, 6);
+        let stem = extract_stem(&tree);
+        // The stem is part of the tree so its cost is a lower bound.
+        assert!(sliced_log_cost(&stem, &[]) <= sliced_log_cost_tree(&tree, &[]) + 1e-9);
+        assert!(sliced_max_rank(&stem, &[]) <= sliced_max_rank_tree(&tree, &[]));
     }
 
     #[test]

@@ -5,8 +5,22 @@
 //! (`benchmark/`), plus the `gemm` bench under `benches/`. The
 //! helpers here build the workloads the figure binaries share:
 //! Sycamore-style tensor networks, contraction trees, and stems.
+//!
+//! The slicing baselines the figures compare the paper's finder against
+//! live here too, since nothing else runs them:
+//!
+//! * [`greedy`] — the cotengra-style greedy slicer of Fig. 10, with the
+//!   whole-tree sliced costs it is priced by;
+//! * [`dynamic`] — an Alibaba-style dynamic slicer that re-tunes the stem
+//!   order between slice picks (the related work of §2.1.2).
 
 #![warn(missing_docs)]
+
+pub mod dynamic;
+pub mod greedy;
+
+pub use dynamic::dynamic_slicer;
+pub use greedy::{greedy_slicer, slicing_overhead_tree};
 
 use qtn_circuit::{circuit_to_network, Circuit, OutputSpec, RqcConfig};
 use qtn_tensornet::{

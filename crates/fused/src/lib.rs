@@ -12,19 +12,14 @@
 //!
 //! The crate provides the secondary-slicing planner, a numeric fused executor
 //! and the step-by-step baseline (both produce bit-identical tensors, only
-//! their accounted time differs), the reduced permutation maps of §5.3.1 and
-//! the RMA-cooperation model of §5.3.2.
+//! their accounted time differs).
 
 #![warn(missing_docs)]
 
 pub mod exec;
-pub mod permmap;
-pub mod rma;
 pub mod secondary;
 pub mod segment;
 
 pub use exec::{execute_fused, execute_step_by_step, ExecutionReport};
-pub use permmap::{operand_permutations, PermutationStats};
-pub use rma::{cooperative_gather_cost, scattered_gather_cost};
 pub use secondary::{plan_secondary_slicing, FusedGroup, SecondaryPlan};
 pub use segment::{random_segment, StemSegment};

@@ -1,7 +1,9 @@
 //! Plan a full 53-qubit Sycamore random circuit the way the paper's
 //! process-level pipeline does: build the tensor network, search contraction
-//! paths, extract the stem, and compare the lifetime-based slice finder +
-//! simulated-annealing refiner against the cotengra-style greedy baseline.
+//! paths, extract the stem, and slice it with the lifetime-based slice
+//! finder + simulated-annealing refiner. The comparison against the
+//! cotengra-style greedy baseline is `fig10_slicing_vs_greedy` in
+//! `qtn-bench`.
 //!
 //! Planning is pure graph work — no tensor of rank 30+ is ever materialised —
 //! so this runs on a laptop even though executing the resulting contraction
@@ -11,7 +13,7 @@
 
 use qtnsim::circuit::{circuit_to_network, sycamore_rqc, OutputSpec};
 use qtnsim::slicing::overhead::{sliced_max_rank, slicing_overhead};
-use qtnsim::slicing::{greedy_slicer, lifetime_slice_finder, refine_slicing, RefinerConfig};
+use qtnsim::slicing::{lifetime_slice_finder, refine_slicing, RefinerConfig};
 use qtnsim::tensornet::{
     extract_stem, random_greedy_paths, simplify_network, ContractionTree, TensorNetwork,
 };
@@ -58,7 +60,6 @@ fn main() {
     println!("\nSlicing down to rank {target_rank} (per-node memory bound):");
     let ours = lifetime_slice_finder(&stem, target_rank);
     let refined = refine_slicing(&stem, &ours, &RefinerConfig::default());
-    let baseline = greedy_slicer(&tree, target_rank);
     println!(
         "  lifetime finder          : {:>3} edges, overhead {:.3}, max rank {}",
         ours.len(),
@@ -70,7 +71,6 @@ fn main() {
         refined.len(),
         slicing_overhead(&stem, &refined.sliced)
     );
-    println!("  greedy baseline (cotengra-style, whole tree): {:>3} edges", baseline.len());
     println!(
         "\nSubtasks generated for the distributed sweep: 2^{} = {:.3e}",
         refined.len(),

@@ -4,10 +4,11 @@
 //! Quantum Circuits on a New Sunway Supercomputer"* (PPoPP 2023): a
 //! tensor-network contraction simulator for random quantum circuits whose
 //! memory is managed by *slicing*, with the slicing sets chosen by the
-//! paper's lifetime-based finder and simulated-annealing refiner, a
-//! fused/secondary-slicing thread-level execution design, and an analytic
-//! model of the Sunway SW26010pro memory hierarchy for performance
-//! projection.
+//! paper's lifetime-based finder and simulated-annealing refiner, executed
+//! as a pooled stem-only sweep on the host. The paper's thread-level fused
+//! design and the Sunway SW26010pro machine model (`qtn-fused`,
+//! `qtn-sunway`) are used only by the figure binaries of `qtn-bench` and
+//! are not re-exported here.
 //!
 //! ## Quick start: compile once, execute many
 //!
@@ -64,9 +65,7 @@
 //! | [`tensor`] | complex scalars, dense tensors, permutation, GEMM, transpose-free contraction |
 //! | [`circuit`] | gate library, circuit IR, Sycamore-style RQC generator, circuit → network |
 //! | [`tensornet`] | network graph, contraction trees, path search, stem extraction |
-//! | [`slicing`] | lifetime, overheads, the slice finder (Alg. 1), the SA refiner (Alg. 2), baselines |
-//! | [`sunway`] | SW26010pro machine model: memory hierarchy, roofline, scaling projection |
-//! | [`fused`] | secondary slicing and the fused vs step-by-step thread-level executors |
+//! | [`slicing`] | lifetime, overheads, the slice finder (Alg. 1), the SA refiner (Alg. 2) |
 //! | [`statevector`] | reference full-state simulator for validation |
 //! | [`core`] | engine, planner, stem-only sliced executor, sampling |
 //! | [`verify`] | tensor-network amplitudes cross-checked against [`statevector`] |
@@ -74,10 +73,8 @@
 #![warn(missing_docs)]
 
 pub use qtn_circuit as circuit;
-pub use qtn_fused as fused;
 pub use qtn_slicing as slicing;
 pub use qtn_statevector as statevector;
-pub use qtn_sunway as sunway;
 pub use qtn_tensor as tensor;
 pub use qtn_tensornet as tensornet;
 pub use qtnsim_core as core;

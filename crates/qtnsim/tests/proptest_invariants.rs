@@ -16,7 +16,7 @@ use qtnsim::circuit::circuit_to_network;
 use qtnsim::slicing::overhead::{sliced_max_rank, slicing_overhead};
 use qtnsim::slicing::{compute_lifetimes, lifetime_slice_finder};
 use qtnsim::tensor::gemm::gemm_reference;
-use qtnsim::tensor::permute::{permute, PermutePlan};
+use qtnsim::tensor::permute::permute;
 use qtnsim::tensor::{c64, contract_pair, Complex64, DenseTensor, IndexSet, KernelPlan};
 use qtnsim::tensornet::{
     extract_stem, greedy_path, simplify_network, ContractionTree, PathConfig, TensorNetwork,
@@ -56,19 +56,6 @@ fn permutation_roundtrip() {
         }
         let back = permute(&permute(&t, &perm), &inverse);
         assert_eq!(back, t, "seed {seed}");
-    }
-}
-
-#[test]
-fn reduced_plan_equals_full_plan() {
-    for seed in 0..CASES {
-        let mut rng = StdRng::seed_from_u64(1000 + seed);
-        let rank = rng.gen_range(2..7);
-        let t = random_tensor(&mut rng, rank);
-        let perm = random_permutation(&mut rng, rank);
-        let full = PermutePlan::full(rank, &perm).apply(&t);
-        let reduced = PermutePlan::reduced(rank, &perm).apply(&t);
-        assert_eq!(full, reduced, "seed {seed}");
     }
 }
 

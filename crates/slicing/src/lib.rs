@@ -19,27 +19,20 @@
 //!   inward from the ends of the stem, always slicing the indices with the
 //!   longest lifetime;
 //! * [`refiner`] — Algorithm 2: the simulated-annealing slice refiner based
-//!   on critical tensors;
-//! * [`greedy`] — the cotengra-style greedy slicer used as the baseline in
-//!   Fig. 10;
-//! * [`dynamic`] — an Alibaba-style dynamic slicer that re-tunes the stem
-//!   order between slice picks (the related work the paper compares against);
-//! * [`theory`] — empirical checks of Theorem 1 used by the test-suite.
+//!   on critical tensors.
+//!
+//! The baselines the paper compares against (the cotengra-style greedy
+//! slicer of Fig. 10 and the Alibaba-style dynamic slicer) live next to the
+//! figures that run them, in `qtn-bench`.
 
 #![warn(missing_docs)]
 
-pub mod dynamic;
 pub mod finder;
-pub mod greedy;
 pub mod lifetime;
 pub mod overhead;
 pub mod refiner;
-pub mod theory;
 
 pub use finder::lifetime_slice_finder;
-pub use greedy::greedy_slicer;
 pub use lifetime::{compute_lifetimes, Lifetime, LifetimeTable};
-pub use overhead::{
-    sliced_log_cost, sliced_max_rank, slicing_overhead, subtask_log_cost, SlicingPlan,
-};
+pub use overhead::{sliced_log_cost, sliced_max_rank, slicing_overhead, SlicingPlan};
 pub use refiner::{refine_slicing, RefinerConfig};

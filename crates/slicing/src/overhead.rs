@@ -15,7 +15,7 @@
 //! subtasks.
 
 use qtn_tensor::IndexId;
-use qtn_tensornet::{log2_sum, ContractionTree, LogCost, Stem};
+use qtn_tensornet::{log2_sum, LogCost, Stem};
 use std::collections::HashSet;
 
 /// A slicing decision: the set of sliced edges and the memory target it was
@@ -64,17 +64,6 @@ pub fn sliced_log_cost(stem: &Stem, sliced: &[IndexId]) -> LogCost {
     }))
 }
 
-/// log2 of the cost of a *single* subtask over the stem
-/// (`Σ_V 2^(|s_V| - |S ∩ s_V|)`).
-pub fn subtask_log_cost(stem: &Stem, sliced: &[IndexId]) -> LogCost {
-    let s: HashSet<IndexId> = sliced.iter().copied().collect();
-    log2_sum(stem.steps.iter().map(|step| {
-        let union = step.union();
-        let hit = union.iter().filter(|e| s.contains(e)).count();
-        (union.len() - hit) as LogCost
-    }))
-}
-
 /// Slicing overhead of `sliced` on the stem (Eq. 2), as a linear ratio ≥ 1
 /// for any non-trivial slicing (1.0 means no redundant work at all).
 pub fn slicing_overhead(stem: &Stem, sliced: &[IndexId]) -> f64 {
@@ -106,33 +95,6 @@ pub fn is_feasible(stem: &Stem, plan: &SlicingPlan) -> bool {
     sliced_max_rank(stem, &plan.sliced) <= plan.target_rank
 }
 
-/// log2 of the total sliced time complexity over a whole contraction tree
-/// (Eq. 4). Used by the cotengra-style baseline, which slices on the full
-/// tree rather than the stem.
-pub fn sliced_log_cost_tree(tree: &ContractionTree, sliced: &[IndexId]) -> LogCost {
-    let s: HashSet<IndexId> = sliced.iter().copied().collect();
-    log2_sum(tree.internal_nodes().into_iter().map(|n| {
-        let union = tree.node_union(n);
-        let hit = union.iter().filter(|e| s.contains(e)).count();
-        (union.len() + s.len() - hit) as LogCost
-    }))
-}
-
-/// Largest tensor rank in the whole tree after slicing.
-pub fn sliced_max_rank_tree(tree: &ContractionTree, sliced: &[IndexId]) -> usize {
-    let s: HashSet<IndexId> = sliced.iter().copied().collect();
-    tree.nodes()
-        .iter()
-        .map(|n| n.indices.iter().filter(|e| !s.contains(e)).count())
-        .max()
-        .unwrap_or(0)
-}
-
-/// Slicing overhead over the whole tree.
-pub fn slicing_overhead_tree(tree: &ContractionTree, sliced: &[IndexId]) -> f64 {
-    (sliced_log_cost_tree(tree, sliced) - tree.total_log_cost()).exp2()
-}
-
 /// "Critical tensors" of §4.3: stem positions whose rank after slicing is
 /// exactly the target. These are the tensors that pin the memory bound; a
 /// sliced edge whose lifetime contains none of them contributes nothing to
@@ -160,7 +122,7 @@ mod tests {
         extract_stem, greedy_path, simplify_network, ContractionTree, PathConfig, TensorNetwork,
     };
 
-    fn rqc_stem_and_tree(cycles: usize, seed: u64) -> (Stem, ContractionTree) {
+    fn rqc_stem(cycles: usize, seed: u64) -> Stem {
         let cfg = RqcConfig::small(3, 4, cycles, seed);
         let c = cfg.build();
         let b = circuit_to_network(&c, &OutputSpec::Amplitude(vec![0; c.num_qubits()]));
@@ -168,20 +130,19 @@ mod tests {
         let mut work = g.clone();
         let mut pairs = simplify_network(&mut work);
         pairs.extend(greedy_path(&mut work, &PathConfig::default()));
-        let tree = ContractionTree::from_pairs(&g, &pairs);
-        (extract_stem(&tree), tree)
+        extract_stem(&ContractionTree::from_pairs(&g, &pairs))
     }
 
     #[test]
     fn empty_slicing_has_unit_overhead() {
-        let (stem, _) = rqc_stem_and_tree(8, 1);
+        let stem = rqc_stem(8, 1);
         assert!((slicing_overhead(&stem, &[]) - 1.0).abs() < 1e-9);
         assert_eq!(sliced_log_cost(&stem, &[]), stem.total_log_cost());
     }
 
     #[test]
     fn slicing_reduces_max_rank() {
-        let (stem, _) = rqc_stem_and_tree(10, 2);
+        let stem = rqc_stem(10, 2);
         let table = compute_lifetimes(&stem);
         let candidates: Vec<IndexId> = table.edges().collect();
         let before = sliced_max_rank(&stem, &[]);
@@ -192,7 +153,7 @@ mod tests {
 
     #[test]
     fn overhead_at_least_one_and_grows_with_set_size() {
-        let (stem, _) = rqc_stem_and_tree(10, 3);
+        let stem = rqc_stem(10, 3);
         let table = compute_lifetimes(&stem);
         let candidates: Vec<IndexId> = table.edges().collect();
         let top = table.longest_lived(&candidates, 5);
@@ -206,17 +167,6 @@ mod tests {
             assert!(o + 1e-9 >= prev, "overhead decreased from {prev} to {o}");
             prev = o;
         }
-    }
-
-    #[test]
-    fn subtask_cost_times_subtasks_equals_sliced_cost() {
-        let (stem, _) = rqc_stem_and_tree(10, 4);
-        let table = compute_lifetimes(&stem);
-        let candidates: Vec<IndexId> = table.edges().collect();
-        let s = table.longest_lived(&candidates, 4);
-        let total = sliced_log_cost(&stem, &s);
-        let per = subtask_log_cost(&stem, &s);
-        assert!((total - (per + s.len() as f64)).abs() < 1e-9);
     }
 
     #[test]
@@ -249,7 +199,7 @@ mod tests {
 
     #[test]
     fn feasibility_check() {
-        let (stem, _) = rqc_stem_and_tree(10, 5);
+        let stem = rqc_stem(10, 5);
         let table = compute_lifetimes(&stem);
         let candidates: Vec<IndexId> = table.edges().collect();
         let max0 = sliced_max_rank(&stem, &[]);
@@ -265,16 +215,8 @@ mod tests {
     }
 
     #[test]
-    fn tree_and_stem_costs_are_consistent() {
-        let (stem, tree) = rqc_stem_and_tree(10, 6);
-        // The stem is part of the tree so its cost is a lower bound.
-        assert!(sliced_log_cost(&stem, &[]) <= sliced_log_cost_tree(&tree, &[]) + 1e-9);
-        assert!(sliced_max_rank(&stem, &[]) <= sliced_max_rank_tree(&tree, &[]));
-    }
-
-    #[test]
     fn critical_positions_have_target_rank() {
-        let (stem, _) = rqc_stem_and_tree(10, 7);
+        let stem = rqc_stem(10, 7);
         let target = sliced_max_rank(&stem, &[]) - 1;
         let table = compute_lifetimes(&stem);
         let candidates: Vec<IndexId> = table.edges().collect();

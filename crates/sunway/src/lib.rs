@@ -21,7 +21,6 @@
 #![warn(missing_docs)]
 
 pub mod arch;
-pub mod cg;
 pub mod cost;
 pub mod roofline;
 pub mod scaling;
@@ -29,7 +28,6 @@ pub mod storage;
 pub mod timebreak;
 
 pub use arch::SunwayArch;
-pub use cg::{simulate_cg, CgTimeline, CpeProgram, Phase};
 pub use cost::{CostModel, KernelCost};
 pub use roofline::Roofline;
 pub use scaling::{ScalingModel, ScalingPoint};

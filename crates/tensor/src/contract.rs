@@ -378,7 +378,7 @@ mod tests {
     #[test]
     fn kernel_matches_contract_pair_bit_for_bit() {
         use crate::kernels::{DispatchClass, SimdLevel};
-        use crate::permute::{permutation_to_order, PermutePlan};
+        use crate::permute::permute_to_order;
         let mut rng = StdRng::seed_from_u64(22);
         let mut classes = std::collections::HashSet::new();
         for (la, lb) in cases_of_every_class() {
@@ -408,11 +408,8 @@ mod tests {
             let order = |head: &[IndexId], tail: &[IndexId]| {
                 IndexSet::new(head.iter().chain(tail).copied().collect())
             };
-            let permuted = |t: &DenseTensor<Complex64>, to: &IndexSet| {
-                PermutePlan::full(t.rank(), &permutation_to_order(t.indices(), to)).apply(t)
-            };
-            let pa = permuted(&a, &order(&spec.left_free, &spec.contracted));
-            let pb = permuted(&b, &order(&spec.contracted, &spec.right_free));
+            let pa = permute_to_order(&a, &order(&spec.left_free, &spec.contracted));
+            let pb = permute_to_order(&b, &order(&spec.contracted, &spec.right_free));
             let (m, n, k) = spec.gemm_shape();
             for level in [kernel.gemm_plan().level(), SimdLevel::Scalar] {
                 let plan = KernelPlan::select_with_level(m, n, k, level);

@@ -2,9 +2,8 @@
 //!
 //! This crate provides the numeric building blocks used by every layer above
 //! it: the double-precision complex scalar [`Complex64`], dense tensors whose
-//! bond dimensions are all 2 (qubit tensor networks), tensor permutation
-//! kernels (including the recursion-formula reduced permutation map from
-//! §5.3.1 of the paper), `Complex64` GEMM with rank-specialized
+//! bond dimensions are all 2 (qubit tensor networks), out-of-place tensor
+//! permutation, `Complex64` GEMM with rank-specialized
 //! micro-kernels, one portable packed/blocked kernel and runtime-probed
 //! SIMD paths (AVX2+FMA / NEON — see [`kernels`]) that read their operands
 //! in place through offset views, and the transpose-free pairwise
@@ -32,4 +31,4 @@ pub use kernels::{
     dispatch_counts, set_simd_override, simd_level, DispatchClass, DispatchCounts, GemmPath,
     KernelPlan, MatRef, OffsetTable, SimdLevel, MAX_RANK,
 };
-pub use permute::{permute, PermutePlan};
+pub use permute::permute;

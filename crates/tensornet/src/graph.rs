@@ -108,13 +108,6 @@ impl TensorNetwork {
         out
     }
 
-    /// Indices shared between two active vertices.
-    pub fn shared_indices(&self, a: usize, b: usize) -> Vec<IndexId> {
-        let ia = self.indices(a);
-        let ib = self.indices(b);
-        ia.iter().copied().filter(|e| ib.contains(e)).collect()
-    }
-
     /// The index list the contraction of `a` and `b` would produce
     /// (symmetric difference of their index sets), without modifying the
     /// network.
@@ -184,8 +177,8 @@ mod tests {
     fn neighbors_and_shared() {
         let g = chain4();
         assert_eq!(g.neighbors(1), vec![0, 2]);
-        assert_eq!(g.shared_indices(1, 2), vec![1]);
-        assert!(g.shared_indices(0, 3).is_empty());
+        // Vertices are neighbours exactly when they share an index.
+        assert!(!g.neighbors(0).contains(&3));
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! dimensions (all of weight 2 for qubit networks). A contraction order is
 //! represented as a rooted binary [`ContractionTree`]; its time complexity is
 //! Eq. (1) of the paper and its space cost is the largest intermediate
-//! tensor. Path finders (greedy and recursive partitioning, standing in for
-//! cotengra's hyper-optimised search) produce contraction trees, and the stem
+//! tensor. Randomised greedy path search (standing in for cotengra's
+//! hyper-optimised search) produces contraction trees, and the stem
 //! extractor identifies the computationally intensive backbone on which the
 //! slicing machinery of `qtn-slicing` operates.
 
@@ -29,7 +29,7 @@ pub use classify::{
 pub use cost::{log2_add, log2_sum, LogCost};
 pub use graph::TensorNetwork;
 pub use lifetime::{analyze_memory, BufferInterval, MemoryPlan, PhaseMemoryPlan};
-pub use path::{greedy_path, partition_path, random_greedy_paths, PathConfig};
+pub use path::{greedy_path, random_greedy_paths, PathConfig};
 pub use refine::{
     defer_projector_joins, refine_path, BatchRefineReport, RefineObjective, RefineReport,
 };

@@ -7,10 +7,7 @@
 //!   a tunable cost temperature (0 = deterministic);
 //! * [`random_greedy_paths`] — repeated randomised greedy runs returning all
 //!   candidate trees (the "400 contraction paths" of Fig. 10 are generated
-//!   this way);
-//! * [`partition_path`] — recursive balanced bisection, a simple stand-in for
-//!   cotengra's hypergraph-partitioning driver, which tends to produce
-//!   better-balanced trees for grid-like circuits.
+//!   this way).
 
 use crate::graph::TensorNetwork;
 use crate::tree::ContractionTree;
@@ -180,161 +177,6 @@ pub fn random_greedy_paths(
     results
 }
 
-/// Recursive balanced-bisection path finder.
-///
-/// The active vertices are split into two balanced halves that approximately
-/// minimise the number of cut edges (BFS growth followed by a
-/// Kernighan–Lin-style refinement pass); each half is ordered recursively and
-/// the two partial results are contracted last. Small sub-problems fall back
-/// to greedy ordering.
-pub fn partition_path(network: &mut TensorNetwork, seed: u64) -> Vec<(usize, usize)> {
-    let actives = network.active_vertices();
-    let mut pairs = Vec::new();
-    let root = partition_recurse(network, &actives, seed, &mut pairs);
-    // `root` is the final vertex; nothing else to do.
-    let _ = root;
-    pairs
-}
-
-/// Recursively contract the sub-network induced by `verts`, returning the id
-/// of the resulting vertex.
-fn partition_recurse(
-    network: &mut TensorNetwork,
-    verts: &[usize],
-    seed: u64,
-    pairs: &mut Vec<(usize, usize)>,
-) -> usize {
-    if verts.len() == 1 {
-        return verts[0];
-    }
-    if verts.len() <= 8 {
-        // Greedy within the small group: contract cheapest adjacent pair
-        // repeatedly (falling back to outer products).
-        let mut group: Vec<usize> = verts.to_vec();
-        while group.len() > 1 {
-            let mut best: Option<(f64, usize, usize)> = None;
-            for (i, &a) in group.iter().enumerate() {
-                for &b in group.iter().skip(i + 1) {
-                    let shared = !network.shared_indices(a, b).is_empty();
-                    let score = greedy_score(network, a, b) - if shared { 1.0 } else { 0.0 };
-                    if best.map(|(s, _, _)| score < s).unwrap_or(true) {
-                        best = Some((score, a, b));
-                    }
-                }
-            }
-            let (_, a, b) = best.unwrap();
-            let v = network.contract(a, b);
-            pairs.push((a, b));
-            group.retain(|&x| x != a && x != b);
-            group.push(v);
-        }
-        return group[0];
-    }
-
-    let (left, right) = bisect(network, verts, seed);
-    let lv = partition_recurse(network, &left, seed.wrapping_mul(31).wrapping_add(1), pairs);
-    let rv = partition_recurse(network, &right, seed.wrapping_mul(31).wrapping_add(2), pairs);
-    let v = network.contract(lv, rv);
-    pairs.push((lv, rv));
-    v
-}
-
-/// Split `verts` into two balanced halves with a small cut: grow one side by
-/// BFS from a pseudo-random seed vertex, then refine with single-vertex swaps
-/// that reduce the cut while keeping the balance within 10%.
-fn bisect(network: &TensorNetwork, verts: &[usize], seed: u64) -> (Vec<usize>, Vec<usize>) {
-    let target = verts.len() / 2;
-    let in_set = |list: &[usize], v: usize| list.contains(&v);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let start = verts[rng.gen_range(0..verts.len())];
-
-    // BFS growth restricted to `verts`.
-    let mut left = Vec::with_capacity(target);
-    let mut visited = std::collections::HashSet::new();
-    let mut queue = std::collections::VecDeque::new();
-    queue.push_back(start);
-    visited.insert(start);
-    while let Some(v) = queue.pop_front() {
-        if left.len() >= target {
-            break;
-        }
-        left.push(v);
-        for u in network.neighbors(v) {
-            if in_set(verts, u) && visited.insert(u) {
-                queue.push_back(u);
-            }
-        }
-    }
-    // If BFS ran out (disconnected), fill arbitrarily.
-    for &v in verts {
-        if left.len() >= target {
-            break;
-        }
-        if !left.contains(&v) {
-            left.push(v);
-        }
-    }
-    let mut right: Vec<usize> = verts.iter().copied().filter(|v| !left.contains(v)).collect();
-
-    // One refinement sweep: move a vertex across if it reduces the cut and
-    // keeps balance.
-    let cut_delta =
-        |network: &TensorNetwork, left: &[usize], right: &[usize], v: usize, to_left: bool| {
-            let mut delta = 0i64;
-            for u in network.neighbors(v) {
-                let u_left = in_set(left, u);
-                let u_right = in_set(right, u);
-                if !(u_left || u_right) {
-                    continue;
-                }
-                // Moving v toward u's side removes a cut edge, away adds one.
-                let same_after = if to_left { u_left } else { u_right };
-                let same_before = if to_left { u_right } else { u_left };
-                if same_after {
-                    delta -= 1;
-                }
-                if same_before {
-                    delta += 1;
-                }
-            }
-            delta
-        };
-    let max_imbalance = verts.len() / 10 + 1;
-    for _ in 0..2 {
-        let mut moved = false;
-        for &v in verts {
-            let v_in_left = in_set(&left, v);
-            if v_in_left && left.len() > right.len().saturating_sub(max_imbalance) + 1 {
-                if cut_delta(network, &left, &right, v, false) < 0
-                    && left.len() > verts.len() / 2 - max_imbalance
-                {
-                    left.retain(|&x| x != v);
-                    right.push(v);
-                    moved = true;
-                }
-            } else if !v_in_left
-                && right.len() > left.len().saturating_sub(max_imbalance) + 1
-                && cut_delta(network, &left, &right, v, true) < 0
-                && right.len() > verts.len() / 2 - max_imbalance
-            {
-                right.retain(|&x| x != v);
-                left.push(v);
-                moved = true;
-            }
-        }
-        if !moved {
-            break;
-        }
-    }
-    if left.is_empty() {
-        left.push(right.pop().unwrap());
-    }
-    if right.is_empty() {
-        right.push(left.pop().unwrap());
-    }
-    (left, right)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,17 +232,6 @@ mod tests {
         for w in candidates.windows(2) {
             assert!(w[0].0.total_log_cost() <= w[1].0.total_log_cost() + 1e-9);
         }
-    }
-
-    #[test]
-    fn partition_path_contracts_to_scalar() {
-        let mut g = small_rqc_network(4, 4, 8);
-        let original = g.clone();
-        let mut pairs = simplify_network(&mut g);
-        pairs.extend(partition_path(&mut g, 7));
-        let tree = ContractionTree::from_pairs(&original, &pairs);
-        assert_eq!(tree.node(tree.root()).rank(), 0);
-        assert_eq!(g.num_active(), 1);
     }
 
     #[test]

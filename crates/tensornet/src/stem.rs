@@ -87,20 +87,6 @@ impl Stem {
         }
         m
     }
-
-    /// Every distinct edge index appearing anywhere on the stem.
-    pub fn all_indices(&self) -> Vec<IndexId> {
-        let mut all: Vec<IndexId> = self.start_indices.clone();
-        for s in &self.steps {
-            for &e in s.branch.iter().chain(s.result.iter()) {
-                if !all.contains(&e) {
-                    all.push(e);
-                }
-            }
-        }
-        all.sort_unstable();
-        all
-    }
 }
 
 /// Extract the stem of a contraction tree: starting from the root, follow at
@@ -224,17 +210,5 @@ mod tests {
                 assert!(u.contains(e));
             }
         }
-    }
-
-    #[test]
-    fn all_indices_sorted_unique() {
-        let tree = rqc_tree(3, 3, 6);
-        let stem = extract_stem(&tree);
-        let all = stem.all_indices();
-        let mut sorted = all.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(all, sorted);
-        assert!(!all.is_empty());
     }
 }
