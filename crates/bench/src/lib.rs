@@ -1,10 +1,11 @@
-//! Shared helpers for the benchmark harness.
+//! Shared helpers for the paper-reproduction harness.
 //!
-//! Every figure and table of the paper's evaluation section has a binary in
-//! `src/bin/` that regenerates it; timings live in the repo benchmark
-//! (`benchmark/`), plus the `gemm` bench under `benches/`. The
-//! helpers here build the workloads the figure binaries share:
-//! Sycamore-style tensor networks, contraction trees, and stems.
+//! The `repro` binary (`src/bin/repro.rs`) regenerates every figure and
+//! table of the paper's evaluation section as one deterministic JSON
+//! document, checked in as `REPRO.json`; timings live in the repo benchmark
+//! (`benchmark/`), plus the `gemm` bench under `benches/`. The helpers here
+//! build the workloads its sections share: Sycamore-style tensor networks,
+//! contraction trees, and stems.
 //!
 //! The slicing baselines the figures compare the paper's finder against
 //! live here too, since nothing else runs them:
@@ -61,15 +62,6 @@ fn plan_circuit(circuit: Circuit, seed: u64, path_candidates: usize) -> PlannedN
     PlannedNetwork { circuit, network, tree, stem }
 }
 
-/// Parse a `NAME=value` style argument from the command line, with a default.
-pub fn arg_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::args()
-        .filter_map(|a| a.strip_prefix(&format!("{name}=")).map(str::to_string))
-        .next()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,10 +81,5 @@ mod tests {
         assert_eq!(p.circuit.num_qubits(), 53);
         assert!(p.tree.total_log_cost() > 15.0);
         assert!(p.stem.max_rank() >= 10);
-    }
-
-    #[test]
-    fn arg_parsing_defaults() {
-        assert_eq!(arg_or("nonexistent_param", 42usize), 42);
     }
 }

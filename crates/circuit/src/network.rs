@@ -10,17 +10,13 @@
 
 use crate::circuit::Circuit;
 use crate::gate::Gate;
-use qtn_tensor::{c64, Complex64, DenseTensor, IndexId, IndexSet};
+use qtn_tensor::{Complex64, DenseTensor, IndexId, IndexSet};
 
 /// One tensor of the generated network.
 #[derive(Debug, Clone)]
 pub struct TensorNode {
-    /// Axes of the tensor (tensor-network edge identifiers).
-    pub indices: IndexSet,
-    /// Amplitudes.
+    /// Amplitudes; its index set holds the tensor-network edge identifiers.
     pub data: DenseTensor<Complex64>,
-    /// Human-readable origin, useful when debugging contraction plans.
-    pub label: String,
 }
 
 /// What the network should compute.
@@ -211,7 +207,7 @@ impl NetworkBuild {
             .projector_leaves
             .iter()
             .map(|&(qubit, node)| {
-                (node, projector(self.nodes[node].indices.axes()[0], bits[qubit]))
+                (node, projector(self.nodes[node].data.indices().axes()[0], bits[qubit]))
             })
             .collect())
     }
@@ -317,14 +313,10 @@ pub fn circuit_to_network(circuit: &Circuit, output: &OutputSpec) -> NetworkBuil
     let mut wire: Vec<IndexId> = (0..n).map(|_| alloc()).collect();
 
     // Initial |0> states.
-    for (q, &w) in wire.iter().enumerate() {
+    for &w in &wire {
         let data =
             DenseTensor::from_data(IndexSet::new(vec![w]), vec![Complex64::ONE, Complex64::ZERO]);
-        nodes.push(TensorNode {
-            indices: data.indices().clone(),
-            data,
-            label: format!("init[{q}]"),
-        });
+        nodes.push(TensorNode { data });
     }
 
     // Gates.
@@ -352,11 +344,7 @@ pub fn circuit_to_network(circuit: &Circuit, output: &OutputSpec) -> NetworkBuil
                 let i_out = alloc();
                 // data[o*2 + i] = U[o][i]
                 let data = DenseTensor::from_data(IndexSet::new(vec![i_out, i_in]), m.clone());
-                nodes.push(TensorNode {
-                    indices: data.indices().clone(),
-                    data,
-                    label: format!("g{g_idx}:{:?}[{q}]", op.gate),
-                });
+                nodes.push(TensorNode { data });
                 wire[q] = i_out;
             }
             2 => {
@@ -367,11 +355,7 @@ pub fn circuit_to_network(circuit: &Circuit, output: &OutputSpec) -> NetworkBuil
                 // the most significant bit of both row and column, matching
                 // the axis order directly: data[(o0 o1 i0 i1)] = U[(o0 o1),(i0 i1)].
                 let data = DenseTensor::from_data(IndexSet::new(vec![o0, o1, i0, i1]), m);
-                nodes.push(TensorNode {
-                    indices: data.indices().clone(),
-                    data,
-                    label: format!("g{g_idx}:2q[{q0},{q1}]"),
-                });
+                nodes.push(TensorNode { data });
                 wire[q0] = o0;
                 wire[q1] = o1;
             }
@@ -387,7 +371,7 @@ pub fn circuit_to_network(circuit: &Circuit, output: &OutputSpec) -> NetworkBuil
             assert_eq!(bits.len(), n, "amplitude bitstring length mismatch");
             for (q, (&w, &b)) in wire.iter().zip(bits.iter()).enumerate() {
                 projector_leaves.push((q, nodes.len()));
-                nodes.push(projection_node(q, w, b));
+                nodes.push(projection_node(w, b));
             }
         }
         OutputSpec::Open { fixed, open } => {
@@ -400,7 +384,7 @@ pub fn circuit_to_network(circuit: &Circuit, output: &OutputSpec) -> NetworkBuil
                     open_indices.push((q, w));
                 } else {
                     projector_leaves.push((q, nodes.len()));
-                    nodes.push(projection_node(q, w, fixed[q]));
+                    nodes.push(projection_node(w, fixed[q]));
                 }
             }
         }
@@ -417,10 +401,9 @@ pub fn circuit_to_network(circuit: &Circuit, output: &OutputSpec) -> NetworkBuil
     }
 }
 
-fn projection_node(q: usize, w: IndexId, bit: u8) -> TensorNode {
+fn projection_node(w: IndexId, bit: u8) -> TensorNode {
     assert!(bit <= 1, "projection bit must be 0 or 1");
-    let data = projector(w, bit);
-    TensorNode { indices: data.indices().clone(), data, label: format!("proj[{q}]={bit}") }
+    TensorNode { data: projector(w, bit) }
 }
 
 /// Contract the whole network by brute force (repeated pairwise contraction
@@ -435,7 +418,6 @@ pub fn contract_network_naive(build: &NetworkBuild) -> DenseTensor<Complex64> {
             Some(t) => qtn_tensor::contract_pair(&t, &node.data),
         });
     }
-    let _ = c64(0.0, 0.0);
     acc.expect("empty network")
 }
 
@@ -444,6 +426,7 @@ mod tests {
     use super::*;
     use crate::circuit::Circuit;
     use crate::gate::Gate;
+    use qtn_tensor::c64;
 
     fn amplitude(circuit: &Circuit, bits: &[u8]) -> Complex64 {
         let build = circuit_to_network(circuit, &OutputSpec::Amplitude(bits.to_vec()));
@@ -651,8 +634,8 @@ mod tests {
             .push2(Gate::FSim { theta: 0.9, phi: 0.8 }, 0, 1)
             .push1(Gate::Rz(-1.1), 1);
         let fresh = circuit_to_network(&fresh, &OutputSpec::Amplitude(vec![1, 0]));
-        for (a, b) in build.nodes.iter().zip(fresh.nodes.iter()) {
-            assert_eq!(a.data, b.data, "leaf {} must match the fresh build exactly", a.label);
+        for (node, (a, b)) in build.nodes.iter().zip(fresh.nodes.iter()).enumerate() {
+            assert_eq!(a.data, b.data, "leaf {node} must match the fresh build exactly");
         }
         assert_eq!(build.param_slots()[0].value(), 2.2);
         assert_eq!(build.param_slots()[2].value(), 0.8);

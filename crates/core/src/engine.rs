@@ -229,6 +229,22 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     h
 }
 
+/// The one bitstring rule of the API boundary: `bits` covers all
+/// `num_qubits` qubits and every bit is 0 or 1. Entries at `open`
+/// (non-projected) positions are documented as ignored, so they are exempt
+/// from bit-value validation.
+fn check_bits(bits: &[u8], num_qubits: usize, open: &[usize]) -> Result<(), Error> {
+    if bits.len() != num_qubits {
+        return Err(Error::BitstringLength { expected: num_qubits, got: bits.len() });
+    }
+    for (qubit, &value) in bits.iter().enumerate() {
+        if value > 1 && !open.contains(&qubit) {
+            return Err(Error::InvalidBit { qubit, value });
+        }
+    }
+    Ok(())
+}
+
 impl Engine {
     /// Create an engine with default planner/executor configuration.
     pub fn new() -> Self {
@@ -334,21 +350,8 @@ impl Engine {
     /// Validate an output spec against a circuit at the API boundary.
     fn validate(circuit: &Circuit, output: &OutputSpec) -> Result<(), Error> {
         let n = circuit.num_qubits();
-        // Entries at open (non-projected) positions are documented as ignored,
-        // so they are exempt from bit-value validation.
-        let check_bits = |bits: &[u8], open: &[usize]| -> Result<(), Error> {
-            if bits.len() != n {
-                return Err(Error::BitstringLength { expected: n, got: bits.len() });
-            }
-            for (qubit, &value) in bits.iter().enumerate() {
-                if value > 1 && !open.contains(&qubit) {
-                    return Err(Error::InvalidBit { qubit, value });
-                }
-            }
-            Ok(())
-        };
         match output {
-            OutputSpec::Amplitude(bits) => check_bits(bits, &[]),
+            OutputSpec::Amplitude(bits) => check_bits(bits, n, &[]),
             OutputSpec::Open { fixed, open } => {
                 let mut seen = vec![false; n];
                 for &q in open {
@@ -360,7 +363,7 @@ impl Engine {
                     }
                     seen[q] = true;
                 }
-                check_bits(fixed, open)
+                check_bits(fixed, n, open)
             }
         }
     }
@@ -640,21 +643,11 @@ impl CompiledCircuit {
     }
 
     fn validate_bits(&self, bits: &[u8]) -> Result<(), Error> {
-        if bits.len() != self.num_qubits {
-            return Err(Error::BitstringLength { expected: self.num_qubits, got: bits.len() });
-        }
-        // Entries at open positions are documented as ignored, so they are
-        // exempt from bit-value validation.
         let open: &[usize] = match &self.shape {
             OutputShape::Amplitude => &[],
             OutputShape::Open(open) => open,
         };
-        for (qubit, &value) in bits.iter().enumerate() {
-            if value > 1 && !open.contains(&qubit) {
-                return Err(Error::InvalidBit { qubit, value });
-            }
-        }
-        Ok(())
+        check_bits(bits, self.num_qubits, open)
     }
 
     fn execute_rebound(

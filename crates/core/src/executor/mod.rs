@@ -63,7 +63,10 @@
 //! because every node's tensor is produced by the same pairwise
 //! contractions in the same order on the same kernels (`contract_pair`
 //! compiles the very [`qtn_tensor::ContractionKernel`] the stem program
-//! holds) — reuse only changes how often they run.
+//! holds) — reuse only changes how often they run. A batch takes the same
+//! driver with reuse off: each subtask replays the tree once per bitstring,
+//! and the worker-order reduction keeps every result bit-identical to a
+//! single execution.
 //!
 //! ## Determinism
 //!
@@ -394,8 +397,8 @@ pub fn execute_on_pool(
 /// frontiers are built with cross-bitstring subtree deduplication — instead
 /// of the full stem plus a fresh frontier once per bitstring. Results are
 /// **bit-identical** to a loop of single [`execute_on_pool`] calls with the
-/// same configuration. With reuse disabled the call *is* that loop of
-/// single executions.
+/// same configuration. With reuse disabled every subtask replays the whole
+/// tree once per bitstring, through the same driver.
 ///
 /// The returned tensors are index-aligned with `bitstrings`; the
 /// [`ExecutionStats`] cover the whole batch, with
@@ -416,9 +419,6 @@ pub fn execute_amplitudes_on_pool(
     for bits in bitstrings {
         let overrides: LeafOverrides = plan.build.rebind_output(bits)?.into_iter().collect();
         overrides_batch.push(Arc::new(overrides));
-    }
-    if !config.reuse && bitstrings.len() > 1 {
-        return execute_amplitudes_sequentially(pool, plan, &overrides_batch, config);
     }
     execute_batch(pool, plan, bitstrings, &overrides_batch, config)
 }
@@ -526,9 +526,7 @@ fn execute_batch(
         // A full (reuse-off) replay would pay the whole branch bill (cold,
         // even after a rebind carried entries over) plus one
         // *undeduplicated* frontier build in every subtask of every
-        // bitstring — not the (smaller) deduped total this call executed,
-        // so this driver and the sequential fallback account the same
-        // baseline.
+        // bitstring — not the (smaller) deduped total this call executed.
         stats.branch_flops_reused = cache
             .cold_flops
             .saturating_add(state.frontier.flops_per_bitstring)
@@ -538,28 +536,6 @@ fn execute_batch(
             .saturating_sub(stats.branch_flops);
     }
     stats.apply_gemm(&gemm);
-    Ok((results, stats))
-}
-
-/// The reuse-off batch: a plain loop of single executions, one per
-/// bitstring — the baseline the batched path is bit-identical to. Stats
-/// fold with [`ExecutionStats::absorb`]; the one non-additive counter is
-/// the plan's subtask total (`amplitudes_in_batch` adds up to the batch
-/// size by itself, each single execution reporting 1).
-fn execute_amplitudes_sequentially(
-    pool: &WorkerPool,
-    plan: &Arc<SimulationPlan>,
-    overrides_batch: &[Arc<LeafOverrides>],
-    config: &ExecutorConfig,
-) -> Result<(Vec<DenseTensor<Complex64>>, ExecutionStats), Error> {
-    let mut results = Vec::with_capacity(overrides_batch.len());
-    let mut stats = ExecutionStats::default();
-    for overrides in overrides_batch {
-        let (result, single) = execute_on_pool(pool, plan, overrides, config)?;
-        results.push(result);
-        stats.absorb(&single);
-        stats.subtasks_total = single.subtasks_total;
-    }
     Ok((results, stats))
 }
 

@@ -508,7 +508,7 @@ fn batched_pooled_peak_matches_the_batched_prediction() {
 }
 
 #[test]
-fn batched_execution_without_reuse_falls_back_to_the_loop() {
+fn batched_execution_without_reuse_replays_every_bitstring_per_subtask() {
     let circuit = RqcConfig::small(3, 3, 8, 4).build();
     let n = circuit.num_qubits();
     let plan = Arc::new(plan_simulation(
@@ -525,11 +525,16 @@ fn batched_execution_without_reuse_falls_back_to_the_loop() {
     let (a, sa) = execute_amplitudes_on_pool(&pool, &plan, &batch, &reuse).unwrap();
     let (b, sb) = execute_amplitudes_on_pool(&pool, &plan, &batch, &replay).unwrap();
     for (x, y) in a.iter().zip(b.iter()) {
-        assert_eq!(x.data(), y.data(), "fallback must be bit-identical to the batched path");
+        assert_eq!(x.data(), y.data(), "full replay must be bit-identical to the batched path");
+    }
+    for (bits, y) in batch.iter().zip(b.iter()) {
+        let (single, _) = execute_amplitudes_on_pool(&pool, &plan, &[bits], &replay).unwrap();
+        assert_eq!(single[0].data(), y.data(), "a batch must equal its single executions");
     }
     assert_eq!(sb.stem_pure_flops, 0, "the full replay does not classify contractions");
     assert_eq!(sb.amplitudes_in_batch, patterns.len() as u64);
-    assert!(sa.flops < sb.flops, "batching must save work over the reuse-off loop");
+    assert_eq!(sb.subtasks_run, sa.subtasks_run, "one sweep covers the whole batch");
+    assert!(sa.flops < sb.flops, "batching must save work over the full replay");
 }
 
 #[test]

@@ -18,6 +18,7 @@
 
 use crate::secondary::{plan_secondary_slicing, SecondaryPlan};
 use crate::segment::StemSegment;
+use qtn_sunway::roofline::arithmetic_intensity;
 use qtn_sunway::{CostModel, TimeBreakdown};
 use qtn_tensor::{contract_pair, Complex64, ContractionSpec, DenseTensor, IndexId, IndexSet};
 
@@ -58,7 +59,6 @@ fn finish_report(
 ) -> ExecutionReport {
     let arch = model.arch();
     time.gemm = flops as f64 / (arch.peak_flops_per_cg * model.gemm_efficiency);
-    let ai = if dma_bytes > 0.0 { flops as f64 / dma_bytes } else { f64::INFINITY };
     let total = time.total();
     let efficiency =
         if total > 0.0 { (flops as f64 / total) / arch.peak_flops_per_cg } else { 0.0 };
@@ -68,7 +68,7 @@ fn finish_report(
         dma_bytes,
         rma_bytes,
         stem_roundtrips,
-        arithmetic_intensity: ai,
+        arithmetic_intensity: arithmetic_intensity(flops as f64, dma_bytes),
         efficiency,
     }
 }
@@ -156,11 +156,10 @@ pub fn execute_fused(
         // Execute the 2^s secondary subtasks; each works on an LDM-sized
         // slice of the running stem tensor and absorbs whole branches.
         if group.sliced.is_empty() {
-            for (b, branch) in branches.iter().enumerate() {
+            for branch in branches {
                 let spec = ContractionSpec::new(current.indices(), branch.indices());
                 flops += spec.flops();
                 time.permutation += permutation_bytes(&spec) / arch.ldm_bandwidth;
-                let _ = b;
                 current = contract_pair(&current, branch);
             }
         } else {

@@ -36,11 +36,6 @@ impl FusedGroup {
     pub fn is_empty(&self) -> bool {
         self.first_step == self.last_step
     }
-
-    /// Number of secondary subtasks the group generates (`2^|sliced|`).
-    pub fn num_subtasks(&self) -> usize {
-        1usize << self.sliced.len()
-    }
 }
 
 /// A secondary-slicing plan for a whole segment.
@@ -61,7 +56,7 @@ impl SecondaryPlan {
     }
 
     /// Total steps covered by the plan.
-    pub fn total_steps(&self) -> usize {
+    fn total_steps(&self) -> usize {
         self.groups.iter().map(|g| g.len()).sum()
     }
 
@@ -210,7 +205,6 @@ mod tests {
         let (plan, _) = plan_for_segment(5, 10, 8, 13);
         assert_eq!(plan.groups.len(), 1);
         assert!(plan.groups[0].sliced.is_empty());
-        assert_eq!(plan.groups[0].num_subtasks(), 1);
     }
 
     #[test]

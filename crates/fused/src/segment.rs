@@ -41,11 +41,6 @@ impl StemSegment {
         out
     }
 
-    /// Largest rank of the running stem tensor anywhere in the segment.
-    pub fn max_stem_rank(&self) -> usize {
-        self.stem_index_sets().iter().map(|s| s.rank()).max().unwrap_or(0)
-    }
-
     /// Total real flops of the segment when executed as pairwise
     /// contractions.
     pub fn total_flops(&self) -> u64 {
@@ -122,7 +117,6 @@ mod tests {
         let seg = random_segment(1, 10, 5, 2, 2);
         assert_eq!(seg.len(), 5);
         assert_eq!(seg.start.rank(), 10);
-        assert_eq!(seg.max_stem_rank(), 10);
         // Constant rank: absorb == emit.
         for s in seg.stem_index_sets() {
             assert_eq!(s.rank(), 10);

@@ -2,8 +2,8 @@
 //! process-level pipeline does: build the tensor network, search contraction
 //! paths, extract the stem, and slice it with the lifetime-based slice
 //! finder + simulated-annealing refiner. The comparison against the
-//! cotengra-style greedy baseline is `fig10_slicing_vs_greedy` in
-//! `qtn-bench`.
+//! cotengra-style greedy baseline is the `fig10` section of `qtn-bench`'s
+//! `repro` binary.
 //!
 //! Planning is pure graph work — no tensor of rank 30+ is ever materialised —
 //! so this runs on a laptop even though executing the resulting contraction

@@ -7,8 +7,8 @@
 //! paper's lifetime-based finder and simulated-annealing refiner, executed
 //! as a pooled stem-only sweep on the host. The paper's thread-level fused
 //! design and the Sunway SW26010pro machine model (`qtn-fused`,
-//! `qtn-sunway`) are used only by the figure binaries of `qtn-bench` and
-//! are not re-exported here.
+//! `qtn-sunway`) are used only by `qtn-bench`'s `repro` binary and are
+//! not re-exported here.
 //!
 //! ## Quick start: compile once, execute many
 //!

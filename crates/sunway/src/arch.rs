@@ -48,18 +48,6 @@ impl SunwayArch {
         }
     }
 
-    /// CPEs per chip.
-    pub fn cpes_per_chip(&self) -> usize {
-        self.cgs_per_chip * self.cpes_per_cg
-    }
-
-    /// Total cores (CPEs) in the projected full system, one chip per node.
-    pub fn projection_cores(&self) -> usize {
-        // The paper counts management cores too (41,932,800 = 107,520 × 390),
-        // i.e. 6 CGs × (64 CPEs + 1 MPE).
-        self.projection_nodes * self.cgs_per_chip * (self.cpes_per_cg + 1)
-    }
-
     /// The united cross-CG main memory of one chip used to hold large
     /// tensors (the paper unites the 6 CG memories into a 96 GB dump).
     pub fn united_main_memory(&self) -> u64 {
@@ -105,19 +93,11 @@ mod tests {
         let a = SunwayArch::sw26010pro();
         assert_eq!(a.cgs_per_chip, 6);
         assert_eq!(a.cpes_per_cg, 64);
-        assert_eq!(a.cpes_per_chip(), 384);
         assert_eq!(a.ldm_per_cpe, 262_144);
         assert_eq!(a.main_memory_per_cg, 17_179_869_184);
         assert_eq!(a.united_main_memory(), 6 * 17_179_869_184);
         assert!((a.dma_bandwidth - 51.2e9).abs() < 1.0);
         assert!((a.rma_bandwidth - 800e9).abs() < 1.0);
-    }
-
-    #[test]
-    fn projection_core_count_matches_paper() {
-        let a = SunwayArch::sw26010pro();
-        // 107,520 nodes × 390 cores = 41,932,800 cores.
-        assert_eq!(a.projection_cores(), 41_932_800);
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl CostModel {
     ///
     /// Modelled as `g / (g + 512)`: 512-byte transfers reach 50% of peak
     /// (the paper's figure) and scattered 8-byte accesses drop below 2%.
-    pub fn dma_efficiency(&self, granularity_bytes: f64) -> f64 {
+    fn dma_efficiency(&self, granularity_bytes: f64) -> f64 {
         if granularity_bytes <= 0.0 {
             return 1.0; // contiguous
         }
@@ -89,7 +89,7 @@ impl CostModel {
 
     /// Time in seconds to execute a kernel with the given resource usage on
     /// one core group (64 CPEs cooperating).
-    pub fn kernel_time(&self, cost: &KernelCost) -> f64 {
+    fn kernel_time(&self, cost: &KernelCost) -> f64 {
         let compute = cost.flops / (self.arch.peak_flops_per_cg * self.gemm_efficiency);
         let dma =
             cost.dma_bytes / (self.arch.dma_bandwidth * self.dma_efficiency(cost.dma_granularity));

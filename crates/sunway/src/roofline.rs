@@ -39,11 +39,6 @@ impl Roofline {
     pub fn is_compute_bound(&self, arithmetic_intensity: f64) -> bool {
         arithmetic_intensity >= self.ridge_point()
     }
-
-    /// Fraction of peak attainable at a given arithmetic intensity.
-    pub fn efficiency(&self, arithmetic_intensity: f64) -> f64 {
-        self.attainable(arithmetic_intensity) / self.peak_flops
-    }
 }
 
 /// Arithmetic intensity of a kernel given its flop count and the bytes it
@@ -54,16 +49,6 @@ pub fn arithmetic_intensity(flops: f64, bytes: f64) -> f64 {
     } else {
         flops / bytes
     }
-}
-
-/// Arithmetic intensity of a single contraction lowered to a GEMM of shape
-/// `(m, n, k)` with complex elements of `elem_bytes` bytes, when every
-/// operand is read and the result written exactly once (the step-by-step
-/// strategy of previous work).
-pub fn gemm_arithmetic_intensity(m: usize, n: usize, k: usize, elem_bytes: usize) -> f64 {
-    let flops = 8.0 * m as f64 * n as f64 * k as f64;
-    let bytes = elem_bytes as f64 * (m * k + k * n + m * n) as f64;
-    arithmetic_intensity(flops, bytes)
 }
 
 #[cfg(test)]
@@ -85,7 +70,6 @@ mod tests {
         let ai = 2.0;
         assert!((r.attainable(ai) - ai * r.bandwidth).abs() < 1.0);
         assert!(!r.is_compute_bound(ai));
-        assert!(r.efficiency(ai) < 0.1);
     }
 
     #[test]
@@ -93,35 +77,10 @@ mod tests {
         let r = roofline();
         assert_eq!(r.attainable(100.0), r.peak_flops);
         assert!(r.is_compute_bound(100.0));
-        assert_eq!(r.efficiency(1000.0), 1.0);
-    }
-
-    #[test]
-    fn narrow_gemm_is_memory_bound() {
-        // The paper: small k (average ~4) gives AI ≈ k, far below 42.3.
-        let ai = gemm_arithmetic_intensity(1 << 13, 2, 4, 8);
-        assert!(ai < 8.0, "narrow GEMM AI = {ai}");
-        assert!(!roofline().is_compute_bound(ai));
-    }
-
-    #[test]
-    fn square_gemm_is_compute_bound() {
-        let ai = gemm_arithmetic_intensity(512, 512, 512, 8);
-        assert!(ai > 42.3, "square GEMM AI = {ai}");
-        assert!(roofline().is_compute_bound(ai));
     }
 
     #[test]
     fn zero_bytes_is_infinite_intensity() {
         assert!(arithmetic_intensity(100.0, 0.0).is_infinite());
-    }
-
-    #[test]
-    fn step_by_step_single_precision_intensity_matches_paper_order() {
-        // The paper quotes an original AI of 1.22 for single precision; a
-        // typical narrow stem contraction (large m, k = n = 2) lands close
-        // to that order of magnitude.
-        let ai = gemm_arithmetic_intensity(1 << 20, 2, 2, 8);
-        assert!(ai > 0.5 && ai < 4.0, "AI = {ai}");
     }
 }

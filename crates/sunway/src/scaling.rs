@@ -47,7 +47,7 @@ impl ScalingModel {
     }
 
     /// Time of the final allReduce across `nodes` nodes.
-    pub fn allreduce_time(&self, nodes: usize) -> f64 {
+    fn allreduce_time(&self, nodes: usize) -> f64 {
         if nodes <= 1 {
             return 0.0;
         }
@@ -56,20 +56,21 @@ impl ScalingModel {
     }
 
     /// Wall-clock time to run `subtasks` subtasks on `nodes` nodes (strong
-    /// scaling: fixed total work).
-    pub fn strong_time(&self, subtasks: usize, nodes: usize) -> f64 {
-        let per_node = subtasks.div_ceil(nodes);
-        per_node as f64 * self.subtask_time + self.allreduce_time(nodes)
+    /// scaling: fixed total work). The count is an `f64` so a sweep of
+    /// `2^|S|` subtasks needs no integer that could overflow.
+    pub fn strong_time(&self, subtasks: f64, nodes: usize) -> f64 {
+        let per_node = (subtasks / nodes as f64).ceil();
+        per_node * self.subtask_time + self.allreduce_time(nodes)
     }
 
     /// Strong-scaling curve for a fixed subtask count over the given node
     /// counts.
     pub fn strong_scaling(&self, subtasks: usize, node_counts: &[usize]) -> Vec<ScalingPoint> {
-        let t1 = self.strong_time(subtasks, 1);
+        let t1 = self.strong_time(subtasks as f64, 1);
         node_counts
             .iter()
             .map(|&n| {
-                let t = self.strong_time(subtasks, n);
+                let t = self.strong_time(subtasks as f64, n);
                 let speedup = t1 / t;
                 ScalingPoint {
                     nodes: n,
@@ -88,12 +89,12 @@ impl ScalingModel {
         subtasks_per_node: usize,
         node_counts: &[usize],
     ) -> Vec<ScalingPoint> {
-        let t1 = self.strong_time(subtasks_per_node, 1);
+        let t1 = self.strong_time(subtasks_per_node as f64, 1);
         node_counts
             .iter()
             .map(|&n| {
                 let subtasks = subtasks_per_node * n;
-                let t = self.strong_time(subtasks, n);
+                let t = self.strong_time(subtasks as f64, n);
                 // Weak-scaling efficiency: ideal time is constant.
                 let efficiency = t1 / t;
                 ScalingPoint {
@@ -199,6 +200,6 @@ mod tests {
     fn imperfect_division_rounds_up() {
         let m = ScalingModel::new(1.0, 0.0);
         // 10 subtasks on 4 nodes -> 3 per node.
-        assert!((m.strong_time(10, 4) - (3.0 + m.allreduce_time(4))).abs() < 1e-12);
+        assert!((m.strong_time(10.0, 4) - (3.0 + m.allreduce_time(4))).abs() < 1e-12);
     }
 }

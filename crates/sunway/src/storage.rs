@@ -34,11 +34,6 @@ impl MemoryHierarchy {
         Self { arch }
     }
 
-    /// The architecture parameters.
-    pub fn arch(&self) -> &SunwayArch {
-        &self.arch
-    }
-
     /// Capacity of a level in bytes (per chip for disk/main memory, per CPE
     /// for LDM). Disk is modelled as effectively unbounded.
     pub fn capacity(&self, level: StorageLevel) -> u64 {
@@ -62,29 +57,11 @@ impl MemoryHierarchy {
     /// Bandwidth (bytes/s) of the channel that feeds a level from the level
     /// below it: IO for main memory from disk, DMA for LDM from main memory.
     /// For the disk itself this returns the IO bandwidth.
-    pub fn fill_bandwidth(&self, level: StorageLevel) -> f64 {
+    fn fill_bandwidth(&self, level: StorageLevel) -> f64 {
         match level {
             StorageLevel::Disk | StorageLevel::MainMemory => self.arch.io_bandwidth,
             StorageLevel::Ldm => self.arch.dma_bandwidth,
         }
-    }
-
-    /// The §3.3 discriminant: for a kernel with the given redundant
-    /// computation (`overhead_flops`, the extra flops slicing would cause)
-    /// versus the data movement stacking would cause (`stack_bytes`), decide
-    /// whether slicing or stacking is cheaper across the boundary that fills
-    /// `level`.
-    ///
-    /// Returns `true` when slicing (recomputation) is the better choice.
-    pub fn prefer_slicing(
-        &self,
-        level: StorageLevel,
-        overhead_flops: f64,
-        stack_bytes: f64,
-    ) -> bool {
-        let recompute_time = overhead_flops / self.arch.peak_flops_per_cg;
-        let move_time = stack_bytes / self.fill_bandwidth(level);
-        recompute_time <= move_time
     }
 
     /// Equal-overhead line of Fig. 7: the overhead ratio at which slicing and
@@ -121,26 +98,6 @@ mod tests {
         assert_eq!(h.max_rank(StorageLevel::Ldm), 13);
         assert!(h.max_rank(StorageLevel::MainMemory) >= 30);
         assert_eq!(h.max_rank(StorageLevel::Disk), 53);
-    }
-
-    #[test]
-    fn slicing_preferred_across_slow_io() {
-        // Process level: IO is slow, so even a 2x recompute overhead beats
-        // moving a rank-30 tensor through the disk.
-        let h = MemoryHierarchy::default();
-        let tensor_bytes = (1u64 << 30) as f64 * 8.0; // rank-30 complex64
-        let original_flops = 1e12;
-        assert!(h.prefer_slicing(StorageLevel::MainMemory, original_flops, tensor_bytes));
-    }
-
-    #[test]
-    fn stacking_preferred_across_fast_dma_with_high_overhead() {
-        // Thread level: DMA is fast; a 100x recompute overhead on a small
-        // kernel loses to simply moving the data.
-        let h = MemoryHierarchy::default();
-        let tensor_bytes = 64.0 * 1024.0;
-        let overhead_flops = 100.0 * 42.3 * tensor_bytes; // far beyond break-even
-        assert!(!h.prefer_slicing(StorageLevel::Ldm, overhead_flops, tensor_bytes));
     }
 
     #[test]

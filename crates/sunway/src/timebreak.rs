@@ -30,16 +30,6 @@ impl TimeBreakdown {
         self.memory_access + self.rma + self.permutation + self.gemm + self.preprocessing
     }
 
-    /// Fraction of the total spent moving data (DMA + RMA).
-    pub fn memory_fraction(&self) -> f64 {
-        let t = self.total();
-        if t <= 0.0 {
-            0.0
-        } else {
-            (self.memory_access + self.rma) / t
-        }
-    }
-
     /// Scale every phase by a constant (used when projecting one measured
     /// subtask to a full sweep).
     pub fn scaled(&self, factor: f64) -> TimeBreakdown {
@@ -86,13 +76,6 @@ mod tests {
             preprocessing: 0.25,
         };
         assert!((t.total() - 6.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn memory_fraction() {
-        let t = TimeBreakdown { memory_access: 2.0, rma: 1.0, gemm: 7.0, ..Default::default() };
-        assert!((t.memory_fraction() - 0.3).abs() < 1e-12);
-        assert_eq!(TimeBreakdown::default().memory_fraction(), 0.0);
     }
 
     #[test]

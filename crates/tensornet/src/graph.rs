@@ -46,7 +46,7 @@ impl TensorNetwork {
     /// Build from a circuit conversion result (structure only; the tensor
     /// data stays with the caller).
     pub fn from_build(build: &NetworkBuild) -> Self {
-        let sets: Vec<IndexSet> = build.nodes.iter().map(|n| n.indices.clone()).collect();
+        let sets: Vec<IndexSet> = build.nodes.iter().map(|n| n.data.indices().clone()).collect();
         Self::new(&sets)
     }
 
