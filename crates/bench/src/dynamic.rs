@@ -25,15 +25,12 @@ pub struct DynamicResult {
     pub plan: SlicingPlan,
     /// The stem after local re-tuning.
     pub stem: Stem,
-    /// Number of adjacent swaps applied during tuning.
-    pub swaps: usize,
 }
 
 /// Run the dynamic slicer.
 pub fn dynamic_slicer(stem: &Stem, target_rank: usize) -> DynamicResult {
     let mut stem = stem.clone();
     let mut sliced: Vec<IndexId> = Vec::new();
-    let mut swaps = 0;
 
     while sliced_max_rank(&stem, &sliced) > target_rank {
         // Greedy pick: the candidate edge minimising the sliced cost.
@@ -67,19 +64,18 @@ pub fn dynamic_slicer(stem: &Stem, target_rank: usize) -> DynamicResult {
 
         // Local tuning: one pass of adjacent absorption swaps that lower the
         // sliced cost.
-        swaps += local_tune(&mut stem, &sliced);
+        local_tune(&mut stem, &sliced);
     }
 
-    DynamicResult { plan: SlicingPlan::new(sliced, target_rank), stem, swaps }
+    DynamicResult { plan: SlicingPlan::new(sliced, target_rank), stem }
 }
 
 /// Try swapping each pair of adjacent stem steps; keep a swap if it lowers
-/// the sliced cost. Returns the number of swaps applied.
-fn local_tune(stem: &mut Stem, sliced: &[IndexId]) -> usize {
-    let mut applied = 0;
+/// the sliced cost.
+fn local_tune(stem: &mut Stem, sliced: &[IndexId]) {
     let n = stem.steps.len();
     if n < 2 {
-        return 0;
+        return;
     }
     for i in 0..n - 1 {
         let before = sliced_log_cost(stem, sliced);
@@ -87,10 +83,8 @@ fn local_tune(stem: &mut Stem, sliced: &[IndexId]) -> usize {
         let after = sliced_log_cost(&candidate, sliced);
         if after + 1e-12 < before {
             *stem = candidate;
-            applied += 1;
         }
     }
-    applied
 }
 
 /// Produce a copy of the stem with steps `i` and `i+1` swapped (the branches

@@ -16,10 +16,9 @@
 //! The accounted time breakdown (memory access / permutation / GEMM) is what
 //! the Fig. 12 benchmark prints.
 
-use crate::secondary::{plan_secondary_slicing, SecondaryPlan};
-use crate::segment::StemSegment;
-use qtn_sunway::roofline::arithmetic_intensity;
-use qtn_sunway::{CostModel, TimeBreakdown};
+use super::secondary::{plan_secondary_slicing, SecondaryPlan};
+use super::segment::StemSegment;
+use crate::sunway::{arithmetic_intensity, SunwayArch, TimeBreakdown};
 use qtn_tensor::{contract_pair, Complex64, ContractionSpec, DenseTensor, IndexId, IndexSet};
 
 /// Size of one amplitude in bytes (single-precision complex, as used for the
@@ -33,16 +32,8 @@ pub struct ExecutionReport {
     pub time: TimeBreakdown,
     /// Real floating point operations performed.
     pub flops: u64,
-    /// Bytes moved between main memory and LDM (DMA).
-    pub dma_bytes: f64,
-    /// Bytes exchanged between CPEs (RMA).
-    pub rma_bytes: f64,
-    /// Number of DMA round trips of the running stem tensor.
-    pub stem_roundtrips: usize,
     /// Arithmetic intensity against main-memory traffic.
     pub arithmetic_intensity: f64,
-    /// Sustained fraction of the core group's peak under the model.
-    pub efficiency: f64,
 }
 
 fn tensor_bytes(t: &DenseTensor<Complex64>) -> f64 {
@@ -50,26 +41,16 @@ fn tensor_bytes(t: &DenseTensor<Complex64>) -> f64 {
 }
 
 fn finish_report(
-    model: &CostModel,
+    arch: &SunwayArch,
     mut time: TimeBreakdown,
     flops: u64,
     dma_bytes: f64,
-    rma_bytes: f64,
-    stem_roundtrips: usize,
 ) -> ExecutionReport {
-    let arch = model.arch();
-    time.gemm = flops as f64 / (arch.peak_flops_per_cg * model.gemm_efficiency);
-    let total = time.total();
-    let efficiency =
-        if total > 0.0 { (flops as f64 / total) / arch.peak_flops_per_cg } else { 0.0 };
+    time.gemm = flops as f64 / (arch.peak_flops_per_cg * arch.gemm_efficiency);
     ExecutionReport {
         time,
         flops,
-        dma_bytes,
-        rma_bytes,
-        stem_roundtrips,
         arithmetic_intensity: arithmetic_intensity(flops as f64, dma_bytes),
-        efficiency,
     }
 }
 
@@ -84,9 +65,8 @@ fn permutation_bytes(spec: &ContractionSpec) -> f64 {
 /// stem tensor (and reads the branch) through DMA.
 pub fn execute_step_by_step(
     segment: &StemSegment,
-    model: &CostModel,
+    arch: &SunwayArch,
 ) -> (DenseTensor<Complex64>, ExecutionReport) {
-    let arch = model.arch();
     let mut time = TimeBreakdown::default();
     let mut flops = 0u64;
     let mut dma_bytes = 0.0;
@@ -105,7 +85,7 @@ pub fn execute_step_by_step(
         flops += spec.flops();
         current = result;
     }
-    let report = finish_report(model, time, flops, dma_bytes, 0.0, segment.len().max(1));
+    let report = finish_report(arch, time, flops, dma_bytes);
     (current, report)
 }
 
@@ -117,10 +97,9 @@ pub fn execute_step_by_step(
 /// [`execute_step_by_step`]'s.
 pub fn execute_fused(
     segment: &StemSegment,
-    model: &CostModel,
+    arch: &SunwayArch,
     ldm_rank: usize,
 ) -> (DenseTensor<Complex64>, ExecutionReport, SecondaryPlan) {
-    let arch = model.arch();
     let stem_sets = segment.stem_index_sets();
     let branch_sets: Vec<IndexSet> = segment.branches.iter().map(|b| b.indices().clone()).collect();
     let plan = plan_secondary_slicing(&stem_sets, &branch_sets, ldm_rank);
@@ -128,7 +107,6 @@ pub fn execute_fused(
     let mut time = TimeBreakdown::default();
     let mut flops = 0u64;
     let mut dma_bytes = 0.0;
-    let mut rma_bytes = 0.0;
 
     let mut current = segment.start.clone();
     for group in &plan.groups {
@@ -150,7 +128,6 @@ pub fn execute_fused(
         let group_dma = stem_in + branch_in + stem_out;
         dma_bytes += group_dma;
         time.memory_access += group_dma / arch.dma_bandwidth;
-        rma_bytes += stem_in + stem_out;
         time.rma += (stem_in + stem_out) / arch.rma_bandwidth;
 
         // Execute the 2^s secondary subtasks; each works on an LDM-sized
@@ -185,7 +162,7 @@ pub fn execute_fused(
         }
     }
 
-    let report = finish_report(model, time, flops, dma_bytes, rma_bytes, plan.stem_roundtrips());
+    let report = finish_report(arch, time, flops, dma_bytes);
     (current, report, plan)
 }
 
@@ -198,8 +175,6 @@ fn stack_subtask(
     sliced: &[IndexId],
     assignment: usize,
 ) {
-    // Reconstruct one level at a time: stack into successively larger
-    // tensors. Simpler: compute the destination offsets directly.
     let out_indices = output.indices().clone();
     let out_rank = out_indices.rank();
     // Positions (axis, bit) of the sliced indices in the output.
@@ -235,8 +210,12 @@ fn stack_subtask(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::random_segment;
+    use crate::fused::segment::random_segment;
     use qtn_tensor::permute::permute_to_order;
+
+    fn arch() -> SunwayArch {
+        SunwayArch::sw26010pro()
+    }
 
     fn assert_tensors_close(a: &DenseTensor<Complex64>, b: &DenseTensor<Complex64>) {
         let b = permute_to_order(b, a.indices());
@@ -256,31 +235,30 @@ mod tests {
     #[test]
     fn step_by_step_matches_reference() {
         let seg = random_segment(11, 10, 6, 2, 2);
-        let model = CostModel::default();
-        let (result, report) = execute_step_by_step(&seg, &model);
+        let (result, report) = execute_step_by_step(&seg, &arch());
         assert_tensors_close(&reference_result(&seg), &result);
-        assert_eq!(report.flops, seg.total_flops());
-        assert!(report.dma_bytes > 0.0);
+        let (_, fused, _) = execute_fused(&seg, &arch(), 13);
+        assert!(report.flops > 0);
+        assert_eq!(report.flops, fused.flops);
+        assert!(report.arithmetic_intensity.is_finite());
     }
 
     #[test]
     fn fused_matches_step_by_step_when_slicing_needed() {
         // Stem rank 16 with LDM rank 13 forces secondary slicing.
         let seg = random_segment(12, 16, 8, 2, 2);
-        let model = CostModel::default();
-        let (a, _) = execute_step_by_step(&seg, &model);
-        let (b, report, plan) = execute_fused(&seg, &model, 13);
+        let (a, step) = execute_step_by_step(&seg, &arch());
+        let (b, report, plan) = execute_fused(&seg, &arch(), 13);
         assert_tensors_close(&a, &b);
         assert!(plan.groups.iter().any(|g| !g.sliced.is_empty()));
-        assert_eq!(report.flops, seg.total_flops());
+        assert_eq!(report.flops, step.flops);
     }
 
     #[test]
     fn fused_matches_when_everything_fits_ldm() {
         let seg = random_segment(13, 9, 5, 2, 2);
-        let model = CostModel::default();
-        let (a, _) = execute_step_by_step(&seg, &model);
-        let (b, _, plan) = execute_fused(&seg, &model, 13);
+        let (a, _) = execute_step_by_step(&seg, &arch());
+        let (b, _, plan) = execute_fused(&seg, &arch(), 13);
         assert_tensors_close(&a, &b);
         assert_eq!(plan.groups.len(), 1);
     }
@@ -288,17 +266,16 @@ mod tests {
     #[test]
     fn fused_reduces_memory_traffic() {
         let seg = random_segment(14, 14, 10, 2, 2);
-        let model = CostModel::default();
-        let (_, step) = execute_step_by_step(&seg, &model);
-        let (_, fused, _) = execute_fused(&seg, &model, 13);
+        let (_, step) = execute_step_by_step(&seg, &arch());
+        let (_, fused, plan) = execute_fused(&seg, &arch(), 13);
         assert!(
-            fused.dma_bytes < step.dma_bytes,
-            "fused {} vs step {} DMA bytes",
-            fused.dma_bytes,
-            step.dma_bytes
+            fused.time.memory_access < step.time.memory_access,
+            "fused {} vs step {} s of memory access",
+            fused.time.memory_access,
+            step.time.memory_access
         );
-        assert!(fused.stem_roundtrips < step.stem_roundtrips);
-        assert!(fused.time.memory_access < step.time.memory_access);
+        // One stem round trip per fused group instead of one per step.
+        assert!(plan.groups.len() < seg.branches.len());
         // GEMM work is identical.
         assert_eq!(fused.flops, step.flops);
     }
@@ -306,25 +283,24 @@ mod tests {
     #[test]
     fn fused_raises_arithmetic_intensity() {
         let seg = random_segment(15, 14, 10, 2, 2);
-        let model = CostModel::default();
-        let (_, step) = execute_step_by_step(&seg, &model);
-        let (_, fused, _) = execute_fused(&seg, &model, 13);
+        let (_, step) = execute_step_by_step(&seg, &arch());
+        let (_, fused, _) = execute_fused(&seg, &arch(), 13);
         assert!(
             fused.arithmetic_intensity > step.arithmetic_intensity,
             "AI did not improve: {} vs {}",
             fused.arithmetic_intensity,
             step.arithmetic_intensity
         );
-        assert!(fused.efficiency >= step.efficiency);
+        // Same flops in less time: fused sustains a larger share of peak.
+        assert!(fused.time.total() <= step.time.total());
     }
 
     #[test]
     fn growing_and_shrinking_segments_are_handled() {
-        let model = CostModel::default();
         for (seed, absorb, emit) in [(16u64, 1usize, 2usize), (17, 2, 1), (18, 3, 2)] {
             let seg = random_segment(seed, 12, 6, absorb, emit);
-            let (a, _) = execute_step_by_step(&seg, &model);
-            let (b, _, _) = execute_fused(&seg, &model, 13);
+            let (a, _) = execute_step_by_step(&seg, &arch());
+            let (b, _, _) = execute_fused(&seg, &arch(), 13);
             assert_tensors_close(&a, &b);
         }
     }
@@ -332,12 +308,12 @@ mod tests {
     #[test]
     fn report_time_components_are_positive() {
         let seg = random_segment(19, 12, 6, 2, 2);
-        let model = CostModel::default();
-        let (_, report) = execute_step_by_step(&seg, &model);
+        let (_, report) = execute_step_by_step(&seg, &arch());
         assert!(report.time.memory_access > 0.0);
         assert!(report.time.permutation > 0.0);
         assert!(report.time.gemm > 0.0);
         assert!(report.time.total() > 0.0);
-        assert!(report.efficiency > 0.0 && report.efficiency <= 1.0);
+        let achieved = report.flops as f64 / report.time.total();
+        assert!(achieved > 0.0 && achieved <= arch().peak_flops_per_cg);
     }
 }

@@ -10,16 +10,13 @@
 //! the start, one DMA-put at the end, `n − 1` round trips saved, and no
 //! slicing overhead at all because the DMA-put doubles as the stacking step.
 //!
-//! The crate provides the secondary-slicing planner, a numeric fused executor
-//! and the step-by-step baseline (both produce bit-identical tensors, only
-//! their accounted time differs).
+//! The module provides the secondary-slicing planner, a numeric fused
+//! executor and the step-by-step baseline (both produce bit-identical
+//! tensors, only their accounted time differs).
 
-#![warn(missing_docs)]
+mod exec;
+mod secondary;
+mod segment;
 
-pub mod exec;
-pub mod secondary;
-pub mod segment;
-
-pub use exec::{execute_fused, execute_step_by_step, ExecutionReport};
-pub use secondary::{plan_secondary_slicing, FusedGroup, SecondaryPlan};
-pub use segment::{random_segment, StemSegment};
+pub use exec::{execute_fused, execute_step_by_step};
+pub use segment::random_segment;

@@ -21,20 +21,12 @@ pub struct FusedGroup {
     /// Secondary sliced indices: distributed across CPEs / iterated in the
     /// outer loop; never contracted within the group.
     pub sliced: Vec<IndexId>,
-    /// The largest rank of the LDM-resident working tensor inside the group
-    /// (running stem tensor minus the sliced indices).
-    pub max_kept_rank: usize,
 }
 
 impl FusedGroup {
     /// Number of contraction steps fused into this group.
     pub fn len(&self) -> usize {
         self.last_step - self.first_step
-    }
-
-    /// True if the group contains no steps.
-    pub fn is_empty(&self) -> bool {
-        self.first_step == self.last_step
     }
 }
 
@@ -43,18 +35,9 @@ impl FusedGroup {
 pub struct SecondaryPlan {
     /// The fused groups in execution order; they tile the segment.
     pub groups: Vec<FusedGroup>,
-    /// LDM rank bound the plan was computed for.
-    pub ldm_rank: usize,
 }
 
 impl SecondaryPlan {
-    /// Number of DMA round trips of the running stem tensor this plan needs
-    /// (one get + one put per group) — versus one per *step* for the
-    /// step-by-step baseline.
-    pub fn stem_roundtrips(&self) -> usize {
-        self.groups.len()
-    }
-
     /// Total steps covered by the plan.
     fn total_steps(&self) -> usize {
         self.groups.iter().map(|g| g.len()).sum()
@@ -108,7 +91,6 @@ pub fn plan_secondary_slicing(
         // kept rank of every stem tensor and the involved branches fit the
         // LDM.
         let mut end = pos;
-        let mut max_kept = current.rank() - sliced.len();
         while end < steps {
             // Lifetime bound: stem tensor at position end+1 must still
             // contain every sliced index (otherwise one was just contracted).
@@ -120,32 +102,24 @@ pub fn plan_secondary_slicing(
             if kept_next > ldm_rank || branch_rank > ldm_rank {
                 break;
             }
-            max_kept = max_kept.max(kept_next);
             end += 1;
         }
         // Always make progress: a group of at least one step (the paper's
         // fallback is the step-by-step treatment of that single step).
         if end == pos {
             end = pos + 1;
-            let kept = stem_sets[pos + 1].iter().filter(|e| !sliced.contains(e)).count();
-            max_kept = max_kept.max(kept);
         }
-        groups.push(FusedGroup {
-            first_step: pos,
-            last_step: end,
-            sliced,
-            max_kept_rank: max_kept,
-        });
+        groups.push(FusedGroup { first_step: pos, last_step: end, sliced });
         pos = end;
     }
 
-    SecondaryPlan { groups, ldm_rank }
+    SecondaryPlan { groups }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::random_segment;
+    use crate::fused::segment::random_segment;
 
     fn plan_for_segment(
         seed: u64,
@@ -166,7 +140,7 @@ mod tests {
         let mut expected_start = 0;
         for g in &plan.groups {
             assert_eq!(g.first_step, expected_start);
-            assert!(!g.is_empty());
+            assert!(g.first_step < g.last_step);
             expected_start = g.last_step;
         }
         assert_eq!(expected_start, 12);
@@ -174,9 +148,16 @@ mod tests {
 
     #[test]
     fn kept_rank_fits_ldm() {
-        let (plan, _) = plan_for_segment(2, 18, 10, 13);
+        let (plan, stem_sets) = plan_for_segment(2, 18, 10, 13);
         for g in &plan.groups {
-            assert!(g.max_kept_rank <= 13, "group {:?} exceeds the LDM rank bound", g);
+            // The LDM-resident working tensor: the running stem tensor minus
+            // the group's sliced indices, at every step of the group.
+            let kept_rank = stem_sets[g.first_step..=g.last_step]
+                .iter()
+                .map(|s| s.iter().filter(|e| !g.sliced.contains(e)).count())
+                .max()
+                .expect("a group spans at least one step");
+            assert!(kept_rank <= 13, "group {g:?} keeps rank {kept_rank} in the LDM");
         }
     }
 
@@ -195,7 +176,7 @@ mod tests {
     #[test]
     fn fused_groups_save_roundtrips() {
         let (plan, _) = plan_for_segment(4, 16, 12, 13);
-        assert!(plan.stem_roundtrips() < 12, "no fusion happened at all");
+        assert!(plan.groups.len() < 12, "no fusion happened at all");
         assert!(plan.mean_fused_steps() > 1.0);
     }
 

@@ -30,22 +30,38 @@
 //! rounded to the precision the figure's table prints (overheads to 3
 //! decimals, log2 costs to 2), and every table prints one row per line, so
 //! a diff against the checked-in file names the row that moved.
+//!
+//! The machine model and the baselines live here as private modules, since
+//! nothing else runs them:
+//!
+//! * `sunway` — the SW26010pro machine model (Figs. 7, 11–13, headline);
+//! * `fused` — secondary slicing and the fused and step-by-step
+//!   thread-level executors (Figs. 12, 13);
+//! * `greedy` — the cotengra-style greedy slicer of Fig. 10, with the
+//!   whole-tree sliced costs it is priced by;
+//! * `dynamic` — an Alibaba-style dynamic slicer that re-tunes the stem
+//!   order between slice picks (the related work of §2.1.2).
 
-use qtn_bench::{dynamic_slicer, greedy_slicer, plan_sycamore, slicing_overhead_tree};
-use qtn_circuit::{circuit_to_network, OutputSpec, RqcConfig};
-use qtn_fused::{execute_fused, execute_step_by_step, random_segment};
+mod dynamic;
+mod fused;
+mod greedy;
+mod sunway;
+
+use dynamic::dynamic_slicer;
+use fused::{execute_fused, execute_step_by_step, random_segment};
+use greedy::{greedy_slicer, slicing_overhead_tree};
+use qtn_circuit::{circuit_to_network, Circuit, OutputSpec, RqcConfig};
 use qtn_slicing::{
     lifetime_slice_finder, refine_slicing, sliced_log_cost, sliced_max_rank, slicing_overhead,
     RefinerConfig,
 };
-use qtn_sunway::scaling::{project_full_system, ScalingModel};
-use qtn_sunway::{CostModel, MemoryHierarchy, Roofline, StorageLevel, SunwayArch};
 use qtn_tensornet::{
-    extract_stem, random_greedy_paths, simplify_network, ContractionTree, TensorNetwork,
+    extract_stem, random_greedy_paths, simplify_network, ContractionTree, Stem, TensorNetwork,
 };
 use qtnsim_core::json::JsonObject;
 use qtnsim_core::{plan_simulation, PlannerConfig};
 use std::collections::HashSet;
+use sunway::{project_full_system, Roofline, ScalingModel, SunwayArch};
 
 /// Node counts of the Fig. 11 scaling curves.
 const NODE_COUNTS: [usize; 11] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
@@ -112,8 +128,7 @@ fn section(inputs: JsonObject, summary: String, tables: Vec<(&str, Vec<String>)>
 /// edges) while the cheap ends absorb the doubling.
 fn fig06() -> String {
     let (cycles, target, seed, candidates) = (20, 30, 1, 4);
-    let planned = plan_sycamore(cycles, seed, candidates);
-    let stem = &planned.stem;
+    let (_, stem) = &plan_sycamore(cycles, seed, candidates);
     let plan = lifetime_slice_finder(stem, target);
     let sliced: HashSet<_> = plan.sliced.iter().copied().collect();
 
@@ -159,12 +174,11 @@ fn fig07() -> String {
     // Bytes moved per flop of original work for a balanced contraction
     // kernel of the narrow kind the stem is made of (AI ~ 2).
     let bytes_per_flop = 0.5;
-    let hierarchy = MemoryHierarchy::default();
-    let ldm_rank = hierarchy.max_rank(StorageLevel::Ldm);
-    let mem_rank = hierarchy.max_rank(StorageLevel::MainMemory);
+    let arch = SunwayArch::sw26010pro();
+    let ldm_rank = arch.max_ldm_rank();
+    let mem_rank = arch.max_main_memory_rank();
 
-    let planned = plan_sycamore(cycles, seed, 4);
-    let (stem, tree) = (&planned.stem, &planned.tree);
+    let (tree, stem) = &plan_sycamore(cycles, seed, 4);
     let full_rank = stem.max_rank();
     let rows = (min_target..=max_target.min(full_rank))
         .rev()
@@ -207,11 +221,11 @@ fn fig07() -> String {
         .field_raw("log2_cost", &fixed(tree.total_log_cost(), 2))
         .field_raw(
             "breakeven_overhead_io",
-            &fixed(hierarchy.breakeven_overhead(StorageLevel::MainMemory, bytes_per_flop), 1),
+            &fixed(arch.breakeven_overhead(arch.io_bandwidth, bytes_per_flop), 1),
         )
         .field_raw(
             "breakeven_overhead_dma",
-            &fixed(hierarchy.breakeven_overhead(StorageLevel::Ldm, bytes_per_flop), 1),
+            &fixed(arch.breakeven_overhead(arch.dma_bandwidth, bytes_per_flop), 1),
         );
     section(inputs, summary.finish(), vec![("rows", rows)])
 }
@@ -418,15 +432,14 @@ fn fig11(headline: &Headline) -> String {
 fn fig12() -> String {
     let (steps, seed) = (10, 5);
     let arch = SunwayArch::sw26010pro();
-    let model = CostModel::new(arch.clone());
     let ldm_rank = arch.max_ldm_rank();
 
     let mut rows = Vec::new();
     let mut fused_steps = Vec::new();
     for start_rank in [12usize, 13, 14, 15, 16] {
         let segment = random_segment(seed + start_rank as u64, start_rank, steps, 2, 2);
-        let (a, step) = execute_step_by_step(&segment, &model);
-        let (b, fused, plan) = execute_fused(&segment, &model, ldm_rank);
+        let (a, step) = execute_step_by_step(&segment, &arch);
+        let (b, fused, plan) = execute_fused(&segment, &arch, ldm_rank);
 
         // The fused design reorganises the computation; it must not change it.
         let b = qtn_tensor::permute::permute_to_order(&b, a.indices());
@@ -478,7 +491,6 @@ fn fig12() -> String {
 fn fig13() -> String {
     let (steps, seed) = (10, 1000);
     let arch = SunwayArch::sw26010pro();
-    let model = CostModel::new(arch.clone());
     let roofline = Roofline::for_cg(&arch);
     let ldm_rank = arch.max_ldm_rank();
 
@@ -494,8 +506,8 @@ fn fig13() -> String {
     let mut rows = Vec::new();
     for start_rank in [12usize, 13, 14, 15, 16] {
         let segment = random_segment(seed + start_rank as u64, start_rank, steps, 2, 2);
-        let (_, step) = execute_step_by_step(&segment, &model);
-        let (_, fused, _) = execute_fused(&segment, &model, ldm_rank);
+        let (_, step) = execute_step_by_step(&segment, &arch);
+        let (_, fused, _) = execute_fused(&segment, &arch, ldm_rank);
         for (name, report) in [("step-by-step", &step), ("fused", &fused)] {
             let ai = report.arithmetic_intensity;
             let achieved = report.flops as f64 / report.time.total();
@@ -540,8 +552,7 @@ fn ablation() -> String {
     let mut sizes = [0usize; 4];
     let mut overheads = [0.0f64; 4];
     for i in 0..instances {
-        let planned = plan_sycamore(cycles, first_seed + i as u64, 2);
-        let (stem, tree) = (&planned.stem, &planned.tree);
+        let (tree, stem) = &plan_sycamore(cycles, first_seed + i as u64, 2);
         let target = sliced_max_rank(stem, &[]).saturating_sub(delta).max(8);
 
         let greedy = greedy_slicer(tree, target);
@@ -585,4 +596,47 @@ fn ablation() -> String {
         .field_u64("first_seed", first_seed)
         .field_usize("path_candidates", 2);
     section(inputs, table(means), vec![("rows", rows)])
+}
+
+/// Build and plan a Sycamore-style network with `cycles` cycles on the full
+/// 53-qubit layout: the contraction tree the path search selects, and its
+/// stem. Planning is structural only, so this is fast even for m = 20.
+fn plan_sycamore(cycles: usize, seed: u64, path_candidates: usize) -> (ContractionTree, Stem) {
+    plan_circuit(&RqcConfig::sycamore(cycles, seed).build(), seed, path_candidates)
+}
+
+fn plan_circuit(circuit: &Circuit, seed: u64, path_candidates: usize) -> (ContractionTree, Stem) {
+    let n = circuit.num_qubits();
+    let build = circuit_to_network(circuit, &OutputSpec::Amplitude(vec![0; n]));
+    let network = TensorNetwork::from_build(&build);
+    let mut work = network.clone();
+    let mut pairs = simplify_network(&mut work);
+    let candidates = random_greedy_paths(&work, path_candidates.max(1), seed);
+    let (_, best) = candidates.into_iter().next().expect("no contraction path found");
+    pairs.extend(best);
+    let tree = ContractionTree::from_pairs(&network, &pairs);
+    let stem = extract_stem(&tree);
+    (tree, stem)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn plan_grid_produces_consistent_structures() {
+        let (tree, stem) = plan_circuit(&RqcConfig::small(3, 3, 8, 1).build(), 1, 4);
+        assert_eq!(tree.node(tree.root()).rank(), 0);
+        assert!(!stem.is_empty());
+        // At least one leaf tensor per qubit of the 3x3 circuit.
+        assert!(tree.num_leaves() > 9);
+    }
+
+    #[test]
+    fn plan_sycamore_is_structurally_sound() {
+        let (tree, stem) = plan_sycamore(10, 3, 2);
+        assert!(tree.num_leaves() > 53);
+        assert!(tree.total_log_cost() > 15.0);
+        assert!(stem.max_rank() >= 10);
+    }
 }

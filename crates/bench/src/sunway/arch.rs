@@ -1,4 +1,13 @@
-//! SW26010pro architectural parameters.
+//! SW26010pro architectural parameters and the slicing-vs-stacking
+//! discriminant (§3.3).
+//!
+//! Slicing works between every two adjacent manually-controllable levels of a
+//! multi-level storage system. On Sunway the levels are the hard disk, the
+//! main memory and the LDM. Whether to *slice* (recompute, no data movement)
+//! or to *stack* (move data, no recomputation) across a boundary depends on
+//! the bandwidth of the boundary relative to the cost of the redundant
+//! computation: low bandwidth and low overhead favour slicing, high bandwidth
+//! and high overhead favour stacking.
 
 /// Parameters of one Sunway SW26010pro processor and the surrounding system,
 /// as described in §2.2 of the paper.
@@ -6,8 +15,6 @@
 pub struct SunwayArch {
     /// Core groups per processor chip.
     pub cgs_per_chip: usize,
-    /// Compute processing elements per core group (8×8 grid).
-    pub cpes_per_cg: usize,
     /// Main memory per core group, in bytes (16 GB).
     pub main_memory_per_cg: u64,
     /// Local data memory per CPE, in bytes (256 KB).
@@ -24,6 +31,9 @@ pub struct SunwayArch {
     /// that the roofline ridge point is the paper's 42.3 flops/byte against
     /// the DMA bandwidth.
     pub peak_flops_per_cg: f64,
+    /// Fraction of peak flops the GEMM micro-kernel sustains on square-ish
+    /// shapes (the paper's baseline achieves >70%).
+    pub gemm_efficiency: f64,
     /// Number of nodes in the full-system projection (the paper projects to
     /// 107,520 nodes / 41,932,800 cores).
     pub projection_nodes: usize,
@@ -35,7 +45,6 @@ impl SunwayArch {
         let dma_bandwidth = 51.2e9;
         Self {
             cgs_per_chip: 6,
-            cpes_per_cg: 64,
             main_memory_per_cg: 16 * (1 << 30),
             ldm_per_cpe: 256 * 1024,
             dma_bandwidth,
@@ -44,6 +53,7 @@ impl SunwayArch {
             io_bandwidth: 2.0e9,
             // Ridge point of 42.3 flops/byte (paper §6.2) against DMA.
             peak_flops_per_cg: 42.3 * dma_bandwidth,
+            gemm_efficiency: 0.7,
             projection_nodes: 107_520,
         }
     }
@@ -59,9 +69,10 @@ impl SunwayArch {
     /// elements = 2^15; the paper reserves part of the LDM for buffers and
     /// quotes rank 13.
     pub fn max_ldm_rank(&self) -> usize {
-        let elements = self.ldm_per_cpe / 8; // complex<f32> = 8 bytes
-                                             // Reserve three quarters of the LDM for double buffers, maps and the
-                                             // output tile, as the fused kernel does, leaving 2^13 elements.
+        // complex<f32> is 8 bytes. Three quarters of the LDM are reserved
+        // for double buffers, maps and the output tile, as the fused kernel
+        // does, leaving 2^13 elements.
+        let elements = self.ldm_per_cpe / 8;
         ((elements / 4) as f64).log2().floor() as usize
     }
 
@@ -76,11 +87,16 @@ impl SunwayArch {
     pub fn peak_flops_per_node(&self) -> f64 {
         self.peak_flops_per_cg * self.cgs_per_chip as f64
     }
-}
 
-impl Default for SunwayArch {
-    fn default() -> Self {
-        Self::sw26010pro()
+    /// Equal-overhead line of Fig. 7: the overhead ratio at which slicing and
+    /// stacking break even across a storage boundary whose fill channel has
+    /// `fill_bandwidth` bytes/s (IO into main memory, DMA into the LDM), for
+    /// a subtask moving `bytes_per_flop` bytes per unit of original work.
+    pub fn breakeven_overhead(&self, fill_bandwidth: f64, bytes_per_flop: f64) -> f64 {
+        // Slicing multiplies compute time by `overhead`; stacking adds
+        // bytes/bandwidth. They break even when
+        //   (overhead - 1) / peak_flops = bytes_per_flop / bandwidth.
+        1.0 + bytes_per_flop * self.peak_flops_per_cg / fill_bandwidth
     }
 }
 
@@ -92,7 +108,6 @@ mod tests {
     fn published_parameters() {
         let a = SunwayArch::sw26010pro();
         assert_eq!(a.cgs_per_chip, 6);
-        assert_eq!(a.cpes_per_cg, 64);
         assert_eq!(a.ldm_per_cpe, 262_144);
         assert_eq!(a.main_memory_per_cg, 17_179_869_184);
         assert_eq!(a.united_main_memory(), 6 * 17_179_869_184);
@@ -127,5 +142,15 @@ mod tests {
         assert!(a.io_bandwidth < a.dma_bandwidth / 10.0);
         assert!(a.dma_bandwidth < a.ldm_bandwidth / 10.0);
         assert!(a.dma_bandwidth < a.rma_bandwidth);
+    }
+
+    #[test]
+    fn breakeven_is_higher_for_slower_channels() {
+        let a = SunwayArch::sw26010pro();
+        let bpf = 0.1;
+        let io = a.breakeven_overhead(a.io_bandwidth, bpf);
+        let dma = a.breakeven_overhead(a.dma_bandwidth, bpf);
+        assert!(io > dma, "slow IO must tolerate more slicing overhead ({io} vs {dma})");
+        assert!(dma > 1.0);
     }
 }

@@ -8,7 +8,7 @@
 //! the benchmark harness can regenerate the scaling curves and the headline
 //! 96.1 s / 308.6 Pflops projection.
 
-use crate::arch::SunwayArch;
+use super::arch::SunwayArch;
 
 /// One point of a scaling curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,8 +116,6 @@ pub struct Projection {
     pub time: f64,
     /// Projected sustained flops/s across the whole machine.
     pub sustained_flops: f64,
-    /// Fraction of the machine's peak.
-    pub efficiency: f64,
 }
 
 /// Project a measured run to the full system, the way the paper projects its
@@ -133,9 +131,7 @@ pub fn project_full_system(
 ) -> Projection {
     let scale = arch.projection_nodes as f64 / measured_nodes as f64;
     let time = measured_time / scale;
-    let sustained = total_flops / time;
-    let peak = arch.peak_flops_per_node() * arch.projection_nodes as f64;
-    Projection { time, sustained_flops: sustained, efficiency: sustained / peak }
+    Projection { time, sustained_flops: total_flops / time }
 }
 
 #[cfg(test)]
@@ -193,7 +189,6 @@ mod tests {
         let proj = project_full_system(&arch, 10_098.5, 1024, 308.6e15 * 96.1);
         assert!((proj.time - 96.17).abs() < 0.2, "projected time {}", proj.time);
         assert!((proj.sustained_flops / 1e15 - 308.6).abs() < 2.0);
-        assert!(proj.efficiency > 0.1 && proj.efficiency < 0.3);
     }
 
     #[test]

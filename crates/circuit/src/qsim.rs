@@ -6,8 +6,9 @@
 //! then one gate per line as `<cycle> <gate> <qubits...> [params...]`.
 //! Supporting the format means the simulator can consume the *actual*
 //! published circuit files when they are available, instead of the
-//! statistically equivalent circuits `rqc.rs` generates (see DESIGN.md's
-//! substitution table).
+//! statistically equivalent circuits `rqc.rs` generates. The published
+//! files are not in this repository: every test, example and figure here
+//! runs generated circuits.
 //!
 //! Supported gate mnemonics (the set used by the Sycamore files plus the
 //! common single-qubit set): `x_1_2`, `y_1_2`, `hz_1_2`, `h`, `x`, `y`, `z`,

@@ -8,7 +8,7 @@
 //!
 //! The generated circuits have the same connectivity structure and tensor
 //! ranks as the published Sycamore supremacy circuits; they stand in for the
-//! original circuit files, which are not redistributable (see DESIGN.md).
+//! original circuit files, which are not in this repository.
 
 use crate::circuit::Circuit;
 use crate::gate::Gate;

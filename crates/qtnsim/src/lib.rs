@@ -6,9 +6,8 @@
 //! memory is managed by *slicing*, with the slicing sets chosen by the
 //! paper's lifetime-based finder and simulated-annealing refiner, executed
 //! as a pooled stem-only sweep on the host. The paper's thread-level fused
-//! design and the Sunway SW26010pro machine model (`qtn-fused`,
-//! `qtn-sunway`) are used only by `qtn-bench`'s `repro` binary and are
-//! not re-exported here.
+//! design and the Sunway SW26010pro machine model are private modules of
+//! the `repro` binary (package `qtn-bench`), not part of this crate.
 //!
 //! ## Quick start: compile once, execute many
 //!
