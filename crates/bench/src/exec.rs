@@ -16,9 +16,11 @@
 //! The accounted time breakdown (memory access / permutation / GEMM) is what
 //! the Fig. 12 benchmark prints.
 
-use super::secondary::{plan_secondary_slicing, SecondaryPlan};
-use super::segment::StemSegment;
-use crate::sunway::{arithmetic_intensity, SunwayArch, TimeBreakdown};
+use crate::arch::SunwayArch;
+use crate::roofline::arithmetic_intensity;
+use crate::secondary::{plan_secondary_slicing, SecondaryPlan};
+use crate::segment::StemSegment;
+use crate::timebreak::TimeBreakdown;
 use qtn_tensor::{contract_pair, Complex64, ContractionSpec, DenseTensor, IndexId, IndexSet};
 
 /// Size of one amplitude in bytes (single-precision complex, as used for the
@@ -210,7 +212,7 @@ fn stack_subtask(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fused::segment::random_segment;
+    use crate::segment::random_segment;
     use qtn_tensor::permute::permute_to_order;
 
     fn arch() -> SunwayArch {

@@ -7,7 +7,7 @@
 //! 42.3, while the fused design raises AI to 10–40× and in some cases crosses
 //! the ridge into the compute-bound region.
 
-use super::arch::SunwayArch;
+use crate::arch::SunwayArch;
 
 /// A roofline for one core group.
 #[derive(Debug, Clone)]

@@ -8,7 +8,7 @@
 //! the benchmark harness can regenerate the scaling curves and the headline
 //! 96.1 s / 308.6 Pflops projection.
 
-use super::arch::SunwayArch;
+use crate::arch::SunwayArch;
 
 /// One point of a scaling curve.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -119,7 +119,7 @@ pub fn plan_secondary_slicing(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fused::segment::random_segment;
+    use crate::segment::random_segment;
 
     fn plan_for_segment(
         seed: u64,

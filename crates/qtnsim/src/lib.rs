@@ -7,7 +7,7 @@
 //! paper's lifetime-based finder and simulated-annealing refiner, executed
 //! as a pooled stem-only sweep on the host. The paper's thread-level fused
 //! design and the Sunway SW26010pro machine model are private modules of
-//! the `repro` binary (package `qtn-bench`), not part of this crate.
+//! `qtn-bench`, the package of the `repro` binary, not part of this crate.
 //!
 //! ## Quick start: compile once, execute many
 //!
