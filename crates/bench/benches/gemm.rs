@@ -1,13 +1,14 @@
-//! GEMM microbench over the stem steps of a plan large enough to mean
+//! GEMM microbench over the stem steps of plans large enough to mean
 //! something.
 //!
-//! Rather than inventing matrix sizes, this bench plans the repo benchmark's
-//! `amp-m20` workload — the 4x5x12 RQC, 20 qubits, `target_rank = 14`, 64
-//! subtasks — and mirrors its per-subtask stem exactly as the executor
-//! compiles it: one [`ContractionKernel`] per stem contraction, operands in
-//! the axis orders the schedule actually produces. Steps are grouped by
-//! GEMM shape and ranked by flops per sweep; for every timed shape four
-//! paths run:
+//! Rather than inventing matrix sizes, this bench plans two of the repo
+//! benchmark's workloads — `amp-m20` (the 4x5x12 RQC, 20 qubits,
+//! `target_rank = 14`, 64 subtasks) and `amp-l30` (the 5x6x12 RQC, 30
+//! qubits, `target_rank = 18`, rank-19 tensors that leave L2) — and mirrors
+//! each per-subtask stem exactly as the executor compiles it: one
+//! [`ContractionKernel`] per stem contraction, operands in the axis orders
+//! the schedule actually produces. Steps are grouped by GEMM shape and
+//! ranked by flops per sweep; for every timed shape four paths run:
 //!
 //! * `reference` — the naive triple loop ([`gemm_reference`]) on dense
 //!   operands;
@@ -22,8 +23,10 @@
 //!
 //! Before anything is timed, each shape's `dense` result is checked against
 //! `reference` and its `in_place` result against `reference` on explicitly
-//! permuted operands, within the conformance suite's bound — so the bench
-//! doubles as a correctness smoke on the real shapes.
+//! permuted operands, within the conformance suite's bound; and the
+//! `in_place` result must equal [`KernelPlan::apply`] on those permuted
+//! operands bit for bit, the contract `apply_views` documents — so the
+//! bench doubles as a correctness smoke on the real shapes of every class.
 //!
 //! Results go to `BENCH_gemm.json` at the workspace root. This bench sits
 //! below the end-to-end numbers of the repo benchmark: it isolates the
@@ -52,14 +55,29 @@ const REPS: usize = 5;
 /// Real-flop target per timed repetition: inner iterations scale so tiny
 /// micro shapes are measured over many calls, not one unmeasurable call.
 const FLOPS_PER_REP: u64 = 1 << 26;
-/// At most this many distinct shapes are timed (descending flops-per-sweep
-/// order, so the dominant shapes always make the cut).
+/// At most this many distinct shapes are timed per plan (descending
+/// flops-per-sweep order, so the dominant shapes always make the cut).
 const MAX_SHAPES: usize = 16;
 
-fn plan() -> SimulationPlan {
-    let circuit = RqcConfig::small(4, 5, 12, 5).build();
+/// A mirrored workload: its name in the repo benchmark, the RQC grid, and
+/// the planner's target rank (seed 5, 12 cycles for both).
+struct Workload {
+    name: &'static str,
+    grid: (usize, usize),
+    target_rank: usize,
+}
+
+const WORKLOADS: [Workload; 2] = [
+    Workload { name: "amp-m20", grid: (4, 5), target_rank: 14 },
+    Workload { name: "amp-l30", grid: (5, 6), target_rank: 18 },
+];
+
+fn plan(workload: &Workload) -> SimulationPlan {
+    let (rows, cols) = workload.grid;
+    let circuit = RqcConfig::small(rows, cols, 12, 5).build();
     let output = OutputSpec::Amplitude(vec![0; circuit.num_qubits()]);
-    plan_simulation(&circuit, &output, &PlannerConfig { target_rank: 14, ..Default::default() })
+    let config = PlannerConfig { target_rank: workload.target_rank, ..Default::default() };
+    plan_simulation(&circuit, &output, &config)
 }
 
 /// One stem contraction as the executor compiles it, with the operand axis
@@ -127,7 +145,9 @@ fn assert_close(got: &[Complex64], want: &[Complex64], k: usize, what: &str) {
     }
 }
 
-/// Dispatched dense and in-place results both match the reference.
+/// Dispatched dense and in-place results both match the reference, and the
+/// in-place result is the compiled plan applied to the permuted operands,
+/// bit for bit.
 fn check_shape(step: &Step, auto_plan: KernelPlan, left: &[Complex64], right: &[Complex64]) {
     let spec = step.kernel.spec();
     let (m, n, k) = spec.gemm_shape();
@@ -153,6 +173,15 @@ fn check_shape(step: &Step, auto_plan: KernelPlan, left: &[Complex64], right: &[
     gemm_reference(a.data(), b.data(), &mut want, m, n, k);
     step.kernel.contract(left, right, &mut got);
     assert_close(&got, &want, k, &format!("gemm/{m}x{n}x{k} in place"));
+    want.fill(Complex64::ZERO);
+    step.kernel.gemm_plan().apply(a.data(), b.data(), &mut want, m, n, k);
+    assert!(
+        got.iter()
+            .zip(&want)
+            .all(|(g, w)| g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits()),
+        "gemm/{m}x{n}x{k} [{:?}]: in place differs from the plan applied to permuted operands",
+        step.kernel.gemm_plan().taken::<Complex64>()
+    );
 }
 
 fn median_seconds(mut samples: Vec<f64>) -> f64 {
@@ -179,9 +208,10 @@ fn time_path<F: FnMut()>(reps: usize, iters: usize, mut call: F) -> f64 {
     )
 }
 
-/// Check every timed shape, time it, and return one JSON record per shape.
-fn run(reps: usize, flops_per_rep: u64) -> (Vec<String>, String) {
-    let plan = plan();
+/// Check every timed shape of `workload`, time it, and return one JSON
+/// record per shape plus the plan's config record.
+fn run(workload: &Workload, reps: usize, flops_per_rep: u64) -> (Vec<String>, String) {
+    let plan = plan(workload);
     let steps = stem_steps(&plan);
     assert!(!steps.is_empty(), "the plan must have a stem");
     // Steps per shape, and the first (schedule order) step of each as its
@@ -197,7 +227,11 @@ fn run(reps: usize, flops_per_rep: u64) -> (Vec<String>, String) {
     let shapes_total = shapes.len();
     shapes.truncate(MAX_SHAPES);
     if shapes_total > shapes.len() {
-        eprintln!("gemm: timing top {} of {shapes_total} stem shapes", shapes.len());
+        eprintln!(
+            "gemm/{}: timing top {} of {shapes_total} stem shapes",
+            workload.name,
+            shapes.len()
+        );
     }
 
     let level = simd_level();
@@ -220,15 +254,17 @@ fn run(reps: usize, flops_per_rep: u64) -> (Vec<String>, String) {
         let gflops = |seconds: f64| flops as f64 / seconds / 1e9;
         let path = format!("{:?}", auto_plan.taken::<Complex64>());
         eprintln!(
-            "gemm/{m}x{n}x{k} (x{count} per sweep, {iters} iters) [{path}]: reference {:.2}, \
+            "gemm/{}/{m}x{n}x{k} (x{count} per sweep, {iters} iters) [{path}]: reference {:.2}, \
              scalar {:.2}, dense {:.2}, in place {:.2} Gflop/s",
+            workload.name,
             gflops(reference),
             gflops(scalar),
             gflops(dense),
             gflops(in_place),
         );
         let mut o = JsonObject::new();
-        o.field_usize("m", m)
+        o.field_str("plan", workload.name)
+            .field_usize("m", m)
             .field_usize("n", n)
             .field_usize("k", k)
             .field_u64("count_per_sweep", count)
@@ -246,11 +282,12 @@ fn run(reps: usize, flops_per_rep: u64) -> (Vec<String>, String) {
         records.push(o.finish());
     }
 
+    let (rows, cols) = workload.grid;
     let mut config = JsonObject::new();
     config
-        .field_str("circuit", "rqc-4x5x12-seed5")
-        .field_usize("target_rank", 14)
-        .field_str("simd_level", level.as_str())
+        .field_str("plan", workload.name)
+        .field_str("circuit", &format!("rqc-{rows}x{cols}x12-seed5"))
+        .field_usize("target_rank", workload.target_rank)
         .field_usize("stem_steps", steps.len())
         .field_usize("shapes_total", shapes_total)
         .field_usize("shapes_timed", shapes.len());
@@ -258,16 +295,27 @@ fn run(reps: usize, flops_per_rep: u64) -> (Vec<String>, String) {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--quick") {
-        let (records, _) = run(1, 1 << 20);
-        eprintln!("gemm --quick: {} stem shapes match the reference", records.len());
+    let quick = std::env::args().any(|a| a == "--quick");
+    let (reps, flops_per_rep) = if quick { (1, 1 << 20) } else { (REPS, FLOPS_PER_REP) };
+    let (mut records, mut plans) = (Vec::new(), Vec::new());
+    for workload in &WORKLOADS {
+        let (shape_records, config) = run(workload, reps, flops_per_rep);
+        records.extend(shape_records);
+        plans.push(config);
+    }
+    if quick {
+        eprintln!(
+            "gemm --quick: {} stem shapes match the reference and are bit-identical in place",
+            records.len()
+        );
         return;
     }
-    let (records, config) = run(REPS, FLOPS_PER_REP);
+    let mut config = JsonObject::new();
+    config.field_str("simd_level", simd_level().as_str()).field_raw("plans", &array(plans));
     let mut top = JsonObject::new();
     top.field_str("schema", "qtnsim-bench/gemm")
-        .field_u64("version", 2)
-        .field_raw("config", &config)
+        .field_u64("version", 3)
+        .field_raw("config", &config.finish())
         .field_raw("results", &array(records));
     let json = format!("{}\n", top.finish());
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");

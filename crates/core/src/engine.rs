@@ -423,9 +423,11 @@ impl Engine {
         // Refuse plans the kernels cannot address at all, then (the lifetime
         // analysis gives the slicing's "memory budget" a real number to be
         // checked against) plans whose predicted per-worker peak exceeds
-        // the configured byte budget. Rejected plans stay cached (neither
-        // check is part of the cache key), so retrying with a raised budget
-        // is a cache hit, not a replan.
+        // the configured byte budget — under a single execution or a
+        // batched one, whichever holds more, since a compiled circuit may
+        // run either. Rejected plans stay cached (neither check is part of
+        // the cache key), so retrying with a raised budget is a cache hit,
+        // not a replan.
         let memory = &plan.memory_plan;
         let rank = [&memory.branch, &memory.frontier, &memory.stem, &memory.batched_stem]
             .iter()
@@ -437,7 +439,8 @@ impl Engine {
             return Err(Error::TensorTooLarge { rank, max: qtn_tensor::MAX_RANK });
         }
         if let Some(budget_bytes) = self.planner.memory_budget_bytes {
-            let predicted_bytes = plan.predicted_peak_bytes();
+            let predicted_bytes =
+                plan.predicted_peak_bytes().max(plan.predicted_batched_peak_bytes());
             if predicted_bytes > budget_bytes {
                 return Err(Error::MemoryBudgetExceeded { predicted_bytes, budget_bytes });
             }

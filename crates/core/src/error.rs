@@ -51,7 +51,8 @@ pub enum Error {
     /// [`crate::PlannerConfig::memory_budget_bytes`]. Raise the budget or
     /// lower `target_rank` so slicing produces smaller subtasks.
     MemoryBudgetExceeded {
-        /// Predicted per-worker peak bytes of the worst reuse phase.
+        /// Predicted per-worker peak bytes of the worst reuse phase, single
+        /// or batched execution, whichever is larger.
         predicted_bytes: u64,
         /// The configured budget.
         budget_bytes: u64,

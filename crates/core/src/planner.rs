@@ -48,11 +48,15 @@ pub struct PlannerConfig {
     /// Seed for the randomised path search.
     pub seed: u64,
     /// Optional hard byte budget checked against the plan's *predicted*
-    /// peak buffer memory ([`MemoryPlan::peak_bytes`]). `target_rank` only
-    /// bounds the largest single tensor; the lifetime analysis predicts the
-    /// real per-worker working set, and [`crate::Engine::compile`] rejects
-    /// plans exceeding this budget with
-    /// [`crate::Error::MemoryBudgetExceeded`]. `None` disables the check.
+    /// per-worker peak buffer memory: the larger of a single execution's
+    /// ([`SimulationPlan::predicted_peak_bytes`]) and a batched one's
+    /// ([`SimulationPlan::predicted_batched_peak_bytes`]), since a compiled
+    /// circuit may run either. `target_rank` only bounds the largest single
+    /// tensor; the lifetime analysis predicts the real per-worker working
+    /// set, and [`crate::Engine::compile`] rejects plans exceeding this
+    /// budget with [`crate::Error::MemoryBudgetExceeded`]. The budget is
+    /// per worker: it is not multiplied by the worker count. `None`
+    /// disables the check.
     pub memory_budget_bytes: Option<u64>,
 }
 

@@ -179,3 +179,31 @@ fn memory_budget_is_enforced_end_to_end() {
         other => panic!("expected MemoryBudgetExceeded, got {other:?}"),
     }
 }
+
+/// A batched execution holds the StemPure keep set across the whole batch,
+/// so its per-worker peak can exceed a single execution's — on the 20-qubit
+/// 4x5x12 plan at target rank 14, 4,197,904 bytes against 2,360,320. A
+/// budget equal to the single-execution peak must refuse that plan and
+/// report the batched peak; one equal to the batched peak admits it.
+#[test]
+fn memory_budget_covers_batched_executions() {
+    let circuit = RqcConfig::small(4, 5, 12, 5).build();
+    let spec = OutputSpec::Amplitude(vec![0; circuit.num_qubits()]);
+    let planner = PlannerConfig { target_rank: 14, ..Default::default() };
+    let budgeted = |budget: u64| {
+        Engine::with_configs(
+            PlannerConfig { memory_budget_bytes: Some(budget), ..planner.clone() },
+            executor(true),
+        )
+    };
+    let compiled =
+        Engine::with_configs(planner.clone(), executor(true)).compile(&circuit, &spec).unwrap();
+    let single = compiled.plan().predicted_peak_bytes();
+    let batched = compiled.plan().predicted_batched_peak_bytes();
+    assert!(batched > single, "batched peak {batched} should exceed the single peak {single}");
+    assert_eq!(
+        budgeted(single).compile(&circuit, &spec).unwrap_err(),
+        qtnsim::Error::MemoryBudgetExceeded { predicted_bytes: batched, budget_bytes: single }
+    );
+    assert!(budgeted(batched).compile(&circuit, &spec).is_ok());
+}

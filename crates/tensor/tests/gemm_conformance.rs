@@ -18,8 +18,8 @@
 use qtn_tensor::gemm::gemm_reference;
 use qtn_tensor::permute::permute_to_order;
 use qtn_tensor::{
-    c64, dispatch_counts, set_simd_override, simd_level, Complex64, DenseTensor, DispatchClass,
-    DispatchCounts, GemmPath, IndexId, IndexSet, KernelPlan, OffsetTable, SimdLevel,
+    c64, dispatch_counts, set_simd_override, simd_level, Complex64, ContractionKernel, DenseTensor,
+    DispatchClass, DispatchCounts, GemmPath, IndexId, IndexSet, KernelPlan, OffsetTable, SimdLevel,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -263,6 +263,130 @@ fn narrow_remainder_tiles_conform() {
         for level in levels() {
             let plan = KernelPlan::forced(DispatchClass::Narrow, level);
             apply_vs_reference_c64(plan, m, n, k, 0xA11 + idx as u64);
+        }
+    }
+}
+
+/// The AVX2 narrow kernel's documented per-element order, in scalar FMAs:
+/// `p` ascending, the `ar` term before the `ai` term, starting from `C` —
+/// or from zero when overwriting, which never reads `C`.
+fn narrow_fma_model(
+    a: &[Complex64],
+    b: &[Complex64],
+    c: &mut [Complex64],
+    (m, n, k): (usize, usize, usize),
+    overwrite: bool,
+) {
+    for i in 0..m {
+        for j in 0..n {
+            let start = if overwrite { Complex64::ZERO } else { c[i * n + j] };
+            let (mut re, mut im) = (start.re, start.im);
+            for p in 0..k {
+                let (x, y) = (a[i * k + p], b[p * n + j]);
+                re = x.re.mul_add(y.re, re);
+                im = x.re.mul_add(y.im, im);
+                re = x.im.mul_add(-y.im, re);
+                im = x.im.mul_add(y.re, im);
+            }
+            c[i * n + j] = c64(re, im);
+        }
+    }
+}
+
+fn assert_same_bits(got: &[Complex64], want: &[Complex64], what: &str) {
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert!(
+            g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits(),
+            "{what}: entry {i} is {g:?}, the FMA model gives {w:?}"
+        );
+    }
+}
+
+/// The AVX2 narrow kernel equals its scalar FMA model bit for bit: tall,
+/// wide and deep shapes, odd remainders, `k` past one `p` chunk, dense
+/// operands and offset tables with each operand's unit-stride axis free
+/// and contracted, accumulating into a dirty `C` and overwriting one.
+#[test]
+fn narrow_simd_follows_its_scalar_fma_model() {
+    let _guard = lock();
+    let level = simd_level();
+    if level != SimdLevel::Avx2Fma {
+        // The model documents the AVX2 tile; other levels run other kernels.
+        return;
+    }
+    let mut rng = StdRng::seed_from_u64(0xF4A);
+    let narrow = KernelPlan::forced(DispatchClass::Narrow, level);
+    for &(m, n, k) in &[
+        (37, 6, 5),
+        (64, 4, 4),
+        (13, 3, 2),
+        (5, 41, 7),
+        (3, 11, 300),
+        (2, 64, 9),
+        (6, 5, 300),
+        (7, 5, 9),
+        (8, 4, 260),
+        (16, 37, 5),
+        (9, 33, 130),
+        (1, 7, 5),
+        (5, 6, 1),
+    ] {
+        let a = random_c64(&mut rng, m * k);
+        let b = random_c64(&mut rng, k * n);
+        let mut want = random_c64(&mut rng, m * n);
+        let mut got = want.clone();
+        narrow_fma_model(&a, &b, &mut want, (m, n, k), false);
+        narrow.apply(&a, &b, &mut got, m, n, k);
+        assert_same_bits(&got, &want, &format!("dense ({m},{n},{k})"));
+    }
+    for &(m, n, k) in
+        &[(64, 4, 4), (4, 64, 4), (16, 64, 4), (8, 4, 512), (16, 2, 8), (2, 16, 8), (2, 8, 256)]
+    {
+        let bits = |d: usize| d.trailing_zeros();
+        let left_free: Vec<IndexId> = (0..bits(m)).collect();
+        let contracted: Vec<IndexId> = (100..100 + bits(k)).collect();
+        let right_free: Vec<IndexId> = (200..200 + bits(n)).collect();
+        let join = |x: &[IndexId], y: &[IndexId]| [x, y].concat();
+        // Unit-stride axis contracted in `A` and free in `B`, then the
+        // reverse.
+        for (left_axes, right_axes) in [
+            (join(&left_free, &contracted), join(&contracted, &right_free)),
+            (join(&contracted, &left_free), join(&right_free, &contracted)),
+        ] {
+            let left =
+                DenseTensor::from_data(IndexSet::new(left_axes), random_c64(&mut rng, m * k));
+            let right =
+                DenseTensor::from_data(IndexSet::new(right_axes), random_c64(&mut rng, k * n));
+            let what = format!("({m},{n},{k}) {:?} x {:?}", left.indices(), right.indices());
+
+            // Accumulate: the plan applied through the offset tables.
+            let a = permute_to_order(&left, &IndexSet::new(join(&left_free, &contracted)));
+            let b = permute_to_order(&right, &IndexSet::new(join(&contracted, &right_free)));
+            let left_table = OffsetTable::new(left.indices(), &left_free, &contracted);
+            let right_table = OffsetTable::new(right.indices(), &contracted, &right_free);
+            let mut want = random_c64(&mut rng, m * n);
+            let mut got = want.clone();
+            narrow_fma_model(a.data(), b.data(), &mut want, (m, n, k), false);
+            narrow.apply_views(
+                left_table.view(left.data()),
+                right_table.view(right.data()),
+                &mut got,
+            );
+            assert_same_bits(&got, &want, &format!("{what} accumulating"));
+
+            // Overwrite: the compiled kernel, whose output ignores `C`.
+            let kernel = ContractionKernel::new(left.indices(), right.indices());
+            assert_eq!(kernel.gemm_plan().taken::<Complex64>(), GemmPath::NarrowSimd, "{what}");
+            let spec = kernel.spec();
+            let a =
+                permute_to_order(&left, &IndexSet::new(join(&spec.left_free, &spec.contracted)));
+            let b =
+                permute_to_order(&right, &IndexSet::new(join(&spec.contracted, &spec.right_free)));
+            let mut want = vec![c64(f64::NAN, f64::NAN); m * n];
+            let mut got = want.clone();
+            narrow_fma_model(a.data(), b.data(), &mut want, (m, n, k), true);
+            kernel.contract(left.data(), right.data(), &mut got);
+            assert_same_bits(&got, &want, &format!("{what} overwriting"));
         }
     }
 }
