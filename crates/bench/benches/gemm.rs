@@ -25,8 +25,16 @@
 //! `reference` and its `in_place` result against `reference` on explicitly
 //! permuted operands, within the conformance suite's bound; and the
 //! `in_place` result must equal [`KernelPlan::apply`] on those permuted
-//! operands bit for bit, the contract `apply_views` documents — so the
-//! bench doubles as a correctness smoke on the real shapes of every class.
+//! operands bit for bit, the contract `apply_views` documents. At the
+//! AVX2+FMA level every narrow and blocked shape's `dense` result must also
+//! equal a scalar model of the AVX2 tile's FMA order bit for bit, which
+//! reaches the multi-chunk, multi-group shapes a unit test cannot afford.
+//! So the bench doubles as a correctness smoke on the real shapes of every
+//! class.
+//!
+//! The four paths are timed round-robin: each repetition runs every path's
+//! calls in turn, so host clock drift hits them alike. Each path records the
+//! median, minimum and maximum seconds per call over the repetitions.
 //!
 //! Results go to `BENCH_gemm.json` at the workspace root. This bench sits
 //! below the end-to-end numbers of the repo benchmark: it isolates the
@@ -42,16 +50,18 @@ use qtn_circuit::{OutputSpec, RqcConfig};
 use qtn_tensor::gemm::{gemm_flops, gemm_reference};
 use qtn_tensor::permute::permute_to_order;
 use qtn_tensor::{
-    c64, simd_level, Complex64, ContractionKernel, ContractionSpec, DenseTensor, IndexSet,
-    KernelPlan, SimdLevel,
+    c64, simd_level, Complex64, ContractionKernel, ContractionSpec, DenseTensor, DispatchClass,
+    IndexSet, KernelPlan, SimdLevel,
 };
 use qtnsim_core::json::{array, JsonObject};
 use qtnsim_core::{plan_simulation, PlannerConfig, SimulationPlan};
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// Timed repetitions per measurement (the median is reported).
+/// Timed repetitions per measurement (median, min and max are reported).
 const REPS: usize = 5;
+/// The timed paths, in the order [`time_round_robin`] runs them.
+const PATHS: [&str; 4] = ["reference", "scalar", "dense", "in_place"];
 /// Real-flop target per timed repetition: inner iterations scale so tiny
 /// micro shapes are measured over many calls, not one unmeasurable call.
 const FLOPS_PER_REP: u64 = 1 << 26;
@@ -145,6 +155,35 @@ fn assert_close(got: &[Complex64], want: &[Complex64], k: usize, what: &str) {
     }
 }
 
+fn same_bits(got: &[Complex64], want: &[Complex64]) -> bool {
+    got.iter()
+        .zip(want)
+        .all(|(g, w)| g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits())
+}
+
+/// `C += A·B` in the AVX2 tile's documented per-element order, in scalar
+/// FMAs: `p` ascending, the `ar` term before the `ai` term.
+fn avx2_fma_model(
+    a: &[Complex64],
+    b: &[Complex64],
+    c: &mut [Complex64],
+    (m, n, k): (usize, usize, usize),
+) {
+    for i in 0..m {
+        for j in 0..n {
+            let (mut re, mut im) = (c[i * n + j].re, c[i * n + j].im);
+            for p in 0..k {
+                let (x, y) = (a[i * k + p], b[p * n + j]);
+                re = x.re.mul_add(y.re, re);
+                im = x.re.mul_add(y.im, im);
+                re = x.im.mul_add(-y.im, re);
+                im = x.im.mul_add(y.re, im);
+            }
+            c[i * n + j] = c64(re, im);
+        }
+    }
+}
+
 /// Dispatched dense and in-place results both match the reference, and the
 /// in-place result is the compiled plan applied to the permuted operands,
 /// bit for bit.
@@ -157,6 +196,17 @@ fn check_shape(step: &Step, auto_plan: KernelPlan, left: &[Complex64], right: &[
     let mut got = vec![Complex64::ZERO; m * n];
     auto_plan.apply(left, right, &mut got, m, n, k);
     assert_close(&got, &want, k, &format!("gemm/{m}x{n}x{k} dense"));
+    if auto_plan.level() == SimdLevel::Avx2Fma
+        && matches!(auto_plan.class(), DispatchClass::Narrow | DispatchClass::Blocked)
+    {
+        let mut model = vec![Complex64::ZERO; m * n];
+        avx2_fma_model(left, right, &mut model, (m, n, k));
+        assert!(
+            same_bits(&got, &model),
+            "gemm/{m}x{n}x{k} [{:?}]: dense result differs from the AVX2 tile's FMA order",
+            auto_plan.taken::<Complex64>()
+        );
+    }
     // In place: the same buffers read in the step's axis orders, against
     // the reference on explicitly permuted copies.
     let order =
@@ -176,36 +226,54 @@ fn check_shape(step: &Step, auto_plan: KernelPlan, left: &[Complex64], right: &[
     want.fill(Complex64::ZERO);
     step.kernel.gemm_plan().apply(a.data(), b.data(), &mut want, m, n, k);
     assert!(
-        got.iter()
-            .zip(&want)
-            .all(|(g, w)| g.re.to_bits() == w.re.to_bits() && g.im.to_bits() == w.im.to_bits()),
+        same_bits(&got, &want),
         "gemm/{m}x{n}x{k} [{:?}]: in place differs from the plan applied to permuted operands",
         step.kernel.gemm_plan().taken::<Complex64>()
     );
 }
 
-fn median_seconds(mut samples: Vec<f64>) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+/// One timed path: a call that writes its result into the shared output.
+type Path<'a> = &'a dyn Fn(&mut [Complex64]);
+
+/// Seconds per call of one path over the timed repetitions.
+struct Timing {
+    median: f64,
+    min: f64,
+    max: f64,
 }
 
-/// Median wall time of one call, over `reps` repetitions of `iters` calls.
-fn time_path<F: FnMut()>(reps: usize, iters: usize, mut call: F) -> f64 {
-    // One untimed warmup rep primes caches and the lazy SIMD probe.
-    for _ in 0..iters {
-        call();
+/// Time `paths` round-robin: one untimed warmup pass (it primes caches and
+/// the lazy SIMD probe), then `reps` repetitions, each running `iters`
+/// calls of every path in turn into `out`.
+fn time_round_robin(
+    reps: usize,
+    iters: usize,
+    paths: &[Path<'_>],
+    out: &mut [Complex64],
+) -> Vec<Timing> {
+    let mut samples = vec![Vec::with_capacity(reps); paths.len()];
+    for rep in 0..=reps {
+        for (path, seconds) in paths.iter().zip(&mut samples) {
+            let start = Instant::now();
+            for _ in 0..iters {
+                path(out);
+            }
+            if rep > 0 {
+                seconds.push(start.elapsed().as_secs_f64() / iters as f64);
+            }
+        }
     }
-    median_seconds(
-        (0..reps)
-            .map(|_| {
-                let start = Instant::now();
-                for _ in 0..iters {
-                    call();
-                }
-                start.elapsed().as_secs_f64() / iters as f64
-            })
-            .collect(),
-    )
+    samples
+        .into_iter()
+        .map(|mut seconds| {
+            seconds.sort_by(f64::total_cmp);
+            Timing {
+                median: seconds[seconds.len() / 2],
+                min: seconds[0],
+                max: seconds[seconds.len() - 1],
+            }
+        })
+        .collect()
 }
 
 /// Check every timed shape of `workload`, time it, and return one JSON
@@ -246,10 +314,17 @@ fn run(workload: &Workload, reps: usize, flops_per_rep: u64) -> (Vec<String>, St
         let flops = gemm_flops(m, n, k).max(1);
         let iters = (flops_per_rep / flops).clamp(1, 4_000_000) as usize;
         let scalar_plan = KernelPlan::select_with_level(m, n, k, SimdLevel::Scalar);
-        let reference = time_path(reps, iters, || gemm_reference(&left, &right, &mut out, m, n, k));
-        let scalar = time_path(reps, iters, || scalar_plan.apply(&left, &right, &mut out, m, n, k));
-        let dense = time_path(reps, iters, || auto_plan.apply(&left, &right, &mut out, m, n, k));
-        let in_place = time_path(reps, iters, || step.kernel.contract(&left, &right, &mut out));
+        let timings = time_round_robin(
+            reps,
+            iters,
+            &[
+                &|out| gemm_reference(&left, &right, out, m, n, k),
+                &|out| scalar_plan.apply(&left, &right, out, m, n, k),
+                &|out| auto_plan.apply(&left, &right, out, m, n, k),
+                &|out| step.kernel.contract(&left, &right, out),
+            ],
+            &mut out,
+        );
 
         let gflops = |seconds: f64| flops as f64 / seconds / 1e9;
         let path = format!("{:?}", auto_plan.taken::<Complex64>());
@@ -257,10 +332,10 @@ fn run(workload: &Workload, reps: usize, flops_per_rep: u64) -> (Vec<String>, St
             "gemm/{}/{m}x{n}x{k} (x{count} per sweep, {iters} iters) [{path}]: reference {:.2}, \
              scalar {:.2}, dense {:.2}, in place {:.2} Gflop/s",
             workload.name,
-            gflops(reference),
-            gflops(scalar),
-            gflops(dense),
-            gflops(in_place),
+            gflops(timings[0].median),
+            gflops(timings[1].median),
+            gflops(timings[2].median),
+            gflops(timings[3].median),
         );
         let mut o = JsonObject::new();
         o.field_str("plan", workload.name)
@@ -270,15 +345,13 @@ fn run(workload: &Workload, reps: usize, flops_per_rep: u64) -> (Vec<String>, St
             .field_u64("count_per_sweep", count)
             .field_u64("flops_per_call", flops)
             .field_usize("iters", iters)
-            .field_str("path", &path)
-            .field_f64("reference_seconds_per_call", reference)
-            .field_f64("scalar_seconds_per_call", scalar)
-            .field_f64("dense_seconds_per_call", dense)
-            .field_f64("in_place_seconds_per_call", in_place)
-            .field_f64("reference_gflops", gflops(reference))
-            .field_f64("scalar_gflops", gflops(scalar))
-            .field_f64("dense_gflops", gflops(dense))
-            .field_f64("in_place_gflops", gflops(in_place));
+            .field_str("path", &path);
+        for (name, timing) in PATHS.iter().zip(&timings) {
+            o.field_f64(&format!("{name}_seconds_per_call"), timing.median)
+                .field_f64(&format!("{name}_min_seconds_per_call"), timing.min)
+                .field_f64(&format!("{name}_max_seconds_per_call"), timing.max)
+                .field_f64(&format!("{name}_gflops"), gflops(timing.median));
+        }
         records.push(o.finish());
     }
 
@@ -305,8 +378,13 @@ fn main() {
     }
     if quick {
         eprintln!(
-            "gemm --quick: {} stem shapes match the reference and are bit-identical in place",
-            records.len()
+            "gemm --quick: {} stem shapes match the reference and are bit-identical in place{}",
+            records.len(),
+            if simd_level() == SimdLevel::Avx2Fma {
+                "; narrow and blocked shapes follow the AVX2 tile's FMA order"
+            } else {
+                ""
+            }
         );
         return;
     }
@@ -314,7 +392,7 @@ fn main() {
     config.field_str("simd_level", simd_level().as_str()).field_raw("plans", &array(plans));
     let mut top = JsonObject::new();
     top.field_str("schema", "qtnsim-bench/gemm")
-        .field_u64("version", 3)
+        .field_u64("version", 4)
         .field_raw("config", &config.finish())
         .field_raw("results", &array(records));
     let json = format!("{}\n", top.finish());

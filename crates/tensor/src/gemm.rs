@@ -10,7 +10,7 @@
 //!   of `m`, `n`, `k` ≤ 16) that dominate quantum-circuit contractions.
 //!   The paper calls these bandwidth-bound, and on its machine they are;
 //!   measured on an AVX2 host they are not — the streaming loop reaches
-//!   3.5–7 Gflop/s where the register-blocked tile of
+//!   3.5–7 Gflop/s where the register-blocked AVX2 tile of
 //!   [`crate::kernels`] reaches 2–4x that on the same operands, so this
 //!   body is the *reference*, not the production path, wherever a SIMD
 //!   level is available;
@@ -29,7 +29,7 @@
 //! serve every target without a hand-written tile. Square-ish shapes have
 //! no kernel here: the blocked class's scalar path is the portable
 //! split-real packed driver in `kernels/packed.rs`, the same body NEON
-//! runs.
+//! runs, and on AVX2+FMA they run the narrow class's register tile.
 //!
 //! # Accumulation contract
 //!

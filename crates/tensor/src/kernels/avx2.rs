@@ -1,17 +1,12 @@
-//! AVX2+FMA kernels for double-precision complex operands (x86_64).
+//! The AVX2+FMA GEMM for double-precision complex operands (x86_64).
 //!
-//! Two hand-written tiles live here, both reading their operands through
-//! [`MatRef`] views so a contraction's regrouped axes are consumed in place:
+//! One hand-written tile serves every GEMM the dispatcher sends here, the
+//! narrow class and the blocked class alike ([`gemm_avx2`]): a
+//! register-blocked tile of up to 6 rows × 4 columns on *interleaved*
+//! complex data, reading its operands through [`MatRef`] views so a
+//! contraction's regrouped axes are consumed in place.
 //!
-//! * the **narrow tile** ([`gemm_narrow_avx2_c64`]) — a register-blocked
-//!   tile of up to 6 rows × 4 columns on *interleaved* complex data. It
-//!   serves every narrow shape (tall, wide and deep) with one loop nest;
-//! * the **blocked tile** ([`gemm_avx2_c64`]) — the split-real 2 × 8 tile
-//!   behind the shared packing driver and [`PackArena`]: 8 ymm
-//!   accumulators, 4 B-plane loads and 4 A broadcasts per `p` step feeding
-//!   16 FMAs.
-//!
-//! # The narrow tile
+//! # The tile
 //!
 //! A ymm register holds two complex numbers `[re0, im0, re1, im1]`. For an
 //! `A` element `a = ar + i·ai` and a `B` vector `b`, the product is
@@ -22,9 +17,9 @@
 //!
 //! so with `b` and its *twin* `[−bi, br]` each accumulator takes exactly
 //! two FMAs per `p` step with broadcast `ar` and `ai` — every lane of every
-//! FMA does useful work, and `C` is loaded and stored once per tile instead
-//! of once per `p`. `A` elements are fetched by scalar broadcast, so any
-//! `A` view works unchanged.
+//! FMA does useful work, and `C` is loaded and stored once per tile and
+//! `p` chunk instead of once per `p`. `A` elements are fetched by scalar
+//! broadcast, so any `A` view works unchanged.
 //!
 //! Each accumulator is a chain of dependent FMAs, so a tile needs about
 //! latency × ports = 4 × 2 = 8 independent accumulators just to keep the
@@ -32,10 +27,11 @@
 //! decides how many fit in the 16 registers:
 //!
 //! * **packed** (`m > 8`): per `p` chunk and group of up to [`GROUP`]
-//!   columns, every (vector, twin) pair of `B` is built once into a
-//!   per-thread grow-once panel — BLIS's pack-once rule — and every row
-//!   block reads it from L1. The tile keeps only the `B` values it is
-//!   using in registers, so it holds 6 rows × 2 vectors = 12 accumulators;
+//!   columns ([`BLOCKED_GROUP`] when `m > 16`), every (vector, twin) pair
+//!   of `B` is built once into a per-thread grow-once panel — BLIS's
+//!   pack-once rule — and every row block reads it from cache. The tile
+//!   keeps only the `B` values it is using in registers, so it holds 6 rows
+//!   × 2 vectors = 12 accumulators;
 //! * **built by the tile** (`m ≤ 8`): a packed pair would be read by at
 //!   most two row blocks, too few to repay the pass that writes it. The
 //!   tile loads its own vectors and forms their twins, work that hides
@@ -46,37 +42,45 @@
 //! loads otherwise (it is contracted); its twin is one in-lane swap and one
 //! sign flip. A last column that does not fill a pair takes scalar FMAs.
 //!
-//! The loop nest runs `p` chunks of [`KC`], then column groups, then row
-//! blocks, then the group's column blocks. A narrow shape with `n > 16`
-//! has `m <= 16`, so both long operands stream through once:
+//! # The loop nest
 //!
-//! * **tall** (`m` long): one group covers all of `B`, so every row block
-//!   reads the same (packed) `B` and each `A` row block is read once;
-//! * **wide** (`n` long): each group's `k × 16` slice of `B` stays in L1
-//!   while the few row blocks run across it, and `C` is written once
-//!   instead of `k` times;
+//! One nest runs every shape: `p` chunks of [`KC`], then column groups,
+//! then row blocks, then the group's column blocks. `C` is touched once
+//! per chunk, never through a scratch plane, and with `overwrite` the first
+//! chunk starts from zero instead of reading it.
+//!
+//! * **tall** (`m` long, `n <= 16`): one group covers all of `B`, so every
+//!   row block reads the same packed `B` and each `A` row block is read
+//!   once;
+//! * **wide** (`n` long, `m <= 16`): each group's `k × 16` slice of `B`
+//!   stays in L1 while the few row blocks run across it, and `C` is written
+//!   once instead of `k` times;
 //! * **deep** (`k` long): the accumulators round-trip through `C` between
-//!   chunks (exact: they are the same f64 values).
+//!   chunks (exact: they are the same f64 values);
+//! * **blocked** (`m` and `n` past 16): each chunk's packed 64-column
+//!   group is reused by all `m / 6` row blocks, and the chunk's rows of `A`
+//!   are read once per group.
 //!
 //! Per output element the FMA order is fixed — `p` ascending, the `ar`
-//! term before the `ai` term — independent of the view, the tile a
-//! remainder falls into, whether `B` was packed, and the chunking, so
-//! results are deterministic and a contraction is bit-identical whichever
-//! way its operands are laid out. They differ from the scalar reference
-//! only by FMA rounding, which the conformance suite bounds; the suite also
-//! checks them bit for bit against a scalar model of this order.
+//! term before the `ai` term, starting from `C` (or from zero when
+//! overwriting) — independent of the view, the tile a remainder falls
+//! into, whether `B` was packed, and the chunking, so results are
+//! deterministic and a contraction is bit-identical whichever way its
+//! operands are laid out. They differ from the scalar reference only by FMA
+//! rounding, which the conformance suite bounds; the suite also checks them
+//! bit for bit against a scalar model of this order.
 
-use super::packed::{gemm_packed_with, PackArena};
 use super::view::{Layout, MatRef};
 use crate::complex::Complex64;
 use crate::gemm::shape_of;
 use core::arch::x86_64::*;
 use std::cell::RefCell;
 
-/// `p` chunk of the narrow kernel. Its column offsets of `A` and row
-/// offsets of `B` live on the stack (2 KiB), and a packed chunk holds
-/// `KC × n` vectors: 16 KiB at the `n = 4` of the stems' tall shapes, well
-/// inside a 48 KiB L1 next to the row block's `6 × KC` elements of `A`.
+/// `p` chunk of the kernel. Its column offsets of `A` and row offsets of
+/// `B` live on the stack (2 KiB), and a packed chunk holds `KC ×
+/// min(n, group)` vectors: 16 KiB at the `n = 4` of the stems' tall shapes,
+/// well inside a 48 KiB L1 next to the row block's `6 × KC` elements of
+/// `A`, and 256 KiB for a full [`BLOCKED_GROUP`], which streams from L2.
 /// Only shapes with `k > KC` see a chunk boundary, where each tile's
 /// accumulators take one extra load and store of `C`.
 const KC: usize = 128;
@@ -93,20 +97,27 @@ const PACKED_ROWS: usize = 6;
 /// vectors are packed) at once; every row block then runs across them.
 const GROUP: usize = 16;
 
+/// The column group when `m > GROUP`: in practice the blocked class, since
+/// a narrow shape with that many rows has `n <= 16` and is one group
+/// anyway. Every group re-reads the chunk's rows of `A`, so a wider group
+/// (a 256 KiB packed chunk, which streams from L2) saves passes over a
+/// tall `A`; wide narrow shapes (`m <= 16`) measured best at [`GROUP`].
+const BLOCKED_GROUP: usize = 64;
+
 thread_local! {
-    /// The narrow kernel's packed `B` vectors, grown once per thread.
+    /// The tile's packed `B` vectors, grown once per thread.
     static PANEL: RefCell<Vec<__m256d>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Narrow `C += A·B` (or `C = A·B` with `overwrite`, which never reads `C`)
-/// for `Complex64` on the register-blocked AVX2+FMA tile, operands read in
-/// place through their views.
+/// `C += A·B` (or `C = A·B` with `overwrite`, which never reads `C`) for
+/// `Complex64` on the register-blocked AVX2+FMA tile, operands read in place
+/// through their views: the narrow and the blocked class's SIMD path.
 ///
 /// # Safety
 /// The caller must have verified that the CPU supports AVX2 and FMA
 /// (the dispatcher only routes here after the runtime probe).
 #[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn gemm_narrow_avx2_c64<L: Layout>(
+pub(crate) unsafe fn gemm_avx2<L: Layout>(
     a: MatRef<'_, Complex64, L>,
     b: MatRef<'_, Complex64, L>,
     c: &mut [Complex64],
@@ -117,9 +128,9 @@ pub(crate) unsafe fn gemm_narrow_avx2_c64<L: Layout>(
         // SAFETY: AVX2+FMA inherited from this function's contract.
         unsafe {
             if b.layout().col_pairs_adjacent() {
-                narrow_driver::<L, true>(panel, a, b, c, overwrite)
+                driver::<L, true>(panel, a, b, c, overwrite)
             } else {
-                narrow_driver::<L, false>(panel, a, b, c, overwrite)
+                driver::<L, false>(panel, a, b, c, overwrite)
             }
         }
     })
@@ -143,7 +154,7 @@ fn block_width(left: usize, full: usize) -> usize {
 /// # Safety
 /// Requires AVX2+FMA.
 #[target_feature(enable = "avx2,fma")]
-unsafe fn narrow_driver<L: Layout, const ADJ: bool>(
+unsafe fn driver<L: Layout, const ADJ: bool>(
     panel: &mut Vec<__m256d>,
     a: MatRef<'_, Complex64, L>,
     b: MatRef<'_, Complex64, L>,
@@ -163,7 +174,8 @@ unsafe fn narrow_driver<L: Layout, const ADJ: bool>(
     let packed = m > 2 * TILE;
     let rows_full = if packed { PACKED_ROWS } else { TILE };
     // (vector, twin) pairs of one column group, per `p` of a chunk.
-    let lanes = if packed { GROUP.min(n) / 2 * 2 } else { 0 };
+    let group = if m > GROUP { BLOCKED_GROUP } else { GROUP };
+    let lanes = if packed { group.min(n) / 2 * 2 } else { 0 };
     let need = lanes * KC.min(k);
     if panel.len() < need {
         panel.resize(need, _mm256_setzero_pd());
@@ -174,7 +186,7 @@ unsafe fn narrow_driver<L: Layout, const ADJ: bool>(
     let mut b_row = [0usize; KC];
     // Column offsets of the current group, padded so every tile can take a
     // full-width window.
-    let mut b_cols = [0usize; GROUP + TILE];
+    let mut b_cols = [0usize; BLOCKED_GROUP + TILE];
     let mut p0 = 0;
     while p0 < k {
         let kc = KC.min(k - p0);
@@ -187,7 +199,7 @@ unsafe fn narrow_driver<L: Layout, const ADJ: bool>(
         let load_c = !overwrite || p0 > 0;
         let mut g0 = 0;
         while g0 < n {
-            let g_len = GROUP.min(n - g0);
+            let g_len = group.min(n - g0);
             for (j, slot) in b_cols[..g_len].iter_mut().enumerate() {
                 *slot = lb.col(g0 + j);
             }
@@ -334,7 +346,7 @@ unsafe fn pack<const ADJ: bool>(
 }
 
 /// One register tile's operands: raw base pointers plus the offsets of its
-/// rows, columns and `p` chunk, all validated by [`narrow_driver`], and —
+/// rows, columns and `p` chunk, all validated by [`driver`], and —
 /// when `B` is packed — where its columns' pairs start in the panel.
 struct Tile<'t> {
     a: *const Complex64,
@@ -447,171 +459,6 @@ impl Tile<'_> {
                 }
                 *c_ij = Complex64 { re, im };
             }
-        }
-    }
-}
-
-/// Packed/blocked `C += A·B` for `Complex64` using the AVX2+FMA tile.
-///
-/// # Safety
-/// The caller must have verified that the CPU supports AVX2 and FMA
-/// (the dispatcher only routes here after the runtime probe).
-#[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn gemm_avx2_c64<L: Layout>(
-    arena: &mut PackArena,
-    a: MatRef<'_, Complex64, L>,
-    b: MatRef<'_, Complex64, L>,
-    c: &mut [Complex64],
-) {
-    gemm_packed_with(arena, a, b, c, |ar, ai, br, bi, cr, ci, ib, jb, pb| {
-        // SAFETY: inherited from the function's contract; slices come from
-        // the arena with the layout `tile` documents.
-        unsafe { tile_avx2(ar, ai, br, bi, cr, ci, ib, jb, pb) }
-    })
-}
-
-/// One C tile: planes are packed row-major (`A` as `ib×pb`, `B` as `pb×jb`,
-/// `C` as `ib×jb`), C planes pre-zeroed by the driver.
-///
-/// # Safety
-/// Requires AVX2+FMA.
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn tile_avx2(
-    a_re: &[f64],
-    a_im: &[f64],
-    b_re: &[f64],
-    b_im: &[f64],
-    c_re: &mut [f64],
-    c_im: &mut [f64],
-    ib: usize,
-    jb: usize,
-    pb: usize,
-) {
-    let i2 = ib / 2 * 2;
-    let j8 = jb / 8 * 8;
-    let mut i = 0;
-    while i < i2 {
-        let mut j = 0;
-        while j < j8 {
-            let c0 = i * jb + j;
-            let c1 = (i + 1) * jb + j;
-            let mut r00 = _mm256_loadu_pd(c_re.as_ptr().add(c0));
-            let mut r01 = _mm256_loadu_pd(c_re.as_ptr().add(c0 + 4));
-            let mut s00 = _mm256_loadu_pd(c_im.as_ptr().add(c0));
-            let mut s01 = _mm256_loadu_pd(c_im.as_ptr().add(c0 + 4));
-            let mut r10 = _mm256_loadu_pd(c_re.as_ptr().add(c1));
-            let mut r11 = _mm256_loadu_pd(c_re.as_ptr().add(c1 + 4));
-            let mut s10 = _mm256_loadu_pd(c_im.as_ptr().add(c1));
-            let mut s11 = _mm256_loadu_pd(c_im.as_ptr().add(c1 + 4));
-            for p in 0..pb {
-                let bb = p * jb + j;
-                let br0 = _mm256_loadu_pd(b_re.as_ptr().add(bb));
-                let br1 = _mm256_loadu_pd(b_re.as_ptr().add(bb + 4));
-                let bi0 = _mm256_loadu_pd(b_im.as_ptr().add(bb));
-                let bi1 = _mm256_loadu_pd(b_im.as_ptr().add(bb + 4));
-
-                let ar0 = _mm256_set1_pd(*a_re.get_unchecked(i * pb + p));
-                let ai0 = _mm256_set1_pd(*a_im.get_unchecked(i * pb + p));
-                r00 = _mm256_fmadd_pd(ar0, br0, r00);
-                r00 = _mm256_fnmadd_pd(ai0, bi0, r00);
-                r01 = _mm256_fmadd_pd(ar0, br1, r01);
-                r01 = _mm256_fnmadd_pd(ai0, bi1, r01);
-                s00 = _mm256_fmadd_pd(ar0, bi0, s00);
-                s00 = _mm256_fmadd_pd(ai0, br0, s00);
-                s01 = _mm256_fmadd_pd(ar0, bi1, s01);
-                s01 = _mm256_fmadd_pd(ai0, br1, s01);
-
-                let ar1 = _mm256_set1_pd(*a_re.get_unchecked((i + 1) * pb + p));
-                let ai1 = _mm256_set1_pd(*a_im.get_unchecked((i + 1) * pb + p));
-                r10 = _mm256_fmadd_pd(ar1, br0, r10);
-                r10 = _mm256_fnmadd_pd(ai1, bi0, r10);
-                r11 = _mm256_fmadd_pd(ar1, br1, r11);
-                r11 = _mm256_fnmadd_pd(ai1, bi1, r11);
-                s10 = _mm256_fmadd_pd(ar1, bi0, s10);
-                s10 = _mm256_fmadd_pd(ai1, br0, s10);
-                s11 = _mm256_fmadd_pd(ar1, bi1, s11);
-                s11 = _mm256_fmadd_pd(ai1, br1, s11);
-            }
-            _mm256_storeu_pd(c_re.as_mut_ptr().add(c0), r00);
-            _mm256_storeu_pd(c_re.as_mut_ptr().add(c0 + 4), r01);
-            _mm256_storeu_pd(c_im.as_mut_ptr().add(c0), s00);
-            _mm256_storeu_pd(c_im.as_mut_ptr().add(c0 + 4), s01);
-            _mm256_storeu_pd(c_re.as_mut_ptr().add(c1), r10);
-            _mm256_storeu_pd(c_re.as_mut_ptr().add(c1 + 4), r11);
-            _mm256_storeu_pd(c_im.as_mut_ptr().add(c1), s10);
-            _mm256_storeu_pd(c_im.as_mut_ptr().add(c1 + 4), s11);
-            j += 8;
-        }
-        // Column remainder for the row pair: scalar FMAs, same `p` order.
-        for j in j8..jb {
-            for di in 0..2 {
-                let row = i + di;
-                let mut sr = c_re[row * jb + j];
-                let mut si = c_im[row * jb + j];
-                for p in 0..pb {
-                    let ar = a_re[row * pb + p];
-                    let ai = a_im[row * pb + p];
-                    let br = b_re[p * jb + j];
-                    let bi = b_im[p * jb + j];
-                    sr = ar.mul_add(br, sr);
-                    sr = (-ai).mul_add(bi, sr);
-                    si = ar.mul_add(bi, si);
-                    si = ai.mul_add(br, si);
-                }
-                c_re[row * jb + j] = sr;
-                c_im[row * jb + j] = si;
-            }
-        }
-        i += 2;
-    }
-    // Row remainder (ib odd): one row at a time, 8 columns wide.
-    for i in i2..ib {
-        let mut j = 0;
-        while j < j8 {
-            let c0 = i * jb + j;
-            let mut r0 = _mm256_loadu_pd(c_re.as_ptr().add(c0));
-            let mut r1 = _mm256_loadu_pd(c_re.as_ptr().add(c0 + 4));
-            let mut s0 = _mm256_loadu_pd(c_im.as_ptr().add(c0));
-            let mut s1 = _mm256_loadu_pd(c_im.as_ptr().add(c0 + 4));
-            for p in 0..pb {
-                let bb = p * jb + j;
-                let br0 = _mm256_loadu_pd(b_re.as_ptr().add(bb));
-                let br1 = _mm256_loadu_pd(b_re.as_ptr().add(bb + 4));
-                let bi0 = _mm256_loadu_pd(b_im.as_ptr().add(bb));
-                let bi1 = _mm256_loadu_pd(b_im.as_ptr().add(bb + 4));
-                let ar = _mm256_set1_pd(*a_re.get_unchecked(i * pb + p));
-                let ai = _mm256_set1_pd(*a_im.get_unchecked(i * pb + p));
-                r0 = _mm256_fmadd_pd(ar, br0, r0);
-                r0 = _mm256_fnmadd_pd(ai, bi0, r0);
-                r1 = _mm256_fmadd_pd(ar, br1, r1);
-                r1 = _mm256_fnmadd_pd(ai, bi1, r1);
-                s0 = _mm256_fmadd_pd(ar, bi0, s0);
-                s0 = _mm256_fmadd_pd(ai, br0, s0);
-                s1 = _mm256_fmadd_pd(ar, bi1, s1);
-                s1 = _mm256_fmadd_pd(ai, br1, s1);
-            }
-            _mm256_storeu_pd(c_re.as_mut_ptr().add(c0), r0);
-            _mm256_storeu_pd(c_re.as_mut_ptr().add(c0 + 4), r1);
-            _mm256_storeu_pd(c_im.as_mut_ptr().add(c0), s0);
-            _mm256_storeu_pd(c_im.as_mut_ptr().add(c0 + 4), s1);
-            j += 8;
-        }
-        for j in j8..jb {
-            let mut sr = c_re[i * jb + j];
-            let mut si = c_im[i * jb + j];
-            for p in 0..pb {
-                let ar = a_re[i * pb + p];
-                let ai = a_im[i * pb + p];
-                let br = b_re[p * jb + j];
-                let bi = b_im[p * jb + j];
-                sr = ar.mul_add(br, sr);
-                sr = (-ai).mul_add(bi, sr);
-                si = ar.mul_add(bi, si);
-                si = ai.mul_add(br, si);
-            }
-            c_re[i * jb + j] = sr;
-            c_im[i * jb + j] = si;
         }
     }
 }

@@ -12,9 +12,10 @@
 //!   plan's flops), and the packed/blocked kernel for everything
 //!   square-ish.
 //! * **Hardware axis** ([`SimdLevel`]): a one-time capability probe (AVX2+FMA
-//!   on x86_64, NEON on aarch64) selects the SIMD variants — a
-//!   register-blocked interleaved tile for the narrow class and a
-//!   split-real packed tile for the blocked class. The scalar kernels in
+//!   on x86_64, NEON on aarch64) selects the SIMD variants — on AVX2+FMA one
+//!   register-blocked interleaved tile serves the narrow and the blocked
+//!   class, and NEON runs the portable split-real packed driver for the
+//!   blocked class. The scalar kernels in
 //!   [`crate::gemm`], the unrolled micro-kernels and the portable packed
 //!   driver (the blocked class's scalar path, and its NEON path) are the
 //!   reference.
@@ -326,9 +327,10 @@ impl KernelPlan {
 
     /// The one dispatch point. With `overwrite` the prior contents of `C`
     /// are ignored (`C = A * B`, bit-identical to zeroing `C` first): the
-    /// narrow SIMD tile then starts its accumulators at zero instead of
-    /// loading `C`, which spares a contraction one full pass over its
-    /// output; every other path zero-fills and accumulates.
+    /// narrow and blocked SIMD paths hand it to their kernel, whose AVX2
+    /// tile then starts its accumulators at zero instead of loading `C` and
+    /// so spares a contraction one full pass over its output; every other
+    /// path zero-fills and accumulates.
     pub(crate) fn run<L: Layout>(
         self,
         a: MatRef<'_, Complex64, L>,
@@ -346,7 +348,7 @@ impl KernelPlan {
         }
         let path = self.taken::<Complex64>();
         record_path(path);
-        if overwrite && path != GemmPath::NarrowSimd {
+        if overwrite && !matches!(path, GemmPath::NarrowSimd | GemmPath::BlockedSimd) {
             c.fill(Complex64::ZERO);
         }
         match path {
@@ -356,8 +358,8 @@ impl KernelPlan {
             GemmPath::GemvCol => gemv_col(a, b, c),
             GemmPath::NarrowSimd => simd::narrow(self.level, a, b, c, overwrite),
             GemmPath::NarrowScalar => gemm_narrow(a, b, c),
-            GemmPath::BlockedSimd => simd::blocked(self.level, a, b, c),
-            GemmPath::BlockedScalar => simd::blocked(SimdLevel::Scalar, a, b, c),
+            GemmPath::BlockedSimd => simd::blocked(self.level, a, b, c, overwrite),
+            GemmPath::BlockedScalar => simd::blocked(SimdLevel::Scalar, a, b, c, false),
         }
     }
 }
@@ -382,7 +384,8 @@ pub struct DispatchCounts {
     pub narrow_simd: u64,
     /// Narrow-kernel invocations on the scalar path.
     pub narrow_scalar: u64,
-    /// Blocked-kernel invocations on the split-real SIMD path.
+    /// Blocked-kernel invocations on the SIMD path (the narrow class's tile
+    /// on AVX2+FMA).
     pub blocked_simd: u64,
     /// Blocked-kernel invocations on the portable packed path.
     pub blocked_scalar: u64,

@@ -1,17 +1,20 @@
-//! Split-real packed/blocked complex GEMM.
+//! Split-real packed/blocked complex GEMM: the blocked class's scalar and
+//! NEON path. (On AVX2+FMA the blocked class runs the narrow class's
+//! interleaved register tile instead.)
 //!
-//! Interleaved complex storage defeats vectorization: a SIMD lane-wise
-//! multiply of `(re, im, re, im, ...)` vectors does not compute a complex
-//! product without shuffles. The packed kernels therefore *split* each
+//! Interleaved complex storage defeats auto-vectorization: a SIMD
+//! lane-wise multiply of `(re, im, re, im, ...)` vectors does not compute a
+//! complex product without shuffles. This driver therefore *splits* each
 //! operand panel into separate real and imaginary planes while packing it
 //! into a contiguous block-sized arena (the classic 4M split-real scheme:
 //! four real multiplies per complex multiply, chosen over 3M-Karatsuba
-//! because its `±a·b` terms map 1:1 onto FMA instructions and avoid the
+//! because its `±a·b` terms map 1:1 onto multiply-adds and avoid the
 //! Karatsuba cancellation error). The pack step reads the operand through
 //! its [`MatRef`] view, so packing *is* the TTGT transpose: a
 //! contraction's regrouped axes are gathered straight into the planes,
-//! never into a permuted copy first. The inner tile then runs four
-//! plane-by-plane real GEMMs' worth of work with unit-stride loads:
+//! never into a permuted copy first. The portable tile then runs four
+//! plane-by-plane real GEMMs' worth of work with unit-stride loads, which
+//! the compiler vectorizes (NEON is baseline on aarch64):
 //!
 //! ```text
 //! C.re += A.re·B.re − A.im·B.im
@@ -19,15 +22,17 @@
 //! ```
 //!
 //! Panels are bounded by [`PBM`]×[`PBK`] (A), [`PBK`]×[`PBN`] (B) and
-//! [`PBM`]×[`PBN`] (C), so the per-thread [`PackArena`] is O(1) — about
-//! 200 KiB at f64 — and grow-once: the executor's zero-allocation steady
+//! [`PBM`]×[`PBN`] (C), so the per-thread [`PackArena`] is O(1) — 128 KiB
+//! of f64 planes — and grow-once: the executor's zero-allocation steady
 //! state stays allocation-free after the first blocked dispatch on a
 //! thread.
 //!
-//! Loop order is `j0 → p0 → i0` (pack each B panel once, stream A panels
-//! past it); for a fixed output element the `k` blocks are visited in
-//! ascending order and each block accumulates `p` ascending, so results are
-//! deterministic and repeated runs bit-identical.
+//! Loop order is `j0 → p0 → i0`: each B panel is packed once and the A
+//! panels stream past it, so `A` is re-gathered through its view (and
+//! split again) once per B panel, `⌈n / PBN⌉` times in all. For a fixed
+//! output element the `k` blocks are visited in ascending order and each
+//! block accumulates `p` ascending from zero before it is added to `C`, so
+//! results are deterministic and repeated runs bit-identical.
 
 use super::view::{Layout, MatRef};
 use crate::complex::Complex64;
@@ -120,14 +125,14 @@ fn unpack_c(
     }
 }
 
-/// Portable split-real tile kernel over packed planes — the scalar
-/// blocked path, and the NEON one. Written so the innermost `j` loops are
-/// unit-stride over disjoint slices, which LLVM auto-vectorizes under
-/// whatever features the compilation target enables (NEON is baseline on
-/// aarch64).
+/// Portable split-real tile kernel over packed planes (`A` as `ib×pb`, `B`
+/// as `pb×jb`, `C` as `ib×jb`, row-major), accumulating `p` ascending.
+/// Written so the innermost `j` loops are unit-stride over disjoint slices,
+/// which LLVM auto-vectorizes under whatever features the compilation
+/// target enables (NEON is baseline on aarch64).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn tile_generic(
+fn tile_generic(
     a_re: &[f64],
     a_im: &[f64],
     b_re: &[f64],
@@ -154,22 +159,14 @@ pub(crate) fn tile_generic(
     }
 }
 
-/// Packed/blocked driver: pack panels into `arena`, run `tile` per C tile,
-/// merge into interleaved `C`. `tile` receives
-/// `(a_re, a_im, b_re, b_im, c_re, c_im, ib, jb, pb)` with the C planes
-/// zeroed; it must accumulate `p` ascending so the overall summation order
-/// stays deterministic.
-#[inline(always)]
-pub(crate) fn gemm_packed_with<L, F>(
+/// Packed/blocked `C += A·B`: pack panels into `arena`, run the portable
+/// tile per C tile on zeroed C planes, merge into interleaved `C`.
+pub(crate) fn gemm_packed<L: Layout>(
     arena: &mut PackArena,
     a: MatRef<'_, Complex64, L>,
     b: MatRef<'_, Complex64, L>,
     c: &mut [Complex64],
-    mut tile: F,
-) where
-    L: Layout,
-    F: FnMut(&[f64], &[f64], &[f64], &[f64], &mut [f64], &mut [f64], usize, usize, usize),
-{
+) {
     let (m, n, k) = crate::gemm::shape_of(&a, &b, c);
     arena.ensure();
     let mut j0 = 0;
@@ -185,7 +182,7 @@ pub(crate) fn gemm_packed_with<L, F>(
                 pack_panel(&a, &mut arena.a_re, &mut arena.a_im, (i0, p0), (ib, pb));
                 arena.c_re[..ib * jb].fill(0.0);
                 arena.c_im[..ib * jb].fill(0.0);
-                tile(
+                tile_generic(
                     &arena.a_re,
                     &arena.a_im,
                     &arena.b_re,
@@ -236,13 +233,7 @@ mod tests {
             let mut c_ref = vec![dirty; m * n];
             let mut c_pack = vec![dirty; m * n];
             gemm_reference(&a, &b, &mut c_ref, m, n, k);
-            gemm_packed_with(
-                &mut arena,
-                MatRef::dense(&a, m, k),
-                MatRef::dense(&b, k, n),
-                &mut c_pack,
-                tile_generic,
-            );
+            gemm_packed(&mut arena, MatRef::dense(&a, m, k), MatRef::dense(&b, k, n), &mut c_pack);
             for (x, y) in c_pack.iter().zip(c_ref.iter()) {
                 assert!((*x - *y).abs() < 1e-9, "packed {m}x{n}x{k}: {x:?} vs {y:?}");
             }
@@ -256,23 +247,11 @@ mod tests {
         let a: Vec<Complex64> = vec![];
         let b: Vec<Complex64> = vec![];
         let mut c = vec![c64(2.0, 3.0); 4 * 5];
-        gemm_packed_with(
-            &mut arena,
-            MatRef::dense(&a, 4, 0),
-            MatRef::dense(&b, 0, 5),
-            &mut c,
-            tile_generic,
-        );
+        gemm_packed(&mut arena, MatRef::dense(&a, 4, 0), MatRef::dense(&b, 0, 5), &mut c);
         assert!(c.iter().all(|&z| z == c64(2.0, 3.0)));
         // m = 0: nothing to write, must not panic.
         let mut empty: Vec<Complex64> = vec![];
         let b = vec![Complex64::ONE; 3 * 5];
-        gemm_packed_with(
-            &mut arena,
-            MatRef::dense(&a, 0, 3),
-            MatRef::dense(&b, 3, 5),
-            &mut empty,
-            tile_generic,
-        );
+        gemm_packed(&mut arena, MatRef::dense(&a, 0, 3), MatRef::dense(&b, 3, 5), &mut empty);
     }
 }

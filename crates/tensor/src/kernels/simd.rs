@@ -8,8 +8,8 @@
 //!
 //! Two acceleration strategies appear:
 //!
-//! * **Intrinsics** — narrow shapes and blocked panels use the
-//!   hand-written AVX2+FMA tiles in [`super::avx2`].
+//! * **Intrinsics** — narrow and blocked shapes alike run the one
+//!   hand-written AVX2+FMA interleaved tile in [`super::avx2`].
 //! * **A `#[target_feature]` twin** — the micro-kernels reuse the *scalar*
 //!   bodies compiled a second time in an AVX2+FMA context, where LLVM
 //!   unrolls and vectorizes them. Same code, different instruction
@@ -22,7 +22,7 @@
 //! what lets it vectorize.
 
 use super::micro;
-use super::packed::{gemm_packed_with, tile_generic, PackArena};
+use super::packed::{gemm_packed, PackArena};
 use super::view::{Layout, MatRef};
 use super::SimdLevel;
 use crate::complex::Complex64;
@@ -42,7 +42,8 @@ pub(crate) struct SimdSupport {
     pub(crate) micro: bool,
     /// Register-blocked SIMD tile for the narrow class.
     pub(crate) narrow: bool,
-    /// Split-real packed/blocked kernel.
+    /// SIMD path for the blocked class: the narrow class's interleaved tile
+    /// on AVX2+FMA, the portable split-real packed driver on NEON.
     pub(crate) blocked: bool,
 }
 
@@ -103,7 +104,7 @@ pub(crate) fn narrow<L: Layout>(
     match level {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2Fma is only dispatched after runtime detection.
-        SimdLevel::Avx2Fma => unsafe { super::avx2::gemm_narrow_avx2_c64(a, b, c, overwrite) },
+        SimdLevel::Avx2Fma => unsafe { super::avx2::gemm_avx2(a, b, c, overwrite) },
         _ => {
             if overwrite {
                 c.fill(Complex64::ZERO);
@@ -113,8 +114,9 @@ pub(crate) fn narrow<L: Layout>(
     }
 }
 
-/// Packed/blocked `C += A·B` on this thread's [`PackArena`]: the AVX2+FMA
-/// tile at that level, the portable tile at every other — which makes
+/// Blocked `C += A·B`, or `C = A·B` with `overwrite`: the AVX2+FMA tile
+/// the narrow class runs at that level, the portable packed driver on this
+/// thread's [`PackArena`] at every other — which makes
 /// `blocked(SimdLevel::Scalar, ..)` the scalar blocked path.
 #[allow(clippy::match_single_binding)]
 pub(crate) fn blocked<L: Layout>(
@@ -122,14 +124,17 @@ pub(crate) fn blocked<L: Layout>(
     a: MatRef<'_, Complex64, L>,
     b: MatRef<'_, Complex64, L>,
     c: &mut [Complex64],
+    overwrite: bool,
 ) {
-    PACK.with(|arena| {
-        let arena = &mut *arena.borrow_mut();
-        match level {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: Avx2Fma is only dispatched after runtime detection.
-            SimdLevel::Avx2Fma => unsafe { super::avx2::gemm_avx2_c64(arena, a, b, c) },
-            _ => gemm_packed_with(arena, a, b, c, tile_generic),
+    match level {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx2Fma is only dispatched after runtime detection.
+        SimdLevel::Avx2Fma => unsafe { super::avx2::gemm_avx2(a, b, c, overwrite) },
+        _ => {
+            if overwrite {
+                c.fill(Complex64::ZERO);
+            }
+            PACK.with(|arena| gemm_packed(&mut arena.borrow_mut(), a, b, c))
         }
-    });
+    }
 }

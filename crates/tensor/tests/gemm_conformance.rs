@@ -267,10 +267,10 @@ fn narrow_remainder_tiles_conform() {
     }
 }
 
-/// The AVX2 narrow kernel's documented per-element order, in scalar FMAs:
-/// `p` ascending, the `ar` term before the `ai` term, starting from `C` —
-/// or from zero when overwriting, which never reads `C`.
-fn narrow_fma_model(
+/// The AVX2 tile's documented per-element order, in scalar FMAs: `p`
+/// ascending, the `ar` term before the `ai` term, starting from `C` — or
+/// from zero when overwriting, which never reads `C`.
+fn avx2_fma_model(
     a: &[Complex64],
     b: &[Complex64],
     c: &mut [Complex64],
@@ -302,12 +302,14 @@ fn assert_same_bits(got: &[Complex64], want: &[Complex64], what: &str) {
     }
 }
 
-/// The AVX2 narrow kernel equals its scalar FMA model bit for bit: tall,
-/// wide and deep shapes, odd remainders, `k` past one `p` chunk, dense
-/// operands and offset tables with each operand's unit-stride axis free
-/// and contracted, accumulating into a dirty `C` and overwriting one.
+/// Every AVX2 GEMM — narrow and blocked, auto-selected and forced — equals
+/// the tile's scalar FMA model bit for bit: tall, wide, deep and blocked
+/// shapes, odd remainders, `k` across several `p` chunks, several column
+/// groups, dense operands and offset tables with each operand's unit-stride
+/// axis free and contracted, accumulating into a dirty `C` and overwriting
+/// a NaN-filled one.
 #[test]
-fn narrow_simd_follows_its_scalar_fma_model() {
+fn avx2_gemm_follows_its_scalar_fma_model() {
     let _guard = lock();
     let level = simd_level();
     if level != SimdLevel::Avx2Fma {
@@ -315,7 +317,14 @@ fn narrow_simd_follows_its_scalar_fma_model() {
         return;
     }
     let mut rng = StdRng::seed_from_u64(0xF4A);
-    let narrow = KernelPlan::forced(DispatchClass::Narrow, level);
+    // The auto-selected plan (when it picks one of the tile's classes) and
+    // both classes forced.
+    let plans = |m, n, k| {
+        let auto = KernelPlan::select_with_level(m, n, k, level);
+        let tile = matches!(auto.class(), DispatchClass::Narrow | DispatchClass::Blocked);
+        let forced = [DispatchClass::Narrow, DispatchClass::Blocked];
+        tile.then_some(auto).into_iter().chain(forced.map(|c| KernelPlan::forced(c, level)))
+    };
     for &(m, n, k) in &[
         (37, 6, 5),
         (64, 4, 4),
@@ -330,23 +339,45 @@ fn narrow_simd_follows_its_scalar_fma_model() {
         (9, 33, 130),
         (1, 7, 5),
         (5, 6, 1),
+        // Blocked: several groups and chunks, odd remainders everywhere.
+        (37, 40, 19),
+        (96, 64, 64),
+        (33, 65, 130),
+        (128, 48, 300),
+        (21, 150, 35),
+        (8, 35, 41),
     ] {
         let a = random_c64(&mut rng, m * k);
         let b = random_c64(&mut rng, k * n);
         let mut want = random_c64(&mut rng, m * n);
-        let mut got = want.clone();
-        narrow_fma_model(&a, &b, &mut want, (m, n, k), false);
-        narrow.apply(&a, &b, &mut got, m, n, k);
-        assert_same_bits(&got, &want, &format!("dense ({m},{n},{k})"));
+        let dirty = want.clone();
+        avx2_fma_model(&a, &b, &mut want, (m, n, k), false);
+        for plan in plans(m, n, k) {
+            let mut got = dirty.clone();
+            plan.apply(&a, &b, &mut got, m, n, k);
+            assert_same_bits(&got, &want, &format!("dense ({m},{n},{k}) {:?}", plan.class()));
+        }
     }
-    for &(m, n, k) in
-        &[(64, 4, 4), (4, 64, 4), (16, 64, 4), (8, 4, 512), (16, 2, 8), (2, 16, 8), (2, 8, 256)]
-    {
+    for &(m, n, k) in &[
+        (64, 4, 4),
+        (4, 64, 4),
+        (16, 64, 4),
+        (8, 4, 512),
+        (16, 2, 8),
+        (2, 16, 8),
+        (2, 8, 256),
+        (32, 128, 256),
+        (64, 32, 32),
+    ] {
         let bits = |d: usize| d.trailing_zeros();
         let left_free: Vec<IndexId> = (0..bits(m)).collect();
         let contracted: Vec<IndexId> = (100..100 + bits(k)).collect();
         let right_free: Vec<IndexId> = (200..200 + bits(n)).collect();
         let join = |x: &[IndexId], y: &[IndexId]| [x, y].concat();
+        let path = match KernelPlan::select_with_level(m, n, k, level).class() {
+            DispatchClass::Blocked => GemmPath::BlockedSimd,
+            _ => GemmPath::NarrowSimd,
+        };
         // Unit-stride axis contracted in `A` and free in `B`, then the
         // reverse.
         for (left_axes, right_axes) in [
@@ -359,24 +390,27 @@ fn narrow_simd_follows_its_scalar_fma_model() {
                 DenseTensor::from_data(IndexSet::new(right_axes), random_c64(&mut rng, k * n));
             let what = format!("({m},{n},{k}) {:?} x {:?}", left.indices(), right.indices());
 
-            // Accumulate: the plan applied through the offset tables.
+            // Accumulate: the plans applied through the offset tables.
             let a = permute_to_order(&left, &IndexSet::new(join(&left_free, &contracted)));
             let b = permute_to_order(&right, &IndexSet::new(join(&contracted, &right_free)));
             let left_table = OffsetTable::new(left.indices(), &left_free, &contracted);
             let right_table = OffsetTable::new(right.indices(), &contracted, &right_free);
             let mut want = random_c64(&mut rng, m * n);
-            let mut got = want.clone();
-            narrow_fma_model(a.data(), b.data(), &mut want, (m, n, k), false);
-            narrow.apply_views(
-                left_table.view(left.data()),
-                right_table.view(right.data()),
-                &mut got,
-            );
-            assert_same_bits(&got, &want, &format!("{what} accumulating"));
+            let dirty = want.clone();
+            avx2_fma_model(a.data(), b.data(), &mut want, (m, n, k), false);
+            for plan in plans(m, n, k) {
+                let mut got = dirty.clone();
+                plan.apply_views(
+                    left_table.view(left.data()),
+                    right_table.view(right.data()),
+                    &mut got,
+                );
+                assert_same_bits(&got, &want, &format!("{what} {:?} accumulating", plan.class()));
+            }
 
             // Overwrite: the compiled kernel, whose output ignores `C`.
             let kernel = ContractionKernel::new(left.indices(), right.indices());
-            assert_eq!(kernel.gemm_plan().taken::<Complex64>(), GemmPath::NarrowSimd, "{what}");
+            assert_eq!(kernel.gemm_plan().taken::<Complex64>(), path, "{what}");
             let spec = kernel.spec();
             let a =
                 permute_to_order(&left, &IndexSet::new(join(&spec.left_free, &spec.contracted)));
@@ -384,7 +418,7 @@ fn narrow_simd_follows_its_scalar_fma_model() {
                 permute_to_order(&right, &IndexSet::new(join(&spec.contracted, &spec.right_free)));
             let mut want = vec![c64(f64::NAN, f64::NAN); m * n];
             let mut got = want.clone();
-            narrow_fma_model(a.data(), b.data(), &mut want, (m, n, k), true);
+            avx2_fma_model(a.data(), b.data(), &mut want, (m, n, k), true);
             kernel.contract(left.data(), right.data(), &mut got);
             assert_same_bits(&got, &want, &format!("{what} overwriting"));
         }
