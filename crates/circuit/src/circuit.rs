@@ -86,20 +86,20 @@ impl Circuit {
         self.ops.iter().filter(|op| op.gate.arity() == 2).count()
     }
 
-    /// A structural fingerprint of the circuit: a 64-bit FNV-1a hash over the
-    /// qubit count and every operation's target qubits and unitary matrix
-    /// (bit patterns of the complex entries). Two circuits with the same
-    /// fingerprint produce identical tensor networks up to output projectors,
-    /// which is what plan caches key on.
+    /// A structural fingerprint of the circuit: a 64-bit hash over the
+    /// qubit count and, per operation, its arity, its target qubits and the
+    /// bit patterns of its unitary matrix's complex entries. Each input is
+    /// one `u64` word, folded in with a multiply-xorshift step (every step
+    /// is a bijection of the state, so two inputs differing in one word
+    /// never collide); matrices are read in place, without allocating. Two
+    /// circuits with the same fingerprint produce identical tensor networks
+    /// up to output projectors, which is what plan caches key on. Values
+    /// are stable within a build, not a persisted format.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf29ce484222325;
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = OFFSET;
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut eat = |word: u64| {
-            for byte in word.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(PRIME);
-            }
+            h = (h ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            h ^= h >> 32;
         };
         eat(self.num_qubits as u64);
         for op in &self.ops {
@@ -107,10 +107,12 @@ impl Circuit {
             for &q in &op.qubits {
                 eat(q as u64);
             }
-            for entry in op.gate.matrix() {
-                eat(entry.re.to_bits());
-                eat(entry.im.to_bits());
-            }
+            op.gate.with_matrix(|matrix| {
+                for entry in matrix {
+                    eat(entry.re.to_bits());
+                    eat(entry.im.to_bits());
+                }
+            });
         }
         h
     }
@@ -179,6 +181,37 @@ mod tests {
         let mut e = Circuit::new(3);
         e.push1(Gate::H, 0).push2(Gate::Cnot, 0, 1);
         assert_ne!(a.fingerprint(), e.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_sees_every_matrix_bit_and_qubit_order() {
+        use qtn_tensor::Complex64;
+        let fsim = Gate::FSim { theta: 0.52, phi: 0.17 };
+        let raw: [Complex64; 16] = fsim.matrix().try_into().unwrap();
+        let circuit = |gate: Gate, q0: usize, q1: usize| {
+            let mut c = Circuit::new(3);
+            c.push1(Gate::SqrtW, 2).push2(gate, q0, q1);
+            c.fingerprint()
+        };
+        let base = circuit(fsim.clone(), 0, 1);
+        // A named gate and its raw unitary hash alike.
+        assert_eq!(circuit(Gate::Unitary2(Box::new(raw)), 0, 1), base);
+        // Swapping the gate's two qubits.
+        assert_ne!(circuit(fsim.clone(), 1, 0), base);
+        // The lowest or the highest bit of one entry's real or imaginary
+        // part, for every entry.
+        for at in 0..16 {
+            for bit in [0, 63] {
+                for part in [0, 1] {
+                    let mut flipped = raw;
+                    let entry = &mut flipped[at];
+                    let word = if part == 0 { &mut entry.re } else { &mut entry.im };
+                    *word = f64::from_bits(word.to_bits() ^ (1 << bit));
+                    let h = circuit(Gate::Unitary2(Box::new(flipped)), 0, 1);
+                    assert_ne!(h, base, "entry {at}, bit {bit}, part {part}");
+                }
+            }
+        }
     }
 
     #[test]

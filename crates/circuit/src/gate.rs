@@ -127,97 +127,70 @@ impl Gate {
     /// Row-major unitary matrix of the gate (length 4 for single-qubit,
     /// 16 for two-qubit gates).
     pub fn matrix(&self) -> Vec<Complex64> {
+        self.with_matrix(<[Complex64]>::to_vec)
+    }
+
+    /// Call `f` on [`Self::matrix`] without allocating: raw unitaries lend
+    /// their own storage, named gates build theirs on the stack.
+    pub(crate) fn with_matrix<R>(&self, f: impl FnOnce(&[Complex64]) -> R) -> R {
         let o = Complex64::ONE;
         let z = Complex64::ZERO;
         let i = Complex64::I;
+        // A two-qubit matrix from its nonzero entries.
+        let sparse = |entries: &[(usize, Complex64)]| {
+            let mut m = [z; 16];
+            for &(at, value) in entries {
+                m[at] = value;
+            }
+            m
+        };
         match self {
-            Gate::I => vec![o, z, z, o],
-            Gate::X => vec![z, o, o, z],
-            Gate::Y => vec![z, -i, i, z],
-            Gate::Z => vec![o, z, z, -o],
+            Gate::I => f(&[o, z, z, o]),
+            Gate::X => f(&[z, o, o, z]),
+            Gate::Y => f(&[z, -i, i, z]),
+            Gate::Z => f(&[o, z, z, -o]),
             Gate::H => {
                 let h = c64(FRAC_1_SQRT_2, 0.0);
-                vec![h, h, h, -h]
+                f(&[h, h, h, -h])
             }
-            Gate::S => vec![o, z, z, i],
-            Gate::T => vec![o, z, z, Complex64::from_polar(1.0, PI / 4.0)],
-            Gate::SqrtX => {
-                // 1/2 [[1+i, 1-i], [1-i, 1+i]]
-                let p = c64(0.5, 0.5);
-                let m = c64(0.5, -0.5);
-                vec![p, m, m, p]
-            }
+            Gate::S => f(&[o, z, z, i]),
+            Gate::T => f(&[o, z, z, Complex64::from_polar(1.0, PI / 4.0)]),
+            Gate::SqrtX => f(&sqrt_x()),
             Gate::SqrtY => {
                 // 1/2 [[1+i, -1-i], [1+i, 1+i]]
                 let p = c64(0.5, 0.5);
-                vec![p, -p, p, p]
+                f(&[p, -p, p, p])
             }
             Gate::SqrtW => {
                 // W = (X+Y)/√2 is X conjugated by a π/4 rotation about Z, so
                 // √W = Rz(π/4)·√X·Rz(-π/4). Building it from exact factors
                 // keeps the matrix unitary to machine precision.
-                let rz_p = Gate::Rz(PI / 4.0).matrix();
-                let sx = Gate::SqrtX.matrix();
-                let rz_m = Gate::Rz(-PI / 4.0).matrix();
-                mat2_mul(&mat2_mul(&rz_p, &sx), &rz_m)
+                f(&mat2_mul(&mat2_mul(&rz(PI / 4.0), &sqrt_x()), &rz(-PI / 4.0)))
             }
-            Gate::Rz(theta) => {
-                let e_m = Complex64::from_polar(1.0, -theta / 2.0);
-                let e_p = Complex64::from_polar(1.0, theta / 2.0);
-                vec![e_m, z, z, e_p]
-            }
+            Gate::Rz(theta) => f(&rz(*theta)),
             Gate::Rx(theta) => {
                 let c = c64((theta / 2.0).cos(), 0.0);
                 let s = c64(0.0, -(theta / 2.0).sin());
-                vec![c, s, s, c]
+                f(&[c, s, s, c])
             }
             Gate::Ry(theta) => {
                 let c = c64((theta / 2.0).cos(), 0.0);
                 let s = c64((theta / 2.0).sin(), 0.0);
-                vec![c, -s, s, c]
+                f(&[c, -s, s, c])
             }
-            Gate::Unitary1(m) => m.to_vec(),
-            Gate::Cz => {
-                let mut m = vec![z; 16];
-                m[0] = o;
-                m[5] = o;
-                m[10] = o;
-                m[15] = -o;
-                m
-            }
-            Gate::Cnot => {
-                // Control = first qubit (more significant bit in |q1 q0>? We
-                // define basis order |q0 q1> with q0 the first argument as the
-                // most significant bit: |q0 q1> in {00,01,10,11}.
-                let mut m = vec![z; 16];
-                m[0] = o; // 00 -> 00
-                m[5] = o; // 01 -> 01
-                m[11] = o; // 10 -> 11
-                m[14] = o; // 11 -> 10
-                m
-            }
-            Gate::ISwap => {
-                let mut m = vec![z; 16];
-                m[0] = o;
-                m[6] = i;
-                m[9] = i;
-                m[15] = o;
-                m
-            }
+            Gate::Unitary1(m) => f(&m[..]),
+            Gate::Cz => f(&sparse(&[(0, o), (5, o), (10, o), (15, -o)])),
+            // Control = first qubit: basis order |q0 q1> with q0 the first
+            // argument as the most significant bit, so 10 <-> 11.
+            Gate::Cnot => f(&sparse(&[(0, o), (5, o), (11, o), (14, o)])),
+            Gate::ISwap => f(&sparse(&[(0, o), (6, i), (9, i), (15, o)])),
             Gate::FSim { theta, phi } => {
                 let c = c64(theta.cos(), 0.0);
                 let s = c64(0.0, -theta.sin());
                 let ph = Complex64::from_polar(1.0, -phi);
-                let mut m = vec![z; 16];
-                m[0] = o;
-                m[5] = c;
-                m[6] = s;
-                m[9] = s;
-                m[10] = c;
-                m[15] = ph;
-                m
+                f(&sparse(&[(0, o), (5, c), (6, s), (9, s), (10, c), (15, ph)]))
             }
-            Gate::Unitary2(m) => m.to_vec(),
+            Gate::Unitary2(m) => f(&m[..]),
         }
     }
 
@@ -242,9 +215,23 @@ impl Gate {
     }
 }
 
+/// `√X = 1/2 [[1+i, 1-i], [1-i, 1+i]]`.
+fn sqrt_x() -> [Complex64; 4] {
+    let p = c64(0.5, 0.5);
+    let m = c64(0.5, -0.5);
+    [p, m, m, p]
+}
+
+/// `Rz(θ) = diag(e^{-iθ/2}, e^{iθ/2})`.
+fn rz(theta: f64) -> [Complex64; 4] {
+    let e_m = Complex64::from_polar(1.0, -theta / 2.0);
+    let e_p = Complex64::from_polar(1.0, theta / 2.0);
+    [e_m, Complex64::ZERO, Complex64::ZERO, e_p]
+}
+
 /// Multiply two row-major 2×2 complex matrices.
-fn mat2_mul(a: &[Complex64], b: &[Complex64]) -> Vec<Complex64> {
-    let mut out = vec![Complex64::ZERO; 4];
+fn mat2_mul(a: &[Complex64], b: &[Complex64]) -> [Complex64; 4] {
+    let mut out = [Complex64::ZERO; 4];
     for r in 0..2 {
         for c in 0..2 {
             out[r * 2 + c] = a[r * 2] * b[c] + a[r * 2 + 1] * b[2 + c];

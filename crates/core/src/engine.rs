@@ -194,6 +194,8 @@ struct EngineState {
 #[derive(Clone)]
 pub struct Engine {
     planner: PlannerConfig,
+    /// [`planner_fingerprint`] of `planner`, folded into every cache key.
+    planner_fingerprint: u64,
     executor: ExecutorConfig,
     pool: Arc<WorkerPool>,
     state: Arc<EngineState>,
@@ -227,6 +229,20 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
         h = h.wrapping_mul(0x100000001b3);
     }
     h
+}
+
+/// A hash of a planner configuration, folded into every plan-cache key so
+/// plans built under one configuration are never served to another.
+/// Computed once per configuration, not per compile.
+fn planner_fingerprint(planner: &PlannerConfig) -> u64 {
+    // PlannerConfig's Debug output covers every field (f64s print with
+    // round-trip precision), making it a faithful value fingerprint.
+    // The memory budget is deliberately excluded: it gates `compile`
+    // *after* planning and never influences plan construction, so one
+    // cached plan serves every budget (each compile re-checks it) —
+    // probing budgets or raising one after a rejection never replans.
+    let canonical = PlannerConfig { memory_budget_bytes: None, ..planner.clone() };
+    fnv1a(format!("{canonical:?}").into_bytes())
 }
 
 /// The one bitstring rule of the API boundary: `bits` covers all
@@ -263,6 +279,7 @@ impl Engine {
             cache_evictions: AtomicUsize::new(0),
         });
         Self {
+            planner_fingerprint: planner_fingerprint(&planner),
             planner,
             executor: executor.clone(),
             pool: Arc::new(WorkerPool::new(executor.workers)),
@@ -270,24 +287,12 @@ impl Engine {
         }
     }
 
-    /// A hash of the planner configuration, folded into every plan-cache key
-    /// so plans built under one configuration are never served to another.
-    fn planner_fingerprint(&self) -> u64 {
-        // PlannerConfig's Debug output covers every field (f64s print with
-        // round-trip precision), making it a faithful value fingerprint.
-        // The memory budget is deliberately excluded: it gates `compile`
-        // *after* planning and never influences plan construction, so one
-        // cached plan serves every budget (each compile re-checks it) —
-        // probing budgets or raising one after a rejection never replans.
-        let canonical = PlannerConfig { memory_budget_bytes: None, ..self.planner.clone() };
-        fnv1a(format!("{canonical:?}").into_bytes())
-    }
-
     /// Replace the planner configuration (builder style). Cached plans are
     /// keyed by configuration, so entries built under the old configuration
     /// remain in the cache (for clones still using it) but will never be
     /// served to this engine.
     pub fn with_planner(mut self, planner: PlannerConfig) -> Self {
+        self.planner_fingerprint = planner_fingerprint(&planner);
         self.planner = planner;
         self
     }
@@ -397,7 +402,7 @@ impl Engine {
         Self::validate(circuit, output)?;
         let key = PlanKey {
             fingerprint: circuit.fingerprint(),
-            planner: self.planner_fingerprint(),
+            planner: self.planner_fingerprint,
             shape: OutputShape::of(output),
         };
 

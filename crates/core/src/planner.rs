@@ -398,6 +398,63 @@ mod tests {
         assert!(log2_flops < 80.0, "log2 flops {log2_flops}");
     }
 
+    /// FNV-1a over the words that decide a plan: the contraction pairs,
+    /// the slicing set, the cost and overhead bits and both predicted
+    /// peaks.
+    fn plan_digest(plan: &SimulationPlan) -> u64 {
+        let mut words = vec![plan.pairs.len() as u64];
+        words.extend(plan.pairs.iter().flat_map(|&(a, b)| [a as u64, b as u64]));
+        words.push(plan.slicing.sliced.len() as u64);
+        words.extend(plan.slicing.sliced.iter().map(|&e| u64::from(e)));
+        words.extend([
+            plan.log_cost.to_bits(),
+            plan.overhead.to_bits(),
+            plan.predicted_peak_bytes(),
+            plan.predicted_batched_peak_bytes(),
+        ]);
+        words.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &w| (h ^ w).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// Every plan the planner builds is pinned, bit for bit: a planner
+    /// change that is meant to be a pure speedup must leave these digests
+    /// alone. The Sycamore seeds are the path-search seeds whose plans
+    /// differ most (slicing overheads from 8 to 5e5, so the deferral and
+    /// the SA refiner take branches the headline plan never does); the
+    /// lattices are the benchmark's three executed workloads.
+    #[test]
+    fn plans_are_pinned() {
+        let sycamore = RqcConfig::sycamore(20, 5).build();
+        let mut cases: Vec<(String, Circuit, PlannerConfig)> = [0u64, 2, 12, 2023]
+            .into_iter()
+            .map(|seed| {
+                let cfg = PlannerConfig { target_rank: 30, seed, ..Default::default() };
+                (format!("sycamore m=20 seed {seed}"), sycamore.clone(), cfg)
+            })
+            .collect();
+        for (rows, cols, cycles, target_rank) in [(4, 5, 12, 14), (5, 6, 12, 18), (3, 4, 10, 8)] {
+            let cfg = PlannerConfig { target_rank, ..Default::default() };
+            let circuit = RqcConfig::small(rows, cols, cycles, 5).build();
+            cases.push((format!("{rows}x{cols}x{cycles}/{target_rank}"), circuit, cfg));
+        }
+        let digests: Vec<String> = cases
+            .iter()
+            .map(|(name, c, cfg)| {
+                let plan = plan_simulation(c, &OutputSpec::Amplitude(vec![0; c.num_qubits()]), cfg);
+                format!("{name}: {:#018x}", plan_digest(&plan))
+            })
+            .collect();
+        let expected = [
+            "sycamore m=20 seed 0: 0xa0b157100d9920c9",
+            "sycamore m=20 seed 2: 0xca7b6d20fdd128de",
+            "sycamore m=20 seed 12: 0x8381811855929712",
+            "sycamore m=20 seed 2023: 0x813609b4e43a4d9e",
+            "4x5x12/14: 0xd007a23b8fae48f4",
+            "5x6x12/18: 0x9baaeb1d389b3b43",
+            "3x4x10/8: 0xc8a3382d10d2dddf",
+        ];
+        assert_eq!(digests, expected);
+    }
+
     #[test]
     fn deterministic_planning() {
         let c = small_circuit(8, 6);

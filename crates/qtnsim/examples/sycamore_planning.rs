@@ -1,9 +1,9 @@
-//! Plan a full 53-qubit Sycamore random circuit the way the paper's
-//! process-level pipeline does: build the tensor network, search contraction
-//! paths, extract the stem, and slice it with the lifetime-based slice
-//! finder + simulated-annealing refiner. The comparison against the
-//! cotengra-style greedy baseline is the `fig10` section of `qtn-bench`'s
-//! `repro` binary.
+//! Plan a full 53-qubit Sycamore random circuit with the planner the
+//! engine compiles with: `plan_simulation` builds the tensor network,
+//! searches contraction paths, refines the path, extracts the stem, slices
+//! it with the lifetime-based slice finder + simulated-annealing refiner,
+//! and defers projector joins. The comparison against the cotengra-style
+//! greedy baseline is the `fig10` section of `qtn-bench`'s `repro` binary.
 //!
 //! Planning is pure graph work — no tensor of rank 30+ is ever materialised —
 //! so this runs on a laptop even though executing the resulting contraction
@@ -11,15 +11,13 @@
 //!
 //! Run with `cargo run --release --example sycamore_planning [cycles]`.
 
-use qtnsim::circuit::{circuit_to_network, sycamore_rqc, OutputSpec};
-use qtnsim::slicing::overhead::{sliced_max_rank, slicing_overhead};
-use qtnsim::slicing::{lifetime_slice_finder, refine_slicing, RefinerConfig};
-use qtnsim::tensornet::{
-    extract_stem, random_greedy_paths, simplify_network, ContractionTree, TensorNetwork,
-};
+use qtnsim::circuit::{sycamore_rqc, OutputSpec};
+use qtnsim::slicing::{lifetime_slice_finder, refine_slicing, slicing_overhead, RefinerConfig};
+use qtnsim::{plan_simulation, PlannerConfig};
+use std::time::Instant;
 
 fn main() {
-    let cycles: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(12);
+    let cycles: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(20);
     let target_rank = 30; // fits the united 96 GB main memory of one node
 
     println!("Building Sycamore-style RQC with m = {cycles} cycles (53 qubits)...");
@@ -30,50 +28,36 @@ fn main() {
         circuit.two_qubit_gate_count()
     );
 
-    let build = circuit_to_network(&circuit, &OutputSpec::Amplitude(vec![0; 53]));
-    let network = TensorNetwork::from_build(&build);
-    println!("  tensor network: {} tensors, {} edges", network.num_active(), network.num_edges());
+    let output = OutputSpec::Amplitude(vec![0; circuit.num_qubits()]);
+    let config = PlannerConfig { target_rank, ..PlannerConfig::default() };
+    let start = Instant::now();
+    let plan = plan_simulation(&circuit, &output, &config);
+    let wall = start.elapsed();
 
-    let mut work = network.clone();
-    let mut pairs = simplify_network(&mut work);
-    println!("  after rank-1/rank-2 simplification: {} tensors", work.num_active());
+    println!("\nPlan for one amplitude at target rank {target_rank}:");
+    println!("  tensor network       : {} tensors", plan.network.num_active());
+    println!("  log2(time complexity): {:.2}", plan.log_cost);
+    println!("  stem                 : {} absorption steps", plan.stem.len());
+    println!("  sliced edges |S|     : {}", plan.slicing.len());
+    println!("  slicing overhead     : {:.3}", plan.overhead);
+    println!("  sliced max rank      : {}", plan.sliced_max_rank());
+    println!("  planning wall time   : {:.1} ms", wall.as_secs_f64() * 1e3);
 
-    println!("Searching contraction paths (randomised greedy)...");
-    let candidates = random_greedy_paths(&work, 8, 7);
-    let (_, best_pairs) = candidates.into_iter().next().unwrap();
-    pairs.extend(best_pairs);
-    let tree = ContractionTree::from_pairs(&network, &pairs);
-    println!(
-        "  best tree: log2(time complexity) = {:.2}, largest tensor rank = {}",
-        tree.total_log_cost(),
-        tree.max_rank()
-    );
-
-    let stem = extract_stem(&tree);
-    println!(
-        "  stem: {} absorption steps, log2(stem cost) = {:.2} ({:.1}% of the total)",
-        stem.len(),
-        stem.total_log_cost(),
-        100.0 * (stem.total_log_cost() - tree.total_log_cost()).exp2()
-    );
-
-    println!("\nSlicing down to rank {target_rank} (per-node memory bound):");
-    let ours = lifetime_slice_finder(&stem, target_rank);
-    let refined = refine_slicing(&stem, &ours, &RefinerConfig::default());
-    println!(
-        "  lifetime finder          : {:>3} edges, overhead {:.3}, max rank {}",
-        ours.len(),
-        slicing_overhead(&stem, &ours.sliced),
-        sliced_max_rank(&stem, &ours.sliced)
-    );
-    println!(
-        "  + simulated annealing    : {:>3} edges, overhead {:.3}",
-        refined.len(),
-        slicing_overhead(&stem, &refined.sliced)
-    );
+    // The slicing set was chosen before the projector deferral reshaped the
+    // tree; slice the shipped stem afresh for comparison.
+    println!("\nSlicing the shipped stem afresh:");
+    let found = lifetime_slice_finder(&plan.stem, target_rank);
+    let refined = refine_slicing(&plan.stem, &found, &RefinerConfig::default());
+    for (name, slicing) in [("lifetime finder", &found), ("+ simulated annealing", &refined)] {
+        println!(
+            "  {name:<22}: {:>3} edges, overhead {:.3}",
+            slicing.len(),
+            slicing_overhead(&plan.stem, &slicing.sliced)
+        );
+    }
     println!(
         "\nSubtasks generated for the distributed sweep: 2^{} = {:.3e}",
-        refined.len(),
-        2f64.powi(refined.len() as i32)
+        plan.slicing.len(),
+        2f64.powi(plan.slicing.len() as i32)
     );
 }

@@ -9,10 +9,10 @@
 //! which is what produces slicing sets that are as small as possible
 //! (Theorem 1 then links small sets to low overhead).
 
+use crate::marks::SliceMarks;
 use crate::overhead::SlicingPlan;
 use qtn_tensor::IndexId;
 use qtn_tensornet::Stem;
-use std::collections::HashSet;
 
 /// Run the lifetime-based slice finder (Algorithm 1) on a stem.
 ///
@@ -25,21 +25,21 @@ pub fn lifetime_slice_finder(stem: &Stem, target_rank: usize) -> SlicingPlan {
         tensors.push(step.result.clone());
     }
 
-    let mut sliced: HashSet<IndexId> = HashSet::new();
+    let mut sliced = SliceMarks::default();
     // Remaining stem positions, kept in stem order.
     let mut remaining: Vec<usize> = (0..tensors.len()).collect();
 
-    let dim_of = |pos: usize, sliced: &HashSet<IndexId>| {
-        tensors[pos].iter().filter(|e| !sliced.contains(e)).count()
-    };
-    // Lifetime length restricted to the remaining positions.
+    let dim_of = |pos: usize, sliced: &SliceMarks| sliced.count_unsliced(&tensors[pos]);
+    // Lifetime length restricted to the remaining positions (stem index
+    // lists are sorted).
     let lifetime_len = |edge: IndexId, remaining: &[usize]| {
-        remaining.iter().filter(|&&p| tensors[p].contains(&edge)).count()
+        remaining.iter().filter(|&&p| tensors[p].binary_search(&edge).is_ok()).count()
     };
 
     // Drop positions that already satisfy the target.
     remaining.retain(|&p| dim_of(p, &sliced) > target_rank);
 
+    let mut chosen_edges = Vec::new();
     while !remaining.is_empty() {
         let first = remaining[0];
         let last = *remaining.last().unwrap();
@@ -52,12 +52,13 @@ pub fn lifetime_slice_finder(stem: &Stem, target_rank: usize) -> SlicingPlan {
             // by lifetime length over the remaining stem.
             let mut candidates: Vec<(usize, IndexId)> = tensors[chosen]
                 .iter()
-                .filter(|e| !sliced.contains(e))
+                .filter(|&&e| !sliced.contains(e))
                 .map(|&e| (lifetime_len(e, &remaining), e))
                 .collect();
             candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
             for (_, e) in candidates.into_iter().take(dim - target_rank) {
                 sliced.insert(e);
+                chosen_edges.push(e);
             }
         }
 
@@ -66,9 +67,7 @@ pub fn lifetime_slice_finder(stem: &Stem, target_rank: usize) -> SlicingPlan {
         remaining.retain(|&p| dim_of(p, &sliced) > target_rank);
     }
 
-    let mut sliced: Vec<IndexId> = sliced.into_iter().collect();
-    sliced.sort_unstable();
-    SlicingPlan::new(sliced, target_rank)
+    SlicingPlan::new(chosen_edges, target_rank)
 }
 
 #[cfg(test)]

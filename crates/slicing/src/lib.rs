@@ -29,6 +29,7 @@
 
 pub mod finder;
 pub mod lifetime;
+mod marks;
 pub mod overhead;
 pub mod refiner;
 

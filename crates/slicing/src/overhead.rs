@@ -14,9 +14,9 @@
 //! by none of the sliced edges is recomputed in every one of the `2^|S|`
 //! subtasks.
 
+use crate::marks::SliceMarks;
 use qtn_tensor::IndexId;
 use qtn_tensornet::{log2_sum, LogCost, Stem};
-use std::collections::HashSet;
 
 /// A slicing decision: the set of sliced edges and the memory target it was
 /// computed for (tensors are required to have rank ≤ `target_rank` after
@@ -56,12 +56,7 @@ impl SlicingPlan {
 /// log2 of the total sliced time complexity over the stem (Eq. 4, restricted
 /// to the stem's contractions).
 pub fn sliced_log_cost(stem: &Stem, sliced: &[IndexId]) -> LogCost {
-    let s: HashSet<IndexId> = sliced.iter().copied().collect();
-    log2_sum(stem.steps.iter().map(|step| {
-        let union = step.union();
-        let hit = union.iter().filter(|e| s.contains(e)).count();
-        (union.len() + s.len() - hit) as LogCost
-    }))
+    StepUnions::new(stem).sliced_log_cost(&SliceMarks::new(sliced))
 }
 
 /// Slicing overhead of `sliced` on the stem (Eq. 2), as a linear ratio ≥ 1
@@ -81,13 +76,7 @@ pub fn slicing_overhead(stem: &Stem, sliced: &[IndexId]) -> f64 {
 /// slicing machinery enforces is the size of the stem tensor that lives in
 /// distributed main memory.
 pub fn sliced_max_rank(stem: &Stem, sliced: &[IndexId]) -> usize {
-    let s: HashSet<IndexId> = sliced.iter().copied().collect();
-    let rank_of = |idx: &[IndexId]| idx.iter().filter(|e| !s.contains(e)).count();
-    let mut m = rank_of(&stem.start_indices);
-    for step in &stem.steps {
-        m = m.max(rank_of(&step.result));
-    }
-    m
+    max_rank(stem, &SliceMarks::new(sliced))
 }
 
 /// Whether the slicing plan meets its memory target on the stem.
@@ -100,15 +89,48 @@ pub fn is_feasible(stem: &Stem, plan: &SlicingPlan) -> bool {
 /// sliced edge whose lifetime contains none of them contributes nothing to
 /// memory reduction.
 pub fn critical_positions(stem: &Stem, sliced: &[IndexId], target_rank: usize) -> Vec<usize> {
-    let s: HashSet<IndexId> = sliced.iter().copied().collect();
-    let mut tensors: Vec<&Vec<IndexId>> = vec![&stem.start_indices];
-    for step in &stem.steps {
-        tensors.push(&step.result);
+    critical(stem, &SliceMarks::new(sliced), target_rank)
+}
+
+/// Every stem step's index union `s_v1 ∪ s_v2 ∪ s_v3`, built once so that
+/// pricing a slicing set (Eq. 4) is one pass over them with no allocation —
+/// the simulated-annealing refiner prices every trial this way, on a stem
+/// that does not change while it runs.
+pub(crate) struct StepUnions(Vec<Vec<IndexId>>);
+
+impl StepUnions {
+    pub(crate) fn new(stem: &Stem) -> Self {
+        Self(stem.steps.iter().map(|step| step.union()).collect())
     }
-    tensors
-        .iter()
+
+    /// Eq. 4 over the stem: each step costs `|u| + |S| − |u ∩ S|`, summed
+    /// in the log2 domain in step order.
+    pub(crate) fn sliced_log_cost(&self, sliced: &SliceMarks) -> LogCost {
+        log2_sum(
+            self.0
+                .iter()
+                .map(|union| (union.len() + sliced.len() - sliced.count_in(union)) as LogCost),
+        )
+    }
+}
+
+/// The running stem tensors by position: the start tensor, then every
+/// step's result.
+fn stem_tensors(stem: &Stem) -> impl Iterator<Item = &[IndexId]> {
+    std::iter::once(stem.start_indices.as_slice())
+        .chain(stem.steps.iter().map(|step| step.result.as_slice()))
+}
+
+/// [`sliced_max_rank`] against a prepared slicing table.
+pub(crate) fn max_rank(stem: &Stem, sliced: &SliceMarks) -> usize {
+    stem_tensors(stem).map(|t| sliced.count_unsliced(t)).max().unwrap_or(0)
+}
+
+/// [`critical_positions`] against a prepared slicing table.
+pub(crate) fn critical(stem: &Stem, sliced: &SliceMarks, target_rank: usize) -> Vec<usize> {
+    stem_tensors(stem)
         .enumerate()
-        .filter(|(_, idx)| idx.iter().filter(|e| !s.contains(e)).count() == target_rank)
+        .filter(|(_, t)| sliced.count_unsliced(t) == target_rank)
         .map(|(p, _)| p)
         .collect()
 }

@@ -13,7 +13,8 @@
 //! temperature.
 
 use crate::lifetime::{compute_lifetimes, LifetimeTable};
-use crate::overhead::{critical_positions, sliced_log_cost, sliced_max_rank, SlicingPlan};
+use crate::marks::SliceMarks;
+use crate::overhead::{critical, max_rank, SlicingPlan, StepUnions};
 use qtn_tensor::IndexId;
 use qtn_tensornet::Stem;
 use rand::rngs::StdRng;
@@ -40,21 +41,26 @@ impl Default for RefinerConfig {
 
 /// Refine a slicing plan with simulated annealing (Algorithm 2), returning a
 /// plan of the same size whose overhead is no worse than the input's.
+///
+/// The stem does not change while the refiner runs, so its step unions are
+/// built once and the current set lives in an edge-indexed table: a trial
+/// swaps one edge out and one in, is priced in one pass over the unions,
+/// and is swapped back if rejected.
 pub fn refine_slicing(stem: &Stem, plan: &SlicingPlan, config: &RefinerConfig) -> SlicingPlan {
     if plan.is_empty() || stem.is_empty() {
         return plan.clone();
     }
     let table = compute_lifetimes(stem);
+    let unions = StepUnions::new(stem);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let target = plan.target_rank;
 
     // Drop sliced edges whose lifetime contains no critical tensor: they do
     // not contribute to memory reduction (§4.3) and removing them keeps the
     // plan feasible while strictly lowering the overhead.
-    let mut current: Vec<IndexId> = plan.sliced.clone();
-    current = drop_useless_edges(stem, &table, current, target);
+    let (mut current, mut marks) = drop_useless_edges(stem, &table, plan.sliced.clone(), target);
 
-    let mut current_cost = sliced_log_cost(stem, &current);
+    let mut current_cost = unions.sliced_log_cost(&marks);
     let mut best = current.clone();
     let mut best_cost = current_cost;
 
@@ -65,34 +71,39 @@ pub fn refine_slicing(stem: &Stem, plan: &SlicingPlan, config: &RefinerConfig) -
         let index = current[pick];
 
         // Critical tensors within the lifetime of the picked index.
-        let crit = critical_in_lifetime(stem, &table, &current, index, target);
-        let candidates = find_candidate_indices(&table, &current, &crit);
+        let crit = critical_in_lifetime(stem, &table, &marks, index, target);
+        let candidates = find_candidate_indices(&table, &marks, &crit);
 
         for can in candidates {
-            let mut trial = current.clone();
-            trial[pick] = can;
-            if sliced_max_rank(stem, &trial) > target {
-                continue;
-            }
-            let new_cost = sliced_log_cost(stem, &trial);
-            let accept = if new_cost < current_cost {
-                true
-            } else {
-                // Boltzmann acceptance on the relative cost increase.
-                let c_ori = current_cost.exp2();
-                let c_new = new_cost.exp2();
-                let p = ((c_ori - c_new) / c_ori / temperature).exp();
-                rng.gen_bool(p.clamp(0.0, 1.0))
+            // The trial set: `current` with `index` replaced by `can`.
+            marks.remove(index);
+            marks.insert(can);
+            let accept = max_rank(stem, &marks) <= target && {
+                let new_cost = unions.sliced_log_cost(&marks);
+                let accept = if new_cost < current_cost {
+                    true
+                } else {
+                    // Boltzmann acceptance on the relative cost increase.
+                    let c_ori = current_cost.exp2();
+                    let c_new = new_cost.exp2();
+                    let p = ((c_ori - c_new) / c_ori / temperature).exp();
+                    rng.gen_bool(p.clamp(0.0, 1.0))
+                };
+                if accept {
+                    current_cost = new_cost;
+                }
+                accept
             };
             if accept {
-                current = trial;
-                current_cost = new_cost;
+                current[pick] = can;
                 if current_cost < best_cost {
                     best = current.clone();
                     best_cost = current_cost;
                 }
                 break;
             }
+            marks.remove(can);
+            marks.insert(index);
         }
         temperature *= config.alpha;
     }
@@ -102,15 +113,17 @@ pub fn refine_slicing(stem: &Stem, plan: &SlicingPlan, config: &RefinerConfig) -
 
 /// Remove sliced edges whose lifetime contains no critical tensor, repeating
 /// until a fixed point (removals can create new critical tensors, so the
-/// criticality is recomputed each pass).
+/// criticality is recomputed each pass). Returns the kept edges and their
+/// table.
 fn drop_useless_edges(
     stem: &Stem,
     table: &LifetimeTable,
     mut sliced: Vec<IndexId>,
     target: usize,
-) -> Vec<IndexId> {
+) -> (Vec<IndexId>, SliceMarks) {
+    let mut marks = SliceMarks::new(&sliced);
     loop {
-        let crit = critical_positions(stem, &sliced, target);
+        let crit = critical(stem, &marks, target);
         let mut removed = false;
         let mut i = 0;
         while i < sliced.len() {
@@ -119,18 +132,18 @@ fn drop_useless_edges(
                 table.get(e).map(|l| crit.iter().any(|&p| l.contains(p))).unwrap_or(false);
             if !covers_some {
                 // Removing must stay feasible; verify before committing.
-                let mut trial = sliced.clone();
-                trial.remove(i);
-                if sliced_max_rank(stem, &trial) <= target {
-                    sliced = trial;
+                marks.remove(e);
+                if max_rank(stem, &marks) <= target {
+                    sliced.remove(i);
                     removed = true;
                     continue;
                 }
+                marks.insert(e);
             }
             i += 1;
         }
         if !removed {
-            return sliced;
+            return (sliced, marks);
         }
     }
 }
@@ -139,13 +152,12 @@ fn drop_useless_edges(
 fn critical_in_lifetime(
     stem: &Stem,
     table: &LifetimeTable,
-    sliced: &[IndexId],
+    sliced: &SliceMarks,
     index: IndexId,
     target: usize,
 ) -> Vec<usize> {
-    let crit = critical_positions(stem, sliced, target);
     match table.get(index) {
-        Some(l) => crit.into_iter().filter(|&p| l.contains(p)).collect(),
+        Some(l) => critical(stem, sliced, target).into_iter().filter(|&p| l.contains(p)).collect(),
         None => Vec::new(),
     }
 }
@@ -153,12 +165,12 @@ fn critical_in_lifetime(
 /// Unsliced indices whose lifetime contains every given critical position.
 fn find_candidate_indices(
     table: &LifetimeTable,
-    sliced: &[IndexId],
+    sliced: &SliceMarks,
     critical: &[usize],
 ) -> Vec<IndexId> {
     let mut out: Vec<IndexId> = table
         .edges()
-        .filter(|e| !sliced.contains(e))
+        .filter(|&e| !sliced.contains(e))
         .filter(|&e| {
             let l = table.get(e).unwrap();
             critical.iter().all(|&p| l.contains(p))
@@ -172,7 +184,7 @@ fn find_candidate_indices(
 mod tests {
     use super::*;
     use crate::finder::lifetime_slice_finder;
-    use crate::overhead::{is_feasible, slicing_overhead};
+    use crate::overhead::{is_feasible, sliced_max_rank, slicing_overhead};
     use qtn_circuit::{circuit_to_network, OutputSpec, RqcConfig};
     use qtn_tensornet::{
         extract_stem, greedy_path, simplify_network, ContractionTree, PathConfig, TensorNetwork,

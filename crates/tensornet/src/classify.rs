@@ -44,6 +44,7 @@
 //! sets*: the roots of maximal same-class subtrees whose tensors must
 //! outlive their contraction phase because a later phase consumes them.
 
+use crate::sets::{self, Marks};
 use crate::tree::ContractionTree;
 use qtn_tensor::IndexId;
 
@@ -308,11 +309,18 @@ pub fn dependency_masks(tree: &ContractionTree, leaves: &[usize]) -> DependencyM
     let nodes = tree.nodes();
     let words_per_node = leaves.len().div_ceil(64);
     let mut bits = vec![0u64; nodes.len() * words_per_node];
-    for (ordinal, vertex) in leaves.iter().enumerate() {
-        for (id, node) in nodes.iter().enumerate() {
-            if node.leaf_vertex == Some(*vertex) {
-                bits[id * words_per_node + ordinal / 64] |= 1u64 << (ordinal % 64);
+    let mut node_of_vertex = vec![None; nodes.len()];
+    for (id, node) in nodes.iter().enumerate() {
+        if let Some(vertex) = node.leaf_vertex {
+            if vertex >= node_of_vertex.len() {
+                node_of_vertex.resize(vertex + 1, None);
             }
+            node_of_vertex[vertex] = Some(id);
+        }
+    }
+    for (ordinal, &vertex) in leaves.iter().enumerate() {
+        if let Some(&Some(id)) = node_of_vertex.get(vertex) {
+            bits[id * words_per_node + ordinal / 64] |= 1u64 << (ordinal % 64);
         }
     }
     for &(l, r, out) in &tree.schedule() {
@@ -346,10 +354,12 @@ pub fn classify_nodes(
     let mut classes = vec![NodeClass::Branch; nodes.len()];
 
     // Leaves first: the only place dependencies originate.
+    let sliced_marks = sets::edge_marks(sliced);
+    let overridable_marks = Marks::new(overridable_leaves.iter().copied());
     for (id, node) in nodes.iter().enumerate() {
         if let Some(vertex) = node.leaf_vertex {
-            let on_slice = node.indices.iter().any(|e| sliced.contains(e));
-            let on_projector = overridable_leaves.contains(&vertex);
+            let on_slice = sliced_marks.any(&node.indices);
+            let on_projector = overridable_marks.contains(vertex);
             classes[id] = match (on_slice, on_projector) {
                 (false, false) => NodeClass::Branch,
                 (false, true) => NodeClass::Frontier,

@@ -4,6 +4,7 @@
 //! every edge has weight 2 and connects at most two tensors; edges incident
 //! to a single tensor are the network's open (output) indices.
 
+use crate::sets;
 use qtn_circuit::network::NetworkBuild;
 use qtn_tensor::{IndexId, IndexSet};
 
@@ -98,26 +99,33 @@ impl TensorNetwork {
     /// Active vertices adjacent to `v` (sharing at least one edge).
     pub fn neighbors(&self, v: usize) -> Vec<usize> {
         let mut out = Vec::new();
+        self.neighbor_overlaps(v, &mut out);
+        out.into_iter().map(|(u, _)| u).collect()
+    }
+
+    /// Active vertices adjacent to `v`, in first-seen order, each with the
+    /// number of edges it shares with `v` — `|s_v ∩ s_u|`, read off the
+    /// edge lists instead of merging the two index sets. Written into
+    /// `out` (cleared first).
+    pub(crate) fn neighbor_overlaps(&self, v: usize, out: &mut Vec<(usize, usize)>) {
+        out.clear();
         for &e in self.indices(v) {
             for &u in &self.edge_vertices[e as usize] {
-                if u != v && self.is_active(u) && !out.contains(&u) {
-                    out.push(u);
+                if u != v && self.is_active(u) {
+                    match out.iter_mut().find(|(w, _)| *w == u) {
+                        Some((_, shared)) => *shared += 1,
+                        None => out.push((u, 1)),
+                    }
                 }
             }
         }
-        out
     }
 
     /// The index list the contraction of `a` and `b` would produce
     /// (symmetric difference of their index sets), without modifying the
     /// network.
     pub fn contraction_indices(&self, a: usize, b: usize) -> Vec<IndexId> {
-        let ia = self.indices(a);
-        let ib = self.indices(b);
-        let mut out: Vec<IndexId> = ia.iter().copied().filter(|e| !ib.contains(e)).collect();
-        out.extend(ib.iter().copied().filter(|e| !ia.contains(e)));
-        out.sort_unstable();
-        out
+        sets::sym_diff(self.indices(a), self.indices(b))
     }
 
     /// Contract vertices `a` and `b`, returning the id of the new vertex.
@@ -229,6 +237,39 @@ mod tests {
         let mut g = chain4();
         g.contract(0, 1);
         g.indices(0);
+    }
+
+    #[test]
+    fn neighbor_overlaps_count_shared_edges() {
+        use qtn_circuit::{circuit_to_network, OutputSpec, RqcConfig};
+        let c = RqcConfig::small(3, 3, 6, 2).build();
+        let mut g = TensorNetwork::from_build(&circuit_to_network(
+            &c,
+            &OutputSpec::Amplitude(vec![0; c.num_qubits()]),
+        ));
+        let mut overlaps = Vec::new();
+        // Check the fresh network, then again after contracting a few
+        // adjacent pairs (higher-rank intermediates, retired vertices).
+        for _ in 0..3 {
+            for v in g.active_vertices() {
+                g.neighbor_overlaps(v, &mut overlaps);
+                let naive: Vec<(usize, usize)> = g
+                    .active_vertices()
+                    .into_iter()
+                    .filter(|&u| u != v)
+                    .map(|u| (u, g.indices(u).iter().filter(|e| g.indices(v).contains(e)).count()))
+                    .filter(|&(_, shared)| shared > 0)
+                    .collect();
+                let mut sorted = overlaps.clone();
+                sorted.sort_unstable();
+                assert_eq!(sorted, naive, "vertex {v}");
+            }
+            for _ in 0..5 {
+                let v = g.active_vertices()[0];
+                let u = g.neighbors(v)[0];
+                g.contract(v, u);
+            }
+        }
     }
 
     #[test]

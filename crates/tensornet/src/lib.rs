@@ -19,6 +19,7 @@ pub mod graph;
 pub mod lifetime;
 pub mod path;
 pub mod refine;
+mod sets;
 pub mod simplify;
 pub mod stem;
 pub mod tree;

@@ -51,6 +51,7 @@
 //! regardless of batch size or which keys the batch happens to contain.
 
 use crate::classify::{NodeClass, NodeClassification};
+use crate::sets;
 use crate::tree::ContractionTree;
 use qtn_tensor::IndexId;
 use std::collections::BTreeMap;
@@ -191,22 +192,28 @@ impl MemoryPlan {
 }
 
 /// Greedy slot allocator used by the simulation: size-classed free lists,
-/// exactly like the executor's runtime `BufferPool`.
+/// exactly like the executor's runtime `BufferPool`. Per-class tables are
+/// indexed by rank.
 #[derive(Default)]
 struct PoolSim {
-    free: BTreeMap<usize, Vec<usize>>,
+    free: Vec<Vec<usize>>,
     slot_ranks: Vec<usize>,
     live_bytes: u64,
     peak_bytes: u64,
     live_buffers: usize,
     max_live_buffers: usize,
-    live_by_rank: BTreeMap<usize, usize>,
-    peak_live_by_rank: BTreeMap<usize, usize>,
+    live_by_rank: Vec<usize>,
+    peak_live_by_rank: Vec<usize>,
 }
 
 impl PoolSim {
     fn acquire(&mut self, rank: usize) -> usize {
-        let slot = match self.free.get_mut(&rank).and_then(Vec::pop) {
+        if rank >= self.free.len() {
+            self.free.resize_with(rank + 1, Vec::new);
+            self.live_by_rank.resize(rank + 1, 0);
+            self.peak_live_by_rank.resize(rank + 1, 0);
+        }
+        let slot = match self.free[rank].pop() {
             Some(slot) => slot,
             None => {
                 self.slot_ranks.push(rank);
@@ -217,10 +224,8 @@ impl PoolSim {
         self.peak_bytes = self.peak_bytes.max(self.live_bytes);
         self.live_buffers += 1;
         self.max_live_buffers = self.max_live_buffers.max(self.live_buffers);
-        let live = self.live_by_rank.entry(rank).or_insert(0);
-        *live += 1;
-        let peak = self.peak_live_by_rank.entry(rank).or_insert(0);
-        *peak = (*peak).max(*live);
+        self.live_by_rank[rank] += 1;
+        self.peak_live_by_rank[rank] = self.peak_live_by_rank[rank].max(self.live_by_rank[rank]);
         slot
     }
 
@@ -228,15 +233,17 @@ impl PoolSim {
         let rank = self.slot_ranks[slot];
         self.live_bytes -= bytes_of_rank(rank);
         self.live_buffers -= 1;
-        *self.live_by_rank.get_mut(&rank).expect("release of never-acquired rank") -= 1;
-        self.free.entry(rank).or_default().push(slot);
+        self.live_by_rank[rank] -= 1;
+        self.free[rank].push(slot);
     }
 }
 
-/// Effective rank of a node's subtask tensor: the node's indices minus the
-/// sliced edges it carries (Branch/Frontier nodes carry none by definition).
-fn effective_rank(tree: &ContractionTree, sliced: &[IndexId], node: usize) -> usize {
-    tree.node(node).indices.iter().filter(|e| !sliced.contains(e)).count()
+/// Effective rank of every node's subtask tensor: the node's indices minus
+/// the sliced edges it carries (Branch/Frontier nodes carry none by
+/// definition).
+fn effective_ranks(tree: &ContractionTree, sliced: &[IndexId]) -> Vec<usize> {
+    let sliced = sets::edge_marks(sliced);
+    tree.nodes().iter().map(|node| sliced.count_unmarked(&node.indices)).collect()
 }
 
 /// Running state of one phase simulation: the greedy pool, the liveness
@@ -247,25 +254,34 @@ fn effective_rank(tree: &ContractionTree, sliced: &[IndexId], node: usize) -> us
 struct PhaseSim {
     sim: PoolSim,
     intervals: Vec<BufferInterval>,
-    interval_of: BTreeMap<usize, usize>,
+    /// Interval index of every node's live buffer, by node id.
+    interval_of: Vec<Option<usize>>,
     step: usize,
 }
 
 impl PhaseSim {
+    /// Note that `node`'s buffer is the next interval pushed.
+    fn record(&mut self, node: usize) {
+        if node >= self.interval_of.len() {
+            self.interval_of.resize(node + 1, None);
+        }
+        self.interval_of[node] = Some(self.intervals.len());
+    }
+
     /// Materialise every leaf the membership predicate owns, in node-id
     /// order, at the current step.
     fn materialize_leaves(
         &mut self,
         tree: &ContractionTree,
         classification: &NodeClassification,
-        sliced: &[IndexId],
+        ranks: &[usize],
         owned: impl Fn(NodeClass) -> bool,
     ) {
         for (id, node) in tree.nodes().iter().enumerate() {
             if node.is_leaf() && owned(classification.class(id)) {
-                let rank = effective_rank(tree, sliced, id);
+                let rank = ranks[id];
                 let slot = self.sim.acquire(rank);
-                self.interval_of.insert(id, self.intervals.len());
+                self.record(id);
                 self.intervals.push(BufferInterval {
                     node: id,
                     rank,
@@ -283,24 +299,23 @@ impl PhaseSim {
     /// are never released here).
     fn replay(
         &mut self,
-        tree: &ContractionTree,
         classification: &NodeClassification,
-        sliced: &[IndexId],
+        ranks: &[usize],
         schedule: &[(usize, usize, usize)],
         consumable: impl Fn(NodeClass) -> bool,
     ) {
         for &(l, r, out) in schedule {
             self.step += 1;
-            let rank = effective_rank(tree, sliced, out);
+            let rank = ranks[out];
             let slot = self.sim.acquire(rank);
             for operand in [l, r] {
                 if consumable(classification.class(operand)) {
-                    let idx = self.interval_of[&operand];
+                    let idx = self.interval_of[operand].expect("operand was produced");
                     self.intervals[idx].consumed = Some(self.step);
                     self.sim.release(self.intervals[idx].slot);
                 }
             }
-            self.interval_of.insert(out, self.intervals.len());
+            self.record(out);
             self.intervals.push(BufferInterval {
                 node: out,
                 rank,
@@ -324,7 +339,9 @@ impl PhaseSim {
             peak_bytes: self.sim.peak_bytes,
             kept_bytes,
             max_live_buffers: self.sim.max_live_buffers,
-            peak_live_by_rank: self.sim.peak_live_by_rank,
+            peak_live_by_rank: (self.sim.peak_live_by_rank.into_iter().enumerate())
+                .filter(|&(_, peak)| peak > 0)
+                .collect(),
         }
     }
 }
@@ -334,13 +351,13 @@ impl PhaseSim {
 fn analyze_phase(
     tree: &ContractionTree,
     classification: &NodeClassification,
-    sliced: &[IndexId],
+    ranks: &[usize],
     owned: impl Fn(NodeClass) -> bool + Copy,
     schedule: &[(usize, usize, usize)],
 ) -> PhaseMemoryPlan {
     let mut sim = PhaseSim::default();
-    sim.materialize_leaves(tree, classification, sliced, owned);
-    sim.replay(tree, classification, sliced, schedule, owned);
+    sim.materialize_leaves(tree, classification, ranks, owned);
+    sim.replay(classification, ranks, schedule, owned);
     sim.finish()
 }
 
@@ -357,22 +374,22 @@ fn analyze_phase(
 fn analyze_batched_stem(
     tree: &ContractionTree,
     classification: &NodeClassification,
-    sliced: &[IndexId],
+    ranks: &[usize],
 ) -> PhaseMemoryPlan {
     let mut sim = PhaseSim::default();
     let pure = |c: NodeClass| c == NodeClass::StemPure;
     let mixed = |c: NodeClass| c == NodeClass::StemMixed;
-    sim.materialize_leaves(tree, classification, sliced, pure);
-    sim.replay(tree, classification, sliced, classification.stem_pure_schedule(), pure);
+    sim.materialize_leaves(tree, classification, ranks, pure);
+    sim.replay(classification, ranks, classification.stem_pure_schedule(), pure);
     // Keyed suffix: every mixed buffer up front (leaves in node-id order,
     // then step outputs — output ids ascend, so this is node-id order over
     // all mixed nodes), held to the end of the subtask.
     sim.step += 1;
-    sim.materialize_leaves(tree, classification, sliced, mixed);
+    sim.materialize_leaves(tree, classification, ranks, mixed);
     for &(_, _, out) in classification.stem_mixed_schedule() {
-        let rank = effective_rank(tree, sliced, out);
+        let rank = ranks[out];
         let slot = sim.sim.acquire(rank);
-        sim.interval_of.insert(out, sim.intervals.len());
+        sim.record(out);
         sim.intervals.push(BufferInterval {
             node: out,
             rank,
@@ -396,29 +413,30 @@ pub fn analyze_memory(
     classification: &NodeClassification,
     sliced: &[IndexId],
 ) -> MemoryPlan {
+    let ranks = &effective_ranks(tree, sliced);
     MemoryPlan {
         branch: analyze_phase(
             tree,
             classification,
-            sliced,
+            ranks,
             |c| c == NodeClass::Branch,
             classification.branch_schedule(),
         ),
         frontier: analyze_phase(
             tree,
             classification,
-            sliced,
+            ranks,
             |c| c == NodeClass::Frontier,
             classification.frontier_schedule(),
         ),
         stem: analyze_phase(
             tree,
             classification,
-            sliced,
+            ranks,
             NodeClass::is_stem,
             classification.stem_schedule(),
         ),
-        batched_stem: analyze_batched_stem(tree, classification, sliced),
+        batched_stem: analyze_batched_stem(tree, classification, ranks),
     }
 }
 

@@ -59,16 +59,14 @@ impl Ord for Candidate {
     }
 }
 
-/// Greedy score of contracting `a` and `b`: size of the result minus the
-/// sizes of the inputs (cotengra's default `memory-removed` heuristic),
-/// computed in the linear domain but saturated to avoid overflow.
-fn greedy_score(g: &TensorNetwork, a: usize, b: usize) -> f64 {
-    let out = g.contraction_indices(a, b).len() as f64;
-    let ra = g.rank(a) as f64;
-    let rb = g.rank(b) as f64;
-    // Work with sizes capped at 2^60 to stay finite.
-    let cap = |r: f64| (r.min(60.0)).exp2();
-    cap(out) - cap(ra) - cap(rb)
+/// Greedy score of contracting a rank-`ra` and a rank-`rb` tensor sharing
+/// `shared` edges: size of the result minus the sizes of the inputs
+/// (cotengra's default `memory-removed` heuristic), computed in the linear
+/// domain but saturated to avoid overflow. `pow2[r]` is `2^r` for
+/// `r ≤ 60`, sizes are capped at `2^60` to stay finite.
+fn greedy_score(pow2: &[f64; 61], ra: usize, rb: usize, shared: usize) -> f64 {
+    let cap = |r: usize| pow2[r.min(60)];
+    cap(ra + rb - 2 * shared) - cap(ra) - cap(rb)
 }
 
 /// Find a contraction path by greedy adjacent-pair selection, mutating
@@ -78,44 +76,62 @@ fn greedy_score(g: &TensorNetwork, a: usize, b: usize) -> f64 {
 /// pairs remain.
 pub fn greedy_path(network: &mut TensorNetwork, config: &PathConfig) -> Vec<(usize, usize)> {
     let mut rng = StdRng::seed_from_u64(config.seed);
+    let pow2: [f64; 61] = std::array::from_fn(|r| (r as f64).exp2());
     let mut pairs = Vec::new();
+    // Candidates compare greatest-first by priority (lowest score, then
+    // lowest ids); every candidate pair is pushed once, so no two compare
+    // equal and any heap pops them in the same order. `pool` holds the
+    // `width` best valid candidates, best first, across steps; the heap
+    // holds the rest, plus candidates gone stale when one of their
+    // vertices was contracted, dropped as they surface.
     let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
+    let mut pool: Vec<Candidate> = Vec::new();
+    let width = if config.temperature <= 0.0 { 1 } else { 8 };
+    // Scratch reused across steps: one vertex's neighbours with their
+    // shared-edge counts, and the Boltzmann weights.
+    let mut adjacent = Vec::new();
+    let mut weights: Vec<f64> = Vec::new();
 
-    let seed_candidates = |g: &TensorNetwork, heap: &mut BinaryHeap<Candidate>| {
-        for v in g.active_vertices() {
-            for u in g.neighbors(v) {
-                if u > v {
-                    heap.push(Candidate { score: greedy_score(g, v, u), a: v, b: u });
-                }
-            }
+    for v in network.active_vertices() {
+        network.neighbor_overlaps(v, &mut adjacent);
+        let rv = network.rank(v);
+        for &(u, shared) in adjacent.iter().filter(|&&(u, _)| u > v) {
+            let score = greedy_score(&pow2, rv, network.rank(u), shared);
+            heap.push(Candidate { score, a: v, b: u });
         }
-    };
-    seed_candidates(network, &mut heap);
+    }
 
     while network.num_active() > 1 {
-        // Pop candidates until a valid one is found (lazy deletion).
+        let valid = |c: &Candidate| network.is_active(c.a) && network.is_active(c.b);
         let mut chosen: Option<(usize, usize)> = None;
-        // Optionally perturb the choice: collect a few valid candidates and
-        // sample with Boltzmann weights.
-        let mut pool: Vec<Candidate> = Vec::new();
-        while let Some(c) = heap.pop() {
-            if network.is_active(c.a) && network.is_active(c.b) {
-                pool.push(c);
-                if config.temperature <= 0.0 || pool.len() >= 8 {
-                    break;
+        // Refill the pool with the best valid candidates: pop while the
+        // pool has room or the heap's best beats the pool's worst.
+        pool.retain(valid);
+        while let Some(top) = heap.peek() {
+            if pool.len() >= width && top < &pool[pool.len() - 1] {
+                break;
+            }
+            let c = heap.pop().expect("peeked");
+            if valid(&c) {
+                let at = pool.partition_point(|p| *p > c);
+                pool.insert(at, c);
+                if pool.len() > width {
+                    heap.push(pool.pop().expect("over width"));
                 }
             }
         }
         if !pool.is_empty() {
+            // Optionally perturb the choice: at a positive temperature the
+            // pick is a Boltzmann sample over the pool.
             let pick = if config.temperature <= 0.0 || pool.len() == 1 {
                 0
             } else {
                 // Boltzmann sample over relative scores.
                 let base = pool[0].score;
-                let weights: Vec<f64> = pool
-                    .iter()
-                    .map(|c| (-(c.score - base) / config.temperature.max(1e-9)).exp())
-                    .collect();
+                weights.clear();
+                weights.extend(
+                    pool.iter().map(|c| (-(c.score - base) / config.temperature.max(1e-9)).exp()),
+                );
                 let total: f64 = weights.iter().sum();
                 let mut r = rng.gen_range(0.0..total);
                 let mut idx = 0;
@@ -128,11 +144,7 @@ pub fn greedy_path(network: &mut TensorNetwork, config: &PathConfig) -> Vec<(usi
                 }
                 idx
             };
-            let c = pool.swap_remove(pick);
-            // Put the unused candidates back.
-            for p in pool {
-                heap.push(p);
-            }
+            let c = pool.remove(pick);
             chosen = Some((c.a, c.b));
         } else {
             // No adjacent pairs left: outer-product the first two actives.
@@ -145,8 +157,11 @@ pub fn greedy_path(network: &mut TensorNetwork, config: &PathConfig) -> Vec<(usi
         let (a, b) = chosen.expect("no contraction candidate found");
         let new_v = network.contract(a, b);
         pairs.push((a, b));
-        for u in network.neighbors(new_v) {
-            heap.push(Candidate { score: greedy_score(network, new_v, u), a: new_v, b: u });
+        network.neighbor_overlaps(new_v, &mut adjacent);
+        let rv = network.rank(new_v);
+        for &(u, shared) in &adjacent {
+            let score = greedy_score(&pow2, rv, network.rank(u), shared);
+            heap.push(Candidate { score, a: new_v, b: u });
         }
     }
     pairs
@@ -169,12 +184,11 @@ pub fn random_greedy_paths(
         };
         let pairs = greedy_path(&mut g, &config);
         let tree = ContractionTree::from_pairs(network, &pairs);
-        results.push((tree, pairs));
+        results.push((tree.total_log_cost(), (tree, pairs)));
     }
-    results.sort_by(|a, b| {
-        a.0.total_log_cost().partial_cmp(&b.0.total_log_cost()).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    results
+    // Stable, so equal costs keep their search order.
+    results.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+    results.into_iter().map(|(_, candidate)| candidate).collect()
 }
 
 #[cfg(test)]

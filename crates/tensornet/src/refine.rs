@@ -19,6 +19,7 @@
 //! sweep makes no further progress.
 
 use crate::cost::{log2_add, LogCost};
+use crate::sets::{self, Marks};
 use crate::tree::ContractionTree;
 use qtn_tensor::IndexId;
 
@@ -84,27 +85,16 @@ impl MutableTree {
     /// ancestor keep their indices.
     fn recompute(&mut self, n: usize) {
         if let Some((l, r)) = self.children[n] {
-            let li = &self.indices[l];
-            let ri = &self.indices[r];
-            let mut out: Vec<IndexId> = li.iter().copied().filter(|e| !ri.contains(e)).collect();
-            out.extend(ri.iter().copied().filter(|e| !li.contains(e)));
-            out.sort_unstable();
+            let mut out = std::mem::take(&mut self.indices[n]);
+            sets::sym_diff_into(&self.indices[l], &self.indices[r], &mut out);
             self.indices[n] = out;
         }
     }
 
-    /// Size of the index union the contraction at `n` loops over, leaving
-    /// out the indices in `skip`; `None` for a leaf.
-    fn union_len(&self, n: usize, skip: &[IndexId]) -> Option<usize> {
-        let (l, r) = self.children[n]?;
-        let li = &self.indices[l];
-        let ri = &self.indices[r];
-        let union = li.iter().chain(ri.iter().filter(|e| !li.contains(e)));
-        Some(union.filter(|e| !skip.contains(e)).count())
-    }
-
     fn node_log_cost(&self, n: usize) -> LogCost {
-        self.union_len(n, &[]).map_or(f64::NEG_INFINITY, |u| u as LogCost)
+        self.children[n].map_or(f64::NEG_INFINITY, |(l, r)| {
+            sets::union_len(&self.indices[l], &self.indices[r]) as LogCost
+        })
     }
 
     fn total_log_cost(&self) -> LogCost {
@@ -336,14 +326,16 @@ pub fn defer_projector_joins(
 ) -> (Vec<(usize, usize)>, BatchRefineReport) {
     let mut t = MutableTree::from_tree(tree);
     let nodes = tree.nodes();
+    let on_slice = sets::edge_marks(sliced);
+    let on_projector = Marks::new(overridable_leaves.iter().copied());
     let mut deps = DepBits { slice: vec![false; nodes.len()], proj: vec![false; nodes.len()] };
     // Children precede parents in a freshly built tree, so one forward
     // pass sets every node's bits.
     for (id, node) in nodes.iter().enumerate() {
         match node.leaf_vertex {
             Some(vertex) => {
-                deps.slice[id] = node.indices.iter().any(|e| sliced.contains(e));
-                deps.proj[id] = overridable_leaves.contains(&vertex);
+                deps.slice[id] = on_slice.any(&node.indices);
+                deps.proj[id] = on_projector.contains(vertex);
             }
             None => deps.recompute(&t, id),
         }
@@ -351,20 +343,20 @@ pub fn defer_projector_joins(
 
     let subtasks_log2 = sliced.len() as LogCost;
     let bill = |t: &MutableTree, deps: &DepBits, n: usize| -> LogCost {
-        match (deps.slice[n], deps.proj[n]) {
-            (true, _) => {
-                t.union_len(n, sliced).map_or(f64::NEG_INFINITY, |u| u as LogCost + subtasks_log2)
+        match (deps.slice[n], deps.proj[n], t.children[n]) {
+            (true, _, Some((l, r))) => {
+                let unsliced = sets::union_len_unmarked(&t.indices[l], &t.indices[r], &on_slice);
+                unsliced as LogCost + subtasks_log2
             }
-            (false, true) => t.node_log_cost(n),
-            (false, false) => f64::NEG_INFINITY,
+            (false, true, _) => t.node_log_cost(n),
+            _ => f64::NEG_INFINITY,
         }
     };
     let local_bill = |t: &MutableTree, deps: &DepBits, p: usize, c: usize| {
         log2_add(bill(t, deps, p), bill(t, deps, c))
     };
 
-    let eff_rank =
-        |t: &MutableTree, n: usize| t.indices[n].iter().filter(|e| !sliced.contains(e)).count();
+    let eff_rank = |t: &MutableTree, n: usize| on_slice.count_unmarked(&t.indices[n]);
     // The feasibility envelope: no rotation may push any affected node's
     // post-slicing rank above what the tree already contains.
     let rank_bound = (0..t.children.len())
@@ -394,6 +386,13 @@ pub fn defer_projector_joins(
         let mut progressed = false;
         for p in 0..t.children.len() {
             let Some((c, z)) = t.children[p] else { continue };
+            // A rotation must strictly shrink the StemMixed cost of `p` and
+            // its internal child. Mixedness only grows toward the root, so
+            // when `p` is not mixed neither is its child, that cost is
+            // already zero, and no candidate can pass: skip the trials.
+            if !deps.mixed(p) {
+                continue;
+            }
             // (mixed, cost, internal node, internal children, p children)
             type Candidate = (f64, f64, usize, (usize, usize), (usize, usize));
             let mut best: Option<Candidate> = None;

@@ -7,6 +7,7 @@
 //! on the stem only; branches are pre-contracted.
 
 use crate::cost::{log2_sum, LogCost};
+use crate::sets;
 use crate::tree::ContractionTree;
 use qtn_tensor::IndexId;
 
@@ -26,24 +27,12 @@ pub struct StemStep {
 impl StemStep {
     /// All indices involved in this contraction (`s_v1 ∪ s_v2 ∪ s_v3`).
     pub fn union(&self) -> Vec<IndexId> {
-        let mut u = self.stem_before.clone();
-        for &e in &self.branch {
-            if !u.contains(&e) {
-                u.push(e);
-            }
-        }
-        for &e in &self.result {
-            if !u.contains(&e) {
-                u.push(e);
-            }
-        }
-        u.sort_unstable();
-        u
+        sets::union3(&self.stem_before, &self.branch, &self.result).collect()
     }
 
     /// log2 of the time cost of this step.
     pub fn log_cost(&self) -> LogCost {
-        self.union().len() as LogCost
+        sets::union3(&self.stem_before, &self.branch, &self.result).count() as LogCost
     }
 
     /// Rank of the result tensor.

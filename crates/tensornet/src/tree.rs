@@ -9,8 +9,9 @@
 //!   which for weight-2 edges is `Σ 2^{|union of involved indices|}`;
 //! * space cost: the largest intermediate tensor, `max_v 2^{rank(v)}`.
 
-use crate::cost::{log2_sum, LogCost};
+use crate::cost::{log2_add, log2_sum, LogCost, LOG_ZERO};
 use crate::graph::TensorNetwork;
+use crate::sets;
 use qtn_tensor::IndexId;
 
 /// One node of a contraction tree.
@@ -46,19 +47,20 @@ pub struct ContractionTree {
 }
 
 impl ContractionTree {
-    /// Build a tree by replaying a pairwise contraction path over a copy of
-    /// the network. `pairs` uses the network's SSA vertex ids: each
-    /// contraction of vertices `(a, b)` creates a new vertex whose id is the
-    /// next slot, exactly as [`TensorNetwork::contract`] does.
+    /// Build a tree from a pairwise contraction path over the network.
+    /// `pairs` uses the network's SSA vertex ids: each contraction
+    /// of vertices `(a, b)` creates a new vertex whose id is the next slot,
+    /// exactly as [`TensorNetwork::contract`] does, and whose indices are
+    /// the symmetric difference of its operands'.
     ///
     /// # Panics
     /// Panics if the path does not reduce the network to a single tensor or
     /// references inactive vertices.
     pub fn from_pairs(network: &TensorNetwork, pairs: &[(usize, usize)]) -> Self {
-        let mut g = network.clone();
-        let mut nodes: Vec<TreeNode> = Vec::with_capacity(2 * network.num_active());
-        // Map from network vertex id (SSA) to tree node id.
-        let mut vertex_to_node: Vec<Option<usize>> = vec![None; network.num_slots()];
+        let mut nodes: Vec<TreeNode> = Vec::with_capacity(network.num_active() + pairs.len());
+        // Map from network vertex id (SSA) to tree node id; a vertex's entry
+        // is taken when a pair contracts it away.
+        let mut vertex_to_node: Vec<Option<usize>> = vec![None; network.num_slots() + pairs.len()];
 
         // Leaves for every active vertex.
         for v in network.active_vertices() {
@@ -72,31 +74,30 @@ impl ContractionTree {
             vertex_to_node[v] = Some(id);
         }
 
-        for &(a, b) in pairs {
-            let new_vertex = g.contract(a, b);
-            let left = vertex_to_node[a].expect("pair references unknown vertex");
-            let right = vertex_to_node[b].expect("pair references unknown vertex");
+        let mut active = nodes.len();
+        for (k, &(a, b)) in pairs.iter().enumerate() {
+            assert_ne!(a, b, "cannot contract a vertex with itself");
+            let mut take = |v: usize| {
+                vertex_to_node
+                    .get_mut(v)
+                    .and_then(Option::take)
+                    .expect("pair references unknown vertex")
+            };
+            let (left, right) = (take(a), take(b));
             let id = nodes.len();
             nodes.push(TreeNode {
                 children: Some((left, right)),
                 leaf_vertex: None,
-                indices: g.indices(new_vertex).to_vec(),
+                indices: sets::sym_diff(&nodes[left].indices, &nodes[right].indices),
                 parent: None,
             });
             nodes[left].parent = Some(id);
             nodes[right].parent = Some(id);
-            if vertex_to_node.len() <= new_vertex {
-                vertex_to_node.resize(new_vertex + 1, None);
-            }
-            vertex_to_node[new_vertex] = Some(id);
+            vertex_to_node[network.num_slots() + k] = Some(id);
+            active -= 1;
         }
 
-        assert_eq!(
-            g.num_active(),
-            1,
-            "contraction path leaves {} tensors, expected 1",
-            g.num_active()
-        );
+        assert_eq!(active, 1, "contraction path leaves {active} tensors, expected 1");
         let root = nodes.len() - 1;
         Self { nodes, root }
     }
@@ -124,7 +125,11 @@ impl ContractionTree {
 
     /// Ids of internal nodes in execution (post) order.
     pub fn internal_nodes(&self) -> Vec<usize> {
-        (0..self.nodes.len()).filter(|&i| !self.nodes[i].is_leaf()).collect()
+        self.internal_ids().collect()
+    }
+
+    fn internal_ids(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.nodes.len()).filter(|&i| !self.nodes[i].is_leaf())
     }
 
     /// The union of indices involved in the contraction at an internal node:
@@ -133,26 +138,18 @@ impl ContractionTree {
     /// union).
     pub fn node_union(&self, id: usize) -> Vec<IndexId> {
         let (l, r) = self.nodes[id].children.expect("node_union on a leaf");
-        let li = &self.nodes[l].indices;
-        let ri = &self.nodes[r].indices;
-        let mut u = li.clone();
-        for &e in ri {
-            if !li.contains(&e) {
-                u.push(e);
-            }
-        }
-        u.sort_unstable();
-        u
+        sets::union(&self.nodes[l].indices, &self.nodes[r].indices)
     }
 
     /// log2 of the time cost of the contraction at an internal node.
     pub fn node_log_cost(&self, id: usize) -> LogCost {
-        self.node_union(id).len() as LogCost
+        let (l, r) = self.nodes[id].children.expect("node_log_cost on a leaf");
+        sets::union_len(&self.nodes[l].indices, &self.nodes[r].indices) as LogCost
     }
 
     /// log2 of the total time complexity, Eq. (1).
     pub fn total_log_cost(&self) -> LogCost {
-        log2_sum(self.internal_nodes().into_iter().map(|i| self.node_log_cost(i)))
+        log2_sum(self.internal_ids().map(|i| self.node_log_cost(i)))
     }
 
     /// log2 of the space cost: the rank of the largest tensor appearing
@@ -164,16 +161,19 @@ impl ContractionTree {
     /// log2 of the total cost of the subtree rooted at `id` (cost of its
     /// internal descendants including itself).
     pub fn subtree_log_cost(&self, id: usize) -> LogCost {
-        let mut costs = Vec::new();
+        // Folded in depth-first pop order (right subtree first):
+        // `extract_stem` compares these sums, so the order is part of
+        // every plan.
+        let mut total = LOG_ZERO;
         let mut stack = vec![id];
         while let Some(n) = stack.pop() {
             if let Some((l, r)) = self.nodes[n].children {
-                costs.push(self.node_log_cost(n));
+                total = log2_add(total, self.node_log_cost(n));
                 stack.push(l);
                 stack.push(r);
             }
         }
-        log2_sum(costs)
+        total
     }
 
     /// Execution schedule: `(left, right, result)` tree-node triples in an
@@ -274,6 +274,29 @@ mod tests {
     fn incomplete_path_panics() {
         let g = chain4();
         ContractionTree::from_pairs(&g, &[(0, 1)]);
+    }
+
+    #[test]
+    fn from_pairs_matches_a_network_replay() {
+        use crate::path::{greedy_path, PathConfig};
+        use qtn_circuit::{circuit_to_network, OutputSpec, RqcConfig};
+        let c = RqcConfig::small(3, 4, 8, 6).build();
+        let g = TensorNetwork::from_build(&circuit_to_network(
+            &c,
+            &OutputSpec::Open { fixed: vec![0; c.num_qubits()], open: vec![1, 4] },
+        ));
+        let mut replay = g.clone();
+        let pairs = greedy_path(&mut replay.clone(), &PathConfig { temperature: 0.5, seed: 3 });
+        let tree = ContractionTree::from_pairs(&g, &pairs);
+        // Every internal node carries exactly the indices the network's own
+        // contraction produces for its pair.
+        let internal = tree.internal_nodes();
+        for (&(a, b), &node) in pairs.iter().zip(&internal) {
+            let v = replay.contract(a, b);
+            assert_eq!(tree.node(node).indices, replay.indices(v));
+            assert_eq!(tree.node_union(node).len() as LogCost, tree.node_log_cost(node));
+        }
+        assert_eq!(tree.node(tree.root()).indices, g.open_indices());
     }
 
     #[test]
