@@ -54,7 +54,6 @@ impl CouplerSet {
 pub struct GridLayout {
     rows: usize,
     cols: usize,
-    disabled: BTreeSet<usize>,
     /// Map from site index (r*cols + c) to dense qubit id, None if disabled.
     site_to_qubit: Vec<Option<usize>>,
     num_qubits: usize,
@@ -77,7 +76,7 @@ impl GridLayout {
                 q += 1;
             }
         }
-        Self { rows, cols, disabled, site_to_qubit, num_qubits: q }
+        Self { rows, cols, site_to_qubit, num_qubits: q }
     }
 
     /// The Sycamore-like layout: a 6×9 grid (54 sites) with one site
@@ -104,16 +103,11 @@ impl GridLayout {
     }
 
     /// Dense qubit id at grid position `(r, c)`, if the site is enabled.
-    pub fn qubit_at(&self, r: usize, c: usize) -> Option<usize> {
+    fn qubit_at(&self, r: usize, c: usize) -> Option<usize> {
         if r >= self.rows || c >= self.cols {
             return None;
         }
         self.site_to_qubit[r * self.cols + c]
-    }
-
-    /// Whether the grid site is disabled.
-    pub fn is_disabled(&self, r: usize, c: usize) -> bool {
-        self.disabled.contains(&(r * self.cols + c))
     }
 
     /// All couplers (pairs of adjacent working qubits) in the given set.
@@ -170,7 +164,6 @@ mod tests {
             .filter_map(|(r, c)| l.qubit_at(r, c))
             .collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
-        assert!(l.is_disabled(0, 1));
         assert_eq!(l.qubit_at(0, 1), None);
     }
 

@@ -181,7 +181,7 @@ impl FaultPlan {
     }
 
     /// Record one hit at `point` and decide whether its fault fires.
-    pub fn should_fire(&self, point: FaultPoint) -> bool {
+    fn should_fire(&self, point: FaultPoint) -> bool {
         let i = point.index();
         let Some(rule) = self.rules[i] else { return false };
         let hit = self.hits[i].fetch_add(1, Ordering::Relaxed) + 1;

@@ -34,7 +34,7 @@ pub use executor::{
     GemmTally, LeafOverrides, WorkerPool,
 };
 pub use fault::{FaultPlan, FaultPoint};
-pub use planner::{plan_simulation, PlannerConfig, SimulationPlan};
+pub use planner::{plan_simulation, PlanStage, PlannerConfig, SimulationPlan};
 pub use pool::{BufferPool, PoolCounters, SharedWorkerPools};
 pub use sampling::sample_bitstrings;
 pub use sync::lock_unpoisoned;

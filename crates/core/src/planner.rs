@@ -13,11 +13,12 @@ use qtn_circuit::{circuit_to_network, Circuit, NetworkBuild, OutputSpec};
 use qtn_slicing::overhead::{sliced_max_rank, slicing_overhead};
 use qtn_slicing::{lifetime_slice_finder, refine_slicing, RefinerConfig, SlicingPlan};
 use qtn_tensornet::{
-    analyze_memory, classify_nodes, defer_projector_joins, extract_stem, greedy_path,
-    random_greedy_paths, refine_path, simplify_network, ContractionTree, MemoryPlan,
-    NodeClassification, PathConfig, RefineObjective, Stem, TensorNetwork,
+    analyze_memory, classify_nodes, defer_projector_joins, extract_stem, random_greedy_paths,
+    refine_path, simplify_network, ContractionTree, MemoryPlan, NodeClassification,
+    RefineObjective, Stem, TensorNetwork,
 };
 use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 /// Planner options.
 #[derive(Debug, Clone)]
@@ -26,7 +27,7 @@ pub struct PlannerConfig {
     /// memory budget in amplitudes).
     pub target_rank: usize,
     /// Number of randomised greedy path candidates to try (the best by total
-    /// cost is kept). 1 = deterministic greedy.
+    /// cost is kept). 0 or 1 = deterministic greedy.
     pub path_candidates: usize,
     /// Whether to run the simulated-annealing refiner on the slicing set.
     pub refine: bool,
@@ -75,6 +76,24 @@ impl Default for PlannerConfig {
     }
 }
 
+/// One row of [`SimulationPlan::report`]: a planner stage as it ran.
+#[derive(Debug, Clone)]
+pub struct PlanStage {
+    /// The stage's span name, e.g. `"slicing.finder"`.
+    pub name: &'static str,
+    /// Wall time from the end of the previous stage to the end of this one.
+    pub seconds: f64,
+    /// log2 of the un-sliced contraction cost of the current tree; `None`
+    /// until a tree exists.
+    pub log_cost: Option<f64>,
+    /// Slicing overhead (Eq. 2) of the current slicing on the current stem;
+    /// `None` until a slicing exists.
+    pub overhead: Option<f64>,
+    /// Largest tensor rank of the current stem under the current slicing;
+    /// `None` until a slicing exists.
+    pub sliced_max_rank: Option<usize>,
+}
+
 /// Everything needed to execute a sliced contraction.
 #[derive(Debug, Clone)]
 pub struct SimulationPlan {
@@ -95,6 +114,9 @@ pub struct SimulationPlan {
     pub log_cost: f64,
     /// Slicing overhead (Eq. 2) of the chosen set on the stem.
     pub overhead: f64,
+    /// One row per planner stage that ran, in order: what each stage cost
+    /// and where it left the plan's cost, overhead and sliced rank.
+    pub report: Vec<PlanStage>,
     /// Per-node slice/override dependency classes of the contraction tree,
     /// driving the executor's stem-only sweep (which contractions run once
     /// per plan, once per execution, or per subtask).
@@ -218,28 +240,54 @@ impl SimulationPlan {
 }
 
 /// Plan the simulation of a circuit for the given output specification.
+///
+/// The stages run in one fixed order, and each appends its row to
+/// [`SimulationPlan::report`] as it finishes. A cost column is computed
+/// only by a stage that changed its input (the tree, the stem or the
+/// slicing); every other row carries the previous row's value forward, so
+/// the last row holds the plan's own `log_cost` and `overhead`.
 pub fn plan_simulation(
     circuit: &Circuit,
     output: &OutputSpec,
     config: &PlannerConfig,
 ) -> SimulationPlan {
+    let mut report: Vec<PlanStage> = Vec::with_capacity(12);
+    let mut clock = Instant::now();
+    let mut record = |name, log_cost: Option<f64>, sliced: Option<(f64, usize)>| {
+        let now = Instant::now();
+        let last = report.last();
+        let sliced = sliced.or(last.and_then(|row| row.overhead.zip(row.sliced_max_rank)));
+        report.push(PlanStage {
+            name,
+            seconds: (now - clock).as_secs_f64(),
+            log_cost: log_cost.or(last.and_then(|row| row.log_cost)),
+            overhead: sliced.map(|(overhead, _)| overhead),
+            sliced_max_rank: sliced.map(|(_, rank)| rank),
+        });
+        clock = now;
+    };
+    let sliced_costs = |stem: &Stem, slicing: &SlicingPlan| {
+        Some((slicing_overhead(stem, &slicing.sliced), sliced_max_rank(stem, &slicing.sliced)))
+    };
+
     let build = circuit_to_network(circuit, output);
+    record("circuit.to_network", None, None);
     let network = TensorNetwork::from_build(&build);
+    record("tensornet.from_build", None, None);
 
     // Simplification prefix.
     let mut work = network.clone();
     let mut pairs = simplify_network(&mut work);
+    record("tensornet.simplify", None, None);
 
-    // Path search on the simplified network.
-    if config.path_candidates <= 1 {
-        pairs.extend(greedy_path(&mut work, &PathConfig { temperature: 0.0, seed: config.seed }));
-    } else {
-        let candidates = random_greedy_paths(&work, config.path_candidates, config.seed);
-        let (_, best_pairs) = candidates.into_iter().next().expect("no path candidates");
-        pairs.extend(best_pairs);
-    }
+    // Path search on the simplified network. Candidate 0 is the
+    // deterministic greedy path, so one candidate is plain greedy.
+    let candidates = random_greedy_paths(&work, config.path_candidates.max(1), config.seed);
+    pairs.extend(candidates.into_iter().next().expect("no path candidates").1);
+    record("tensornet.path_search", None, None);
 
     let mut tree = ContractionTree::from_pairs(&network, &pairs);
+    record("tensornet.build_tree", Some(tree.total_log_cost()), None);
     if config.refine_path {
         // Adaptive path refinement (the paper's third contribution): subtree
         // rotations that never increase the cost and prefer LDM-friendly
@@ -248,16 +296,20 @@ pub fn plan_simulation(
             refine_path(&tree, RefineObjective::SunwayAdaptive { ldm_rank: 13 }, 4);
         pairs = refined_pairs;
         tree = ContractionTree::from_pairs(&network, &pairs);
+        record("tensornet.refine_path", Some(tree.total_log_cost()), None);
     }
     let mut stem = extract_stem(&tree);
+    record("tensornet.extract_stem", None, None);
 
     // Slice with the lifetime finder and optionally refine. Open (output)
     // indices may be sliced too: the executor *stacks* those subtask results
     // into the output tensor instead of summing them, exactly as the paper
     // stores its rank-53 output sliced on disk (§3.3).
     let mut slicing = lifetime_slice_finder(&stem, config.target_rank);
+    record("slicing.finder", None, sliced_costs(&stem, &slicing));
     if config.refine {
         slicing = refine_slicing(&stem, &slicing, &config.refiner);
+        record("slicing.refine", None, sliced_costs(&stem, &slicing));
     }
 
     let overridable: Vec<usize> = build.projector_leaves.iter().map(|&(_, node)| node).collect();
@@ -274,10 +326,8 @@ pub fn plan_simulation(
         pairs = deferred_pairs;
         tree = ContractionTree::from_pairs(&network, &pairs);
         stem = extract_stem(&tree);
+        record("tensornet.defer_joins", Some(tree.total_log_cost()), sliced_costs(&stem, &slicing));
     }
-
-    let log_cost = tree.total_log_cost();
-    let overhead = slicing_overhead(&stem, &slicing.sliced);
 
     // Classify every tree node by what its subtree depends on: the sliced
     // edges (replayed per subtask), the rebindable output projectors
@@ -285,13 +335,18 @@ pub fn plan_simulation(
     // (contracted once per plan). Structure-only, like the rest of planning.
     let classification =
         classify_nodes(&tree, &slicing.sliced, &overridable, &build.param_leaf_vertices());
+    record("tensornet.classify", None, None);
 
     // Lifetime analysis: first/last use of every intermediate, slot
     // assignment and predicted peak bytes per reuse phase. Structure-only,
     // and exact — the pooled executor replays the same acquire/release
     // sequence at runtime.
     let memory_plan = analyze_memory(&tree, &classification, &slicing.sliced);
+    record("tensornet.analyze_memory", None, None);
 
+    let last = report.last().expect("the stages above each recorded a row");
+    let log_cost = last.log_cost.expect("the tree is built before the last stage");
+    let overhead = last.overhead.expect("the slicing is chosen before the last stage");
     SimulationPlan {
         build,
         network,
@@ -301,6 +356,7 @@ pub fn plan_simulation(
         slicing,
         log_cost,
         overhead,
+        report,
         classification,
         memory_plan,
         branch_cache: Arc::new(OnceLock::new()),
@@ -398,6 +454,11 @@ mod tests {
         assert!(log2_flops < 80.0, "log2 flops {log2_flops}");
     }
 
+    /// FNV-1a over `words`.
+    fn fnv1a(words: &[u64]) -> u64 {
+        words.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &w| (h ^ w).wrapping_mul(0x100_0000_01b3))
+    }
+
     /// FNV-1a over the words that decide a plan: the contraction pairs,
     /// the slicing set, the cost and overhead bits and both predicted
     /// peaks.
@@ -412,17 +473,26 @@ mod tests {
             plan.predicted_peak_bytes(),
             plan.predicted_batched_peak_bytes(),
         ]);
-        words.iter().fold(0xcbf2_9ce4_8422_2325, |h: u64, &w| (h ^ w).wrapping_mul(0x100_0000_01b3))
+        fnv1a(&words)
     }
 
-    /// Every plan the planner builds is pinned, bit for bit: a planner
-    /// change that is meant to be a pure speedup must leave these digests
-    /// alone. The Sycamore seeds are the path-search seeds whose plans
-    /// differ most (slicing overheads from 8 to 5e5, so the deferral and
-    /// the SA refiner take branches the headline plan never does); the
+    /// FNV-1a over every report row's name and every column but `seconds`.
+    fn report_digest(plan: &SimulationPlan) -> u64 {
+        let mut words = vec![plan.report.len() as u64];
+        for row in &plan.report {
+            words.extend(row.name.bytes().map(u64::from));
+            for column in [row.log_cost, row.overhead, row.sliced_max_rank.map(|r| r as f64)] {
+                words.extend([u64::from(column.is_some()), column.map_or(0, f64::to_bits)]);
+            }
+        }
+        fnv1a(&words)
+    }
+
+    /// The pinned plans. The Sycamore seeds are the path-search seeds whose
+    /// plans differ most (slicing overheads from 8 to 5e5, so the deferral
+    /// and the SA refiner take branches the headline plan never does); the
     /// lattices are the benchmark's three executed workloads.
-    #[test]
-    fn plans_are_pinned() {
+    fn pinned_plans() -> Vec<(String, SimulationPlan)> {
         let sycamore = RqcConfig::sycamore(20, 5).build();
         let mut cases: Vec<(String, Circuit, PlannerConfig)> = [0u64, 2, 12, 2023]
             .into_iter()
@@ -436,12 +506,24 @@ mod tests {
             let circuit = RqcConfig::small(rows, cols, cycles, 5).build();
             cases.push((format!("{rows}x{cols}x{cycles}/{target_rank}"), circuit, cfg));
         }
-        let digests: Vec<String> = cases
-            .iter()
+        cases
+            .into_iter()
             .map(|(name, c, cfg)| {
-                let plan = plan_simulation(c, &OutputSpec::Amplitude(vec![0; c.num_qubits()]), cfg);
-                format!("{name}: {:#018x}", plan_digest(&plan))
+                let plan =
+                    plan_simulation(&c, &OutputSpec::Amplitude(vec![0; c.num_qubits()]), &cfg);
+                (name, plan)
             })
+            .collect()
+    }
+
+    /// Every plan the planner builds is pinned, bit for bit: a planner
+    /// change that is meant to be a pure speedup must leave these digests
+    /// alone.
+    #[test]
+    fn plans_are_pinned() {
+        let digests: Vec<String> = pinned_plans()
+            .iter()
+            .map(|(name, plan)| format!("{name}: {:#018x}", plan_digest(plan)))
             .collect();
         let expected = [
             "sycamore m=20 seed 0: 0xa0b157100d9920c9",
@@ -453,6 +535,96 @@ mod tests {
             "3x4x10/8: 0xc8a3382d10d2dddf",
         ];
         assert_eq!(digests, expected);
+    }
+
+    /// The report of every pinned plan is pinned too (all columns but the
+    /// wall times), and its last row is the plan's own cost, overhead and
+    /// sliced rank.
+    #[test]
+    fn plan_reports_are_pinned() {
+        let plans = pinned_plans();
+        for (name, plan) in &plans {
+            let last = plan.report.last().expect("a report row");
+            assert_eq!(last.name, "tensornet.analyze_memory", "{name}");
+            assert_eq!(last.log_cost.map(f64::to_bits), Some(plan.log_cost.to_bits()), "{name}");
+            assert_eq!(last.overhead.map(f64::to_bits), Some(plan.overhead.to_bits()), "{name}");
+            assert_eq!(last.sliced_max_rank, Some(plan.sliced_max_rank()), "{name}");
+        }
+        let digests: Vec<String> = plans
+            .iter()
+            .map(|(name, plan)| format!("{name}: {:#018x}", report_digest(plan)))
+            .collect();
+        let expected = [
+            "sycamore m=20 seed 0: 0x588f0de9ee8c79db",
+            "sycamore m=20 seed 2: 0x20ff9e22fa4d3f2e",
+            "sycamore m=20 seed 12: 0x54c7ae5c1b20a4df",
+            "sycamore m=20 seed 2023: 0x9bbbf04d9faa59f1",
+            "4x5x12/14: 0x34265c0986d6808c",
+            "5x6x12/18: 0x15b0bc4e1c682768",
+            "3x4x10/8: 0xe407e6ac05709833",
+        ];
+        assert_eq!(digests, expected);
+
+        // A stage switched off leaves no row.
+        let c = RqcConfig::small(4, 5, 12, 5).build();
+        let output = OutputSpec::Amplitude(vec![0; c.num_qubits()]);
+        let names = |cfg: PlannerConfig| -> Vec<&'static str> {
+            plan_simulation(&c, &output, &cfg).report.iter().map(|row| row.name).collect()
+        };
+        let on = PlannerConfig { target_rank: 14, ..Default::default() };
+        let all = names(on.clone());
+        assert_eq!(
+            all,
+            [
+                "circuit.to_network",
+                "tensornet.from_build",
+                "tensornet.simplify",
+                "tensornet.path_search",
+                "tensornet.build_tree",
+                "tensornet.refine_path",
+                "tensornet.extract_stem",
+                "slicing.finder",
+                "slicing.refine",
+                "tensornet.defer_joins",
+                "tensornet.classify",
+                "tensornet.analyze_memory",
+            ]
+        );
+        let without = |stage| all.iter().copied().filter(|&name| name != stage).collect::<Vec<_>>();
+        assert_eq!(names(PlannerConfig { refine: false, ..on.clone() }), without("slicing.refine"));
+        assert_eq!(
+            names(PlannerConfig { refine_path: false, ..on.clone() }),
+            without("tensornet.refine_path")
+        );
+        assert_eq!(
+            names(PlannerConfig { defer_projector_joins: false, ..on }),
+            without("tensornet.defer_joins")
+        );
+    }
+
+    /// Zero or one path candidate is the deterministic greedy path.
+    #[test]
+    fn one_path_candidate_is_plain_greedy() {
+        use qtn_tensornet::{greedy_path, PathConfig};
+        for seed in [0u64, 7] {
+            let c = small_circuit(8, 9);
+            let output = OutputSpec::Amplitude(vec![0; c.num_qubits()]);
+            let mut work = TensorNetwork::from_build(&circuit_to_network(&c, &output));
+            let mut expected = simplify_network(&mut work);
+            expected.extend(greedy_path(&mut work, &PathConfig { temperature: 0.0, seed }));
+            for path_candidates in [0, 1] {
+                let cfg = PlannerConfig {
+                    target_rank: 10,
+                    path_candidates,
+                    refine_path: false,
+                    defer_projector_joins: false,
+                    seed,
+                    ..Default::default()
+                };
+                let plan = plan_simulation(&c, &output, &cfg);
+                assert_eq!(plan.pairs, expected, "path_candidates {path_candidates}, seed {seed}");
+            }
+        }
     }
 
     #[test]

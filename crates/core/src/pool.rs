@@ -113,7 +113,7 @@ impl BufferPool {
     }
 
     /// Number of buffers currently sitting on free lists.
-    pub fn free_buffers(&self) -> usize {
+    fn free_buffers(&self) -> usize {
         self.free.values().map(Vec::len).sum()
     }
 

@@ -2,7 +2,8 @@
 //! engine compiles with: `plan_simulation` builds the tensor network,
 //! searches contraction paths, refines the path, extracts the stem, slices
 //! it with the lifetime-based slice finder + simulated-annealing refiner,
-//! and defers projector joins. The comparison against the cotengra-style
+//! and defers projector joins. It prints the plan and the planner's own
+//! per-stage report. The comparison against the cotengra-style
 //! greedy baseline is the `fig10` section of `qtn-bench`'s `repro` binary.
 //!
 //! Planning is pure graph work — no tensor of rank 30+ is ever materialised —
@@ -12,7 +13,6 @@
 //! Run with `cargo run --release --example sycamore_planning [cycles]`.
 
 use qtnsim::circuit::{sycamore_rqc, OutputSpec};
-use qtnsim::slicing::{lifetime_slice_finder, refine_slicing, slicing_overhead, RefinerConfig};
 use qtnsim::{plan_simulation, PlannerConfig};
 use std::time::Instant;
 
@@ -43,16 +43,21 @@ fn main() {
     println!("  sliced max rank      : {}", plan.sliced_max_rank());
     println!("  planning wall time   : {:.1} ms", wall.as_secs_f64() * 1e3);
 
-    // The slicing set was chosen before the projector deferral reshaped the
-    // tree; slice the shipped stem afresh for comparison.
-    println!("\nSlicing the shipped stem afresh:");
-    let found = lifetime_slice_finder(&plan.stem, target_rank);
-    let refined = refine_slicing(&plan.stem, &found, &RefinerConfig::default());
-    for (name, slicing) in [("lifetime finder", &found), ("+ simulated annealing", &refined)] {
+    // The planner's own report: what each stage cost and where it left the
+    // plan. The slicing set is chosen before the projector deferral
+    // reshapes the stem, so the deferral row shows what that does to the
+    // overhead.
+    println!("\nPlanner stages:");
+    println!("  {:<26} {:>8} {:>9} {:>9} {:>6}", "stage", "ms", "log2 cost", "overhead", "rank");
+    let column = |value: Option<String>| value.unwrap_or_else(|| "-".to_string());
+    for row in &plan.report {
         println!(
-            "  {name:<22}: {:>3} edges, overhead {:.3}",
-            slicing.len(),
-            slicing_overhead(&plan.stem, &slicing.sliced)
+            "  {:<26} {:>8.2} {:>9} {:>9} {:>6}",
+            row.name,
+            row.seconds * 1e3,
+            column(row.log_cost.map(|c| format!("{c:.2}"))),
+            column(row.overhead.map(|o| format!("{o:.3}"))),
+            column(row.sliced_max_rank.map(|r| r.to_string())),
         );
     }
     println!(

@@ -47,8 +47,12 @@ fn main() {
             "--workers" => config.executor.workers = parse(&flag, args.next()),
             "--target-rank" => config.planner.target_rank = parse(&flag, args.next()),
             "--memory-budget-mb" => {
-                config.planner.memory_budget_bytes =
-                    Some(parse::<u64>(&flag, args.next()) * 1024 * 1024);
+                let bytes = parse::<u64>(&flag, args.next()).checked_mul(1024 * 1024);
+                if bytes.is_none() {
+                    eprintln!("{flag} does not fit in a 64-bit byte count");
+                    usage();
+                }
+                config.planner.memory_budget_bytes = bytes;
             }
             "--help" | "-h" => usage(),
             other => {

@@ -255,7 +255,7 @@ fn put_f64(buf: &mut Vec<u8>, v: f64) {
 }
 
 /// Append a circuit in wire form (raw unitaries; fingerprint-preserving).
-pub fn encode_circuit(circuit: &Circuit, buf: &mut Vec<u8>) {
+fn encode_circuit(circuit: &Circuit, buf: &mut Vec<u8>) {
     put_u32(buf, circuit.num_qubits() as u32);
     put_u32(buf, circuit.ops().len() as u32);
     for op in circuit.ops() {

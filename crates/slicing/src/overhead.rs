@@ -84,14 +84,6 @@ pub fn is_feasible(stem: &Stem, plan: &SlicingPlan) -> bool {
     sliced_max_rank(stem, &plan.sliced) <= plan.target_rank
 }
 
-/// "Critical tensors" of §4.3: stem positions whose rank after slicing is
-/// exactly the target. These are the tensors that pin the memory bound; a
-/// sliced edge whose lifetime contains none of them contributes nothing to
-/// memory reduction.
-pub fn critical_positions(stem: &Stem, sliced: &[IndexId], target_rank: usize) -> Vec<usize> {
-    critical(stem, &SliceMarks::new(sliced), target_rank)
-}
-
 /// Every stem step's index union `s_v1 ∪ s_v2 ∪ s_v3`, built once so that
 /// pricing a slicing set (Eq. 4) is one pass over them with no allocation —
 /// the simulated-annealing refiner prices every trial this way, on a stem
@@ -126,7 +118,10 @@ pub(crate) fn max_rank(stem: &Stem, sliced: &SliceMarks) -> usize {
     stem_tensors(stem).map(|t| sliced.count_unsliced(t)).max().unwrap_or(0)
 }
 
-/// [`critical_positions`] against a prepared slicing table.
+/// "Critical tensors" of §4.3: stem positions whose rank after slicing is
+/// exactly the target. These are the tensors that pin the memory bound; a
+/// sliced edge whose lifetime contains none of them contributes nothing to
+/// memory reduction.
 pub(crate) fn critical(stem: &Stem, sliced: &SliceMarks, target_rank: usize) -> Vec<usize> {
     stem_tensors(stem)
         .enumerate()
@@ -243,7 +238,7 @@ mod tests {
         let table = compute_lifetimes(&stem);
         let candidates: Vec<IndexId> = table.edges().collect();
         let s = table.longest_lived(&candidates, 3);
-        let crit = critical_positions(&stem, &s, target);
+        let crit = critical(&stem, &SliceMarks::new(&s), target);
         let set: std::collections::HashSet<IndexId> = s.iter().copied().collect();
         let mut tensors: Vec<&Vec<IndexId>> = vec![&stem.start_indices];
         for step in &stem.steps {

@@ -64,7 +64,7 @@ pub fn permute<T: Scalar>(tensor: &DenseTensor<T>, perm: &[usize]) -> DenseTenso
 ///
 /// # Panics
 /// Panics if the ranks differ or an index of `to` is missing from `from`.
-pub fn permutation_to_order(from: &IndexSet, to: &IndexSet) -> Vec<usize> {
+fn permutation_to_order(from: &IndexSet, to: &IndexSet) -> Vec<usize> {
     assert_eq!(from.rank(), to.rank(), "target order rank mismatch");
     to.iter()
         .map(|id| from.position(id).unwrap_or_else(|| panic!("index {id} missing from operand")))

@@ -73,28 +73,22 @@ pub enum NodeClass {
 }
 
 impl NodeClass {
-    /// Whether this class depends on a sliced edge (re-contracted per
-    /// subtask).
-    pub fn depends_on_slice(self) -> bool {
+    /// Whether this class depends on a sliced edge: the classes the
+    /// per-subtask stem replay owns.
+    pub fn is_stem(self) -> bool {
         matches!(self, NodeClass::StemPure | NodeClass::StemMixed)
     }
 
     /// Whether this class depends on an overridable output projector
     /// (re-contracted when the output bitstring changes).
-    pub fn depends_on_projector(self) -> bool {
+    fn depends_on_projector(self) -> bool {
         matches!(self, NodeClass::Frontier | NodeClass::StemMixed)
-    }
-
-    /// Shorthand for [`Self::depends_on_slice`]: the classes the per-subtask
-    /// stem replay owns.
-    pub fn is_stem(self) -> bool {
-        self.depends_on_slice()
     }
 
     /// Least upper bound in the dependency lattice: the class of a node
     /// whose subtree contains subtrees of classes `self` and `other`.
     pub fn join(self, other: NodeClass) -> NodeClass {
-        match (self.depends_on_slice() || other.depends_on_slice(), {
+        match (self.is_stem() || other.is_stem(), {
             self.depends_on_projector() || other.depends_on_projector()
         }) {
             (false, false) => NodeClass::Branch,
@@ -131,11 +125,6 @@ impl DependencyMasks {
     /// Number of designated leaves the masks range over (the bit width).
     pub fn num_leaves(&self) -> usize {
         self.num_leaves
-    }
-
-    /// `u64` words per node mask.
-    pub fn words_per_node(&self) -> usize {
-        self.words_per_node
     }
 
     /// The mask of one node, as little-endian `u64` words (bit `i` of the
@@ -189,8 +178,6 @@ pub struct NodeClassification {
     stem_pure_schedule: Vec<(usize, usize, usize)>,
     stem_mixed_schedule: Vec<(usize, usize, usize)>,
     branch_keep: Vec<usize>,
-    frontier_keep: Vec<usize>,
-    stem_pure_keep: Vec<usize>,
     stem_seeds: Vec<usize>,
     projector_masks: DependencyMasks,
     param_masks: DependencyMasks,
@@ -249,25 +236,10 @@ impl NodeClassification {
         &self.branch_keep
     }
 
-    /// Frontier-class nodes whose tensor the per-subtask replay consumes:
-    /// the roots of maximal Frontier subtrees (their parent is a stem
-    /// class, or they are the tree root). Rebuilt once per execution.
-    pub fn frontier_keep(&self) -> &[usize] {
-        &self.frontier_keep
-    }
-
-    /// StemPure-class nodes whose tensor the StemMixed replay consumes: the
-    /// roots of maximal StemPure subtrees (their parent is StemMixed-class,
-    /// or they are the tree root). The batched executor materialises these
-    /// once per subtask and holds them alive across the whole bitstring
-    /// batch.
-    pub fn stem_pure_keep(&self) -> &[usize] {
-        &self.stem_pure_keep
-    }
-
     /// Every cached (non-stem) node the per-subtask stem replay reads: the
     /// union of [`Self::branch_keep`] entries with a stem-class parent and
-    /// all of [`Self::frontier_keep`]. When the root itself is not
+    /// the roots of maximal Frontier subtrees (their parent is a stem
+    /// class, or they are the tree root). When the root itself is not
     /// stem-class the root is included — the whole result is
     /// slice-invariant.
     pub fn stem_seeds(&self) -> &[usize] {
@@ -403,8 +375,6 @@ pub fn classify_nodes(
     // (or the final result) consumes.
     let parent_class = |id: usize| nodes[id].parent.map(|p| classes[p]);
     let mut branch_keep = Vec::new();
-    let mut frontier_keep = Vec::new();
-    let mut stem_pure_keep = Vec::new();
     let mut stem_seeds = Vec::new();
     for (id, &class) in classes.iter().enumerate() {
         let parent = parent_class(id);
@@ -425,17 +395,10 @@ pub fn classify_nodes(
                 // dependency, so it is Frontier or StemMixed — never
                 // StemPure.
                 if parent.is_none_or(NodeClass::is_stem) {
-                    frontier_keep.push(id);
                     stem_seeds.push(id);
                 }
             }
-            NodeClass::StemPure => {
-                // A StemPure node's parent is StemPure or StemMixed.
-                if parent != Some(NodeClass::StemPure) {
-                    stem_pure_keep.push(id);
-                }
-            }
-            NodeClass::StemMixed => {}
+            NodeClass::StemPure | NodeClass::StemMixed => {}
         }
     }
 
@@ -447,8 +410,6 @@ pub fn classify_nodes(
         stem_pure_schedule,
         stem_mixed_schedule,
         branch_keep,
-        frontier_keep,
-        stem_pure_keep,
         stem_seeds,
         projector_masks,
         param_masks,
@@ -488,7 +449,7 @@ mod tests {
             for b in [Branch, Frontier, StemPure, StemMixed] {
                 let j = a.join(b);
                 assert!(j >= a && j >= b, "total order must extend the lattice");
-                assert_eq!(j.depends_on_slice(), a.depends_on_slice() || b.depends_on_slice());
+                assert_eq!(j.is_stem(), a.is_stem() || b.is_stem());
                 assert_eq!(
                     j.depends_on_projector(),
                     a.depends_on_projector() || b.depends_on_projector()
@@ -526,8 +487,6 @@ mod tests {
         // Leaves 2 and 3 feed Stem contractions directly.
         assert_eq!(c.branch_keep(), &[2, 3]);
         assert_eq!(c.stem_seeds(), &[2, 3]);
-        // The StemPure spine's root is kept (it is the tree root).
-        assert_eq!(c.stem_pure_keep(), &[tree.root()]);
     }
 
     #[test]
@@ -542,7 +501,6 @@ mod tests {
         assert_eq!(c.class(tree.root()), NodeClass::Frontier);
         // Node 5 is a maximal Branch subtree feeding the Frontier phase.
         assert_eq!(c.branch_keep(), &[5]);
-        assert_eq!(c.frontier_keep(), &[tree.root()]);
         assert_eq!(c.stem_seeds(), &[tree.root()]);
     }
 
@@ -562,11 +520,7 @@ mod tests {
         assert_eq!(c.class(6), NodeClass::StemMixed);
         assert_eq!(c.contraction_counts(), (0, 1, 0, 2));
         assert_eq!(c.branch_keep(), &[1]);
-        assert_eq!(c.frontier_keep(), &[4]);
         assert_eq!(c.stem_seeds(), &[4]);
-        // Sliced leaves feeding StemMixed contractions are StemPure keeps:
-        // the batched executor slices them once per subtask for the batch.
-        assert_eq!(c.stem_pure_keep(), &[2, 3]);
     }
 
     #[test]
@@ -586,8 +540,6 @@ mod tests {
         // The combined stem schedule interleaves pure and mixed in
         // execution order.
         assert_eq!(c.stem_schedule().len(), 3);
-        assert_eq!(c.stem_pure_keep(), &[5], "node 5 is what the batch shares per subtask");
-        assert_eq!(c.frontier_keep(), &[3]);
         assert_eq!(c.branch_keep(), &[2]);
         // Seeds: branch leaf 2 (stem parent) and frontier leaf 3.
         assert_eq!(c.stem_seeds(), &[2, 3]);
@@ -625,7 +577,7 @@ mod tests {
         let c = classify_nodes(&tree, &[1], &[0, 3], &[]);
         let m = c.projector_masks();
         assert_eq!(m.num_leaves(), 2);
-        assert_eq!(m.words_per_node(), 1);
+        assert_eq!(m.words_per_node, 1);
         // Leaves seed their own ordinal; non-overridable leaves are empty.
         assert_eq!(m.mask(0), &[0b01]);
         assert_eq!(m.mask(1), &[0]);
@@ -640,7 +592,7 @@ mod tests {
         // Masks are laminar: parent masks contain child masks.
         for (id, node) in tree.nodes().iter().enumerate() {
             if let Some(p) = node.parent {
-                for w in 0..m.words_per_node() {
+                for w in 0..m.words_per_node {
                     assert_eq!(
                         m.mask(p)[w] & m.mask(id)[w],
                         m.mask(id)[w],
@@ -675,7 +627,7 @@ mod tests {
         let c = classify_nodes(&tree, &[], &overridable, &[]);
         let m = c.projector_masks();
         assert_eq!(m.num_leaves(), 70);
-        assert_eq!(m.words_per_node(), 2);
+        assert_eq!(m.words_per_node, 2);
         assert_eq!(m.mask(69), &[0, 1 << 5], "ordinal 69 lives in word 1 bit 5");
         let root = tree.root();
         assert_eq!(m.popcount(root), 70);

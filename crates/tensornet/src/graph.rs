@@ -61,11 +61,6 @@ impl TensorNetwork {
         self.active
     }
 
-    /// Number of edges (index identifiers) in the network.
-    pub fn num_edges(&self) -> usize {
-        self.edge_vertices.len()
-    }
-
     /// Ids of all active vertices.
     pub fn active_vertices(&self) -> Vec<usize> {
         (0..self.vertices.len()).filter(|&v| self.vertices[v].is_some()).collect()
@@ -176,7 +171,7 @@ mod tests {
     fn construction_counts() {
         let g = chain4();
         assert_eq!(g.num_active(), 4);
-        assert_eq!(g.num_edges(), 3);
+        assert_eq!(g.edge_vertices.len(), 3);
         assert_eq!(g.rank(1), 2);
         assert!(g.open_indices().is_empty());
     }

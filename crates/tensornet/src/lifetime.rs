@@ -88,8 +88,6 @@ pub struct PhaseMemoryPlan {
     intervals: Vec<BufferInterval>,
     slot_ranks: Vec<usize>,
     peak_bytes: u64,
-    kept_bytes: u64,
-    max_live_buffers: usize,
     peak_live_by_rank: BTreeMap<usize, usize>,
 }
 
@@ -121,16 +119,6 @@ impl PhaseMemoryPlan {
     /// Predicted high-water mark of live buffer bytes.
     pub fn peak_bytes(&self) -> u64 {
         self.peak_bytes
-    }
-
-    /// Bytes of the tensors that outlive the phase (keep sets and root).
-    pub fn kept_bytes(&self) -> u64 {
-        self.kept_bytes
-    }
-
-    /// Maximum number of simultaneously live buffers of any size.
-    pub fn max_live_buffers(&self) -> usize {
-        self.max_live_buffers
     }
 
     /// Slots opened per size class.
@@ -200,8 +188,6 @@ struct PoolSim {
     slot_ranks: Vec<usize>,
     live_bytes: u64,
     peak_bytes: u64,
-    live_buffers: usize,
-    max_live_buffers: usize,
     live_by_rank: Vec<usize>,
     peak_live_by_rank: Vec<usize>,
 }
@@ -222,8 +208,6 @@ impl PoolSim {
         };
         self.live_bytes += bytes_of_rank(rank);
         self.peak_bytes = self.peak_bytes.max(self.live_bytes);
-        self.live_buffers += 1;
-        self.max_live_buffers = self.max_live_buffers.max(self.live_buffers);
         self.live_by_rank[rank] += 1;
         self.peak_live_by_rank[rank] = self.peak_live_by_rank[rank].max(self.live_by_rank[rank]);
         slot
@@ -232,7 +216,6 @@ impl PoolSim {
     fn release(&mut self, slot: usize) {
         let rank = self.slot_ranks[slot];
         self.live_bytes -= bytes_of_rank(rank);
-        self.live_buffers -= 1;
         self.live_by_rank[rank] -= 1;
         self.free[rank].push(slot);
     }
@@ -327,18 +310,10 @@ impl PhaseSim {
     }
 
     fn finish(self) -> PhaseMemoryPlan {
-        let kept_bytes = self
-            .intervals
-            .iter()
-            .filter(|iv| iv.consumed.is_none())
-            .map(|iv| bytes_of_rank(iv.rank))
-            .sum();
         PhaseMemoryPlan {
             intervals: self.intervals,
             slot_ranks: self.sim.slot_ranks,
             peak_bytes: self.sim.peak_bytes,
-            kept_bytes,
-            max_live_buffers: self.sim.max_live_buffers,
             peak_live_by_rank: (self.sim.peak_live_by_rank.into_iter().enumerate())
                 .filter(|&(_, peak)| peak > 0)
                 .collect(),
@@ -447,6 +422,12 @@ mod tests {
     use crate::graph::TensorNetwork;
     use qtn_tensor::IndexSet;
 
+    /// Bytes of the tensors that outlive the phase (keep sets and root).
+    fn kept_bytes(phase: &PhaseMemoryPlan) -> u64 {
+        let kept = phase.intervals().iter().filter(|iv| iv.consumed.is_none());
+        kept.map(|iv| bytes_of_rank(iv.rank)).sum()
+    }
+
     /// A 4-tensor chain `[0] - [0,1] - [1,2] - [2]` contracted linearly:
     /// leaves 0..4, internals 4 (=0+1), 5 (=4+2), 6 (=5+3, root).
     fn chain4_tree() -> ContractionTree {
@@ -475,7 +456,7 @@ mod tests {
         assert_eq!(plan.stem.peak_bytes(), 0);
         assert_eq!(plan.peak_bytes(), 224);
         // Only the root survives the phase.
-        assert_eq!(plan.branch.kept_bytes(), 16);
+        assert_eq!(kept_bytes(&plan.branch), 16);
         // Slots: rank 1 peaks at 3 concurrent (leaf 0, leaf 3, node 4),
         // rank 2 at 2 (the two middle leaves), rank 0 at 1.
         let slots = plan.branch.slot_count_by_rank();
@@ -497,7 +478,7 @@ mod tests {
 
         // Branch phase: the two kept leaves, live from t0 to phase end.
         assert_eq!(plan.branch.peak_bytes(), 64 + 32);
-        assert_eq!(plan.branch.kept_bytes(), 96);
+        assert_eq!(kept_bytes(&plan.branch), 96);
         assert!(plan.branch.intervals().iter().all(|iv| iv.consumed.is_none()));
 
         // Stem phase (sliced ranks): leaf0 r0, leaf1 r1; node4 r1, node5 r1,
@@ -505,7 +486,7 @@ mod tests {
         // = 5 amps = 80 B; the cached branch operands of steps 2 and 3 are
         // read in place and cost the phase nothing.
         assert_eq!(plan.stem.peak_bytes(), 80);
-        assert_eq!(plan.stem.kept_bytes(), 16); // root r0
+        assert_eq!(kept_bytes(&plan.stem), 16); // root r0
         let root_interval = plan.stem.intervals().iter().find(|iv| iv.node == tree.root()).unwrap();
         assert_eq!(root_interval.consumed, None);
         assert_eq!(root_interval.rank, 0);
@@ -558,7 +539,6 @@ mod tests {
                     );
                 }
                 assert_eq!(slots.values().sum::<usize>(), phase.num_slots());
-                assert!(phase.num_slots() >= phase.max_live_buffers());
                 assert!(phase.arena_bytes() >= phase.peak_bytes());
             }
         }
@@ -577,7 +557,7 @@ mod tests {
         // Frontier: leaf3 r1 at t0 (2 amps); root step: + out r0 → 3 amps
         // = 48 B (node5 is a borrowed cache tensor).
         assert_eq!(plan.frontier.peak_bytes(), 48);
-        assert_eq!(plan.frontier.kept_bytes(), 16);
+        assert_eq!(kept_bytes(&plan.frontier), 16);
     }
 
     #[test]
@@ -598,7 +578,7 @@ mod tests {
         //   the pass (5,3→6) overwrites it in place.
         assert_eq!(plan.batched_stem.peak_bytes(), 80);
         // Outliving the pass: the held pure keep (node5) and the root.
-        assert_eq!(plan.batched_stem.kept_bytes(), 32 + 16);
+        assert_eq!(kept_bytes(&plan.batched_stem), 32 + 16);
         let node5 =
             plan.batched_stem.intervals().iter().find(|iv| iv.node == 5).expect("node5 interval");
         assert_eq!(node5.consumed, None, "pure keeps are borrowed, never consumed, by mixed steps");
@@ -631,7 +611,7 @@ mod tests {
         assert_eq!(plan.batched_stem.peak_bytes(), 80);
         // Everything held: node4 (pure keep) + node5 + root outlive the
         // suffix — mixed buffers are never consumed inside the loop.
-        assert_eq!(plan.batched_stem.kept_bytes(), 32 + 32 + 16);
+        assert_eq!(kept_bytes(&plan.batched_stem), 32 + 32 + 16);
         for node in [5, 6] {
             let iv = plan
                 .batched_stem
