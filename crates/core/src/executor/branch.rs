@@ -5,7 +5,7 @@
 use super::stats::GemmTally;
 use crate::error::Error;
 use crate::planner::SimulationPlan;
-use qtn_tensor::{contract_pair, Complex64, ContractionSpec, DenseTensor};
+use qtn_tensor::{Complex64, ContractionKernel, DenseTensor};
 use qtn_tensornet::NodeClass;
 use std::collections::HashMap;
 
@@ -18,15 +18,16 @@ use std::collections::HashMap;
 /// served from the engine's plan cache — reuses one build.
 #[derive(Debug, Clone)]
 pub struct BranchCache {
-    /// Kept tensors keyed by tree-node id (the classification's
-    /// `branch_keep` set).
-    tensors: HashMap<usize, DenseTensor<Complex64>>,
+    /// Kept tensors indexed by tree-node id (`Some` exactly on the
+    /// classification's `branch_keep` set), so the stem loop reads an entry
+    /// with one index, never a hash.
+    tensors: Vec<Option<DenseTensor<Complex64>>>,
     /// Per kept root: the `(flops, contractions)` cost of producing its
     /// subtree. Every branch-schedule step is owned by exactly one kept
     /// root (each node feeds exactly one parent), so these partition the
     /// cold bill — the attribution a parameter rebind uses to price the
     /// entries it carries over versus the cone it drops.
-    entry_costs: HashMap<usize, (u64, u64)>,
+    entry_costs: Vec<Option<(u64, u64)>>,
     /// Real floating point operations spent building the cache — only the
     /// contractions *this* build executed, excluding carried-over entries.
     pub flops: u64,
@@ -52,23 +53,23 @@ pub struct BranchCache {
 impl BranchCache {
     /// The cached tensor of a tree node, if this node is a kept branch root.
     pub fn tensor(&self, node: usize) -> Option<&DenseTensor<Complex64>> {
-        self.tensors.get(&node)
+        self.tensors.get(node)?.as_ref()
     }
 
     /// The `(flops, contractions)` attributed to producing a kept root's
     /// subtree, if this node is a kept branch root.
     pub fn entry_cost(&self, node: usize) -> Option<(u64, u64)> {
-        self.entry_costs.get(&node).copied()
+        *self.entry_costs.get(node)?
     }
 
     /// Number of cached tensors.
     pub fn len(&self) -> usize {
-        self.tensors.len()
+        self.tensors.iter().flatten().count()
     }
 
     /// True if the cache holds no tensors (fully sliced/overridden trees).
     pub fn is_empty(&self) -> bool {
-        self.tensors.is_empty()
+        self.len() == 0
     }
 }
 
@@ -153,31 +154,33 @@ pub(super) fn build_branch_cache(plan: &SimulationPlan) -> Result<BranchCache, E
             slots[id].take().ok_or_else(|| Error::Internal(format!("branch operand {id} missing")))
         };
         let (a, b) = (take(l)?, take(r)?);
-        let spec = ContractionSpec::new(a.indices(), b.indices());
-        flops += spec.flops();
+        let kernel = ContractionKernel::new(a.indices(), b.indices());
+        let mut data = vec![Complex64::ZERO; kernel.output().len()];
+        kernel.contract(a.data(), b.data(), &mut data);
+        flops += kernel.flops();
         contractions += 1;
         let entry = step_costs.entry(root).or_insert((0, 0));
-        entry.0 += spec.flops();
+        entry.0 += kernel.flops();
         entry.1 += 1;
-        gemm.record_spec(&spec);
-        slots[out] = Some(contract_pair(&a, &b));
+        gemm.record_kernel(&kernel);
+        slots[out] = Some(DenseTensor::from_data(kernel.output().clone(), data));
     }
-    let mut tensors = HashMap::with_capacity(cls.branch_keep().len());
-    let mut entry_costs = HashMap::with_capacity(cls.branch_keep().len());
+    let mut tensors = vec![None; slots.len()];
+    let mut entry_costs = vec![None; slots.len()];
     let mut survived_flops = 0u64;
     for &id in cls.branch_keep() {
         if let Some((t, entry_flops, entry_contractions)) = seed.and_then(|s| s.surviving.get(&id))
         {
-            tensors.insert(id, t.clone());
-            entry_costs.insert(id, (*entry_flops, *entry_contractions));
+            tensors[id] = Some(t.clone());
+            entry_costs[id] = Some((*entry_flops, *entry_contractions));
             survived_flops += entry_flops;
             continue;
         }
         let t = slots[id]
             .take()
             .ok_or_else(|| Error::Internal(format!("branch root {id} was not produced")))?;
-        tensors.insert(id, t);
-        entry_costs.insert(id, step_costs.get(&id).copied().unwrap_or((0, 0)));
+        tensors[id] = Some(t);
+        entry_costs[id] = Some(step_costs.get(&id).copied().unwrap_or((0, 0)));
     }
     Ok(BranchCache {
         tensors,

@@ -20,16 +20,23 @@
 //! 2. **Frontier** contractions depend on rebindable output projectors but
 //!    on no sliced edge. They run **once per execution** — once per
 //!    *distinct dependent-bits key* when the call carries several
-//!    bitstrings (`batch.rs`).
+//!    bitstrings — as the plan's compiled frontier program, into one
+//!    per-execution arena (`batch.rs`).
 //! 3. **Stem** contractions depend on sliced edges. Only these are replayed
 //!    per subtask, by the one interpreter in `stem.rs` running the
 //!    plan's compiled stem program.
 //!
+//! Both programs are compiled once per plan — one
+//! [`qtn_tensor::ContractionKernel`] per step, every step operand's source
+//! (slot, frontier seed or branch-cache entry) resolved at compile time —
+//! so a warm execution pays for its flops and a small fixed setup.
+//!
 //! Every entry point is the same call: [`execute_on_pool`] is a batch of
 //! one, [`execute_amplitudes_on_pool`] a batch of however many bitstrings
 //! it is handed. One routine prepares the caches (`prepare_reuse`), one
-//! helper (`fan_out_and_reduce`) owns worker fan-out, panic containment,
-//! buffer-pool check-out/check-in and the worker-order reduction, and the
+//! helper (`fan_out_and_reduce`) owns worker fan-out (a one-worker sweep
+//! runs on the calling thread), panic containment, buffer-pool
+//! check-out/check-in and the worker-order reduction, and the
 //! interpreter picks its step loop from the batch size it observes:
 //!
 //! | batch | stem loop | predicted by |
@@ -72,7 +79,8 @@
 //!
 //! Subtasks run on a persistent [`WorkerPool`] — threads are spawned once
 //! and reused across executions, mirroring the paper's long-lived processes
-//! sweeping millions of slice subtasks. Work is distributed by *static
+//! sweeping millions of slice subtasks; a one-worker sweep skips the hop
+//! and runs the same job on the calling thread. Work is distributed by *static
 //! striding* (worker `w` takes subtasks `w, w + W, w + 2W, …`) and the
 //! per-worker partial accumulators are reduced in worker order, so repeated
 //! executions of the same plan produce **bit-identical** results — the
@@ -94,14 +102,15 @@ pub use worker_pool::WorkerPool;
 use crate::error::Error;
 use crate::planner::SimulationPlan;
 use crate::pool::PoolCounters;
-use batch::{build_frontiers_batch, BatchKeys, FrontierSeeds, PhaseBill};
+pub(crate) use batch::FrontierExec;
+use batch::{build_frontier_exec, BatchKeys, FrontierSeeds, PhaseBill};
 use branch::{build_branch_cache, cache_of};
 use qtn_tensor::{contract_pair, Complex64, ContractionSpec, DenseTensor, IndexId, IndexSet};
 use std::collections::HashMap;
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-use stem::{build_stem_exec, BufferSource, StemInputs, StemWorkspace, SweepTally};
+use stem::{build_stem_exec, BufferSource, StemWorkspace, SweepTally};
 use worker_pool::contain_panic;
 
 /// Replacement leaf data keyed by network vertex id (position in
@@ -162,10 +171,25 @@ struct ReuseState {
     frontier: PhaseBill,
 }
 
+/// A compiled program memoized on the plan, or — when `memoize` is false
+/// because an override changed a leaf's axis order — a fresh, uncached
+/// compile.
+fn compiled<T>(
+    cell: &OnceLock<Result<Arc<T>, Error>>,
+    memoize: bool,
+    compile: impl FnOnce() -> Result<T, Error>,
+) -> Result<Arc<T>, Error> {
+    if memoize {
+        cell.get_or_init(|| compile().map(Arc::new)).clone()
+    } else {
+        compile().map(Arc::new)
+    }
+}
+
 /// Build the branch cache (first execution only) and this execution's
-/// frontier seeds, and fetch — or, once per plan, compile — the stem
-/// program. `bitstrings` drives cross-bitstring deduplication; a batch of
-/// one needs (and the single-execution entry point has) none.
+/// frontier seeds, and fetch — or, once per plan, compile — the frontier
+/// and stem programs. `bitstrings` drives cross-bitstring deduplication; a
+/// batch of one needs (and the single-execution entry point has) none.
 fn prepare_reuse(
     plan: &SimulationPlan,
     bitstrings: &[&[u8]],
@@ -184,23 +208,20 @@ fn prepare_reuse(
         .as_ref()
         .map_err(Clone::clone)?;
 
-    let keys = BatchKeys::build(plan, bitstrings);
-    let (seeds, frontier) = build_frontiers_batch(plan, cache, &keys, overrides)?;
-
-    // Rebinding preserves every leaf's index set, so the compiled stem is
-    // plan-invariant and memoized on the plan; an override that *changes* a
-    // leaf's axis order gets a fresh, uncached compile.
-    let io = StemInputs { plan, cache, seeds: &seeds, overrides, keys: &keys };
-    let compile = || build_stem_exec(&io).map(Arc::new);
+    // Rebinding preserves every leaf's index set, so both programs are
+    // plan-invariant and memoized on the plan.
     let shapes_preserved = overrides
         .iter()
         .flat_map(|o| o.iter())
         .all(|(vertex, tensor)| tensor.indices() == plan.build.nodes[*vertex].data.indices());
-    let exec = if shapes_preserved {
-        Arc::clone(plan.stem_exec.get_or_init(compile).as_ref().map_err(Clone::clone)?)
-    } else {
-        compile()?
-    };
+    let frontier_exec = compiled(&plan.frontier_exec, shapes_preserved, || {
+        build_frontier_exec(plan, cache, &overrides[0])
+    })?;
+    let keys = BatchKeys::build(plan, bitstrings);
+    let (seeds, frontier) = frontier_exec.run(plan, cache, &keys, overrides)?;
+    let exec = compiled(&plan.stem_exec, shapes_preserved, || {
+        build_stem_exec(plan, cache, &frontier_exec, &overrides[0])
+    })?;
     Ok(ReuseState { seeds, exec, keys, built_cache, frontier })
 }
 
@@ -257,16 +278,11 @@ impl Sweep {
             .collect();
         let mut tally = SweepTally::default();
         let stem = match &self.reuse {
-            Some(state) => Some((
-                &state.exec,
-                StemInputs {
-                    plan,
-                    cache: cache_of(plan)?,
-                    seeds: &state.seeds,
-                    overrides: &self.overrides,
-                    keys: &state.keys,
-                },
-            )),
+            Some(state) => {
+                let cache = cache_of(plan)?;
+                let io = state.exec.inputs(plan, cache, &state.seeds, &state.keys, &self.overrides);
+                Some((&state.exec, io))
+            }
             None => None,
         };
         let mut assignment = worker;
@@ -281,12 +297,9 @@ impl Sweep {
                 // No contraction depends on the slice assignment (empty
                 // slicing set): every bitstring's cached root tensor *is*
                 // its subtask result.
-                (Some((_, io)), None) => {
+                (Some((exec, io)), None) => {
                     for b in 0..self.overrides.len() {
-                        let root = io.cached(plan.tree.root(), b).ok_or_else(|| {
-                            Error::Internal("slice-invariant root missing from caches".into())
-                        })?;
-                        merge(b, root);
+                        merge(b, &exec.cached_root(io, b)?);
                     }
                 }
                 (None, _) => {
@@ -302,37 +315,46 @@ impl Sweep {
         }
         Ok((partials, tally))
     }
+
+    /// One worker's whole job: check its workspace out, sweep under the
+    /// executor's panic boundary — a panicking subtask (injected or real)
+    /// fails only this execution, never the process, and surfaces as a
+    /// typed [`Error::ExecutionPanic`] — then, whatever the outcome, drain
+    /// the workspace and check its buffer pool back in, so a failed
+    /// execution never cools the pool.
+    fn run_job(&self, worker: usize) -> Result<(WorkerPartial, PoolCounters), Error> {
+        let mut ws = self.workspace(worker);
+        let outcome =
+            contain_panic(|| self.run_worker(worker, ws.as_mut())).and_then(|swept| swept);
+        let mut counters = PoolCounters::default();
+        if let Some(ws) = ws {
+            let (used, source) = ws.retire();
+            counters = used;
+            if let BufferSource::Pool(buffers) = source {
+                self.plan.stem_pools.checkin(worker, buffers);
+            }
+        }
+        outcome.map(|partial| (partial, counters))
+    }
 }
 
-/// Run a sweep on the pool and reduce it: one job per worker, each under
-/// the executor's panic boundary — a panicking subtask (injected or real)
-/// fails only this execution, never the process, and surfaces as a typed
-/// [`Error::ExecutionPanic`]. Whatever the outcome, the worker's workspace
-/// is drained and its buffer pool checked back in, so a failed execution
-/// never cools the pool. Partials are collected from every worker and
-/// reduced in worker order, so the summation order is
-/// schedule-independent.
+/// Run a sweep and reduce it: one [`Sweep::run_job`] per worker. A
+/// one-worker sweep runs on the calling thread; wider sweeps run one job
+/// per pool thread. Partials are collected from every worker and reduced
+/// in worker order, so the summation order is schedule-independent.
 fn fan_out_and_reduce(
     pool: &WorkerPool,
     sweep: &Arc<Sweep>,
 ) -> Result<(WorkerPartial, PoolCounters), Error> {
+    if sweep.workers == 1 {
+        return sweep.run_job(0);
+    }
     let (tx, rx) = mpsc::channel();
     for worker in 0..sweep.workers {
         let tx = tx.clone();
         let sweep = Arc::clone(sweep);
         pool.submit(Box::new(move || {
-            let mut ws = sweep.workspace(worker);
-            let outcome =
-                contain_panic(|| sweep.run_worker(worker, ws.as_mut())).and_then(|swept| swept);
-            let mut counters = PoolCounters::default();
-            if let Some(ws) = ws {
-                let (used, source) = ws.retire();
-                counters = used;
-                if let BufferSource::Pool(buffers) = source {
-                    sweep.plan.stem_pools.checkin(worker, buffers);
-                }
-            }
-            let _ = tx.send((worker, outcome.map(|partial| (partial, counters))));
+            let _ = tx.send((worker, sweep.run_job(worker)));
         }));
     }
     drop(tx);
@@ -433,6 +455,7 @@ fn execute_batch(
     overrides: &[Arc<LeafOverrides>],
     config: &ExecutorConfig,
 ) -> Result<(Vec<DenseTensor<Complex64>>, ExecutionStats), Error> {
+    let start = Instant::now();
     let batch = overrides.len() as u64;
     let sliced = &plan.slicing.sliced;
     // A subtask is addressed by a `usize` whose bit `i` is the value of the
@@ -449,7 +472,6 @@ fn execute_batch(
     let workers = config.workers.max(1).min(run_subtasks.max(1));
     let open = plan.network.open_indices();
 
-    let start = Instant::now();
     // The classification assumed only output-projector leaves are
     // overridable; an override targeting any other leaf would make cached
     // branch tensors stale, so such calls take the full-replay path.
@@ -493,6 +515,7 @@ fn execute_batch(
         peak_bytes_in_flight: pool_counters.peak_in_flight_bytes,
         predicted_peak_bytes: stem_phase.peak_bytes(),
         wall_seconds: start.elapsed().as_secs_f64(),
+        prepare_seconds: (sweep_start - start).as_secs_f64(),
         seconds_per_subtask: sweep_wall * workers as f64 / runs as f64,
         workers,
         ..ExecutionStats::default()

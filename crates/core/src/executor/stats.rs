@@ -324,6 +324,11 @@ execution_stats! {
     /// Wall-clock time of the whole execution, including the serial cache
     /// phases (branch build, frontier build) when reuse runs them.
     wall_seconds: f64, sum;
+    /// Wall-clock time from the executor's entry to the start of the slice
+    /// sweep: the branch-cache build on a plan's first execution, the key
+    /// tables, the program compiles and the frontier build. The part of
+    /// `wall_seconds` before the sweep starts.
+    prepare_seconds: f64, sum;
     /// Mean wall-clock time of one subtask on one worker, measured over the
     /// parallel sweep only — the one-off cache builds are excluded. With
     /// reuse enabled this prices a *stem-only* replay; extrapolations that
@@ -374,6 +379,7 @@ mod tests {
             "peak_bytes_in_flight",
             "predicted_peak_bytes",
             "wall_seconds",
+            "prepare_seconds",
             "seconds_per_subtask",
             "workers",
         ];

@@ -1,8 +1,10 @@
 //! The compiled stem program and its one interpreter.
 //!
 //! A [`StemExec`] is the per-subtask stem replay compiled once per plan:
-//! one slicing recipe per stem leaf ([`DenseTensor::slice_into`] gathers)
-//! and one [`ContractionKernel`] per stem contraction. The interpreter runs
+//! one slicing recipe per stem leaf ([`DenseTensor::slice_into`] gathers),
+//! one [`ContractionKernel`] per stem contraction, each operand's source
+//! ([`Operand`]: slot, frontier seed or branch-cache entry) and the fixed
+//! tally a consume-and-release pass bills. The interpreter runs
 //! it over a [`BufferSource`] — the worker's persistent [`BufferPool`], or
 //! plain heap allocations when [`super::ExecutorConfig::pool`] is off — so
 //! pooling is an allocator swap under the same steps, never a second
@@ -25,7 +27,7 @@
 //! (`MemoryPlan::stem` for a batch of one, `MemoryPlan::batched_stem`
 //! otherwise), which is why the predicted peak and slot counts are exact.
 
-use super::batch::{BatchKeys, FrontierSeeds};
+use super::batch::{BatchKeys, FrontierExec, FrontierSeeds};
 use super::branch::BranchCache;
 use super::stats::GemmTally;
 use super::LeafOverrides;
@@ -58,13 +60,25 @@ struct StemLeafExec {
     mixed: bool,
 }
 
-/// One stem contraction, fully compiled: operand/output tree nodes plus the
-/// reusable [`ContractionKernel`] (spec + operand offset tables). Shapes and
-/// axis orders are identical across all `2^|S|` subtasks.
+/// Where a stem step reads an operand, resolved when the stem is compiled
+/// so the step loop never searches for it.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Operand {
+    /// A buffer in the worker's slot table (a Stem-class node).
+    Slot(usize),
+    /// This execution's frontier tensor at the node.
+    Seed(usize),
+    /// The plan-lifetime branch-cache entry at the node.
+    Branch(usize),
+}
+
+/// One stem contraction, fully compiled: operand sources, output tree node
+/// and the reusable [`ContractionKernel`] (spec + operand offset tables).
+/// Shapes and axis orders are identical across all `2^|S|` subtasks.
 #[derive(Debug)]
 struct StemStepExec {
-    left: usize,
-    right: usize,
+    left: Operand,
+    right: Operand,
     out: usize,
     kernel: ContractionKernel,
     /// Whether the contraction is StemMixed-class (projector-dependent):
@@ -85,35 +99,36 @@ pub(crate) struct StemExec {
     steps: Vec<StemStepExec>,
     /// The tree root.
     root: usize,
-    /// The root tensor's compiled index set; `None` when the root is not
-    /// Stem-class (an unsliced plan) — then there is nothing to interpret
-    /// and the subtask result is a cached tensor.
-    root_indices: Option<IndexSet>,
+    /// The root tensor's compiled index set.
+    root_indices: IndexSet,
+    /// Where the result lives when the root is not Stem-class (an unsliced
+    /// plan): there is nothing to interpret, every subtask result is this
+    /// cached tensor. `None` when there is a stem.
+    cached_root: Option<Operand>,
     /// Whether the root is StemMixed: a batch then needs the keyed suffix.
     root_is_mixed: bool,
+    /// What one consume-and-release pass over every step bills.
+    all_steps: SweepTally,
+    /// What one pass over the StemPure prefix bills.
+    pure_steps: SweepTally,
 }
 
 /// Compile the stem replay: resolve every stem leaf's slicing recipe and
-/// build one [`ContractionKernel`] per stem contraction. Pure shape work —
-/// no amplitude is touched.
-pub(super) fn build_stem_exec(io: &StemInputs<'_>) -> Result<StemExec, Error> {
-    let (plan, overrides) = (io.plan, &io.overrides[0]);
+/// every step operand's source, and build one [`ContractionKernel`] per
+/// stem contraction. Pure shape work — no amplitude is touched.
+pub(super) fn build_stem_exec(
+    plan: &SimulationPlan,
+    cache: &BranchCache,
+    frontier: &FrontierExec,
+    overrides: &LeafOverrides,
+) -> Result<StemExec, Error> {
     let cls = &plan.classification;
     let sliced = &plan.slicing.sliced;
     let root = plan.tree.root();
-    let mut exec = StemExec {
-        leaves: Vec::new(),
-        steps: Vec::with_capacity(cls.stem_schedule().len()),
-        root,
-        root_indices: None,
-        root_is_mixed: cls.class(root) == NodeClass::StemMixed,
-    };
-    if !cls.class(root).is_stem() {
-        return Ok(exec);
-    }
 
     // Index set of each Stem-class node's tensor, by tree-node id.
     let mut node_indices: Vec<Option<IndexSet>> = vec![None; plan.tree.nodes().len()];
+    let mut leaves = Vec::new();
     for (node_id, node) in plan.tree.nodes().iter().enumerate() {
         let Some(vertex) = node.leaf_vertex else { continue };
         if !cls.class(node_id).is_stem() {
@@ -128,7 +143,7 @@ pub(super) fn build_stem_exec(io: &StemInputs<'_>) -> Result<StemExec, Error> {
         }
         let kept: Vec<IndexId> = src.indices().iter().filter(|a| !sliced.contains(a)).collect();
         let indices = IndexSet::new(kept);
-        exec.leaves.push(StemLeafExec {
+        leaves.push(StemLeafExec {
             node: node_id,
             vertex,
             fixes,
@@ -138,25 +153,46 @@ pub(super) fn build_stem_exec(io: &StemInputs<'_>) -> Result<StemExec, Error> {
         node_indices[node_id] = Some(indices);
     }
 
-    for &(l, r, out) in cls.stem_schedule() {
-        // A stem node's precomputed set, or the axis order of the cached
-        // tensor (frontier seed or branch cache) the operand is read from.
-        let indices_of = |id: usize| {
-            node_indices[id]
-                .as_ref()
-                .or_else(|| io.cached(id, 0).map(DenseTensor::indices))
-                .ok_or_else(|| Error::Internal(format!("operand {id} missing in stem compile")))
+    // A node's source and the axis order of the tensor read there.
+    let source = |node_indices: &[Option<IndexSet>], id: usize| {
+        let (operand, indices) = match cls.class(id) {
+            NodeClass::StemPure | NodeClass::StemMixed => {
+                (Operand::Slot(id), node_indices[id].clone())
+            }
+            NodeClass::Frontier => (Operand::Seed(id), frontier.indices(id).cloned()),
+            NodeClass::Branch => {
+                (Operand::Branch(id), cache.tensor(id).map(|t| t.indices().clone()))
+            }
         };
-        let kernel = ContractionKernel::new(indices_of(l)?, indices_of(r)?);
+        indices
+            .map(|indices| (operand, indices))
+            .ok_or_else(|| Error::Internal(format!("operand {id} missing in stem compile")))
+    };
+    let mut steps = Vec::with_capacity(cls.stem_schedule().len());
+    for &(l, r, out) in cls.stem_schedule() {
+        let ((left, left_indices), (right, right_indices)) =
+            (source(&node_indices, l)?, source(&node_indices, r)?);
+        let kernel = ContractionKernel::new(&left_indices, &right_indices);
         node_indices[out] = Some(kernel.output().clone());
         let mixed = cls.class(out) == NodeClass::StemMixed;
-        exec.steps.push(StemStepExec { left: l, right: r, out, kernel, mixed });
+        steps.push(StemStepExec { left, right, out, kernel, mixed });
     }
-    exec.root_indices = node_indices[root].take();
-    if exec.root_indices.is_none() {
-        return Err(Error::Internal("root index set missing from stem compile".into()));
-    }
-    Ok(exec)
+    let (root_operand, root_indices) = source(&node_indices, root)?;
+    let bill = |pure_only: bool| {
+        let mut tally = SweepTally::default();
+        steps.iter().filter(|s| !(pure_only && s.mixed)).for_each(|s| tally.record(s));
+        tally
+    };
+    Ok(StemExec {
+        all_steps: bill(false),
+        pure_steps: bill(true),
+        leaves,
+        steps,
+        root,
+        root_indices,
+        cached_root: (!matches!(root_operand, Operand::Slot(_))).then_some(root_operand),
+        root_is_mixed: cls.class(root) == NodeClass::StemMixed,
+    })
 }
 
 /// Where the interpreter's buffers come from.
@@ -256,6 +292,19 @@ impl SweepTally {
         self.skipped_contractions += other.skipped_contractions;
         self.gemm.add(&other.gemm);
     }
+
+    /// Bill one executed contraction.
+    fn record(&mut self, step: &StemStepExec) {
+        let flops = step.kernel.flops();
+        self.flops += flops;
+        self.gemm.record_kernel(&step.kernel);
+        if step.mixed {
+            self.mixed_flops += flops;
+            self.mixed_contractions += 1;
+        } else {
+            self.pure_flops += flops;
+        }
+    }
 }
 
 /// Chaos hook: the [`FaultPoint::WorkerPanic`] injection point, checked
@@ -270,16 +319,20 @@ fn fault_contraction_tick() {
     }
 }
 
-/// Data of bitstring `b`'s stem operand: a buffer from the slot table, or
-/// a borrowed cache tensor's amplitudes.
+/// Data of bitstring `b`'s stem operand: a buffer from the slot table, a
+/// frontier seed or a branch-cache entry.
 fn operand_data<'a>(
-    slot: Option<&'a [Complex64]>,
-    io: &StemInputs<'a>,
-    id: usize,
+    operand: Operand,
+    slots: &'a [Option<Vec<Complex64>>],
+    io: &'a StemInputs<'_>,
     b: usize,
 ) -> Result<&'a [Complex64], Error> {
-    slot.or_else(|| io.cached(id, b).map(DenseTensor::data))
-        .ok_or_else(|| Error::Internal(format!("operand {id} missing from slots and caches")))
+    match operand {
+        Operand::Slot(node) => slots[node].as_deref(),
+        Operand::Seed(node) => Some(io.seeds.get(io.keys, node, b)),
+        Operand::Branch(node) => io.cache.tensor(node).map(DenseTensor::data),
+    }
+    .ok_or_else(|| Error::Internal(format!("stem operand {operand:?} missing")))
 }
 
 /// Apply one step's kernel. The operands are read in place, so the only
@@ -292,45 +345,69 @@ fn contract_step(
     held_out: Option<Vec<Complex64>>,
     source: &mut BufferSource,
     counters: &mut PoolCounters,
-    tally: &mut SweepTally,
 ) -> Vec<Complex64> {
     fault_contraction_tick();
     let mut out = held_out.unwrap_or_else(|| source.acquire(step.kernel.output().len(), counters));
     step.kernel.contract(left, right, &mut out);
-    let flops = step.kernel.flops();
-    tally.flops += flops;
-    tally.gemm.record_kernel(&step.kernel);
-    if step.mixed {
-        tally.mixed_flops += flops;
-        tally.mixed_contractions += 1;
-    } else {
-        tally.pure_flops += flops;
-    }
     out
 }
 
-/// The read-only inputs of one execution's stem sweep, shared by workers.
+/// The read-only inputs of one worker's stem sweep.
 pub(super) struct StemInputs<'a> {
-    pub(super) plan: &'a SimulationPlan,
-    pub(super) cache: &'a BranchCache,
-    pub(super) seeds: &'a FrontierSeeds,
-    /// Leaf overrides, one per bitstring of the batch.
-    pub(super) overrides: &'a [Arc<LeafOverrides>],
-    pub(super) keys: &'a BatchKeys,
+    cache: &'a BranchCache,
+    seeds: &'a FrontierSeeds,
+    keys: &'a BatchKeys,
+    /// Every bitstring's stem-leaf source tensors (override or plan data),
+    /// one run of the program's leaves per bitstring, resolved once per
+    /// sweep instead of once per subtask.
+    sources: Vec<&'a DenseTensor<Complex64>>,
+    batch: usize,
 }
 
-impl<'a> StemInputs<'a> {
-    /// Resolve bitstring `b`'s slice-invariant tensor at `node`: a
-    /// per-execution frontier seed or a plan-lifetime branch-cache entry.
-    pub(super) fn cached(&self, node: usize, b: usize) -> Option<&'a DenseTensor<Complex64>> {
-        self.seeds.get(self.keys, node, b).or_else(|| self.cache.tensor(node))
+impl StemInputs<'_> {
+    /// Bitstring `b`'s stem-leaf sources, in program leaf order.
+    fn sources(&self, b: usize) -> &[&DenseTensor<Complex64>] {
+        let per = self.sources.len() / self.batch;
+        &self.sources[b * per..][..per]
     }
 }
 
 impl StemExec {
     /// Whether there is a stem to interpret (the tree root is Stem-class).
     pub(super) fn has_stem(&self) -> bool {
-        self.root_indices.is_some()
+        self.cached_root.is_none()
+    }
+
+    /// The inputs of one worker's sweep over a batch with these overrides.
+    pub(super) fn inputs<'a>(
+        &self,
+        plan: &'a SimulationPlan,
+        cache: &'a BranchCache,
+        seeds: &'a FrontierSeeds,
+        keys: &'a BatchKeys,
+        overrides: &'a [Arc<LeafOverrides>],
+    ) -> StemInputs<'a> {
+        let sources = overrides
+            .iter()
+            .flat_map(|o| {
+                let data = move |v: usize| o.get(&v).unwrap_or(&plan.build.nodes[v].data);
+                self.leaves.iter().map(move |leaf| data(leaf.vertex))
+            })
+            .collect();
+        StemInputs { cache, seeds, keys, sources, batch: overrides.len() }
+    }
+
+    /// An unsliced plan's result for bitstring `b`: its cached root tensor.
+    pub(super) fn cached_root(
+        &self,
+        io: &StemInputs<'_>,
+        b: usize,
+    ) -> Result<DenseTensor<Complex64>, Error> {
+        let root = self
+            .cached_root
+            .ok_or_else(|| Error::Internal("a sliced plan's root is not cached".into()))?;
+        let data = operand_data(root, &[], io, b)?;
+        Ok(DenseTensor::from_data(self.root_indices.clone(), data.to_vec()))
     }
 
     /// Run one slice assignment for the whole batch, handing each
@@ -350,9 +427,8 @@ impl StemExec {
         tally: &mut SweepTally,
         mut emit: impl FnMut(usize, &DenseTensor<Complex64>),
     ) -> Result<(), Error> {
-        let batch = io.overrides.len();
-        if batch == 1 {
-            self.consume(io, ws, 0, assignment, false, tally)?;
+        if io.batch == 1 {
+            self.consume(io, ws, assignment, false, tally)?;
             let root = self.take_root(ws)?;
             emit(0, &root);
             self.put_root(ws, root, false);
@@ -360,7 +436,7 @@ impl StemExec {
         }
         // StemPure nodes depend on no projector, so any bitstring's inputs
         // resolve them identically.
-        self.consume(io, ws, 0, assignment, true, tally)?;
+        self.consume(io, ws, assignment, true, tally)?;
         if self.root_is_mixed {
             self.hold_mixed(ws);
             for &b in &io.keys.order {
@@ -375,7 +451,7 @@ impl StemExec {
             // The whole stem is StemPure: the prefix root *is* every
             // bitstring's subtask result.
             let root = self.take_root(ws)?;
-            (0..batch).for_each(|b| emit(b, &root));
+            (0..io.batch).for_each(|b| emit(b, &root));
             self.put_root(ws, root, false);
         }
         // The batch is done with this subtask: the held keep set and mixed
@@ -401,37 +477,41 @@ impl StemExec {
 
     /// The consume-and-release loop: materialise the leaves, replay the
     /// steps, and release every buffer the moment the step consuming it has
-    /// run (each node feeds exactly one parent). With `pure_only` the
-    /// StemMixed leaves and steps are left out — a pure node consumed by a
-    /// *mixed* step then never shows up as an operand and stays held.
+    /// run (each node feeds exactly one parent), reading bitstring 0's
+    /// inputs. With `pure_only` the StemMixed leaves and steps are left out
+    /// — a pure node consumed by a *mixed* step then never shows up as an
+    /// operand and stays held. The pass bills its precomputed tally once.
     fn consume(
         &self,
         io: &StemInputs<'_>,
         ws: &mut StemWorkspace,
-        b: usize,
         assignment: usize,
         pure_only: bool,
         tally: &mut SweepTally,
     ) -> Result<(), Error> {
         let StemWorkspace { source, counters, slots, fix_buf, .. } = ws;
-        let overrides = &io.overrides[b];
-        for leaf in self.leaves.iter().filter(|l| !(pure_only && l.mixed)) {
-            let src = overrides.get(&leaf.vertex).unwrap_or(&io.plan.build.nodes[leaf.vertex].data);
+        for (leaf, src) in self.leaves.iter().zip(io.sources(0)) {
+            if pure_only && leaf.mixed {
+                continue;
+            }
             let mut buf = source.acquire(leaf.len, counters);
             Self::gather(leaf, src, assignment, fix_buf, &mut buf);
             slots[leaf.node] = Some(buf);
         }
         for step in self.steps.iter().filter(|s| !(pure_only && s.mixed)) {
-            let left_owned = slots[step.left].take();
-            let right_owned = slots[step.right].take();
-            let left = operand_data(left_owned.as_deref(), io, step.left, b)?;
-            let right = operand_data(right_owned.as_deref(), io, step.right, b)?;
-            let out = contract_step(step, left, right, None, source, counters, tally);
-            for buf in [left_owned, right_owned].into_iter().flatten() {
-                source.release(buf, counters);
+            let left = operand_data(step.left, slots, io, 0)?;
+            let right = operand_data(step.right, slots, io, 0)?;
+            let out = contract_step(step, left, right, None, source, counters);
+            for operand in [step.left, step.right] {
+                if let Operand::Slot(node) = operand {
+                    if let Some(buf) = slots[node].take() {
+                        source.release(buf, counters);
+                    }
+                }
             }
             slots[step.out] = Some(out);
         }
+        tally.merge(if pure_only { &self.pure_steps } else { &self.all_steps });
         Ok(())
     }
 
@@ -470,13 +550,11 @@ impl StemExec {
         tally: &mut SweepTally,
     ) -> Result<(), Error> {
         let StemWorkspace { source, counters, slots, held_keys, fix_buf, .. } = ws;
-        let overrides = &io.overrides[b];
-        for leaf in self.leaves.iter().filter(|l| l.mixed) {
+        for (leaf, src) in self.leaves.iter().zip(io.sources(b)) {
             let key = Some(io.keys.id(leaf.node, b));
-            if held_keys[leaf.node] == key {
+            if !leaf.mixed || held_keys[leaf.node] == key {
                 continue;
             }
-            let src = overrides.get(&leaf.vertex).unwrap_or(&io.plan.build.nodes[leaf.vertex].data);
             let buf = slots[leaf.node].as_mut().ok_or_else(|| {
                 Error::Internal(format!("mixed leaf buffer {} not held", leaf.node))
             })?;
@@ -495,9 +573,10 @@ impl StemExec {
             })?;
             // Mixed children were refreshed earlier in this pass (children
             // precede parents); StemPure keeps sit in the slot table too.
-            let left = operand_data(slots[step.left].as_deref(), io, step.left, b)?;
-            let right = operand_data(slots[step.right].as_deref(), io, step.right, b)?;
-            let out = contract_step(step, left, right, Some(held), source, counters, tally);
+            let left = operand_data(step.left, slots, io, b)?;
+            let right = operand_data(step.right, slots, io, b)?;
+            let out = contract_step(step, left, right, Some(held), source, counters);
+            tally.record(step);
             slots[step.out] = Some(out);
             held_keys[step.out] = key;
         }
@@ -511,11 +590,7 @@ impl StemExec {
         let buf = ws.slots[self.root]
             .take()
             .ok_or_else(|| Error::Internal("root tensor missing after stem replay".into()))?;
-        let indices = ws
-            .root_indices
-            .take()
-            .or_else(|| self.root_indices.clone())
-            .ok_or_else(|| Error::Internal("stem program has no root".into()))?;
+        let indices = ws.root_indices.take().unwrap_or_else(|| self.root_indices.clone());
         Ok(DenseTensor::from_data(indices, buf))
     }
 

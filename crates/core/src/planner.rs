@@ -7,7 +7,7 @@
 //! executor needs to run the sliced contraction, and everything the
 //! benchmark harness needs to report complexities and overheads.
 
-use crate::executor::{BranchCache, BranchSeed, StemExec};
+use crate::executor::{BranchCache, BranchSeed, FrontierExec, StemExec};
 use crate::pool::SharedWorkerPools;
 use qtn_circuit::{circuit_to_network, Circuit, NetworkBuild, OutputSpec};
 use qtn_slicing::overhead::{sliced_max_rank, slicing_overhead};
@@ -140,6 +140,9 @@ pub struct SimulationPlan {
     /// shape-preserving output rebinding and, like the branch cache, built
     /// once and shared by every execution and clone of the plan.
     pub(crate) stem_exec: Arc<OnceLock<Result<Arc<StemExec>, crate::error::Error>>>,
+    /// Lazily compiled frontier program (one contraction kernel per
+    /// frontier step), memoized and shared like `stem_exec`.
+    pub(crate) frontier_exec: Arc<OnceLock<Result<Arc<FrontierExec>, crate::error::Error>>>,
     /// Branch-cache entries surviving a parameter rebind, plus the rebind's
     /// accounting. `None` on freshly planned circuits; set (with a fresh,
     /// empty `branch_cache` cell) by `CompiledCircuit::rebind_parameters`,
@@ -361,6 +364,7 @@ pub fn plan_simulation(
         memory_plan,
         branch_cache: Arc::new(OnceLock::new()),
         stem_exec: Arc::new(OnceLock::new()),
+        frontier_exec: Arc::new(OnceLock::new()),
         stem_pools: Arc::new(SharedWorkerPools::default()),
         branch_seed: None,
     }

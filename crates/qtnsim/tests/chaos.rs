@@ -179,6 +179,43 @@ fn worker_panic_reaches_the_unpooled_batched_sweep() {
     assert_eq!(report.stats.buffers_allocated, 0, "the unpooled sweep never touches a pool");
 }
 
+/// A one-worker sweep runs on the calling thread, not on a pool thread, so
+/// it needs its own panic boundary. With `spec` armed, one execution fails
+/// with a typed `ExecutionPanic`. The next execution on the same compiled
+/// circuit matches the statevector, and it allocates no buffer: the failed
+/// sweep checked its workspace back in.
+fn one_worker_sweep_contains(spec: &str) {
+    let circuit = sliced_circuit(11);
+    let bits = random_bitstrings(circuit.num_qubits(), 1, 31).remove(0);
+    let _guard = arm("");
+    let engine = Engine::with_configs(planner(), ExecutorConfig { workers: 1, ..executor() });
+    let compiled = engine
+        .compile(&circuit, &OutputSpec::Amplitude(vec![0; circuit.num_qubits()]))
+        .expect("compile");
+    compiled.execute_amplitude(&bits).expect("fault-free warm-up");
+
+    fault::install(Some(FaultPlan::parse(spec).unwrap()));
+    let err = compiled.execute_amplitude(&bits).unwrap_err();
+    assert!(matches!(err, qtnsim::Error::ExecutionPanic(_)), "{spec}: untyped failure: {err:?}");
+
+    fault::install(None);
+    let (amp, report) = compiled.execute_amplitude(&bits).expect("clean re-run");
+    let expected = qtnsim::statevector::StateVector::simulate(&circuit).amplitude(&bits);
+    assert!((amp - expected).abs() < 1e-10, "{spec}: {amp:?} vs statevector {expected:?}");
+    assert_eq!(report.stats.workers, 1);
+    assert_eq!(report.stats.buffers_allocated, 0, "{spec}: the workspace was checked back in");
+}
+
+#[test]
+fn one_worker_sweep_contains_a_worker_panic() {
+    one_worker_sweep_contains("worker_panic:nth=7");
+}
+
+#[test]
+fn one_worker_sweep_contains_a_pool_allocation_fault() {
+    one_worker_sweep_contains("pool_alloc:nth=7");
+}
+
 /// A request whose deadline is already spent when it reaches admission is
 /// shed there — explicit `Shed(DeadlineExceeded)`, never queued, never
 /// executed.

@@ -1,0 +1,97 @@
+//! A warm execution allocates a fixed number of times.
+//!
+//! The frontier runs a compiled program into one per-execution arena, the
+//! stem sweep draws every buffer from the plan's warm pool, and a
+//! one-worker sweep runs on the calling thread. So once warm, an execution
+//! allocates the same small number of times whatever the size of its
+//! frontier or stem. A counting global allocator checks that on the
+//! `serve-s12` circuit (3x4, 10 cycles) and on a 4x4, 10-cycle circuit
+//! with a larger frontier. It counts on every thread, because a wider sweep
+//! runs on pool threads.
+//!
+//! Rebinding the output projectors (`NetworkBuild::rebind_output`, which
+//! `execute_amplitude` calls first) builds one small tensor per measured
+//! qubit. That share is counted on its own and taken out of the
+//! comparison.
+//!
+//! The file holds a single test, so no other test allocates while it
+//! counts.
+
+use qtnsim::circuit::{OutputSpec, RqcConfig};
+use qtnsim::core::LeafOverrides;
+use qtnsim::{Engine, ExecutorConfig, PlannerConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call forwards to `System` unchanged; counting is one
+// atomic add, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's contract, forwarded.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's contract, forwarded.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's contract, forwarded.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract, forwarded.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations `f` makes on any thread, and its result.
+fn allocations<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let out = f();
+    (ALLOCATIONS.load(Ordering::SeqCst) - before, out)
+}
+
+/// What one warm `execute_amplitude` allocates beyond rebinding the output
+/// projectors, and the frontier contractions it ran.
+fn warm_execution(rows: usize, cols: usize) -> (usize, u64) {
+    let circuit = RqcConfig::small(rows, cols, 10, 5).build();
+    let n = circuit.num_qubits();
+    let engine = Engine::with_configs(
+        PlannerConfig { target_rank: 8, ..Default::default() },
+        ExecutorConfig { workers: 1, max_subtasks: 0, reuse: true, pool: true },
+    );
+    let compiled = engine.compile(&circuit, &OutputSpec::Amplitude(vec![0; n])).unwrap();
+    let bits: Vec<u8> = (0..n).map(|q| (q % 3 == 0) as u8).collect();
+    for _ in 0..3 {
+        compiled.execute_amplitude(&bits).unwrap();
+    }
+    let (execution, (_, report)) = allocations(|| compiled.execute_amplitude(&bits).unwrap());
+    // The same rebind `execute_amplitude` performs before it executes.
+    let (rebind, _) = allocations(|| {
+        compiled.plan().build.rebind_output(&bits).unwrap().into_iter().collect::<LeafOverrides>()
+    });
+    assert_eq!(report.stats.buffers_allocated, 0, "{rows}x{cols}: the pool is warm");
+    (execution - rebind, report.stats.frontier_contractions)
+}
+
+#[test]
+fn a_warm_execution_allocates_a_fixed_number_of_times() {
+    let (serve, serve_frontier) = warm_execution(3, 4);
+    let (wide, wide_frontier) = warm_execution(4, 4);
+    assert!(wide_frontier > serve_frontier, "the 4x4 circuit has the larger frontier");
+    assert_eq!(serve, wide, "allocations must not grow with the frontier or the stem");
+    assert!(serve <= 24, "a warm execution allocates {serve} times");
+}
