@@ -22,7 +22,7 @@ pub use layout::{GridLayout, SYCAMORE_QUBITS};
 pub use library::{ghz, qaoa_ansatz, qft};
 pub use network::{
     circuit_to_network, contract_network_naive, NetworkBuild, OutputSpec, ParamSlot, RebindError,
-    TensorNode,
+    TensorNode, PROJECTOR_DATA,
 };
 pub use qsim::{parse_qsim, parse_qsim_with_slots, write_qsim, QsimParam, QsimParseError};
 pub use rqc::{sycamore_rqc, RqcConfig};

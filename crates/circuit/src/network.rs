@@ -190,14 +190,17 @@ impl std::fmt::Display for RebindError {
 impl std::error::Error for RebindError {}
 
 impl NetworkBuild {
-    /// Compute the leaf-tensor overrides that retarget this network's output
-    /// projectors to a new bitstring, without re-running any planning.
+    /// Build the projector leaf tensors that retarget this network's output
+    /// to a new bitstring, without re-running any planning.
     ///
     /// Only the rank-1 projector leaves depend on the output bits, so a
-    /// contraction plan built over this network for one bitstring can execute
-    /// any other bitstring by substituting the returned `(node index, data)`
-    /// pairs for the original leaf data. `bits` must cover every qubit;
-    /// entries for open (non-projected) qubits are ignored.
+    /// contraction plan built over this network for one bitstring can
+    /// execute any other bitstring by substituting the returned
+    /// `(node index, data)` pairs for the original leaf data. This is the
+    /// full-replay oracle's projector source; the compiled executor takes
+    /// the bits themselves and reads [`PROJECTOR_DATA`] in place. `bits`
+    /// must cover every qubit; entries for open (non-projected) qubits are
+    /// ignored.
     pub fn rebind_output(
         &self,
         bits: &[u8],
@@ -288,14 +291,15 @@ impl NetworkBuild {
     }
 }
 
+/// The data of the rank-1 projector `⟨bit|`, indexed by `bit`. Every
+/// output-projector leaf holds one of these two rows, so an executor can
+/// read a bitstring's projector here instead of building a tensor.
+pub const PROJECTOR_DATA: [[Complex64; 2]; 2] =
+    [[Complex64::ONE, Complex64::ZERO], [Complex64::ZERO, Complex64::ONE]];
+
 /// The rank-1 projector `⟨bit|` on wire `w`.
 fn projector(w: IndexId, bit: u8) -> DenseTensor<Complex64> {
-    let (zero, one) = if bit == 0 {
-        (Complex64::ONE, Complex64::ZERO)
-    } else {
-        (Complex64::ZERO, Complex64::ONE)
-    };
-    DenseTensor::from_data(IndexSet::new(vec![w]), vec![zero, one])
+    DenseTensor::from_data(IndexSet::new(vec![w]), PROJECTOR_DATA[usize::from(bit)].to_vec())
 }
 
 /// Convert a circuit and output specification into a tensor network.
@@ -545,7 +549,7 @@ mod tests {
     }
 
     /// `build` with its projector leaves replaced by [`NetworkBuild::rebind_output`]'s
-    /// overrides for `bits` — what the executor does per execution.
+    /// tensors for `bits` — what the full-replay oracle does per bitstring.
     fn rebound(build: &NetworkBuild, bits: &[u8]) -> NetworkBuild {
         let mut out = build.clone();
         for (node, data) in build.rebind_output(bits).unwrap() {

@@ -4,10 +4,11 @@
 //! of slice subtasks and correlated samples over it. [`Engine`] matches that
 //! cost model: [`Engine::compile`] runs the expensive planning pipeline (path
 //! search + lifetime slicing + SA refinement) and returns a
-//! [`CompiledCircuit`]; every execute on the compiled circuit only *rebinds*
-//! the output-projector leaf tensors (see
-//! [`qtn_circuit::NetworkBuild::rebind_output`]) and replays the plan on the
-//! engine's persistent worker pool — no re-planning, no thread spawning.
+//! [`CompiledCircuit`]; every execute on the compiled circuit hands its
+//! output bits to the executor, which reads them as the output-projector
+//! leaves (see [`qtn_circuit::PROJECTOR_DATA`]), and replays the plan on
+//! the engine's persistent worker pool — no re-planning, no thread
+//! spawning.
 //!
 //! Plans are memoized in an LRU cache keyed by circuit fingerprint, planner
 //! configuration and output *shape* (`Amplitude` vs the set of open qubits):
@@ -45,9 +46,7 @@
 //! ```
 
 use crate::error::Error;
-use crate::executor::{
-    execute_on_pool, BranchSeed, ExecutionStats, ExecutorConfig, LeafOverrides, WorkerPool,
-};
+use crate::executor::{execute, BranchSeed, ExecutionStats, ExecutorConfig, WorkerPool};
 use crate::planner::{plan_simulation, PlannerConfig, SimulationPlan};
 use crate::sampling::sample_bitstrings;
 use qtn_circuit::{Circuit, OutputSpec, ParamSlot};
@@ -650,27 +649,32 @@ impl CompiledCircuit {
         Ok(())
     }
 
-    fn validate_bits(&self, bits: &[u8]) -> Result<(), Error> {
+    /// Check every bitstring at the API boundary, then execute the batch:
+    /// one result per bitstring, in order.
+    fn run(
+        &self,
+        bitstrings: &[&[u8]],
+    ) -> Result<(Vec<DenseTensor<Complex64>>, ExecutionReport), Error> {
         let open: &[usize] = match &self.shape {
             OutputShape::Amplitude => &[],
             OutputShape::Open(open) => open,
         };
-        check_bits(bits, self.num_qubits, open)
-    }
-
-    fn execute_rebound(
-        &self,
-        bits: &[u8],
-    ) -> Result<(DenseTensor<Complex64>, ExecutionReport), Error> {
-        self.validate_bits(bits)?;
-        let overrides: LeafOverrides = self.plan.build.rebind_output(bits)?.into_iter().collect();
+        for bits in bitstrings {
+            check_bits(bits, self.num_qubits, open)?;
+        }
         let branch_cache_hit = self.plan.branch_cache_built();
-        let (result, stats) =
-            execute_on_pool(&self.pool, &self.plan, &Arc::new(overrides), &self.executor)?;
+        let (results, stats) = execute(&self.pool, &self.plan, bitstrings, &self.executor)?;
         Ok((
-            result,
+            results,
             ExecutionReport { stats, plan_cache_hit: self.plan_cache_hit, branch_cache_hit },
         ))
+    }
+
+    /// [`run`](Self::run) for a batch of one.
+    fn run_one(&self, bits: &[u8]) -> Result<(DenseTensor<Complex64>, ExecutionReport), Error> {
+        let (mut results, report) = self.run(&[bits])?;
+        let result = results.pop().ok_or_else(|| Error::Internal("missing result".into()))?;
+        Ok((result, report))
     }
 
     /// Compute the amplitude ⟨bits|C|0…0⟩. Requires an
@@ -697,7 +701,7 @@ impl CompiledCircuit {
                 requested: "amplitude",
             });
         }
-        let (result, report) = self.execute_rebound(bits)?;
+        let (result, report) = self.run_one(bits)?;
         Ok((result.scalar_value(), report))
     }
 
@@ -740,21 +744,8 @@ impl CompiledCircuit {
                 requested: "amplitude",
             });
         }
-        for bits in bitstrings {
-            self.validate_bits(bits)?;
-        }
-        let branch_cache_hit = self.plan.branch_cache_built();
-        let (results, stats) = crate::executor::execute_amplitudes_on_pool(
-            &self.pool,
-            &self.plan,
-            bitstrings,
-            &self.executor,
-        )?;
-        let amplitudes = results.iter().map(DenseTensor::scalar_value).collect();
-        Ok((
-            amplitudes,
-            ExecutionReport { stats, plan_cache_hit: self.plan_cache_hit, branch_cache_hit },
-        ))
+        let (results, report) = self.run(bitstrings)?;
+        Ok((results.iter().map(DenseTensor::scalar_value).collect(), report))
     }
 
     /// Compute the tensor of amplitudes over the compiled open qubits with
@@ -785,7 +776,7 @@ impl CompiledCircuit {
                 requested: "open-batch",
             });
         }
-        let (result, report) = self.execute_rebound(fixed)?;
+        let (result, report) = self.run_one(fixed)?;
         // Order axes by qubit id.
         let mut pairs = self.plan.build.open_indices.clone();
         pairs.sort_by_key(|&(q, _)| q);

@@ -87,8 +87,9 @@ pub enum Error {
         /// Sliced edges of the plan (`|S|`).
         sliced: usize,
     },
-    /// Sampling was requested from an amplitude tensor whose total
-    /// probability mass is zero (every amplitude is exactly 0).
+    /// Sampling was requested from an amplitude tensor with no finite,
+    /// positive probability mass (every amplitude is exactly 0, or one is
+    /// NaN or infinite).
     ZeroAmplitudeDistribution,
     /// A circuit is too wide for a dense reference method that holds all
     /// `2^n` amplitudes (the facade's state-vector verification).
@@ -153,7 +154,7 @@ impl std::fmt::Display for Error {
                 write!(f, "plan slices {sliced} edges: 2^{sliced} subtasks are not addressable")
             }
             Error::ZeroAmplitudeDistribution => {
-                write!(f, "cannot sample from an all-zero amplitude tensor")
+                write!(f, "cannot sample: the amplitudes have no finite, positive probability mass")
             }
             Error::TooManyQubits { qubits, max } => {
                 write!(f, "{qubits} qubits exceed the {max}-qubit limit of the dense reference")
@@ -220,7 +221,7 @@ mod tests {
             (Error::NonFiniteParam { slot: 2 }, "non-finite"),
             (Error::TooManySlicedEdges { sliced: 64 }, "2^64 subtasks"),
             (Error::TensorTooLarge { rank: 34, max: 32 }, "rank-34 tensor"),
-            (Error::ZeroAmplitudeDistribution, "all-zero"),
+            (Error::ZeroAmplitudeDistribution, "no finite, positive probability mass"),
             (Error::TooManyQubits { qubits: 30, max: 26 }, "26-qubit limit"),
             (Error::ExecutionPanic("index out of bounds".into()), "panicked"),
             (Error::Internal("oops".into()), "oops"),

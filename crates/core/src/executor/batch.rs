@@ -12,13 +12,12 @@
 
 use super::branch::BranchCache;
 use super::stats::GemmTally;
-use super::LeafOverrides;
+use super::LeafSource;
 use crate::error::Error;
 use crate::planner::SimulationPlan;
 use qtn_tensor::{Complex64, ContractionKernel, DenseTensor, IndexSet};
 use qtn_tensornet::NodeClass;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// A dependent-bits deduplication key: the output bits a node's subtree
 /// depends on, packed *compactly* — bit `j` of the key is the bitstring's
@@ -109,9 +108,8 @@ impl BatchKeys {
         self.nodes.get(node).and_then(Option::as_ref).map_or(1, |keys| keys.distinct as usize)
     }
 
-    /// Intern the batch's keys. A batch of at most one bitstring (which is
-    /// also how the single-execution entry point calls, with no bits at
-    /// all) needs no table: every node has one value.
+    /// Intern the batch's keys. A batch of at most one bitstring needs no
+    /// table: every node has one value.
     pub(super) fn build(plan: &SimulationPlan, bitstrings: &[&[u8]]) -> BatchKeys {
         let batch = bitstrings.len();
         if batch <= 1 {
@@ -252,9 +250,8 @@ pub(super) struct PhaseBill {
 /// the program is compiled.
 #[derive(Debug, Clone, Copy)]
 enum FrontierOperand {
-    /// A frontier leaf, read in place from the bitstring's override (or the
-    /// plan's data) at this network vertex.
-    Leaf(usize),
+    /// A frontier leaf, read in place.
+    Leaf(LeafSource),
     /// An earlier frontier contraction's output at this tree node.
     Seed(usize),
     /// The plan-lifetime branch-cache entry at this tree node.
@@ -274,8 +271,7 @@ struct FrontierStep {
 /// The compiled frontier: one [`ContractionKernel`] per
 /// `frontier_schedule` step, plus the frontier leaves the stem reads
 /// directly. Like the stem program it depends only on index sets, so it is
-/// compiled once per plan and memoized beside it; an override that changes
-/// a leaf's axis order gets a fresh, uncached compile.
+/// compiled once per plan and memoized beside it.
 ///
 /// Every frontier tensor of an execution — one per node and distinct key —
 /// lives in one arena allocated per execution, never in a stem
@@ -283,25 +279,23 @@ struct FrontierStep {
 #[derive(Debug)]
 pub(crate) struct FrontierExec {
     steps: Vec<FrontierStep>,
-    /// `(tree node, network vertex)` of each frontier leaf the stem replay
-    /// (or an unsliced result) reads directly: its data is copied into the
-    /// arena so every seed has one home.
-    leaf_seeds: Vec<(usize, usize)>,
+    /// `(tree node, source)` of each frontier leaf the stem replay (or an
+    /// unsliced result) reads directly: its data is copied into the arena
+    /// so every seed has one home.
+    leaf_seeds: Vec<(usize, LeafSource)>,
     /// Per tree node, the index set of its arena tensor (`None` off the
     /// arena).
     indices: Vec<Option<IndexSet>>,
 }
 
-/// Compile the frontier for the axis orders of `overrides` (any
-/// bitstring's: rebinding preserves them) and the branch cache.
+/// Compile the frontier for the axis orders of the plan's leaves and the
+/// branch cache.
 pub(super) fn build_frontier_exec(
     plan: &SimulationPlan,
     cache: &BranchCache,
-    overrides: &LeafOverrides,
 ) -> Result<FrontierExec, Error> {
     let cls = &plan.classification;
-    let leaf_data =
-        |vertex: usize| overrides.get(&vertex).unwrap_or(&plan.build.nodes[vertex].data);
+    let leaf_indices = |vertex: usize| plan.build.nodes[vertex].data.indices();
     let mut exec = FrontierExec {
         steps: Vec::with_capacity(cls.frontier_schedule().len()),
         leaf_seeds: Vec::new(),
@@ -311,14 +305,14 @@ pub(super) fn build_frontier_exec(
         if let (NodeClass::Frontier, Some(vertex)) =
             (cls.class(node), plan.tree.node(node).leaf_vertex)
         {
-            exec.leaf_seeds.push((node, vertex));
-            exec.indices[node] = Some(leaf_data(vertex).indices().clone());
+            exec.leaf_seeds.push((node, LeafSource::of(plan, vertex)));
+            exec.indices[node] = Some(leaf_indices(vertex).clone());
         }
     }
     for &(l, r, out) in cls.frontier_schedule() {
         let operand = |id: usize| match (cls.class(id), plan.tree.node(id).leaf_vertex) {
             (NodeClass::Frontier, Some(vertex)) => {
-                Ok((FrontierOperand::Leaf(vertex), leaf_data(vertex).indices()))
+                Ok((FrontierOperand::Leaf(LeafSource::of(plan, vertex)), leaf_indices(vertex)))
             }
             (NodeClass::Frontier, None) => exec.indices[id]
                 .as_ref()
@@ -373,12 +367,9 @@ impl FrontierExec {
         plan: &SimulationPlan,
         cache: &BranchCache,
         keys: &BatchKeys,
-        overrides_batch: &[Arc<LeafOverrides>],
+        bitstrings: &[&[u8]],
     ) -> Result<(FrontierSeeds, PhaseBill), Error> {
-        let batch = overrides_batch.len();
-        let leaf_data = |b: usize, vertex: usize| {
-            overrides_batch[b].get(&vertex).unwrap_or(&plan.build.nodes[vertex].data).data()
-        };
+        let batch = bitstrings.len();
         // Lay the arena out in program order (leaf seeds, then steps), so
         // every operand a step reads lies below the step's own output.
         let mut spans = vec![(0, 0); self.indices.len()];
@@ -391,10 +382,10 @@ impl FrontierExec {
         }
         let mut arena = vec![Complex64::ZERO; total];
 
-        for &(node, vertex) in &self.leaf_seeds {
+        for &(node, source) in &self.leaf_seeds {
             let (start, len) = spans[node];
             for_each_new_key(keys, node, batch, |b, key| {
-                arena[start + key * len..][..len].copy_from_slice(leaf_data(b, vertex));
+                arena[start + key * len..][..len].copy_from_slice(source.data(plan, bitstrings[b]));
                 Ok(())
             })?;
         }
@@ -404,7 +395,7 @@ impl FrontierExec {
             let (done, outputs) = arena.split_at_mut(start);
             for_each_new_key(keys, step.out, batch, |b, key| {
                 let operand = |op: FrontierOperand| match op {
-                    FrontierOperand::Leaf(vertex) => Ok(leaf_data(b, vertex)),
+                    FrontierOperand::Leaf(source) => Ok(source.data(plan, bitstrings[b])),
                     FrontierOperand::Seed(node) => {
                         let (start, len) = spans[node];
                         Ok(&done[start + keys.id(node, b) as usize * len..][..len])
@@ -432,7 +423,7 @@ impl FrontierExec {
     }
 }
 
-/// The frontier tensors of one execution — override-dependent,
+/// The frontier tensors of one execution — projector-dependent,
 /// slice-invariant — in one arena: per tree node a span of one tensor per
 /// key id a bitstring presents there (see [`BatchKeys`]). Branch-origin
 /// stem inputs are *not* copied here: workers read them straight from the

@@ -31,9 +31,11 @@
 //! (slot, frontier seed or branch-cache entry) resolved at compile time —
 //! so a warm execution pays for its flops and a small fixed setup.
 //!
-//! Every entry point is the same call: [`execute_on_pool`] is a batch of
-//! one, [`execute_amplitudes_on_pool`] a batch of however many bitstrings
-//! it is handed. One routine prepares the caches (`prepare_reuse`), one
+//! The one entry point, `execute`, takes the output bitstrings
+//! themselves: across bitstrings only the output projectors change, and
+//! each compiled program resolves a projector leaf to its qubit and reads
+//! [`PROJECTOR_DATA`] at the bitstring's bit. A single amplitude is a
+//! batch of one. One routine prepares the caches (`prepare_reuse`), one
 //! helper (`fan_out_and_reduce`) owns worker fan-out (a one-worker sweep
 //! runs on the calling thread), panic containment, buffer-pool
 //! check-out/check-in and the worker-order reduction, and the
@@ -63,17 +65,19 @@
 //! heap source the pool counters stay zero.
 //!
 //! [`ExecutorConfig::reuse`] `= false` bypasses all of the above for the
-//! *independent oracle*: every subtask slices every leaf and replays the
-//! whole tree through per-call [`qtn_tensor::contract_pair`], sharing no
-//! code with the interpreter above the tensor layer. It exists so tests
-//! and benchmarks have something to be bit-identical **to**; results agree
-//! because every node's tensor is produced by the same pairwise
-//! contractions in the same order on the same kernels (`contract_pair`
-//! compiles the very [`qtn_tensor::ContractionKernel`] the stem program
-//! holds) — reuse only changes how often they run. A batch takes the same
-//! driver with reuse off: each subtask replays the tree once per bitstring,
-//! and the worker-order reduction keeps every result bit-identical to a
-//! single execution.
+//! *independent oracle*: each bitstring's projector leaves come from
+//! [`qtn_circuit::NetworkBuild::rebind_output`], every subtask slices every
+//! leaf and replays the whole tree through per-call
+//! [`qtn_tensor::contract_pair`], sharing no code with the interpreter
+//! above the tensor layer. It exists so tests and benchmarks have something
+//! to be bit-identical **to**; results agree because every node's tensor
+//! is produced by the same pairwise contractions in the same order on the
+//! same kernels (`contract_pair` compiles the very
+//! [`qtn_tensor::ContractionKernel`] the stem program holds) — reuse only
+//! changes how often they run. A batch takes the same driver with reuse
+//! off: each subtask replays the tree once per bitstring, and the
+//! worker-order reduction keeps every result bit-identical to a single
+//! execution.
 //!
 //! ## Determinism
 //!
@@ -105,19 +109,13 @@ use crate::pool::PoolCounters;
 pub(crate) use batch::FrontierExec;
 use batch::{build_frontier_exec, BatchKeys, FrontierSeeds, PhaseBill};
 use branch::{build_branch_cache, cache_of};
+use qtn_circuit::PROJECTOR_DATA;
 use qtn_tensor::{contract_pair, Complex64, ContractionSpec, DenseTensor, IndexId, IndexSet};
-use std::collections::HashMap;
 use std::sync::mpsc;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
-use stem::{build_stem_exec, BufferSource, StemWorkspace, SweepTally};
+use stem::{build_stem_exec, BufferSource, StemInputs, StemWorkspace, SweepTally};
 use worker_pool::contain_panic;
-
-/// Replacement leaf data keyed by network vertex id (position in
-/// `SimulationPlan::build.nodes`). Produced by
-/// [`qtn_circuit::NetworkBuild::rebind_output`]: executing a plan with
-/// overrides retargets the output projectors without touching the plan.
-pub type LeafOverrides = HashMap<usize, DenseTensor<Complex64>>;
 
 /// Executor options.
 #[derive(Debug, Clone)]
@@ -156,8 +154,59 @@ impl Default for ExecutorConfig {
     }
 }
 
+/// Where a compiled program reads a leaf's data, resolved at compile time:
+/// the plan's tensor at a network vertex, or the output projector of a
+/// qubit — [`PROJECTOR_DATA`] at the bitstring's bit.
+#[derive(Debug, Clone, Copy)]
+enum LeafSource {
+    Plan(usize),
+    Projector(usize),
+}
+
+impl LeafSource {
+    /// The source of the leaf at network `vertex`.
+    fn of(plan: &SimulationPlan, vertex: usize) -> Self {
+        match plan.build.projector_leaves.iter().find(|&&(_, node)| node == vertex) {
+            Some(&(qubit, _)) => LeafSource::Projector(qubit),
+            None => LeafSource::Plan(vertex),
+        }
+    }
+
+    /// The leaf's data under `bits`, read in place.
+    fn data<'a>(self, plan: &'a SimulationPlan, bits: &[u8]) -> &'a [Complex64] {
+        match self {
+            LeafSource::Plan(vertex) => plan.build.nodes[vertex].data.data(),
+            LeafSource::Projector(qubit) => {
+                let rows: &'static [[Complex64; 2]; 2] = &PROJECTOR_DATA;
+                &rows[usize::from(bits[qubit] & 1)]
+            }
+        }
+    }
+}
+
+/// A batch's bitstrings, copied back to back so every worker of a sweep
+/// can read them.
+struct Bitstrings {
+    flat: Vec<u8>,
+    count: usize,
+}
+
+impl Bitstrings {
+    fn new(bitstrings: &[&[u8]]) -> Self {
+        Self { flat: bitstrings.concat(), count: bitstrings.len() }
+    }
+
+    /// Bitstring `b`.
+    fn get(&self, b: usize) -> &[u8] {
+        let len = self.flat.len() / self.count;
+        &self.flat[b * len..][..len]
+    }
+}
+
 /// The cache phases of one reusing execution, whatever its batch size.
 struct ReuseState {
+    /// The batch's bitstrings.
+    bits: Bitstrings,
     /// This execution's frontier tensors, per node and dependent-bits key.
     seeds: FrontierSeeds,
     /// The plan's compiled stem program.
@@ -171,30 +220,10 @@ struct ReuseState {
     frontier: PhaseBill,
 }
 
-/// A compiled program memoized on the plan, or — when `memoize` is false
-/// because an override changed a leaf's axis order — a fresh, uncached
-/// compile.
-fn compiled<T>(
-    cell: &OnceLock<Result<Arc<T>, Error>>,
-    memoize: bool,
-    compile: impl FnOnce() -> Result<T, Error>,
-) -> Result<Arc<T>, Error> {
-    if memoize {
-        cell.get_or_init(|| compile().map(Arc::new)).clone()
-    } else {
-        compile().map(Arc::new)
-    }
-}
-
 /// Build the branch cache (first execution only) and this execution's
 /// frontier seeds, and fetch — or, once per plan, compile — the frontier
-/// and stem programs. `bitstrings` drives cross-bitstring deduplication; a
-/// batch of one needs (and the single-execution entry point has) none.
-fn prepare_reuse(
-    plan: &SimulationPlan,
-    bitstrings: &[&[u8]],
-    overrides: &[Arc<LeafOverrides>],
-) -> Result<ReuseState, Error> {
+/// and stem programs.
+fn prepare_reuse(plan: &SimulationPlan, bitstrings: &[&[u8]]) -> Result<ReuseState, Error> {
     // `OnceLock::get_or_init` blocks concurrent initializers, so even racing
     // first executions run the (potentially dominant-cost) build exactly
     // once — the thread that runs the closure accounts for the branch work.
@@ -208,30 +237,35 @@ fn prepare_reuse(
         .as_ref()
         .map_err(Clone::clone)?;
 
-    // Rebinding preserves every leaf's index set, so both programs are
-    // plan-invariant and memoized on the plan.
-    let shapes_preserved = overrides
-        .iter()
-        .flat_map(|o| o.iter())
-        .all(|(vertex, tensor)| tensor.indices() == plan.build.nodes[*vertex].data.indices());
-    let frontier_exec = compiled(&plan.frontier_exec, shapes_preserved, || {
-        build_frontier_exec(plan, cache, &overrides[0])
-    })?;
+    let frontier_exec = plan
+        .frontier_exec
+        .get_or_init(|| build_frontier_exec(plan, cache).map(Arc::new))
+        .clone()?;
     let keys = BatchKeys::build(plan, bitstrings);
-    let (seeds, frontier) = frontier_exec.run(plan, cache, &keys, overrides)?;
-    let exec = compiled(&plan.stem_exec, shapes_preserved, || {
-        build_stem_exec(plan, cache, &frontier_exec, &overrides[0])
-    })?;
-    Ok(ReuseState { seeds, exec, keys, built_cache, frontier })
+    let (seeds, frontier) = frontier_exec.run(plan, cache, &keys, bitstrings)?;
+    let exec = plan
+        .stem_exec
+        .get_or_init(|| build_stem_exec(plan, cache, &frontier_exec).map(Arc::new))
+        .clone()?;
+    let bits = Bitstrings::new(bitstrings);
+    Ok(ReuseState { bits, seeds, exec, keys, built_cache, frontier })
+}
+
+/// How a sweep's workers produce each subtask's root tensors.
+enum Program {
+    /// The compiled branch, frontier and stem programs.
+    Reuse(ReuseState),
+    /// The full-replay oracle, with each bitstring's projector leaves from
+    /// [`qtn_circuit::NetworkBuild::rebind_output`].
+    Replay(Vec<Vec<(usize, DenseTensor<Complex64>)>>),
 }
 
 /// Everything the workers of one execution share.
 struct Sweep {
     plan: Arc<SimulationPlan>,
-    /// Leaf overrides, one per bitstring of the batch.
-    overrides: Vec<Arc<LeafOverrides>>,
-    /// `None` runs the full-replay oracle.
-    reuse: Option<ReuseState>,
+    program: Program,
+    /// Bitstrings in the batch: one partial accumulator each.
+    batch: usize,
     /// Whether stem buffers come from the plan's persistent pools.
     pooled: bool,
     /// The sliced edges that are open outputs (stacked, not summed).
@@ -252,8 +286,8 @@ impl Sweep {
     /// executions, so only the very first execution of a plan pays any
     /// allocation at all.
     fn workspace(&self, worker: usize) -> Option<StemWorkspace> {
-        let exec = &self.reuse.as_ref()?.exec;
-        exec.has_stem().then(|| {
+        let Program::Reuse(state) = &self.program else { return None };
+        state.exec.has_stem().then(|| {
             let source = if self.pooled {
                 BufferSource::Pool(self.plan.stem_pools.checkout(worker))
             } else {
@@ -270,50 +304,80 @@ impl Sweep {
         mut ws: Option<&mut StemWorkspace>,
     ) -> Result<WorkerPartial, Error> {
         let plan = &*self.plan;
-        let sliced = &plan.slicing.sliced;
-        let mut partials: Vec<DenseTensor<Complex64>> = self
-            .overrides
-            .iter()
-            .map(|_| DenseTensor::zeros(self.output_indices.clone()))
-            .collect();
+        let mut partials: Vec<DenseTensor<Complex64>> =
+            (0..self.batch).map(|_| DenseTensor::zeros(self.output_indices.clone())).collect();
         let mut tally = SweepTally::default();
-        let stem = match &self.reuse {
-            Some(state) => {
-                let cache = cache_of(plan)?;
-                let io = state.exec.inputs(plan, cache, &state.seeds, &state.keys, &self.overrides);
-                Some((&state.exec, io))
-            }
-            None => None,
-        };
-        let mut assignment = worker;
-        while assignment < self.run_subtasks {
-            let mut merge = |b: usize, result: &DenseTensor<Complex64>| {
-                merge_subtask(&mut partials[b], result, &self.sliced_open, sliced, assignment)
-            };
-            match (&stem, ws.as_deref_mut()) {
-                (Some((exec, io)), Some(ws)) => {
-                    exec.interpret(io, ws, assignment, &mut tally, merge)?
-                }
-                // No contraction depends on the slice assignment (empty
-                // slicing set): every bitstring's cached root tensor *is*
-                // its subtask result.
-                (Some((exec, io)), None) => {
-                    for b in 0..self.overrides.len() {
-                        merge(b, &exec.cached_root(io, b)?);
+        let assignments = (worker..self.run_subtasks).step_by(self.workers);
+        match &self.program {
+            Program::Reuse(state) => {
+                let io = StemInputs::new(plan, cache_of(plan)?, state);
+                for assignment in assignments {
+                    let mut merge = |b: usize, result: &DenseTensor<Complex64>| {
+                        self.merge(&mut partials[b], result, assignment)
+                    };
+                    match ws.as_deref_mut() {
+                        Some(ws) => state.exec.interpret(&io, ws, assignment, &mut tally, merge)?,
+                        // No contraction depends on the slice assignment
+                        // (empty slicing set): every bitstring's cached
+                        // root tensor *is* its subtask result.
+                        None => {
+                            for b in 0..self.batch {
+                                merge(b, &state.exec.cached_root(&io, b)?);
+                            }
+                        }
                     }
                 }
-                (None, _) => {
-                    for (b, overrides) in self.overrides.iter().enumerate() {
+            }
+            Program::Replay(projectors) => {
+                for assignment in assignments {
+                    for (b, projectors) in projectors.iter().enumerate() {
                         let (result, flops) =
-                            run_subtask(plan, overrides, sliced, assignment, &mut tally.gemm)?;
+                            run_subtask(plan, projectors, assignment, &mut tally.gemm)?;
                         tally.flops += flops;
-                        merge(b, &result);
+                        self.merge(&mut partials[b], &result, assignment);
                     }
                 }
             }
-            assignment += self.workers;
         }
         Ok((partials, tally))
+    }
+
+    /// Merge a subtask result into the partial accumulator: stack over sliced
+    /// open indices (write into the slot the assignment selects), sum otherwise.
+    fn merge(
+        &self,
+        partial: &mut DenseTensor<Complex64>,
+        result: &DenseTensor<Complex64>,
+        assignment: usize,
+    ) {
+        let (sliced_open, sliced) = (&self.sliced_open, &self.plan.slicing.sliced);
+        if sliced_open.is_empty() {
+            // Pure summation; axis order of result may differ from partial.
+            if result.rank() == 0 && partial.rank() == 0 {
+                let v = partial.scalar_value() + result.scalar_value();
+                partial.data_mut()[0] = v;
+            } else {
+                let aligned = qtn_tensor::permute::permute_to_order(result, partial.indices());
+                partial.accumulate(&aligned);
+            }
+            return;
+        }
+        // Stack: expand the result with the sliced open indices fixed to the
+        // assignment's bits, then accumulate (the summed contribution of the
+        // closed sliced edges still adds across subtasks sharing the same open
+        // bits).
+        let mut expanded = result.clone();
+        for &e in sliced_open {
+            let pos = sliced.iter().position(|&x| x == e).unwrap();
+            let bit = ((assignment >> pos) & 1) as u8;
+            let mut axes: Vec<IndexId> = vec![e];
+            axes.extend(expanded.indices().iter());
+            let mut bigger = DenseTensor::<Complex64>::zeros(qtn_tensor::IndexSet::new(axes));
+            expanded.stack_into(&mut bigger, e, bit);
+            expanded = bigger;
+        }
+        let aligned = qtn_tensor::permute::permute_to_order(&expanded, partial.indices());
+        partial.accumulate(&aligned);
     }
 
     /// One worker's whole job: check its workspace out, sweep under the
@@ -380,54 +444,26 @@ fn fan_out_and_reduce(
     Ok(((results, tally), counters))
 }
 
-/// Execute a plan on an explicit [`WorkerPool`], substituting `overrides`
-/// for the corresponding leaf tensors (the compile-once / execute-many path:
-/// the overrides retarget output projectors without re-planning).
+/// The one driver: execute `plan` for every bitstring of the batch,
+/// amortizing the slice-dependent work across it, and return one result per
+/// bitstring, index-aligned with `bitstrings`.
 ///
-/// With [`ExecutorConfig::reuse`] enabled (the default), slice-invariant
-/// contractions are not replayed per subtask: branch tensors come from the
-/// plan-lifetime [`BranchCache`] and override-dependent frontier tensors are
-/// contracted once per call, so each subtask replays only the stem. The
-/// reuse path requires every override key to be one of the plan's
-/// output-projector leaves (true for everything produced by
-/// [`qtn_circuit::NetworkBuild::rebind_output`]); otherwise the executor
-/// silently falls back to the full replay.
+/// The bits must already be valid for the plan (one entry per qubit, 0 or
+/// 1 at every projected qubit); [`crate::CompiledCircuit`] checks them at
+/// the API boundary. With [`ExecutorConfig::reuse`] enabled (the default),
+/// branch tensors come from the plan-lifetime [`BranchCache`], frontier
+/// tensors are contracted once per distinct dependent-bits key, and each
+/// subtask contracts the StemPure prefix once and replays only the keyed
+/// StemMixed suffix per bitstring. Results are **bit-identical** to a loop
+/// of single executions and to the full-replay oracle, and — subtasks are
+/// statically strided over `config.workers` logical workers and partials
+/// reduced in worker order — across runs regardless of thread scheduling.
 ///
-/// Deterministic: subtasks are statically strided over `config.workers`
-/// logical workers and partials are reduced in worker order, so the result
-/// is bit-identical across runs regardless of thread scheduling — and
-/// bit-identical between the reuse and full-replay paths.
-pub fn execute_on_pool(
-    pool: &WorkerPool,
-    plan: &Arc<SimulationPlan>,
-    overrides: &Arc<LeafOverrides>,
-    config: &ExecutorConfig,
-) -> Result<(DenseTensor<Complex64>, ExecutionStats), Error> {
-    let (mut results, stats) =
-        execute_batch(pool, plan, &[], std::slice::from_ref(overrides), config)?;
-    let result = results.pop().ok_or_else(|| Error::Internal("missing batch result".into()))?;
-    Ok((result, stats))
-}
-
-/// Execute one plan for a whole batch of output bitstrings, amortizing the
-/// slice-dependent StemPure prefix across the batch.
-///
-/// Each bitstring is rebound onto the plan's output projectors (see
-/// [`qtn_circuit::NetworkBuild::rebind_output`]). With reuse enabled, every
-/// slice assignment contracts its StemPure prefix **once** and replays only
-/// the keyed StemMixed suffix per bitstring, and the per-bitstring
-/// frontiers are built with cross-bitstring subtree deduplication — instead
-/// of the full stem plus a fresh frontier once per bitstring. Results are
-/// **bit-identical** to a loop of single [`execute_on_pool`] calls with the
-/// same configuration. With reuse disabled every subtask replays the whole
-/// tree once per bitstring, through the same driver.
-///
-/// The returned tensors are index-aligned with `bitstrings`; the
-/// [`ExecutionStats`] cover the whole batch, with
+/// The [`ExecutionStats`] cover the whole batch, with
 /// [`ExecutionStats::stem_pure_flops`],
 /// [`ExecutionStats::stem_pure_flops_reused`] and
 /// [`ExecutionStats::amplitudes_in_batch`] quantifying the amortization.
-pub fn execute_amplitudes_on_pool(
+pub(crate) fn execute(
     pool: &WorkerPool,
     plan: &Arc<SimulationPlan>,
     bitstrings: &[&[u8]],
@@ -437,26 +473,8 @@ pub fn execute_amplitudes_on_pool(
         let stats = ExecutionStats { subtasks_total: plan.num_subtasks(), ..Default::default() };
         return Ok((Vec::new(), stats));
     }
-    let mut overrides_batch = Vec::with_capacity(bitstrings.len());
-    for bits in bitstrings {
-        let overrides: LeafOverrides = plan.build.rebind_output(bits)?.into_iter().collect();
-        overrides_batch.push(Arc::new(overrides));
-    }
-    execute_batch(pool, plan, bitstrings, &overrides_batch, config)
-}
-
-/// The one driver: prepare the caches, fan the subtasks out, assemble the
-/// statistics. `overrides` holds one entry per bitstring of the batch;
-/// `bitstrings` is index-aligned with it, or empty for a batch of one.
-fn execute_batch(
-    pool: &WorkerPool,
-    plan: &Arc<SimulationPlan>,
-    bitstrings: &[&[u8]],
-    overrides: &[Arc<LeafOverrides>],
-    config: &ExecutorConfig,
-) -> Result<(Vec<DenseTensor<Complex64>>, ExecutionStats), Error> {
     let start = Instant::now();
-    let batch = overrides.len() as u64;
+    let batch = bitstrings.len() as u64;
     let sliced = &plan.slicing.sliced;
     // A subtask is addressed by a `usize` whose bit `i` is the value of the
     // i-th sliced edge; `2^|S|` must be representable before any worker
@@ -472,15 +490,16 @@ fn execute_batch(
     let workers = config.workers.max(1).min(run_subtasks.max(1));
     let open = plan.network.open_indices();
 
-    // The classification assumed only output-projector leaves are
-    // overridable; an override targeting any other leaf would make cached
-    // branch tensors stale, so such calls take the full-replay path.
-    let is_projector = |v: &usize| plan.build.projector_leaves.iter().any(|&(_, node)| node == *v);
-    let reuse = config.reuse && overrides.iter().flat_map(|o| o.keys()).all(is_projector);
+    let program = if config.reuse {
+        Program::Reuse(prepare_reuse(plan, bitstrings)?)
+    } else {
+        let rebound = bitstrings.iter().map(|bits| plan.build.rebind_output(bits));
+        Program::Replay(rebound.collect::<Result<_, _>>()?)
+    };
     let sweep = Arc::new(Sweep {
         plan: Arc::clone(plan),
-        overrides: overrides.to_vec(),
-        reuse: if reuse { Some(prepare_reuse(plan, bitstrings, overrides)?) } else { None },
+        program,
+        batch: bitstrings.len(),
         pooled: config.pool,
         sliced_open: sliced.iter().copied().filter(|e| open.contains(e)).collect(),
         // Sorted for a canonical axis order; callers permute to taste.
@@ -521,7 +540,7 @@ fn execute_batch(
         ..ExecutionStats::default()
     };
     let mut gemm = tally.gemm;
-    if let Some(state) = &sweep.reuse {
+    if let Program::Reuse(state) = &sweep.program {
         let cache = cache_of(plan)?;
         let cls = &plan.classification;
         if state.built_cache {
@@ -563,17 +582,17 @@ fn execute_batch(
 }
 
 /// Materialise one leaf for one slice assignment the oracle's way:
-/// substitute the execution's override for the leaf data, then slice away
+/// substitute the bitstring's projector for the leaf data, then slice away
 /// every sliced edge the tensor carries, one edge at a time.
 fn sliced_leaf_tensor(
     plan: &SimulationPlan,
-    overrides: &LeafOverrides,
-    sliced: &[IndexId],
+    projectors: &[(usize, DenseTensor<Complex64>)],
     assignment: usize,
     vertex: usize,
 ) -> DenseTensor<Complex64> {
-    let mut t = overrides.get(&vertex).unwrap_or(&plan.build.nodes[vertex].data).clone();
-    for (pos, &e) in sliced.iter().enumerate() {
+    let projector = projectors.iter().find(|(node, _)| *node == vertex);
+    let mut t = projector.map_or(&plan.build.nodes[vertex].data, |(_, data)| data).clone();
+    for (pos, &e) in plan.slicing.sliced.iter().enumerate() {
         if t.indices().contains(e) {
             let bit = ((assignment >> pos) & 1) as u8;
             t = t.slice_index(e, bit);
@@ -588,8 +607,7 @@ fn sliced_leaf_tensor(
 /// interpreter but the tensor-layer kernels. Returns the subtask's root tensor and its flop count.
 fn run_subtask(
     plan: &SimulationPlan,
-    overrides: &LeafOverrides,
-    sliced: &[IndexId],
+    projectors: &[(usize, DenseTensor<Complex64>)],
     assignment: usize,
     gemm: &mut GemmTally,
 ) -> Result<(DenseTensor<Complex64>, u64), Error> {
@@ -598,10 +616,11 @@ fn run_subtask(
     let mut slots: Vec<Option<DenseTensor<Complex64>>> = vec![None; num_nodes];
     let mut flops = 0u64;
 
-    // Leaves: apply output-rebinding overrides, slice away any sliced edges.
+    // Leaves: substitute the bitstring's projectors, slice away any sliced
+    // edges.
     for (node_id, node) in plan.tree.nodes().iter().enumerate() {
         if let Some(vertex) = node.leaf_vertex {
-            slots[node_id] = Some(sliced_leaf_tensor(plan, overrides, sliced, assignment, vertex));
+            slots[node_id] = Some(sliced_leaf_tensor(plan, projectors, assignment, vertex));
         }
     }
 
@@ -620,42 +639,4 @@ fn run_subtask(
         .take()
         .ok_or_else(|| Error::Internal("root tensor missing".into()))
         .map(|root| (root, flops))
-}
-
-/// Merge a subtask result into the partial accumulator: stack over sliced
-/// open indices (write into the slot the assignment selects), sum otherwise.
-fn merge_subtask(
-    partial: &mut DenseTensor<Complex64>,
-    result: &DenseTensor<Complex64>,
-    sliced_open: &[IndexId],
-    sliced: &[IndexId],
-    assignment: usize,
-) {
-    if sliced_open.is_empty() {
-        // Pure summation; axis order of result may differ from partial.
-        if result.rank() == 0 && partial.rank() == 0 {
-            let v = partial.scalar_value() + result.scalar_value();
-            partial.data_mut()[0] = v;
-        } else {
-            let aligned = qtn_tensor::permute::permute_to_order(result, partial.indices());
-            partial.accumulate(&aligned);
-        }
-        return;
-    }
-    // Stack: expand the result with the sliced open indices fixed to the
-    // assignment's bits, then accumulate (the summed contribution of the
-    // closed sliced edges still adds across subtasks sharing the same open
-    // bits).
-    let mut expanded = result.clone();
-    for &e in sliced_open {
-        let pos = sliced.iter().position(|&x| x == e).unwrap();
-        let bit = ((assignment >> pos) & 1) as u8;
-        let mut axes: Vec<IndexId> = vec![e];
-        axes.extend(expanded.indices().iter());
-        let mut bigger = DenseTensor::<Complex64>::zeros(qtn_tensor::IndexSet::new(axes));
-        expanded.stack_into(&mut bigger, e, bit);
-        expanded = bigger;
-    }
-    let aligned = qtn_tensor::permute::permute_to_order(&expanded, partial.indices());
-    partial.accumulate(&aligned);
 }

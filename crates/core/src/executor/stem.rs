@@ -30,33 +30,32 @@
 use super::batch::{BatchKeys, FrontierExec, FrontierSeeds};
 use super::branch::BranchCache;
 use super::stats::GemmTally;
-use super::LeafOverrides;
+use super::{Bitstrings, LeafSource, ReuseState};
 use crate::error::Error;
 use crate::fault::{self, FaultPoint};
 use crate::planner::SimulationPlan;
 use crate::pool::{BufferPool, PoolCounters};
 use qtn_tensor::{Complex64, ContractionKernel, DenseTensor, IndexId, IndexSet};
 use qtn_tensornet::NodeClass;
-use std::sync::Arc;
 
-/// One stem leaf's slicing recipe: which axes of the (possibly overridden)
-/// source tensor are fixed by which sliced-edge bit. Applying it is a
-/// single [`DenseTensor::slice_into`] gather — no clone, no per-edge
-/// re-slicing.
+/// One stem leaf's slicing recipe: which axes of the source tensor are
+/// fixed by which sliced-edge bit. Applying it is a single
+/// [`DenseTensor::slice_into`] gather — no clone, no per-edge re-slicing —
+/// or, for an output projector, one element of its [`LeafSource`] row.
 #[derive(Debug)]
 struct StemLeafExec {
     /// Tree node this leaf occupies.
     node: usize,
-    /// Network vertex the data comes from (override key).
-    vertex: usize,
+    /// Where the data comes from.
+    source: LeafSource,
     /// `(axis position in the source tensor, bit position in the slicing
     /// set)` for every sliced edge the leaf carries.
     fixes: Vec<(usize, usize)>,
     /// Elements of the sliced leaf tensor.
     len: usize,
-    /// Whether the leaf is StemMixed-class (an overridable projector that
-    /// also carries a sliced edge): re-sliced per bitstring in a batched
-    /// execution. StemPure leaves are sliced once per subtask.
+    /// Whether the leaf is StemMixed-class (an output projector whose wire
+    /// is a sliced edge): re-sliced per bitstring in a batched execution.
+    /// StemPure leaves are sliced once per subtask.
     mixed: bool,
 }
 
@@ -88,11 +87,10 @@ struct StemStepExec {
 }
 
 /// The compiled form of the per-subtask stem replay. It only depends on
-/// index sets, which [`qtn_circuit::NetworkBuild::rebind_output`] overrides
-/// preserve, so it is compiled once in the plan's lifetime and memoized on
-/// the [`SimulationPlan`] like the branch cache; shared read-only by all
-/// workers. Overrides that *do* change a leaf's axis order get a fresh,
-/// uncached compile instead.
+/// index sets — a projector leaf is resolved to its qubit and read per
+/// bitstring — so it is compiled once in the plan's lifetime and memoized
+/// on the [`SimulationPlan`] like the branch cache; shared read-only by all
+/// workers.
 #[derive(Debug)]
 pub(crate) struct StemExec {
     leaves: Vec<StemLeafExec>,
@@ -120,7 +118,6 @@ pub(super) fn build_stem_exec(
     plan: &SimulationPlan,
     cache: &BranchCache,
     frontier: &FrontierExec,
-    overrides: &LeafOverrides,
 ) -> Result<StemExec, Error> {
     let cls = &plan.classification;
     let sliced = &plan.slicing.sliced;
@@ -134,18 +131,23 @@ pub(super) fn build_stem_exec(
         if !cls.class(node_id).is_stem() {
             continue;
         }
-        let src = overrides.get(&vertex).unwrap_or(&plan.build.nodes[vertex].data);
+        let src = plan.build.nodes[vertex].data.indices();
         let mut fixes = Vec::new();
         for (bit_pos, &edge) in sliced.iter().enumerate() {
-            if let Some(axis) = src.indices().position(edge) {
+            if let Some(axis) = src.position(edge) {
                 fixes.push((axis, bit_pos));
             }
         }
-        let kept: Vec<IndexId> = src.indices().iter().filter(|a| !sliced.contains(a)).collect();
+        let source = LeafSource::of(plan, vertex);
+        // A projector on a stem leaf is sliced down to one element.
+        if matches!(source, LeafSource::Projector(_)) && (src.rank(), fixes.len()) != (1, 1) {
+            return Err(Error::Internal(format!("projector leaf {vertex} is not a sliced wire")));
+        }
+        let kept: Vec<IndexId> = src.iter().filter(|a| !sliced.contains(a)).collect();
         let indices = IndexSet::new(kept);
         leaves.push(StemLeafExec {
             node: node_id,
-            vertex,
+            source,
             fixes,
             len: indices.len(),
             mixed: cls.class(node_id) == NodeClass::StemMixed,
@@ -354,21 +356,21 @@ fn contract_step(
 
 /// The read-only inputs of one worker's stem sweep.
 pub(super) struct StemInputs<'a> {
+    plan: &'a SimulationPlan,
     cache: &'a BranchCache,
     seeds: &'a FrontierSeeds,
     keys: &'a BatchKeys,
-    /// Every bitstring's stem-leaf source tensors (override or plan data),
-    /// one run of the program's leaves per bitstring, resolved once per
-    /// sweep instead of once per subtask.
-    sources: Vec<&'a DenseTensor<Complex64>>,
-    batch: usize,
+    bits: &'a Bitstrings,
 }
 
-impl StemInputs<'_> {
-    /// Bitstring `b`'s stem-leaf sources, in program leaf order.
-    fn sources(&self, b: usize) -> &[&DenseTensor<Complex64>] {
-        let per = self.sources.len() / self.batch;
-        &self.sources[b * per..][..per]
+impl<'a> StemInputs<'a> {
+    /// The inputs of one worker's sweep over a reusing execution's batch.
+    pub(super) fn new(
+        plan: &'a SimulationPlan,
+        cache: &'a BranchCache,
+        state: &'a ReuseState,
+    ) -> Self {
+        Self { plan, cache, seeds: &state.seeds, keys: &state.keys, bits: &state.bits }
     }
 }
 
@@ -376,25 +378,6 @@ impl StemExec {
     /// Whether there is a stem to interpret (the tree root is Stem-class).
     pub(super) fn has_stem(&self) -> bool {
         self.cached_root.is_none()
-    }
-
-    /// The inputs of one worker's sweep over a batch with these overrides.
-    pub(super) fn inputs<'a>(
-        &self,
-        plan: &'a SimulationPlan,
-        cache: &'a BranchCache,
-        seeds: &'a FrontierSeeds,
-        keys: &'a BatchKeys,
-        overrides: &'a [Arc<LeafOverrides>],
-    ) -> StemInputs<'a> {
-        let sources = overrides
-            .iter()
-            .flat_map(|o| {
-                let data = move |v: usize| o.get(&v).unwrap_or(&plan.build.nodes[v].data);
-                self.leaves.iter().map(move |leaf| data(leaf.vertex))
-            })
-            .collect();
-        StemInputs { cache, seeds, keys, sources, batch: overrides.len() }
     }
 
     /// An unsliced plan's result for bitstring `b`: its cached root tensor.
@@ -427,7 +410,7 @@ impl StemExec {
         tally: &mut SweepTally,
         mut emit: impl FnMut(usize, &DenseTensor<Complex64>),
     ) -> Result<(), Error> {
-        if io.batch == 1 {
+        if io.bits.count == 1 {
             self.consume(io, ws, assignment, false, tally)?;
             let root = self.take_root(ws)?;
             emit(0, &root);
@@ -451,7 +434,7 @@ impl StemExec {
             // The whole stem is StemPure: the prefix root *is* every
             // bitstring's subtask result.
             let root = self.take_root(ws)?;
-            (0..io.batch).for_each(|b| emit(b, &root));
+            (0..io.bits.count).for_each(|b| emit(b, &root));
             self.put_root(ws, root, false);
         }
         // The batch is done with this subtask: the held keep set and mixed
@@ -460,19 +443,29 @@ impl StemExec {
         Ok(())
     }
 
-    /// Gather one leaf for one slice assignment into `dst`.
+    /// Gather bitstring `b`'s leaf for one slice assignment into `dst`.
     fn gather(
         leaf: &StemLeafExec,
-        src: &DenseTensor<Complex64>,
+        io: &StemInputs<'_>,
+        b: usize,
         assignment: usize,
         fix_buf: &mut Vec<(usize, u8)>,
         dst: &mut [Complex64],
     ) {
-        fix_buf.clear();
-        fix_buf.extend(
-            leaf.fixes.iter().map(|&(axis, bit_pos)| (axis, ((assignment >> bit_pos) & 1) as u8)),
-        );
-        src.slice_into(fix_buf, dst);
+        let bit = |bit_pos: usize| ((assignment >> bit_pos) & 1) as u8;
+        match leaf.source {
+            LeafSource::Plan(vertex) => {
+                fix_buf.clear();
+                fix_buf.extend(leaf.fixes.iter().map(|&(axis, bit_pos)| (axis, bit(bit_pos))));
+                io.plan.build.nodes[vertex].data.slice_into(fix_buf, dst);
+            }
+            // The projector's one axis is the sliced wire (checked at
+            // compile time): the slice is one element of its row.
+            LeafSource::Projector(_) => {
+                let row = leaf.source.data(io.plan, io.bits.get(b));
+                dst[0] = row[usize::from(bit(leaf.fixes[0].1))];
+            }
+        }
     }
 
     /// The consume-and-release loop: materialise the leaves, replay the
@@ -490,12 +483,12 @@ impl StemExec {
         tally: &mut SweepTally,
     ) -> Result<(), Error> {
         let StemWorkspace { source, counters, slots, fix_buf, .. } = ws;
-        for (leaf, src) in self.leaves.iter().zip(io.sources(0)) {
+        for leaf in &self.leaves {
             if pure_only && leaf.mixed {
                 continue;
             }
             let mut buf = source.acquire(leaf.len, counters);
-            Self::gather(leaf, src, assignment, fix_buf, &mut buf);
+            Self::gather(leaf, io, 0, assignment, fix_buf, &mut buf);
             slots[leaf.node] = Some(buf);
         }
         for step in self.steps.iter().filter(|s| !(pure_only && s.mixed)) {
@@ -550,7 +543,7 @@ impl StemExec {
         tally: &mut SweepTally,
     ) -> Result<(), Error> {
         let StemWorkspace { source, counters, slots, held_keys, fix_buf, .. } = ws;
-        for (leaf, src) in self.leaves.iter().zip(io.sources(b)) {
+        for leaf in &self.leaves {
             let key = Some(io.keys.id(leaf.node, b));
             if !leaf.mixed || held_keys[leaf.node] == key {
                 continue;
@@ -558,7 +551,7 @@ impl StemExec {
             let buf = slots[leaf.node].as_mut().ok_or_else(|| {
                 Error::Internal(format!("mixed leaf buffer {} not held", leaf.node))
             })?;
-            Self::gather(leaf, src, assignment, fix_buf, buf);
+            Self::gather(leaf, io, b, assignment, fix_buf, buf);
             held_keys[leaf.node] = key;
         }
         for step in self.steps.iter().filter(|s| s.mixed) {

@@ -6,14 +6,25 @@ use crate::planner::{plan_simulation, PlannerConfig};
 use qtn_circuit::{OutputSpec, RqcConfig};
 use qtn_statevector::StateVector;
 
-/// Execute a plan with no overrides on a pool sized for `config`.
-fn execute(
+/// Execute a batch of one bitstring.
+fn execute_one(
+    pool: &WorkerPool,
     plan: &Arc<SimulationPlan>,
+    bits: &[u8],
+    config: &ExecutorConfig,
+) -> Result<(DenseTensor<Complex64>, ExecutionStats), Error> {
+    let (mut results, stats) = execute(pool, plan, &[bits], config)?;
+    Ok((results.pop().expect("one result per bitstring"), stats))
+}
+
+/// Execute one bitstring on a pool sized for `config`.
+fn run(
+    plan: &Arc<SimulationPlan>,
+    bits: &[u8],
     config: &ExecutorConfig,
 ) -> (DenseTensor<Complex64>, ExecutionStats) {
     let pool = WorkerPool::new(config.workers);
-    execute_on_pool(&pool, plan, &Arc::new(LeafOverrides::new()), config)
-        .expect("plan execution failed")
+    execute_one(&pool, plan, bits, config).expect("plan execution failed")
 }
 
 fn check_amplitude_against_statevector(
@@ -33,7 +44,7 @@ fn check_amplitude_against_statevector(
         &PlannerConfig { target_rank, ..Default::default() },
     ));
     let (result, stats) =
-        execute(&plan, &ExecutorConfig { workers, max_subtasks: 0, ..Default::default() });
+        run(&plan, &bits, &ExecutorConfig { workers, max_subtasks: 0, ..Default::default() });
     let sv = StateVector::simulate(&circuit);
     let expected = sv.amplitude(&bits);
     let got = result.scalar_value();
@@ -71,10 +82,11 @@ fn single_worker_and_many_workers_agree() {
         &OutputSpec::Amplitude(vec![0; n]),
         &PlannerConfig { target_rank: 8, ..Default::default() },
     ));
+    let bits = vec![0; n];
     let (a, _) =
-        execute(&plan, &ExecutorConfig { workers: 1, max_subtasks: 0, ..Default::default() });
+        run(&plan, &bits, &ExecutorConfig { workers: 1, max_subtasks: 0, ..Default::default() });
     let (b, _) =
-        execute(&plan, &ExecutorConfig { workers: 8, max_subtasks: 0, ..Default::default() });
+        run(&plan, &bits, &ExecutorConfig { workers: 8, max_subtasks: 0, ..Default::default() });
     assert!((a.scalar_value() - b.scalar_value()).abs() < 1e-10);
 }
 
@@ -89,10 +101,10 @@ fn repeated_pooled_executions_are_bit_identical() {
     ));
     let pool = WorkerPool::new(4);
     let config = ExecutorConfig { workers: 4, max_subtasks: 0, ..Default::default() };
-    let overrides = Arc::new(LeafOverrides::new());
-    let (a, _) = execute_on_pool(&pool, &plan, &overrides, &config).unwrap();
+    let bits = vec![0; n];
+    let (a, _) = execute_one(&pool, &plan, &bits, &config).unwrap();
     for _ in 0..5 {
-        let (b, _) = execute_on_pool(&pool, &plan, &overrides, &config).unwrap();
+        let (b, _) = execute_one(&pool, &plan, &bits, &config).unwrap();
         assert_eq!(a.data(), b.data(), "pooled execution must be deterministic");
     }
 }
@@ -116,9 +128,7 @@ fn overrides_retarget_the_output_projectors() {
         (0..n).map(|q| ((q + 1) % 2) as u8).collect(),
     ];
     for bits in patterns {
-        let overrides: LeafOverrides =
-            plan.build.rebind_output(&bits).unwrap().into_iter().collect();
-        let (result, _) = execute_on_pool(&pool, &plan, &Arc::new(overrides), &config).unwrap();
+        let (result, _) = execute_one(&pool, &plan, &bits, &config).unwrap();
         let expected = sv.amplitude(&bits);
         assert!(
             (result.scalar_value() - expected).abs() < 1e-8,
@@ -148,7 +158,7 @@ fn worker_pool_survives_panicking_jobs() {
         &PlannerConfig { target_rank: 20, ..Default::default() },
     ));
     let config = ExecutorConfig { workers: 2, max_subtasks: 0, ..Default::default() };
-    let result = execute_on_pool(&pool, &plan, &Arc::new(LeafOverrides::new()), &config);
+    let result = execute_one(&pool, &plan, &vec![0; n], &config);
     assert!(result.is_ok());
 }
 
@@ -164,7 +174,7 @@ fn open_output_matches_statevector_marginal() {
         &OutputSpec::Open { fixed: vec![0; n], open: open.clone() },
         &PlannerConfig { target_rank: 7, ..Default::default() },
     ));
-    let (result, _) = execute(&plan, &ExecutorConfig::default());
+    let (result, _) = run(&plan, &vec![0; n], &ExecutorConfig::default());
     assert_eq!(result.rank(), 2);
     let sv = StateVector::simulate(&circuit);
     // Map open qubits to their network indices to find the axis order.
@@ -200,10 +210,8 @@ fn reuse_and_full_replay_are_bit_identical() {
     let replay = ExecutorConfig { workers: 4, max_subtasks: 0, reuse: false, ..Default::default() };
     for k in 0..4usize {
         let bits: Vec<u8> = (0..n).map(|q| ((k >> (q % 2)) & 1) as u8).collect();
-        let overrides: Arc<LeafOverrides> =
-            Arc::new(plan.build.rebind_output(&bits).unwrap().into_iter().collect());
-        let (a, sa) = execute_on_pool(&pool, &plan, &overrides, &reuse).unwrap();
-        let (b, sb) = execute_on_pool(&pool, &plan, &overrides, &replay).unwrap();
+        let (a, sa) = execute_one(&pool, &plan, &bits, &reuse).unwrap();
+        let (b, sb) = execute_one(&pool, &plan, &bits, &replay).unwrap();
         assert_eq!(a.data(), b.data(), "stem-only sweep must be bit-identical for {bits:?}");
         assert!(
             sa.flops < sb.flops,
@@ -231,17 +239,17 @@ fn reuse_counters_track_phase_lifetimes() {
     assert!(stem_pure + stem_mixed > 0);
     let pool = WorkerPool::new(2);
     let config = ExecutorConfig { workers: 2, max_subtasks: 0, reuse: true, ..Default::default() };
-    let overrides = Arc::new(LeafOverrides::new());
+    let bits = vec![0; n];
 
     // First execution builds the branch cache exactly once…
-    let (_, s1) = execute_on_pool(&pool, &plan, &overrides, &config).unwrap();
+    let (_, s1) = execute_one(&pool, &plan, &bits, &config).unwrap();
     assert_eq!(s1.branch_contractions, branch as u64);
     assert_eq!(s1.frontier_contractions, frontier as u64);
     assert_eq!(s1.flops, s1.stem_flops + s1.frontier_flops + s1.branch_flops);
     assert!(plan.branch_cache_built());
 
     // …later executions only pay the frontier and the stem.
-    let (_, s2) = execute_on_pool(&pool, &plan, &overrides, &config).unwrap();
+    let (_, s2) = execute_one(&pool, &plan, &bits, &config).unwrap();
     assert_eq!(s2.branch_contractions, 0);
     assert_eq!(s2.branch_flops, 0);
     assert_eq!(s2.frontier_contractions, frontier as u64);
@@ -249,30 +257,6 @@ fn reuse_counters_track_phase_lifetimes() {
     if s1.branch_flops + s1.frontier_flops > 0 && s1.subtasks_run > 1 {
         assert!(s2.branch_flops_reused > 0, "a sliced sweep must reuse branch work");
     }
-}
-
-#[test]
-fn foreign_overrides_fall_back_to_full_replay() {
-    let circuit = RqcConfig::small(3, 3, 8, 2).build();
-    let n = circuit.num_qubits();
-    let plan = Arc::new(plan_simulation(
-        &circuit,
-        &OutputSpec::Amplitude(vec![0; n]),
-        &PlannerConfig { target_rank: 8, ..Default::default() },
-    ));
-    let pool = WorkerPool::new(2);
-    let config = ExecutorConfig { workers: 2, max_subtasks: 0, reuse: true, ..Default::default() };
-    // Overriding a non-projector leaf (vertex 0 is an init tensor) with
-    // its own data must bypass the caches — the classification cannot
-    // vouch for it — and still produce the unmodified result.
-    let mut overrides = LeafOverrides::new();
-    overrides.insert(0, plan.build.nodes[0].data.clone());
-    let (a, stats) = execute_on_pool(&pool, &plan, &Arc::new(overrides), &config).unwrap();
-    assert_eq!(stats.frontier_contractions, 0, "reuse must be bypassed");
-    assert_eq!(stats.branch_contractions, 0);
-    assert!(!plan.branch_cache_built());
-    let (b, _) = execute_on_pool(&pool, &plan, &Arc::new(LeafOverrides::new()), &config).unwrap();
-    assert_eq!(a.data(), b.data());
 }
 
 #[test]
@@ -289,8 +273,7 @@ fn unsliced_plan_reuses_the_frontier_root() {
     assert!(plan.slicing.is_empty());
     let pool = WorkerPool::new(1);
     let config = ExecutorConfig { workers: 1, max_subtasks: 0, reuse: true, ..Default::default() };
-    let (result, stats) =
-        execute_on_pool(&pool, &plan, &Arc::new(LeafOverrides::new()), &config).unwrap();
+    let (result, stats) = execute_one(&pool, &plan, &vec![0; n], &config).unwrap();
     assert_eq!(stats.stem_flops, 0, "nothing depends on a slice assignment");
     assert!(stats.flops > 0);
     let sv = StateVector::simulate(&circuit);
@@ -313,10 +296,8 @@ fn pooled_and_unpooled_sweeps_are_bit_identical() {
     let unpooled = ExecutorConfig { workers: 4, max_subtasks: 0, reuse: true, pool: false };
     for k in 0..4usize {
         let bits: Vec<u8> = (0..n).map(|q| ((k >> (q % 2)) & 1) as u8).collect();
-        let overrides: Arc<LeafOverrides> =
-            Arc::new(plan.build.rebind_output(&bits).unwrap().into_iter().collect());
-        let (a, sa) = execute_on_pool(&pool, &plan, &overrides, &pooled).unwrap();
-        let (b, sb) = execute_on_pool(&pool, &plan, &overrides, &unpooled).unwrap();
+        let (a, sa) = execute_one(&pool, &plan, &bits, &pooled).unwrap();
+        let (b, sb) = execute_one(&pool, &plan, &bits, &unpooled).unwrap();
         assert_eq!(a.data(), b.data(), "pooling must be bit-identical for {bits:?}");
         // The first call additionally builds the plan-lifetime branch
         // cache; the per-subtask and per-execution work must agree.
@@ -339,13 +320,13 @@ fn pool_counters_prove_zero_alloc_steady_state() {
     assert!(plan.num_subtasks() >= 4);
     let pool = WorkerPool::new(2);
     let config = ExecutorConfig { workers: 2, max_subtasks: 0, reuse: true, pool: true };
-    let overrides = Arc::new(LeafOverrides::new());
+    let bits = vec![0; n];
     assert_eq!(plan.pooled_buffers_retained(), 0);
 
     // Cold pools: each worker allocates exactly the slot count the
     // greedy interval assignment predicted — once, on its first
     // subtask, regardless of how many subtasks it sweeps.
-    let (_, s1) = execute_on_pool(&pool, &plan, &overrides, &config).unwrap();
+    let (_, s1) = execute_one(&pool, &plan, &bits, &config).unwrap();
     let slots = plan.memory_plan.stem.num_slots() as u64;
     assert!(slots > 0);
     assert_eq!(s1.buffers_allocated, s1.workers as u64 * slots);
@@ -355,7 +336,7 @@ fn pool_counters_prove_zero_alloc_steady_state() {
     assert!(plan.pooled_buffers_retained() > 0, "pools persist on the plan");
 
     // Warm pools: the steady state allocates nothing at all.
-    let (_, s2) = execute_on_pool(&pool, &plan, &overrides, &config).unwrap();
+    let (_, s2) = execute_one(&pool, &plan, &bits, &config).unwrap();
     assert_eq!(s2.buffers_allocated, 0, "second execution must be allocation-free");
     assert!(s2.buffers_reused >= s1.buffers_reused);
     assert_eq!(s2.peak_bytes_in_flight, s2.predicted_peak_bytes);
@@ -377,7 +358,7 @@ fn a_pooled_sweep_acquires_one_buffer_per_stem_leaf_and_output() {
     let outputs = cls.stem_schedule().len() as u64;
     assert!(stem_leaves > 0 && outputs > 0);
     let config = ExecutorConfig { workers: 1, max_subtasks: 0, reuse: true, pool: true };
-    let (_, stats) = execute(&plan, &config);
+    let (_, stats) = run(&plan, &vec![0; n], &config);
     // Contraction reads its operands in place: a subtask takes its sliced
     // leaves and one output per step from the pool, and nothing else.
     assert_eq!(
@@ -399,18 +380,13 @@ fn unsliced_plan_bypasses_the_buffer_pool() {
     assert!(plan.slicing.is_empty());
     let pool = WorkerPool::new(1);
     let config = ExecutorConfig { workers: 1, max_subtasks: 0, reuse: true, pool: true };
-    let (_, stats) =
-        execute_on_pool(&pool, &plan, &Arc::new(LeafOverrides::new()), &config).unwrap();
+    let (_, stats) = execute_one(&pool, &plan, &vec![0; n], &config).unwrap();
     // Nothing is slice-dependent: no pooled replay, no pool traffic,
     // and the stem-phase prediction is zero accordingly.
     assert_eq!(stats.buffers_allocated, 0);
     assert_eq!(stats.peak_bytes_in_flight, 0);
     assert_eq!(stats.predicted_peak_bytes, 0);
     assert_eq!(plan.pooled_buffers_retained(), 0);
-}
-
-fn rebind_one(plan: &SimulationPlan, bits: &[u8]) -> Arc<LeafOverrides> {
-    Arc::new(plan.build.rebind_output(bits).unwrap().into_iter().collect())
 }
 
 #[test]
@@ -429,12 +405,11 @@ fn batched_execution_is_bit_identical_to_a_loop_of_singles() {
     let batch: Vec<&[u8]> = patterns.iter().map(Vec::as_slice).collect();
     for pooled in [true, false] {
         let config = ExecutorConfig { workers: 4, max_subtasks: 0, reuse: true, pool: pooled };
-        let (results, stats) = execute_amplitudes_on_pool(&pool, &plan, &batch, &config).unwrap();
+        let (results, stats) = execute(&pool, &plan, &batch, &config).unwrap();
         assert_eq!(results.len(), patterns.len());
         assert_eq!(stats.amplitudes_in_batch, patterns.len() as u64);
         for (bits, batched) in patterns.iter().zip(results.iter()) {
-            let (single, _) =
-                execute_on_pool(&pool, &plan, &rebind_one(&plan, bits), &config).unwrap();
+            let (single, _) = execute_one(&pool, &plan, bits, &config).unwrap();
             assert_eq!(
                 batched.data(),
                 single.data(),
@@ -463,7 +438,7 @@ fn batched_pure_prefix_runs_once_per_subtask_regardless_of_batch_size() {
         let patterns: Vec<Vec<u8>> =
             (0..b).map(|k| (0..n).map(|q| ((k >> (q % 4)) & 1) as u8).collect()).collect();
         let batch: Vec<&[u8]> = patterns.iter().map(Vec::as_slice).collect();
-        let (_, stats) = execute_amplitudes_on_pool(&pool, &plan, &batch, &config).unwrap();
+        let (_, stats) = execute(&pool, &plan, &batch, &config).unwrap();
         assert_eq!(
             stats.stem_pure_contractions,
             (pure * plan.num_subtasks()) as u64,
@@ -495,14 +470,14 @@ fn batched_pooled_peak_matches_the_batched_prediction() {
     let patterns: Vec<Vec<u8>> =
         (0..8usize).map(|k| (0..n).map(|q| ((k >> (q % 3)) & 1) as u8).collect()).collect();
     let batch: Vec<&[u8]> = patterns.iter().map(Vec::as_slice).collect();
-    let (_, stats) = execute_amplitudes_on_pool(&pool, &plan, &batch, &config).unwrap();
+    let (_, stats) = execute(&pool, &plan, &batch, &config).unwrap();
     assert_eq!(stats.predicted_peak_bytes, plan.memory_plan.batched_stem.peak_bytes());
     assert_eq!(
         stats.peak_bytes_in_flight, stats.predicted_peak_bytes,
         "the batched lifetime simulation must be exact"
     );
     // A second batch on the warm plan pools allocates nothing.
-    let (_, warm) = execute_amplitudes_on_pool(&pool, &plan, &batch, &config).unwrap();
+    let (_, warm) = execute(&pool, &plan, &batch, &config).unwrap();
     assert_eq!(warm.buffers_allocated, 0, "warm batched sweep must be allocation-free");
     assert_eq!(warm.peak_bytes_in_flight, warm.predicted_peak_bytes);
 }
@@ -522,13 +497,13 @@ fn batched_execution_without_reuse_replays_every_bitstring_per_subtask() {
     let patterns: Vec<Vec<u8>> =
         (0..3usize).map(|k| (0..n).map(|q| ((k >> (q % 2)) & 1) as u8).collect()).collect();
     let batch: Vec<&[u8]> = patterns.iter().map(Vec::as_slice).collect();
-    let (a, sa) = execute_amplitudes_on_pool(&pool, &plan, &batch, &reuse).unwrap();
-    let (b, sb) = execute_amplitudes_on_pool(&pool, &plan, &batch, &replay).unwrap();
+    let (a, sa) = execute(&pool, &plan, &batch, &reuse).unwrap();
+    let (b, sb) = execute(&pool, &plan, &batch, &replay).unwrap();
     for (x, y) in a.iter().zip(b.iter()) {
         assert_eq!(x.data(), y.data(), "full replay must be bit-identical to the batched path");
     }
     for (bits, y) in batch.iter().zip(b.iter()) {
-        let (single, _) = execute_amplitudes_on_pool(&pool, &plan, &[bits], &replay).unwrap();
+        let (single, _) = execute(&pool, &plan, &[bits], &replay).unwrap();
         assert_eq!(single[0].data(), y.data(), "a batch must equal its single executions");
     }
     assert_eq!(sb.stem_pure_flops, 0, "the full replay does not classify contractions");
@@ -551,7 +526,7 @@ fn batched_execution_of_an_unsliced_plan_reads_cached_roots() {
     let config = ExecutorConfig { workers: 1, max_subtasks: 0, reuse: true, pool: true };
     let patterns: Vec<Vec<u8>> = vec![vec![0; n], vec![1; n]];
     let batch: Vec<&[u8]> = patterns.iter().map(Vec::as_slice).collect();
-    let (results, stats) = execute_amplitudes_on_pool(&pool, &plan, &batch, &config).unwrap();
+    let (results, stats) = execute(&pool, &plan, &batch, &config).unwrap();
     assert_eq!(stats.stem_flops, 0);
     assert_eq!(stats.stem_pure_contractions, 0);
     let sv = StateVector::simulate(&circuit);
@@ -570,8 +545,7 @@ fn empty_batch_is_a_cheap_no_op() {
         &PlannerConfig { target_rank: 20, ..Default::default() },
     ));
     let pool = WorkerPool::new(1);
-    let (results, stats) =
-        execute_amplitudes_on_pool(&pool, &plan, &[], &ExecutorConfig::default()).unwrap();
+    let (results, stats) = execute(&pool, &plan, &[], &ExecutorConfig::default()).unwrap();
     assert!(results.is_empty());
     assert_eq!(stats.amplitudes_in_batch, 0);
     assert_eq!(stats.flops, 0);
@@ -587,8 +561,11 @@ fn max_subtasks_limits_work() {
         &PlannerConfig { target_rank: 5, ..Default::default() },
     ));
     assert!(plan.num_subtasks() > 2);
-    let (_, stats) =
-        execute(&plan, &ExecutorConfig { workers: 2, max_subtasks: 2, ..Default::default() });
+    let (_, stats) = run(
+        &plan,
+        &vec![0; n],
+        &ExecutorConfig { workers: 2, max_subtasks: 2, ..Default::default() },
+    );
     assert_eq!(stats.subtasks_run, 2);
     assert!(stats.subtasks_total > 2);
     assert!(stats.seconds_per_subtask >= 0.0);
@@ -614,7 +591,8 @@ fn gemm_dispatch_counters_cover_every_contraction() {
 
     // Reuse path: branch (built once) + frontier + stem-per-subtask.
     let plan = make_plan();
-    let (_, stats) = execute(&plan, &ExecutorConfig { workers: 2, ..Default::default() });
+    let bits = vec![0; n];
+    let (_, stats) = run(&plan, &bits, &ExecutorConfig { workers: 2, ..Default::default() });
     let stem = plan.classification.stem_schedule().len() as u64 * stats.subtasks_run as u64;
     assert_eq!(gemm_total(&stats), stats.branch_contractions + stats.frontier_contractions + stem,);
     assert!(stats.gemm_simd <= gemm_total(&stats));
@@ -629,15 +607,15 @@ fn gemm_dispatch_counters_cover_every_contraction() {
     // Full replay: every tree contraction, every subtask — same buckets.
     let plan = make_plan();
     let (_, full) =
-        execute(&plan, &ExecutorConfig { workers: 2, reuse: false, ..Default::default() });
+        run(&plan, &bits, &ExecutorConfig { workers: 2, reuse: false, ..Default::default() });
     assert_eq!(gemm_total(&full), plan.tree.schedule().len() as u64 * full.subtasks_run as u64,);
 
     // The tally derives from frozen kernel plans, so it is deterministic
     // across repeated executions (later runs just drop the branch part).
     let plan = make_plan();
     let config = ExecutorConfig { workers: 2, ..Default::default() };
-    let (_, first) = execute(&plan, &config);
-    let (_, second) = execute(&plan, &config);
+    let (_, first) = run(&plan, &bits, &config);
+    let (_, second) = run(&plan, &bits, &config);
     assert_eq!(
         gemm_total(&second) + first.branch_contractions,
         gemm_total(&first),
@@ -695,9 +673,9 @@ fn unaddressable_slicing_sets_are_a_typed_error() {
     let bits = vec![0u8; n];
     for reuse in [true, false] {
         let config = ExecutorConfig { workers: 1, max_subtasks: 4, reuse, pool: true };
-        let single = execute_on_pool(&pool, &plan, &Arc::new(LeafOverrides::new()), &config);
+        let single = execute_one(&pool, &plan, &bits, &config);
         assert_eq!(single.unwrap_err(), Error::TooManySlicedEdges { sliced: wide });
-        let batched = execute_amplitudes_on_pool(&pool, &plan, &[&bits, &bits], &config);
+        let batched = execute(&pool, &plan, &[&bits, &bits], &config);
         assert_eq!(batched.unwrap_err(), Error::TooManySlicedEdges { sliced: wide });
     }
     assert!(!plan.branch_cache_built(), "nothing may run before the refusal");

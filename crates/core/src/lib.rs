@@ -29,10 +29,7 @@ pub mod sync;
 
 pub use engine::{CacheStats, CompiledCircuit, Engine, ExecutionReport, OutputShape};
 pub use error::Error;
-pub use executor::{
-    execute_amplitudes_on_pool, execute_on_pool, BranchCache, ExecutionStats, ExecutorConfig,
-    GemmTally, LeafOverrides, WorkerPool,
-};
+pub use executor::{BranchCache, ExecutionStats, ExecutorConfig, GemmTally, WorkerPool};
 pub use fault::{FaultPlan, FaultPoint};
 pub use planner::{plan_simulation, PlanStage, PlannerConfig, SimulationPlan};
 pub use pool::{BufferPool, PoolCounters, SharedWorkerPools};

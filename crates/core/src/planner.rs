@@ -136,9 +136,9 @@ pub struct SimulationPlan {
     /// build `Result` so a failed build is memoized rather than retried.
     pub(crate) branch_cache: Arc<OnceLock<Result<BranchCache, crate::error::Error>>>,
     /// Lazily compiled pooled stem replay (contraction kernels + leaf
-    /// slicing recipes). Index-set-only, so it is plan-invariant under
-    /// shape-preserving output rebinding and, like the branch cache, built
-    /// once and shared by every execution and clone of the plan.
+    /// slicing recipes). Index-set-only — a projector leaf resolves to its
+    /// qubit — so every bitstring shares it and, like the branch cache, it
+    /// is built once and shared by every execution and clone of the plan.
     pub(crate) stem_exec: Arc<OnceLock<Result<Arc<StemExec>, crate::error::Error>>>,
     /// Lazily compiled frontier program (one contraction kernel per
     /// frontier step), memoized and shared like `stem_exec`.

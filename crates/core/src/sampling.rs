@@ -14,8 +14,9 @@ use rand::{Rng, SeedableRng};
 /// proportional to the squared modulus of each amplitude. Bit `i` of a
 /// returned sample corresponds to axis `i` of the tensor.
 ///
-/// Returns [`Error::ZeroAmplitudeDistribution`] when every amplitude is
-/// exactly zero (an empty distribution cannot be sampled).
+/// Returns [`Error::ZeroAmplitudeDistribution`] when the tensor has no
+/// finite, positive probability mass: every amplitude is exactly zero, or
+/// one is NaN or infinite (a CDF over such a mass is meaningless).
 pub fn sample_bitstrings(
     amplitudes: &DenseTensor<Complex64>,
     count: usize,
@@ -24,7 +25,7 @@ pub fn sample_bitstrings(
     let rank = amplitudes.rank();
     let probs: Vec<f64> = amplitudes.data().iter().map(|a| a.norm_sqr()).collect();
     let total: f64 = probs.iter().sum();
-    if total <= 0.0 || total.is_nan() {
+    if !(total > 0.0 && total.is_finite()) {
         return Err(Error::ZeroAmplitudeDistribution);
     }
 
@@ -125,6 +126,8 @@ mod tests {
     #[test]
     fn zero_tensor_is_a_typed_error() {
         let t = amplitude_tensor(vec![Complex64::ZERO; 2]);
+        assert_eq!(sample_bitstrings(&t, 1, 0).unwrap_err(), Error::ZeroAmplitudeDistribution);
+        let t = amplitude_tensor(vec![c64(f64::INFINITY, 0.0), Complex64::ONE]);
         assert_eq!(sample_bitstrings(&t, 1, 0).unwrap_err(), Error::ZeroAmplitudeDistribution);
     }
 }

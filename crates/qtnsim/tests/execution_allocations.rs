@@ -1,24 +1,19 @@
 //! A warm execution allocates a fixed number of times.
 //!
-//! The frontier runs a compiled program into one per-execution arena, the
+//! The executor reads each output projector in place from the bitstring,
+//! the frontier runs a compiled program into one per-execution arena, the
 //! stem sweep draws every buffer from the plan's warm pool, and a
 //! one-worker sweep runs on the calling thread. So once warm, an execution
-//! allocates the same small number of times whatever the size of its
-//! frontier or stem. A counting global allocator checks that on the
-//! `serve-s12` circuit (3x4, 10 cycles) and on a 4x4, 10-cycle circuit
-//! with a larger frontier. It counts on every thread, because a wider sweep
-//! runs on pool threads.
-//!
-//! Rebinding the output projectors (`NetworkBuild::rebind_output`, which
-//! `execute_amplitude` calls first) builds one small tensor per measured
-//! qubit. That share is counted on its own and taken out of the
-//! comparison.
+//! allocates the same small number of times whatever its qubit count or
+//! the size of its frontier or stem. A counting global allocator checks
+//! that on the `serve-s12` circuit (3x4, 10 cycles) and on a 4x4, 10-cycle
+//! circuit with more qubits and a larger frontier. It counts on every
+//! thread, because a wider sweep runs on pool threads.
 //!
 //! The file holds a single test, so no other test allocates while it
 //! counts.
 
 use qtnsim::circuit::{OutputSpec, RqcConfig};
-use qtnsim::core::LeafOverrides;
 use qtnsim::{Engine, ExecutorConfig, PlannerConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -64,8 +59,8 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (usize, T) {
     (ALLOCATIONS.load(Ordering::SeqCst) - before, out)
 }
 
-/// What one warm `execute_amplitude` allocates beyond rebinding the output
-/// projectors, and the frontier contractions it ran.
+/// What one warm `execute_amplitude` allocates, and the frontier
+/// contractions it ran.
 fn warm_execution(rows: usize, cols: usize) -> (usize, u64) {
     let circuit = RqcConfig::small(rows, cols, 10, 5).build();
     let n = circuit.num_qubits();
@@ -79,12 +74,8 @@ fn warm_execution(rows: usize, cols: usize) -> (usize, u64) {
         compiled.execute_amplitude(&bits).unwrap();
     }
     let (execution, (_, report)) = allocations(|| compiled.execute_amplitude(&bits).unwrap());
-    // The same rebind `execute_amplitude` performs before it executes.
-    let (rebind, _) = allocations(|| {
-        compiled.plan().build.rebind_output(&bits).unwrap().into_iter().collect::<LeafOverrides>()
-    });
     assert_eq!(report.stats.buffers_allocated, 0, "{rows}x{cols}: the pool is warm");
-    (execution - rebind, report.stats.frontier_contractions)
+    (execution, report.stats.frontier_contractions)
 }
 
 #[test]
@@ -92,6 +83,6 @@ fn a_warm_execution_allocates_a_fixed_number_of_times() {
     let (serve, serve_frontier) = warm_execution(3, 4);
     let (wide, wide_frontier) = warm_execution(4, 4);
     assert!(wide_frontier > serve_frontier, "the 4x4 circuit has the larger frontier");
-    assert_eq!(serve, wide, "allocations must not grow with the frontier or the stem");
+    assert_eq!(serve, wide, "allocations must not grow with the qubit count, frontier or stem");
     assert!(serve <= 24, "a warm execution allocates {serve} times");
 }

@@ -6,7 +6,7 @@
 
 use qtnsim::circuit::{OutputSpec, RqcConfig};
 use qtnsim::core::engine::DEFAULT_PLAN_CACHE_CAPACITY;
-use qtnsim::{Circuit, Engine, ExecutorConfig, Gate, PlannerConfig};
+use qtnsim::{c64, Circuit, Complex64, Engine, ExecutorConfig, Gate, PlannerConfig};
 use qtnsim_serve::{BatchConfig, Client, Reply, ServeConfig, Server, ShedReason};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -355,6 +355,18 @@ fn invalid_requests_get_typed_errors_and_the_server_survives() {
     // A non-bit value in a bitstring.
     let reply = client.request_amplitudes(&circuit, &[&[0, 2]]).expect("reply");
     assert!(matches!(reply, Reply::Error { .. }), "non-bit values are typed errors: {reply:?}");
+
+    // An infinite gate entry: the server refuses the circuit while decoding
+    // (an error frame with no request id) instead of serving NaN amplitudes.
+    let mut infinite = Circuit::new(2);
+    let zero = Complex64::ZERO;
+    infinite.push1(Gate::Unitary1(Box::new([c64(f64::INFINITY, 0.0), zero, zero, zero])), 0);
+    client.send_request(&infinite, &[&[0, 0]]).expect("send");
+    let reply = client.recv_reply().expect("reply");
+    assert!(
+        matches!(&reply, Reply::Error { message, .. } if message.contains("non-finite")),
+        "non-finite gate entries are typed errors: {reply:?}"
+    );
 
     // The same connection still serves a valid request afterwards.
     let reply = client.request_amplitudes(&circuit, &[&[0, 0]]).expect("reply");

@@ -545,6 +545,11 @@ fn decode_circuit(r: &mut Reader<'_>) -> Result<Circuit, ProtocolError> {
         for _ in 0..entries {
             let re = r.take_f64()?;
             let im = r.take_f64()?;
+            if !(re.is_finite() && im.is_finite()) {
+                return Err(ProtocolError::InvalidCircuit(format!(
+                    "op {i} has a non-finite matrix entry"
+                )));
+            }
             matrix.push(c64(re, im));
         }
         let gate = if arity == 1 {
@@ -808,5 +813,21 @@ mod tests {
             read_frame_or_eof(&mut &bytes[..]).unwrap_err(),
             ProtocolError::InvalidCircuit(_)
         ));
+        // A NaN matrix entry would be served as NaN amplitudes.
+        let bytes = encode_request(&|p| {
+            p.extend_from_slice(&1u32.to_le_bytes());
+            p.extend_from_slice(&1u32.to_le_bytes());
+            p.push(1);
+            p.extend_from_slice(&0u32.to_le_bytes());
+            p.extend_from_slice(&1f64.to_le_bytes());
+            p.extend_from_slice(&f64::NAN.to_le_bytes());
+            for _ in 0..6 {
+                p.extend_from_slice(&0f64.to_le_bytes());
+            }
+            p.extend_from_slice(&0u32.to_le_bytes());
+        });
+        let err = read_frame_or_eof(&mut &bytes[..]).unwrap_err();
+        assert!(matches!(&err, ProtocolError::InvalidCircuit(m) if m.contains("op 0")), "{err:?}");
+        assert!(err.is_recoverable());
     }
 }
