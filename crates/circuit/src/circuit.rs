@@ -20,10 +20,49 @@ pub struct Circuit {
     ops: Vec<GateOp>,
 }
 
+/// The hash behind [`Circuit::fingerprint`], one `u64` word at a time.
+///
+/// [`new`](Self::new) folds in the qubit count; then each operation
+/// contributes its arity, each target qubit and the `re` and `im` bit
+/// patterns of every row-major matrix entry, one [`word`](Self::word)
+/// each. Each word is folded in with a multiply-xorshift step, and every
+/// step is a bijection of the state, so two inputs differing in one word
+/// never collide. Anything that walks a circuit in another form — a
+/// serialized one, say — gets [`Circuit::fingerprint`] bit for bit by
+/// feeding the same words in the same order.
+#[derive(Debug, Clone, Copy)]
+pub struct FingerprintFold(u64);
+
+impl FingerprintFold {
+    /// A fold over a circuit of `num_qubits` qubits, before any operation.
+    pub fn new(num_qubits: usize) -> Self {
+        let mut fold = Self(0xcbf2_9ce4_8422_2325);
+        fold.word(num_qubits as u64);
+        fold
+    }
+
+    /// Fold in the next word.
+    #[inline]
+    pub fn word(&mut self, word: u64) {
+        let h = (self.0 ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    /// The fingerprint of the words folded so far.
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
 impl Circuit {
     /// Create an empty circuit over `num_qubits` qubits.
     pub fn new(num_qubits: usize) -> Self {
         Self { num_qubits, ops: Vec::new() }
+    }
+
+    /// An empty circuit with room for `ops` operations.
+    pub fn with_capacity(num_qubits: usize, ops: usize) -> Self {
+        Self { num_qubits, ops: Vec::with_capacity(ops) }
     }
 
     /// Number of qubits.
@@ -88,33 +127,26 @@ impl Circuit {
 
     /// A structural fingerprint of the circuit: a 64-bit hash over the
     /// qubit count and, per operation, its arity, its target qubits and the
-    /// bit patterns of its unitary matrix's complex entries. Each input is
-    /// one `u64` word, folded in with a multiply-xorshift step (every step
-    /// is a bijection of the state, so two inputs differing in one word
-    /// never collide); matrices are read in place, without allocating. Two
-    /// circuits with the same fingerprint produce identical tensor networks
-    /// up to output projectors, which is what plan caches key on. Values
-    /// are stable within a build, not a persisted format.
+    /// bit patterns of its unitary matrix's complex entries, folded in that
+    /// order by [`FingerprintFold`]. Matrices are read in place, without
+    /// allocating. Two circuits with the same fingerprint produce identical
+    /// tensor networks up to output projectors, which is what plan caches
+    /// key on. Values are stable within a build, not a persisted format.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |word: u64| {
-            h = (h ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            h ^= h >> 32;
-        };
-        eat(self.num_qubits as u64);
+        let mut fold = FingerprintFold::new(self.num_qubits);
         for op in &self.ops {
-            eat(op.qubits.len() as u64);
+            fold.word(op.qubits.len() as u64);
             for &q in &op.qubits {
-                eat(q as u64);
+                fold.word(q as u64);
             }
             op.gate.with_matrix(|matrix| {
                 for entry in matrix {
-                    eat(entry.re.to_bits());
-                    eat(entry.im.to_bits());
+                    fold.word(entry.re.to_bits());
+                    fold.word(entry.im.to_bits());
                 }
             });
         }
-        h
+        fold.finish()
     }
 
     /// Circuit depth: the length of the longest chain of gates sharing

@@ -132,7 +132,7 @@ impl Gate {
 
     /// Call `f` on [`Self::matrix`] without allocating: raw unitaries lend
     /// their own storage, named gates build theirs on the stack.
-    pub(crate) fn with_matrix<R>(&self, f: impl FnOnce(&[Complex64]) -> R) -> R {
+    pub fn with_matrix<R>(&self, f: impl FnOnce(&[Complex64]) -> R) -> R {
         let o = Complex64::ONE;
         let z = Complex64::ZERO;
         let i = Complex64::I;

@@ -16,7 +16,7 @@ pub mod network;
 pub mod qsim;
 pub mod rqc;
 
-pub use circuit::{Circuit, GateOp};
+pub use circuit::{Circuit, FingerprintFold, GateOp};
 pub use gate::Gate;
 pub use layout::{GridLayout, SYCAMORE_QUBITS};
 pub use library::{ghz, qaoa_ansatz, qft};

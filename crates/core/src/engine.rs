@@ -52,6 +52,7 @@ use crate::sampling::sample_bitstrings;
 use qtn_circuit::{Circuit, OutputSpec, ParamSlot};
 use qtn_tensor::{Complex64, DenseTensor, IndexSet};
 use qtn_tensornet::ordinal_words;
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -351,9 +352,9 @@ impl Engine {
         }
     }
 
-    /// Validate an output spec against a circuit at the API boundary.
-    fn validate(circuit: &Circuit, output: &OutputSpec) -> Result<(), Error> {
-        let n = circuit.num_qubits();
+    /// Validate an output spec against a circuit of `n` qubits at the API
+    /// boundary.
+    fn validate(n: usize, output: &OutputSpec) -> Result<(), Error> {
         match output {
             OutputSpec::Amplitude(bits) => check_bits(bits, n, &[]),
             OutputSpec::Open { fixed, open } => {
@@ -398,9 +399,28 @@ impl Engine {
         circuit: &Circuit,
         output: &OutputSpec,
     ) -> Result<CompiledCircuit, Error> {
-        Self::validate(circuit, output)?;
+        self.compile_by_fingerprint(circuit.fingerprint(), circuit.num_qubits(), output, || circuit)
+    }
+
+    /// [`compile`](Self::compile) for a circuit known by its key before it
+    /// exists: `fingerprint` and `num_qubits` must be the
+    /// [`Circuit::fingerprint`] and qubit count of the circuit `build`
+    /// returns. A plan-cache hit never calls `build`; a miss calls it once
+    /// and plans the result. This is how a server answers a repeat circuit
+    /// from its serialized form without building it (see
+    /// [`qtn_circuit::FingerprintFold`]). The cache trusts the key exactly
+    /// as `compile` trusts a fingerprint it computed itself; a debug build
+    /// checks the key against the built circuit.
+    pub fn compile_by_fingerprint<C: Borrow<Circuit>>(
+        &self,
+        fingerprint: u64,
+        num_qubits: usize,
+        output: &OutputSpec,
+        build: impl FnOnce() -> C,
+    ) -> Result<CompiledCircuit, Error> {
+        Self::validate(num_qubits, output)?;
         let key = PlanKey {
-            fingerprint: circuit.fingerprint(),
+            fingerprint,
             planner: self.planner_fingerprint,
             shape: OutputShape::of(output),
         };
@@ -415,6 +435,10 @@ impl Engine {
                 (plan, true)
             }
             None => {
+                let circuit = build();
+                let circuit = circuit.borrow();
+                debug_assert_eq!(circuit.fingerprint(), fingerprint, "key of another circuit");
+                debug_assert_eq!(circuit.num_qubits(), num_qubits, "key of another circuit");
                 let plan = Arc::new(plan_simulation(circuit, output, &self.planner));
                 self.state.plans_built.fetch_add(1, Ordering::Relaxed);
                 let evicted = crate::sync::lock_unpoisoned(&self.state.cache)
@@ -455,8 +479,8 @@ impl Engine {
             pool: Arc::clone(&self.pool),
             executor: self.executor.clone(),
             shape: key.shape,
-            num_qubits: circuit.num_qubits(),
-            fingerprint: key.fingerprint,
+            num_qubits,
+            fingerprint,
             plan_cache_hit: cache_hit,
         })
     }
@@ -912,6 +936,17 @@ mod tests {
             .unwrap();
         assert!(d.plan_cache_hit());
         assert_eq!(engine.plans_built(), 2);
+        // Compiling by key alone is a hit that never builds the circuit.
+        let e = engine
+            .compile_by_fingerprint(
+                circuit.fingerprint(),
+                n,
+                &OutputSpec::Amplitude(vec![1; n]),
+                || -> Circuit { unreachable!("a plan-cache hit builds nothing") },
+            )
+            .unwrap();
+        assert!(e.plan_cache_hit());
+        assert_eq!((e.fingerprint(), engine.plans_built()), (circuit.fingerprint(), 2));
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! Every tensor in a qubit network holds `2^rank` amplitudes, so buffers
 //! fall into a small number of exact size classes and recycling is trivial:
 //! a freed buffer of length `L` serves any later request for length `L`.
-//! [`BufferPool`] keeps one free list per class; the pooled executor
+//! [`BufferPool`] keeps one free list per class, in a `Vec` indexed by the
+//! class's rank (`L.trailing_zeros()`), so finding a list is one index
+//! rather than a search; the pooled executor
 //! acquires every stem-loop buffer (sliced leaves and contraction outputs —
 //! contraction reads its operands in place, so there is no scratch) from it
 //! and releases them when their statically known lifetime ends (see [`qtn_tensornet::lifetime`]). After the first
@@ -31,7 +33,6 @@
 //! peak.
 
 use qtn_tensor::Complex64;
-use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 /// Bytes of one pooled element (a double-precision complex amplitude).
@@ -72,7 +73,14 @@ impl PoolCounters {
 /// A size-classed free-list pool of amplitude buffers.
 #[derive(Debug, Default)]
 pub struct BufferPool {
-    free: BTreeMap<usize, Vec<Vec<Complex64>>>,
+    /// Free buffers of `2^rank` elements at index `rank`.
+    free: Vec<Vec<Vec<Complex64>>>,
+}
+
+/// The free-list index of a buffer of `len` elements: its rank.
+fn size_class(len: usize) -> usize {
+    debug_assert!(len.is_power_of_two(), "pooled buffers hold 2^rank elements, not {len}");
+    len.trailing_zeros() as usize
 }
 
 impl BufferPool {
@@ -91,7 +99,7 @@ impl BufferPool {
         if crate::fault::fire(crate::fault::FaultPoint::PoolAlloc) {
             panic!("injected fault: buffer pool allocation failure ({len} elements)");
         }
-        let buf = match self.free.get_mut(&len).and_then(Vec::pop) {
+        let buf = match self.free.get_mut(size_class(len)).and_then(Vec::pop) {
             Some(buf) => {
                 counters.reused += 1;
                 buf
@@ -109,19 +117,27 @@ impl BufferPool {
     /// Return a buffer to its size class's free list.
     pub fn release(&mut self, buf: Vec<Complex64>, counters: &mut PoolCounters) {
         counters.in_flight_bytes -= buf.len() as u64 * BYTES_PER_ELEMENT;
-        self.free.entry(buf.len()).or_default().push(buf);
+        self.free_list(size_class(buf.len())).push(buf);
+    }
+
+    /// The free list of size class `class`, created empty on first use.
+    fn free_list(&mut self, class: usize) -> &mut Vec<Vec<Complex64>> {
+        if self.free.len() <= class {
+            self.free.resize_with(class + 1, Vec::new);
+        }
+        &mut self.free[class]
     }
 
     /// Number of buffers currently sitting on free lists.
     fn free_buffers(&self) -> usize {
-        self.free.values().map(Vec::len).sum()
+        self.free.iter().map(Vec::len).sum()
     }
 
     /// Absorb another pool's free buffers (used when two concurrent
     /// executions checked out pools for the same worker slot).
     fn absorb(&mut self, other: BufferPool) {
-        for (len, mut bufs) in other.free {
-            self.free.entry(len).or_default().append(&mut bufs);
+        for (class, mut bufs) in other.free.into_iter().enumerate() {
+            self.free_list(class).append(&mut bufs);
         }
     }
 }

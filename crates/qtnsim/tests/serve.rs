@@ -260,11 +260,25 @@ fn default_server_keeps_every_circuit_it_has_room_for() {
     let circuits: Vec<Circuit> = (1..=DEFAULT_PLAN_CACHE_CAPACITY as u64)
         .map(|seed| RqcConfig::small(2, 2, 4, seed).build())
         .collect();
-    for _pass in 0..2 {
+    // The server keys its plan cache from the wire bytes and builds a
+    // circuit only on a miss: alternating circuits on one connection must
+    // still each be answered from their own plan, bit for bit.
+    let engine = Engine::with_configs(planner(), executor());
+    for pass in 0..2u8 {
         for circuit in &circuits {
-            let zeros = vec![0u8; circuit.num_qubits()];
-            let reply = client.request_amplitudes(circuit, &[&zeros]).expect("reply");
+            let bits = vec![pass; circuit.num_qubits()];
+            let reply = client.request_amplitudes(circuit, &[&bits]).expect("reply");
             assert!(matches!(reply, Reply::Amplitudes(_)), "cache-test reply: {reply:?}");
+            let Reply::Amplitudes(resp) = reply else { unreachable!() };
+            let spec = OutputSpec::Amplitude(bits.clone());
+            let (expected, _) =
+                engine.compile(circuit, &spec).unwrap().execute_amplitude(&bits).unwrap();
+            let served = resp.amplitudes[0];
+            assert_eq!(
+                (served.re.to_bits(), served.im.to_bits()),
+                (expected.re.to_bits(), expected.im.to_bits()),
+                "pass {pass}: served and in-process amplitudes differ"
+            );
         }
     }
 

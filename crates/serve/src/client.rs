@@ -12,9 +12,10 @@
 //! queries are idempotent, so resending is always safe), and a total wall-
 //! clock budget so a struggling server cannot hold a caller forever.
 
-use crate::protocol::{AmplitudeResponse, Frame, ProtocolError, ShedReason};
+use crate::protocol::{encode_request, AmplitudeResponse, Frame, ProtocolError, ShedReason};
 use qtn_circuit::Circuit;
 use std::io::BufReader;
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -63,10 +64,15 @@ impl Reply {
 /// pipelined use ([`send_request`](Self::send_request) several times, then
 /// [`recv_reply`](Self::recv_reply) as responses arrive — the server may
 /// answer out of order, so match on [`Reply::request_id`]).
+///
+/// Requests are encoded straight from the borrowed circuit and bitstrings
+/// into one buffer the connection keeps, so a warm send allocates nothing.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
     next_id: u64,
+    /// The last request frame sent; its capacity is reused by the next.
+    frame: Vec<u8>,
 }
 
 impl Client {
@@ -75,7 +81,7 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         let writer = stream.try_clone()?;
-        Ok(Client { reader: BufReader::new(stream), writer, next_id: 1 })
+        Ok(Client { reader: BufReader::new(stream), writer, next_id: 1, frame: Vec::new() })
     }
 
     /// Queue an amplitude request without waiting; returns its id.
@@ -99,13 +105,9 @@ impl Client {
     ) -> Result<u64, ProtocolError> {
         let request_id = self.next_id;
         self.next_id += 1;
-        Frame::Request(crate::protocol::AmplitudeRequest {
-            request_id,
-            circuit: circuit.clone(),
-            bitstrings: bitstrings.iter().map(|b| b.to_vec()).collect(),
-            deadline_ms,
-        })
-        .write_to(&mut self.writer)?;
+        self.frame.clear();
+        encode_request(&mut self.frame, request_id, deadline_ms, circuit, bitstrings);
+        self.writer.write_all(&self.frame)?;
         Ok(request_id)
     }
 

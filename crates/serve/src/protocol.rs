@@ -41,7 +41,10 @@
 //! what [`qtn_circuit::Circuit::fingerprint`] hashes — so the fingerprint
 //! the server coalesces on is identical to the one the client's circuit
 //! would produce locally, and decoded circuits plan and execute
-//! bit-identically to the originals.
+//! bit-identically to the originals. The server never needs the decoded
+//! circuit to learn that key: one validating pass over a request's bytes
+//! folds it as it goes ([`qtn_circuit::FingerprintFold`]), and the circuit
+//! is built only when the plan cache misses.
 //!
 //! Decoding never panics: truncated, oversized and garbage frames all
 //! surface as typed [`ProtocolError`]s. A malformed *payload* inside a
@@ -49,7 +52,7 @@
 //! header that announces more than [`MAX_FRAME_LEN`] bytes is not, because
 //! the bytes cannot be safely skipped without trusting the corrupt length.
 
-use qtn_circuit::{Circuit, Gate, GateOp};
+use qtn_circuit::{Circuit, FingerprintFold, Gate, GateOp};
 use qtn_tensor::{c64, Complex64};
 use std::io::{Read, Write};
 
@@ -254,7 +257,18 @@ fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
+/// Bytes one op of `arity` qubits takes on the wire: the arity byte, the
+/// target qubits and the `4^arity`-entry matrix.
+const fn op_wire_len(arity: usize) -> usize {
+    1 + 4 * arity + (16 << (2 * arity))
+}
+
+/// The smallest an op can be on the wire (a single-qubit gate), which bounds
+/// how many ops a payload can really hold.
+const SMALLEST_OP_BYTES: usize = op_wire_len(1);
+
 /// Append a circuit in wire form (raw unitaries; fingerprint-preserving).
+/// Named gates' matrices are read in place, so nothing but `buf` grows.
 fn encode_circuit(circuit: &Circuit, buf: &mut Vec<u8>) {
     put_u32(buf, circuit.num_qubits() as u32);
     put_u32(buf, circuit.ops().len() as u32);
@@ -263,48 +277,73 @@ fn encode_circuit(circuit: &Circuit, buf: &mut Vec<u8>) {
         for &q in &op.qubits {
             put_u32(buf, q as u32);
         }
-        for entry in op.gate.matrix() {
-            put_f64(buf, entry.re);
-            put_f64(buf, entry.im);
-        }
+        op.gate.with_matrix(|matrix| {
+            for entry in matrix {
+                put_f64(buf, entry.re);
+                put_f64(buf, entry.im);
+            }
+        });
     }
 }
 
-impl Frame {
-    fn tag(&self) -> u8 {
-        match self {
-            // Deadline-free requests stay v1 on the wire so pre-v2 servers
-            // (and byte-level golden tests) see identical frames.
-            Frame::Request(req) if req.deadline_ms.is_none() => tag::REQUEST,
-            Frame::Request(_) => tag::REQUEST_V2,
-            Frame::Response(_) => tag::RESPONSE,
-            Frame::Shed { .. } => tag::SHED,
-            Frame::Error { .. } => tag::ERROR,
-            Frame::StatsRequest => tag::STATS_REQUEST,
-            Frame::StatsResponse(_) => tag::STATS_RESPONSE,
-            Frame::Shutdown => tag::SHUTDOWN,
-        }
-    }
+/// Append a frame: the length prefix, `tag`, then whatever `payload`
+/// writes, with the prefix filled in once the length is known.
+fn encode_frame(buf: &mut Vec<u8>, tag: u8, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = buf.len();
+    buf.extend_from_slice(&[0, 0, 0, 0, tag]);
+    payload(buf);
+    let len = (buf.len() - start - 5) as u32;
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+}
 
-    /// Serialize the payload (everything after the length prefix and tag).
-    fn encode_payload(&self, buf: &mut Vec<u8>) {
+/// Append a request frame straight from borrowed parts — the one request
+/// encoder, shared by [`Frame::encode`] and the [`Client`](crate::Client),
+/// which sends without building a [`Frame`]. Reserves the frame's exact
+/// size first, so a buffer that has held the frame once never grows again.
+pub(crate) fn encode_request<B: AsRef<[u8]>>(
+    buf: &mut Vec<u8>,
+    request_id: u64,
+    deadline_ms: Option<u32>,
+    circuit: &Circuit,
+    bitstrings: &[B],
+) {
+    let ops: usize = circuit.ops().iter().map(|op| op_wire_len(op.qubits.len())).sum();
+    let bits: usize = bitstrings.iter().map(|b| 4 + b.as_ref().len()).sum();
+    buf.reserve(5 + 8 + 4 * usize::from(deadline_ms.is_some()) + 8 + ops + 4 + bits);
+    // Deadline-free requests stay v1 on the wire so pre-v2 servers (and
+    // byte-level golden tests) see identical frames.
+    let tag = if deadline_ms.is_some() { tag::REQUEST_V2 } else { tag::REQUEST };
+    encode_frame(buf, tag, |buf| {
+        put_u64(buf, request_id);
+        if let Some(deadline_ms) = deadline_ms {
+            put_u32(buf, deadline_ms);
+        }
+        encode_circuit(circuit, buf);
+        put_u32(buf, bitstrings.len() as u32);
+        for bits in bitstrings {
+            // Length-prefixed so a wrong-length bitstring is still a
+            // decodable request the server can refuse with a typed,
+            // id-attributed error instead of a payload desync.
+            let bits = bits.as_ref();
+            put_u32(buf, bits.len() as u32);
+            buf.extend_from_slice(bits);
+        }
+    });
+}
+
+impl Frame {
+    /// Serialize the whole frame (length prefix, tag, payload).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut frame = Vec::new();
         match self {
-            Frame::Request(req) => {
-                put_u64(buf, req.request_id);
-                if let Some(deadline_ms) = req.deadline_ms {
-                    put_u32(buf, deadline_ms);
-                }
-                encode_circuit(&req.circuit, buf);
-                put_u32(buf, req.bitstrings.len() as u32);
-                for bits in &req.bitstrings {
-                    // Length-prefixed so a wrong-length bitstring is still a
-                    // decodable request the server can refuse with a typed,
-                    // id-attributed error instead of a payload desync.
-                    put_u32(buf, bits.len() as u32);
-                    buf.extend_from_slice(bits);
-                }
-            }
-            Frame::Response(resp) => {
+            Frame::Request(req) => encode_request(
+                &mut frame,
+                req.request_id,
+                req.deadline_ms,
+                &req.circuit,
+                &req.bitstrings,
+            ),
+            Frame::Response(resp) => encode_frame(&mut frame, tag::RESPONSE, |buf| {
                 put_u64(buf, resp.request_id);
                 put_u32(buf, resp.amplitudes.len() as u32);
                 for amp in &resp.amplitudes {
@@ -313,32 +352,23 @@ impl Frame {
                 }
                 put_u32(buf, resp.batch_size);
                 buf.push(resp.deadline_flush as u8);
-            }
-            Frame::Shed { request_id, reason } => {
+            }),
+            Frame::Shed { request_id, reason } => encode_frame(&mut frame, tag::SHED, |buf| {
                 put_u64(buf, *request_id);
                 buf.push(reason.to_wire());
-            }
-            Frame::Error { request_id, message } => {
+            }),
+            Frame::Error { request_id, message } => encode_frame(&mut frame, tag::ERROR, |buf| {
                 put_u64(buf, *request_id);
                 put_u32(buf, message.len() as u32);
                 buf.extend_from_slice(message.as_bytes());
-            }
-            Frame::StatsRequest | Frame::Shutdown => {}
-            Frame::StatsResponse(json) => {
+            }),
+            Frame::StatsRequest => encode_frame(&mut frame, tag::STATS_REQUEST, |_| {}),
+            Frame::StatsResponse(json) => encode_frame(&mut frame, tag::STATS_RESPONSE, |buf| {
                 put_u32(buf, json.len() as u32);
                 buf.extend_from_slice(json.as_bytes());
-            }
+            }),
+            Frame::Shutdown => encode_frame(&mut frame, tag::SHUTDOWN, |_| {}),
         }
-    }
-
-    /// Serialize the whole frame (length prefix, tag, payload).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        self.encode_payload(&mut payload);
-        let mut frame = Vec::with_capacity(payload.len() + 5);
-        put_u32(&mut frame, payload.len() as u32);
-        frame.push(self.tag());
-        frame.extend_from_slice(&payload);
         frame
     }
 
@@ -362,84 +392,179 @@ impl Frame {
         }
     }
 
-    /// Decode a frame from its tag and payload bytes.
+    /// Decode a frame from its tag and payload bytes: the validating pass
+    /// the server keys its plan cache with, then for a request the build
+    /// of its circuit.
     pub fn decode(tag_byte: u8, payload: &[u8]) -> Result<Frame, ProtocolError> {
-        let mut r = Reader { bytes: payload, pos: 0 };
-        let frame = match tag_byte {
-            tag::REQUEST | tag::REQUEST_V2 => {
-                let request_id = r.take_u64()?;
-                let deadline_ms =
-                    if tag_byte == tag::REQUEST_V2 { Some(r.take_u32()?) } else { None };
-                let circuit = decode_circuit(&mut r)?;
-                let count = r.take_u32()? as usize;
-                let mut bitstrings = Vec::new();
-                for _ in 0..count {
-                    let len = r.take_u32()? as usize;
-                    if len > MAX_QUBITS as usize {
-                        return Err(ProtocolError::Malformed(
-                            "bitstring length exceeds MAX_QUBITS",
-                        ));
-                    }
-                    bitstrings.push(r.take_bytes(len, "bitstring bytes")?.to_vec());
-                }
-                Frame::Request(AmplitudeRequest { request_id, circuit, bitstrings, deadline_ms })
-            }
-            tag::RESPONSE => {
-                let request_id = r.take_u64()?;
-                let count = r.take_u32()? as usize;
-                if count.checked_mul(16).is_none_or(|need| need > r.remaining()) {
-                    return Err(ProtocolError::Malformed("amplitude count exceeds payload"));
-                }
-                let mut amplitudes = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let re = r.take_f64()?;
-                    let im = r.take_f64()?;
-                    amplitudes.push(c64(re, im));
-                }
-                let batch_size = r.take_u32()?;
-                let flags = r.take_u8()?;
-                Frame::Response(AmplitudeResponse {
-                    request_id,
-                    amplitudes,
-                    batch_size,
-                    deadline_flush: flags & 1 != 0,
-                })
-            }
-            tag::SHED => {
-                let request_id = r.take_u64()?;
-                let reason = ShedReason::from_wire(r.take_u8()?)?;
-                Frame::Shed { request_id, reason }
-            }
-            tag::ERROR => {
-                let request_id = r.take_u64()?;
-                let len = r.take_u32()? as usize;
-                let bytes = r.take_bytes(len, "error message bytes")?;
-                let message = String::from_utf8(bytes.to_vec())
-                    .map_err(|_| ProtocolError::Malformed("error message is not UTF-8"))?;
-                Frame::Error { request_id, message }
-            }
-            tag::STATS_REQUEST => Frame::StatsRequest,
-            tag::STATS_RESPONSE => {
-                let len = r.take_u32()? as usize;
-                let bytes = r.take_bytes(len, "stats payload bytes")?;
-                let json = String::from_utf8(bytes.to_vec())
-                    .map_err(|_| ProtocolError::Malformed("stats payload is not UTF-8"))?;
-                Frame::StatsResponse(json)
-            }
-            tag::SHUTDOWN => Frame::Shutdown,
-            other => return Err(ProtocolError::UnknownFrameType(other)),
-        };
-        if r.remaining() != 0 {
-            return Err(ProtocolError::Malformed("trailing bytes after payload"));
-        }
-        Ok(frame)
+        Ok(match scan_frame(tag_byte, payload)? {
+            Scanned::Request(req) => Frame::Request(AmplitudeRequest {
+                request_id: req.request_id,
+                circuit: req.circuit.build(),
+                bitstrings: req.bitstrings,
+                deadline_ms: req.deadline_ms,
+            }),
+            Scanned::Frame(frame) => frame,
+        })
     }
 }
 
-/// Read one frame, returning `Ok(None)` on clean end-of-stream (the peer
-/// closed between frames) and `Io(UnexpectedEof)` when the stream dies
-/// mid-frame.
-pub fn read_frame_or_eof(reader: &mut impl Read) -> Result<Option<Frame>, ProtocolError> {
+/// A frame after one validating pass over its payload. A request keeps its
+/// circuit in wire form: every rule is checked and the fingerprint is
+/// folded, but no [`Circuit`] exists until [`WireCircuit::build`].
+pub(crate) enum Scanned<'a> {
+    /// A request frame (tag 1 or 8).
+    Request(RequestScan<'a>),
+    /// Any other frame, fully decoded.
+    Frame(Frame),
+}
+
+/// A validated request whose circuit is still the payload's bytes.
+pub(crate) struct RequestScan<'a> {
+    pub(crate) request_id: u64,
+    pub(crate) deadline_ms: Option<u32>,
+    pub(crate) circuit: WireCircuit<'a>,
+    pub(crate) bitstrings: Vec<Vec<u8>>,
+}
+
+/// A wire-form circuit that passed every check `Circuit::push_op` would
+/// panic on, with its plan-cache key already computed.
+pub(crate) struct WireCircuit<'a> {
+    pub(crate) num_qubits: usize,
+    /// [`Circuit::fingerprint`] of the circuit [`build`](Self::build)
+    /// returns, folded from the wire bytes.
+    pub(crate) fingerprint: u64,
+    num_ops: usize,
+    /// The ops' bytes, from the first op's arity to the last matrix entry.
+    ops: &'a [u8],
+}
+
+impl WireCircuit<'_> {
+    /// Build the circuit, gates as raw unitaries. Cannot fail: the scan
+    /// checked every op. Ops are preallocated from the bytes that are
+    /// there, never from the announced count alone.
+    pub(crate) fn build(&self) -> Circuit {
+        let capacity = self.num_ops.min(self.ops.len() / SMALLEST_OP_BYTES);
+        let mut circuit = Circuit::with_capacity(self.num_qubits, capacity);
+        let mut rest = self.ops;
+        let mut take = |n: usize| {
+            let (head, tail) = rest.split_at(n);
+            rest = tail;
+            head
+        };
+        for _ in 0..self.num_ops {
+            let arity = take(1)[0] as usize;
+            let qubits = take(4 * arity)
+                .chunks_exact(4)
+                .map(|q| u32::from_le_bytes(q.try_into().expect("4 bytes")) as usize)
+                .collect();
+            let gate = if arity == 1 {
+                Gate::Unitary1(read_matrix(take(16 * 4)))
+            } else {
+                Gate::Unitary2(read_matrix(take(16 * 16)))
+            };
+            circuit.push_op(GateOp { gate, qubits });
+        }
+        circuit
+    }
+}
+
+/// A row-major matrix of `N` entries from `16 * N` bytes of `(re, im)` pairs.
+fn read_matrix<const N: usize>(bytes: &[u8]) -> Box<[Complex64; N]> {
+    let word = |b: &[u8]| f64::from_le_bytes(b.try_into().expect("8 bytes"));
+    let mut matrix = Box::new([Complex64::ZERO; N]);
+    for (entry, pair) in matrix.iter_mut().zip(bytes.chunks_exact(16)) {
+        *entry = c64(word(&pair[..8]), word(&pair[8..]));
+    }
+    matrix
+}
+
+/// The one validating pass over a frame's payload (see [`Scanned`]).
+/// [`Frame::decode`] is this plus [`WireCircuit::build`], so both return
+/// the same error for every malformed payload.
+pub(crate) fn scan_frame(tag_byte: u8, payload: &[u8]) -> Result<Scanned<'_>, ProtocolError> {
+    let mut r = Reader { bytes: payload, pos: 0 };
+    let scanned = match tag_byte {
+        tag::REQUEST | tag::REQUEST_V2 => {
+            let request_id = r.take_u64()?;
+            let deadline_ms = if tag_byte == tag::REQUEST_V2 { Some(r.take_u32()?) } else { None };
+            let circuit = scan_circuit(&mut r)?;
+            let count = r.take_u32()? as usize;
+            let mut bitstrings = Vec::new();
+            for _ in 0..count {
+                let len = r.take_u32()? as usize;
+                if len > MAX_QUBITS as usize {
+                    return Err(ProtocolError::Malformed("bitstring length exceeds MAX_QUBITS"));
+                }
+                bitstrings.push(r.take_bytes(len, "bitstring bytes")?.to_vec());
+            }
+            Scanned::Request(RequestScan { request_id, deadline_ms, circuit, bitstrings })
+        }
+        tag::RESPONSE => {
+            let request_id = r.take_u64()?;
+            let count = r.take_u32()? as usize;
+            if count.checked_mul(16).is_none_or(|need| need > r.remaining()) {
+                return Err(ProtocolError::Malformed("amplitude count exceeds payload"));
+            }
+            let mut amplitudes = Vec::with_capacity(count);
+            for _ in 0..count {
+                let re = r.take_f64()?;
+                let im = r.take_f64()?;
+                amplitudes.push(c64(re, im));
+            }
+            let batch_size = r.take_u32()?;
+            let flags = r.take_u8()?;
+            Scanned::Frame(Frame::Response(AmplitudeResponse {
+                request_id,
+                amplitudes,
+                batch_size,
+                deadline_flush: flags & 1 != 0,
+            }))
+        }
+        tag::SHED => {
+            let request_id = r.take_u64()?;
+            let reason = ShedReason::from_wire(r.take_u8()?)?;
+            Scanned::Frame(Frame::Shed { request_id, reason })
+        }
+        tag::ERROR => {
+            let request_id = r.take_u64()?;
+            let len = r.take_u32()? as usize;
+            let bytes = r.take_bytes(len, "error message bytes")?;
+            let message = String::from_utf8(bytes.to_vec())
+                .map_err(|_| ProtocolError::Malformed("error message is not UTF-8"))?;
+            Scanned::Frame(Frame::Error { request_id, message })
+        }
+        tag::STATS_REQUEST => Scanned::Frame(Frame::StatsRequest),
+        tag::STATS_RESPONSE => {
+            let len = r.take_u32()? as usize;
+            let bytes = r.take_bytes(len, "stats payload bytes")?;
+            let json = String::from_utf8(bytes.to_vec())
+                .map_err(|_| ProtocolError::Malformed("stats payload is not UTF-8"))?;
+            Scanned::Frame(Frame::StatsResponse(json))
+        }
+        tag::SHUTDOWN => Scanned::Frame(Frame::Shutdown),
+        other => return Err(ProtocolError::UnknownFrameType(other)),
+    };
+    if r.remaining() != 0 {
+        return Err(ProtocolError::Malformed("trailing bytes after payload"));
+    }
+    Ok(scanned)
+}
+
+/// Payload capacity a connection keeps between frames: enough for any
+/// circuit the planner can contract, so steady traffic reads without
+/// allocating, while a one-off large frame does not stay resident.
+pub(crate) const RETAINED_PAYLOAD_BYTES: usize = 1 << 20;
+
+/// Read one frame into `payload` (its previous contents are dropped) and
+/// return its tag, or `Ok(None)` on clean end-of-stream (the peer closed
+/// between frames); `Io(UnexpectedEof)` when the stream dies mid-frame.
+/// The buffer grows as bytes arrive, never by the announced length alone:
+/// a header that promises [`MAX_FRAME_LEN`] bytes and sends none costs
+/// nothing.
+pub(crate) fn read_frame_into(
+    reader: &mut impl Read,
+    payload: &mut Vec<u8>,
+) -> Result<Option<u8>, ProtocolError> {
     let mut header = [0u8; 5];
     let mut filled = 0;
     while filled < header.len() {
@@ -461,9 +586,27 @@ pub fn read_frame_or_eof(reader: &mut impl Read) -> Result<Option<Frame>, Protoc
     if len > MAX_FRAME_LEN {
         return Err(ProtocolError::FrameTooLarge { len, max: MAX_FRAME_LEN });
     }
-    let mut payload = vec![0u8; len as usize];
-    reader.read_exact(&mut payload)?;
-    Frame::decode(header[4], &payload).map(Some)
+    payload.clear();
+    reader.take(u64::from(len)).read_to_end(payload)?;
+    if payload.len() < len as usize {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "stream closed inside a frame payload",
+        )
+        .into());
+    }
+    Ok(Some(header[4]))
+}
+
+/// Read one frame, returning `Ok(None)` on clean end-of-stream (the peer
+/// closed between frames) and `Io(UnexpectedEof)` when the stream dies
+/// mid-frame.
+pub fn read_frame_or_eof(reader: &mut impl Read) -> Result<Option<Frame>, ProtocolError> {
+    let mut payload = Vec::new();
+    match read_frame_into(reader, &mut payload)? {
+        Some(tag) => Frame::decode(tag, &payload).map(Some),
+        None => Ok(None),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -509,9 +652,10 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decode a wire-form circuit, validating everything `Circuit::push_op`
-/// would otherwise panic on.
-fn decode_circuit(r: &mut Reader<'_>) -> Result<Circuit, ProtocolError> {
+/// Validate a wire-form circuit — everything `Circuit::push_op` would
+/// otherwise panic on, plus finite matrix entries — and fold its
+/// fingerprint on the way, word for word as [`Circuit::fingerprint`] does.
+fn scan_circuit<'a>(r: &mut Reader<'a>) -> Result<WireCircuit<'a>, ProtocolError> {
     let num_qubits = r.take_u32()?;
     if num_qubits > MAX_QUBITS {
         return Err(ProtocolError::InvalidCircuit(format!(
@@ -519,30 +663,31 @@ fn decode_circuit(r: &mut Reader<'_>) -> Result<Circuit, ProtocolError> {
         )));
     }
     let num_ops = r.take_u32()? as usize;
-    let mut circuit = Circuit::new(num_qubits as usize);
+    let start = r.pos;
+    let mut fold = FingerprintFold::new(num_qubits as usize);
     for i in 0..num_ops {
-        let arity = r.take_u8()? as usize;
+        let arity = r.take_u8()?;
         if arity != 1 && arity != 2 {
             return Err(ProtocolError::InvalidCircuit(format!("op {i} has arity {arity}")));
         }
-        let mut qubits = Vec::with_capacity(arity);
+        fold.word(u64::from(arity));
+        let mut previous = None;
         for _ in 0..arity {
-            let q = r.take_u32()? as usize;
-            if q >= num_qubits as usize {
+            let q = r.take_u32()?;
+            if q >= num_qubits {
                 return Err(ProtocolError::InvalidCircuit(format!(
                     "op {i} targets qubit {q} of {num_qubits}"
                 )));
             }
-            qubits.push(q);
+            if previous == Some(q) {
+                return Err(ProtocolError::InvalidCircuit(format!(
+                    "op {i} applies a two-qubit gate to one qubit"
+                )));
+            }
+            previous = Some(q);
+            fold.word(u64::from(q));
         }
-        if arity == 2 && qubits[0] == qubits[1] {
-            return Err(ProtocolError::InvalidCircuit(format!(
-                "op {i} applies a two-qubit gate to one qubit"
-            )));
-        }
-        let entries = 1usize << (2 * arity); // 4 or 16
-        let mut matrix = Vec::with_capacity(entries);
-        for _ in 0..entries {
+        for _ in 0..1 << (2 * arity) {
             let re = r.take_f64()?;
             let im = r.take_f64()?;
             if !(re.is_finite() && im.is_finite()) {
@@ -550,16 +695,16 @@ fn decode_circuit(r: &mut Reader<'_>) -> Result<Circuit, ProtocolError> {
                     "op {i} has a non-finite matrix entry"
                 )));
             }
-            matrix.push(c64(re, im));
+            fold.word(re.to_bits());
+            fold.word(im.to_bits());
         }
-        let gate = if arity == 1 {
-            Gate::Unitary1(Box::new(matrix.try_into().expect("4 entries")))
-        } else {
-            Gate::Unitary2(Box::new(matrix.try_into().expect("16 entries")))
-        };
-        circuit.push_op(GateOp { gate, qubits });
     }
-    Ok(circuit)
+    Ok(WireCircuit {
+        num_qubits: num_qubits as usize,
+        fingerprint: fold.finish(),
+        num_ops,
+        ops: &r.bytes[start..r.pos],
+    })
 }
 
 #[cfg(test)]
@@ -627,6 +772,76 @@ mod tests {
         assert_eq!(decoded.circuit.fingerprint(), circuit.fingerprint());
         assert_eq!(decoded.circuit.num_qubits(), circuit.num_qubits());
         assert_eq!(decoded.circuit.len(), circuit.len());
+
+        // The server's key pass folds the same fingerprint from the bytes,
+        // for every gate variant: named one- and two-qubit gates, rotations,
+        // FSim and raw unitaries (including a signed zero).
+        let h: [Complex64; 4] = Gate::H.matrix().try_into().unwrap();
+        let mut fsim: [Complex64; 16] = Gate::sycamore_fsim().matrix().try_into().unwrap();
+        fsim[1] = c64(-0.0, 0.0);
+        let one_qubit = [
+            Gate::I,
+            Gate::X,
+            Gate::Y,
+            Gate::Z,
+            Gate::H,
+            Gate::S,
+            Gate::T,
+            Gate::SqrtX,
+            Gate::SqrtY,
+            Gate::SqrtW,
+            Gate::Rz(0.3),
+            Gate::Rx(-1.1),
+            Gate::Ry(2.5),
+            Gate::Unitary1(Box::new(h)),
+        ];
+        let two_qubit = [
+            Gate::Cz,
+            Gate::Cnot,
+            Gate::ISwap,
+            Gate::FSim { theta: 0.52, phi: 0.17 },
+            Gate::Unitary2(Box::new(fsim)),
+        ];
+        let mut every_gate = Circuit::new(3);
+        for (i, gate) in one_qubit.into_iter().enumerate() {
+            every_gate.push1(gate, i % 3);
+        }
+        for (i, gate) in two_qubit.into_iter().enumerate() {
+            every_gate.push2(gate, (i + 1) % 3, i % 3);
+        }
+        for circuit in [circuit, every_gate] {
+            for deadline_ms in [None, Some(9)] {
+                let bytes = Frame::Request(AmplitudeRequest {
+                    request_id: 2,
+                    circuit: circuit.clone(),
+                    bitstrings: vec![vec![1; circuit.num_qubits()]],
+                    deadline_ms,
+                })
+                .encode();
+                let key = key_pass(&bytes).expect("a valid request scans");
+                assert_eq!(key, (circuit.fingerprint(), circuit.num_qubits()));
+                let Ok(Frame::Request(decoded)) = Frame::decode(bytes[4], &bytes[5..]) else {
+                    panic!("expected a request frame");
+                };
+                assert_eq!(key.0, decoded.circuit.fingerprint());
+            }
+        }
+    }
+
+    /// The server's key pass over a whole request frame:
+    /// `(fingerprint, num_qubits)`, with no circuit built.
+    fn key_pass(bytes: &[u8]) -> Result<(u64, usize), ProtocolError> {
+        match scan_frame(bytes[4], &bytes[5..])? {
+            Scanned::Request(req) => Ok((req.circuit.fingerprint, req.circuit.num_qubits)),
+            Scanned::Frame(frame) => panic!("expected a request, scanned {frame:?}"),
+        }
+    }
+
+    /// The key pass and [`Frame::decode`] reject `bytes` with the same error.
+    fn assert_both_entries_reject(bytes: &[u8]) {
+        let scanned = key_pass(bytes).expect_err("the key pass must reject");
+        let decoded = Frame::decode(bytes[4], &bytes[5..]).expect_err("decode must reject");
+        assert_eq!(format!("{scanned:?}"), format!("{decoded:?}"));
     }
 
     #[test]
@@ -787,6 +1002,7 @@ mod tests {
         let err = read_frame_or_eof(&mut &bytes[..]).unwrap_err();
         assert!(matches!(err, ProtocolError::InvalidCircuit(_)), "{err:?}");
         assert!(err.is_recoverable());
+        assert_both_entries_reject(&bytes);
         // Two-qubit gate on one qubit.
         let bytes = encode_request(&|p| {
             p.extend_from_slice(&2u32.to_le_bytes());
@@ -803,6 +1019,7 @@ mod tests {
             read_frame_or_eof(&mut &bytes[..]).unwrap_err(),
             ProtocolError::InvalidCircuit(_)
         ));
+        assert_both_entries_reject(&bytes);
         // Arity 3 is not a thing.
         let bytes = encode_request(&|p| {
             p.extend_from_slice(&3u32.to_le_bytes());
@@ -813,6 +1030,7 @@ mod tests {
             read_frame_or_eof(&mut &bytes[..]).unwrap_err(),
             ProtocolError::InvalidCircuit(_)
         ));
+        assert_both_entries_reject(&bytes);
         // A NaN matrix entry would be served as NaN amplitudes.
         let bytes = encode_request(&|p| {
             p.extend_from_slice(&1u32.to_le_bytes());
@@ -829,5 +1047,30 @@ mod tests {
         let err = read_frame_or_eof(&mut &bytes[..]).unwrap_err();
         assert!(matches!(&err, ProtocolError::InvalidCircuit(m) if m.contains("op 0")), "{err:?}");
         assert!(err.is_recoverable());
+        assert_both_entries_reject(&bytes);
+        // More qubits than the wire admits.
+        let bytes = encode_request(&|p| {
+            p.extend_from_slice(&(MAX_QUBITS + 1).to_le_bytes());
+            p.extend_from_slice(&0u32.to_le_bytes());
+            p.extend_from_slice(&0u32.to_le_bytes());
+        });
+        assert!(matches!(key_pass(&bytes), Err(ProtocolError::InvalidCircuit(_))));
+        assert_both_entries_reject(&bytes);
+        // Every truncation of a valid payload, and one trailing byte.
+        let mut circuit = Circuit::new(2);
+        circuit.push1(Gate::SqrtW, 1).push2(Gate::sycamore_fsim(), 1, 0);
+        let valid = Frame::Request(AmplitudeRequest {
+            request_id: 1,
+            circuit,
+            bitstrings: vec![vec![0, 1]],
+            deadline_ms: None,
+        })
+        .encode();
+        for cut in 5..valid.len() {
+            assert_both_entries_reject(&valid[..cut]);
+        }
+        let mut trailing = valid.clone();
+        trailing.push(0);
+        assert_both_entries_reject(&trailing);
     }
 }

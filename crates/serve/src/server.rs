@@ -4,10 +4,12 @@
 //!
 //! 1. **Accept** — one acceptor thread takes TCP connections and spawns a
 //!    reader/writer thread pair per connection.
-//! 2. **Decode + compile** — the reader decodes frames and compiles each
-//!    request's circuit on the shared [`Engine`] (its fingerprint-keyed LRU
-//!    plan cache makes repeat circuits a cheap hit; planning runs outside
-//!    the cache lock).
+//! 2. **Scan + compile** — the reader reads each frame into the
+//!    connection's one payload buffer and makes one validating pass over a
+//!    request, folding the circuit's fingerprint from the wire bytes. The
+//!    shared [`Engine`]'s fingerprint-keyed LRU plan cache is looked up
+//!    with that key ([`Engine::compile_by_fingerprint`]); the circuit is
+//!    built only on a miss, and planning runs outside the cache lock.
 //! 3. **Admit + coalesce** — the request enters the per-fingerprint
 //!    micro-batch, or is refused with an explicit `Shed` frame when the
 //!    bounded queue is full, the plan busts `memory_budget_bytes`, or the
@@ -28,7 +30,10 @@
 
 use crate::batcher::{BatchConfig, BatchEntry, Batcher, EntryOutcome, FlushCause};
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::protocol::{read_frame_or_eof, AmplitudeResponse, Frame, ProtocolError, ShedReason};
+use crate::protocol::{
+    read_frame_into, scan_frame, AmplitudeResponse, Frame, ProtocolError, Scanned, ShedReason,
+    RETAINED_PAYLOAD_BYTES,
+};
 use qtn_circuit::OutputSpec;
 use qtnsim_core::fault::{self, FaultPoint};
 use qtnsim_core::{lock_unpoisoned, Engine, Error as EngineError, ExecutorConfig, PlannerConfig};
@@ -219,6 +224,7 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
     });
 
     let mut reader = BufReader::new(stream);
+    let mut payload = Vec::new();
     loop {
         let read = if fault::fire(FaultPoint::ReadIo) {
             Err(ProtocolError::Io(std::io::Error::new(
@@ -226,9 +232,9 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
                 "injected fault: read I/O error",
             )))
         } else {
-            read_frame_or_eof(&mut reader)
+            read_frame_into(&mut reader, &mut payload)
         };
-        match read {
+        match read.and_then(|tag| tag.map(|tag| scan_frame(tag, &payload)).transpose()) {
             Ok(None) => break,
             Ok(Some(frame)) => {
                 let arrival = Instant::now();
@@ -254,6 +260,9 @@ fn connection_loop(stream: TcpStream, shared: Arc<Shared>) {
                     break;
                 }
             }
+        }
+        if payload.capacity() > RETAINED_PAYLOAD_BYTES {
+            payload = Vec::new();
         }
     }
     drop(tx);
@@ -291,18 +300,22 @@ fn write_frame_faulted(frame: &Frame, stream: &mut TcpStream) -> Result<(), Prot
 /// `arrival` is when the frame finished reading — protocol-v2 deadlines
 /// count from it.
 fn handle_frame(
-    frame: Frame,
+    frame: Scanned<'_>,
     arrival: Instant,
     tx: &mpsc::Sender<Frame>,
     shared: &Arc<Shared>,
 ) -> bool {
     match frame {
-        Frame::Request(req) => {
+        Scanned::Request(req) => {
             let request_id = req.request_id;
             let deadline = req.deadline_ms.map(|ms| arrival + Duration::from_millis(u64::from(ms)));
-            let n = req.circuit.num_qubits();
+            let n = req.circuit.num_qubits;
             let spec = OutputSpec::Amplitude(vec![0; n]);
-            let compiled = match shared.engine.compile(&req.circuit, &spec) {
+            // The plan cache is keyed by the fingerprint the scan folded
+            // from the wire; the circuit is built only when that key misses.
+            let key = req.circuit.fingerprint;
+            let build = || req.circuit.build();
+            let compiled = match shared.engine.compile_by_fingerprint(key, n, &spec, build) {
                 Ok(compiled) => Arc::new(compiled),
                 Err(EngineError::MemoryBudgetExceeded { .. }) => {
                     shared.metrics.requests_shed.fetch_add(1, Ordering::Relaxed);
@@ -394,18 +407,18 @@ fn handle_frame(
             }
             true
         }
-        Frame::StatsRequest => {
+        Scanned::Frame(Frame::StatsRequest) => {
             let _ = tx.send(Frame::StatsResponse(shared.snapshot().to_json()));
             true
         }
-        Frame::Shutdown => {
+        Scanned::Frame(Frame::Shutdown) => {
             shared.begin_drain();
             true
         }
         // Server-to-client frames arriving at the server are protocol
         // misuse; answer with a typed error and keep the stream (framing is
         // intact).
-        Frame::Response(_) | Frame::Shed { .. } | Frame::Error { .. } | Frame::StatsResponse(_) => {
+        Scanned::Frame(_) => {
             let _ = tx.send(Frame::Error {
                 request_id: 0,
                 message: "unexpected server-to-client frame".into(),
