@@ -21,28 +21,35 @@
 //!   (`ContractionKernel::contract`: what production executes, output
 //!   overwrite included).
 //!
-//! Before anything is timed, each shape's `dense` result is checked against
-//! `reference` and its `in_place` result against `reference` on explicitly
-//! permuted operands, within the conformance suite's bound; and the
-//! `in_place` result must equal [`KernelPlan::apply`] on those permuted
-//! operands bit for bit, the contract `apply_views` documents. At the
-//! AVX2+FMA level every narrow and blocked shape's `dense` result must also
-//! equal a scalar model of the AVX2 tile's FMA order bit for bit, which
-//! reaches the multi-chunk, multi-group shapes a unit test cannot afford.
-//! So the bench doubles as a correctness smoke on the real shapes of every
-//! class.
+//! Before anything is timed, *every* stem shape of both plans — not only the
+//! timed ones — has its `dense` result checked against `reference` and its
+//! `in_place` result against `reference` on explicitly permuted operands,
+//! within the conformance suite's bound; and the `in_place` result must
+//! equal [`KernelPlan::apply`] on those permuted operands bit for bit, the
+//! contract `apply_views` documents. At the AVX2+FMA level every narrow and
+//! blocked shape's `dense` result must also equal a scalar model of the AVX2
+//! tile's FMA order bit for bit, which reaches the multi-chunk, multi-group
+//! shapes a unit test cannot afford. So the bench doubles as a correctness
+//! smoke on the real shapes of every class, the small micro, GEMV and
+//! narrow ones included.
 //!
 //! The four paths are timed round-robin: each repetition runs every path's
 //! calls in turn, so host clock drift hits them alike. Each path records the
-//! median, minimum and maximum seconds per call over the repetitions.
+//! median, minimum and maximum seconds per call over the repetitions. At the
+//! AVX2+FMA level a fifth path, a 12-chain FMA loop, runs in the same rounds,
+//! and each shape records its `in_place` rate as a fraction of that loop's
+//! (`in_place_peak_frac`; the config carries `host_fma_gflops`). Gflop/s from
+//! runs in different host phases do not compare; fractions of a peak
+//! measured in the same rounds do. The scalar and NEON levels run no FMA
+//! chains, so they record no peak.
 //!
 //! Results go to `BENCH_gemm.json` at the workspace root. This bench sits
 //! below the end-to-end numbers of the repo benchmark: it isolates the
 //! kernel layer, so a dispatch regression is attributable before it smears
 //! into `op_s`.
 //!
-//! **Quick mode** (`--quick` argument): the same shapes and the same
-//! correctness checks, one short repetition each, no JSON refresh. CI runs
+//! **Quick mode** (`--quick` argument): the same correctness checks on
+//! every shape, one short timed repetition each, no JSON refresh. CI runs
 //! it in both the SIMD and the forced-scalar job; it has no timing
 //! threshold.
 
@@ -56,6 +63,7 @@ use qtn_tensor::{
 use qtnsim_core::json::{array, JsonObject};
 use qtnsim_core::{plan_simulation, PlannerConfig, SimulationPlan};
 use std::collections::HashMap;
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Timed repetitions per measurement (median, min and max are reported).
@@ -66,8 +74,12 @@ const PATHS: [&str; 4] = ["reference", "scalar", "dense", "in_place"];
 /// micro shapes are measured over many calls, not one unmeasurable call.
 const FLOPS_PER_REP: u64 = 1 << 26;
 /// At most this many distinct shapes are timed per plan (descending
-/// flops-per-sweep order, so the dominant shapes always make the cut).
+/// flops-per-sweep order, so the dominant shapes always make the cut);
+/// every shape is checked.
 const MAX_SHAPES: usize = 16;
+/// Independent accumulators of the FMA peak loop: enough to cover the
+/// multiply-add latency on two ports.
+const FMA_CHAINS: usize = 12;
 
 /// A mirrored workload: its name in the repo benchmark, the RQC grid, and
 /// the planner's target rank (seed 5, 12 cycles for both).
@@ -232,6 +244,43 @@ fn check_shape(step: &Step, auto_plan: KernelPlan, left: &[Complex64], right: &[
     );
 }
 
+/// `rounds` rounds of one fused multiply-add on each of [`FMA_CHAINS`]
+/// four-lane accumulators: `8 * FMA_CHAINS` flops a round.
+///
+/// # Safety
+/// Requires AVX2+FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn fma_rounds_avx2(rounds: u64) {
+    use std::arch::x86_64::{_mm256_fmadd_pd, _mm256_set1_pd};
+    let (scale, shift) = (_mm256_set1_pd(black_box(0.999_999)), _mm256_set1_pd(black_box(1e-6)));
+    let mut acc = [_mm256_set1_pd(1.0); FMA_CHAINS];
+    for _ in 0..rounds {
+        for x in &mut acc {
+            *x = _mm256_fmadd_pd(*x, scale, shift);
+        }
+    }
+    black_box(acc);
+}
+
+/// The FMA peak loop as a call doing about `flops` flops: the roofline every
+/// shape's rate is read against. Only at the AVX2+FMA level: the scalar and
+/// NEON kernels issue no FMA chains, so no such peak bounds them.
+#[cfg(target_arch = "x86_64")]
+fn fma_peak_call(level: SimdLevel, flops: u64) -> Option<impl Fn(&mut [Complex64])> {
+    let rounds = flops.div_ceil(8 * FMA_CHAINS as u64);
+    // SAFETY: the level is `Avx2Fma` only after the runtime probe found
+    // AVX2 and FMA.
+    (level == SimdLevel::Avx2Fma)
+        .then_some(move |_: &mut [Complex64]| unsafe { fma_rounds_avx2(rounds) })
+}
+
+/// No AVX2+FMA level off x86_64, so no FMA peak loop.
+#[cfg(not(target_arch = "x86_64"))]
+fn fma_peak_call(_: SimdLevel, _: u64) -> Option<fn(&mut [Complex64])> {
+    None
+}
+
 /// One timed path: a call that writes its result into the shared output.
 type Path<'a> = &'a dyn Fn(&mut [Complex64]);
 
@@ -276,9 +325,10 @@ fn time_round_robin(
         .collect()
 }
 
-/// Check every timed shape of `workload`, time it, and return one JSON
-/// record per shape plus the plan's config record.
-fn run(workload: &Workload, reps: usize, flops_per_rep: u64) -> (Vec<String>, String) {
+/// Check every stem shape of `workload`, time the top [`MAX_SHAPES`], and
+/// return one JSON record per timed shape, the FMA loop's Gflop/s per timed
+/// shape, and the plan's config record.
+fn run(workload: &Workload, reps: usize, flops_per_rep: u64) -> (Vec<String>, Vec<f64>, String) {
     let plan = plan(workload);
     let steps = stem_steps(&plan);
     assert!(!steps.is_empty(), "the plan must have a stem");
@@ -292,51 +342,62 @@ fn run(workload: &Workload, reps: usize, flops_per_rep: u64) -> (Vec<String>, St
     shapes.sort_by_key(|&((m, n, k), (count, _))| {
         (std::cmp::Reverse(gemm_flops(m, n, k) * count), m, n, k)
     });
-    let shapes_total = shapes.len();
-    shapes.truncate(MAX_SHAPES);
-    if shapes_total > shapes.len() {
-        eprintln!(
-            "gemm/{}: timing top {} of {shapes_total} stem shapes",
-            workload.name,
-            shapes.len()
+    let level = simd_level();
+    for &((m, n, k), (_, step)) in &shapes {
+        let auto_plan = KernelPlan::select_with_level(m, n, k, level);
+        check_shape(
+            step,
+            auto_plan,
+            &deterministic_matrix(m * k, 1),
+            &deterministic_matrix(k * n, 2),
         );
     }
+    let shapes_total = shapes.len();
+    shapes.truncate(MAX_SHAPES);
+    eprintln!(
+        "gemm/{}: checked all {shapes_total} stem shapes, timing the top {}",
+        workload.name,
+        shapes.len()
+    );
 
-    let level = simd_level();
-    let mut records = Vec::new();
+    let (mut records, mut peaks) = (Vec::new(), Vec::new());
     for &((m, n, k), (count, step)) in &shapes {
         let left = deterministic_matrix(m * k, 1);
         let right = deterministic_matrix(k * n, 2);
         let mut out = vec![Complex64::ZERO; m * n];
         let auto_plan = KernelPlan::select_with_level(m, n, k, level);
-        check_shape(step, auto_plan, &left, &right);
 
         let flops = gemm_flops(m, n, k).max(1);
         let iters = (flops_per_rep / flops).clamp(1, 4_000_000) as usize;
         let scalar_plan = KernelPlan::select_with_level(m, n, k, SimdLevel::Scalar);
-        let timings = time_round_robin(
-            reps,
-            iters,
-            &[
-                &|out| gemm_reference(&left, &right, out, m, n, k),
-                &|out| scalar_plan.apply(&left, &right, out, m, n, k),
-                &|out| auto_plan.apply(&left, &right, out, m, n, k),
-                &|out| step.kernel.contract(&left, &right, out),
-            ],
-            &mut out,
-        );
+        let kernels: [Path<'_>; 4] = [
+            &|out| gemm_reference(&left, &right, out, m, n, k),
+            &|out| scalar_plan.apply(&left, &right, out, m, n, k),
+            &|out| auto_plan.apply(&left, &right, out, m, n, k),
+            &|out| step.kernel.contract(&left, &right, out),
+        ];
+        let peak_call = fma_peak_call(level, flops);
+        let peak_path = peak_call.as_ref().map(|call| call as Path<'_>);
+        let paths: Vec<Path<'_>> = kernels.into_iter().chain(peak_path).collect();
+        let timings = time_round_robin(reps, iters, &paths, &mut out);
 
         let gflops = |seconds: f64| flops as f64 / seconds / 1e9;
         let path = format!("{:?}", auto_plan.taken::<Complex64>());
+        let in_place = gflops(timings[3].median);
+        let peak = timings.get(4).map(|timing| gflops(timing.median));
         eprintln!(
             "gemm/{}/{m}x{n}x{k} (x{count} per sweep, {iters} iters) [{path}]: reference {:.2}, \
-             scalar {:.2}, dense {:.2}, in place {:.2} Gflop/s",
+             scalar {:.2}, dense {:.2}, in place {:.2} Gflop/s{}",
             workload.name,
             gflops(timings[0].median),
             gflops(timings[1].median),
             gflops(timings[2].median),
-            gflops(timings[3].median),
+            in_place,
+            peak.map_or(String::new(), |peak| {
+                format!(" ({:.0}% of the {peak:.1} FMA peak)", 100.0 * in_place / peak)
+            }),
         );
+        peaks.extend(peak);
         let mut o = JsonObject::new();
         o.field_str("plan", workload.name)
             .field_usize("m", m)
@@ -352,6 +413,9 @@ fn run(workload: &Workload, reps: usize, flops_per_rep: u64) -> (Vec<String>, St
                 .field_f64(&format!("{name}_max_seconds_per_call"), timing.max)
                 .field_f64(&format!("{name}_gflops"), gflops(timing.median));
         }
+        if let Some(peak) = peak {
+            o.field_f64("fma_gflops", peak).field_f64("in_place_peak_frac", in_place / peak);
+        }
         records.push(o.finish());
     }
 
@@ -364,22 +428,22 @@ fn run(workload: &Workload, reps: usize, flops_per_rep: u64) -> (Vec<String>, St
         .field_usize("stem_steps", steps.len())
         .field_usize("shapes_total", shapes_total)
         .field_usize("shapes_timed", shapes.len());
-    (records, config.finish())
+    (records, peaks, config.finish())
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (reps, flops_per_rep) = if quick { (1, 1 << 20) } else { (REPS, FLOPS_PER_REP) };
-    let (mut records, mut plans) = (Vec::new(), Vec::new());
+    let (mut records, mut peaks, mut plans) = (Vec::new(), Vec::new(), Vec::new());
     for workload in &WORKLOADS {
-        let (shape_records, config) = run(workload, reps, flops_per_rep);
+        let (shape_records, shape_peaks, config) = run(workload, reps, flops_per_rep);
         records.extend(shape_records);
+        peaks.extend(shape_peaks);
         plans.push(config);
     }
     if quick {
         eprintln!(
-            "gemm --quick: {} stem shapes match the reference and are bit-identical in place{}",
-            records.len(),
+            "gemm --quick: every stem shape matches the reference and is bit-identical in place{}",
             if simd_level() == SimdLevel::Avx2Fma {
                 "; narrow and blocked shapes follow the AVX2 tile's FMA order"
             } else {
@@ -388,11 +452,16 @@ fn main() {
         );
         return;
     }
+    peaks.sort_by(f64::total_cmp);
     let mut config = JsonObject::new();
-    config.field_str("simd_level", simd_level().as_str()).field_raw("plans", &array(plans));
+    config.field_str("simd_level", simd_level().as_str());
+    if let Some(&peak) = peaks.get(peaks.len() / 2) {
+        config.field_f64("host_fma_gflops", peak);
+    }
+    config.field_raw("plans", &array(plans));
     let mut top = JsonObject::new();
     top.field_str("schema", "qtnsim-bench/gemm")
-        .field_u64("version", 4)
+        .field_u64("version", 5)
         .field_raw("config", &config.finish())
         .field_raw("results", &array(records));
     let json = format!("{}\n", top.finish());

@@ -249,17 +249,30 @@ fn plan_shapes_in_place_match_reference_on_permuted_operands() {
     }
 }
 
+/// Single-chunk shapes (`k <= 16`, one `p` chunk) that reach every tile of
+/// the AVX2 sweeps and their remainders: every `k` in `1..=16`, each against
+/// small `m` and `n` (rows in blocks of 6, 4, 2, 1; columns in blocks of 4,
+/// 2, 1), a tall `m = 4099` and a wide `n = 4099` (several 64-column
+/// groups).
+fn single_chunk_shapes() -> Vec<(usize, usize, usize)> {
+    let mut shapes = Vec::new();
+    for k in 1..=16 {
+        shapes.push((k % 13 + 1, 17 - k, k));
+        shapes.push((4099, k % 17 + 1, k));
+        shapes.push((k % 13 + 1, 4099, k));
+    }
+    shapes
+}
+
 /// Remainder tiles of the narrow SIMD kernel — odd `m`, odd `n`, `k` past
-/// one `p` chunk, single rows and columns, `k == 1` — forced onto shapes
-/// selection would classify otherwise.
+/// one `p` chunk, single rows and columns, `k == 1`, and the single-chunk
+/// shapes — forced onto shapes selection would classify otherwise.
 #[test]
 fn narrow_remainder_tiles_conform() {
     let _guard = lock();
-    for (idx, &(m, n, k)) in
-        [(7usize, 5usize, 9usize), (3, 11, 300), (13, 3, 2), (1, 7, 5), (6, 1, 4), (5, 6, 1)]
-            .iter()
-            .enumerate()
-    {
+    let shapes =
+        [(7usize, 5usize, 9usize), (3, 11, 300), (13, 3, 2), (1, 7, 5), (6, 1, 4), (5, 6, 1)];
+    for (idx, &(m, n, k)) in shapes.iter().chain(&single_chunk_shapes()).enumerate() {
         for level in levels() {
             let plan = KernelPlan::forced(DispatchClass::Narrow, level);
             apply_vs_reference_c64(plan, m, n, k, 0xA11 + idx as u64);
@@ -302,9 +315,36 @@ fn assert_same_bits(got: &[Complex64], want: &[Complex64], what: &str) {
     }
 }
 
+/// Every `(m, n, k)` with `m` in `1..=13` and `n` in `1..=17`, then a tall
+/// `m = 4099` and a wide `n = 4099` against other dimensions that reach
+/// every row and column remainder, each at every `k` in `1..=16`: each tile
+/// of the sweeps, packed and built, long sweeps and several column groups
+/// included.
+fn single_chunk_grid() -> impl Iterator<Item = (usize, usize, usize)> {
+    let small = (1..=13).flat_map(|m| (1..=17).map(move |n| (m, n)));
+    let tall = [1, 2, 3, 4, 5, 6, 7, 16, 17].map(|n| (4099, n));
+    let wide = [1, 2, 3, 4, 5, 8, 13].map(|m| (m, 4099));
+    small.chain(tall).chain(wide).flat_map(|(m, n)| (1..=16).map(move |k| (m, n, k)))
+}
+
+/// Single-chunk narrow power-of-two shapes, read in place: tall and wide,
+/// every `k` the tables can express.
+fn single_chunk_tables() -> impl Iterator<Item = (usize, usize, usize)> {
+    let shapes = [2, 4, 8, 16, 4096].into_iter().flat_map(|m| {
+        [2, 4, 8, 16].into_iter().map(move |n| (m, n)).chain((m <= 16).then_some((m, 4096)))
+    });
+    shapes.flat_map(|(m, n)| [1, 2, 4, 8, 16].into_iter().map(move |k| (m, n, k))).filter(
+        |&(m, n, k)| {
+            KernelPlan::select_with_level(m, n, k, SimdLevel::Scalar).class()
+                == DispatchClass::Narrow
+        },
+    )
+}
+
 /// Every AVX2 GEMM — narrow and blocked, auto-selected and forced — equals
 /// the tile's scalar FMA model bit for bit: tall, wide, deep and blocked
-/// shapes, odd remainders, `k` across several `p` chunks, several column
+/// shapes, odd remainders, every tile and remainder of the sweeps at every
+/// `k <= 16`, `k` across several `p` chunks, several column
 /// groups, dense operands and offset tables with each operand's unit-stride
 /// axis free and contracted, accumulating into a dirty `C` and overwriting
 /// a NaN-filled one.
@@ -358,7 +398,18 @@ fn avx2_gemm_follows_its_scalar_fma_model() {
             assert_same_bits(&got, &want, &format!("dense ({m},{n},{k}) {:?}", plan.class()));
         }
     }
-    for &(m, n, k) in &[
+    // The single-chunk grid runs one plan: both of the tile's classes call
+    // the same entry, which picks packed or built tiles by shape.
+    for (m, n, k) in single_chunk_grid() {
+        let a = random_c64(&mut rng, m * k);
+        let b = random_c64(&mut rng, k * n);
+        let mut want = random_c64(&mut rng, m * n);
+        let mut got = want.clone();
+        avx2_fma_model(&a, &b, &mut want, (m, n, k), false);
+        KernelPlan::forced(DispatchClass::Narrow, level).apply(&a, &b, &mut got, m, n, k);
+        assert_same_bits(&got, &want, &format!("dense ({m},{n},{k}) single chunk"));
+    }
+    let in_place = [
         (64, 4, 4),
         (4, 64, 4),
         (16, 64, 4),
@@ -368,7 +419,8 @@ fn avx2_gemm_follows_its_scalar_fma_model() {
         (2, 8, 256),
         (32, 128, 256),
         (64, 32, 32),
-    ] {
+    ];
+    for (m, n, k) in in_place.into_iter().chain(single_chunk_tables()) {
         let bits = |d: usize| d.trailing_zeros();
         let left_free: Vec<IndexId> = (0..bits(m)).collect();
         let contracted: Vec<IndexId> = (100..100 + bits(k)).collect();

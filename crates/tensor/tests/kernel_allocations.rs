@@ -2,7 +2,8 @@
 //!
 //! The executor's steady state is allocation-free, and the pool tests only
 //! see pool buffers. The kernels' own thread-local scratch — the AVX2 tile's
-//! packed-`B` panel and the portable blocked path's `PackArena` — grows on a
+//! packed-`B` panel (its offsets live on the stack) and the portable blocked
+//! path's `PackArena` — grows on a
 //! thread's first call of a shape and must never allocate again. A counting
 //! global allocator, counted on the calling thread, checks that after one
 //! warm-up call per shape, at the probed level and at `Scalar`.
@@ -61,10 +62,11 @@ fn allocations(f: impl FnOnce()) -> usize {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-/// A micro, a GEMV, a narrow `m <= 8`, a narrow `m > 8` and a blocked
-/// (`n > 16`, `k > 128`) shape, as `(m, n, k)`.
-const SHAPES: [(usize, usize, usize); 5] =
-    [(2, 2, 4), (1, 64, 128), (8, 4, 512), (64, 4, 8), (32, 64, 256)];
+/// A micro, a GEMV, a deep narrow `m <= 8`, a narrow `m > 8`, a blocked
+/// (`n > 16`, `k > 128`), and a tall and a wide single-chunk narrow shape,
+/// as `(m, n, k)`.
+const SHAPES: [(usize, usize, usize); 7] =
+    [(2, 2, 4), (1, 64, 128), (8, 4, 512), (64, 4, 8), (32, 64, 256), (4096, 4, 4), (4, 4096, 4)];
 
 #[test]
 fn warm_kernels_allocate_nothing() {
