@@ -46,7 +46,7 @@
 //! ```
 
 use crate::error::Error;
-use crate::executor::{execute, BranchSeed, ExecutionStats, ExecutorConfig, WorkerPool};
+use crate::executor::{execute, BranchStore, ExecutionStats, ExecutorConfig, WorkerPool};
 use crate::planner::{plan_simulation, PlannerConfig, SimulationPlan};
 use crate::sampling::sample_bitstrings;
 use qtn_circuit::{Circuit, OutputSpec, ParamSlot};
@@ -581,7 +581,7 @@ impl CompiledCircuit {
     /// of paying the full planning pipeline per angle.
     ///
     /// Each `(slot, value)` update regenerates the slot's gate-leaf tensor
-    /// in place (shape-preserving, so the memoized stem compile and the
+    /// in place (shape-preserving, so the compiled program and the
     /// buffer pools survive untouched) and the plan-lifetime branch cache
     /// is invalidated **cone-scoped**: only the cached entries whose
     /// subtree contains a rebound leaf are dropped and rebuilt by the next
@@ -633,52 +633,41 @@ impl CompiledCircuit {
         let words = ordinal_words(masks.num_leaves(), &touched);
         let in_cone = |root: usize| masks.intersects(root, &words);
 
-        // Stage the survivors on the clone: from the built cache when one
-        // exists, else from the seed an earlier (not yet executed) rebind
-        // staged — stacked rebinds accumulate their accounting.
-        let mut seed = BranchSeed::default();
-        match self.plan.branch_cache.get() {
-            Some(Ok(cache)) => {
-                for &root in plan.classification.branch_keep() {
-                    if in_cone(root) {
-                        seed.entries_invalidated += 1;
-                        continue;
-                    }
-                    let tensor = cache.tensor(root).ok_or_else(|| {
-                        Error::Internal(format!("branch root {root} missing from cache"))
-                    })?;
-                    let (flops, contractions) = cache.entry_cost(root).unwrap_or((0, 0));
-                    seed.surviving.insert(root, (tensor.clone(), flops, contractions));
+        // Carry the entries outside the cone to the clone: from the built
+        // store when one exists, else from what an earlier (not yet
+        // executed) rebind carried — stacked rebinds accumulate their
+        // accounting.
+        let (prior, mut carried) = match (self.plan.branch.get(), self.plan.carried.as_deref()) {
+            (Some(Ok(store)), _) => (Some(&**store), BranchStore::default()),
+            (_, prior) => (prior, prior.map(BranchStore::accounting).unwrap_or_default()),
+        };
+        carried.params_rebound += updates.len() as u64;
+        carried.entries = vec![None; plan.tree.nodes().len()];
+        if let Some(prior) = prior {
+            for &root in plan.classification.branch_keep() {
+                match &prior.entries[root] {
+                    Some(_) if in_cone(root) => carried.entries_invalidated += 1,
+                    entry => carried.entries[root] = entry.clone(),
                 }
-                seed.params_rebound = updates.len() as u64;
-            }
-            _ => {
-                if let Some(prior) = &self.plan.branch_seed {
-                    seed.entries_invalidated = prior.entries_invalidated;
-                    seed.params_rebound = prior.params_rebound;
-                    for (&root, entry) in &prior.surviving {
-                        if in_cone(root) {
-                            seed.entries_invalidated += 1;
-                        } else {
-                            seed.surviving.insert(root, entry.clone());
-                        }
-                    }
-                }
-                seed.params_rebound += updates.len() as u64;
             }
         }
-        plan.branch_cache = Arc::new(OnceLock::new());
-        plan.branch_seed = Some(Arc::new(seed));
+        plan.branch = Arc::new(OnceLock::new());
+        plan.carried = Some(Arc::new(carried));
         self.plan = Arc::new(plan);
         Ok(())
     }
 
-    /// Check every bitstring at the API boundary, then execute the batch:
-    /// one result per bitstring, in order.
+    /// Check the compiled shape against the `requested` one and every
+    /// bitstring at the API boundary, then execute the batch: one result
+    /// per bitstring, in order.
     fn run(
         &self,
+        requested: &'static str,
         bitstrings: &[&[u8]],
     ) -> Result<(Vec<DenseTensor<Complex64>>, ExecutionReport), Error> {
+        if self.shape.name() != requested {
+            return Err(Error::OutputShapeMismatch { compiled: self.shape.name(), requested });
+        }
         let open: &[usize] = match &self.shape {
             OutputShape::Amplitude => &[],
             OutputShape::Open(open) => open,
@@ -686,19 +675,12 @@ impl CompiledCircuit {
         for bits in bitstrings {
             check_bits(bits, self.num_qubits, open)?;
         }
-        let branch_cache_hit = self.plan.branch_cache_built();
+        let branch_cache_hit = self.plan.branch_built();
         let (results, stats) = execute(&self.pool, &self.plan, bitstrings, &self.executor)?;
         Ok((
             results,
             ExecutionReport { stats, plan_cache_hit: self.plan_cache_hit, branch_cache_hit },
         ))
-    }
-
-    /// [`run`](Self::run) for a batch of one.
-    fn run_one(&self, bits: &[u8]) -> Result<(DenseTensor<Complex64>, ExecutionReport), Error> {
-        let (mut results, report) = self.run(&[bits])?;
-        let result = results.pop().ok_or_else(|| Error::Internal("missing result".into()))?;
-        Ok((result, report))
     }
 
     /// Compute the amplitude ⟨bits|C|0…0⟩. Requires an
@@ -719,14 +701,8 @@ impl CompiledCircuit {
     /// # Ok::<(), qtnsim_core::Error>(())
     /// ```
     pub fn execute_amplitude(&self, bits: &[u8]) -> Result<(Complex64, ExecutionReport), Error> {
-        if self.shape != OutputShape::Amplitude {
-            return Err(Error::OutputShapeMismatch {
-                compiled: self.shape.name(),
-                requested: "amplitude",
-            });
-        }
-        let (result, report) = self.run_one(bits)?;
-        Ok((result.scalar_value(), report))
+        let (results, report) = self.run("amplitude", &[bits])?;
+        Ok((results[0].scalar_value(), report))
     }
 
     /// Compute the amplitudes ⟨bits|C|0…0⟩ of a whole batch of bitstrings
@@ -762,13 +738,7 @@ impl CompiledCircuit {
         &self,
         bitstrings: &[&[u8]],
     ) -> Result<(Vec<Complex64>, ExecutionReport), Error> {
-        if self.shape != OutputShape::Amplitude {
-            return Err(Error::OutputShapeMismatch {
-                compiled: self.shape.name(),
-                requested: "amplitude",
-            });
-        }
-        let (results, report) = self.run(bitstrings)?;
+        let (results, report) = self.run("amplitude", bitstrings)?;
         Ok((results.iter().map(DenseTensor::scalar_value).collect(), report))
     }
 
@@ -794,18 +764,12 @@ impl CompiledCircuit {
         &self,
         fixed: &[u8],
     ) -> Result<(DenseTensor<Complex64>, ExecutionReport), Error> {
-        if !matches!(self.shape, OutputShape::Open(_)) {
-            return Err(Error::OutputShapeMismatch {
-                compiled: self.shape.name(),
-                requested: "open-batch",
-            });
-        }
-        let (result, report) = self.run_one(fixed)?;
+        let (results, report) = self.run("open-batch", &[fixed])?;
         // Order axes by qubit id.
         let mut pairs = self.plan.build.open_indices.clone();
         pairs.sort_by_key(|&(q, _)| q);
         let order: IndexSet = pairs.iter().map(|&(_, id)| id).collect();
-        Ok((qtn_tensor::permute::permute_to_order(&result, &order), report))
+        Ok((qtn_tensor::permute::permute_to_order(&results[0], &order), report))
     }
 
     /// Draw `count` correlated samples of the compiled open qubits from the

@@ -1,21 +1,16 @@
-//! Cross-bitstring deduplication: dependent-bits keys, the batch's key
-//! tables, and the compiled frontier program that runs on them.
+//! Cross-bitstring deduplication: dependent-bits keys and the batch's key
+//! tables.
 //!
 //! A projector-dependent tensor depends only on the output bits of the
 //! projector qubits inside its own subtree, so with a batch of B bitstrings
 //! a node has at most `min(B, 2^|qubits in subtree|)` distinct values. The
 //! [`BatchKeys`] tables intern every bitstring's dependent bits per node
-//! once; the frontier program contracts each Frontier node once per distinct
-//! key, and the stem interpreter's keyed loop recomputes a StemMixed node
-//! only when its key changes. A batch of one has a single value everywhere,
-//! so it builds no table at all.
+//! once; the program's frontier run contracts each Frontier node once per
+//! distinct key, and the stem interpreter's keyed loop recomputes a
+//! StemMixed node only when its key changes. A batch of one has a single
+//! value everywhere, so it builds no table at all.
 
-use super::branch::BranchCache;
-use super::stats::GemmTally;
-use super::LeafSource;
-use crate::error::Error;
 use crate::planner::SimulationPlan;
-use qtn_tensor::{Complex64, ContractionKernel, DenseTensor, IndexSet};
 use qtn_tensornet::NodeClass;
 use std::collections::HashMap;
 
@@ -104,7 +99,7 @@ impl BatchKeys {
     }
 
     /// Distinct keys the batch presents at `node` (1 for an unkeyed node).
-    fn distinct(&self, node: usize) -> usize {
+    pub(super) fn distinct(&self, node: usize) -> usize {
         self.nodes.get(node).and_then(Option::as_ref).map_or(1, |keys| keys.distinct as usize)
     }
 
@@ -232,214 +227,6 @@ fn mixed_sort_priority(plan: &SimulationPlan) -> Vec<usize> {
         }
     }
     priority
-}
-
-/// What the frontier phase of one execution executed.
-#[derive(Debug, Default, Clone, Copy)]
-pub(super) struct PhaseBill {
-    pub(super) flops: u64,
-    pub(super) contractions: u64,
-    pub(super) gemm: GemmTally,
-    /// Flops of one bitstring's *undeduplicated* frontier build — what a
-    /// full replay pays per bitstring in every subtask. Equals `flops` for
-    /// a batch of one.
-    pub(super) flops_per_bitstring: u64,
-}
-
-/// Where a compiled frontier contraction reads an operand, resolved when
-/// the program is compiled.
-#[derive(Debug, Clone, Copy)]
-enum FrontierOperand {
-    /// A frontier leaf, read in place.
-    Leaf(LeafSource),
-    /// An earlier frontier contraction's output at this tree node.
-    Seed(usize),
-    /// The plan-lifetime branch-cache entry at this tree node.
-    Branch(usize),
-}
-
-/// One frontier contraction, compiled from the operand axis orders the
-/// execution presents.
-#[derive(Debug)]
-struct FrontierStep {
-    left: FrontierOperand,
-    right: FrontierOperand,
-    out: usize,
-    kernel: ContractionKernel,
-}
-
-/// The compiled frontier: one [`ContractionKernel`] per
-/// `frontier_schedule` step, plus the frontier leaves the stem reads
-/// directly. Like the stem program it depends only on index sets, so it is
-/// compiled once per plan and memoized beside it.
-///
-/// Every frontier tensor of an execution — one per node and distinct key —
-/// lives in one arena allocated per execution, never in a stem
-/// [`crate::BufferPool`], so the pool's measured peak stays the stem's.
-#[derive(Debug)]
-pub(crate) struct FrontierExec {
-    steps: Vec<FrontierStep>,
-    /// `(tree node, source)` of each frontier leaf the stem replay (or an
-    /// unsliced result) reads directly: its data is copied into the arena
-    /// so every seed has one home.
-    leaf_seeds: Vec<(usize, LeafSource)>,
-    /// Per tree node, the index set of its arena tensor (`None` off the
-    /// arena).
-    indices: Vec<Option<IndexSet>>,
-}
-
-/// Compile the frontier for the axis orders of the plan's leaves and the
-/// branch cache.
-pub(super) fn build_frontier_exec(
-    plan: &SimulationPlan,
-    cache: &BranchCache,
-) -> Result<FrontierExec, Error> {
-    let cls = &plan.classification;
-    let leaf_indices = |vertex: usize| plan.build.nodes[vertex].data.indices();
-    let mut exec = FrontierExec {
-        steps: Vec::with_capacity(cls.frontier_schedule().len()),
-        leaf_seeds: Vec::new(),
-        indices: vec![None; plan.tree.nodes().len()],
-    };
-    for &node in cls.stem_seeds() {
-        if let (NodeClass::Frontier, Some(vertex)) =
-            (cls.class(node), plan.tree.node(node).leaf_vertex)
-        {
-            exec.leaf_seeds.push((node, LeafSource::of(plan, vertex)));
-            exec.indices[node] = Some(leaf_indices(vertex).clone());
-        }
-    }
-    for &(l, r, out) in cls.frontier_schedule() {
-        let operand = |id: usize| match (cls.class(id), plan.tree.node(id).leaf_vertex) {
-            (NodeClass::Frontier, Some(vertex)) => {
-                Ok((FrontierOperand::Leaf(LeafSource::of(plan, vertex)), leaf_indices(vertex)))
-            }
-            (NodeClass::Frontier, None) => exec.indices[id]
-                .as_ref()
-                .map(|indices| (FrontierOperand::Seed(id), indices))
-                .ok_or_else(|| Error::Internal(format!("frontier operand {id} not yet computed"))),
-            _ => cache
-                .tensor(id)
-                .map(|t| (FrontierOperand::Branch(id), t.indices()))
-                .ok_or_else(|| Error::Internal(format!("frontier operand {id} missing"))),
-        };
-        let ((left, left_indices), (right, right_indices)) = (operand(l)?, operand(r)?);
-        let kernel = ContractionKernel::new(left_indices, right_indices);
-        exec.indices[out] = Some(kernel.output().clone());
-        exec.steps.push(FrontierStep { left, right, out, kernel });
-    }
-    Ok(exec)
-}
-
-/// Visit every bitstring that presents a key not seen earlier in the batch
-/// at `node`, with that key. Key ids are interned in submission order, so
-/// a bitstring carries a new key exactly when its id is the next unused one.
-fn for_each_new_key(
-    keys: &BatchKeys,
-    node: usize,
-    batch: usize,
-    mut visit: impl FnMut(usize, usize) -> Result<(), Error>,
-) -> Result<(), Error> {
-    let mut next = 0;
-    for b in 0..batch {
-        let key = keys.id(node, b) as usize;
-        if key == next {
-            next += 1;
-            visit(b, key)?;
-        }
-    }
-    Ok(())
-}
-
-impl FrontierExec {
-    /// Index set of the frontier tensor at `node`, if it lives in the arena.
-    pub(super) fn indices(&self, node: usize) -> Option<&IndexSet> {
-        self.indices.get(node)?.as_ref()
-    }
-
-    /// Build the batch's frontier seeds: each step contracts once per
-    /// *distinct key* instead of once per bitstring, into the execution's
-    /// arena. Deduplication reuses tensors computed by the exact same
-    /// kernels a per-bitstring build would run, so results stay
-    /// bit-identical. Returns the seeds plus the frontier work executed.
-    pub(super) fn run(
-        &self,
-        plan: &SimulationPlan,
-        cache: &BranchCache,
-        keys: &BatchKeys,
-        bitstrings: &[&[u8]],
-    ) -> Result<(FrontierSeeds, PhaseBill), Error> {
-        let batch = bitstrings.len();
-        // Lay the arena out in program order (leaf seeds, then steps), so
-        // every operand a step reads lies below the step's own output.
-        let mut spans = vec![(0, 0); self.indices.len()];
-        let mut total = 0;
-        let nodes = self.leaf_seeds.iter().map(|&(node, _)| node);
-        for node in nodes.chain(self.steps.iter().map(|s| s.out)) {
-            let len = self.indices[node].as_ref().map_or(0, IndexSet::len);
-            spans[node] = (total, len);
-            total += len * keys.distinct(node);
-        }
-        let mut arena = vec![Complex64::ZERO; total];
-
-        for &(node, source) in &self.leaf_seeds {
-            let (start, len) = spans[node];
-            for_each_new_key(keys, node, batch, |b, key| {
-                arena[start + key * len..][..len].copy_from_slice(source.data(plan, bitstrings[b]));
-                Ok(())
-            })?;
-        }
-        let mut bill = PhaseBill::default();
-        for step in &self.steps {
-            let (start, len) = spans[step.out];
-            let (done, outputs) = arena.split_at_mut(start);
-            for_each_new_key(keys, step.out, batch, |b, key| {
-                let operand = |op: FrontierOperand| match op {
-                    FrontierOperand::Leaf(source) => Ok(source.data(plan, bitstrings[b])),
-                    FrontierOperand::Seed(node) => {
-                        let (start, len) = spans[node];
-                        Ok(&done[start + keys.id(node, b) as usize * len..][..len])
-                    }
-                    FrontierOperand::Branch(node) => cache
-                        .tensor(node)
-                        .map(DenseTensor::data)
-                        .ok_or_else(|| Error::Internal(format!("frontier operand {node} missing"))),
-                };
-                let out = &mut outputs[key * len..][..len];
-                step.kernel.contract(operand(step.left)?, operand(step.right)?, out);
-                let flops = step.kernel.flops();
-                bill.flops += flops;
-                bill.contractions += 1;
-                bill.gemm.record_kernel(&step.kernel);
-                // Bitstring 0 presents a new key everywhere, so it walks
-                // the whole schedule: exactly one undeduplicated build.
-                if b == 0 {
-                    bill.flops_per_bitstring += flops;
-                }
-                Ok(())
-            })?;
-        }
-        Ok((FrontierSeeds { arena, spans }, bill))
-    }
-}
-
-/// The frontier tensors of one execution — projector-dependent,
-/// slice-invariant — in one arena: per tree node a span of one tensor per
-/// key id a bitstring presents there (see [`BatchKeys`]). Branch-origin
-/// stem inputs are *not* copied here: workers read them straight from the
-/// plan's [`BranchCache`].
-pub(super) struct FrontierSeeds {
-    arena: Vec<Complex64>,
-    /// Per tree node: `(start, elements per key)` in the arena.
-    spans: Vec<(usize, usize)>,
-}
-
-impl FrontierSeeds {
-    /// Bitstring `b`'s frontier tensor at `node` (empty off the arena).
-    pub(super) fn get(&self, keys: &BatchKeys, node: usize, b: usize) -> &[Complex64] {
-        let (start, len) = self.spans[node];
-        &self.arena[start + keys.id(node, b) as usize * len..][..len]
-    }
 }
 
 #[cfg(test)]

@@ -6,40 +6,43 @@
 //! dimension) and *stacked* over sliced edges that are open outputs (the
 //! paper's slice-then-stack treatment of the big output tensor).
 //!
-//! ## One driver, one interpreter
+//! ## One program, three lifetimes
 //!
 //! The paper's central observation (§4.2) is that only the *stem* — the
 //! dominant contraction spine — varies across slice assignments. The node
 //! classification computed at plan time (see
-//! [`qtn_tensornet::classify_nodes`]) splits the tree schedule by lifetime:
+//! [`qtn_tensornet::classify_nodes`]) sorts every contraction by its
+//! lifetime, and the plan's one compiled `Program` (`program.rs`) lists
+//! them in three runs, each writing to its lifetime's home:
 //!
-//! 1. **Branch** contractions depend on no sliced edge and no output
-//!    projector. They run **once per plan**, on the first execution, into
-//!    the plan-lifetime [`BranchCache`] shared by every execution (and
-//!    every clone of the plan's `Arc`).
-//! 2. **Frontier** contractions depend on rebindable output projectors but
-//!    on no sliced edge. They run **once per execution** — once per
-//!    *distinct dependent-bits key* when the call carries several
-//!    bitstrings — as the plan's compiled frontier program, into one
-//!    per-execution arena (`batch.rs`).
-//! 3. **Stem** contractions depend on sliced edges. Only these are replayed
-//!    per subtask, by the one interpreter in `stem.rs` running the
-//!    plan's compiled stem program.
+//! 1. **Branch** steps depend on no sliced edge and no output projector.
+//!    They run **once per plan**, on the first reusing execution, into the
+//!    plan-lifetime `BranchStore` shared by every execution and clone of
+//!    the plan. A parameter rebind carries the entries outside its cone
+//!    over, and the next build skips every step those entries own.
+//! 2. **Frontier** steps depend on rebindable output projectors but on no
+//!    sliced edge. They run **once per execution** — once per *distinct
+//!    dependent-bits key* when the call carries several bitstrings
+//!    (`batch.rs`) — into one per-execution arena.
+//! 3. **Stem** steps depend on sliced edges. Only these run per subtask,
+//!    by the interpreter in `stem.rs`, into the worker's pooled slots.
 //!
-//! Both programs are compiled once per plan — one
-//! [`qtn_tensor::ContractionKernel`] per step, every step operand's source
-//! (slot, frontier seed or branch-cache entry) resolved at compile time —
-//! so a warm execution pays for its flops and a small fixed setup.
+//! The program is compiled once per plan from index sets alone — one
+//! [`qtn_tensor::ContractionKernel`] per step, every operand resolved to an
+//! unsliced leaf read in place or a tree node read from its class's home —
+//! so a warm execution pays for its flops and a small fixed setup. The sum
+//! of its static per-class bills, weighted by how often each run executes,
+//! is exactly what an execution reports as [`ExecutionStats::flops`].
 //!
 //! The one entry point, `execute`, takes the output bitstrings
 //! themselves: across bitstrings only the output projectors change, and
-//! each compiled program resolves a projector leaf to its qubit and reads
-//! [`PROJECTOR_DATA`] at the bitstring's bit. A single amplitude is a
-//! batch of one. One routine prepares the caches (`prepare_reuse`), one
-//! helper (`fan_out_and_reduce`) owns worker fan-out (a one-worker sweep
-//! runs on the calling thread), panic containment, buffer-pool
-//! check-out/check-in and the worker-order reduction, and the
-//! interpreter picks its step loop from the batch size it observes:
+//! the program resolves a projector leaf to its qubit and reads
+//! [`qtn_circuit::PROJECTOR_DATA`] at the bitstring's bit. A single
+//! amplitude is a batch of one. One helper (`fan_out_and_reduce`) owns
+//! worker fan-out (a one-worker sweep runs on the calling thread), panic
+//! containment, buffer-pool check-out/check-in and the worker-order
+//! reduction, and the interpreter picks its stem loop from the batch size
+//! it observes:
 //!
 //! | batch | stem loop | predicted by |
 //! |---|---|---|
@@ -68,12 +71,12 @@
 //! *independent oracle*: each bitstring's projector leaves come from
 //! [`qtn_circuit::NetworkBuild::rebind_output`], every subtask slices every
 //! leaf and replays the whole tree through per-call
-//! [`qtn_tensor::contract_pair`], sharing no code with the interpreter
-//! above the tensor layer. It exists so tests and benchmarks have something
-//! to be bit-identical **to**; results agree because every node's tensor
-//! is produced by the same pairwise contractions in the same order on the
+//! [`qtn_tensor::contract_pair`], sharing no code with the program above
+//! the tensor layer. It exists so tests and benchmarks have something to
+//! be bit-identical **to**; results agree because every node's tensor is
+//! produced by the same pairwise contractions in the same order on the
 //! same kernels (`contract_pair` compiles the very
-//! [`qtn_tensor::ContractionKernel`] the stem program holds) — reuse only
+//! [`qtn_tensor::ContractionKernel`] a program step holds) — reuse only
 //! changes how often they run. A batch takes the same driver with reuse
 //! off: each subtask replays the tree once per bitstring, and the
 //! worker-order reduction keeps every result bit-identical to a single
@@ -91,30 +94,29 @@
 //! floating-point summation order never depends on thread scheduling.
 
 mod batch;
-mod branch;
+mod program;
 mod stats;
 mod stem;
 #[cfg(test)]
 mod tests;
 mod worker_pool;
 
-pub use branch::{BranchCache, BranchSeed};
-pub use stats::{ExecutionStats, GemmTally};
-pub(crate) use stem::StemExec;
+pub(crate) use program::{BranchStore, Program};
+pub use stats::ExecutionStats;
 pub use worker_pool::WorkerPool;
 
 use crate::error::Error;
 use crate::planner::SimulationPlan;
 use crate::pool::PoolCounters;
-pub(crate) use batch::FrontierExec;
-use batch::{build_frontier_exec, BatchKeys, FrontierSeeds, PhaseBill};
-use branch::{build_branch_cache, cache_of};
-use qtn_circuit::PROJECTOR_DATA;
+use batch::BatchKeys;
+use program::Homes;
 use qtn_tensor::{contract_pair, Complex64, ContractionSpec, DenseTensor, IndexId, IndexSet};
+use stats::{Bill, Bills, SKIPPED};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
-use stem::{build_stem_exec, BufferSource, StemInputs, StemWorkspace, SweepTally};
+use stem::{BufferSource, StemWorkspace};
 use worker_pool::contain_panic;
 
 /// Executor options.
@@ -154,106 +156,65 @@ impl Default for ExecutorConfig {
     }
 }
 
-/// Where a compiled program reads a leaf's data, resolved at compile time:
-/// the plan's tensor at a network vertex, or the output projector of a
-/// qubit — [`PROJECTOR_DATA`] at the bitstring's bit.
-#[derive(Debug, Clone, Copy)]
-enum LeafSource {
-    Plan(usize),
-    Projector(usize),
-}
-
-impl LeafSource {
-    /// The source of the leaf at network `vertex`.
-    fn of(plan: &SimulationPlan, vertex: usize) -> Self {
-        match plan.build.projector_leaves.iter().find(|&&(_, node)| node == vertex) {
-            Some(&(qubit, _)) => LeafSource::Projector(qubit),
-            None => LeafSource::Plan(vertex),
-        }
-    }
-
-    /// The leaf's data under `bits`, read in place.
-    fn data<'a>(self, plan: &'a SimulationPlan, bits: &[u8]) -> &'a [Complex64] {
-        match self {
-            LeafSource::Plan(vertex) => plan.build.nodes[vertex].data.data(),
-            LeafSource::Projector(qubit) => {
-                let rows: &'static [[Complex64; 2]; 2] = &PROJECTOR_DATA;
-                &rows[usize::from(bits[qubit] & 1)]
-            }
-        }
-    }
-}
-
 /// A batch's bitstrings, copied back to back so every worker of a sweep
 /// can read them.
 struct Bitstrings {
     flat: Vec<u8>,
     count: usize,
+    /// Bits per bitstring.
+    len: usize,
 }
 
 impl Bitstrings {
     fn new(bitstrings: &[&[u8]]) -> Self {
-        Self { flat: bitstrings.concat(), count: bitstrings.len() }
+        let len = bitstrings.first().map_or(0, |bits| bits.len());
+        Self { flat: bitstrings.concat(), count: bitstrings.len(), len }
     }
 
     /// Bitstring `b`.
     fn get(&self, b: usize) -> &[u8] {
-        let len = self.flat.len() / self.count;
-        &self.flat[b * len..][..len]
+        &self.flat[b * self.len..][..self.len]
     }
 }
 
-/// The cache phases of one reusing execution, whatever its batch size.
+/// A reusing execution's program and branch store, its batch, key tables
+/// and frontier tensors.
 struct ReuseState {
-    /// The batch's bitstrings.
+    program: Arc<Program>,
+    store: Arc<BranchStore>,
     bits: Bitstrings,
-    /// This execution's frontier tensors, per node and dependent-bits key.
-    seeds: FrontierSeeds,
-    /// The plan's compiled stem program.
-    exec: Arc<StemExec>,
-    /// The batch's dependent-bits key tables (trivial for a batch of one).
     keys: BatchKeys,
-    /// Whether *this* call ran the plan-lifetime branch-cache build, and so
-    /// is the one that reports its work and rebind accounting.
-    built_cache: bool,
-    /// Frontier work this call executed (deduplicated across the batch).
-    frontier: PhaseBill,
+    /// The frontier arena and each node's `(start, elements per key)` span.
+    arena: Vec<Complex64>,
+    spans: Vec<(usize, usize)>,
+    /// What the frontier run executed (deduplicated across the batch).
+    frontier: Bill,
 }
 
-/// Build the branch cache (first execution only) and this execution's
-/// frontier seeds, and fetch — or, once per plan, compile — the frontier
-/// and stem programs.
-fn prepare_reuse(plan: &SimulationPlan, bitstrings: &[&[u8]]) -> Result<ReuseState, Error> {
-    // `OnceLock::get_or_init` blocks concurrent initializers, so even racing
-    // first executions run the (potentially dominant-cost) build exactly
-    // once — the thread that runs the closure accounts for the branch work.
-    let mut built_cache = false;
-    let cache = plan
-        .branch_cache
-        .get_or_init(|| {
-            built_cache = true;
-            build_branch_cache(plan)
-        })
-        .as_ref()
-        .map_err(Clone::clone)?;
+impl ReuseState {
+    /// Where the steps of this execution read their operands.
+    fn homes<'a>(&'a self, plan: &'a SimulationPlan) -> Homes<'a> {
+        let (branch, frontier, spans) = (&self.store.entries[..], &self.arena[..], &self.spans[..]);
+        Homes { plan, branch, frontier, spans, keys: &self.keys, bits: &self.bits }
+    }
+}
 
-    let frontier_exec = plan
-        .frontier_exec
-        .get_or_init(|| build_frontier_exec(plan, cache).map(Arc::new))
-        .clone()?;
+/// Compile the plan's program and build its branch store, each once per
+/// plan, then run this execution's frontier. `OnceLock::get_or_init`
+/// blocks concurrent initializers, so even racing first executions compile
+/// and build exactly once.
+fn prepare_reuse(plan: &SimulationPlan, bitstrings: &[&[u8]]) -> Result<ReuseState, Error> {
+    let program = plan.program.get_or_init(|| Program::compile(plan).map(Arc::new)).clone()?;
+    let store = plan.branch.get_or_init(|| program.build_branch(plan).map(Arc::new)).clone()?;
     let keys = BatchKeys::build(plan, bitstrings);
-    let (seeds, frontier) = frontier_exec.run(plan, cache, &keys, bitstrings)?;
-    let exec = plan
-        .stem_exec
-        .get_or_init(|| build_stem_exec(plan, cache, &frontier_exec).map(Arc::new))
-        .clone()?;
     let bits = Bitstrings::new(bitstrings);
-    Ok(ReuseState { bits, seeds, exec, keys, built_cache, frontier })
+    let (arena, spans, frontier) = program.run_frontier(plan, &store, &keys, &bits)?;
+    Ok(ReuseState { program, store, bits, keys, arena, spans, frontier })
 }
 
 /// How a sweep's workers produce each subtask's root tensors.
-enum Program {
-    /// The compiled branch, frontier and stem programs.
+enum Mode {
+    /// The plan's compiled program.
     Reuse(ReuseState),
     /// The full-replay oracle, with each bitstring's projector leaves from
     /// [`qtn_circuit::NetworkBuild::rebind_output`].
@@ -263,7 +224,7 @@ enum Program {
 /// Everything the workers of one execution share.
 struct Sweep {
     plan: Arc<SimulationPlan>,
-    program: Program,
+    mode: Mode,
     /// Bitstrings in the batch: one partial accumulator each.
     batch: usize,
     /// Whether stem buffers come from the plan's persistent pools.
@@ -278,7 +239,7 @@ struct Sweep {
 
 /// One worker's share of a sweep: a partial accumulator per bitstring and
 /// what it executed.
-type WorkerPartial = (Vec<DenseTensor<Complex64>>, SweepTally);
+type WorkerPartial = (Vec<DenseTensor<Complex64>>, Bills);
 
 impl Sweep {
     /// The worker's interpreter workspace, if there is a stem to interpret.
@@ -286,8 +247,8 @@ impl Sweep {
     /// executions, so only the very first execution of a plan pays any
     /// allocation at all.
     fn workspace(&self, worker: usize) -> Option<StemWorkspace> {
-        let Program::Reuse(state) = &self.program else { return None };
-        state.exec.has_stem().then(|| {
+        let Mode::Reuse(state) = &self.mode else { return None };
+        state.program.root_class.is_stem().then(|| {
             let source = if self.pooled {
                 BufferSource::Pool(self.plan.stem_pools.checkout(worker))
             } else {
@@ -306,40 +267,42 @@ impl Sweep {
         let plan = &*self.plan;
         let mut partials: Vec<DenseTensor<Complex64>> =
             (0..self.batch).map(|_| DenseTensor::zeros(self.output_indices.clone())).collect();
-        let mut tally = SweepTally::default();
+        let mut bills = Bills::default();
         let assignments = (worker..self.run_subtasks).step_by(self.workers);
-        match &self.program {
-            Program::Reuse(state) => {
-                let io = StemInputs::new(plan, cache_of(plan)?, state);
+        match &self.mode {
+            Mode::Reuse(state) => {
+                let (program, io) = (&state.program, state.homes(plan));
                 for assignment in assignments {
                     let mut merge = |b: usize, result: &DenseTensor<Complex64>| {
                         self.merge(&mut partials[b], result, assignment)
                     };
                     match ws.as_deref_mut() {
-                        Some(ws) => state.exec.interpret(&io, ws, assignment, &mut tally, merge)?,
+                        Some(ws) => program.interpret(&io, ws, assignment, &mut bills, merge)?,
                         // No contraction depends on the slice assignment
-                        // (empty slicing set): every bitstring's cached
-                        // root tensor *is* its subtask result.
+                        // (empty slicing set): every bitstring's root
+                        // tensor *is* its subtask result.
                         None => {
                             for b in 0..self.batch {
-                                merge(b, &state.exec.cached_root(&io, b)?);
+                                let root = io.read(program.root_operand, &[], b)?.to_vec();
+                                merge(
+                                    b,
+                                    &DenseTensor::from_data(program.root_indices.clone(), root),
+                                );
                             }
                         }
                     }
                 }
             }
-            Program::Replay(projectors) => {
+            Mode::Replay(projectors) => {
                 for assignment in assignments {
                     for (b, projectors) in projectors.iter().enumerate() {
-                        let (result, flops) =
-                            run_subtask(plan, projectors, assignment, &mut tally.gemm)?;
-                        tally.flops += flops;
+                        let result = run_subtask(plan, projectors, assignment, &mut bills)?;
                         self.merge(&mut partials[b], &result, assignment);
                     }
                 }
             }
         }
-        Ok((partials, tally))
+        Ok((partials, bills))
     }
 
     /// Merge a subtask result into the partial accumulator: stack over sliced
@@ -432,16 +395,16 @@ fn fan_out_and_reduce(
         outcomes[worker] = Some(outcome?);
     }
     let mut outcomes = outcomes.into_iter().flatten();
-    let ((mut results, mut tally), mut counters) =
+    let ((mut results, mut bills), mut counters) =
         outcomes.next().ok_or_else(|| Error::Internal("missing worker partial".into()))?;
-    for ((partials, worker_tally), worker_counters) in outcomes {
+    for ((partials, worker_bills), worker_counters) in outcomes {
         for (acc, partial) in results.iter_mut().zip(partials.iter()) {
             acc.accumulate(partial);
         }
-        tally.merge(&worker_tally);
+        bills.iter_mut().zip(&worker_bills).for_each(|(bill, worker)| bill.add(worker));
         counters.merge(&worker_counters);
     }
-    Ok(((results, tally), counters))
+    Ok(((results, bills), counters))
 }
 
 /// The one driver: execute `plan` for every bitstring of the batch,
@@ -451,7 +414,7 @@ fn fan_out_and_reduce(
 /// The bits must already be valid for the plan (one entry per qubit, 0 or
 /// 1 at every projected qubit); [`crate::CompiledCircuit`] checks them at
 /// the API boundary. With [`ExecutorConfig::reuse`] enabled (the default),
-/// branch tensors come from the plan-lifetime [`BranchCache`], frontier
+/// branch tensors come from the plan-lifetime [`BranchStore`], frontier
 /// tensors are contracted once per distinct dependent-bits key, and each
 /// subtask contracts the StemPure prefix once and replays only the keyed
 /// StemMixed suffix per bitstring. Results are **bit-identical** to a loop
@@ -490,15 +453,15 @@ pub(crate) fn execute(
     let workers = config.workers.max(1).min(run_subtasks.max(1));
     let open = plan.network.open_indices();
 
-    let program = if config.reuse {
-        Program::Reuse(prepare_reuse(plan, bitstrings)?)
+    let mode = if config.reuse {
+        Mode::Reuse(prepare_reuse(plan, bitstrings)?)
     } else {
         let rebound = bitstrings.iter().map(|bits| plan.build.rebind_output(bits));
-        Program::Replay(rebound.collect::<Result<_, _>>()?)
+        Mode::Replay(rebound.collect::<Result<_, _>>()?)
     };
     let sweep = Arc::new(Sweep {
         plan: Arc::clone(plan),
-        program,
+        mode,
         batch: bitstrings.len(),
         pooled: config.pool,
         sliced_open: sliced.iter().copied().filter(|e| open.contains(e)).collect(),
@@ -516,17 +479,20 @@ pub(crate) fn execute(
     // `seconds_per_subtask` prices a subtask of the parallel sweep, not an
     // amortized share of the one-off builds.
     let sweep_start = Instant::now();
-    let ((results, tally), pool_counters) = fan_out_and_reduce(pool, &sweep)?;
+    let ((results, bills), pool_counters) = fan_out_and_reduce(pool, &sweep)?;
     let sweep_wall = sweep_start.elapsed().as_secs_f64();
 
     let runs = run_subtasks as u64;
     let stem_phase =
         if batch == 1 { &plan.memory_plan.stem } else { &plan.memory_plan.batched_stem };
+    // The stem sweep's bill, then (with reuse) the frontier's and the branch
+    // build's on top.
+    let mut total = Bill::default();
+    bills[..SKIPPED].iter().for_each(|bill| total.add(bill));
     let mut stats = ExecutionStats {
         subtasks_run: run_subtasks,
         subtasks_total: total_subtasks,
-        flops: tally.flops,
-        stem_flops: tally.flops,
+        stem_flops: total.flops,
         amplitudes_in_batch: batch,
         simd_level: qtn_tensor::simd_level().as_str(),
         buffers_allocated: pool_counters.allocated,
@@ -539,89 +505,73 @@ pub(crate) fn execute(
         workers,
         ..ExecutionStats::default()
     };
-    let mut gemm = tally.gemm;
-    if let Program::Reuse(state) = &sweep.program {
-        let cache = cache_of(plan)?;
-        let cls = &plan.classification;
-        if state.built_cache {
-            stats.branch_flops = cache.flops;
-            stats.branch_contractions = cache.contractions;
-            stats.params_rebound = cache.params_rebound;
-            stats.branch_entries_invalidated = cache.entries_invalidated;
-            stats.branch_flops_survived_rebind = cache.survived_flops;
-            gemm.add(&cache.gemm);
+    if let Mode::Reuse(state) = &sweep.mode {
+        let store = &state.store;
+        // The first successful execution after a build reports it.
+        if store.unreported.swap(false, Ordering::AcqRel) {
+            stats.branch_flops = store.bill.flops;
+            stats.branch_contractions = store.bill.contractions;
+            stats.params_rebound = store.params_rebound;
+            stats.branch_entries_invalidated = store.entries_invalidated;
+            stats.branch_flops_survived_rebind = store.survived_flops;
+            total.add(&store.bill);
         }
-        gemm.add(&state.frontier.gemm);
+        total.add(&state.frontier);
         stats.frontier_flops = state.frontier.flops;
         stats.frontier_contractions = state.frontier.contractions;
-        stats.flops += state.frontier.flops + stats.branch_flops;
+        let [_, _, pure, mixed, skipped] = bills;
         // A loop of single executions would replay the StemPure prefix once
         // per subtask *per bitstring*; the batch ran it once per subtask.
-        stats.stem_pure_flops = tally.pure_flops;
-        stats.stem_pure_flops_reused = tally.pure_flops.saturating_mul(batch - 1);
-        stats.stem_pure_contractions = cls.stem_pure_schedule().len() as u64 * runs;
-        stats.stem_mixed_flops = tally.mixed_flops;
-        stats.stem_mixed_flops_reused = tally.skipped_flops;
-        stats.stem_mixed_contractions = tally.mixed_contractions;
-        stats.stem_mixed_contractions_deduped = tally.skipped_contractions;
+        stats.stem_pure_flops = pure.flops;
+        stats.stem_pure_flops_reused = pure.flops.saturating_mul(batch - 1);
+        stats.stem_pure_contractions = pure.contractions;
+        stats.stem_mixed_flops = mixed.flops;
+        stats.stem_mixed_flops_reused = skipped.flops;
+        stats.stem_mixed_contractions = mixed.contractions;
+        stats.stem_mixed_contractions_deduped = skipped.contractions;
         stats.stem_mixed_distinct_keys = state.keys.distinct_contraction_keys;
         // A full (reuse-off) replay would pay the whole branch bill (cold,
         // even after a rebind carried entries over) plus one
-        // *undeduplicated* frontier build in every subtask of every
+        // *undeduplicated* frontier run in every subtask of every
         // bitstring — not the (smaller) deduped total this call executed.
-        stats.branch_flops_reused = cache
-            .cold_flops
-            .saturating_add(state.frontier.flops_per_bitstring)
+        let [branch, frontier, ..] = state.program.bills;
+        stats.branch_flops_reused = (branch.flops + frontier.flops)
             .saturating_mul(batch)
             .saturating_mul(runs)
             .saturating_sub(state.frontier.flops)
             .saturating_sub(stats.branch_flops);
     }
-    stats.apply_gemm(&gemm);
+    stats.apply_bill(&total);
     Ok((results, stats))
-}
-
-/// Materialise one leaf for one slice assignment the oracle's way:
-/// substitute the bitstring's projector for the leaf data, then slice away
-/// every sliced edge the tensor carries, one edge at a time.
-fn sliced_leaf_tensor(
-    plan: &SimulationPlan,
-    projectors: &[(usize, DenseTensor<Complex64>)],
-    assignment: usize,
-    vertex: usize,
-) -> DenseTensor<Complex64> {
-    let projector = projectors.iter().find(|(node, _)| *node == vertex);
-    let mut t = projector.map_or(&plan.build.nodes[vertex].data, |(_, data)| data).clone();
-    for (pos, &e) in plan.slicing.sliced.iter().enumerate() {
-        if t.indices().contains(e) {
-            let bit = ((assignment >> pos) & 1) as u8;
-            t = t.slice_index(e, bit);
-        }
-    }
-    t
 }
 
 /// The full-replay oracle (`reuse: false`): execute one slice assignment by
 /// slicing every leaf and replaying the whole tree schedule through
-/// per-call [`contract_pair`]. Deliberately shares nothing with the stem
-/// interpreter but the tensor-layer kernels. Returns the subtask's root tensor and its flop count.
+/// per-call [`contract_pair`]. Deliberately shares nothing with the
+/// compiled program but the tensor-layer kernels. Returns the subtask's
+/// root tensor, and bills each contraction under its output's class.
 fn run_subtask(
     plan: &SimulationPlan,
     projectors: &[(usize, DenseTensor<Complex64>)],
     assignment: usize,
-    gemm: &mut GemmTally,
-) -> Result<(DenseTensor<Complex64>, u64), Error> {
+    bills: &mut Bills,
+) -> Result<DenseTensor<Complex64>, Error> {
     // Slots indexed by tree-node id.
     let num_nodes = plan.tree.nodes().len();
     let mut slots: Vec<Option<DenseTensor<Complex64>>> = vec![None; num_nodes];
-    let mut flops = 0u64;
 
-    // Leaves: substitute the bitstring's projectors, slice away any sliced
-    // edges.
+    // Leaves: substitute the bitstring's projector for the leaf data, then
+    // slice away every sliced edge the tensor carries, one edge at a time.
     for (node_id, node) in plan.tree.nodes().iter().enumerate() {
-        if let Some(vertex) = node.leaf_vertex {
-            slots[node_id] = Some(sliced_leaf_tensor(plan, projectors, assignment, vertex));
+        let Some(vertex) = node.leaf_vertex else { continue };
+        let projector = projectors.iter().find(|(node, _)| *node == vertex);
+        let mut t = projector.map_or(&plan.build.nodes[vertex].data, |(_, data)| data).clone();
+        for (pos, &e) in plan.slicing.sliced.iter().enumerate() {
+            if t.indices().contains(e) {
+                t = t.slice_index(e, ((assignment >> pos) & 1) as u8);
+            }
         }
+        slots[node_id] = Some(t);
     }
 
     // Replay the schedule.
@@ -631,12 +581,8 @@ fn run_subtask(
         let b =
             slots[r].take().ok_or_else(|| Error::Internal(format!("right operand {r} missing")))?;
         let spec = ContractionSpec::new(a.indices(), b.indices());
-        flops += spec.flops();
-        gemm.record_spec(&spec);
+        bills[plan.classification.class(out) as usize].record_spec(&spec);
         slots[out] = Some(contract_pair(&a, &b));
     }
-    slots[plan.tree.root()]
-        .take()
-        .ok_or_else(|| Error::Internal("root tensor missing".into()))
-        .map(|root| (root, flops))
+    slots[plan.tree.root()].take().ok_or_else(|| Error::Internal("root tensor missing".into()))
 }

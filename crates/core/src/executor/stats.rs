@@ -1,5 +1,5 @@
-//! What an execution measured: [`ExecutionStats`] and the per-execution
-//! GEMM dispatch tally behind its `gemm_*` counters.
+//! What an execution measured: [`ExecutionStats`], and the [`Bill`] the
+//! executor sums its counters from.
 //!
 //! Every counter is declared exactly once, in the table at the bottom of
 //! this file: name, type and merge rule. The struct, [`ExecutionStats::absorb`]
@@ -102,81 +102,77 @@ macro_rules! execution_stats {
 }
 
 impl ExecutionStats {
-    /// Sustained flops/s over the execution.
-    pub fn sustained_flops(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.flops as f64 / self.wall_seconds
-        } else {
-            0.0
-        }
-    }
-
-    /// Fold a dispatch tally into the `gemm_*` counters.
-    pub(super) fn apply_gemm(&mut self, tally: &GemmTally) {
-        self.gemm_micro += tally.micro;
-        self.gemm_gemv += tally.gemv;
-        self.gemm_narrow += tally.narrow;
-        self.gemm_blocked += tally.blocked;
-        self.gemm_simd += tally.simd;
+    /// Take the executed flops and the `gemm_*` counters from a bill.
+    pub(super) fn apply_bill(&mut self, bill: &Bill) {
+        self.flops = bill.flops;
+        self.gemm_micro = bill.micro;
+        self.gemm_gemv = bill.gemv;
+        self.gemm_narrow = bill.narrow;
+        self.gemm_blocked = bill.blocked;
+        self.gemm_simd = bill.simd;
     }
 }
 
-/// Running tally of which GEMM kernel the executor's contractions dispatch
-/// to, in the buckets [`ExecutionStats`] reports. Each contraction is
-/// classified through its frozen [`qtn_tensor::KernelPlan`] — the compiled
-/// kernel of a stem step, the per-call selection everywhere else — so the
-/// tally is exact per execution and never reads the process-global dispatch
-/// counters (which concurrent executions share).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GemmTally {
-    /// Rank-specialized micro-kernel dispatches.
-    pub micro: u64,
-    /// GEMV row/column dispatches.
-    pub gemv: u64,
-    /// Streaming narrow-kernel dispatches.
-    pub narrow: u64,
-    /// Packed/blocked GEMM dispatches.
-    pub blocked: u64,
+/// What a run of contractions costs: flops, contractions, and the GEMM
+/// kernel class each one dispatched to, in the buckets [`ExecutionStats`]
+/// reports. The one bill type of the executor: a compiled program's static
+/// per-class bills, a sweep's executed bills (one per node class, plus
+/// [`SKIPPED`]), the frontier run's and the branch build's. Each
+/// contraction is classified through its frozen [`qtn_tensor::KernelPlan`],
+/// so the bill is exact per execution and never reads the process-global
+/// dispatch counters (which concurrent executions share).
+#[derive(Debug, Default, Clone, Copy)]
+pub(super) struct Bill {
+    pub(super) flops: u64,
+    pub(super) contractions: u64,
+    micro: u64,
+    gemv: u64,
+    narrow: u64,
+    blocked: u64,
     /// Dispatches (of any class) that took a SIMD code path.
-    pub simd: u64,
+    simd: u64,
 }
 
-impl GemmTally {
-    fn record(&mut self, path: GemmPath) {
-        match path {
-            GemmPath::MicroSimd => {
-                self.micro += 1;
-                self.simd += 1;
-            }
-            GemmPath::MicroScalar => self.micro += 1,
-            GemmPath::GemvRow | GemmPath::GemvCol => self.gemv += 1,
-            GemmPath::NarrowSimd => {
-                self.narrow += 1;
-                self.simd += 1;
-            }
-            GemmPath::NarrowScalar => self.narrow += 1,
-            GemmPath::BlockedSimd => {
-                self.blocked += 1;
-                self.simd += 1;
-            }
-            GemmPath::BlockedScalar => self.blocked += 1,
-        }
+/// A sweep's bills: one per [`qtn_tensornet::NodeClass`] (indexed by
+/// `class as usize`), plus the mixed work the keyed loop skipped.
+pub(super) type Bills = [Bill; 5];
+
+/// The index of the skipped mixed work in [`Bills`].
+pub(super) const SKIPPED: usize = 4;
+
+impl Bill {
+    fn dispatched(&mut self, flops: u64, path: GemmPath) {
+        self.flops += flops;
+        self.contractions += 1;
+        let (class, simd) = match path {
+            GemmPath::MicroSimd => (&mut self.micro, true),
+            GemmPath::MicroScalar => (&mut self.micro, false),
+            GemmPath::GemvRow | GemmPath::GemvCol => (&mut self.gemv, false),
+            GemmPath::NarrowSimd => (&mut self.narrow, true),
+            GemmPath::NarrowScalar => (&mut self.narrow, false),
+            GemmPath::BlockedSimd => (&mut self.blocked, true),
+            GemmPath::BlockedScalar => (&mut self.blocked, false),
+        };
+        *class += 1;
+        self.simd += u64::from(simd);
     }
 
-    /// Record a contraction executed through per-call dispatch
+    /// Bill one contraction through a compiled kernel (whose dispatch was
+    /// frozen at [`ContractionKernel::new`] time).
+    pub(super) fn record(&mut self, kernel: &ContractionKernel) {
+        self.dispatched(kernel.flops(), kernel.gemm_plan().taken::<Complex64>());
+    }
+
+    /// Bill one contraction through per-call dispatch
     /// ([`qtn_tensor::contract_pair`] selects from the spec's shape at call
     /// time).
     pub(super) fn record_spec(&mut self, spec: &ContractionSpec) {
-        self.record(spec.kernel_plan().taken::<Complex64>());
+        self.dispatched(spec.flops(), spec.kernel_plan().taken::<Complex64>());
     }
 
-    /// Record a contraction executed through a precompiled kernel (whose
-    /// dispatch was frozen at [`ContractionKernel::new`] time).
-    pub(super) fn record_kernel(&mut self, kernel: &ContractionKernel) {
-        self.record(kernel.gemm_plan().taken::<Complex64>());
-    }
-
-    pub(super) fn add(&mut self, other: &GemmTally) {
+    pub(super) fn add(&mut self, other: &Bill) {
+        self.flops += other.flops;
+        self.contractions += other.contractions;
         self.micro += other.micro;
         self.gemv += other.gemv;
         self.narrow += other.narrow;
@@ -249,8 +245,9 @@ execution_stats! {
     /// execution, not per subtask.
     frontier_flops: u64, sum;
     /// Portion of `flops` spent building the plan-lifetime branch cache.
-    /// Only the execution that builds the cache pays this; every later
-    /// execution sharing that plan instance reports 0.
+    /// Reported once per build, by the first execution that succeeds after
+    /// it (normally the one that ran it); every later execution sharing
+    /// that plan instance reports 0.
     branch_flops: u64, sum;
     /// Floating point operations a full per-subtask replay would have
     /// executed but this call avoided thanks to the reuse layer. Counts
@@ -266,8 +263,8 @@ execution_stats! {
     /// Parameter-slot updates applied by
     /// `CompiledCircuit::rebind_parameters` that this call's branch-cache
     /// build absorbed. Reported (like [`branch_flops`](Self::branch_flops))
-    /// only by the execution that performs the post-rebind build; zero on a
-    /// cold compile and on every execution reusing an already-built cache.
+    /// once, with the post-rebind build; zero on a cold compile and on
+    /// every execution reusing an already-reported cache.
     params_rebound: u64, sum;
     /// Previously cached branch entries the rebinds' invalidation cones
     /// dropped — exactly the kept roots whose parameter dependency mask

@@ -234,7 +234,7 @@ fn reuse_counters_track_phase_lifetimes() {
         &PlannerConfig { target_rank: 7, ..Default::default() },
     ));
     assert!(plan.slicing.len() >= 2);
-    assert!(!plan.branch_cache_built());
+    assert!(!plan.branch_built());
     let (branch, frontier, stem_pure, stem_mixed) = plan.classification.contraction_counts();
     assert!(stem_pure + stem_mixed > 0);
     let pool = WorkerPool::new(2);
@@ -246,7 +246,7 @@ fn reuse_counters_track_phase_lifetimes() {
     assert_eq!(s1.branch_contractions, branch as u64);
     assert_eq!(s1.frontier_contractions, frontier as u64);
     assert_eq!(s1.flops, s1.stem_flops + s1.frontier_flops + s1.branch_flops);
-    assert!(plan.branch_cache_built());
+    assert!(plan.branch_built());
 
     // …later executions only pay the frontier and the stem.
     let (_, s2) = execute_one(&pool, &plan, &bits, &config).unwrap();
@@ -678,5 +678,56 @@ fn unaddressable_slicing_sets_are_a_typed_error() {
         let batched = execute(&pool, &plan, &[&bits, &bits], &config);
         assert_eq!(batched.unwrap_err(), Error::TooManySlicedEdges { sliced: wide });
     }
-    assert!(!plan.branch_cache_built(), "nothing may run before the refusal");
+    assert!(!plan.branch_built(), "nothing may run before the refusal");
+}
+
+#[test]
+fn executed_flops_equal_the_programs_static_bill() {
+    // (rows, cols, cycles, seed, target rank, open qubits): sliced, heavily
+    // sliced, unsliced and open-output plans.
+    type Case = (usize, usize, usize, u64, usize, &'static [usize]);
+    let cases: [Case; 6] = [
+        (3, 3, 8, 2, 7, &[]),
+        (3, 3, 8, 4, 8, &[]),
+        (3, 4, 10, 5, 8, &[]),
+        (3, 3, 8, 6, 5, &[]),
+        (2, 3, 6, 7, 40, &[]),
+        (2, 3, 6, 5, 7, &[0, 1]),
+    ];
+    let pool = WorkerPool::new(2);
+    let config = ExecutorConfig { workers: 2, ..Default::default() };
+    for (rows, cols, cycles, seed, target_rank, open) in cases {
+        let circuit = RqcConfig::small(rows, cols, cycles, seed).build();
+        let n = circuit.num_qubits();
+        let output = match open {
+            [] => OutputSpec::Amplitude(vec![0; n]),
+            open => OutputSpec::Open { fixed: vec![0; n], open: open.to_vec() },
+        };
+        let planner = PlannerConfig { target_rank, ..Default::default() };
+        let plan = Arc::new(plan_simulation(&circuit, &output, &planner));
+        let [branch, frontier, pure, mixed] =
+            Program::compile(&plan).unwrap().bills.map(|b| b.flops);
+        let case = format!("{rows}x{cols}x{cycles} seed {seed} at rank {target_rank}");
+
+        // A cold single execution runs every branch step once, every
+        // frontier step once and every stem step once per subtask.
+        let (_, cold) = execute_one(&pool, &plan, &vec![0; n], &config).unwrap();
+        let runs = cold.subtasks_run as u64;
+        assert_eq!(cold.flops, branch + frontier + runs * (pure + mixed), "{case}");
+
+        // A batch runs the StemPure steps once per subtask and bills every
+        // StemMixed step once per subtask and bitstring, executed or
+        // skipped by the keyed loop.
+        let bits: Vec<Vec<u8>> =
+            (0..8usize).map(|k| (0..n).map(|q| ((k >> (q % 3)) & 1) as u8).collect()).collect();
+        let batch: Vec<&[u8]> = bits.iter().map(Vec::as_slice).collect();
+        let (_, stats) = execute(&pool, &plan, &batch, &config).unwrap();
+        assert_eq!(
+            stats.stem_pure_flops + stats.stem_mixed_flops + stats.stem_mixed_flops_reused,
+            runs * (pure + batch.len() as u64 * mixed),
+            "{case}"
+        );
+        assert_eq!(stats.flops, stats.frontier_flops + stats.stem_flops, "{case}: warm store");
+        assert!(stats.frontier_flops <= batch.len() as u64 * frontier, "{case}");
+    }
 }

@@ -9,8 +9,8 @@
 //! the engine's persistent [`WorkerPool`], accumulating results with a
 //! deterministic reduction and reporting FLOP counts and timings through
 //! [`ExecutionReport`]. The sweep is *stem-only* (§4.2 of the paper):
-//! slice-invariant branches are pre-contracted once per plan into the
-//! [`BranchCache`], projector-dependent frontiers once per execution, and
+//! slice-invariant branches are pre-contracted once per plan into a
+//! plan-lifetime store, projector-dependent frontiers once per execution, and
 //! only the slice-dependent stem replays per subtask — bit-identically to
 //! a full replay. All fallible operations return [`Error`] instead of
 //! panicking.
@@ -29,7 +29,7 @@ pub mod sync;
 
 pub use engine::{CacheStats, CompiledCircuit, Engine, ExecutionReport, OutputShape};
 pub use error::Error;
-pub use executor::{BranchCache, ExecutionStats, ExecutorConfig, GemmTally, WorkerPool};
+pub use executor::{ExecutionStats, ExecutorConfig, WorkerPool};
 pub use fault::{FaultPlan, FaultPoint};
 pub use planner::{plan_simulation, PlanStage, PlannerConfig, SimulationPlan};
 pub use pool::{BufferPool, PoolCounters, SharedWorkerPools};

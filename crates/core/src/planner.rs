@@ -7,7 +7,8 @@
 //! executor needs to run the sliced contraction, and everything the
 //! benchmark harness needs to report complexities and overheads.
 
-use crate::executor::{BranchCache, BranchSeed, FrontierExec, StemExec};
+use crate::error::Error;
+use crate::executor::{BranchStore, Program};
 use crate::pool::SharedWorkerPools;
 use qtn_circuit::{circuit_to_network, Circuit, NetworkBuild, OutputSpec};
 use qtn_slicing::overhead::{sliced_max_rank, slicing_overhead};
@@ -126,29 +127,23 @@ pub struct SimulationPlan {
     /// peak bytes the pooled executor's buffer traffic is checked against.
     pub memory_plan: MemoryPlan,
     /// Per-worker stem buffer pools, persisted across executions of this
-    /// plan (and all its clones) exactly like the branch cache: the second
+    /// plan (and all its clones) like the branch store: the second
     /// execution of a compiled circuit allocates no stem buffers at all.
     pub(crate) stem_pools: Arc<SharedWorkerPools>,
-    /// Lazily built plan-lifetime cache of Branch-class tensors. Built
-    /// exactly once (even under concurrent executions) by the first reusing
-    /// execution; clones of the plan *share* the cache (and a build done
-    /// through any clone), rather than deep-copying its tensors. Holds the
-    /// build `Result` so a failed build is memoized rather than retried.
-    pub(crate) branch_cache: Arc<OnceLock<Result<BranchCache, crate::error::Error>>>,
-    /// Lazily compiled pooled stem replay (contraction kernels + leaf
-    /// slicing recipes). Index-set-only — a projector leaf resolves to its
-    /// qubit — so every bitstring shares it and, like the branch cache, it
-    /// is built once and shared by every execution and clone of the plan.
-    pub(crate) stem_exec: Arc<OnceLock<Result<Arc<StemExec>, crate::error::Error>>>,
-    /// Lazily compiled frontier program (one contraction kernel per
-    /// frontier step), memoized and shared like `stem_exec`.
-    pub(crate) frontier_exec: Arc<OnceLock<Result<Arc<FrontierExec>, crate::error::Error>>>,
-    /// Branch-cache entries surviving a parameter rebind, plus the rebind's
-    /// accounting. `None` on freshly planned circuits; set (with a fresh,
-    /// empty `branch_cache` cell) by `CompiledCircuit::rebind_parameters`,
-    /// and consumed by the next branch-cache build, which then replays only
-    /// the invalidated cone on top of the surviving entries.
-    pub(crate) branch_seed: Option<Arc<BranchSeed>>,
+    /// The compiled program: every contraction's kernel and operands, in
+    /// one step list. Compiled by the first reusing execution from index
+    /// sets alone, so every execution, clone and parameter rebind of the
+    /// plan shares it. Holds the `Result` so a failure is memoized.
+    pub(crate) program: Arc<OnceLock<Result<Arc<Program>, Error>>>,
+    /// The plan-lifetime store of kept Branch tensors. Built exactly once
+    /// (even under concurrent executions) by the first reusing execution
+    /// and shared by clones; a parameter rebind gives its plan a fresh,
+    /// empty cell.
+    pub(crate) branch: Arc<OnceLock<Result<Arc<BranchStore>, Error>>>,
+    /// The entries a parameter rebind carried over, with the rebind's
+    /// accounting: the next branch build starts from them and runs only
+    /// the invalidated cone. `None` on freshly planned circuits.
+    pub(crate) carried: Option<Arc<BranchStore>>,
 }
 
 impl SimulationPlan {
@@ -162,14 +157,9 @@ impl SimulationPlan {
         sliced_max_rank(&self.stem, &self.slicing.sliced)
     }
 
-    /// The plan-lifetime branch cache, if some execution has built it.
-    pub fn branch_cache(&self) -> Option<&BranchCache> {
-        self.branch_cache.get().and_then(|r| r.as_ref().ok())
-    }
-
-    /// Whether the plan-lifetime branch cache has been built.
-    pub fn branch_cache_built(&self) -> bool {
-        self.branch_cache().is_some()
+    /// Whether the plan-lifetime branch store has been built.
+    pub(crate) fn branch_built(&self) -> bool {
+        matches!(self.branch.get(), Some(Ok(_)))
     }
 
     /// The worst per-phase predicted peak buffer memory
@@ -362,11 +352,10 @@ pub fn plan_simulation(
         report,
         classification,
         memory_plan,
-        branch_cache: Arc::new(OnceLock::new()),
-        stem_exec: Arc::new(OnceLock::new()),
-        frontier_exec: Arc::new(OnceLock::new()),
         stem_pools: Arc::new(SharedWorkerPools::default()),
-        branch_seed: None,
+        program: Arc::new(OnceLock::new()),
+        branch: Arc::new(OnceLock::new()),
+        carried: None,
     }
 }
 

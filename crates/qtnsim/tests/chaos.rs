@@ -216,6 +216,44 @@ fn one_worker_sweep_contains_a_pool_allocation_fault() {
     one_worker_sweep_contains("pool_alloc:nth=7");
 }
 
+/// A sweep that fails after the branch build ran must not lose the build's
+/// bill. After a parameter rebind the first execution rebuilds the
+/// invalidated cone, then an injected allocation fault fails its sweep. The
+/// next clean execution reports the rebind counters, and survived + rebuilt
+/// branch flops equal the cold build's exactly.
+#[test]
+fn a_failed_execution_leaves_the_branch_build_to_the_next_report() {
+    let circuit = sliced_circuit(5);
+    let bits = vec![0u8; circuit.num_qubits()];
+    let _guard = arm("");
+    let engine = Engine::with_configs(planner(), executor());
+    let mut compiled = engine
+        .compile(&circuit, &OutputSpec::Amplitude(vec![0; circuit.num_qubits()]))
+        .expect("compile");
+    let (_, cold) = compiled.execute_amplitude(&bits).expect("cold execution");
+    let slots = compiled.param_slots().len();
+    compiled.rebind_parameters(&[(slots / 2, 1.25), (slots - 1, -0.75)]).expect("rebind");
+
+    fault::install(Some(FaultPlan::parse("pool_alloc:nth=1").unwrap()));
+    let err = compiled.execute_amplitude(&bits).unwrap_err();
+    assert!(matches!(err, qtnsim::Error::ExecutionPanic(_)), "untyped failure: {err:?}");
+
+    fault::install(None);
+    let (_, report) = compiled.execute_amplitude(&bits).expect("clean execution");
+    let stats = &report.stats;
+    assert!(report.branch_cache_hit, "the failed execution built the branch store");
+    assert_eq!(stats.params_rebound, 2, "the rebind is reported after the failure");
+    assert!(stats.branch_entries_invalidated > 0);
+    assert!(stats.branch_flops_survived_rebind > 0);
+    assert_eq!(
+        stats.branch_flops + stats.branch_flops_survived_rebind,
+        cold.stats.branch_flops,
+        "survived + rebuilt must equal the cold bill"
+    );
+    let (_, again) = compiled.execute_amplitude(&bits).expect("warm execution");
+    assert_eq!((again.stats.params_rebound, again.stats.branch_flops), (0, 0), "reported once");
+}
+
 /// A request whose deadline is already spent when it reaches admission is
 /// shed there — explicit `Shed(DeadlineExceeded)`, never queued, never
 /// executed.
