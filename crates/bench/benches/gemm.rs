@@ -26,20 +26,23 @@
 //! `in_place` result against `reference` on explicitly permuted operands,
 //! within the conformance suite's bound; and the `in_place` result must
 //! equal [`KernelPlan::apply`] on those permuted operands bit for bit, the
-//! contract `apply_views` documents. At the AVX2+FMA level every narrow and
-//! blocked shape's `dense` result must also equal a scalar model of the AVX2
-//! tile's FMA order bit for bit, which reaches the multi-chunk, multi-group
-//! shapes a unit test cannot afford. So the bench doubles as a correctness
-//! smoke on the real shapes of every class, the small micro, GEMV and
-//! narrow ones included.
+//! contract `apply_views` documents. At both x86 levels (AVX2+FMA and
+//! AVX-512) every narrow and blocked shape's `dense` result must also equal
+//! a scalar model of the x86 tile's FMA order bit for bit, which reaches the
+//! multi-chunk, multi-group shapes a unit test cannot afford. So the bench
+//! doubles as a correctness smoke on the real shapes of every class, the
+//! small micro, GEMV and narrow ones included.
 //!
 //! The four paths are timed round-robin: each repetition runs every path's
 //! calls in turn, so host clock drift hits them alike. Each path records the
 //! median, minimum and maximum seconds per call over the repetitions. At the
-//! AVX2+FMA level a fifth path, a 12-chain FMA loop, runs in the same rounds,
-//! and each shape records its `in_place` rate as a fraction of that loop's
-//! (`in_place_peak_frac`; the config carries `host_fma_gflops`). Gflop/s from
-//! runs in different host phases do not compare; fractions of a peak
+//! x86 levels a 12-chain FMA loop at 256 bits runs in the same rounds, and
+//! at the AVX-512 level one at 512 bits beside it. Each shape records its
+//! `in_place` rate as a fraction of the running level's loop
+//! (`in_place_peak_frac`: the 512-bit one at AVX-512, where the blocked
+//! class runs 512-bit tiles and every other class 256-bit ones; the config
+//! carries `host_fma_gflops`, and `host_fma256_gflops` at AVX-512). Gflop/s
+//! from runs in different host phases do not compare; fractions of a peak
 //! measured in the same rounds do. The scalar and NEON levels run no FMA
 //! chains, so they record no peak.
 //!
@@ -208,15 +211,16 @@ fn check_shape(step: &Step, auto_plan: KernelPlan, left: &[Complex64], right: &[
     let mut got = vec![Complex64::ZERO; m * n];
     auto_plan.apply(left, right, &mut got, m, n, k);
     assert_close(&got, &want, k, &format!("gemm/{m}x{n}x{k} dense"));
-    if auto_plan.level() == SimdLevel::Avx2Fma
+    if matches!(auto_plan.level(), SimdLevel::Avx2Fma | SimdLevel::Avx512)
         && matches!(auto_plan.class(), DispatchClass::Narrow | DispatchClass::Blocked)
     {
         let mut model = vec![Complex64::ZERO; m * n];
         avx2_fma_model(left, right, &mut model, (m, n, k));
         assert!(
             same_bits(&got, &model),
-            "gemm/{m}x{n}x{k} [{:?}]: dense result differs from the AVX2 tile's FMA order",
-            auto_plan.taken::<Complex64>()
+            "gemm/{m}x{n}x{k} [{:?} at {:?}]: dense result differs from the x86 tile's FMA order",
+            auto_plan.taken::<Complex64>(),
+            auto_plan.level()
         );
     }
     // In place: the same buffers read in the step's axis orders, against
@@ -263,22 +267,52 @@ unsafe fn fma_rounds_avx2(rounds: u64) {
     black_box(acc);
 }
 
-/// The FMA peak loop as a call doing about `flops` flops: the roofline every
-/// shape's rate is read against. Only at the AVX2+FMA level: the scalar and
-/// NEON kernels issue no FMA chains, so no such peak bounds them.
+/// [`fma_rounds_avx2`] on eight-lane accumulators: `16 * FMA_CHAINS` flops
+/// a round.
+///
+/// # Safety
+/// Requires AVX-512F.
 #[cfg(target_arch = "x86_64")]
-fn fma_peak_call(level: SimdLevel, flops: u64) -> Option<impl Fn(&mut [Complex64])> {
-    let rounds = flops.div_ceil(8 * FMA_CHAINS as u64);
-    // SAFETY: the level is `Avx2Fma` only after the runtime probe found
-    // AVX2 and FMA.
-    (level == SimdLevel::Avx2Fma)
-        .then_some(move |_: &mut [Complex64]| unsafe { fma_rounds_avx2(rounds) })
+#[target_feature(enable = "avx512f")]
+unsafe fn fma_rounds_avx512(rounds: u64) {
+    use std::arch::x86_64::{_mm512_fmadd_pd, _mm512_set1_pd};
+    let (scale, shift) = (_mm512_set1_pd(black_box(0.999_999)), _mm512_set1_pd(black_box(1e-6)));
+    let mut acc = [_mm512_set1_pd(1.0); FMA_CHAINS];
+    for _ in 0..rounds {
+        for x in &mut acc {
+            *x = _mm512_fmadd_pd(*x, scale, shift);
+        }
+    }
+    black_box(acc);
 }
 
-/// No AVX2+FMA level off x86_64, so no FMA peak loop.
+/// A timed FMA peak loop.
+type PeakCall = Box<dyn Fn(&mut [Complex64])>;
+
+/// The FMA peak loops as calls doing about `flops` flops each: the
+/// rooflines every shape's rate is read against, the running level's
+/// first — the 512-bit loop, then the 256-bit one, at AVX-512; the 256-bit
+/// loop alone at AVX2+FMA. None at the scalar and NEON levels, whose
+/// kernels issue no FMA chains.
+#[cfg(target_arch = "x86_64")]
+fn fma_peak_calls(level: SimdLevel, flops: u64) -> Vec<PeakCall> {
+    let rounds = |lanes: u64| flops.div_ceil(2 * lanes * FMA_CHAINS as u64);
+    let (avx2, avx512) = (rounds(4), rounds(8));
+    // SAFETY: the level is `Avx2Fma` or `Avx512` only after the runtime
+    // probe found AVX2 and FMA, and `Avx512` only after it also found
+    // AVX-512F.
+    let ymm: PeakCall = Box::new(move |_| unsafe { fma_rounds_avx2(avx2) });
+    match level {
+        SimdLevel::Avx2Fma => vec![ymm],
+        SimdLevel::Avx512 => vec![Box::new(move |_| unsafe { fma_rounds_avx512(avx512) }), ymm],
+        SimdLevel::Scalar | SimdLevel::Neon => Vec::new(),
+    }
+}
+
+/// No x86 level off x86_64, so no FMA peak loop.
 #[cfg(not(target_arch = "x86_64"))]
-fn fma_peak_call(_: SimdLevel, _: u64) -> Option<fn(&mut [Complex64])> {
-    None
+fn fma_peak_calls(_: SimdLevel, _: u64) -> Vec<PeakCall> {
+    Vec::new()
 }
 
 /// One timed path: a call that writes its result into the shared output.
@@ -326,9 +360,13 @@ fn time_round_robin(
 }
 
 /// Check every stem shape of `workload`, time the top [`MAX_SHAPES`], and
-/// return one JSON record per timed shape, the FMA loop's Gflop/s per timed
-/// shape, and the plan's config record.
-fn run(workload: &Workload, reps: usize, flops_per_rep: u64) -> (Vec<String>, Vec<f64>, String) {
+/// return one JSON record per timed shape, the FMA loops' Gflop/s per timed
+/// shape (the running level's first), and the plan's config record.
+fn run(
+    workload: &Workload,
+    reps: usize,
+    flops_per_rep: u64,
+) -> (Vec<String>, Vec<Vec<f64>>, String) {
     let plan = plan(workload);
     let steps = stem_steps(&plan);
     assert!(!steps.is_empty(), "the plan must have a stem");
@@ -376,15 +414,17 @@ fn run(workload: &Workload, reps: usize, flops_per_rep: u64) -> (Vec<String>, Ve
             &|out| auto_plan.apply(&left, &right, out, m, n, k),
             &|out| step.kernel.contract(&left, &right, out),
         ];
-        let peak_call = fma_peak_call(level, flops);
-        let peak_path = peak_call.as_ref().map(|call| call as Path<'_>);
-        let paths: Vec<Path<'_>> = kernels.into_iter().chain(peak_path).collect();
+        let peak_calls = fma_peak_calls(level, flops);
+        let peak_paths = peak_calls.iter().map(|call| call.as_ref() as Path<'_>);
+        let paths: Vec<Path<'_>> = kernels.into_iter().chain(peak_paths).collect();
         let timings = time_round_robin(reps, iters, &paths, &mut out);
 
         let gflops = |seconds: f64| flops as f64 / seconds / 1e9;
         let path = format!("{:?}", auto_plan.taken::<Complex64>());
         let in_place = gflops(timings[3].median);
-        let peak = timings.get(4).map(|timing| gflops(timing.median));
+        let shape_peaks: Vec<f64> =
+            timings[4..].iter().map(|timing| gflops(timing.median)).collect();
+        let peak = shape_peaks.first().copied();
         eprintln!(
             "gemm/{}/{m}x{n}x{k} (x{count} per sweep, {iters} iters) [{path}]: reference {:.2}, \
              scalar {:.2}, dense {:.2}, in place {:.2} Gflop/s{}",
@@ -397,7 +437,7 @@ fn run(workload: &Workload, reps: usize, flops_per_rep: u64) -> (Vec<String>, Ve
                 format!(" ({:.0}% of the {peak:.1} FMA peak)", 100.0 * in_place / peak)
             }),
         );
-        peaks.extend(peak);
+        peaks.push(shape_peaks.clone());
         let mut o = JsonObject::new();
         o.field_str("plan", workload.name)
             .field_usize("m", m)
@@ -415,6 +455,9 @@ fn run(workload: &Workload, reps: usize, flops_per_rep: u64) -> (Vec<String>, Ve
         }
         if let Some(peak) = peak {
             o.field_f64("fma_gflops", peak).field_f64("in_place_peak_frac", in_place / peak);
+        }
+        if let Some(&peak256) = shape_peaks.get(1) {
+            o.field_f64("fma256_gflops", peak256);
         }
         records.push(o.finish());
     }
@@ -444,24 +487,27 @@ fn main() {
     if quick {
         eprintln!(
             "gemm --quick: every stem shape matches the reference and is bit-identical in place{}",
-            if simd_level() == SimdLevel::Avx2Fma {
-                "; narrow and blocked shapes follow the AVX2 tile's FMA order"
+            if matches!(simd_level(), SimdLevel::Avx2Fma | SimdLevel::Avx512) {
+                "; narrow and blocked shapes follow the x86 tile's FMA order"
             } else {
                 ""
             }
         );
         return;
     }
-    peaks.sort_by(f64::total_cmp);
     let mut config = JsonObject::new();
     config.field_str("simd_level", simd_level().as_str());
-    if let Some(&peak) = peaks.get(peaks.len() / 2) {
-        config.field_f64("host_fma_gflops", peak);
+    for (i, name) in ["host_fma_gflops", "host_fma256_gflops"].into_iter().enumerate() {
+        let mut at: Vec<f64> = peaks.iter().filter_map(|shape| shape.get(i).copied()).collect();
+        at.sort_by(f64::total_cmp);
+        if let Some(&peak) = at.get(at.len() / 2) {
+            config.field_f64(name, peak);
+        }
     }
     config.field_raw("plans", &array(plans));
     let mut top = JsonObject::new();
     top.field_str("schema", "qtnsim-bench/gemm")
-        .field_u64("version", 5)
+        .field_u64("version", 6)
         .field_raw("config", &config.finish())
         .field_raw("results", &array(records));
     let json = format!("{}\n", top.finish());

@@ -59,17 +59,19 @@ fn pair_cost(plan: &SimulationPlan, l: usize, r: usize) -> u64 {
     1u64 << union.min(60)
 }
 
-/// One projector-dependent node's interned keys.
+/// One projector-dependent node's interned keys: each bitstring's key id,
+/// dense in `0..distinct` and interned in submission order, at
+/// `BatchKeys::ids[at..at + batch]`.
+#[derive(Clone, Copy)]
 pub(super) struct NodeKeys {
-    /// Each bitstring's key id, dense in `0..distinct`, interned in
-    /// submission order.
-    pub(super) ids: Vec<u32>,
+    at: usize,
     pub(super) distinct: u32,
 }
 
-/// The dependent-bits key tables of one execution, shared read-only by
-/// every worker. For each Frontier and StemMixed node every bitstring's key
-/// is interned to a dense id, and the batch is sorted so bitstrings with
+/// The dependent-bits key tables of one execution, fixed in size once
+/// built and shared read-only by every worker. For each Frontier and
+/// StemMixed node every bitstring's key is interned to a dense id (one
+/// flat table for all nodes), and the batch is sorted so bitstrings with
 /// equal key prefixes are adjacent: the keyed stem loop keeps a
 /// single-entry (most-recent-key) cache per node, which on spine-shaped
 /// suffixes (nested dependency masks, where the heavy mixed contractions
@@ -78,24 +80,63 @@ pub(super) struct NodeKeys {
 pub(super) struct BatchKeys {
     /// Per tree node; `None` outside the Frontier/StemMixed classes, and
     /// empty altogether for a batch of one (whose only key id is 0).
-    pub(super) nodes: Vec<Option<NodeKeys>>,
+    pub(super) nodes: Box<[Option<NodeKeys>]>,
+    /// Every keyed node's ids, one run of `batch` per node.
+    ids: Box<[u32]>,
     /// Bitstring indices in keyed-loop processing order: lexicographically
     /// sorted by the per-node key ids taken in mixed-schedule priority
     /// order, with submission order as the stable tie-break. Reordering
     /// within a subtask is safe — every bitstring accumulates into its own
     /// partial, and partials still merge subtasks in ascending-assignment
     /// order per worker, exactly like a loop of singles.
-    pub(super) order: Vec<usize>,
+    pub(super) order: Box<[usize]>,
     /// Sum over StemMixed *contraction* nodes of the number of distinct
     /// keys in the batch — the per-subtask floor on mixed contractions, and
     /// exactly what the sorted single-entry cache achieves on spines.
     pub(super) distinct_contraction_keys: u64,
 }
 
+/// What a batch's key tables need from the plan, computed once by
+/// `Program::compile`: the qubit behind each projector ordinal, each keyed
+/// node's dependency-mask ordinals, and the sort priority.
+#[derive(Debug)]
+pub(super) struct KeySchedule {
+    /// The qubit `plan.build.projector_leaves[i]` measures, per ordinal `i`
+    /// — the order every dependency mask is defined over.
+    qubits: Vec<usize>,
+    /// Every Frontier and StemMixed node with its mask's ordinals,
+    /// ascending.
+    nodes: Vec<(usize, Vec<usize>)>,
+    /// The StemMixed contraction outputs, in schedule order.
+    mixed: Vec<usize>,
+    /// [`mixed_sort_priority`].
+    priority: Vec<usize>,
+    /// Tree nodes in the plan.
+    tree_len: usize,
+}
+
+impl KeySchedule {
+    pub(super) fn compile(plan: &SimulationPlan) -> KeySchedule {
+        let cls = &plan.classification;
+        let masks = cls.projector_masks();
+        let nodes = (0..plan.tree.nodes().len())
+            .filter(|&node| matches!(cls.class(node), NodeClass::Frontier | NodeClass::StemMixed))
+            .map(|node| (node, masks.ordinals(node).collect()))
+            .collect();
+        KeySchedule {
+            qubits: plan.build.projector_leaves.iter().map(|&(q, _)| q).collect(),
+            nodes,
+            mixed: cls.stem_mixed_schedule().iter().map(|&(_, _, out)| out).collect(),
+            priority: mixed_sort_priority(plan),
+            tree_len: plan.tree.nodes().len(),
+        }
+    }
+}
+
 impl BatchKeys {
     /// Key id of bitstring `b` at `node`.
     pub(super) fn id(&self, node: usize, b: usize) -> u32 {
-        self.nodes.get(node).and_then(Option::as_ref).map_or(0, |keys| keys.ids[b])
+        self.nodes.get(node).and_then(Option::as_ref).map_or(0, |keys| self.ids[keys.at + b])
     }
 
     /// Distinct keys the batch presents at `node` (1 for an unkeyed node).
@@ -105,48 +146,47 @@ impl BatchKeys {
 
     /// Intern the batch's keys. A batch of at most one bitstring needs no
     /// table: every node has one value.
-    pub(super) fn build(plan: &SimulationPlan, bitstrings: &[&[u8]]) -> BatchKeys {
+    pub(super) fn build(schedule: &KeySchedule, bitstrings: &[&[u8]]) -> BatchKeys {
         let batch = bitstrings.len();
         if batch <= 1 {
-            return BatchKeys { nodes: Vec::new(), order: vec![0], distinct_contraction_keys: 0 };
+            return BatchKeys {
+                nodes: Box::default(),
+                ids: Box::default(),
+                order: Box::new([0]),
+                distinct_contraction_keys: 0,
+            };
         }
-        let cls = &plan.classification;
-        let masks = cls.projector_masks();
-        // `ordinal_bits[b][i]` is bitstring b's output bit at the qubit
-        // `plan.build.projector_leaves[i]` measures — the ordinal order every
-        // dependency mask is defined over.
-        let ordinal_bits: Vec<Vec<u8>> = bitstrings
+        // Row `b` holds bitstring b's output bit at each ordinal's qubit.
+        let width = schedule.qubits.len();
+        let ordinal_bits: Vec<u8> = bitstrings
             .iter()
-            .map(|bits| {
-                let leaves = plan.build.projector_leaves.iter();
-                leaves.map(|&(q, _)| bits.get(q).copied().unwrap_or(0) & 1).collect()
-            })
+            .flat_map(|bits| schedule.qubits.iter().map(|&q| bits.get(q).copied().unwrap_or(0) & 1))
             .collect();
-        let nodes: Vec<Option<NodeKeys>> = (0..plan.tree.nodes().len())
-            .map(|node| {
-                if !matches!(cls.class(node), NodeClass::Frontier | NodeClass::StemMixed) {
-                    return None;
-                }
-                let ordinals: Vec<usize> = masks.ordinals(node).collect();
-                let mut interned: HashMap<DepKey, u32> = HashMap::new();
-                let ids = ordinal_bits
-                    .iter()
-                    .map(|bits| {
-                        let next = interned.len() as u32;
-                        *interned.entry(pack_dep_key(&ordinals, bits)).or_insert(next)
-                    })
-                    .collect();
-                Some(NodeKeys { ids, distinct: interned.len() as u32 })
-            })
-            .collect();
-        let table = BatchKeys { nodes, order: Vec::new(), distinct_contraction_keys: 0 };
-        let mixed = cls.stem_mixed_schedule();
+        let rows = || (0..batch).map(|b| &ordinal_bits[b * width..][..width]);
+        let mut nodes = vec![None; schedule.tree_len];
+        let mut ids = Vec::with_capacity(schedule.nodes.len() * batch);
+        let mut interned: HashMap<DepKey, u32> = HashMap::new();
+        for (node, ordinals) in &schedule.nodes {
+            interned.clear();
+            let at = ids.len();
+            ids.extend(rows().map(|bits| {
+                let next = interned.len() as u32;
+                *interned.entry(pack_dep_key(ordinals, bits)).or_insert(next)
+            }));
+            nodes[*node] = Some(NodeKeys { at, distinct: interned.len() as u32 });
+        }
+        let table = BatchKeys {
+            nodes: nodes.into_boxed_slice(),
+            ids: ids.into_boxed_slice(),
+            order: Box::default(),
+            distinct_contraction_keys: 0,
+        };
         let distinct_contraction_keys =
-            mixed.iter().map(|&(_, _, o)| table.distinct(o) as u64).sum();
-        let priority = mixed_sort_priority(plan);
-        let mut order: Vec<usize> = (0..batch).collect();
+            schedule.mixed.iter().map(|&out| table.distinct(out) as u64).sum();
+        let mut order: Box<[usize]> = (0..batch).collect();
         order.sort_by(|&a, &b| {
-            let mut by_key = priority.iter().map(|&out| table.id(out, a).cmp(&table.id(out, b)));
+            let mut by_key =
+                schedule.priority.iter().map(|&out| table.id(out, a).cmp(&table.id(out, b)));
             by_key.find(|o| o.is_ne()).unwrap_or_else(|| a.cmp(&b))
         });
         BatchKeys { order, distinct_contraction_keys, ..table }
@@ -301,14 +341,13 @@ mod tests {
         let bits: Vec<Vec<u8>> =
             (0..16).map(|k| (0..n).map(|q| ((k >> (q % 4)) & 1) as u8).collect()).collect();
         let batch: Vec<&[u8]> = bits.iter().map(Vec::as_slice).collect();
-        let dedup = BatchKeys::build(&plan, &batch);
+        let dedup = BatchKeys::build(&KeySchedule::compile(&plan), &batch);
         let mut sorted = dedup.order.clone();
         sorted.sort_unstable();
-        assert_eq!(sorted, (0..16).collect::<Vec<_>>(), "order is a permutation of the batch");
+        assert_eq!(*sorted, *(0..16).collect::<Vec<_>>(), "order is a permutation of the batch");
         for &(_, _, out) in plan.classification.stem_mixed_schedule() {
             let keys = dedup.nodes[out].as_ref().expect("every mixed out gets a key table");
-            let ids = &keys.ids;
-            assert_eq!(ids.len(), 16);
+            let ids: Vec<u32> = (0..16).map(|b| dedup.id(out, b)).collect();
             // Sorted order keeps equal keys adjacent: each distinct id
             // appears in exactly one contiguous run when masks are nested,
             // and never more runs than distinct ids times fragmentation by
@@ -330,10 +369,11 @@ mod tests {
             &PlannerConfig { target_rank: 7, ..Default::default() },
         );
         let bits = vec![1u8; n];
+        let schedule = KeySchedule::compile(&plan);
         for batch in [&[][..], &[bits.as_slice()][..]] {
-            let keys = BatchKeys::build(&plan, batch);
+            let keys = BatchKeys::build(&schedule, batch);
             assert!(keys.nodes.is_empty(), "one bitstring has one value everywhere");
-            assert_eq!(keys.order, vec![0]);
+            assert_eq!(*keys.order, [0]);
             assert_eq!(keys.distinct_contraction_keys, 0);
             assert_eq!(keys.id(plan.tree.root(), 0), 0);
         }

@@ -206,7 +206,7 @@ impl ReuseState {
 fn prepare_reuse(plan: &SimulationPlan, bitstrings: &[&[u8]]) -> Result<ReuseState, Error> {
     let program = plan.program.get_or_init(|| Program::compile(plan).map(Arc::new)).clone()?;
     let store = plan.branch.get_or_init(|| program.build_branch(plan).map(Arc::new)).clone()?;
-    let keys = BatchKeys::build(plan, bitstrings);
+    let keys = BatchKeys::build(&program.keys, bitstrings);
     let bits = Bitstrings::new(bitstrings);
     let (arena, spans, frontier) = program.run_frontier(plan, &store, &keys, &bits)?;
     Ok(ReuseState { program, store, bits, keys, arena, spans, frontier })

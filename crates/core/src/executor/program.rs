@@ -18,7 +18,7 @@
 //! node, read from its class's home ([`Homes::read`]). Sliced leaves are
 //! gathered per subtask through their [`StemLeaf`] recipes.
 
-use super::batch::BatchKeys;
+use super::batch::{BatchKeys, KeySchedule};
 use super::stats::Bill;
 use super::Bitstrings;
 use crate::error::Error;
@@ -121,6 +121,8 @@ pub(crate) struct Program {
     /// What one pass over each class's steps costs, indexed by
     /// `class as usize`.
     pub(super) bills: [Bill; 4],
+    /// What a batch's key tables need from the plan.
+    pub(super) keys: KeySchedule,
 }
 
 impl Program {
@@ -192,6 +194,7 @@ impl Program {
             root_operand: operand(root),
             root_indices,
             bills,
+            keys: KeySchedule::compile(plan),
         })
     }
 

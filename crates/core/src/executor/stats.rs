@@ -287,13 +287,13 @@ execution_stats! {
     /// Contractions dispatched to the packed/blocked GEMM.
     gemm_blocked: u64, sum;
     /// Portion of the dispatched contractions that took a SIMD code path
-    /// (AVX2+FMA or NEON) instead of the scalar reference kernels. Zero
-    /// when the process dispatches at the scalar level — no SIMD hardware,
-    /// `QTNSIM_FORCE_SCALAR` set, or a test override.
+    /// (AVX2+FMA, AVX-512 or NEON) instead of the scalar reference kernels.
+    /// Zero when the process dispatches at the scalar level — no SIMD
+    /// hardware, `QTNSIM_FORCE_SCALAR` set, or a test override.
     gemm_simd: u64, sum;
     /// SIMD level the executor dispatched at (`"scalar"`, `"neon"`,
-    /// `"avx2-fma"`; see [`qtn_tensor::simd_level`]). Empty on a
-    /// default-constructed stats value.
+    /// `"avx2-fma"`, `"avx512"`; see [`qtn_tensor::simd_level`]). Empty on
+    /// a default-constructed stats value.
     simd_level: &'static str, first;
     /// Buffers the per-worker pools had to freshly allocate, summed over
     /// workers. On a cold pool this equals the plan's predicted slot count

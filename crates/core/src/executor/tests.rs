@@ -596,7 +596,7 @@ fn gemm_dispatch_counters_cover_every_contraction() {
     let stem = plan.classification.stem_schedule().len() as u64 * stats.subtasks_run as u64;
     assert_eq!(gemm_total(&stats), stats.branch_contractions + stats.frontier_contractions + stem,);
     assert!(stats.gemm_simd <= gemm_total(&stats));
-    assert!(matches!(stats.simd_level, "scalar" | "neon" | "avx2-fma"));
+    assert!(matches!(stats.simd_level, "scalar" | "neon" | "avx2-fma" | "avx512"));
     assert_eq!(stats.simd_level, qtn_tensor::simd_level().as_str());
     // At the scalar level no contraction may count as SIMD; at a SIMD
     // level the dominant blocked/micro/narrow dispatches must.

@@ -11,6 +11,9 @@
 //!    sequentially or concurrently from many threads — are bit-identical,
 //!    because every kernel freezes its dispatch at plan compile time and
 //!    fixes its summation order.
+//! 3. **One x86 result.** A plan compiled at AVX2+FMA and at AVX-512 (where
+//!    the host has it) computes the same bits through the same dispatch
+//!    paths: the 512-bit blocked tiles keep the 256-bit tile's FMA order.
 //!
 //! Tests serialize on a file-scoped mutex: the SIMD override is
 //! process-global, and a concurrently running test could otherwise observe
@@ -179,4 +182,45 @@ fn concurrent_simd_runs_are_bit_identical() {
             }
         }
     });
+}
+
+#[test]
+fn avx2_and_avx512_plans_are_bit_identical() {
+    let _guard = lock();
+    let _restore = RestoreOverride;
+    set_simd_override(None);
+    if simd_level() != SimdLevel::Avx512 {
+        // One x86 level at most on this host: nothing to compare.
+        return;
+    }
+    // The `amp-m20` circuit and planner target: its stem runs blocked
+    // GEMMs (`64x256x256`, `256x64x32`, ...), four of its 64 subtasks.
+    let circuit = RqcConfig::small(4, 5, 12, 5).build();
+    let n = circuit.num_qubits();
+    let spec = OutputSpec::Amplitude(vec![0; n]);
+    let bits = bitstrings(n);
+    let batch: Vec<&[u8]> = bits.iter().map(Vec::as_slice).collect();
+    let run = |level| {
+        set_simd_override(Some(level));
+        let engine = Engine::with_configs(
+            PlannerConfig { target_rank: 14, ..Default::default() },
+            ExecutorConfig { workers: 2, max_subtasks: 4, reuse: true, pool: true },
+        );
+        let compiled = engine.compile(&circuit, &spec).unwrap();
+        let (single, _) = compiled.execute_amplitude(&bits[0]).unwrap();
+        let (amplitudes, report) = compiled.execute_amplitudes(&batch).unwrap();
+        assert_eq!(report.stats.simd_level, level.as_str());
+        (std::iter::once(single).chain(amplitudes).collect::<Vec<_>>(), report.stats)
+    };
+    let (avx2, avx2_stats) = run(SimdLevel::Avx2Fma);
+    let (avx512, avx512_stats) = run(SimdLevel::Avx512);
+    assert!(avx512_stats.gemm_blocked > 0, "the plan must run blocked GEMMs");
+    for (a, b) in avx2.iter().zip(&avx512) {
+        assert_eq!(a.re.to_bits(), b.re.to_bits(), "re differs: {a:?} vs {b:?}");
+        assert_eq!(a.im.to_bits(), b.im.to_bits(), "im differs: {a:?} vs {b:?}");
+    }
+    let tally = |s: &qtnsim::ExecutionStats| {
+        [s.gemm_micro, s.gemm_gemv, s.gemm_narrow, s.gemm_blocked, s.gemm_simd, s.flops]
+    };
+    assert_eq!(tally(&avx2_stats), tally(&avx512_stats), "dispatch counters differ");
 }

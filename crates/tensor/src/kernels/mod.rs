@@ -12,10 +12,11 @@
 //!   plan's flops), and the packed/blocked kernel for everything
 //!   square-ish.
 //! * **Hardware axis** ([`SimdLevel`]): a one-time capability probe (AVX2+FMA
-//!   on x86_64, NEON on aarch64) selects the SIMD variants — on AVX2+FMA one
-//!   register-blocked interleaved tile serves the narrow and the blocked
-//!   class, and NEON runs the portable split-real packed driver for the
-//!   blocked class. The scalar kernels in
+//!   or AVX-512 on x86_64, NEON on aarch64) selects the SIMD variants — on
+//!   x86 one register-blocked interleaved tile serves the narrow and the
+//!   blocked class (at AVX-512 the blocked class's packed tiles run at 512
+//!   bits, bit-identical to AVX2+FMA), and NEON runs the portable
+//!   split-real packed driver for the blocked class. The scalar kernels in
 //!   [`crate::gemm`], the unrolled micro-kernels and the portable packed
 //!   driver (the blocked class's scalar path, and its NEON path) are the
 //!   reference.
@@ -39,8 +40,10 @@
 //! (`p` ascending per output element, independent of the view).
 //!
 //! The probe can be overridden for testing: the `QTNSIM_FORCE_SCALAR`
-//! environment variable (read once per process) or the
-//! [`set_simd_override`] hook force the scalar reference path.
+//! environment variable (read once per process) forces the scalar
+//! reference path, and the [`set_simd_override`] hook any level the CPU
+//! supports (AVX2+FMA on an AVX-512 host, so one host runs both x86
+//! tiles).
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
@@ -67,6 +70,10 @@ pub enum SimdLevel {
     Neon,
     /// x86_64 AVX2 + FMA, runtime-detected.
     Avx2Fma,
+    /// x86_64 AVX-512F on top of AVX2 + FMA, runtime-detected: the blocked
+    /// class's packed tiles run at 512 bits, every other class runs the
+    /// [`SimdLevel::Avx2Fma`] code, and results are bit-identical to it.
+    Avx512,
 }
 
 impl SimdLevel {
@@ -76,6 +83,7 @@ impl SimdLevel {
             SimdLevel::Scalar => "scalar",
             SimdLevel::Neon => "neon",
             SimdLevel::Avx2Fma => "avx2-fma",
+            SimdLevel::Avx512 => "avx512",
         }
     }
 }
@@ -86,6 +94,9 @@ fn probe() -> SimdLevel {
     {
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return SimdLevel::Avx512;
+            }
             return SimdLevel::Avx2Fma;
         }
     }
@@ -116,28 +127,38 @@ fn env_force_scalar() -> bool {
     })
 }
 
-/// Test override slot: 0 = none, 1 = Scalar, 2 = Neon, 3 = Avx2Fma.
+/// Test override slot: 0 = none, 1 = Scalar, 2 = Neon, 3 = Avx2Fma,
+/// 4 = Avx512.
 static OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
 /// Override the SIMD level for subsequent dispatch decisions (test hook).
 ///
-/// `None` clears the override. A level the hardware probe did not report is
-/// clamped to [`SimdLevel::Scalar`] — the override can disable SIMD but
-/// never fabricate capability. Kernels compiled *before* the override
-/// (e.g. inside a [`crate::ContractionKernel`]) keep their frozen level;
-/// set the override before compiling the plan under test.
+/// `None` clears the override. Any level the CPU supports is honoured —
+/// [`SimdLevel::Avx2Fma`] on an AVX-512 host, so one host runs both x86
+/// tiles — and a level it lacks is clamped to [`SimdLevel::Scalar`]: the
+/// override can lower the level but never fabricate capability. Kernels
+/// compiled *before* the override (e.g. inside a
+/// [`crate::ContractionKernel`]) keep their frozen level; set the override
+/// before compiling the plan under test.
 pub fn set_simd_override(level: Option<SimdLevel>) {
     let v = match level {
         None => 0,
         Some(SimdLevel::Scalar) => 1,
         Some(SimdLevel::Neon) => 2,
         Some(SimdLevel::Avx2Fma) => 3,
+        Some(SimdLevel::Avx512) => 4,
     };
     OVERRIDE.store(v, Ordering::SeqCst);
 }
 
 fn clamp_to_detected(level: SimdLevel) -> SimdLevel {
-    if level == detected_simd() {
+    let detected = detected_simd();
+    let runs = match level {
+        SimdLevel::Scalar => true,
+        SimdLevel::Avx2Fma => matches!(detected, SimdLevel::Avx2Fma | SimdLevel::Avx512),
+        SimdLevel::Neon | SimdLevel::Avx512 => level == detected,
+    };
+    if runs {
         level
     } else {
         SimdLevel::Scalar
@@ -153,6 +174,7 @@ pub fn simd_level() -> SimdLevel {
         1 => return SimdLevel::Scalar,
         2 => return clamp_to_detected(SimdLevel::Neon),
         3 => return clamp_to_detected(SimdLevel::Avx2Fma),
+        4 => return clamp_to_detected(SimdLevel::Avx512),
         _ => {}
     }
     if env_force_scalar() {
@@ -327,7 +349,7 @@ impl KernelPlan {
 
     /// The one dispatch point. With `overwrite` the prior contents of `C`
     /// are ignored (`C = A * B`, bit-identical to zeroing `C` first): the
-    /// narrow and blocked SIMD paths hand it to their kernel, whose AVX2
+    /// narrow and blocked SIMD paths hand it to their kernel, whose x86
     /// tile then starts its accumulators at zero instead of loading `C` and
     /// so spares a contraction one full pass over its output; every other
     /// path zero-fills and accumulates.
@@ -385,7 +407,7 @@ pub struct DispatchCounts {
     /// Narrow-kernel invocations on the scalar path.
     pub narrow_scalar: u64,
     /// Blocked-kernel invocations on the SIMD path (the narrow class's tile
-    /// on AVX2+FMA).
+    /// on x86, its packed tiles at 512 bits at AVX-512).
     pub blocked_simd: u64,
     /// Blocked-kernel invocations on the portable packed path.
     pub blocked_scalar: u64,
@@ -433,13 +455,21 @@ mod tests {
 
     #[test]
     fn override_clamps_to_detected() {
-        // A level the hardware cannot run must clamp to scalar, never
-        // fabricate capability. (Exactly one of these differs from the
-        // probe on any given machine; both asserts hold on all.)
-        for forced in [SimdLevel::Neon, SimdLevel::Avx2Fma] {
-            let clamped = clamp_to_detected(forced);
-            assert!(clamped == forced && forced == detected_simd() || clamped == SimdLevel::Scalar);
+        // A level the hardware runs is honoured — AVX2+FMA below a probed
+        // AVX-512 too — and one it cannot run clamps to scalar, never
+        // fabricating capability.
+        let detected = detected_simd();
+        let runs = |level| match detected {
+            SimdLevel::Avx512 => {
+                [SimdLevel::Scalar, SimdLevel::Avx2Fma, SimdLevel::Avx512].contains(&level)
+            }
+            other => level == SimdLevel::Scalar || level == other,
+        };
+        for forced in [SimdLevel::Scalar, SimdLevel::Neon, SimdLevel::Avx2Fma, SimdLevel::Avx512] {
+            let want = if runs(forced) { forced } else { SimdLevel::Scalar };
+            assert_eq!(clamp_to_detected(forced), want, "{forced:?} on {detected:?}");
         }
+        assert_eq!(clamp_to_detected(detected), detected);
     }
 
     #[test]

@@ -9,11 +9,15 @@
 //! Two acceleration strategies appear:
 //!
 //! * **Intrinsics** — narrow and blocked shapes alike run the one
-//!   hand-written AVX2+FMA interleaved tile in [`super::avx2`].
+//!   hand-written interleaved tile in [`super::avx2`]. At
+//!   [`SimdLevel::Avx512`] the blocked class enters its 512-bit
+//!   instantiation and every other class runs exactly the
+//!   [`SimdLevel::Avx2Fma`] code.
 //! * **A `#[target_feature]` twin** — the micro-kernels reuse the *scalar*
 //!   bodies compiled a second time in an AVX2+FMA context, where LLVM
-//!   unrolls and vectorizes them. Same code, different instruction
-//!   selection; the scalar original stays untouched as the reference path.
+//!   unrolls and vectorizes them (at both x86 levels). Same code, different
+//!   instruction selection; the scalar original stays untouched as the
+//!   reference path.
 //!
 //! On aarch64, NEON is a baseline feature: the portable bodies already
 //! compile to vector code, so there is no separate `micro` or `narrow`
@@ -43,7 +47,8 @@ pub(crate) struct SimdSupport {
     /// Register-blocked SIMD tile for the narrow class.
     pub(crate) narrow: bool,
     /// SIMD path for the blocked class: the narrow class's interleaved tile
-    /// on AVX2+FMA, the portable split-real packed driver on NEON.
+    /// on x86 (its packed tiles at 512 bits at AVX-512), the portable
+    /// split-real packed driver on NEON.
     pub(crate) blocked: bool,
 }
 
@@ -52,7 +57,7 @@ pub(crate) struct SimdSupport {
 pub(crate) fn support(level: SimdLevel) -> SimdSupport {
     match level {
         SimdLevel::Scalar => SimdSupport::default(),
-        SimdLevel::Avx2Fma => SimdSupport {
+        SimdLevel::Avx2Fma | SimdLevel::Avx512 => SimdSupport {
             micro: cfg!(target_arch = "x86_64"),
             narrow: cfg!(target_arch = "x86_64"),
             blocked: true,
@@ -86,8 +91,9 @@ pub(crate) fn micro<L: Layout>(
 ) {
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2Fma is only dispatched after runtime detection.
-        SimdLevel::Avx2Fma => unsafe { micro_avx2(a, b, c) },
+        // SAFETY: both x86 levels are only dispatched after runtime
+        // detection, and each implies AVX2+FMA.
+        SimdLevel::Avx2Fma | SimdLevel::Avx512 => unsafe { micro_avx2(a, b, c) },
         _ => micro::run_scalar(a, b, c),
     }
 }
@@ -103,8 +109,11 @@ pub(crate) fn narrow<L: Layout>(
 ) {
     match level {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2Fma is only dispatched after runtime detection.
-        SimdLevel::Avx2Fma => unsafe { super::avx2::gemm_avx2(a, b, c, overwrite) },
+        // SAFETY: both x86 levels are only dispatched after runtime
+        // detection, and each implies AVX2+FMA.
+        SimdLevel::Avx2Fma | SimdLevel::Avx512 => unsafe {
+            super::avx2::gemm_avx2(a, b, c, overwrite)
+        },
         _ => {
             if overwrite {
                 c.fill(Complex64::ZERO);
@@ -114,10 +123,10 @@ pub(crate) fn narrow<L: Layout>(
     }
 }
 
-/// Blocked `C += A·B`, or `C = A·B` with `overwrite`: the AVX2+FMA tile
-/// the narrow class runs at that level, the portable packed driver on this
-/// thread's [`PackArena`] at every other — which makes
-/// `blocked(SimdLevel::Scalar, ..)` the scalar blocked path.
+/// Blocked `C += A·B`, or `C = A·B` with `overwrite`: the x86 tile the
+/// narrow class runs (its 512-bit instantiation at AVX-512), the portable
+/// packed driver on this thread's [`PackArena`] at every other level —
+/// which makes `blocked(SimdLevel::Scalar, ..)` the scalar blocked path.
 #[allow(clippy::match_single_binding)]
 pub(crate) fn blocked<L: Layout>(
     level: SimdLevel,
@@ -130,6 +139,10 @@ pub(crate) fn blocked<L: Layout>(
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2Fma is only dispatched after runtime detection.
         SimdLevel::Avx2Fma => unsafe { super::avx2::gemm_avx2(a, b, c, overwrite) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: Avx512 is only dispatched after runtime detection of
+        // AVX-512F, AVX2 and FMA.
+        SimdLevel::Avx512 => unsafe { super::avx2::gemm_avx512(a, b, c, overwrite) },
         _ => {
             if overwrite {
                 c.fill(Complex64::ZERO);

@@ -36,16 +36,32 @@ fn lock() -> MutexGuard<'static, ()> {
 
 /// The SIMD levels it is safe to *execute* on this machine: the scalar
 /// reference level always, plus the effective probed level when it is not
-/// already scalar. (Forcing a level the hardware lacks would execute
-/// unsupported instructions, so the grid never does that; under
-/// `QTNSIM_FORCE_SCALAR` this collapses to scalar-only and the suite tests
-/// exactly the forced configuration.)
+/// already scalar, plus AVX2+FMA below a probed AVX-512 (which implies it).
+/// (Forcing a level the hardware lacks would execute unsupported
+/// instructions, so the grid never does that; under `QTNSIM_FORCE_SCALAR`
+/// this collapses to scalar-only and the suite tests exactly the forced
+/// configuration.)
 fn levels() -> Vec<SimdLevel> {
-    let eff = simd_level();
-    if eff == SimdLevel::Scalar {
-        vec![SimdLevel::Scalar]
-    } else {
-        vec![SimdLevel::Scalar, eff]
+    match simd_level() {
+        SimdLevel::Scalar => vec![SimdLevel::Scalar],
+        SimdLevel::Avx512 => vec![SimdLevel::Scalar, SimdLevel::Avx2Fma, SimdLevel::Avx512],
+        eff => vec![SimdLevel::Scalar, eff],
+    }
+}
+
+/// The executable x86 levels, whose narrow and blocked classes run the
+/// interleaved tile.
+fn x86_levels() -> Vec<SimdLevel> {
+    let x86 = |level: &SimdLevel| matches!(level, SimdLevel::Avx2Fma | SimdLevel::Avx512);
+    levels().into_iter().filter(x86).collect()
+}
+
+/// Clears the override even if an assert unwinds mid-test.
+struct RestoreOverride;
+
+impl Drop for RestoreOverride {
+    fn drop(&mut self) {
+        set_simd_override(None);
     }
 }
 
@@ -348,14 +364,22 @@ fn single_chunk_tables() -> impl Iterator<Item = (usize, usize, usize)> {
 /// groups, dense operands and offset tables with each operand's unit-stride
 /// axis free and contracted, accumulating into a dirty `C` and overwriting
 /// a NaN-filled one.
+///
+/// Runs at every x86 level the host has, with the override set so the
+/// compiled kernels freeze that level too: the 512-bit blocked tiles keep
+/// the 256-bit tile's order, so one model covers both.
 #[test]
 fn avx2_gemm_follows_its_scalar_fma_model() {
     let _guard = lock();
-    let level = simd_level();
-    if level != SimdLevel::Avx2Fma {
-        // The model documents the AVX2 tile; other levels run other kernels.
-        return;
+    let _restore = RestoreOverride;
+    for level in x86_levels() {
+        set_simd_override(Some(level));
+        assert_eq!(simd_level(), level);
+        follows_fma_model_at(level);
     }
+}
+
+fn follows_fma_model_at(level: SimdLevel) {
     let mut rng = StdRng::seed_from_u64(0xF4A);
     // The auto-selected plan (when it picks one of the tile's classes) and
     // both classes forced.
@@ -395,7 +419,11 @@ fn avx2_gemm_follows_its_scalar_fma_model() {
         for plan in plans(m, n, k) {
             let mut got = dirty.clone();
             plan.apply(&a, &b, &mut got, m, n, k);
-            assert_same_bits(&got, &want, &format!("dense ({m},{n},{k}) {:?}", plan.class()));
+            assert_same_bits(
+                &got,
+                &want,
+                &format!("{level:?} dense ({m},{n},{k}) {:?}", plan.class()),
+            );
         }
     }
     // The single-chunk grid runs one plan: both of the tile's classes call
@@ -407,7 +435,7 @@ fn avx2_gemm_follows_its_scalar_fma_model() {
         let mut got = want.clone();
         avx2_fma_model(&a, &b, &mut want, (m, n, k), false);
         KernelPlan::forced(DispatchClass::Narrow, level).apply(&a, &b, &mut got, m, n, k);
-        assert_same_bits(&got, &want, &format!("dense ({m},{n},{k}) single chunk"));
+        assert_same_bits(&got, &want, &format!("{level:?} dense ({m},{n},{k}) single chunk"));
     }
     let in_place = [
         (64, 4, 4),
@@ -440,7 +468,8 @@ fn avx2_gemm_follows_its_scalar_fma_model() {
                 DenseTensor::from_data(IndexSet::new(left_axes), random_c64(&mut rng, m * k));
             let right =
                 DenseTensor::from_data(IndexSet::new(right_axes), random_c64(&mut rng, k * n));
-            let what = format!("({m},{n},{k}) {:?} x {:?}", left.indices(), right.indices());
+            let what =
+                format!("{level:?} ({m},{n},{k}) {:?} x {:?}", left.indices(), right.indices());
 
             // Accumulate: the plans applied through the offset tables.
             let a = permute_to_order(&left, &IndexSet::new(join(&left_free, &contracted)));
@@ -473,6 +502,98 @@ fn avx2_gemm_follows_its_scalar_fma_model() {
             avx2_fma_model(a.data(), b.data(), &mut want, (m, n, k), true);
             kernel.contract(left.data(), right.data(), &mut got);
             assert_same_bits(&got, &want, &format!("{what} overwriting"));
+        }
+    }
+}
+
+/// The blocked class's packed tiles at every x86 level, against the FMA
+/// model bit for bit: at 512 bits a register holds two column pairs, so
+/// this grid reaches each row-block remainder (`m` from 17 to 22 past the
+/// 6-row blocks, and a 12-row shape under the narrow bound), `n` with 8-,
+/// 4-, 2- and 1-column tails (a one-register tile, the 256-bit pair tile
+/// and the single column) inside and past a 64-column group, and `k` at 1,
+/// one `p` chunk (128), one past it and three chunks; dense operands
+/// accumulate into a dirty `C`. Power-of-two shapes then run through offset
+/// tables with the unit-stride axis free and contracted, accumulating and
+/// overwriting a NaN-filled `C` through the compiled kernel.
+#[test]
+fn packed_blocked_tiles_follow_the_fma_model_at_every_width() {
+    let _guard = lock();
+    let _restore = RestoreOverride;
+    let mut rng = StdRng::seed_from_u64(0x512);
+    let (ms, ns) = ([12, 17, 18, 19, 20, 21, 22], (1..=16).chain([72, 76, 78, 79]));
+    let dense: Vec<_> = ms
+        .into_iter()
+        .flat_map(|m| ns.clone().map(move |n| (m, n)))
+        .flat_map(|(m, n)| [1, 128, 129, 384].map(|k| (m, n, k)))
+        .collect();
+    let tables: Vec<_> = [16, 32, 64]
+        .into_iter()
+        .flat_map(|m| [2, 4, 8, 16, 32, 128].map(|n| (m, n)))
+        .flat_map(|(m, n)| [1, 128, 512].map(|k| (m, n, k)))
+        .collect();
+    for level in x86_levels() {
+        set_simd_override(Some(level));
+        let plan = KernelPlan::forced(DispatchClass::Blocked, level);
+        for &(m, n, k) in &dense {
+            let a = random_c64(&mut rng, m * k);
+            let b = random_c64(&mut rng, k * n);
+            let mut want = random_c64(&mut rng, m * n);
+            let mut got = want.clone();
+            avx2_fma_model(&a, &b, &mut want, (m, n, k), false);
+            plan.apply(&a, &b, &mut got, m, n, k);
+            assert_same_bits(&got, &want, &format!("{level:?} dense ({m},{n},{k})"));
+        }
+        for &(m, n, k) in &tables {
+            let bits = |d: usize| d.trailing_zeros();
+            let left_free: Vec<IndexId> = (0..bits(m)).collect();
+            let contracted: Vec<IndexId> = (100..100 + bits(k)).collect();
+            let right_free: Vec<IndexId> = (200..200 + bits(n)).collect();
+            let join = |x: &[IndexId], y: &[IndexId]| [x, y].concat();
+            for (left_axes, right_axes) in [
+                (join(&left_free, &contracted), join(&contracted, &right_free)),
+                (join(&contracted, &left_free), join(&right_free, &contracted)),
+            ] {
+                let left =
+                    DenseTensor::from_data(IndexSet::new(left_axes), random_c64(&mut rng, m * k));
+                let right =
+                    DenseTensor::from_data(IndexSet::new(right_axes), random_c64(&mut rng, k * n));
+                let what =
+                    format!("{level:?} ({m},{n},{k}) {:?} x {:?}", left.indices(), right.indices());
+                let a = permute_to_order(&left, &IndexSet::new(join(&left_free, &contracted)));
+                let b = permute_to_order(&right, &IndexSet::new(join(&contracted, &right_free)));
+                let left_table = OffsetTable::new(left.indices(), &left_free, &contracted);
+                let right_table = OffsetTable::new(right.indices(), &contracted, &right_free);
+                let mut want = random_c64(&mut rng, m * n);
+                let mut got = want.clone();
+                avx2_fma_model(a.data(), b.data(), &mut want, (m, n, k), false);
+                plan.apply_views(
+                    left_table.view(left.data()),
+                    right_table.view(right.data()),
+                    &mut got,
+                );
+                assert_same_bits(&got, &want, &format!("{what} accumulating"));
+
+                let kernel = ContractionKernel::new(left.indices(), right.indices());
+                if kernel.gemm_plan().class() != DispatchClass::Blocked {
+                    continue;
+                }
+                assert_eq!(kernel.gemm_plan().level(), level, "{what}");
+                let spec = kernel.spec();
+                let a = permute_to_order(
+                    &left,
+                    &IndexSet::new(join(&spec.left_free, &spec.contracted)),
+                );
+                let b = permute_to_order(
+                    &right,
+                    &IndexSet::new(join(&spec.contracted, &spec.right_free)),
+                );
+                let mut want = vec![c64(f64::NAN, f64::NAN); m * n];
+                let mut got = want.clone();
+                avx2_fma_model(a.data(), b.data(), &mut want, (m, n, k), true);
+                kernel.contract(left.data(), right.data(), &mut got);
+                assert_same_bits(&got, &want, &format!("{what} overwriting"));
+            }
         }
     }
 }
@@ -689,13 +810,7 @@ fn every_reachable_path_is_executed_and_counted() {
 #[test]
 fn override_steers_selection() {
     let _guard = lock();
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            set_simd_override(None);
-        }
-    }
-    let _restore = Restore;
+    let _restore = RestoreOverride;
     let base = simd_level();
     set_simd_override(Some(SimdLevel::Scalar));
     assert_eq!(simd_level(), SimdLevel::Scalar);
