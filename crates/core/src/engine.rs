@@ -450,19 +450,13 @@ impl Engine {
 
         // Refuse plans the kernels cannot address at all, then (the lifetime
         // analysis gives the slicing's "memory budget" a real number to be
-        // checked against) plans whose predicted per-worker peak exceeds
-        // the configured byte budget — under a single execution or a
-        // batched one, whichever holds more, since a compiled circuit may
-        // run either. Rejected plans stay cached (neither check is part of
+        // checked against) plans whose worst predicted home exceeds the
+        // configured byte budget — under a single execution or a batched
+        // one, whichever holds more, since a compiled circuit may run
+        // either. Rejected plans stay cached (neither check is part of
         // the cache key), so retrying with a raised budget is a cache hit,
         // not a replan.
-        let memory = &plan.memory_plan;
-        let rank = [&memory.branch, &memory.frontier, &memory.stem, &memory.batched_stem]
-            .iter()
-            .flat_map(|phase| phase.slot_ranks())
-            .max()
-            .copied()
-            .unwrap_or(0);
+        let rank = plan.memory_plan.max_rank;
         if rank > qtn_tensor::MAX_RANK {
             return Err(Error::TensorTooLarge { rank, max: qtn_tensor::MAX_RANK });
         }

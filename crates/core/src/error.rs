@@ -51,8 +51,9 @@ pub enum Error {
     /// [`crate::PlannerConfig::memory_budget_bytes`]. Raise the budget or
     /// lower `target_rank` so slicing produces smaller subtasks.
     MemoryBudgetExceeded {
-        /// Predicted per-worker peak bytes of the worst reuse phase, single
-        /// or batched execution, whichever is larger.
+        /// Predicted peak bytes of the worst home (branch store, frontier
+        /// arena or one worker's stem pool), single or batched execution,
+        /// whichever is larger.
         predicted_bytes: u64,
         /// The configured budget.
         budget_bytes: u64,
@@ -62,7 +63,7 @@ pub enum Error {
     /// `target_rank` or open fewer qubits so slicing produces smaller
     /// tensors.
     TensorTooLarge {
-        /// Largest tensor rank of the plan's memory phases.
+        /// Largest effective tensor rank of any tree node.
         rank: usize,
         /// The kernels' rank limit.
         max: usize,

@@ -126,7 +126,7 @@ impl KeySchedule {
         KeySchedule {
             qubits: plan.build.projector_leaves.iter().map(|&(q, _)| q).collect(),
             nodes,
-            mixed: cls.stem_mixed_schedule().iter().map(|&(_, _, out)| out).collect(),
+            mixed: mixed_steps(plan).map(|&(_, _, out)| out).collect(),
             priority: mixed_sort_priority(plan),
             tree_len: plan.tree.nodes().len(),
         }
@@ -193,6 +193,13 @@ impl BatchKeys {
     }
 }
 
+/// The StemMixed steps: the stem run filtered by class, in tree order.
+fn mixed_steps(plan: &SimulationPlan) -> impl Iterator<Item = &(usize, usize, usize)> {
+    let cls = &plan.classification;
+    let stem = cls.run(NodeClass::StemMixed).iter();
+    stem.filter(|&&(_, _, out)| cls.class(out) == NodeClass::StemMixed)
+}
+
 /// The StemMixed contraction outputs in the order the batch sort compares
 /// their keys. Processing order never affects correctness (a node
 /// recomputes exactly when its key differs from what its buffer holds,
@@ -212,7 +219,7 @@ fn mixed_sort_priority(plan: &SimulationPlan) -> Vec<usize> {
     let masks = cls.projector_masks();
     // Group schedule outs by identical mask, accumulating structural cost.
     let mut groups: Vec<(Vec<u64>, Vec<usize>, u64)> = Vec::new();
-    for &(l, r, out) in cls.stem_mixed_schedule() {
+    for &(l, r, out) in mixed_steps(plan) {
         let words = masks.mask(out).to_vec();
         let cost = pair_cost(plan, l, r);
         match groups.iter_mut().find(|(w, _, _)| *w == words) {
@@ -337,7 +344,7 @@ mod tests {
             &OutputSpec::Amplitude(vec![0; n]),
             &PlannerConfig { target_rank: 7, ..Default::default() },
         );
-        assert!(!plan.classification.stem_mixed_schedule().is_empty());
+        assert!(mixed_steps(&plan).next().is_some());
         let bits: Vec<Vec<u8>> =
             (0..16).map(|k| (0..n).map(|q| ((k >> (q % 4)) & 1) as u8).collect()).collect();
         let batch: Vec<&[u8]> = bits.iter().map(Vec::as_slice).collect();
@@ -345,7 +352,7 @@ mod tests {
         let mut sorted = dedup.order.clone();
         sorted.sort_unstable();
         assert_eq!(*sorted, *(0..16).collect::<Vec<_>>(), "order is a permutation of the batch");
-        for &(_, _, out) in plan.classification.stem_mixed_schedule() {
+        for &(_, _, out) in mixed_steps(&plan) {
             let keys = dedup.nodes[out].as_ref().expect("every mixed out gets a key table");
             let ids: Vec<u32> = (0..16).map(|b| dedup.id(out, b)).collect();
             // Sorted order keeps equal keys adjacent: each distinct id

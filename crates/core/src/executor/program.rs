@@ -105,7 +105,8 @@ pub(super) struct StemLeaf {
 /// execution, clone and parameter rebind of it.
 #[derive(Debug)]
 pub(crate) struct Program {
-    /// Branch, then Frontier, then stem steps, each run in schedule order.
+    /// One step per entry of the classification's schedule: Branch, then
+    /// Frontier, then stem steps, each run in tree order.
     steps: Vec<Step>,
     /// Where the Frontier and the stem runs start in `steps`.
     frontier_at: usize,
@@ -159,11 +160,9 @@ impl Program {
             Some(vertex) if !cls.class(id).is_stem() => Operand::Leaf(LeafSource::of(plan, vertex)),
             _ => Operand::Node(id),
         };
-        let (branch, frontier) = (cls.branch_schedule(), cls.frontier_schedule());
-        let schedule = branch.iter().chain(frontier).chain(cls.stem_schedule());
         let mut steps = Vec::new();
         let mut bills = [Bill::default(); 4];
-        for &(l, r, out) in schedule {
+        for &(l, r, out) in cls.schedule() {
             let at = |id: usize| {
                 indices[id]
                     .as_ref()
@@ -184,10 +183,11 @@ impl Program {
         let root = plan.tree.root();
         let root_indices =
             indices[root].clone().ok_or_else(|| Error::Internal("no root".into()))?;
+        let frontier_at = cls.run(NodeClass::Branch).len();
         Ok(Program {
             steps,
-            frontier_at: branch.len(),
-            stem_at: branch.len() + frontier.len(),
+            frontier_at,
+            stem_at: frontier_at + cls.run(NodeClass::Frontier).len(),
             leaves,
             root,
             root_class: cls.class(root),

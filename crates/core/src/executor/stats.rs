@@ -119,8 +119,7 @@ impl ExecutionStats {
 /// per-class bills, a sweep's executed bills (one per node class, plus
 /// [`SKIPPED`]), the frontier run's and the branch build's. Each
 /// contraction is classified through its frozen [`qtn_tensor::KernelPlan`],
-/// so the bill is exact per execution and never reads the process-global
-/// dispatch counters (which concurrent executions share).
+/// so the bill is exact per execution, whatever runs beside it.
 #[derive(Debug, Default, Clone, Copy)]
 pub(super) struct Bill {
     pub(super) flops: u64,

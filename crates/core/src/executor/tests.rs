@@ -5,6 +5,8 @@ use super::*;
 use crate::planner::{plan_simulation, PlannerConfig};
 use qtn_circuit::{OutputSpec, RqcConfig};
 use qtn_statevector::StateVector;
+use qtn_tensornet::lifetime::bytes_of_rank;
+use qtn_tensornet::{NodeClass, BYTES_PER_AMPLITUDE};
 
 /// Execute a batch of one bitstring.
 fn execute_one(
@@ -355,7 +357,7 @@ fn a_pooled_sweep_acquires_one_buffer_per_stem_leaf_and_output() {
     let stem_leaves = (plan.tree.nodes().iter().enumerate())
         .filter(|(id, node)| node.is_leaf() && cls.class(*id).is_stem())
         .count() as u64;
-    let outputs = cls.stem_schedule().len() as u64;
+    let outputs = cls.run(NodeClass::StemPure).len() as u64;
     assert!(stem_leaves > 0 && outputs > 0);
     let config = ExecutorConfig { workers: 1, max_subtasks: 0, reuse: true, pool: true };
     let (_, stats) = run(&plan, &vec![0; n], &config);
@@ -593,7 +595,8 @@ fn gemm_dispatch_counters_cover_every_contraction() {
     let plan = make_plan();
     let bits = vec![0; n];
     let (_, stats) = run(&plan, &bits, &ExecutorConfig { workers: 2, ..Default::default() });
-    let stem = plan.classification.stem_schedule().len() as u64 * stats.subtasks_run as u64;
+    let stem = plan.classification.run(NodeClass::StemPure).len() as u64;
+    let stem = stem * stats.subtasks_run as u64;
     assert_eq!(gemm_total(&stats), stats.branch_contractions + stats.frontier_contractions + stem,);
     assert!(stats.gemm_simd <= gemm_total(&stats));
     assert!(matches!(stats.simd_level, "scalar" | "neon" | "avx2-fma" | "avx512"));
@@ -637,7 +640,7 @@ fn gemm_shape_histogram_matches_full_replay_dispatch() {
     // Total weighted count = tree contractions with stem steps repeated
     // per subtask — exactly what a full reusing execution dispatches.
     let total: u64 = hist.iter().map(|&(_, c)| c).sum();
-    let stem = plan.classification.stem_schedule().len() as u64;
+    let stem = plan.classification.run(NodeClass::StemPure).len() as u64;
     let non_stem = plan.tree.schedule().len() as u64 - stem;
     assert_eq!(total, non_stem + stem * plan.num_subtasks() as u64);
     // Sorted by descending total flops.
@@ -730,4 +733,48 @@ fn executed_flops_equal_the_programs_static_bill() {
         assert_eq!(stats.flops, stats.frontier_flops + stats.stem_flops, "{case}: warm store");
         assert!(stats.frontier_flops <= batch.len() as u64 * frontier, "{case}");
     }
+}
+
+#[test]
+fn the_branch_store_and_the_frontier_arena_hold_what_the_memory_plan_prices() {
+    // (rows, cols, cycles, seed, target rank): the pinned 3x4x10 plan, a
+    // sliced and an unsliced small plan, and the `amp-m20` plan.
+    let cases = [(3, 4, 10, 5, 8), (3, 3, 8, 2, 7), (2, 3, 6, 7, 40), (4, 5, 12, 5, 14)];
+    let bytes = |elements: usize| elements as u64 * BYTES_PER_AMPLITUDE;
+    let (mut branch_seen, mut keys_seen) = (false, false);
+    for (rows, cols, cycles, seed, target_rank) in cases {
+        let circuit = RqcConfig::small(rows, cols, cycles, seed).build();
+        let n = circuit.num_qubits();
+        let planner = PlannerConfig { target_rank, ..Default::default() };
+        let plan = plan_simulation(&circuit, &OutputSpec::Amplitude(vec![0; n]), &planner);
+        let (memory, cls) = (&plan.memory_plan, &plan.classification);
+        let case = format!("{rows}x{cols}x{cycles}/{target_rank}");
+        assert!(!cls.run(NodeClass::Frontier).is_empty(), "{case}: the plan needs a frontier");
+
+        // A single execution's arena holds every Frontier output once.
+        let single = prepare_reuse(&plan, &[&vec![0; n]]).unwrap();
+        assert_eq!(bytes(single.arena.len()), memory.frontier_bytes, "{case}");
+
+        // A batch's arena holds each output once per distinct key.
+        let bits: Vec<Vec<u8>> =
+            (0..8usize).map(|k| (0..n).map(|q| ((k >> (q % 3)) & 1) as u8).collect()).collect();
+        let batch: Vec<&[u8]> = bits.iter().map(Vec::as_slice).collect();
+        let batched = prepare_reuse(&plan, &batch).unwrap();
+        let keyed = cls.run(NodeClass::Frontier).iter().map(|&(_, _, out)| {
+            let distinct = batched.keys.distinct(out) as u64;
+            keys_seen |= distinct > 1;
+            bytes_of_rank(plan.tree.node(out).indices.len()) * distinct
+        });
+        assert_eq!(bytes(batched.arena.len()), keyed.sum::<u64>(), "{case}");
+
+        // The store keeps the kept roots, never more than its build's peak.
+        let kept: u64 = single.store.entries.iter().flatten().map(|entry| bytes(entry.len())).sum();
+        assert!(
+            kept <= memory.branch_bytes,
+            "{case}: {kept} B kept, {} B priced",
+            memory.branch_bytes
+        );
+        branch_seen |= kept > 0;
+    }
+    assert!(branch_seen && keys_seen, "some case must build a store and key a frontier");
 }

@@ -122,9 +122,10 @@ pub struct SimulationPlan {
     /// driving the executor's stem-only sweep (which contractions run once
     /// per plan, once per execution, or per subtask).
     pub classification: NodeClassification,
-    /// Plan-time lifetime analysis of every reuse phase: buffer liveness
-    /// intervals, greedy slot assignment by size class and the predicted
-    /// peak bytes the pooled executor's buffer traffic is checked against.
+    /// Plan-time lifetime analysis of the executor's homes: the branch
+    /// store's build peak, the frontier arena, and for the pooled stem the
+    /// buffer liveness intervals, greedy slot assignment by size class and
+    /// the peak bytes its buffer traffic is checked against.
     pub memory_plan: MemoryPlan,
     /// Per-worker stem buffer pools, persisted across executions of this
     /// plan (and all its clones) like the branch store: the second
@@ -162,9 +163,10 @@ impl SimulationPlan {
         matches!(self.branch.get(), Some(Ok(_)))
     }
 
-    /// The worst per-phase predicted peak buffer memory
-    /// ([`MemoryPlan::peak_bytes`]): what a memory budget is checked
-    /// against, and what one worker's pool traffic can reach.
+    /// The predicted peak of a single execution's worst home
+    /// ([`MemoryPlan::peak_bytes`]): the branch store while it is built,
+    /// the frontier arena, or one worker's stem pool. A memory budget is
+    /// checked against it and [`Self::predicted_batched_peak_bytes`].
     pub fn predicted_peak_bytes(&self) -> u64 {
         self.memory_plan.peak_bytes()
     }
@@ -173,8 +175,8 @@ impl SimulationPlan {
     /// execution's stem sweep ([`MemoryPlan::batched_stem`]): the StemPure
     /// keep set is held across the whole bitstring batch while the
     /// StemMixed suffix replays on top of it, so this can exceed
-    /// [`Self::predicted_peak_bytes`]. Exact, like every other phase
-    /// prediction.
+    /// one worker's single-execution stem peak. Exact: a pooled batched
+    /// execution's `peak_bytes_in_flight` equals it.
     pub fn predicted_batched_peak_bytes(&self) -> u64 {
         self.memory_plan.batched_stem.peak_bytes()
     }
@@ -330,10 +332,9 @@ pub fn plan_simulation(
         classify_nodes(&tree, &slicing.sliced, &overridable, &build.param_leaf_vertices());
     record("tensornet.classify", None, None);
 
-    // Lifetime analysis: first/last use of every intermediate, slot
-    // assignment and predicted peak bytes per reuse phase. Structure-only,
-    // and exact — the pooled executor replays the same acquire/release
-    // sequence at runtime.
+    // Lifetime analysis: what each home holds at its peak, and for the
+    // stem the first/last use of every buffer and its slot. Structure-only,
+    // and exact — the executor replays the same sequences at runtime.
     let memory_plan = analyze_memory(&tree, &classification, &slicing.sliced);
     record("tensornet.analyze_memory", None, None);
 
@@ -525,7 +526,7 @@ mod tests {
             "sycamore m=20 seed 2023: 0x813609b4e43a4d9e",
             "4x5x12/14: 0xd007a23b8fae48f4",
             "5x6x12/18: 0x9baaeb1d389b3b43",
-            "3x4x10/8: 0xc8a3382d10d2dddf",
+            "3x4x10/8: 0xa427382c1823efdf",
         ];
         assert_eq!(digests, expected);
     }

@@ -33,10 +33,8 @@
 //! peak.
 
 use qtn_tensor::Complex64;
+use qtn_tensornet::BYTES_PER_AMPLITUDE;
 use std::sync::Mutex;
-
-/// Bytes of one pooled element (a double-precision complex amplitude).
-const BYTES_PER_ELEMENT: u64 = std::mem::size_of::<Complex64>() as u64;
 
 /// Per-execution counters of one worker's pool traffic.
 ///
@@ -109,14 +107,14 @@ impl BufferPool {
                 vec![Complex64::ZERO; len]
             }
         };
-        counters.in_flight_bytes += len as u64 * BYTES_PER_ELEMENT;
+        counters.in_flight_bytes += len as u64 * BYTES_PER_AMPLITUDE;
         counters.peak_in_flight_bytes = counters.peak_in_flight_bytes.max(counters.in_flight_bytes);
         buf
     }
 
     /// Return a buffer to its size class's free list.
     pub fn release(&mut self, buf: Vec<Complex64>, counters: &mut PoolCounters) {
-        counters.in_flight_bytes -= buf.len() as u64 * BYTES_PER_ELEMENT;
+        counters.in_flight_bytes -= buf.len() as u64 * BYTES_PER_AMPLITUDE;
         self.free_list(size_class(buf.len())).push(buf);
     }
 

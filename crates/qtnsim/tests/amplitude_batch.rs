@@ -6,6 +6,7 @@
 //! lifetime phase predicts the pooled peak exactly.
 
 use qtnsim::circuit::{Gate, OutputSpec, RqcConfig};
+use qtnsim::tensornet::{NodeClass, NodeClassification};
 use qtnsim::{Circuit, Engine, ExecutorConfig, PlannerConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,6 +22,12 @@ fn planner() -> PlannerConfig {
 
 fn executor(pool: bool) -> ExecutorConfig {
     ExecutorConfig { workers: 4, max_subtasks: 0, reuse: true, pool }
+}
+
+/// The StemMixed contraction outputs: the stem run filtered by class.
+fn mixed_outputs(cls: &NodeClassification) -> Vec<usize> {
+    let stem = cls.run(NodeClass::StemMixed).iter().map(|&(_, _, out)| out);
+    stem.filter(|&out| cls.class(out) == NodeClass::StemMixed).collect()
 }
 
 fn random_bitstrings(n: usize, count: usize, seed: u64) -> Vec<Vec<u8>> {
@@ -253,12 +260,8 @@ fn mixed_cones_from_one_qubit_to_full_output_stay_bit_identical() {
         let compiled = engine.compile(&circuit, &spec).unwrap();
         let plan = compiled.plan();
         let masks = plan.classification.projector_masks();
-        let widths: Vec<usize> = plan
-            .classification
-            .stem_mixed_schedule()
-            .iter()
-            .map(|&(_, _, out)| masks.popcount(out))
-            .collect();
+        let widths: Vec<usize> =
+            mixed_outputs(&plan.classification).iter().map(|&out| masks.popcount(out)).collect();
         assert!(widths.contains(&1), "a single-projector join must be StemMixed: {widths:?}");
         assert!(
             widths.iter().any(|&w| w > 1 && w < n),
@@ -304,11 +307,8 @@ fn each_distinct_subtask_key_contraction_runs_exactly_once_on_nested_cones() {
     let compiled = engine.compile(&circuit, &spec).unwrap();
     let plan = compiled.plan();
     let masks = plan.classification.projector_masks();
-    let cones: Vec<Vec<usize>> = plan
-        .classification
-        .stem_mixed_schedule()
-        .iter()
-        .map(|&(_, _, out)| masks.ordinals(out).collect())
+    let cones: Vec<Vec<usize>> = (mixed_outputs(&plan.classification).iter())
+        .map(|&out| masks.ordinals(out).collect())
         .collect();
     for a in &cones {
         for b in &cones {
@@ -318,7 +318,7 @@ fn each_distinct_subtask_key_contraction_runs_exactly_once_on_nested_cones() {
             );
         }
     }
-    let sched_len = plan.classification.stem_mixed_schedule().len() as u64;
+    let sched_len = mixed_outputs(&plan.classification).len() as u64;
     let subtasks = plan.num_subtasks() as u64;
 
     for batch_size in [8usize, 64] {

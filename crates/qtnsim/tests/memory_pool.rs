@@ -141,7 +141,7 @@ fn slot_assignment_respects_live_set_maxima() {
     let engine = Engine::with_configs(planner(), executor(true));
     let compiled = engine.compile(&circuit, &OutputSpec::Amplitude(vec![0; n])).unwrap();
     let memory = &compiled.plan().memory_plan;
-    for phase in [&memory.branch, &memory.frontier, &memory.stem] {
+    for phase in [&memory.stem, &memory.batched_stem] {
         let slots = phase.slot_count_by_rank();
         for (rank, peak) in phase.peak_live_by_rank() {
             assert!(
@@ -151,9 +151,8 @@ fn slot_assignment_respects_live_set_maxima() {
         }
         assert!(phase.arena_bytes() >= phase.peak_bytes());
     }
-    // The plan-level peak is the worst phase.
-    let worst =
-        memory.branch.peak_bytes().max(memory.frontier.peak_bytes()).max(memory.stem.peak_bytes());
+    // The plan-level peak is the worst home.
+    let worst = memory.branch_bytes.max(memory.frontier_bytes).max(memory.stem.peak_bytes());
     assert_eq!(memory.peak_bytes(), worst);
 }
 
@@ -162,11 +161,11 @@ fn memory_budget_is_enforced_end_to_end() {
     let circuit = sliced_circuit();
     let n = circuit.num_qubits();
     let spec = OutputSpec::Amplitude(vec![0; n]);
-    let predicted = Engine::with_configs(planner(), executor(true))
-        .compile(&circuit, &spec)
-        .unwrap()
-        .plan()
-        .predicted_peak_bytes();
+    // Compile checks the larger of a single and a batched execution's peak.
+    let compiled =
+        Engine::with_configs(planner(), executor(true)).compile(&circuit, &spec).unwrap();
+    let plan = compiled.plan();
+    let predicted = plan.predicted_peak_bytes().max(plan.predicted_batched_peak_bytes());
     let budgeted = Engine::with_configs(
         PlannerConfig { memory_budget_bytes: Some(predicted / 2), ..planner() },
         executor(true),

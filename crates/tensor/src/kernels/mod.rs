@@ -56,7 +56,6 @@ pub use view::{Dense, Layout, MatRef, OffsetTable, Tables, MAX_RANK};
 
 use crate::complex::{Complex64, Scalar};
 use crate::gemm::{gemm_narrow, gemv_col, gemv_row, is_narrow, shape_of};
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
@@ -208,8 +207,8 @@ pub enum DispatchClass {
 }
 
 /// The concrete code path one `apply` takes, combining the shape class with
-/// whether its SIMD variant is used. This is what the dispatch
-/// counters and `ExecutionStats` tally.
+/// whether its SIMD variant is used. This is what `ExecutionStats`
+/// tallies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum GemmPath {
@@ -369,7 +368,6 @@ impl KernelPlan {
             );
         }
         let path = self.taken::<Complex64>();
-        record_path(path);
         if overwrite && !matches!(path, GemmPath::NarrowSimd | GemmPath::BlockedSimd) {
             c.fill(Complex64::ZERO);
         }
@@ -384,63 +382,6 @@ impl KernelPlan {
             GemmPath::BlockedScalar => simd::blocked(SimdLevel::Scalar, a, b, c, false),
         }
     }
-}
-
-/// Dispatch counters of the calling thread, one per [`GemmPath`].
-///
-/// Thread-local: a worker's GEMMs touch no cache line another worker
-/// writes. The conformance suite uses deltas of these (on its own thread)
-/// to prove every dispatch path is actually exercised; per-execution
-/// accounting is `ExecutionStats`' own tally, not these.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DispatchCounts {
-    /// Micro-kernel invocations on the SIMD path.
-    pub micro_simd: u64,
-    /// Micro-kernel invocations on the scalar path.
-    pub micro_scalar: u64,
-    /// GEMV row-vector invocations (always scalar).
-    pub gemv_row: u64,
-    /// GEMV column-vector invocations (always scalar).
-    pub gemv_col: u64,
-    /// Narrow-kernel invocations on the SIMD path.
-    pub narrow_simd: u64,
-    /// Narrow-kernel invocations on the scalar path.
-    pub narrow_scalar: u64,
-    /// Blocked-kernel invocations on the SIMD path (the narrow class's tile
-    /// on x86, its packed tiles at 512 bits at AVX-512).
-    pub blocked_simd: u64,
-    /// Blocked-kernel invocations on the portable packed path.
-    pub blocked_scalar: u64,
-}
-
-thread_local! {
-    /// Indexed by `GemmPath as usize`.
-    static COUNTS: [Cell<u64>; 8] = const { [const { Cell::new(0) }; 8] };
-}
-
-#[inline]
-fn record_path(path: GemmPath) {
-    COUNTS.with(|counts| {
-        let slot = &counts[path as usize];
-        slot.set(slot.get() + 1);
-    });
-}
-
-/// Snapshot of the calling thread's dispatch counters.
-pub fn dispatch_counts() -> DispatchCounts {
-    COUNTS.with(|counts| {
-        let of = |path: GemmPath| counts[path as usize].get();
-        DispatchCounts {
-            micro_simd: of(GemmPath::MicroSimd),
-            micro_scalar: of(GemmPath::MicroScalar),
-            gemv_row: of(GemmPath::GemvRow),
-            gemv_col: of(GemmPath::GemvCol),
-            narrow_simd: of(GemmPath::NarrowSimd),
-            narrow_scalar: of(GemmPath::NarrowScalar),
-            blocked_simd: of(GemmPath::BlockedSimd),
-            blocked_scalar: of(GemmPath::BlockedScalar),
-        }
-    })
 }
 
 #[cfg(test)]

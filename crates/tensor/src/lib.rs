@@ -28,7 +28,7 @@ pub use contract::{contract_pair, ContractionKernel, ContractionSpec};
 pub use dense::DenseTensor;
 pub use index::{IndexId, IndexSet};
 pub use kernels::{
-    dispatch_counts, set_simd_override, simd_level, DispatchClass, DispatchCounts, GemmPath,
-    KernelPlan, MatRef, OffsetTable, SimdLevel, MAX_RANK,
+    set_simd_override, simd_level, DispatchClass, GemmPath, KernelPlan, MatRef, OffsetTable,
+    SimdLevel, MAX_RANK,
 };
 pub use permute::permute;

@@ -8,18 +8,17 @@
 //! bound on random inputs. The shapes of the real `amp-m20` / `amp-l30`
 //! stems additionally run *in place* — operands left in a shuffled axis
 //! order and read through offset tables — against the reference on
-//! explicitly permuted copies. A dispatch-counter delta test proves each
-//! path was *actually executed*, not merely selected.
+//! explicitly permuted copies. One test drives a grid that reaches every
+//! path and executes each of its applies against the reference.
 //!
 //! Tests serialize on a file-scoped mutex: the SIMD override is
-//! process-global. (The dispatch counters are per thread, and every test
-//! runs on its own.)
+//! process-global.
 
 use qtn_tensor::gemm::gemm_reference;
 use qtn_tensor::permute::permute_to_order;
 use qtn_tensor::{
-    c64, dispatch_counts, set_simd_override, simd_level, Complex64, ContractionKernel, DenseTensor,
-    DispatchClass, DispatchCounts, GemmPath, IndexId, IndexSet, KernelPlan, OffsetTable, SimdLevel,
+    c64, set_simd_override, simd_level, Complex64, ContractionKernel, DenseTensor, DispatchClass,
+    GemmPath, IndexId, IndexSet, KernelPlan, OffsetTable, SimdLevel,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -720,23 +719,9 @@ fn repeated_application_is_bit_identical() {
     }
 }
 
-fn bump(counts: &mut DispatchCounts, path: GemmPath) {
-    match path {
-        GemmPath::MicroSimd => counts.micro_simd += 1,
-        GemmPath::MicroScalar => counts.micro_scalar += 1,
-        GemmPath::GemvRow => counts.gemv_row += 1,
-        GemmPath::GemvCol => counts.gemv_col += 1,
-        GemmPath::NarrowSimd => counts.narrow_simd += 1,
-        GemmPath::NarrowScalar => counts.narrow_scalar += 1,
-        GemmPath::BlockedSimd => counts.blocked_simd += 1,
-        GemmPath::BlockedScalar => counts.blocked_scalar += 1,
-    }
-}
-
-/// Drive the grid through `apply` and prove — via this thread's dispatch
-/// counter deltas — that every path reachable at this machine's levels was
-/// *executed*, and that the recorded counts match `KernelPlan::taken`
-/// prediction exactly, path by path.
+/// Drive a grid through `apply` that reaches every path at this machine's
+/// levels — by `KernelPlan::taken`, the very value `apply` dispatches on —
+/// and execute each apply against the reference.
 #[test]
 fn every_reachable_path_is_executed_and_counted() {
     let _guard = lock();
@@ -752,15 +737,8 @@ fn every_reachable_path_is_executed_and_counted() {
         applies.push((KernelPlan::forced(DispatchClass::Blocked, level), 5, 7, 9));
         applies.push((KernelPlan::forced(DispatchClass::Narrow, level), 20, 24, 28));
     }
-
-    // Predicted per-path counts and the set of paths the grid should reach.
-    let mut expected = DispatchCounts::default();
-    let mut predicted: HashSet<GemmPath> = HashSet::new();
-    for &(plan, _, _, _) in &applies {
-        let path = plan.taken::<Complex64>();
-        bump(&mut expected, path);
-        predicted.insert(path);
-    }
+    let predicted: HashSet<GemmPath> =
+        applies.iter().map(|(plan, ..)| plan.taken::<Complex64>()).collect();
 
     // The grid must reach every scalar-side path unconditionally, and every
     // SIMD path a class has at the effective level.
@@ -781,28 +759,10 @@ fn every_reachable_path_is_executed_and_counted() {
         assert!(predicted.contains(&path), "grid never reaches {path:?} at {eff:?}");
     }
 
-    // Execute and compare counter deltas field by field.
-    let before = dispatch_counts();
-    let mut rng = StdRng::seed_from_u64(0xD15);
-    for &(plan, m, n, k) in &applies {
-        let a = random_c64(&mut rng, m * k);
-        let b = random_c64(&mut rng, k * n);
-        let mut c = vec![Complex64::ZERO; m * n];
-        plan.apply(&a, &b, &mut c, m, n, k);
+    // Execute every apply; a mismatch names the path it took.
+    for (seed, &(plan, m, n, k)) in applies.iter().enumerate() {
+        apply_vs_reference_c64(plan, m, n, k, 0xD15 + seed as u64);
     }
-    let after = dispatch_counts();
-    assert_eq!(after.micro_simd - before.micro_simd, expected.micro_simd, "micro_simd");
-    assert_eq!(after.micro_scalar - before.micro_scalar, expected.micro_scalar, "micro_scalar");
-    assert_eq!(after.gemv_row - before.gemv_row, expected.gemv_row, "gemv_row");
-    assert_eq!(after.gemv_col - before.gemv_col, expected.gemv_col, "gemv_col");
-    assert_eq!(after.narrow_simd - before.narrow_simd, expected.narrow_simd, "narrow_simd");
-    assert_eq!(after.narrow_scalar - before.narrow_scalar, expected.narrow_scalar, "narrow_scalar");
-    assert_eq!(after.blocked_simd - before.blocked_simd, expected.blocked_simd, "blocked_simd");
-    assert_eq!(
-        after.blocked_scalar - before.blocked_scalar,
-        expected.blocked_scalar,
-        "blocked_scalar"
-    );
 }
 
 /// The test override steers `KernelPlan::select` (via `simd_level`) and is

@@ -39,10 +39,11 @@
 //! A node's class is the lattice [`NodeClass::join`] of its children's
 //! classes (a subtree depends on everything its descendants depend on), so
 //! classes are monotone along root-ward paths and each class forms a union
-//! of maximal subtrees. [`classify_nodes`] precomputes, besides the
-//! per-node classes, the per-class contraction schedules and the *keep
-//! sets*: the roots of maximal same-class subtrees whose tensors must
-//! outlive their contraction phase because a later phase consumes them.
+//! of maximal subtrees. [`classify_nodes`] records, besides the per-node
+//! classes, one schedule in program order — the Branch run, then the
+//! Frontier run, then the stem run (StemPure and StemMixed interleaved in
+//! tree order) — and the Branch *keep set*: the roots of maximal Branch
+//! subtrees, whose tensors a later run reads.
 
 use crate::sets::{self, Marks};
 use crate::tree::ContractionTree;
@@ -167,18 +168,18 @@ pub fn ordinal_words(num_leaves: usize, ordinals: &[usize]) -> Vec<u64> {
     words
 }
 
-/// The classification of every node of a contraction tree, with the derived
-/// per-class schedules and keep sets the executor needs.
+/// The classification of every node of a contraction tree, with the
+/// program-order schedule and the Branch keep set the executor needs.
 #[derive(Debug, Clone)]
 pub struct NodeClassification {
     classes: Vec<NodeClass>,
-    branch_schedule: Vec<(usize, usize, usize)>,
-    frontier_schedule: Vec<(usize, usize, usize)>,
-    stem_schedule: Vec<(usize, usize, usize)>,
-    stem_pure_schedule: Vec<(usize, usize, usize)>,
-    stem_mixed_schedule: Vec<(usize, usize, usize)>,
+    /// Every contraction in program order: the Branch run, the Frontier
+    /// run, then the stem run.
+    schedule: Vec<(usize, usize, usize)>,
+    /// Where the Frontier and the stem runs start in `schedule`.
+    frontier_at: usize,
+    stem_at: usize,
     branch_keep: Vec<usize>,
-    stem_seeds: Vec<usize>,
     projector_masks: DependencyMasks,
     param_masks: DependencyMasks,
 }
@@ -194,39 +195,25 @@ impl NodeClassification {
         &self.classes
     }
 
-    /// `(left, right, result)` contraction triples of the Branch-class
-    /// internal nodes, in execution order. Contracted once per plan.
-    pub fn branch_schedule(&self) -> &[(usize, usize, usize)] {
-        &self.branch_schedule
+    /// `(left, right, result)` triples of every contraction in program
+    /// order: the Branch run (once per plan), the Frontier run (once per
+    /// execution, per distinct key in a batch), then the stem run (per
+    /// subtask). Each run keeps the tree schedule's order, so children
+    /// precede parents throughout.
+    pub fn schedule(&self) -> &[(usize, usize, usize)] {
+        &self.schedule
     }
 
-    /// Contraction triples of the Frontier-class internal nodes, in
-    /// execution order. Contracted once per execution (per bitstring when
-    /// batched).
-    pub fn frontier_schedule(&self) -> &[(usize, usize, usize)] {
-        &self.frontier_schedule
-    }
-
-    /// Contraction triples of **all** slice-dependent internal nodes
-    /// (`StemPure` and `StemMixed` merged, in execution order). This is the
-    /// per-subtask replay of a single execution; the batched executor
-    /// splits it into [`Self::stem_pure_schedule`] (once per subtask) and
-    /// [`Self::stem_mixed_schedule`] (per subtask per bitstring).
-    pub fn stem_schedule(&self) -> &[(usize, usize, usize)] {
-        &self.stem_schedule
-    }
-
-    /// Contraction triples of the StemPure-class internal nodes, in
-    /// execution order. A batched execution contracts these once per slice
-    /// assignment and shares the results across every bitstring.
-    pub fn stem_pure_schedule(&self) -> &[(usize, usize, usize)] {
-        &self.stem_pure_schedule
-    }
-
-    /// Contraction triples of the StemMixed-class internal nodes, in
-    /// execution order. Re-contracted for every `(subtask, bitstring)`.
-    pub fn stem_mixed_schedule(&self) -> &[(usize, usize, usize)] {
-        &self.stem_mixed_schedule
+    /// The run of one lifetime: `Branch`, `Frontier`, or (for either stem
+    /// class) the whole stem run, StemPure and StemMixed interleaved. A
+    /// batched execution filters it by [`Self::class`] into its StemPure
+    /// prefix and StemMixed suffix.
+    pub fn run(&self, class: NodeClass) -> &[(usize, usize, usize)] {
+        match class {
+            NodeClass::Branch => &self.schedule[..self.frontier_at],
+            NodeClass::Frontier => &self.schedule[self.frontier_at..self.stem_at],
+            NodeClass::StemPure | NodeClass::StemMixed => &self.schedule[self.stem_at..],
+        }
     }
 
     /// Branch-class nodes whose tensor a later phase consumes: the roots of
@@ -234,16 +221,6 @@ impl NodeClassification {
     /// are the tree root). These are the tensors worth caching per plan.
     pub fn branch_keep(&self) -> &[usize] {
         &self.branch_keep
-    }
-
-    /// Every cached (non-stem) node the per-subtask stem replay reads: the
-    /// union of [`Self::branch_keep`] entries with a stem-class parent and
-    /// the roots of maximal Frontier subtrees (their parent is a stem
-    /// class, or they are the tree root). When the root itself is not
-    /// stem-class the root is included — the whole result is
-    /// slice-invariant.
-    pub fn stem_seeds(&self) -> &[usize] {
-        &self.stem_seeds
     }
 
     /// Per-node projector-dependency masks over overridable-leaf ordinals
@@ -265,12 +242,9 @@ impl NodeClassification {
     /// Number of internal (contraction) nodes of each class, as
     /// `(branch, frontier, stem_pure, stem_mixed)`.
     pub fn contraction_counts(&self) -> (usize, usize, usize, usize) {
-        (
-            self.branch_schedule.len(),
-            self.frontier_schedule.len(),
-            self.stem_pure_schedule.len(),
-            self.stem_mixed_schedule.len(),
-        )
+        let stem = self.run(NodeClass::StemPure);
+        let pure = stem.iter().filter(|step| self.classes[step.2] == NodeClass::StemPure).count();
+        (self.frontier_at, self.stem_at - self.frontier_at, pure, stem.len() - pure)
     }
 }
 
@@ -346,71 +320,35 @@ pub fn classify_nodes(
 
     // Internal nodes in execution order (children precede parents), so a
     // single pass propagates the lattice join upward.
-    let schedule = tree.schedule();
+    let mut schedule = tree.schedule();
     for &(l, r, out) in &schedule {
         classes[out] = classes[l].join(classes[r]);
     }
 
-    let mut branch_schedule = Vec::new();
-    let mut frontier_schedule = Vec::new();
-    let mut stem_schedule = Vec::new();
-    let mut stem_pure_schedule = Vec::new();
-    let mut stem_mixed_schedule = Vec::new();
-    for &(l, r, out) in &schedule {
-        match classes[out] {
-            NodeClass::Branch => branch_schedule.push((l, r, out)),
-            NodeClass::Frontier => frontier_schedule.push((l, r, out)),
-            NodeClass::StemPure => {
-                stem_pure_schedule.push((l, r, out));
-                stem_schedule.push((l, r, out));
-            }
-            NodeClass::StemMixed => {
-                stem_mixed_schedule.push((l, r, out));
-                stem_schedule.push((l, r, out));
-            }
-        }
-    }
+    // One schedule in program order: a stable sort by lifetime run keeps
+    // the tree schedule's order inside each run.
+    let run_of = |&(_, _, out): &(usize, usize, usize)| match classes[out] {
+        NodeClass::Branch => 0,
+        NodeClass::Frontier => 1,
+        NodeClass::StemPure | NodeClass::StemMixed => 2,
+    };
+    schedule.sort_by_key(run_of);
+    let frontier_at = schedule.partition_point(|step| run_of(step) < 1);
+    let stem_at = schedule.partition_point(|step| run_of(step) < 2);
 
-    // Keep sets: roots of maximal same-class subtrees that a later phase
-    // (or the final result) consumes.
-    let parent_class = |id: usize| nodes[id].parent.map(|p| classes[p]);
-    let mut branch_keep = Vec::new();
-    let mut stem_seeds = Vec::new();
-    for (id, &class) in classes.iter().enumerate() {
-        let parent = parent_class(id);
-        match class {
-            NodeClass::Branch => {
-                if parent != Some(NodeClass::Branch) {
-                    branch_keep.push(id);
-                    // Seeds are what the per-subtask replay reads directly:
-                    // branch roots feeding a stem contraction, or the tree
-                    // root itself when nothing is sliced.
-                    if parent.is_none_or(NodeClass::is_stem) {
-                        stem_seeds.push(id);
-                    }
-                }
-            }
-            NodeClass::Frontier => {
-                // A Frontier node's parent joins in its projector
-                // dependency, so it is Frontier or StemMixed — never
-                // StemPure.
-                if parent.is_none_or(NodeClass::is_stem) {
-                    stem_seeds.push(id);
-                }
-            }
-            NodeClass::StemPure | NodeClass::StemMixed => {}
-        }
-    }
+    // The keep set: roots of maximal Branch subtrees, which a later run
+    // (or the final result) reads.
+    let branch_keep = (0..nodes.len())
+        .filter(|&id| classes[id] == NodeClass::Branch)
+        .filter(|&id| nodes[id].parent.is_none_or(|p| classes[p] != NodeClass::Branch))
+        .collect();
 
     NodeClassification {
         classes,
-        branch_schedule,
-        frontier_schedule,
-        stem_schedule,
-        stem_pure_schedule,
-        stem_mixed_schedule,
+        schedule,
+        frontier_at,
+        stem_at,
         branch_keep,
-        stem_seeds,
         projector_masks,
         param_masks,
     }
@@ -464,10 +402,10 @@ mod tests {
         let c = classify_nodes(&tree, &[], &[], &[]);
         assert!(c.classes().iter().all(|&k| k == NodeClass::Branch));
         assert_eq!(c.contraction_counts(), (3, 0, 0, 0));
-        assert_eq!(c.stem_schedule().len(), 0);
-        // The root is the single kept branch tensor and the only stem seed.
+        assert_eq!(c.run(NodeClass::StemPure).len(), 0);
+        assert_eq!(c.run(NodeClass::Branch), tree.schedule());
+        // The root is the single kept branch tensor.
         assert_eq!(c.branch_keep(), &[tree.root()]);
-        assert_eq!(c.stem_seeds(), &[tree.root()]);
     }
 
     #[test]
@@ -483,10 +421,9 @@ mod tests {
         assert_eq!(c.class(3), NodeClass::Branch);
         assert_eq!(c.class(tree.root()), NodeClass::StemPure);
         assert_eq!(c.contraction_counts(), (0, 0, 3, 0));
-        assert_eq!(c.stem_schedule(), c.stem_pure_schedule());
+        assert_eq!(c.run(NodeClass::StemPure), c.schedule());
         // Leaves 2 and 3 feed Stem contractions directly.
         assert_eq!(c.branch_keep(), &[2, 3]);
-        assert_eq!(c.stem_seeds(), &[2, 3]);
     }
 
     #[test]
@@ -501,7 +438,6 @@ mod tests {
         assert_eq!(c.class(tree.root()), NodeClass::Frontier);
         // Node 5 is a maximal Branch subtree feeding the Frontier phase.
         assert_eq!(c.branch_keep(), &[5]);
-        assert_eq!(c.stem_seeds(), &[tree.root()]);
     }
 
     #[test]
@@ -520,7 +456,6 @@ mod tests {
         assert_eq!(c.class(6), NodeClass::StemMixed);
         assert_eq!(c.contraction_counts(), (0, 1, 0, 2));
         assert_eq!(c.branch_keep(), &[1]);
-        assert_eq!(c.stem_seeds(), &[4]);
     }
 
     #[test]
@@ -537,12 +472,9 @@ mod tests {
         assert_eq!(c.class(5), NodeClass::StemPure); // 4+2 (branch operand)
         assert_eq!(c.class(6), NodeClass::StemMixed); // 5+3 (projector joins)
         assert_eq!(c.contraction_counts(), (0, 0, 2, 1));
-        // The combined stem schedule interleaves pure and mixed in
-        // execution order.
-        assert_eq!(c.stem_schedule().len(), 3);
+        // The stem run interleaves pure and mixed in execution order.
+        assert_eq!(c.run(NodeClass::StemMixed), &[(0, 1, 4), (4, 2, 5), (5, 3, 6)]);
         assert_eq!(c.branch_keep(), &[2]);
-        // Seeds: branch leaf 2 (stem parent) and frontier leaf 3.
-        assert_eq!(c.stem_seeds(), &[2, 3]);
     }
 
     #[test]
@@ -671,30 +603,43 @@ mod tests {
 
     #[test]
     fn schedules_partition_the_tree_schedule() {
-        let (_, tree) = chain4_tree();
-        let c = classify_nodes(&tree, &[1], &[0, 3], &[]);
-        let total = c.branch_schedule().len()
-            + c.frontier_schedule().len()
-            + c.stem_pure_schedule().len()
-            + c.stem_mixed_schedule().len();
-        assert_eq!(total, tree.schedule().len());
-        assert_eq!(
-            c.stem_schedule().len(),
-            c.stem_pure_schedule().len() + c.stem_mixed_schedule().len(),
-            "the combined stem schedule is exactly the two stem classes"
-        );
-        // Relative order within each class matches execution order.
-        for sched in [
-            c.branch_schedule(),
-            c.frontier_schedule(),
-            c.stem_schedule(),
-            c.stem_pure_schedule(),
-            c.stem_mixed_schedule(),
-        ] {
-            let mut last = 0;
-            for &(_, _, out) in sched {
-                assert!(out >= last, "per-class schedules must stay in execution order");
-                last = out;
+        let (g, chain) = chain4_tree();
+        // A balanced tree that contracts the projector pair (2, 3) -> 4
+        // before the plain pair (0, 1) -> 5: the runs put the Branch step
+        // first.
+        let balanced = ContractionTree::from_pairs(&g, &[(2, 3), (0, 1), (4, 5)]);
+        let c = classify_nodes(&balanced, &[], &[3], &[]);
+        assert_eq!(c.schedule(), &[(0, 1, 5), (2, 3, 4), (4, 5, 6)]);
+        assert_eq!(c.run(NodeClass::Branch), &[(0, 1, 5)]);
+        assert_eq!(c.run(NodeClass::Frontier), &[(2, 3, 4), (4, 5, 6)]);
+        assert!(c.run(NodeClass::StemMixed).is_empty());
+
+        let cases = [
+            (&balanced, vec![2], vec![0]),
+            (&chain, vec![1], vec![0, 3]),
+            (&chain, vec![], vec![3]),
+        ];
+        for (tree, sliced, overridable) in cases {
+            let c = classify_nodes(tree, &sliced, &overridable, &[]);
+            let mut sorted = c.schedule().to_vec();
+            sorted.sort_unstable_by_key(|&(_, _, out)| out);
+            assert_eq!(sorted, tree.schedule(), "the schedule is a permutation of the tree's");
+            let runs = [NodeClass::Branch, NodeClass::Frontier, NodeClass::StemPure];
+            let lens: Vec<usize> = runs.iter().map(|&class| c.run(class).len()).collect();
+            assert_eq!(lens.iter().sum::<usize>(), c.schedule().len());
+            assert_eq!(c.run(NodeClass::StemPure), c.run(NodeClass::StemMixed));
+            let (branch, frontier, pure, mixed) = c.contraction_counts();
+            assert_eq!((branch, frontier, pure + mixed), (lens[0], lens[1], lens[2]));
+            for class in runs {
+                let mut last = 0;
+                for &(_, _, out) in c.run(class) {
+                    assert_eq!(c.class(out).is_stem(), class.is_stem(), "{class:?} run");
+                    if !class.is_stem() {
+                        assert_eq!(c.class(out), class);
+                    }
+                    assert!(out >= last, "each run keeps the tree schedule's order");
+                    last = out;
+                }
             }
         }
     }

@@ -29,7 +29,9 @@ pub use classify::{
 };
 pub use cost::{log2_add, log2_sum, LogCost};
 pub use graph::TensorNetwork;
-pub use lifetime::{analyze_memory, BufferInterval, MemoryPlan, PhaseMemoryPlan};
+pub use lifetime::{
+    analyze_memory, BufferInterval, MemoryPlan, PhaseMemoryPlan, BYTES_PER_AMPLITUDE,
+};
 pub use path::{greedy_path, random_greedy_paths, PathConfig};
 pub use refine::{
     defer_projector_joins, refine_path, BatchRefineReport, RefineObjective, RefineReport,

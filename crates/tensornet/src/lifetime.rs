@@ -8,35 +8,34 @@
 //! assigned to a small set of reusable *slots* instead of being allocated
 //! per contraction.
 //!
-//! [`analyze_memory`] walks the tree once per reuse phase (Branch /
-//! Frontier / the combined slice-dependent Stem, see [`crate::classify`])
-//! and produces, for each phase:
+//! [`analyze_memory`] prices the three homes the executor writes to, one
+//! per lifetime run of the classification's schedule (see
+//! [`crate::classify`]):
 //!
-//! * the liveness [`BufferInterval`] of every phase-owned buffer (the
-//!   phase's leaves, materialised up front, and the intermediates its
-//!   schedule produces);
-//! * a greedy interval-to-slot assignment **by size class** (all bond
-//!   dimensions are 2, so a buffer's size class is simply its rank): a
-//!   freed slot of the right class is reused, a new slot is opened only
-//!   when none is free — so per class the slot count equals the maximum
-//!   number of simultaneously live buffers of that class;
-//! * the predicted `peak_bytes`: the exact high-water mark of live buffer
-//!   bytes. A contraction reads both operands in place, so the only buffer
-//!   a step adds is its output.
+//! * **Branch** — the plan-lifetime store. The Branch run reads its leaves
+//!   in place, adds each output and drops each consumed internal operand;
+//!   [`MemoryPlan::branch_bytes`] is the high-water mark of that walk, with
+//!   the kept roots live to the end.
+//! * **Frontier** — one per-execution arena that holds every Frontier
+//!   output until the execution ends; [`MemoryPlan::frontier_bytes`] is the
+//!   sum of those outputs (a batch holds each once per distinct key).
+//! * **Stem** — the worker's pooled slots, the only home with slots to
+//!   plan. For it the analysis simulates the interpreter's
+//!   acquire/release sequence step for step: the sliced leaves up front,
+//!   then per contraction the output acquired and the consumed stem
+//!   operands released (a contraction reads both operands in place, so
+//!   the output is the only buffer a step adds). It yields the liveness
+//!   [`BufferInterval`] of every buffer, a greedy interval-to-slot
+//!   assignment **by size class** (all bond dimensions are 2, so a
+//!   buffer's size class is its rank: a freed slot of the right class is
+//!   reused, a new one is opened only when none is free, so per class the
+//!   slot count equals the maximum number of simultaneously live buffers)
+//!   and the exact high-water mark of live bytes. A pooled execution's
+//!   `peak_bytes_in_flight` equals it, and the pool allocates exactly
+//!   `num_slots` buffers per worker before reaching its zero-allocation
+//!   steady state.
 //!
-//! The simulation mirrors the executor's pooled stem replay step for step —
-//! leaves acquired in node-id order, then per contraction: output
-//! acquired; consumed phase-owned operands released; kept tensors (the
-//! classification's keep sets and the phase root) held to the end. Because the executor performs the *same*
-//! sequence against its runtime buffer pool, the predicted peak and slot
-//! counts are not estimates but exact: a pooled execution's
-//! `peak_bytes_in_flight` equals the stem phase's `peak_bytes`, and the
-//! pool allocates exactly `num_slots` buffers per worker before reaching
-//! its zero-allocation steady state. The unpooled builders (branch and
-//! frontier caches) follow the same produce/consume order with plain
-//! allocations, so their phase predictions bound those footprints too.
-//!
-//! Batched multi-amplitude execution gets its own phase plan
+//! A batched multi-amplitude execution's stem gets its own simulation
 //! ([`MemoryPlan::batched_stem`]): per subtask the StemPure prefix is
 //! contracted once and its keep-set tensors stay checked out of the pool
 //! across the whole bitstring batch, while the *keyed* StemMixed suffix is
@@ -45,7 +44,7 @@
 //! and overwrites a node's buffer in place only when its dependent-bits
 //! key changes — so the live set of the suffix is constant and the
 //! bitstring loop acquires nothing. The simulation runs exactly that
-//! sequence (pure leaves, pure schedule, then every mixed buffer acquired
+//! sequence (pure leaves, pure steps, then every mixed buffer acquired
 //! up front), which is why a batched pooled execution's
 //! `peak_bytes_in_flight` equals `batched_stem.peak_bytes()` exactly,
 //! regardless of batch size or which keys the batch happens to contain.
@@ -53,36 +52,36 @@
 use crate::classify::{NodeClass, NodeClassification};
 use crate::sets;
 use crate::tree::ContractionTree;
-use qtn_tensor::IndexId;
+use qtn_tensor::{Complex64, IndexId};
 use std::collections::BTreeMap;
 
 /// Bytes of one amplitude: a double-precision complex number.
-pub const BYTES_PER_AMPLITUDE: u64 = 16;
+pub const BYTES_PER_AMPLITUDE: u64 = std::mem::size_of::<Complex64>() as u64;
 
 /// Bytes of a buffer holding a tensor of the given rank (`16 · 2^rank`).
 pub fn bytes_of_rank(rank: usize) -> u64 {
     BYTES_PER_AMPLITUDE << rank
 }
 
-/// The liveness interval of one phase-owned buffer, in phase time: step 0
-/// materialises every leaf of the phase, step `i + 1` is the `i`-th
-/// contraction of the phase schedule.
+/// The liveness interval of one stem buffer, in phase time: step 0
+/// materialises the phase's sliced leaves, step `i + 1` is the phase's
+/// `i`-th contraction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BufferInterval {
     /// Tree node whose tensor lives in this buffer.
     pub node: usize,
     /// Effective rank of the buffer (sliced edges removed): its size class.
     pub rank: usize,
-    /// Step that produces the buffer (0 for phase leaves).
+    /// Step that produces the buffer (0 for leaves).
     pub produced: usize,
-    /// Step that consumes it, or `None` if it outlives the phase (keep-set
-    /// tensors and the phase root).
+    /// Step that consumes it, or `None` if it outlives the phase (the
+    /// StemPure keep set of a batch, held mixed buffers and the root).
     pub consumed: Option<usize>,
     /// Slot the greedy assignment maps this interval to.
     pub slot: usize,
 }
 
-/// The memory plan of one reuse phase.
+/// The slot plan of one stem phase.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseMemoryPlan {
     intervals: Vec<BufferInterval>,
@@ -92,8 +91,8 @@ pub struct PhaseMemoryPlan {
 }
 
 impl PhaseMemoryPlan {
-    /// Liveness intervals of the phase-owned buffers, in production order
-    /// (leaves first in node-id order, then schedule outputs).
+    /// Liveness intervals of the phase's buffers, in production order
+    /// (leaves first in node-id order, then step outputs).
     pub fn intervals(&self) -> &[BufferInterval] {
         &self.intervals
     }
@@ -137,19 +136,24 @@ impl PhaseMemoryPlan {
     }
 }
 
-/// The complete lifetime-based memory plan of a contraction tree: one
-/// [`PhaseMemoryPlan`] per reuse phase.
+/// The lifetime-based memory plan of a contraction tree: what each of the
+/// executor's three homes holds at its peak.
 #[derive(Debug, Clone)]
 pub struct MemoryPlan {
-    /// Plan-lifetime phase: contracted once per plan into the branch cache.
-    pub branch: PhaseMemoryPlan,
-    /// Per-execution phase: rebuilt once per execute (per bitstring in a
-    /// batched execution) from the overrides.
-    pub frontier: PhaseMemoryPlan,
-    /// Per-subtask phase of a **single** execution: the combined StemPure +
-    /// StemMixed replay, run `2^|S|` times — the pooled hot loop.
+    /// High-water mark of the plan-lifetime branch store while the Branch
+    /// run builds it: each output added, each consumed internal operand
+    /// dropped, leaves read in place, kept roots live to the end.
+    pub branch_bytes: u64,
+    /// Bytes of every Frontier output: the frontier arena of a
+    /// single-bitstring execution (a batch holds each output once per
+    /// distinct key).
+    pub frontier_bytes: u64,
+    /// Largest effective rank (sliced edges removed) of any tree node.
+    pub max_rank: usize,
+    /// Per-subtask slots of a **single** execution: the whole stem run,
+    /// replayed `2^|S|` times — the pooled hot loop.
     pub stem: PhaseMemoryPlan,
-    /// Per-subtask phase of a **batched** execution: the StemPure prefix
+    /// Per-subtask slots of a **batched** execution: the StemPure prefix
     /// contracted once with its keep set held live, then the keyed
     /// StemMixed suffix — one buffer per mixed node acquired up front and
     /// held across the whole bitstring loop (recomputes overwrite in
@@ -158,24 +162,14 @@ pub struct MemoryPlan {
 }
 
 impl MemoryPlan {
-    /// The worst per-phase peak of a single (non-batched) execution: the
-    /// minimum buffer memory one worker needs to execute any single phase
-    /// of the plan. This is the number a memory budget is checked against.
+    /// The worst home of a single (non-batched) execution: the largest of
+    /// the branch store's build peak, the frontier arena and one worker's
+    /// stem peak. This is the number a memory budget is checked against.
     /// A batched execution's per-worker stem peak is
     /// [`batched_stem`](Self::batched_stem)`.peak_bytes()` instead, which
     /// additionally holds the StemPure keep set across the bitstring loop.
     pub fn peak_bytes(&self) -> u64 {
-        self.branch.peak_bytes.max(self.frontier.peak_bytes).max(self.stem.peak_bytes)
-    }
-
-    /// The single-execution phase plan that owns a node class (both stem
-    /// classes belong to the combined per-subtask stem replay).
-    pub fn phase(&self, class: NodeClass) -> &PhaseMemoryPlan {
-        match class {
-            NodeClass::Branch => &self.branch,
-            NodeClass::Frontier => &self.frontier,
-            NodeClass::StemPure | NodeClass::StemMixed => &self.stem,
-        }
+        self.branch_bytes.max(self.frontier_bytes).max(self.stem.peak_bytes)
     }
 }
 
@@ -229,12 +223,14 @@ fn effective_ranks(tree: &ContractionTree, sliced: &[IndexId]) -> Vec<usize> {
     tree.nodes().iter().map(|node| sliced.count_unmarked(&node.indices)).collect()
 }
 
-/// Running state of one phase simulation: the greedy pool, the liveness
-/// intervals produced so far and the phase clock. Split out of
-/// [`analyze_phase`] so the batched-stem analysis can chain two passes
-/// (pure, then mixed with the pure keep set still live) over one pool.
-#[derive(Default)]
-struct PhaseSim {
+/// Running state of one stem simulation: the greedy pool, the liveness
+/// intervals produced so far and the phase clock. The batched analysis
+/// chains two passes (pure, then mixed with the pure keep set still live)
+/// over one pool.
+struct PhaseSim<'a> {
+    tree: &'a ContractionTree,
+    classification: &'a NodeClassification,
+    ranks: &'a [usize],
     sim: PoolSim,
     intervals: Vec<BufferInterval>,
     /// Interval index of every node's live buffer, by node id.
@@ -242,70 +238,62 @@ struct PhaseSim {
     step: usize,
 }
 
-impl PhaseSim {
-    /// Note that `node`'s buffer is the next interval pushed.
-    fn record(&mut self, node: usize) {
-        if node >= self.interval_of.len() {
-            self.interval_of.resize(node + 1, None);
+impl<'a> PhaseSim<'a> {
+    fn new(
+        tree: &'a ContractionTree,
+        classification: &'a NodeClassification,
+        ranks: &'a [usize],
+    ) -> Self {
+        PhaseSim {
+            tree,
+            classification,
+            ranks,
+            sim: PoolSim::default(),
+            intervals: Vec::new(),
+            interval_of: vec![None; ranks.len()],
+            step: 0,
         }
-        self.interval_of[node] = Some(self.intervals.len());
     }
 
-    /// Materialise every leaf the membership predicate owns, in node-id
+    /// Acquire `node`'s buffer at the current step.
+    fn acquire(&mut self, node: usize) {
+        let rank = self.ranks[node];
+        let slot = self.sim.acquire(rank);
+        self.interval_of[node] = Some(self.intervals.len());
+        self.intervals.push(BufferInterval {
+            node,
+            rank,
+            produced: self.step,
+            consumed: None,
+            slot,
+        });
+    }
+
+    /// Materialise every leaf of the classes `owned` accepts, in node-id
     /// order, at the current step.
-    fn materialize_leaves(
-        &mut self,
-        tree: &ContractionTree,
-        classification: &NodeClassification,
-        ranks: &[usize],
-        owned: impl Fn(NodeClass) -> bool,
-    ) {
+    fn materialize_leaves(&mut self, owned: impl Fn(NodeClass) -> bool) {
+        let tree = self.tree;
         for (id, node) in tree.nodes().iter().enumerate() {
-            if node.is_leaf() && owned(classification.class(id)) {
-                let rank = ranks[id];
-                let slot = self.sim.acquire(rank);
-                self.record(id);
-                self.intervals.push(BufferInterval {
-                    node: id,
-                    rank,
-                    produced: self.step,
-                    consumed: None,
-                    slot,
-                });
+            if node.is_leaf() && owned(self.classification.class(id)) {
+                self.acquire(id);
             }
         }
     }
 
-    /// Replay a schedule, mirroring the executor's acquire/release order
-    /// exactly (acquire the output, release consumed operands — but only
-    /// operands the `consumable` predicate owns: borrowed cache tensors
-    /// are never released here).
-    fn replay(
-        &mut self,
-        classification: &NodeClassification,
-        ranks: &[usize],
-        schedule: &[(usize, usize, usize)],
-        consumable: impl Fn(NodeClass) -> bool,
-    ) {
-        for &(l, r, out) in schedule {
+    /// Replay stem steps, mirroring the interpreter's acquire/release order
+    /// exactly: acquire the output, then release the operands this
+    /// simulation holds (Branch and Frontier operands live in other homes
+    /// and are only read).
+    fn replay<'s>(&mut self, steps: impl Iterator<Item = &'s (usize, usize, usize)>) {
+        for &(l, r, out) in steps {
             self.step += 1;
-            let rank = ranks[out];
-            let slot = self.sim.acquire(rank);
+            self.acquire(out);
             for operand in [l, r] {
-                if consumable(classification.class(operand)) {
-                    let idx = self.interval_of[operand].expect("operand was produced");
+                if let Some(idx) = self.interval_of[operand].take() {
                     self.intervals[idx].consumed = Some(self.step);
                     self.sim.release(self.intervals[idx].slot);
                 }
             }
-            self.record(out);
-            self.intervals.push(BufferInterval {
-                node: out,
-                rank,
-                produced: self.step,
-                consumed: None,
-                slot,
-            });
         }
     }
 
@@ -321,19 +309,25 @@ impl PhaseSim {
     }
 }
 
-/// Simulate one phase: leaves up front, then the phase schedule. `owned`
-/// decides which node classes the phase materialises and may consume.
-fn analyze_phase(
+/// High-water mark of the Branch run's live outputs: each output is added
+/// before its operands go, consumed internal operands are dropped, leaves
+/// are read in place and cost nothing.
+fn branch_bytes(
     tree: &ContractionTree,
     classification: &NodeClassification,
     ranks: &[usize],
-    owned: impl Fn(NodeClass) -> bool + Copy,
-    schedule: &[(usize, usize, usize)],
-) -> PhaseMemoryPlan {
-    let mut sim = PhaseSim::default();
-    sim.materialize_leaves(tree, classification, ranks, owned);
-    sim.replay(classification, ranks, schedule, owned);
-    sim.finish()
+) -> u64 {
+    let (mut live, mut peak) = (0u64, 0u64);
+    for &(l, r, out) in classification.run(NodeClass::Branch) {
+        live += bytes_of_rank(ranks[out]);
+        peak = peak.max(live);
+        for operand in [l, r] {
+            if !tree.node(operand).is_leaf() {
+                live -= bytes_of_rank(ranks[operand]);
+            }
+        }
+    }
+    peak
 }
 
 /// Simulate one batched-execution subtask: the StemPure prefix runs first
@@ -348,30 +342,21 @@ fn analyze_phase(
 /// the exact peak and slot count for any batch content.
 fn analyze_batched_stem(
     tree: &ContractionTree,
-    classification: &NodeClassification,
+    cls: &NodeClassification,
     ranks: &[usize],
 ) -> PhaseMemoryPlan {
-    let mut sim = PhaseSim::default();
-    let pure = |c: NodeClass| c == NodeClass::StemPure;
-    let mixed = |c: NodeClass| c == NodeClass::StemMixed;
-    sim.materialize_leaves(tree, classification, ranks, pure);
-    sim.replay(classification, ranks, classification.stem_pure_schedule(), pure);
+    let mut sim = PhaseSim::new(tree, cls, ranks);
+    let stem = cls.run(NodeClass::StemPure);
+    let of = |class: NodeClass| stem.iter().filter(move |&&(_, _, out)| cls.class(out) == class);
+    sim.materialize_leaves(|c| c == NodeClass::StemPure);
+    sim.replay(of(NodeClass::StemPure));
     // Keyed suffix: every mixed buffer up front (leaves in node-id order,
     // then step outputs — output ids ascend, so this is node-id order over
     // all mixed nodes), held to the end of the subtask.
     sim.step += 1;
-    sim.materialize_leaves(tree, classification, ranks, mixed);
-    for &(_, _, out) in classification.stem_mixed_schedule() {
-        let rank = ranks[out];
-        let slot = sim.sim.acquire(rank);
-        sim.record(out);
-        sim.intervals.push(BufferInterval {
-            node: out,
-            rank,
-            produced: sim.step,
-            consumed: None,
-            slot,
-        });
+    sim.materialize_leaves(|c| c == NodeClass::StemMixed);
+    for &(_, _, out) in of(NodeClass::StemMixed) {
+        sim.acquire(out);
     }
     sim.finish()
 }
@@ -380,37 +365,24 @@ fn analyze_batched_stem(
 ///
 /// `sliced` is the plan's slicing set: it shrinks the effective rank of
 /// every Stem-class tensor (sliced edges are fixed per subtask) and so
-/// determines the stem phase's size classes. The per-phase schedules come
-/// from the [`NodeClassification`], keeping this analysis — like the rest
-/// of planning — purely structural: no tensor data is touched.
+/// determines the stem's size classes. The runs come from the
+/// [`NodeClassification`], keeping this analysis — like the rest of
+/// planning — purely structural: no tensor data is touched.
 pub fn analyze_memory(
     tree: &ContractionTree,
     classification: &NodeClassification,
     sliced: &[IndexId],
 ) -> MemoryPlan {
     let ranks = &effective_ranks(tree, sliced);
+    let frontier = classification.run(NodeClass::Frontier);
+    let mut stem = PhaseSim::new(tree, classification, ranks);
+    stem.materialize_leaves(NodeClass::is_stem);
+    stem.replay(classification.run(NodeClass::StemPure).iter());
     MemoryPlan {
-        branch: analyze_phase(
-            tree,
-            classification,
-            ranks,
-            |c| c == NodeClass::Branch,
-            classification.branch_schedule(),
-        ),
-        frontier: analyze_phase(
-            tree,
-            classification,
-            ranks,
-            |c| c == NodeClass::Frontier,
-            classification.frontier_schedule(),
-        ),
-        stem: analyze_phase(
-            tree,
-            classification,
-            ranks,
-            NodeClass::is_stem,
-            classification.stem_schedule(),
-        ),
+        branch_bytes: branch_bytes(tree, classification, ranks),
+        frontier_bytes: frontier.iter().map(|&(_, _, out)| bytes_of_rank(ranks[out])).sum(),
+        max_rank: ranks.iter().copied().max().unwrap_or(0),
+        stem: stem.finish(),
         batched_stem: analyze_batched_stem(tree, classification, ranks),
     }
 }
@@ -440,65 +412,89 @@ mod tests {
         ContractionTree::from_pairs(&g, &[(0, 1), (4, 2), (5, 3)])
     }
 
+    /// The chain sliced on edges 0 and 2: every node is StemPure. Sliced
+    /// ranks: leaf0 r0, leaf1 r1, leaf2 r1, leaf3 r0; node4 r1, node5 r0,
+    /// root r0.
+    fn all_stem_plan(tree: &ContractionTree) -> MemoryPlan {
+        let cls = classify_nodes(tree, &[0, 2], &[], &[]);
+        assert!(cls.classes().iter().all(|&c| c == NodeClass::StemPure));
+        analyze_memory(tree, &cls, &[0, 2])
+    }
+
+    #[test]
+    fn all_stem_chain_peak_is_exact() {
+        let tree = chain4_tree();
+        let plan = all_stem_plan(&tree);
+
+        // Hand simulation (in amplitudes):
+        //   t0: leaves r0+r1+r1+r0 = 6 live.
+        //   step1 (0,1→4): +out r1 → 8 amps = 128 B peak; operands go → 5.
+        //   step2 (4,2→5): +out r0 → 6 amps; operands go → 2.
+        //   step3 (5,3→6): +out r0 → 3 amps; operands go → 1.
+        assert_eq!(plan.stem.peak_bytes(), 128);
+        assert_eq!((plan.branch_bytes, plan.frontier_bytes), (0, 0));
+        assert_eq!(plan.peak_bytes(), 128);
+        // Only the root survives the phase.
+        assert_eq!(kept_bytes(&plan.stem), 16);
+        // Slots: rank 1 peaks at 3 concurrent (leaves 1, 2 and node 4),
+        // rank 0 at 3 (leaf 3, node 5 and the root at step 3).
+        let slots = plan.stem.slot_count_by_rank();
+        assert_eq!(slots.get(&1), Some(&3));
+        assert_eq!(slots.get(&0), Some(&3));
+        assert_eq!(plan.stem.num_slots(), 6);
+        assert_eq!(plan.stem.arena_bytes(), 3 * 32 + 3 * 16);
+        assert!(plan.stem.arena_bytes() >= plan.stem.peak_bytes());
+        assert_eq!(plan.max_rank, 1);
+    }
+
     #[test]
     fn unsliced_chain_peak_is_exact() {
         let tree = chain4_tree();
         let cls = classify_nodes(&tree, &[], &[], &[]);
         let plan = analyze_memory(&tree, &cls, &[]);
 
-        // Everything is Branch class; hand simulation (in amplitudes):
-        //   t0: leaves r1+r2+r2+r1 = 12 live.
-        //   step1 (0,1→4): +out r1 → 14 amps = 224 B peak; operands go → 8.
-        //   step2 (4,2→5): +out r1 → 10 amps; operands go → 4.
-        //   step3 (5,3→6): +out r0 → 5 amps.
-        assert_eq!(plan.branch.peak_bytes(), 224);
-        assert_eq!(plan.frontier.peak_bytes(), 0);
+        // Everything is Branch class, leaves are read in place:
+        //   step1 (0,1→4): +out r1 → 32 B.
+        //   step2 (4,2→5): +out r1 → 64 B peak; node4 goes → 32.
+        //   step3 (5,3→6): +out r0 → 48 B; node5 goes → 16 (the root).
+        assert_eq!(plan.branch_bytes, 64);
+        assert_eq!(plan.frontier_bytes, 0);
         assert_eq!(plan.stem.peak_bytes(), 0);
-        assert_eq!(plan.peak_bytes(), 224);
-        // Only the root survives the phase.
-        assert_eq!(kept_bytes(&plan.branch), 16);
-        // Slots: rank 1 peaks at 3 concurrent (leaf 0, leaf 3, node 4),
-        // rank 2 at 2 (the two middle leaves), rank 0 at 1.
-        let slots = plan.branch.slot_count_by_rank();
-        assert_eq!(slots.get(&1), Some(&3));
-        assert_eq!(slots.get(&2), Some(&2));
-        assert_eq!(slots.get(&0), Some(&1));
-        assert_eq!(plan.branch.num_slots(), 6);
-        assert_eq!(plan.branch.arena_bytes(), 3 * 32 + 2 * 64 + 16);
-        assert!(plan.branch.arena_bytes() >= plan.branch.peak_bytes());
+        assert_eq!(plan.stem.num_slots(), 0);
+        assert_eq!(plan.peak_bytes(), 64);
+        assert_eq!(plan.max_rank, 2);
     }
 
     #[test]
     fn sliced_chain_splits_phases() {
         let tree = chain4_tree();
         // Slice edge 0: leaves 0, 1 and all internals are Stem; leaves 2, 3
-        // stay Branch (kept as stem seeds, no branch contractions).
+        // stay Branch (kept leaves, no branch contractions).
         let cls = classify_nodes(&tree, &[0], &[], &[]);
         let plan = analyze_memory(&tree, &cls, &[0]);
 
-        // Branch phase: the two kept leaves, live from t0 to phase end.
-        assert_eq!(plan.branch.peak_bytes(), 64 + 32);
-        assert_eq!(kept_bytes(&plan.branch), 96);
-        assert!(plan.branch.intervals().iter().all(|iv| iv.consumed.is_none()));
+        // The kept leaves are read in place: the store holds nothing.
+        assert_eq!((plan.branch_bytes, plan.frontier_bytes), (0, 0));
 
         // Stem phase (sliced ranks): leaf0 r0, leaf1 r1; node4 r1, node5 r1,
         // root r0. Peak is at step1: both leaves live (3 amps) + out r1
         // = 5 amps = 80 B; the cached branch operands of steps 2 and 3 are
         // read in place and cost the phase nothing.
         assert_eq!(plan.stem.peak_bytes(), 80);
+        assert_eq!(plan.peak_bytes(), 80);
         assert_eq!(kept_bytes(&plan.stem), 16); // root r0
         let root_interval = plan.stem.intervals().iter().find(|iv| iv.node == tree.root()).unwrap();
         assert_eq!(root_interval.consumed, None);
         assert_eq!(root_interval.rank, 0);
+        assert_eq!(plan.max_rank, 2, "the unsliced branch leaf 2 keeps rank 2");
     }
 
     #[test]
     fn intervals_cover_first_and_last_use() {
         let tree = chain4_tree();
-        let cls = classify_nodes(&tree, &[], &[], &[]);
-        let plan = analyze_memory(&tree, &cls, &[]);
+        let plan = all_stem_plan(&tree);
         let iv = |node: usize| {
-            plan.branch.intervals().iter().find(|iv| iv.node == node).expect("interval missing")
+            plan.stem.intervals().iter().find(|iv| iv.node == node).expect("interval missing")
         };
         // Leaves are produced at t0; leaf 0 dies in step 1, leaf 3 in step 3.
         assert_eq!((iv(0).produced, iv(0).consumed), (0, Some(1)));
@@ -506,8 +502,8 @@ mod tests {
         // node 4 is produced by step 1 and consumed by step 2.
         assert_eq!((iv(4).produced, iv(4).consumed), (1, Some(2)));
         // Intervals never overlap in a slot: sort by slot and check.
-        for a in plan.branch.intervals() {
-            for b in plan.branch.intervals() {
+        for a in plan.stem.intervals() {
+            for b in plan.stem.intervals() {
                 if a.node != b.node && a.slot == b.slot {
                     let a_end = a.consumed.unwrap_or(usize::MAX);
                     let b_end = b.consumed.unwrap_or(usize::MAX);
@@ -529,7 +525,7 @@ mod tests {
         for sliced in [vec![], vec![0], vec![1], vec![2], vec![0, 2]] {
             let cls = classify_nodes(&tree, &sliced, &[3], &[]);
             let plan = analyze_memory(&tree, &cls, &sliced);
-            for phase in [&plan.branch, &plan.frontier, &plan.stem] {
+            for phase in [&plan.stem, &plan.batched_stem] {
                 let slots = phase.slot_count_by_rank();
                 for (rank, peak) in phase.peak_live_by_rank() {
                     assert_eq!(
@@ -551,13 +547,16 @@ mod tests {
         // root contraction is Frontier.
         let cls = classify_nodes(&tree, &[], &[3], &[]);
         let plan = analyze_memory(&tree, &cls, &[]);
-        assert_eq!(plan.branch.intervals().len(), 5); // leaves 0,1,2 + nodes 4,5
-        assert_eq!(plan.frontier.intervals().len(), 2); // leaf 3 + root
         assert_eq!(plan.stem.intervals().len(), 0);
-        // Frontier: leaf3 r1 at t0 (2 amps); root step: + out r0 → 3 amps
-        // = 48 B (node5 is a borrowed cache tensor).
-        assert_eq!(plan.frontier.peak_bytes(), 48);
-        assert_eq!(kept_bytes(&plan.frontier), 16);
+        // Branch: node4 (32) then node5 (32) with node4 still live → 64 B;
+        // node5 is the kept root.
+        assert_eq!(plan.branch_bytes, 64);
+        // Frontier: the root, r0 (leaf 3 is read in place).
+        assert_eq!(plan.frontier_bytes, 16);
+        // Two overridable leaves: nodes 5 (r1) and 6 (r0) are Frontier.
+        let cls = classify_nodes(&tree, &[], &[2, 3], &[]);
+        let plan = analyze_memory(&tree, &cls, &[]);
+        assert_eq!((plan.branch_bytes, plan.frontier_bytes), (32, 32 + 16));
     }
 
     #[test]
@@ -630,7 +629,7 @@ mod tests {
         // the batched subtask is exactly one single-execution subtask.
         let cls = classify_nodes(&tree, &[0], &[], &[]);
         let plan = analyze_memory(&tree, &cls, &[0]);
-        assert_eq!(cls.stem_mixed_schedule().len(), 0);
+        assert_eq!(cls.contraction_counts().3, 0);
         assert_eq!(plan.batched_stem.peak_bytes(), plan.stem.peak_bytes());
         assert_eq!(plan.batched_stem.num_slots(), plan.stem.num_slots());
     }
