@@ -34,10 +34,14 @@
 //! small micro, GEMV and narrow ones included.
 //!
 //! The four paths are timed round-robin: each repetition runs every path's
-//! calls in turn, so host clock drift hits them alike. Each path records the
-//! median, minimum and maximum seconds per call over the repetitions. At the
-//! x86 levels a 12-chain FMA loop at 256 bits runs in the same rounds, and
-//! at the AVX-512 level one at 512 bits beside it. Each shape records its
+//! calls in turn, so host clock drift hits them alike. A path runs at least
+//! the calls its shape's flop target asks for, and keeps calling until the
+//! repetition has lasted [`MIN_REP_SECONDS`], so a large shape is timed over
+//! several calls, not one; shapes whose flop target is a single call also
+//! get [`SINGLE_CALL_REPS`] repetitions instead of [`REPS`]. Each path
+//! records the median, minimum and maximum seconds per call over the
+//! repetitions. At the x86 levels a 12-chain FMA loop at 256 bits runs in
+//! the same rounds, and at the AVX-512 level one at 512 bits beside it. Each shape records its
 //! `in_place` rate as a fraction of the running level's loop
 //! (`in_place_peak_frac`: the 512-bit one at AVX-512, where the blocked
 //! class runs 512-bit tiles and every other class 256-bit ones; the config
@@ -71,6 +75,11 @@ use std::time::Instant;
 
 /// Timed repetitions per measurement (median, min and max are reported).
 const REPS: usize = 5;
+/// Timed repetitions of a shape whose flop target is one call: its
+/// repetitions each hold only a few calls, so it needs more of them.
+const SINGLE_CALL_REPS: usize = 11;
+/// Least wall time of one path's calls in one timed repetition.
+const MIN_REP_SECONDS: f64 = 0.05;
 /// The timed paths, in the order [`time_round_robin`] runs them.
 const PATHS: [&str; 4] = ["reference", "scalar", "dense", "in_place"];
 /// Real-flop target per timed repetition: inner iterations scale so tiny
@@ -326,11 +335,13 @@ struct Timing {
 }
 
 /// Time `paths` round-robin: one untimed warmup pass (it primes caches and
-/// the lazy SIMD probe), then `reps` repetitions, each running `iters`
-/// calls of every path in turn into `out`.
+/// the lazy SIMD probe), then `reps` repetitions, each running every path
+/// in turn into `out`: `iters` calls, then more until `min_seconds` have
+/// passed.
 fn time_round_robin(
     reps: usize,
     iters: usize,
+    min_seconds: f64,
     paths: &[Path<'_>],
     out: &mut [Complex64],
 ) -> Vec<Timing> {
@@ -338,11 +349,13 @@ fn time_round_robin(
     for rep in 0..=reps {
         for (path, seconds) in paths.iter().zip(&mut samples) {
             let start = Instant::now();
-            for _ in 0..iters {
+            let mut calls = 0;
+            while calls < iters || start.elapsed().as_secs_f64() < min_seconds {
                 path(out);
+                calls += 1;
             }
             if rep > 0 {
-                seconds.push(start.elapsed().as_secs_f64() / iters as f64);
+                seconds.push(start.elapsed().as_secs_f64() / calls as f64);
             }
         }
     }
@@ -362,11 +375,7 @@ fn time_round_robin(
 /// Check every stem shape of `workload`, time the top [`MAX_SHAPES`], and
 /// return one JSON record per timed shape, the FMA loops' Gflop/s per timed
 /// shape (the running level's first), and the plan's config record.
-fn run(
-    workload: &Workload,
-    reps: usize,
-    flops_per_rep: u64,
-) -> (Vec<String>, Vec<Vec<f64>>, String) {
+fn run(workload: &Workload, timing: &TimingConfig) -> (Vec<String>, Vec<Vec<f64>>, String) {
     let plan = plan(workload);
     let steps = stem_steps(&plan);
     assert!(!steps.is_empty(), "the plan must have a stem");
@@ -406,7 +415,8 @@ fn run(
         let auto_plan = KernelPlan::select_with_level(m, n, k, level);
 
         let flops = gemm_flops(m, n, k).max(1);
-        let iters = (flops_per_rep / flops).clamp(1, 4_000_000) as usize;
+        let iters = (timing.flops_per_rep / flops).clamp(1, 4_000_000) as usize;
+        let reps = if iters == 1 { timing.single_call_reps } else { timing.reps };
         let scalar_plan = KernelPlan::select_with_level(m, n, k, SimdLevel::Scalar);
         let kernels: [Path<'_>; 4] = [
             &|out| gemm_reference(&left, &right, out, m, n, k),
@@ -417,7 +427,7 @@ fn run(
         let peak_calls = fma_peak_calls(level, flops);
         let peak_paths = peak_calls.iter().map(|call| call.as_ref() as Path<'_>);
         let paths: Vec<Path<'_>> = kernels.into_iter().chain(peak_paths).collect();
-        let timings = time_round_robin(reps, iters, &paths, &mut out);
+        let timings = time_round_robin(reps, iters, timing.min_rep_seconds, &paths, &mut out);
 
         let gflops = |seconds: f64| flops as f64 / seconds / 1e9;
         let path = format!("{:?}", auto_plan.taken::<Complex64>());
@@ -446,6 +456,7 @@ fn run(
             .field_u64("count_per_sweep", count)
             .field_u64("flops_per_call", flops)
             .field_usize("iters", iters)
+            .field_usize("reps", reps)
             .field_str("path", &path);
         for (name, timing) in PATHS.iter().zip(&timings) {
             o.field_f64(&format!("{name}_seconds_per_call"), timing.median)
@@ -474,12 +485,29 @@ fn run(
     (records, peaks, config.finish())
 }
 
+/// How much each timed shape runs.
+struct TimingConfig {
+    reps: usize,
+    single_call_reps: usize,
+    flops_per_rep: u64,
+    min_rep_seconds: f64,
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let (reps, flops_per_rep) = if quick { (1, 1 << 20) } else { (REPS, FLOPS_PER_REP) };
+    let timing = if quick {
+        TimingConfig { reps: 1, single_call_reps: 1, flops_per_rep: 1 << 20, min_rep_seconds: 0.0 }
+    } else {
+        TimingConfig {
+            reps: REPS,
+            single_call_reps: SINGLE_CALL_REPS,
+            flops_per_rep: FLOPS_PER_REP,
+            min_rep_seconds: MIN_REP_SECONDS,
+        }
+    };
     let (mut records, mut peaks, mut plans) = (Vec::new(), Vec::new(), Vec::new());
     for workload in &WORKLOADS {
-        let (shape_records, shape_peaks, config) = run(workload, reps, flops_per_rep);
+        let (shape_records, shape_peaks, config) = run(workload, &timing);
         records.extend(shape_records);
         peaks.extend(shape_peaks);
         plans.push(config);
@@ -496,7 +524,9 @@ fn main() {
         return;
     }
     let mut config = JsonObject::new();
-    config.field_str("simd_level", simd_level().as_str());
+    config
+        .field_str("simd_level", simd_level().as_str())
+        .field_f64("min_rep_seconds", timing.min_rep_seconds);
     for (i, name) in ["host_fma_gflops", "host_fma256_gflops"].into_iter().enumerate() {
         let mut at: Vec<f64> = peaks.iter().filter_map(|shape| shape.get(i).copied()).collect();
         at.sort_by(f64::total_cmp);
@@ -507,7 +537,7 @@ fn main() {
     config.field_raw("plans", &array(plans));
     let mut top = JsonObject::new();
     top.field_str("schema", "qtnsim-bench/gemm")
-        .field_u64("version", 6)
+        .field_u64("version", 7)
         .field_raw("config", &config.finish())
         .field_raw("results", &array(records));
     let json = format!("{}\n", top.finish());

@@ -531,6 +531,43 @@ mod tests {
         assert_eq!(digests, expected);
     }
 
+    /// The Sycamore m=20 plan and report at every planner seed of the
+    /// 17-seed set (0–15 and 2023) that path-choice work is judged on, so a
+    /// change that moves any of them shows which seeds moved and how.
+    #[test]
+    fn sycamore_seed_set_plans_are_pinned() {
+        let c = RqcConfig::sycamore(20, 5).build();
+        let output = OutputSpec::Amplitude(vec![0; c.num_qubits()]);
+        let digests: Vec<String> = (0..16u64)
+            .chain([2023])
+            .map(|seed| {
+                let cfg = PlannerConfig { target_rank: 30, seed, ..Default::default() };
+                let plan = plan_simulation(&c, &output, &cfg);
+                format!("seed {seed}: {:#018x} {:#018x}", plan_digest(&plan), report_digest(&plan))
+            })
+            .collect();
+        let expected = [
+            "seed 0: 0xa0b157100d9920c9 0x588f0de9ee8c79db",
+            "seed 1: 0xa0b157100d9920c9 0x588f0de9ee8c79db",
+            "seed 2: 0xca7b6d20fdd128de 0x20ff9e22fa4d3f2e",
+            "seed 3: 0xca7b6d20fdd128de 0x20ff9e22fa4d3f2e",
+            "seed 4: 0x8cec3ded69c97827 0x6b27ee2bf100f389",
+            "seed 5: 0x8cec3ded69c97827 0x6b27ee2bf100f389",
+            "seed 6: 0x8cec3ded69c97827 0x6b27ee2bf100f389",
+            "seed 7: 0x369b35927a8b693d 0x424be8cc30f111f6",
+            "seed 8: 0x369b35927a8b693d 0x424be8cc30f111f6",
+            "seed 9: 0x369b35927a8b693d 0x424be8cc30f111f6",
+            "seed 10: 0xc4868f79791455d3 0xac707d10f3af3d08",
+            "seed 11: 0x981e7eaf82b2e570 0x37f507a61d3ee7ce",
+            "seed 12: 0x8381811855929712 0x54c7ae5c1b20a4df",
+            "seed 13: 0xe4d16cbde506dfe5 0x4a926f2185027c0f",
+            "seed 14: 0xe4d16cbde506dfe5 0x4a926f2185027c0f",
+            "seed 15: 0x5ab557da63bfdb18 0xeacd36ba73c7d219",
+            "seed 2023: 0x813609b4e43a4d9e 0x9bbbf04d9faa59f1",
+        ];
+        assert_eq!(digests, expected);
+    }
+
     /// The report of every pinned plan is pinned too (all columns but the
     /// wall times), and its last row is the plan's own cost, overhead and
     /// sliced rank.

@@ -12,7 +12,7 @@
 //! with the temperature decaying geometrically until it reaches the final
 //! temperature.
 
-use crate::lifetime::{compute_lifetimes, LifetimeTable};
+use crate::lifetime::{compute_lifetimes, Lifetime, LifetimeTable};
 use crate::marks::SliceMarks;
 use crate::overhead::{critical, max_rank, SlicingPlan, StepUnions};
 use qtn_tensor::IndexId;
@@ -51,6 +51,10 @@ pub fn refine_slicing(stem: &Stem, plan: &SlicingPlan, config: &RefinerConfig) -
         return plan.clone();
     }
     let table = compute_lifetimes(stem);
+    // Every stem edge's lifetime in edge order, read by each iteration's
+    // candidate scan without a hash lookup or a sort.
+    let mut lifetimes: Vec<&Lifetime> = table.edges().filter_map(|e| table.get(e)).collect();
+    lifetimes.sort_unstable_by_key(|l| l.edge);
     let unions = StepUnions::new(stem);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let target = plan.target_rank;
@@ -72,7 +76,7 @@ pub fn refine_slicing(stem: &Stem, plan: &SlicingPlan, config: &RefinerConfig) -
 
         // Critical tensors within the lifetime of the picked index.
         let crit = critical_in_lifetime(stem, &table, &marks, index, target);
-        let candidates = find_candidate_indices(&table, &marks, &crit);
+        let candidates = find_candidate_indices(&lifetimes, &marks, &crit);
 
         for can in candidates {
             // The trial set: `current` with `index` replaced by `can`.
@@ -162,22 +166,18 @@ fn critical_in_lifetime(
     }
 }
 
-/// Unsliced indices whose lifetime contains every given critical position.
+/// Unsliced indices whose lifetime contains every given critical position,
+/// in increasing order (`lifetimes` is in edge order).
 fn find_candidate_indices(
-    table: &LifetimeTable,
+    lifetimes: &[&Lifetime],
     sliced: &SliceMarks,
     critical: &[usize],
 ) -> Vec<IndexId> {
-    let mut out: Vec<IndexId> = table
-        .edges()
-        .filter(|&e| !sliced.contains(e))
-        .filter(|&e| {
-            let l = table.get(e).unwrap();
-            critical.iter().all(|&p| l.contains(p))
-        })
-        .collect();
-    out.sort_unstable();
-    out
+    lifetimes
+        .iter()
+        .filter(|l| !sliced.contains(l.edge) && critical.iter().all(|&p| l.contains(p)))
+        .map(|l| l.edge)
+        .collect()
 }
 
 #[cfg(test)]

@@ -13,6 +13,7 @@ use crate::graph::TensorNetwork;
 use crate::tree::ContractionTree;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Options controlling greedy path search.
@@ -31,32 +32,29 @@ impl Default for PathConfig {
     }
 }
 
-#[derive(PartialEq)]
-struct Candidate {
-    score: f64,
-    a: usize,
-    b: usize,
+/// A greedy candidate — contract `a` with `b` at `score` — as one integer
+/// whose ascending order is the search's preference: lowest score, then
+/// lowest `a`, then lowest `b`. The high 64 bits are the score's
+/// order-preserving bits (the sign bit flipped for a non-negative score,
+/// every bit for a negative one, −0.0 read as +0.0), then `a` and `b` as
+/// `u32`s. Scores are finite, so this is the order of `f64::total_cmp`
+/// with the zeros merged: the same strict order as comparing the score
+/// with `partial_cmp` and breaking ties on the ids.
+fn candidate_key(score: f64, a: usize, b: usize) -> u128 {
+    let bits = if score == 0.0 { 0 } else { score.to_bits() };
+    let ordered = if bits >> 63 == 1 { !bits } else { bits | (1 << 63) };
+    (u128::from(ordered) << 64) | ((a as u128) << 32) | b as u128
 }
 
-impl Eq for Candidate {}
-
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+/// The score a [`candidate_key`] was built from.
+fn key_score(key: u128) -> f64 {
+    let ordered = (key >> 64) as u64;
+    f64::from_bits(if ordered >> 63 == 1 { ordered ^ (1 << 63) } else { !ordered })
 }
 
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap on score: reverse the comparison, tie-break on ids for
-        // determinism.
-        other
-            .score
-            .partial_cmp(&self.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| other.a.cmp(&self.a))
-            .then_with(|| other.b.cmp(&self.b))
-    }
+/// The pair `(a, b)` a [`candidate_key`] was built from.
+fn key_pair(key: u128) -> (usize, usize) {
+    ((key >> 32) as u32 as usize, key as u32 as usize)
 }
 
 /// Greedy score of contracting a rank-`ra` and a rank-`rb` tensor sharing
@@ -78,14 +76,16 @@ pub fn greedy_path(network: &mut TensorNetwork, config: &PathConfig) -> Vec<(usi
     let mut rng = StdRng::seed_from_u64(config.seed);
     let pow2: [f64; 61] = std::array::from_fn(|r| (r as f64).exp2());
     let mut pairs = Vec::new();
-    // Candidates compare greatest-first by priority (lowest score, then
-    // lowest ids); every candidate pair is pushed once, so no two compare
-    // equal and any heap pops them in the same order. `pool` holds the
-    // `width` best valid candidates, best first, across steps; the heap
-    // holds the rest, plus candidates gone stale when one of their
-    // vertices was contracted, dropped as they surface.
-    let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
-    let mut pool: Vec<Candidate> = Vec::new();
+    // Every vertex id, intermediates included, fits the key's 32-bit fields.
+    assert!(network.num_slots() + network.num_active() <= u32::MAX as usize, "network too large");
+    // Candidates are `candidate_key`s, best first in ascending order; every
+    // candidate pair is pushed once, so no two keys are equal and any heap
+    // pops them in the same order. `pool` holds the `width` best valid
+    // candidates, ascending, across steps; the heap holds the rest, plus
+    // candidates gone stale when one of their vertices was contracted,
+    // dropped as they surface.
+    let mut heap: BinaryHeap<Reverse<u128>> = BinaryHeap::new();
+    let mut pool: Vec<u128> = Vec::new();
     let width = if config.temperature <= 0.0 { 1 } else { 8 };
     // Scratch reused across steps: one vertex's neighbours with their
     // shared-edge counts, and the Boltzmann weights.
@@ -97,26 +97,29 @@ pub fn greedy_path(network: &mut TensorNetwork, config: &PathConfig) -> Vec<(usi
         let rv = network.rank(v);
         for &(u, shared) in adjacent.iter().filter(|&&(u, _)| u > v) {
             let score = greedy_score(&pow2, rv, network.rank(u), shared);
-            heap.push(Candidate { score, a: v, b: u });
+            heap.push(Reverse(candidate_key(score, v, u)));
         }
     }
 
     while network.num_active() > 1 {
-        let valid = |c: &Candidate| network.is_active(c.a) && network.is_active(c.b);
+        let valid = |key: u128| {
+            let (a, b) = key_pair(key);
+            network.is_active(a) && network.is_active(b)
+        };
         let mut chosen: Option<(usize, usize)> = None;
         // Refill the pool with the best valid candidates: pop while the
         // pool has room or the heap's best beats the pool's worst.
-        pool.retain(valid);
-        while let Some(top) = heap.peek() {
-            if pool.len() >= width && top < &pool[pool.len() - 1] {
+        pool.retain(|&key| valid(key));
+        while let Some(&Reverse(top)) = heap.peek() {
+            if pool.len() >= width && top > pool[pool.len() - 1] {
                 break;
             }
-            let c = heap.pop().expect("peeked");
-            if valid(&c) {
-                let at = pool.partition_point(|p| *p > c);
-                pool.insert(at, c);
+            heap.pop();
+            if valid(top) {
+                let at = pool.partition_point(|&key| key < top);
+                pool.insert(at, top);
                 if pool.len() > width {
-                    heap.push(pool.pop().expect("over width"));
+                    heap.push(Reverse(pool.pop().expect("over width")));
                 }
             }
         }
@@ -127,11 +130,11 @@ pub fn greedy_path(network: &mut TensorNetwork, config: &PathConfig) -> Vec<(usi
                 0
             } else {
                 // Boltzmann sample over relative scores.
-                let base = pool[0].score;
+                let base = key_score(pool[0]);
+                let temperature = config.temperature.max(1e-9);
                 weights.clear();
-                weights.extend(
-                    pool.iter().map(|c| (-(c.score - base) / config.temperature.max(1e-9)).exp()),
-                );
+                weights
+                    .extend(pool.iter().map(|&key| (-(key_score(key) - base) / temperature).exp()));
                 let total: f64 = weights.iter().sum();
                 let mut r = rng.gen_range(0.0..total);
                 let mut idx = 0;
@@ -144,8 +147,7 @@ pub fn greedy_path(network: &mut TensorNetwork, config: &PathConfig) -> Vec<(usi
                 }
                 idx
             };
-            let c = pool.remove(pick);
-            chosen = Some((c.a, c.b));
+            chosen = Some(key_pair(pool.remove(pick)));
         } else {
             // No adjacent pairs left: outer-product the first two actives.
             let actives = network.active_vertices();
@@ -161,7 +163,7 @@ pub fn greedy_path(network: &mut TensorNetwork, config: &PathConfig) -> Vec<(usi
         let rv = network.rank(new_v);
         for &(u, shared) in &adjacent {
             let score = greedy_score(&pow2, rv, network.rank(u), shared);
-            heap.push(Candidate { score, a: new_v, b: u });
+            heap.push(Reverse(candidate_key(score, new_v, u)));
         }
     }
     pairs
@@ -204,6 +206,94 @@ mod tests {
         let n = c.num_qubits();
         let b = circuit_to_network(&c, &OutputSpec::Amplitude(vec![0; n]));
         TensorNetwork::from_build(&b)
+    }
+
+    /// The greedy candidate as it was ordered before [`candidate_key`]:
+    /// greatest is best (lowest score through `partial_cmp`, then lowest
+    /// ids).
+    #[derive(PartialEq)]
+    struct Candidate {
+        score: f64,
+        a: usize,
+        b: usize,
+    }
+
+    impl Eq for Candidate {}
+
+    impl PartialOrd for Candidate {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Candidate {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            other
+                .score
+                .partial_cmp(&self.score)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| other.a.cmp(&self.a))
+                .then_with(|| other.b.cmp(&self.b))
+        }
+    }
+
+    #[test]
+    fn candidate_keys_order_as_candidates_did() {
+        let pow2: [f64; 61] = std::array::from_fn(|r| (r as f64).exp2());
+        let mut rng = StdRng::seed_from_u64(7);
+        // Few distinct values of each field, so ties are common: both
+        // zeros, small scores of either sign, real greedy scores from ranks
+        // 0..=80 (2^60-saturated above 60), and the ids 0..6.
+        let score = |rng: &mut StdRng| match rng.gen_range(0..6usize) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => rng.gen_range(0..=6usize) as f64 - 3.0,
+            3 => -pow2[60] - pow2[60],
+            _ => {
+                let (ra, rb) = (rng.gen_range(0..=80), rng.gen_range(0..=80));
+                greedy_score(&pow2, ra, rb, rng.gen_range(0..=ra.min(rb)))
+            }
+        };
+        let mut ties = 0;
+        for _ in 0..20_000 {
+            let x = Candidate {
+                score: score(&mut rng),
+                a: rng.gen_range(0..6),
+                b: rng.gen_range(0..6),
+            };
+            let y = Candidate {
+                score: score(&mut rng),
+                a: rng.gen_range(0..6),
+                b: rng.gen_range(0..6),
+            };
+            let (kx, ky) = (candidate_key(x.score, x.a, x.b), candidate_key(y.score, y.a, y.b));
+            // Greater candidate = better = smaller key.
+            assert_eq!(
+                x.cmp(&y),
+                ky.cmp(&kx),
+                "{}/{}/{} vs {}/{}/{}",
+                x.score,
+                x.a,
+                x.b,
+                y.score,
+                y.a,
+                y.b
+            );
+            ties += usize::from(x == y || kx == ky);
+            assert_eq!(key_pair(kx), (x.a, x.b));
+            assert_eq!(key_score(kx), x.score);
+            assert_eq!(
+                key_score(kx).to_bits(),
+                (x.score + 0.0).to_bits(),
+                "-0.0 reads back as +0.0"
+            );
+        }
+        assert!(ties > 0, "no tie was drawn");
+        // Ids use all 32 bits of their fields.
+        let max = u32::MAX as usize;
+        assert!(candidate_key(1.0, max, 0) > candidate_key(1.0, max - 1, max));
+        assert!(candidate_key(-1.0, max, max) < candidate_key(1.0, 0, 0));
+        assert_eq!(key_pair(candidate_key(-2.5, max, 3)), (max, 3));
     }
 
     #[test]

@@ -22,6 +22,7 @@ use crate::cost::{log2_add, LogCost};
 use crate::sets::{self, Marks};
 use crate::tree::ContractionTree;
 use qtn_tensor::IndexId;
+use std::borrow::Cow;
 
 /// What the refiner optimises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,22 +55,93 @@ pub struct RefineReport {
 /// local re-association. Internally the tree is stored as, for every
 /// internal node, the pair of child ids; leaves keep their original index
 /// sets.
-struct MutableTree {
-    /// Per-node indices (leaves fixed, internal recomputed on demand).
-    indices: Vec<Vec<IndexId>>,
+///
+/// A sweep evaluates only *stale* nodes. Evaluating `n` reads the children
+/// of `n` and of `n`'s children, and the index sets (and dependency bits)
+/// of `n`'s children and grandchildren, so a node whose last evaluation
+/// rejected every rotation would reject them again until one of those
+/// changes. Only [`MutableTree::rotate`] changes them, and it marks every
+/// node that reads what it changed.
+struct MutableTree<'a> {
+    /// Per-node indices: borrowed from the tree until the node is first
+    /// recomputed (leaves fixed, internal recomputed on demand).
+    indices: Vec<Cow<'a, [IndexId]>>,
     /// Per-node children (None for leaves).
     children: Vec<Option<(usize, usize)>>,
+    /// Per-node parent (None for the root).
+    parent: Vec<Option<usize>>,
+    /// Per-node: must the next sweep evaluate it? Every internal node
+    /// starts stale.
+    stale: Vec<bool>,
     root: usize,
 }
 
-impl MutableTree {
-    fn from_tree(tree: &ContractionTree) -> Self {
+impl<'a> MutableTree<'a> {
+    fn from_tree(tree: &'a ContractionTree) -> Self {
         let nodes = tree.nodes();
         Self {
-            indices: nodes.iter().map(|n| n.indices.clone()).collect(),
+            indices: nodes.iter().map(|n| Cow::Borrowed(n.indices.as_slice())).collect(),
             children: nodes.iter().map(|n| n.children).collect(),
+            parent: nodes.iter().map(|n| n.parent).collect(),
+            stale: nodes.iter().map(|n| !n.is_leaf()).collect(),
             root: tree.root(),
         }
+    }
+
+    /// Apply a rotation at `p`: its child `i` becomes `i_children` and `p`
+    /// becomes `p_children`. Only the children of `p` and `i` change, and,
+    /// since `p` keeps its leaf set and a node's index set and dependency
+    /// bits depend only on its leaf set, only `i`'s index set and bits. The
+    /// nodes whose evaluation reads those are `p`, `i` and `p`'s parent:
+    /// they become stale.
+    fn rotate(
+        &mut self,
+        p: usize,
+        i: usize,
+        i_children: (usize, usize),
+        p_children: (usize, usize),
+    ) {
+        self.children[i] = Some(i_children);
+        self.children[p] = Some(p_children);
+        self.recompute(i);
+        for (node, (l, r)) in [(i, i_children), (p, p_children)] {
+            self.parent[l] = Some(node);
+            self.parent[r] = Some(node);
+        }
+        self.stale[p] = true;
+        self.stale[i] = true;
+        if let Some(grandparent) = self.parent[p] {
+            self.stale[grandparent] = true;
+        }
+    }
+
+    /// Sweep the stale nodes in node order until a sweep applies no
+    /// rotation or `max_sweeps` sweeps ran; `visit(tree, p)` evaluates `p`
+    /// and returns whether it rotated there. A skipped node is one a full
+    /// sweep would have evaluated to the same rejection, so every decision
+    /// is the full sweep's. Returns `(rotations, sweeps)`.
+    fn sweep(
+        &mut self,
+        max_sweeps: usize,
+        mut visit: impl FnMut(&mut Self, usize) -> bool,
+    ) -> (usize, usize) {
+        let mut rotations = 0;
+        let mut sweeps = 0;
+        for _ in 0..max_sweeps {
+            sweeps += 1;
+            let mut progressed = false;
+            for p in 0..self.children.len() {
+                // Cleared before the visit: a rotation at `p` marks it again.
+                if std::mem::take(&mut self.stale[p]) && visit(self, p) {
+                    rotations += 1;
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                break;
+            }
+        }
+        (rotations, sweeps)
     }
 
     fn is_leaf(&self, n: usize) -> bool {
@@ -85,9 +157,12 @@ impl MutableTree {
     /// ancestor keep their indices.
     fn recompute(&mut self, n: usize) {
         if let Some((l, r)) = self.children[n] {
-            let mut out = std::mem::take(&mut self.indices[n]);
+            let mut out = match std::mem::take(&mut self.indices[n]) {
+                Cow::Owned(out) => out,
+                Cow::Borrowed(_) => Vec::new(),
+            };
             sets::sym_diff_into(&self.indices[l], &self.indices[r], &mut out);
-            self.indices[n] = out;
+            self.indices[n] = Cow::Owned(out);
         }
     }
 
@@ -172,74 +247,58 @@ pub fn refine_path(
 ) -> (Vec<(usize, usize)>, RefineReport) {
     let mut t = MutableTree::from_tree(tree);
     let cost_before = t.total_log_cost();
-    let mut rotations = 0;
-    let mut sweeps = 0;
+    let penalty = |t: &MutableTree, p: usize, c: usize| match objective {
+        RefineObjective::Cost => 0,
+        RefineObjective::SunwayAdaptive { ldm_rank } => t.ldm_penalty(p, c, ldm_rank),
+    };
 
-    for _ in 0..max_sweeps {
-        sweeps += 1;
-        let mut progressed = false;
-        for p in 0..t.children.len() {
-            let Some((c, z)) = t.children[p] else { continue };
-            // Try rotations with either child playing the internal role.
-            for (internal, other) in [(c, z), (z, c)] {
-                if t.is_leaf(internal) {
-                    continue;
-                }
-                let (x, y) = t.children[internal].unwrap();
-                let before_local = t.local_cost(p, internal);
-                let before_penalty = match objective {
-                    RefineObjective::Cost => 0,
-                    RefineObjective::SunwayAdaptive { ldm_rank } => {
-                        t.ldm_penalty(p, internal, ldm_rank)
-                    }
-                };
-                // Candidate re-associations: ((x,other),y) and ((y,other),x).
-                // (delta, penalty, internal children, parent children)
-                type Candidate = (f64, usize, (usize, usize), (usize, usize));
-                let mut best: Option<Candidate> = None;
-                for (a, b) in [(x, y), (y, x)] {
-                    // internal := (a, other); p := (internal, b)
-                    t.children[internal] = Some((a, other));
-                    t.children[p] = Some((internal, b));
-                    t.recompute(internal);
-                    let local = t.local_cost(p, internal);
-                    let penalty = match objective {
-                        RefineObjective::Cost => 0,
-                        RefineObjective::SunwayAdaptive { ldm_rank } => {
-                            t.ldm_penalty(p, internal, ldm_rank)
-                        }
-                    };
-                    let improves = local < before_local - 1e-12
-                        || (local < before_local + 1e-12 && penalty < before_penalty);
-                    if improves && best.map(|(bl, _, _, _)| local < bl).unwrap_or(true) {
-                        best = Some((local, internal, (a, other), (internal, b)));
-                    }
-                }
-                match best {
-                    Some((_, int_node, int_children, p_children)) => {
-                        t.children[int_node] = Some(int_children);
-                        t.children[p] = Some(p_children);
-                        t.recompute(int_node);
-                        rotations += 1;
-                        progressed = true;
-                    }
-                    None => {
-                        // Restore the original configuration — including
-                        // p's child order: when `internal` is p's *second*
-                        // child, `(internal, other)` is the reversed pair,
-                        // and a rejected rotation must not flip operands.
-                        t.children[internal] = Some((x, y));
-                        t.children[p] = Some((c, z));
-                        t.recompute(internal);
-                    }
-                }
-                break; // only consider the first internal child arrangement per node per sweep
+    let (rotations, sweeps) = t.sweep(max_sweeps, |t, p| {
+        let Some((c, z)) = t.children[p] else { return false };
+        // Only the first internal child is re-associated: when `c` is
+        // internal, `z` never plays that role, even if `c` has no improving
+        // rotation. The pinned plans depend on this choice.
+        let (internal, other) = match (t.is_leaf(c), t.is_leaf(z)) {
+            (false, _) => (c, z),
+            (true, false) => (z, c),
+            (true, true) => return false,
+        };
+        let (x, y) = t.children[internal].unwrap();
+        let before_local = t.local_cost(p, internal);
+        let before_penalty = penalty(t, p, internal);
+        // Candidate re-associations: ((x,other),y) and ((y,other),x).
+        // (local cost, internal children, parent children)
+        type Candidate = (f64, (usize, usize), (usize, usize));
+        let mut best: Option<Candidate> = None;
+        for (a, b) in [(x, y), (y, x)] {
+            // internal := (a, other); p := (internal, b)
+            t.children[internal] = Some((a, other));
+            t.children[p] = Some((internal, b));
+            t.recompute(internal);
+            let local = t.local_cost(p, internal);
+            let penalty = penalty(t, p, internal);
+            let improves = local < before_local - 1e-12
+                || (local < before_local + 1e-12 && penalty < before_penalty);
+            if improves && best.map(|(bl, _, _)| local < bl).unwrap_or(true) {
+                best = Some((local, (a, other), (internal, b)));
             }
         }
-        if !progressed {
-            break;
+        match best {
+            Some((_, int_children, p_children)) => {
+                t.rotate(p, internal, int_children, p_children);
+                true
+            }
+            None => {
+                // Restore the original configuration — including p's child
+                // order: when `internal` is p's *second* child,
+                // `(internal, other)` is the reversed pair, and a rejected
+                // rotation must not flip operands.
+                t.children[internal] = Some((x, y));
+                t.children[p] = Some((c, z));
+                t.recompute(internal);
+                false
+            }
         }
-    }
+    });
 
     let cost_after = t.total_log_cost();
     let leaf_vertices: Vec<Option<usize>> = tree.nodes().iter().map(|n| n.leaf_vertex).collect();
@@ -342,18 +401,26 @@ pub fn defer_projector_joins(
     }
 
     let subtasks_log2 = sliced.len() as LogCost;
-    let bill = |t: &MutableTree, deps: &DepBits, n: usize| -> LogCost {
-        match (deps.slice[n], deps.proj[n], t.children[n]) {
-            (true, _, Some((l, r))) => {
-                let unsliced = sets::union_len_unmarked(&t.indices[l], &t.indices[r], &on_slice);
-                unsliced as LogCost + subtasks_log2
-            }
-            (false, true, _) => t.node_log_cost(n),
-            _ => f64::NEG_INFINITY,
-        }
-    };
-    let local_bill = |t: &MutableTree, deps: &DepBits, p: usize, c: usize| {
-        log2_add(bill(t, deps, p), bill(t, deps, c))
+    // What a rotation test reads of the internal nodes `p` and `c`, summed
+    // in log2: (contraction cost, StemMixed cost, execution bill). A node's
+    // bill is its Eq. 4 term `|u \ S| + |S|` when it depends on a slice,
+    // its cost `|u|` when it depends only on a projector, else nothing.
+    // Both sizes come from one merge of the node's children.
+    let price = |t: &MutableTree, deps: &DepBits, p: usize, c: usize| {
+        let [(p_cost, p_mixed, p_bill), (c_cost, c_mixed, c_bill)] = [p, c].map(|n| {
+            let (l, r) = t.children[n].expect("an internal node");
+            let (union, unsliced) =
+                sets::union_lens_unmarked(&t.indices[l], &t.indices[r], &on_slice);
+            let cost = union as LogCost;
+            let mixed = if deps.mixed(n) { cost } else { f64::NEG_INFINITY };
+            let bill = match (deps.slice[n], deps.proj[n]) {
+                (true, _) => unsliced as LogCost + subtasks_log2,
+                (false, true) => cost,
+                (false, false) => f64::NEG_INFINITY,
+            };
+            (cost, mixed, bill)
+        });
+        (log2_add(p_cost, c_cost), log2_add(p_mixed, c_mixed), log2_add(p_bill, c_bill))
     };
 
     let eff_rank = |t: &MutableTree, n: usize| on_slice.count_unmarked(&t.indices[n]);
@@ -369,89 +436,64 @@ pub fn defer_projector_joins(
             .filter(|&n| !t.is_leaf(n) && deps.mixed(n))
             .fold(f64::NEG_INFINITY, |acc, n| log2_add(acc, t.node_log_cost(n)))
     };
-    let local_mixed = |t: &MutableTree, deps: &DepBits, p: usize, c: usize| {
-        [p, c]
-            .into_iter()
-            .filter(|&n| deps.mixed(n))
-            .fold(f64::NEG_INFINITY, |acc, n| log2_add(acc, t.node_log_cost(n)))
-    };
 
     let cost_before = t.total_log_cost();
     let mixed_cost_before = mixed_total(&t, &deps);
-    let mut rotations = 0;
-    let mut sweeps = 0;
 
-    for _ in 0..max_sweeps {
-        sweeps += 1;
-        let mut progressed = false;
-        for p in 0..t.children.len() {
-            let Some((c, z)) = t.children[p] else { continue };
-            // A rotation must strictly shrink the StemMixed cost of `p` and
-            // its internal child. Mixedness only grows toward the root, so
-            // when `p` is not mixed neither is its child, that cost is
-            // already zero, and no candidate can pass: skip the trials.
-            if !deps.mixed(p) {
+    let (rotations, sweeps) = t.sweep(max_sweeps, |t, p| {
+        let Some((c, z)) = t.children[p] else { return false };
+        // A rotation must strictly shrink the StemMixed cost of `p` and its
+        // internal child. Mixedness only grows toward the root, so when `p`
+        // is not mixed neither is its child, that cost is already zero, and
+        // no candidate can pass: skip the trials.
+        if !deps.mixed(p) {
+            return false;
+        }
+        // (mixed, cost, internal node, internal children, p children)
+        type Candidate = (f64, f64, usize, (usize, usize), (usize, usize));
+        let mut best: Option<Candidate> = None;
+        // Both children may play the internal (re-associated) role — the
+        // spine child of an absorption is as often the second as the first.
+        for (internal, other) in [(c, z), (z, c)] {
+            if t.is_leaf(internal) {
                 continue;
             }
-            // (mixed, cost, internal node, internal children, p children)
-            type Candidate = (f64, f64, usize, (usize, usize), (usize, usize));
-            let mut best: Option<Candidate> = None;
-            // Both children may play the internal (re-associated) role —
-            // the spine child of an absorption is as often the second as
-            // the first.
-            for (internal, other) in [(c, z), (z, c)] {
-                if t.is_leaf(internal) {
-                    continue;
-                }
-                let (x, y) = t.children[internal].unwrap();
-                let before_local = t.local_cost(p, internal);
-                let before_mixed = local_mixed(&t, &deps, p, internal);
-                let before_bill = local_bill(&t, &deps, p, internal);
-                for (a, b) in [(x, y), (y, x)] {
-                    // internal := (a, other); p := (internal, b). Only
-                    // `internal`'s subtree changes; p keeps its leaf set,
-                    // so p's index set and classes are untouched.
-                    t.children[internal] = Some((a, other));
-                    t.children[p] = Some((internal, b));
-                    t.recompute(internal);
-                    deps.recompute(&t, internal);
-                    let local = t.local_cost(p, internal);
-                    let mixed = local_mixed(&t, &deps, p, internal);
-                    let feasible = local <= before_local + 1e-12
-                        && eff_rank(&t, internal) <= rank_bound
-                        && mixed < before_mixed - 1e-12
-                        && local_bill(&t, &deps, p, internal) <= before_bill + 1e-12;
-                    let better = best
-                        .map(|(bm, bl, ..)| {
-                            mixed < bm - 1e-12 || (mixed < bm + 1e-12 && local < bl)
-                        })
-                        .unwrap_or(true);
-                    if feasible && better {
-                        best = Some((mixed, local, internal, (a, other), (internal, b)));
-                    }
-                }
-                // Restore the original configuration — including p's child
-                // *order* (for the second role `(internal, other)` is the
-                // reversed pair) — before trying the other role or applying
-                // the best candidate. A rejected sweep must be a true no-op.
-                t.children[internal] = Some((x, y));
-                t.children[p] = Some((c, z));
+            let (x, y) = t.children[internal].unwrap();
+            let (before_local, before_mixed, before_bill) = price(t, &deps, p, internal);
+            for (a, b) in [(x, y), (y, x)] {
+                // internal := (a, other); p := (internal, b). Only
+                // `internal`'s subtree changes; p keeps its leaf set, so p's
+                // index set and classes are untouched.
+                t.children[internal] = Some((a, other));
+                t.children[p] = Some((internal, b));
                 t.recompute(internal);
-                deps.recompute(&t, internal);
+                deps.recompute(t, internal);
+                let (local, mixed, bill) = price(t, &deps, p, internal);
+                let feasible = local <= before_local + 1e-12
+                    && eff_rank(t, internal) <= rank_bound
+                    && mixed < before_mixed - 1e-12
+                    && bill <= before_bill + 1e-12;
+                let better = best
+                    .map(|(bm, bl, ..)| mixed < bm - 1e-12 || (mixed < bm + 1e-12 && local < bl))
+                    .unwrap_or(true);
+                if feasible && better {
+                    best = Some((mixed, local, internal, (a, other), (internal, b)));
+                }
             }
-            if let Some((_, _, int_node, int_children, p_children)) = best {
-                t.children[int_node] = Some(int_children);
-                t.children[p] = Some(p_children);
-                t.recompute(int_node);
-                deps.recompute(&t, int_node);
-                rotations += 1;
-                progressed = true;
-            }
+            // Restore the original configuration — including p's child
+            // *order* (for the second role `(internal, other)` is the
+            // reversed pair) — before trying the other role or applying the
+            // best candidate. A rejected node must be a true no-op.
+            t.children[internal] = Some((x, y));
+            t.children[p] = Some((c, z));
+            t.recompute(internal);
+            deps.recompute(t, internal);
         }
-        if !progressed {
-            break;
-        }
-    }
+        let Some((_, _, int_node, int_children, p_children)) = best else { return false };
+        t.rotate(p, int_node, int_children, p_children);
+        deps.recompute(t, int_node);
+        true
+    });
 
     let cost_after = t.total_log_cost();
     let mixed_cost_after = mixed_total(&t, &deps);
@@ -480,6 +522,246 @@ mod tests {
     use crate::simplify::simplify_network;
     use qtn_circuit::{circuit_to_network, OutputSpec, RqcConfig};
 
+    /// `refine_path` as it was before stale-node skipping: every sweep
+    /// evaluates every node. The exactness oracle for the incremental one.
+    fn full_sweep_refine_path(
+        tree: &ContractionTree,
+        objective: RefineObjective,
+        max_sweeps: usize,
+    ) -> (Vec<(usize, usize)>, RefineReport) {
+        let mut t = MutableTree::from_tree(tree);
+        let cost_before = t.total_log_cost();
+        let mut rotations = 0;
+        let mut sweeps = 0;
+
+        for _ in 0..max_sweeps {
+            sweeps += 1;
+            let mut progressed = false;
+            for p in 0..t.children.len() {
+                let Some((c, z)) = t.children[p] else { continue };
+                // Only the first internal child is tried: see the `break` below.
+                for (internal, other) in [(c, z), (z, c)] {
+                    if t.is_leaf(internal) {
+                        continue;
+                    }
+                    let (x, y) = t.children[internal].unwrap();
+                    let before_local = t.local_cost(p, internal);
+                    let before_penalty = match objective {
+                        RefineObjective::Cost => 0,
+                        RefineObjective::SunwayAdaptive { ldm_rank } => {
+                            t.ldm_penalty(p, internal, ldm_rank)
+                        }
+                    };
+                    // Candidate re-associations: ((x,other),y) and ((y,other),x).
+                    // (delta, penalty, internal children, parent children)
+                    type Candidate = (f64, usize, (usize, usize), (usize, usize));
+                    let mut best: Option<Candidate> = None;
+                    for (a, b) in [(x, y), (y, x)] {
+                        // internal := (a, other); p := (internal, b)
+                        t.children[internal] = Some((a, other));
+                        t.children[p] = Some((internal, b));
+                        t.recompute(internal);
+                        let local = t.local_cost(p, internal);
+                        let penalty = match objective {
+                            RefineObjective::Cost => 0,
+                            RefineObjective::SunwayAdaptive { ldm_rank } => {
+                                t.ldm_penalty(p, internal, ldm_rank)
+                            }
+                        };
+                        let improves = local < before_local - 1e-12
+                            || (local < before_local + 1e-12 && penalty < before_penalty);
+                        if improves && best.map(|(bl, _, _, _)| local < bl).unwrap_or(true) {
+                            best = Some((local, internal, (a, other), (internal, b)));
+                        }
+                    }
+                    match best {
+                        Some((_, int_node, int_children, p_children)) => {
+                            t.children[int_node] = Some(int_children);
+                            t.children[p] = Some(p_children);
+                            t.recompute(int_node);
+                            rotations += 1;
+                            progressed = true;
+                        }
+                        None => {
+                            // Restore the original configuration — including
+                            // p's child order: when `internal` is p's *second*
+                            // child, `(internal, other)` is the reversed pair,
+                            // and a rejected rotation must not flip operands.
+                            t.children[internal] = Some((x, y));
+                            t.children[p] = Some((c, z));
+                            t.recompute(internal);
+                        }
+                    }
+                    break; // only consider the first internal child arrangement per node per sweep
+                }
+            }
+            if !progressed {
+                break;
+            }
+        }
+
+        let cost_after = t.total_log_cost();
+        let leaf_vertices: Vec<Option<usize>> =
+            tree.nodes().iter().map(|n| n.leaf_vertex).collect();
+        let pairs = t.to_pairs(&leaf_vertices);
+        (pairs, RefineReport { cost_before, cost_after, rotations, sweeps })
+    }
+
+    /// `defer_projector_joins` before stale-node skipping: every sweep
+    /// evaluates every node.
+    fn full_sweep_defer_projector_joins(
+        tree: &ContractionTree,
+        sliced: &[IndexId],
+        overridable_leaves: &[usize],
+        max_sweeps: usize,
+    ) -> (Vec<(usize, usize)>, BatchRefineReport) {
+        let mut t = MutableTree::from_tree(tree);
+        let nodes = tree.nodes();
+        let on_slice = sets::edge_marks(sliced);
+        let on_projector = Marks::new(overridable_leaves.iter().copied());
+        let mut deps = DepBits { slice: vec![false; nodes.len()], proj: vec![false; nodes.len()] };
+        // Children precede parents in a freshly built tree, so one forward
+        // pass sets every node's bits.
+        for (id, node) in nodes.iter().enumerate() {
+            match node.leaf_vertex {
+                Some(vertex) => {
+                    deps.slice[id] = on_slice.any(&node.indices);
+                    deps.proj[id] = on_projector.contains(vertex);
+                }
+                None => deps.recompute(&t, id),
+            }
+        }
+
+        let subtasks_log2 = sliced.len() as LogCost;
+        let bill = |t: &MutableTree, deps: &DepBits, n: usize| -> LogCost {
+            match (deps.slice[n], deps.proj[n], t.children[n]) {
+                (true, _, Some((l, r))) => {
+                    let unsliced =
+                        sets::union_lens_unmarked(&t.indices[l], &t.indices[r], &on_slice).1;
+                    unsliced as LogCost + subtasks_log2
+                }
+                (false, true, _) => t.node_log_cost(n),
+                _ => f64::NEG_INFINITY,
+            }
+        };
+        let local_bill = |t: &MutableTree, deps: &DepBits, p: usize, c: usize| {
+            log2_add(bill(t, deps, p), bill(t, deps, c))
+        };
+
+        let eff_rank = |t: &MutableTree, n: usize| on_slice.count_unmarked(&t.indices[n]);
+        // The feasibility envelope: no rotation may push any affected node's
+        // post-slicing rank above what the tree already contains.
+        let rank_bound = (0..t.children.len())
+            .filter(|&n| !t.is_leaf(n))
+            .map(|n| eff_rank(&t, n))
+            .max()
+            .unwrap_or(0);
+        let mixed_total = |t: &MutableTree, deps: &DepBits| {
+            (0..t.children.len())
+                .filter(|&n| !t.is_leaf(n) && deps.mixed(n))
+                .fold(f64::NEG_INFINITY, |acc, n| log2_add(acc, t.node_log_cost(n)))
+        };
+        let local_mixed = |t: &MutableTree, deps: &DepBits, p: usize, c: usize| {
+            [p, c]
+                .into_iter()
+                .filter(|&n| deps.mixed(n))
+                .fold(f64::NEG_INFINITY, |acc, n| log2_add(acc, t.node_log_cost(n)))
+        };
+
+        let cost_before = t.total_log_cost();
+        let mixed_cost_before = mixed_total(&t, &deps);
+        let mut rotations = 0;
+        let mut sweeps = 0;
+
+        for _ in 0..max_sweeps {
+            sweeps += 1;
+            let mut progressed = false;
+            for p in 0..t.children.len() {
+                let Some((c, z)) = t.children[p] else { continue };
+                // A rotation must strictly shrink the StemMixed cost of `p` and
+                // its internal child. Mixedness only grows toward the root, so
+                // when `p` is not mixed neither is its child, that cost is
+                // already zero, and no candidate can pass: skip the trials.
+                if !deps.mixed(p) {
+                    continue;
+                }
+                // (mixed, cost, internal node, internal children, p children)
+                type Candidate = (f64, f64, usize, (usize, usize), (usize, usize));
+                let mut best: Option<Candidate> = None;
+                // Both children may play the internal (re-associated) role —
+                // the spine child of an absorption is as often the second as
+                // the first.
+                for (internal, other) in [(c, z), (z, c)] {
+                    if t.is_leaf(internal) {
+                        continue;
+                    }
+                    let (x, y) = t.children[internal].unwrap();
+                    let before_local = t.local_cost(p, internal);
+                    let before_mixed = local_mixed(&t, &deps, p, internal);
+                    let before_bill = local_bill(&t, &deps, p, internal);
+                    for (a, b) in [(x, y), (y, x)] {
+                        // internal := (a, other); p := (internal, b). Only
+                        // `internal`'s subtree changes; p keeps its leaf set,
+                        // so p's index set and classes are untouched.
+                        t.children[internal] = Some((a, other));
+                        t.children[p] = Some((internal, b));
+                        t.recompute(internal);
+                        deps.recompute(&t, internal);
+                        let local = t.local_cost(p, internal);
+                        let mixed = local_mixed(&t, &deps, p, internal);
+                        let feasible = local <= before_local + 1e-12
+                            && eff_rank(&t, internal) <= rank_bound
+                            && mixed < before_mixed - 1e-12
+                            && local_bill(&t, &deps, p, internal) <= before_bill + 1e-12;
+                        let better = best
+                            .map(|(bm, bl, ..)| {
+                                mixed < bm - 1e-12 || (mixed < bm + 1e-12 && local < bl)
+                            })
+                            .unwrap_or(true);
+                        if feasible && better {
+                            best = Some((mixed, local, internal, (a, other), (internal, b)));
+                        }
+                    }
+                    // Restore the original configuration — including p's child
+                    // *order* (for the second role `(internal, other)` is the
+                    // reversed pair) — before trying the other role or applying
+                    // the best candidate. A rejected sweep must be a true no-op.
+                    t.children[internal] = Some((x, y));
+                    t.children[p] = Some((c, z));
+                    t.recompute(internal);
+                    deps.recompute(&t, internal);
+                }
+                if let Some((_, _, int_node, int_children, p_children)) = best {
+                    t.children[int_node] = Some(int_children);
+                    t.children[p] = Some(p_children);
+                    t.recompute(int_node);
+                    deps.recompute(&t, int_node);
+                    rotations += 1;
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                break;
+            }
+        }
+
+        let cost_after = t.total_log_cost();
+        let mixed_cost_after = mixed_total(&t, &deps);
+        let leaf_vertices: Vec<Option<usize>> = nodes.iter().map(|n| n.leaf_vertex).collect();
+        let pairs = t.to_pairs(&leaf_vertices);
+        (
+            pairs,
+            BatchRefineReport {
+                cost_before,
+                cost_after,
+                mixed_cost_before,
+                mixed_cost_after,
+                rotations,
+                sweeps,
+            },
+        )
+    }
+
     fn planned(
         rows: usize,
         cols: usize,
@@ -495,6 +777,99 @@ mod tests {
         pairs.extend(greedy_path(&mut work, &PathConfig { temperature: 0.5, seed }));
         let tree = ContractionTree::from_pairs(&g, &pairs);
         (g, tree)
+    }
+
+    /// The trees the exactness oracle runs on: RQC grids from 3x3 to 5x6
+    /// and the 53-qubit Sycamore at m = 12, each planned by simplification
+    /// plus a greedy path at temperature 0 and 0.5.
+    fn oracle_trees() -> Vec<(String, TensorNetwork, ContractionTree, Vec<usize>)> {
+        let mut circuits: Vec<(String, qtn_circuit::Circuit, u64)> = Vec::new();
+        for (rows, cols, cycles) in
+            [(3, 3, 8), (3, 4, 10), (4, 4, 10), (4, 5, 12), (5, 5, 10), (5, 6, 12)]
+        {
+            for seed in [1u64, 7] {
+                let c = RqcConfig::small(rows, cols, cycles, seed).build();
+                circuits.push((format!("{rows}x{cols}x{cycles} seed {seed}"), c, seed));
+            }
+        }
+        circuits.push(("sycamore m=12".into(), RqcConfig::sycamore(12, 5).build(), 0));
+        let mut trees = Vec::new();
+        for (name, c, seed) in circuits {
+            let b = circuit_to_network(&c, &OutputSpec::Amplitude(vec![0; c.num_qubits()]));
+            let g = TensorNetwork::from_build(&b);
+            let overridable: Vec<usize> =
+                b.projector_leaves.iter().map(|&(_, node)| node).collect();
+            for temperature in [0.0, 0.5] {
+                let mut work = g.clone();
+                let mut pairs = simplify_network(&mut work);
+                pairs.extend(greedy_path(&mut work, &PathConfig { temperature, seed }));
+                let tree = ContractionTree::from_pairs(&g, &pairs);
+                trees.push((
+                    format!("{name} T={temperature}"),
+                    g.clone(),
+                    tree,
+                    overridable.clone(),
+                ));
+            }
+        }
+        trees
+    }
+
+    /// Three slicing sets per tree: two edges of the root contraction's
+    /// left operand, three edges of the widest intermediate, and every
+    /// fifth edge of the network.
+    fn oracle_slicings(tree: &ContractionTree) -> [Vec<IndexId>; 3] {
+        let (root_left, _) = tree.node(tree.root()).children.unwrap();
+        let widest = tree.internal_nodes().into_iter().max_by_key(|&n| tree.node(n).rank());
+        let mut edges: Vec<IndexId> =
+            tree.nodes().iter().flat_map(|n| n.indices.iter().copied()).collect();
+        edges.sort_unstable();
+        edges.dedup();
+        [
+            tree.node(root_left).indices.iter().copied().take(2).collect(),
+            tree.node(widest.unwrap()).indices.iter().copied().take(3).collect(),
+            edges.iter().copied().step_by(5).collect(),
+        ]
+    }
+
+    /// Skipping the nodes no rotation touched changes no decision: both
+    /// passes return the full-sweep pair list and report exactly, on every
+    /// oracle tree, both objectives, three sweep caps and three slicings.
+    #[test]
+    fn stale_node_sweeps_match_full_sweeps() {
+        let trees = oracle_trees();
+        assert!(trees.len() >= 24);
+        let objectives = [RefineObjective::Cost, RefineObjective::SunwayAdaptive { ldm_rank: 13 }];
+        // Rotations applied after the first sweep: where skipping happens.
+        let (mut late_refines, mut late_deferrals) = (0, 0);
+        for (name, network, tree, overridable) in &trees {
+            for objective in objectives {
+                for max_sweeps in [1, 4, 12] {
+                    let got = refine_path(tree, objective, max_sweeps);
+                    let want = full_sweep_refine_path(tree, objective, max_sweeps);
+                    assert_eq!(got, want, "{name}, {objective:?}, {max_sweeps} sweeps");
+                    late_refines += usize::from(got.1.sweeps > 2);
+                }
+            }
+            // The deferral runs on a refined tree, as in the planner.
+            let objective = RefineObjective::SunwayAdaptive { ldm_rank: 13 };
+            let (pairs, _) = refine_path(tree, objective, 12);
+            let refined = ContractionTree::from_pairs(network, &pairs);
+            for sliced in oracle_slicings(&refined) {
+                for max_sweeps in [1, 4, 12] {
+                    let got = defer_projector_joins(&refined, &sliced, overridable, max_sweeps);
+                    let want = full_sweep_defer_projector_joins(
+                        &refined,
+                        &sliced,
+                        overridable,
+                        max_sweeps,
+                    );
+                    assert_eq!(got, want, "{name}, sliced {sliced:?}, {max_sweeps} sweeps");
+                    late_deferrals += usize::from(got.1.sweeps > 2);
+                }
+            }
+        }
+        assert!(late_refines > 0 && late_deferrals > 0, "no case rotated after its first sweep");
     }
 
     #[test]

@@ -121,29 +121,25 @@ pub(crate) fn union3<'a>(
     })
 }
 
-/// `|(a ∪ b) \ S|` for the set `S` marked in `skip`, by one merge.
-pub(crate) fn union_len_unmarked(a: &[IndexId], b: &[IndexId], skip: &Marks) -> usize {
+/// `(|a ∪ b|, |(a ∪ b) \ S|)` for the set `S` marked in `skip`, by one
+/// merge.
+pub(crate) fn union_lens_unmarked(a: &[IndexId], b: &[IndexId], skip: &Marks) -> (usize, usize) {
     debug_assert!(is_sorted_set(a) && is_sorted_set(b), "merge operands must be sorted sets");
-    let (mut i, mut j, mut n) = (0, 0, 0);
+    let (mut i, mut j, mut shared, mut shared_unmarked) = (0, 0, 0, 0);
     while i < a.len() && j < b.len() {
-        let e = match a[i].cmp(&b[j]) {
-            Ordering::Less => {
-                i += 1;
-                a[i - 1]
-            }
-            Ordering::Greater => {
-                j += 1;
-                b[j - 1]
-            }
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
             Ordering::Equal => {
+                shared += 1;
+                shared_unmarked += usize::from(!skip.contains(a[i] as usize));
                 i += 1;
                 j += 1;
-                a[i - 1]
             }
-        };
-        n += usize::from(!skip.contains(e as usize));
+        }
     }
-    n + skip.count_unmarked(&a[i..]) + skip.count_unmarked(&b[j..])
+    let unmarked = skip.count_unmarked(a) + skip.count_unmarked(b) - shared_unmarked;
+    (a.len() + b.len() - shared, unmarked)
 }
 
 /// A membership table over dense ids (edge ids or vertex ids): built once
@@ -262,7 +258,8 @@ mod tests {
             for skip in [vec![], random_set(&mut rng, universe, 0.3)] {
                 let marks = edge_marks(&skip);
                 let naive = naive_union.iter().filter(|e| !skip.contains(e)).count();
-                assert_eq!(union_len_unmarked(&a, &b, &marks), naive, "{a:?} ∪ {b:?} \\ {skip:?}");
+                let lens = union_lens_unmarked(&a, &b, &marks);
+                assert_eq!(lens, (naive_union.len(), naive), "{a:?} ∪ {b:?} \\ {skip:?}");
                 let unmarked = a.iter().filter(|e| !skip.contains(e)).count();
                 assert_eq!(marks.count_unmarked(&a), unmarked);
                 assert_eq!(marks.any(&a), a.iter().any(|e| skip.contains(e)));

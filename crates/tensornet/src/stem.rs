@@ -6,7 +6,7 @@
 //! about 99% of the computation happens there. Slicing optimisation operates
 //! on the stem only; branches are pre-contracted.
 
-use crate::cost::{log2_sum, LogCost};
+use crate::cost::{log2_sum, LogCost, LOG_ZERO};
 use crate::sets;
 use crate::tree::ContractionTree;
 use qtn_tensor::IndexId;
@@ -82,7 +82,12 @@ impl Stem {
 /// every internal node the child whose subtree is the most expensive, until a
 /// leaf is reached. The steps are returned bottom-up (execution order).
 pub fn extract_stem(tree: &ContractionTree) -> Stem {
-    // Walk down from the root picking the costlier child.
+    // Walk down from the root picking the costlier child. The walk sums a
+    // subtree per spine node, so every node's cost is counted once up front.
+    let node_cost: Vec<LogCost> = (0..tree.nodes().len())
+        .map(|n| if tree.node(n).is_leaf() { LOG_ZERO } else { tree.node_log_cost(n) })
+        .collect();
+    let subtree_cost = |n: usize| tree.fold_subtree_cost(n, |m| node_cost[m]);
     let mut spine = Vec::new(); // internal nodes from root downward
     let mut current = tree.root();
     loop {
@@ -91,9 +96,7 @@ pub fn extract_stem(tree: &ContractionTree) -> Stem {
             None => break,
             Some((l, r)) => {
                 spine.push(current);
-                let cl = tree.subtree_log_cost(l);
-                let cr = tree.subtree_log_cost(r);
-                current = if cl >= cr { l } else { r };
+                current = if subtree_cost(l) >= subtree_cost(r) { l } else { r };
             }
         }
     }

@@ -161,14 +161,23 @@ impl ContractionTree {
     /// log2 of the total cost of the subtree rooted at `id` (cost of its
     /// internal descendants including itself).
     pub fn subtree_log_cost(&self, id: usize) -> LogCost {
-        // Folded in depth-first pop order (right subtree first):
-        // `extract_stem` compares these sums, so the order is part of
-        // every plan.
+        self.fold_subtree_cost(id, |n| self.node_log_cost(n))
+    }
+
+    /// [`Self::subtree_log_cost`] with each internal node's log2 cost read
+    /// from `node_cost`. Folded in depth-first pop order (right subtree
+    /// first): `extract_stem` compares these sums, so the order is part of
+    /// every plan.
+    pub(crate) fn fold_subtree_cost(
+        &self,
+        id: usize,
+        node_cost: impl Fn(usize) -> LogCost,
+    ) -> LogCost {
         let mut total = LOG_ZERO;
         let mut stack = vec![id];
         while let Some(n) = stack.pop() {
             if let Some((l, r)) = self.nodes[n].children {
-                total = log2_add(total, self.node_log_cost(n));
+                total = log2_add(total, node_cost(n));
                 stack.push(l);
                 stack.push(r);
             }
