@@ -102,10 +102,17 @@ impl Gate {
     /// Current values of the gate's free parameters, aligned with
     /// [`Gate::param_names`].
     pub fn params(&self) -> Vec<f64> {
-        match self {
-            Gate::Rz(t) | Gate::Rx(t) | Gate::Ry(t) => vec![*t],
-            Gate::FSim { theta, phi } => vec![*theta, *phi],
-            _ => Vec::new(),
+        (0..self.param_names().len()).filter_map(|index| self.param(index)).collect()
+    }
+
+    /// The value of parameter `param_index` (see [`Gate::param_names`]),
+    /// or `None` when the gate has no such parameter.
+    pub(crate) fn param(&self, param_index: usize) -> Option<f64> {
+        match (self, param_index) {
+            (Gate::Rz(t) | Gate::Rx(t) | Gate::Ry(t), 0) => Some(*t),
+            (Gate::FSim { theta, .. }, 0) => Some(*theta),
+            (Gate::FSim { phi, .. }, 1) => Some(*phi),
+            _ => None,
         }
     }
 

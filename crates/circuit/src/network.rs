@@ -11,6 +11,7 @@
 use crate::circuit::Circuit;
 use crate::gate::Gate;
 use qtn_tensor::{Complex64, DenseTensor, IndexId, IndexSet};
+use std::fmt::Write;
 
 /// One tensor of the generated network.
 #[derive(Debug, Clone)]
@@ -109,8 +110,16 @@ pub(crate) fn param_slot_name(
         Gate::FSim { .. } => "fsim",
         g => unreachable!("gate {g:?} has no parameters"),
     };
-    let qubits: Vec<String> = qubits.iter().map(usize::to_string).collect();
-    format!("g{op_index}:{kind}[{}].{}", qubits.join(","), gate.param_names()[param_index])
+    // Written into one string: the name is the slot's only allocation.
+    let mut name = String::with_capacity(24);
+    let mut separator = "[";
+    write!(name, "g{op_index}:{kind}").expect("writing to a String");
+    for q in qubits {
+        write!(name, "{separator}{q}").expect("writing to a String");
+        separator = ",";
+    }
+    write!(name, "].{}", gate.param_names()[param_index]).expect("writing to a String");
+    name
 }
 
 /// The result of converting a circuit.
@@ -331,7 +340,8 @@ pub fn circuit_to_network(circuit: &Circuit, output: &OutputSpec) -> NetworkBuil
         if !op.gate.param_names().is_empty() {
             let leaf = param_leaves.len();
             param_leaves.push(ParamLeaf { node: nodes.len(), gate: op.gate.clone() });
-            for (param_index, value) in op.gate.params().into_iter().enumerate() {
+            for param_index in 0..op.gate.param_names().len() {
+                let value = op.gate.param(param_index).expect("one value per parameter name");
                 param_slots.push(ParamSlot {
                     name: param_slot_name(g_idx, &op.gate, &op.qubits, param_index),
                     op_index: g_idx,
@@ -347,7 +357,7 @@ pub fn circuit_to_network(circuit: &Circuit, output: &OutputSpec) -> NetworkBuil
                 let i_in = wire[q];
                 let i_out = alloc();
                 // data[o*2 + i] = U[o][i]
-                let data = DenseTensor::from_data(IndexSet::new(vec![i_out, i_in]), m.clone());
+                let data = DenseTensor::from_data(IndexSet::new(vec![i_out, i_in]), m);
                 nodes.push(TensorNode { data });
                 wire[q] = i_out;
             }

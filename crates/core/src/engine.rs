@@ -506,7 +506,10 @@ impl Engine {
 ///
 /// All execute methods take `&self` and are safe to call concurrently; the
 /// floating-point result of each method is bit-identical across repeated
-/// calls (the executor reduces partials in a schedule-independent order).
+/// calls at the engine's fixed [`ExecutorConfig::workers`] (each worker
+/// sums a fixed stride of subtasks and the partials are reduced in worker
+/// order). Engines with different worker counts agree only to rounding:
+/// the reduction order follows the worker count.
 #[derive(Clone)]
 pub struct CompiledCircuit {
     plan: Arc<SimulationPlan>,

@@ -14,8 +14,8 @@ use qtn_circuit::{circuit_to_network, Circuit, NetworkBuild, OutputSpec};
 use qtn_slicing::overhead::{sliced_max_rank, slicing_overhead};
 use qtn_slicing::{lifetime_slice_finder, refine_slicing, RefinerConfig, SlicingPlan};
 use qtn_tensornet::{
-    analyze_memory, classify_nodes, defer_projector_joins, extract_stem, random_greedy_paths,
-    refine_path, simplify_network, ContractionTree, MemoryPlan, NodeClassification,
+    analyze_memory, classify_nodes, defer_projector_joins_tree, extract_stem, random_greedy_paths,
+    refine_tree, simplify_network, ContractionTree, MemoryPlan, NodeClassification,
     RefineObjective, Stem, TensorNetwork,
 };
 use std::sync::{Arc, OnceLock};
@@ -241,6 +241,11 @@ impl SimulationPlan {
 /// only by a stage that changed its input (the tree, the stem or the
 /// slicing); every other row carries the previous row's value forward, so
 /// the last row holds the plan's own `log_cost` and `overhead`.
+///
+/// The chain builds one tree and hands it on: the path search returns only
+/// pairs (ranked by the cost greedy sums as it contracts), and each
+/// rotation pass takes the tree and returns its next version, the tree
+/// [`ContractionTree::from_pairs`] would build from the new pairs.
 pub fn plan_simulation(
     circuit: &Circuit,
     output: &OutputSpec,
@@ -276,7 +281,8 @@ pub fn plan_simulation(
     record("tensornet.simplify", None, None);
 
     // Path search on the simplified network. Candidate 0 is the
-    // deterministic greedy path, so one candidate is plain greedy.
+    // deterministic greedy path, so one candidate is plain greedy; the
+    // search ranks candidates by their cost and the first is the cheapest.
     let candidates = random_greedy_paths(&work, config.path_candidates.max(1), config.seed);
     pairs.extend(candidates.into_iter().next().expect("no path candidates").1);
     record("tensornet.path_search", None, None);
@@ -287,10 +293,7 @@ pub fn plan_simulation(
         // Adaptive path refinement (the paper's third contribution): subtree
         // rotations that never increase the cost and prefer LDM-friendly
         // absorptions.
-        let (refined_pairs, _report) =
-            refine_path(&tree, RefineObjective::SunwayAdaptive { ldm_rank: 13 }, 4);
-        pairs = refined_pairs;
-        tree = ContractionTree::from_pairs(&network, &pairs);
+        (tree, pairs, _) = refine_tree(tree, RefineObjective::SunwayAdaptive { ldm_rank: 13 }, 4);
         record("tensornet.refine_path", Some(tree.total_log_cost()), None);
     }
     let mut stem = extract_stem(&tree);
@@ -316,10 +319,7 @@ pub fn plan_simulation(
     // total cost or the per-execution bill and never loosens slicing
     // feasibility.
     if config.defer_projector_joins && !slicing.sliced.is_empty() && !overridable.is_empty() {
-        let (deferred_pairs, _report) =
-            defer_projector_joins(&tree, &slicing.sliced, &overridable, 4);
-        pairs = deferred_pairs;
-        tree = ContractionTree::from_pairs(&network, &pairs);
+        (tree, pairs, _) = defer_projector_joins_tree(tree, &slicing.sliced, &overridable, 4);
         stem = extract_stem(&tree);
         record("tensornet.defer_joins", Some(tree.total_log_cost()), sliced_costs(&stem, &slicing));
     }

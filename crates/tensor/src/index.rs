@@ -34,10 +34,7 @@ impl IndexSet {
     /// never carry repeated indices (self-loops are contracted away by the
     /// simplifier before tensors are materialised).
     pub fn new(axes: Vec<IndexId>) -> Self {
-        let mut sorted = axes.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), axes.len(), "repeated index in IndexSet: {axes:?}");
+        assert!(all_distinct(&axes), "repeated index in IndexSet: {axes:?}");
         Self { axes }
     }
 
@@ -136,6 +133,13 @@ impl FromIterator<IndexId> for IndexSet {
     }
 }
 
+/// Whether no identifier repeats, checked pairwise without allocating: a
+/// dense tensor's rank is at most a few dozen, so this is a few hundred
+/// comparisons at worst.
+fn all_distinct(axes: &[IndexId]) -> bool {
+    axes.iter().enumerate().all(|(i, a)| !axes[..i].contains(a))
+}
+
 /// Compute the row-major strides (in elements) of a rank-`n` tensor whose
 /// axes all have dimension 2. Axis 0 is the most significant.
 pub fn strides(rank: usize) -> Vec<usize> {
@@ -176,6 +180,17 @@ mod tests {
     #[should_panic(expected = "repeated index")]
     fn repeated_index_panics() {
         IndexSet::new(vec![1, 2, 1]);
+    }
+
+    #[test]
+    fn distinct_ids_are_checked_at_every_length() {
+        for len in [2usize, 16, 17, 40] {
+            let ids: Vec<IndexId> = (0..len as IndexId).rev().collect();
+            assert_eq!(IndexSet::new(ids.clone()).rank(), len);
+            let mut repeated = ids;
+            repeated[len / 2] = repeated[0];
+            assert!(std::panic::catch_unwind(|| IndexSet::new(repeated)).is_err(), "{len}");
+        }
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! * [`greedy_path`] — cotengra-style greedy search over adjacent pairs with
 //!   a tunable cost temperature (0 = deterministic);
 //! * [`random_greedy_paths`] — repeated randomised greedy runs returning all
-//!   candidate trees (the "400 contraction paths" of Fig. 10 are generated
-//!   this way).
+//!   candidate paths with their costs (the "400 contraction paths" of
+//!   Fig. 10 are generated this way).
 
+use crate::cost::{log2_add, LogCost, LOG_ZERO};
 use crate::graph::TensorNetwork;
-use crate::tree::ContractionTree;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -73,6 +73,18 @@ fn greedy_score(pow2: &[f64; 61], ra: usize, rb: usize, shared: usize) -> f64 {
 /// Disconnected components are joined by outer products once no adjacent
 /// pairs remain.
 pub fn greedy_path(network: &mut TensorNetwork, config: &PathConfig) -> Vec<(usize, usize)> {
+    greedy_path_cost(network, config).0
+}
+
+/// [`greedy_path`] with the path's total cost: log2 of Eq. (1), the
+/// `2^{|a ∪ b|}` of every contraction `(a, b)` added up in path order as it
+/// contracts. That is the fold [`crate::ContractionTree::total_log_cost`]
+/// makes over the internal nodes of the path's tree, so the two are equal
+/// bit for bit.
+fn greedy_path_cost(
+    network: &mut TensorNetwork,
+    config: &PathConfig,
+) -> (Vec<(usize, usize)>, LogCost) {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let pow2: [f64; 61] = std::array::from_fn(|r| (r as f64).exp2());
     let mut pairs = Vec::new();
@@ -91,6 +103,7 @@ pub fn greedy_path(network: &mut TensorNetwork, config: &PathConfig) -> Vec<(usi
     // shared-edge counts, and the Boltzmann weights.
     let mut adjacent = Vec::new();
     let mut weights: Vec<f64> = Vec::new();
+    let mut cost = LOG_ZERO;
 
     for v in network.active_vertices() {
         network.neighbor_overlaps(v, &mut adjacent);
@@ -157,46 +170,51 @@ pub fn greedy_path(network: &mut TensorNetwork, config: &PathConfig) -> Vec<(usi
         }
 
         let (a, b) = chosen.expect("no contraction candidate found");
+        let operand_ranks = network.rank(a) + network.rank(b);
         let new_v = network.contract(a, b);
         pairs.push((a, b));
-        network.neighbor_overlaps(new_v, &mut adjacent);
         let rv = network.rank(new_v);
+        // |a ∪ b| = (|a| + |b| + |a Δ b|) / 2, and the new vertex holds a Δ b.
+        cost = log2_add(cost, ((operand_ranks + rv) / 2) as LogCost);
+        network.neighbor_overlaps(new_v, &mut adjacent);
         for &(u, shared) in &adjacent {
             let score = greedy_score(&pow2, rv, network.rank(u), shared);
             heap.push(Reverse(candidate_key(score, new_v, u)));
         }
     }
-    pairs
+    (pairs, cost)
 }
 
 /// Run `count` randomised greedy searches (different seeds/temperatures) on
-/// copies of `network` and return each resulting contraction tree along with
-/// its pair list, sorted by ascending total cost.
+/// copies of `network` and return each resulting pair list with its total
+/// cost (log2 of Eq. 1, equal bit for bit to the `total_log_cost` of the
+/// pairs' [`crate::ContractionTree`] on `network`), sorted by ascending
+/// cost.
 pub fn random_greedy_paths(
     network: &TensorNetwork,
     count: usize,
     base_seed: u64,
-) -> Vec<(ContractionTree, Vec<(usize, usize)>)> {
-    let mut results = Vec::with_capacity(count);
-    for i in 0..count {
-        let mut g = network.clone();
-        let config = PathConfig {
-            temperature: if i == 0 { 0.0 } else { 0.3 + 0.2 * ((i % 5) as f64) },
-            seed: base_seed.wrapping_add(i as u64),
-        };
-        let pairs = greedy_path(&mut g, &config);
-        let tree = ContractionTree::from_pairs(network, &pairs);
-        results.push((tree.total_log_cost(), (tree, pairs)));
-    }
+) -> Vec<(LogCost, Vec<(usize, usize)>)> {
+    let mut results: Vec<(LogCost, Vec<(usize, usize)>)> = (0..count)
+        .map(|i| {
+            let config = PathConfig {
+                temperature: if i == 0 { 0.0 } else { 0.3 + 0.2 * ((i % 5) as f64) },
+                seed: base_seed.wrapping_add(i as u64),
+            };
+            let (pairs, cost) = greedy_path_cost(&mut network.clone(), &config);
+            (cost, pairs)
+        })
+        .collect();
     // Stable, so equal costs keep their search order.
     results.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-    results.into_iter().map(|(_, candidate)| candidate).collect()
+    results
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::simplify::simplify_network;
+    use crate::tree::ContractionTree;
     use qtn_circuit::{circuit_to_network, OutputSpec, RqcConfig};
     use qtn_tensor::IndexSet;
 
@@ -334,7 +352,56 @@ mod tests {
         let candidates = random_greedy_paths(&g, 6, 42);
         assert_eq!(candidates.len(), 6);
         for w in candidates.windows(2) {
-            assert!(w[0].0.total_log_cost() <= w[1].0.total_log_cost() + 1e-9);
+            assert!(w[0].0 <= w[1].0);
+        }
+    }
+
+    #[test]
+    fn greedy_cost_is_the_tree_cost_bit_for_bit() {
+        let mut circuits = Vec::new();
+        for (rows, cols) in [(3, 3), (3, 4), (4, 4), (4, 5), (5, 5), (5, 6)] {
+            for seed in 1..=3 {
+                circuits.push(RqcConfig::small(rows, cols, 6 + 2 * seed as usize, seed).build());
+            }
+        }
+        for cycles in [12, 16, 20] {
+            circuits.push(RqcConfig::sycamore(cycles, 5).build());
+        }
+        assert!(circuits.len() >= 20);
+        for c in &circuits {
+            let n = c.num_qubits();
+            let b = circuit_to_network(c, &OutputSpec::Amplitude(vec![0; n]));
+            let mut work = TensorNetwork::from_build(&b);
+            simplify_network(&mut work);
+            let candidates = random_greedy_paths(&work, 8, 11);
+            assert_eq!(candidates.len(), 8);
+            for (k, (cost, pairs)) in candidates.iter().enumerate() {
+                let tree = ContractionTree::from_pairs(&work, pairs);
+                assert_eq!(
+                    cost.to_bits(),
+                    tree.total_log_cost().to_bits(),
+                    "{n} qubits, candidate {k}: {cost} vs {}",
+                    tree.total_log_cost()
+                );
+            }
+        }
+
+        // Two components: the last contraction is the outer product.
+        let g = TensorNetwork::new(&[
+            IndexSet::new(vec![0, 1]),
+            IndexSet::new(vec![1, 2]),
+            IndexSet::new(vec![3, 4]),
+            IndexSet::new(vec![4, 5]),
+            IndexSet::new(vec![5, 6]),
+        ]);
+        for (cost, pairs) in random_greedy_paths(&g, 8, 3) {
+            let tree = ContractionTree::from_pairs(&g, &pairs);
+            let (l, r) = tree.node(tree.root()).children.expect("an internal root");
+            assert_eq!(
+                tree.node_union(tree.root()).len(),
+                tree.node(l).rank() + tree.node(r).rank()
+            );
+            assert_eq!(cost.to_bits(), tree.total_log_cost().to_bits());
         }
     }
 

@@ -20,9 +20,8 @@
 
 use crate::cost::{log2_add, LogCost};
 use crate::sets::{self, Marks};
-use crate::tree::ContractionTree;
+use crate::tree::{union_log_cost, ContractionTree, TreeNode};
 use qtn_tensor::IndexId;
-use std::borrow::Cow;
 
 /// What the refiner optimises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,10 +61,9 @@ pub struct RefineReport {
 /// rejected every rotation would reject them again until one of those
 /// changes. Only [`MutableTree::rotate`] changes them, and it marks every
 /// node that reads what it changed.
-struct MutableTree<'a> {
-    /// Per-node indices: borrowed from the tree until the node is first
-    /// recomputed (leaves fixed, internal recomputed on demand).
-    indices: Vec<Cow<'a, [IndexId]>>,
+struct MutableTree {
+    /// Per-node indices: leaves fixed, internal recomputed on demand.
+    indices: Vec<Vec<IndexId>>,
     /// Per-node children (None for leaves).
     children: Vec<Option<(usize, usize)>>,
     /// Per-node parent (None for the root).
@@ -73,18 +71,23 @@ struct MutableTree<'a> {
     /// Per-node: must the next sweep evaluate it? Every internal node
     /// starts stale.
     stale: Vec<bool>,
+    /// Per-node network vertex of a leaf (None for internal nodes).
+    leaf_vertex: Vec<Option<usize>>,
     root: usize,
 }
 
-impl<'a> MutableTree<'a> {
-    fn from_tree(tree: &'a ContractionTree) -> Self {
-        let nodes = tree.nodes();
+impl MutableTree {
+    /// Take the tree over, index sets and all.
+    fn from_tree(tree: ContractionTree) -> Self {
+        let root = tree.root();
+        let nodes = tree.into_nodes();
         Self {
-            indices: nodes.iter().map(|n| Cow::Borrowed(n.indices.as_slice())).collect(),
             children: nodes.iter().map(|n| n.children).collect(),
             parent: nodes.iter().map(|n| n.parent).collect(),
             stale: nodes.iter().map(|n| !n.is_leaf()).collect(),
-            root: tree.root(),
+            leaf_vertex: nodes.iter().map(|n| n.leaf_vertex).collect(),
+            indices: nodes.into_iter().map(|n| n.indices).collect(),
+            root,
         }
     }
 
@@ -157,18 +160,15 @@ impl<'a> MutableTree<'a> {
     /// ancestor keep their indices.
     fn recompute(&mut self, n: usize) {
         if let Some((l, r)) = self.children[n] {
-            let mut out = match std::mem::take(&mut self.indices[n]) {
-                Cow::Owned(out) => out,
-                Cow::Borrowed(_) => Vec::new(),
-            };
+            let mut out = std::mem::take(&mut self.indices[n]);
             sets::sym_diff_into(&self.indices[l], &self.indices[r], &mut out);
-            self.indices[n] = Cow::Owned(out);
+            self.indices[n] = out;
         }
     }
 
     fn node_log_cost(&self, n: usize) -> LogCost {
         self.children[n].map_or(f64::NEG_INFINITY, |(l, r)| {
-            sets::union_len(&self.indices[l], &self.indices[r]) as LogCost
+            union_log_cost(&self.indices[l], &self.indices[r], &self.indices[n])
         })
     }
 
@@ -202,36 +202,75 @@ impl<'a> MutableTree<'a> {
         penalty
     }
 
-    /// Extract the contraction pair list (in the SSA numbering of the
-    /// original network) by emitting internal nodes children-before-parents.
-    fn to_pairs(&self, original_leaf_vertex: &[Option<usize>]) -> Vec<(usize, usize)> {
-        // Map tree node -> SSA vertex id. Leaves map to their original
-        // vertex; internal nodes are assigned new ids in emission order.
-        let mut vertex_of: Vec<Option<usize>> = original_leaf_vertex.to_vec();
-        let num_leaves = vertex_of.iter().filter(|v| v.is_some()).count();
-        let mut next_vertex = num_leaves;
-        let mut pairs = Vec::new();
-        // Post-order traversal from the root.
+    /// The internal nodes in the order the pair list emits them: post-order
+    /// from the root, each node's second subtree before its first.
+    fn post_order(&self) -> Vec<usize> {
+        let mut order = Vec::with_capacity(self.children.len());
         let mut stack = vec![(self.root, false)];
         while let Some((n, expanded)) = stack.pop() {
-            match self.children[n] {
-                None => {}
-                Some((l, r)) => {
-                    if expanded {
-                        let lv = vertex_of[l].expect("child emitted before parent");
-                        let rv = vertex_of[r].expect("child emitted before parent");
-                        pairs.push((lv, rv));
-                        vertex_of[n] = Some(next_vertex);
-                        next_vertex += 1;
-                    } else {
-                        stack.push((n, true));
-                        stack.push((l, false));
-                        stack.push((r, false));
-                    }
+            if let Some((l, r)) = self.children[n] {
+                if expanded {
+                    order.push(n);
+                } else {
+                    stack.push((n, true));
+                    stack.push((l, false));
+                    stack.push((r, false));
                 }
             }
         }
-        pairs
+        order
+    }
+
+    /// The contraction pair list in the SSA numbering of the original
+    /// network: leaves map to their vertex, the `k`-th emitted internal
+    /// node to vertex `leaves + k`.
+    fn to_pairs(&self, order: &[usize]) -> Vec<(usize, usize)> {
+        let mut vertex_of = self.leaf_vertex.clone();
+        let num_leaves = vertex_of.iter().filter(|v| v.is_some()).count();
+        order
+            .iter()
+            .enumerate()
+            .map(|(k, &n)| {
+                let (l, r) = self.children[n].expect("an internal node");
+                let vertex = |c: usize| vertex_of[c].expect("child emitted before parent");
+                let pair = (vertex(l), vertex(r));
+                vertex_of[n] = Some(num_leaves + k);
+                pair
+            })
+            .collect()
+    }
+
+    /// The pair list and the tree [`ContractionTree::from_pairs`] builds
+    /// from it on the original network, node for node: the leaves keep
+    /// their ids (they come first in every tree this one is made from), the
+    /// `k`-th emitted internal node becomes node `leaves + k`, and each
+    /// node's index set moves over instead of being merged again.
+    fn into_tree(self) -> (ContractionTree, Vec<(usize, usize)>) {
+        let order = self.post_order();
+        let pairs = self.to_pairs(&order);
+        let num_leaves = self.children.len() - order.len();
+        debug_assert!(self.leaf_vertex[..num_leaves].iter().all(Option::is_some));
+        let mut new_id: Vec<usize> = (0..self.children.len()).collect();
+        for (k, &n) in order.iter().enumerate() {
+            new_id[n] = num_leaves + k;
+        }
+        let MutableTree { mut indices, children, leaf_vertex, .. } = self;
+        let mut nodes: Vec<TreeNode> = Vec::with_capacity(children.len());
+        for n in (0..num_leaves).chain(order.iter().copied()) {
+            let id = nodes.len();
+            let node_children = children[n].map(|(l, r)| (new_id[l], new_id[r]));
+            if let Some((l, r)) = node_children {
+                nodes[l].parent = Some(id);
+                nodes[r].parent = Some(id);
+            }
+            nodes.push(TreeNode {
+                children: node_children,
+                leaf_vertex: leaf_vertex[n],
+                indices: std::mem::take(&mut indices[n]),
+                parent: None,
+            });
+        }
+        (ContractionTree::from_nodes(nodes), pairs)
     }
 }
 
@@ -245,6 +284,18 @@ pub fn refine_path(
     objective: RefineObjective,
     max_sweeps: usize,
 ) -> (Vec<(usize, usize)>, RefineReport) {
+    let (_, pairs, report) = refine_tree(tree.clone(), objective, max_sweeps);
+    (pairs, report)
+}
+
+/// [`refine_path`] on a tree handed over, returning the refined tree too:
+/// the one [`ContractionTree::from_pairs`] builds from the returned pairs
+/// on the tree's network, node for node, without building it again.
+pub fn refine_tree(
+    tree: ContractionTree,
+    objective: RefineObjective,
+    max_sweeps: usize,
+) -> (ContractionTree, Vec<(usize, usize)>, RefineReport) {
     let mut t = MutableTree::from_tree(tree);
     let cost_before = t.total_log_cost();
     let penalty = |t: &MutableTree, p: usize, c: usize| match objective {
@@ -301,9 +352,8 @@ pub fn refine_path(
     });
 
     let cost_after = t.total_log_cost();
-    let leaf_vertices: Vec<Option<usize>> = tree.nodes().iter().map(|n| n.leaf_vertex).collect();
-    let pairs = t.to_pairs(&leaf_vertices);
-    (pairs, RefineReport { cost_before, cost_after, rotations, sweeps })
+    let (tree, pairs) = t.into_tree();
+    (tree, pairs, RefineReport { cost_before, cost_after, rotations, sweeps })
 }
 
 /// Statistics of one projector-deferral run.
@@ -383,38 +433,57 @@ pub fn defer_projector_joins(
     overridable_leaves: &[usize],
     max_sweeps: usize,
 ) -> (Vec<(usize, usize)>, BatchRefineReport) {
+    let (_, pairs, report) =
+        defer_projector_joins_tree(tree.clone(), sliced, overridable_leaves, max_sweeps);
+    (pairs, report)
+}
+
+/// [`defer_projector_joins`] on a tree handed over, returning the deferred
+/// tree too: the one [`ContractionTree::from_pairs`] builds from the
+/// returned pairs on the tree's network, node for node, without building
+/// it again.
+pub fn defer_projector_joins_tree(
+    tree: ContractionTree,
+    sliced: &[IndexId],
+    overridable_leaves: &[usize],
+    max_sweeps: usize,
+) -> (ContractionTree, Vec<(usize, usize)>, BatchRefineReport) {
     let mut t = MutableTree::from_tree(tree);
-    let nodes = tree.nodes();
+    let num_nodes = t.children.len();
     let on_slice = sets::edge_marks(sliced);
     let on_projector = Marks::new(overridable_leaves.iter().copied());
-    let mut deps = DepBits { slice: vec![false; nodes.len()], proj: vec![false; nodes.len()] };
+    let mut deps = DepBits { slice: vec![false; num_nodes], proj: vec![false; num_nodes] };
     // Children precede parents in a freshly built tree, so one forward
     // pass sets every node's bits.
-    for (id, node) in nodes.iter().enumerate() {
-        match node.leaf_vertex {
+    for id in 0..num_nodes {
+        match t.leaf_vertex[id] {
             Some(vertex) => {
-                deps.slice[id] = on_slice.any(&node.indices);
+                deps.slice[id] = on_slice.any(&t.indices[id]);
                 deps.proj[id] = on_projector.contains(vertex);
             }
             None => deps.recompute(&t, id),
         }
     }
+    // Every node's post-slicing rank `|s_n \ S|`, refreshed whenever its
+    // index set is.
+    let eff_rank = |t: &MutableTree, n: usize| on_slice.count_unmarked(&t.indices[n]);
+    let mut ranks: Vec<usize> = (0..num_nodes).map(|n| eff_rank(&t, n)).collect();
 
     let subtasks_log2 = sliced.len() as LogCost;
     // What a rotation test reads of the internal nodes `p` and `c`, summed
     // in log2: (contraction cost, StemMixed cost, execution bill). A node's
     // bill is its Eq. 4 term `|u \ S| + |S|` when it depends on a slice,
     // its cost `|u|` when it depends only on a projector, else nothing.
-    // Both sizes come from one merge of the node's children.
-    let price = |t: &MutableTree, deps: &DepBits, p: usize, c: usize| {
+    // Both sizes read off lengths: `n` holds `l Δ r`, so `|l ∪ r|` is
+    // `(|l| + |r| + |n|) / 2`, and the same holds with `S` removed from
+    // all three.
+    let price = |t: &MutableTree, deps: &DepBits, ranks: &[usize], p: usize, c: usize| {
         let [(p_cost, p_mixed, p_bill), (c_cost, c_mixed, c_bill)] = [p, c].map(|n| {
             let (l, r) = t.children[n].expect("an internal node");
-            let (union, unsliced) =
-                sets::union_lens_unmarked(&t.indices[l], &t.indices[r], &on_slice);
-            let cost = union as LogCost;
+            let cost = t.node_log_cost(n);
             let mixed = if deps.mixed(n) { cost } else { f64::NEG_INFINITY };
             let bill = match (deps.slice[n], deps.proj[n]) {
-                (true, _) => unsliced as LogCost + subtasks_log2,
+                (true, _) => ((ranks[l] + ranks[r] + ranks[n]) / 2) as LogCost + subtasks_log2,
                 (false, true) => cost,
                 (false, false) => f64::NEG_INFINITY,
             };
@@ -423,14 +492,10 @@ pub fn defer_projector_joins(
         (log2_add(p_cost, c_cost), log2_add(p_mixed, c_mixed), log2_add(p_bill, c_bill))
     };
 
-    let eff_rank = |t: &MutableTree, n: usize| on_slice.count_unmarked(&t.indices[n]);
     // The feasibility envelope: no rotation may push any affected node's
     // post-slicing rank above what the tree already contains.
-    let rank_bound = (0..t.children.len())
-        .filter(|&n| !t.is_leaf(n))
-        .map(|n| eff_rank(&t, n))
-        .max()
-        .unwrap_or(0);
+    let rank_bound =
+        (0..t.children.len()).filter(|&n| !t.is_leaf(n)).map(|n| ranks[n]).max().unwrap_or(0);
     let mixed_total = |t: &MutableTree, deps: &DepBits| {
         (0..t.children.len())
             .filter(|&n| !t.is_leaf(n) && deps.mixed(n))
@@ -459,7 +524,8 @@ pub fn defer_projector_joins(
                 continue;
             }
             let (x, y) = t.children[internal].unwrap();
-            let (before_local, before_mixed, before_bill) = price(t, &deps, p, internal);
+            let rank_before = ranks[internal];
+            let (before_local, before_mixed, before_bill) = price(t, &deps, &ranks, p, internal);
             for (a, b) in [(x, y), (y, x)] {
                 // internal := (a, other); p := (internal, b). Only
                 // `internal`'s subtree changes; p keeps its leaf set, so p's
@@ -468,9 +534,10 @@ pub fn defer_projector_joins(
                 t.children[p] = Some((internal, b));
                 t.recompute(internal);
                 deps.recompute(t, internal);
-                let (local, mixed, bill) = price(t, &deps, p, internal);
+                ranks[internal] = eff_rank(t, internal);
+                let (local, mixed, bill) = price(t, &deps, &ranks, p, internal);
                 let feasible = local <= before_local + 1e-12
-                    && eff_rank(t, internal) <= rank_bound
+                    && ranks[internal] <= rank_bound
                     && mixed < before_mixed - 1e-12
                     && bill <= before_bill + 1e-12;
                 let better = best
@@ -488,28 +555,27 @@ pub fn defer_projector_joins(
             t.children[p] = Some((c, z));
             t.recompute(internal);
             deps.recompute(t, internal);
+            ranks[internal] = rank_before;
         }
         let Some((_, _, int_node, int_children, p_children)) = best else { return false };
         t.rotate(p, int_node, int_children, p_children);
         deps.recompute(t, int_node);
+        ranks[int_node] = eff_rank(t, int_node);
         true
     });
 
     let cost_after = t.total_log_cost();
     let mixed_cost_after = mixed_total(&t, &deps);
-    let leaf_vertices: Vec<Option<usize>> = nodes.iter().map(|n| n.leaf_vertex).collect();
-    let pairs = t.to_pairs(&leaf_vertices);
-    (
-        pairs,
-        BatchRefineReport {
-            cost_before,
-            cost_after,
-            mixed_cost_before,
-            mixed_cost_after,
-            rotations,
-            sweeps,
-        },
-    )
+    let (tree, pairs) = t.into_tree();
+    let report = BatchRefineReport {
+        cost_before,
+        cost_after,
+        mixed_cost_before,
+        mixed_cost_after,
+        rotations,
+        sweeps,
+    };
+    (tree, pairs, report)
 }
 
 #[cfg(test)]
@@ -529,7 +595,7 @@ mod tests {
         objective: RefineObjective,
         max_sweeps: usize,
     ) -> (Vec<(usize, usize)>, RefineReport) {
-        let mut t = MutableTree::from_tree(tree);
+        let mut t = MutableTree::from_tree(tree.clone());
         let cost_before = t.total_log_cost();
         let mut rotations = 0;
         let mut sweeps = 0;
@@ -601,9 +667,7 @@ mod tests {
         }
 
         let cost_after = t.total_log_cost();
-        let leaf_vertices: Vec<Option<usize>> =
-            tree.nodes().iter().map(|n| n.leaf_vertex).collect();
-        let pairs = t.to_pairs(&leaf_vertices);
+        let pairs = t.to_pairs(&t.post_order());
         (pairs, RefineReport { cost_before, cost_after, rotations, sweeps })
     }
 
@@ -615,7 +679,7 @@ mod tests {
         overridable_leaves: &[usize],
         max_sweeps: usize,
     ) -> (Vec<(usize, usize)>, BatchRefineReport) {
-        let mut t = MutableTree::from_tree(tree);
+        let mut t = MutableTree::from_tree(tree.clone());
         let nodes = tree.nodes();
         let on_slice = sets::edge_marks(sliced);
         let on_projector = Marks::new(overridable_leaves.iter().copied());
@@ -747,8 +811,7 @@ mod tests {
 
         let cost_after = t.total_log_cost();
         let mixed_cost_after = mixed_total(&t, &deps);
-        let leaf_vertices: Vec<Option<usize>> = nodes.iter().map(|n| n.leaf_vertex).collect();
-        let pairs = t.to_pairs(&leaf_vertices);
+        let pairs = t.to_pairs(&t.post_order());
         (
             pairs,
             BatchRefineReport {
@@ -832,9 +895,25 @@ mod tests {
         ]
     }
 
+    /// `got` is the tree `from_pairs` builds: same root, and node for node
+    /// the same children, leaf vertex, index set and parent.
+    fn assert_same_tree(got: &ContractionTree, want: &ContractionTree, what: &str) {
+        assert_eq!(got.root(), want.root(), "{what}");
+        assert_eq!(got.nodes().len(), want.nodes().len(), "{what}");
+        for (id, (g, w)) in got.nodes().iter().zip(want.nodes()).enumerate() {
+            assert_eq!(
+                (g.children, g.leaf_vertex, &g.indices, g.parent),
+                (w.children, w.leaf_vertex, &w.indices, w.parent),
+                "{what}: node {id}"
+            );
+        }
+    }
+
     /// Skipping the nodes no rotation touched changes no decision: both
     /// passes return the full-sweep pair list and report exactly, on every
     /// oracle tree, both objectives, three sweep caps and three slicings.
+    /// The variants that take the tree over return the same pairs and
+    /// report, and the tree `from_pairs` builds from those pairs.
     #[test]
     fn stale_node_sweeps_match_full_sweeps() {
         let trees = oracle_trees();
@@ -847,8 +926,12 @@ mod tests {
                 for max_sweeps in [1, 4, 12] {
                     let got = refine_path(tree, objective, max_sweeps);
                     let want = full_sweep_refine_path(tree, objective, max_sweeps);
-                    assert_eq!(got, want, "{name}, {objective:?}, {max_sweeps} sweeps");
+                    let what = format!("{name}, {objective:?}, {max_sweeps} sweeps");
+                    assert_eq!(got, want, "{what}");
                     late_refines += usize::from(got.1.sweeps > 2);
+                    let (handed, pairs, report) = refine_tree(tree.clone(), objective, max_sweeps);
+                    assert_eq!((pairs, report), got, "{what}");
+                    assert_same_tree(&handed, &ContractionTree::from_pairs(network, &got.0), &what);
                 }
             }
             // The deferral runs on a refined tree, as in the planner.
@@ -864,8 +947,17 @@ mod tests {
                         overridable,
                         max_sweeps,
                     );
-                    assert_eq!(got, want, "{name}, sliced {sliced:?}, {max_sweeps} sweeps");
+                    let what = format!("{name}, sliced {sliced:?}, {max_sweeps} sweeps");
+                    assert_eq!(got, want, "{what}");
                     late_deferrals += usize::from(got.1.sweeps > 2);
+                    let (handed, pairs, report) = defer_projector_joins_tree(
+                        refined.clone(),
+                        &sliced,
+                        overridable,
+                        max_sweeps,
+                    );
+                    assert_eq!((pairs, report), got, "{what}");
+                    assert_same_tree(&handed, &ContractionTree::from_pairs(network, &got.0), &what);
                 }
             }
         }

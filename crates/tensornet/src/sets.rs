@@ -3,7 +3,7 @@
 //! Every structural index set in this crate — a vertex's indices in
 //! [`crate::TensorNetwork`], a [`crate::TreeNode`]'s indices, a
 //! [`crate::StemStep`]'s operands — is a strictly increasing
-//! `Vec<IndexId>`. The helpers here rely on that invariant (checked by
+//! list of `IndexId`s. The helpers here rely on that invariant (checked by
 //! `debug_assert!` at every merge entry): a union or symmetric difference
 //! is one merge of two lists, linear in their lengths, and the counting
 //! forms allocate nothing. Membership in a fixed set of ids (the sliced
@@ -17,42 +17,36 @@ pub(crate) fn is_sorted_set(s: &[IndexId]) -> bool {
     s.windows(2).all(|w| w[0] < w[1])
 }
 
-/// `|a ∩ b|`, by one merge.
-pub(crate) fn intersection_len(a: &[IndexId], b: &[IndexId]) -> usize {
-    debug_assert!(is_sorted_set(a) && is_sorted_set(b), "merge operands must be sorted sets");
-    let (mut i, mut j, mut n) = (0, 0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            Ordering::Less => i += 1,
-            Ordering::Greater => j += 1,
-            Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
+/// `a Δ b`, sorted, written into `out` (cleared first, capacity kept).
+pub(crate) fn sym_diff_into(a: &[IndexId], b: &[IndexId], out: &mut Vec<IndexId>) {
+    out.clear();
+    sym_diff_each(a, b, |e| out.push(e));
+}
+
+/// `a Δ b`, sorted, written to the front of `out`, which must hold
+/// `|a| + |b|` ids; returns `|a Δ b|`.
+pub(crate) fn sym_diff_to(a: &[IndexId], b: &[IndexId], out: &mut [IndexId]) -> usize {
+    let mut n = 0;
+    sym_diff_each(a, b, |e| {
+        out[n] = e;
+        n += 1;
+    });
     n
 }
 
-/// `|a ∪ b|`.
-pub(crate) fn union_len(a: &[IndexId], b: &[IndexId]) -> usize {
-    a.len() + b.len() - intersection_len(a, b)
-}
-
-/// `a Δ b`, sorted, written into `out` (cleared first, capacity kept).
-pub(crate) fn sym_diff_into(a: &[IndexId], b: &[IndexId], out: &mut Vec<IndexId>) {
+/// Pass `a Δ b` to `emit` in increasing order, by one merge.
+#[inline(always)]
+fn sym_diff_each(a: &[IndexId], b: &[IndexId], mut emit: impl FnMut(IndexId)) {
     debug_assert!(is_sorted_set(a) && is_sorted_set(b), "merge operands must be sorted sets");
-    out.clear();
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
             Ordering::Less => {
-                out.push(a[i]);
+                emit(a[i]);
                 i += 1;
             }
             Ordering::Greater => {
-                out.push(b[j]);
+                emit(b[j]);
                 j += 1;
             }
             Ordering::Equal => {
@@ -61,8 +55,7 @@ pub(crate) fn sym_diff_into(a: &[IndexId], b: &[IndexId], out: &mut Vec<IndexId>
             }
         }
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
+    a[i..].iter().chain(&b[j..]).for_each(|&e| emit(e));
 }
 
 /// `a Δ b` as a fresh sorted list.
@@ -122,7 +115,9 @@ pub(crate) fn union3<'a>(
 }
 
 /// `(|a ∪ b|, |(a ∪ b) \ S|)` for the set `S` marked in `skip`, by one
-/// merge.
+/// merge. The deferral reads both off lengths instead; its full-sweep test
+/// oracle counts them here.
+#[cfg(test)]
 pub(crate) fn union_lens_unmarked(a: &[IndexId], b: &[IndexId], skip: &Marks) -> (usize, usize) {
     debug_assert!(is_sorted_set(a) && is_sorted_set(b), "merge operands must be sorted sets");
     let (mut i, mut j, mut shared, mut shared_unmarked) = (0, 0, 0, 0);
@@ -236,7 +231,6 @@ mod tests {
                 a.iter().copied().filter(|e| !b.contains(e)).collect();
             naive_diff.extend(b.iter().copied().filter(|e| !a.contains(e)));
             naive_diff.sort_unstable();
-            let naive_common = a.iter().filter(|e| b.contains(e)).count();
 
             assert_eq!(union(&a, &b), naive_union, "{a:?} ∪ {b:?}");
             for c in [&a, &b, &naive_diff, &vec![]] {
@@ -245,9 +239,9 @@ mod tests {
                 naive3.sort_unstable();
                 assert_eq!(union3(&a, &b, c).collect::<Vec<_>>(), naive3, "{a:?} ∪ {b:?} ∪ {c:?}");
             }
-            assert_eq!(union_len(&a, &b), naive_union.len(), "{a:?} ∪ {b:?}");
             assert_eq!(sym_diff(&a, &b), naive_diff, "{a:?} Δ {b:?}");
-            assert_eq!(intersection_len(&a, &b), naive_common, "{a:?} ∩ {b:?}");
+            // The lengths alone give the union: what a tree node's cost reads.
+            assert_eq!((a.len() + b.len() + naive_diff.len()) / 2, naive_union.len());
             let mut reused = vec![99; 3];
             sym_diff_into(&a, &b, &mut reused);
             assert_eq!(reused, naive_diff);

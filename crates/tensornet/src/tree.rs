@@ -98,8 +98,21 @@ impl ContractionTree {
         }
 
         assert_eq!(active, 1, "contraction path leaves {active} tensors, expected 1");
+        Self::from_nodes(nodes)
+    }
+
+    /// A tree from its nodes, laid out as [`Self::from_pairs`] lays them
+    /// out: leaves first, then internal nodes children-before-parents, the
+    /// root last, each internal node holding its children's symmetric
+    /// difference.
+    pub(crate) fn from_nodes(nodes: Vec<TreeNode>) -> Self {
         let root = nodes.len() - 1;
         Self { nodes, root }
+    }
+
+    /// The nodes, handed over.
+    pub(crate) fn into_nodes(self) -> Vec<TreeNode> {
+        self.nodes
     }
 
     /// All nodes, leaves first in network order, then internal nodes in
@@ -144,7 +157,7 @@ impl ContractionTree {
     /// log2 of the time cost of the contraction at an internal node.
     pub fn node_log_cost(&self, id: usize) -> LogCost {
         let (l, r) = self.nodes[id].children.expect("node_log_cost on a leaf");
-        sets::union_len(&self.nodes[l].indices, &self.nodes[r].indices) as LogCost
+        union_log_cost(&self.nodes[l].indices, &self.nodes[r].indices, &self.nodes[id].indices)
     }
 
     /// log2 of the total time complexity, Eq. (1).
@@ -196,6 +209,14 @@ impl ContractionTree {
             })
             .collect()
     }
+}
+
+/// log2 of the cost of contracting `l` with `r` into `out = l Δ r`:
+/// `|l ∪ r|`, which is `(|l| + |r| + |l Δ r|) / 2` — read off the three
+/// lengths instead of merging the lists.
+pub(crate) fn union_log_cost(l: &[IndexId], r: &[IndexId], out: &[IndexId]) -> LogCost {
+    debug_assert_eq!(out, sets::sym_diff(l, r), "a node holds its children's symmetric difference");
+    ((l.len() + r.len() + out.len()) / 2) as LogCost
 }
 
 #[cfg(test)]
