@@ -86,17 +86,25 @@ impl NodeClass {
         matches!(self, NodeClass::Frontier | NodeClass::StemMixed)
     }
 
-    /// Least upper bound in the dependency lattice: the class of a node
-    /// whose subtree contains subtrees of classes `self` and `other`.
-    pub fn join(self, other: NodeClass) -> NodeClass {
-        match (self.is_stem() || other.is_stem(), {
-            self.depends_on_projector() || other.depends_on_projector()
-        }) {
+    /// The class of a node whose subtree touches a sliced edge iff
+    /// `on_slice` and an overridable projector leaf iff `on_projector`:
+    /// the one rule from the two dependency booleans to the lattice.
+    pub(crate) fn of(on_slice: bool, on_projector: bool) -> NodeClass {
+        match (on_slice, on_projector) {
             (false, false) => NodeClass::Branch,
             (false, true) => NodeClass::Frontier,
             (true, false) => NodeClass::StemPure,
             (true, true) => NodeClass::StemMixed,
         }
+    }
+
+    /// Least upper bound in the dependency lattice: the class of a node
+    /// whose subtree contains subtrees of classes `self` and `other`.
+    pub fn join(self, other: NodeClass) -> NodeClass {
+        NodeClass::of(
+            self.is_stem() || other.is_stem(),
+            self.depends_on_projector() || other.depends_on_projector(),
+        )
     }
 }
 
@@ -304,14 +312,8 @@ pub fn classify_nodes(
     let overridable_marks = Marks::new(overridable_leaves.iter().copied());
     for (id, node) in nodes.iter().enumerate() {
         if let Some(vertex) = node.leaf_vertex {
-            let on_slice = sliced_marks.any(&node.indices);
-            let on_projector = overridable_marks.contains(vertex);
-            classes[id] = match (on_slice, on_projector) {
-                (false, false) => NodeClass::Branch,
-                (false, true) => NodeClass::Frontier,
-                (true, false) => NodeClass::StemPure,
-                (true, true) => NodeClass::StemMixed,
-            };
+            classes[id] =
+                NodeClass::of(sliced_marks.any(&node.indices), overridable_marks.contains(vertex));
         }
     }
 

@@ -34,8 +34,8 @@ pub use lifetime::{
 };
 pub use path::{greedy_path, random_greedy_paths, PathConfig};
 pub use refine::{
-    defer_projector_joins, defer_projector_joins_tree, refine_path, refine_tree, BatchRefineReport,
-    RefineObjective, RefineReport,
+    defer_projector_joins, defer_projector_joins_tree, refine_path, refine_tree, RefineObjective,
+    RefineReport,
 };
 pub use simplify::simplify_network;
 pub use stem::{extract_stem, Stem, StemStep};

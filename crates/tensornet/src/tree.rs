@@ -171,14 +171,9 @@ impl ContractionTree {
         self.nodes.iter().map(|n| n.rank()).max().unwrap_or(0)
     }
 
-    /// log2 of the total cost of the subtree rooted at `id` (cost of its
-    /// internal descendants including itself).
-    pub fn subtree_log_cost(&self, id: usize) -> LogCost {
-        self.fold_subtree_cost(id, |n| self.node_log_cost(n))
-    }
-
-    /// [`Self::subtree_log_cost`] with each internal node's log2 cost read
-    /// from `node_cost`. Folded in depth-first pop order (right subtree
+    /// log2 of the total cost of the subtree rooted at `id` (its internal
+    /// descendants including itself), with each internal node's log2 cost
+    /// read from `node_cost`. Folded in depth-first pop order (right subtree
     /// first): `extract_stem` compares these sums, so the order is part of
     /// every plan.
     pub(crate) fn fold_subtree_cost(
@@ -295,8 +290,9 @@ mod tests {
         let tree = ContractionTree::from_pairs(&g, &[(0, 1), (4, 2), (5, 3)]);
         let root = tree.root();
         let (l, _r) = tree.node(root).children.unwrap();
-        assert!(tree.subtree_log_cost(l) <= tree.total_log_cost());
-        assert_eq!(tree.subtree_log_cost(root), tree.total_log_cost());
+        let subtree_cost = |n: usize| tree.fold_subtree_cost(n, |m| tree.node_log_cost(m));
+        assert!(subtree_cost(l) <= tree.total_log_cost());
+        assert_eq!(subtree_cost(root), tree.total_log_cost());
     }
 
     #[test]
