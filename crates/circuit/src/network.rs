@@ -12,6 +12,7 @@ use crate::circuit::Circuit;
 use crate::gate::Gate;
 use qtn_tensor::{Complex64, DenseTensor, IndexId, IndexSet};
 use std::fmt::Write;
+use std::sync::OnceLock;
 
 /// One tensor of the generated network.
 #[derive(Debug, Clone)]
@@ -49,7 +50,15 @@ pub enum OutputSpec {
 /// sound (the same property `projector_leaves` gives output bitstrings).
 #[derive(Debug, Clone)]
 pub struct ParamSlot {
-    name: String,
+    /// The canonical name, written the first time it is read: building the
+    /// network and planning never read it.
+    name: OnceLock<String>,
+    /// What the name spells out besides the operation index: the gate's
+    /// kind (`rz`, `fsim`, …), its qubits and the parameter's name.
+    kind: &'static str,
+    qubits: [usize; 2],
+    arity: usize,
+    param: &'static str,
     op_index: usize,
     param_index: usize,
     leaf: usize,
@@ -59,7 +68,9 @@ pub struct ParamSlot {
 impl ParamSlot {
     /// Canonical slot name, e.g. `g3:rz[1].theta` or `g7:fsim[0,2].phi`.
     pub fn name(&self) -> &str {
-        &self.name
+        self.name.get_or_init(|| {
+            slot_name(self.op_index, self.kind, &self.qubits[..self.arity], self.param)
+        })
     }
 
     /// Index of the originating gate in `Circuit::ops()` order.
@@ -94,6 +105,17 @@ struct ParamLeaf {
     gate: Gate,
 }
 
+/// The kind a parameterised gate's slot names carry.
+fn param_kind(gate: &Gate) -> &'static str {
+    match gate {
+        Gate::Rz(_) => "rz",
+        Gate::Rx(_) => "rx",
+        Gate::Ry(_) => "ry",
+        Gate::FSim { .. } => "fsim",
+        g => unreachable!("gate {g:?} has no parameters"),
+    }
+}
+
 /// Canonical parameter-slot name: `g{op}:{kind}[{qubits}].{param}`. Shared
 /// with the qsim parser so text-format circuits surface the same names as
 /// [`circuit_to_network`].
@@ -103,13 +125,10 @@ pub(crate) fn param_slot_name(
     qubits: &[usize],
     param_index: usize,
 ) -> String {
-    let kind = match gate {
-        Gate::Rz(_) => "rz",
-        Gate::Rx(_) => "rx",
-        Gate::Ry(_) => "ry",
-        Gate::FSim { .. } => "fsim",
-        g => unreachable!("gate {g:?} has no parameters"),
-    };
+    slot_name(op_index, param_kind(gate), qubits, gate.param_names()[param_index])
+}
+
+fn slot_name(op_index: usize, kind: &str, qubits: &[usize], param: &str) -> String {
     // Written into one string: the name is the slot's only allocation.
     let mut name = String::with_capacity(24);
     let mut separator = "[";
@@ -118,7 +137,7 @@ pub(crate) fn param_slot_name(
         write!(name, "{separator}{q}").expect("writing to a String");
         separator = ",";
     }
-    write!(name, "].{}", gate.param_names()[param_index]).expect("writing to a String");
+    write!(name, "].{param}").expect("writing to a String");
     name
 }
 
@@ -248,7 +267,7 @@ impl NetworkBuild {
 
     /// Look up a slot by its canonical [`ParamSlot::name`].
     pub fn param_slot_index(&self, name: &str) -> Option<usize> {
-        self.param_slots.iter().position(|s| s.name == name)
+        self.param_slots.iter().position(|s| s.name() == name)
     }
 
     /// Node indices of the gate-tensor leaves backing the parameter slots,
@@ -340,10 +359,17 @@ pub fn circuit_to_network(circuit: &Circuit, output: &OutputSpec) -> NetworkBuil
         if !op.gate.param_names().is_empty() {
             let leaf = param_leaves.len();
             param_leaves.push(ParamLeaf { node: nodes.len(), gate: op.gate.clone() });
+            let arity = op.qubits.len();
+            let mut qubits = [0; 2];
+            qubits[..arity].copy_from_slice(&op.qubits);
             for param_index in 0..op.gate.param_names().len() {
                 let value = op.gate.param(param_index).expect("one value per parameter name");
                 param_slots.push(ParamSlot {
-                    name: param_slot_name(g_idx, &op.gate, &op.qubits, param_index),
+                    name: OnceLock::new(),
+                    kind: param_kind(&op.gate),
+                    qubits,
+                    arity,
+                    param: op.gate.param_names()[param_index],
                     op_index: g_idx,
                     param_index,
                     leaf,

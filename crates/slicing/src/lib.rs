@@ -32,6 +32,8 @@ pub mod lifetime;
 mod marks;
 pub mod overhead;
 pub mod refiner;
+#[cfg(test)]
+mod test_stems;
 
 pub use finder::lifetime_slice_finder;
 pub use lifetime::{compute_lifetimes, Lifetime, LifetimeTable};

@@ -127,8 +127,16 @@ pub fn compute_lifetimes(stem: &Stem) -> LifetimeTable {
         }
     }
     // Positions were pushed in increasing order already; dedup defensively.
+    // Every lifetime is one interval (see the module doc): the slice
+    // refiner prices its trials from the two ends alone.
     for l in lifetimes.values_mut() {
         l.positions.dedup();
+        debug_assert!(
+            l.positions.windows(2).all(|w| w[1] == w[0] + 1),
+            "the lifetime of edge {} is not an interval: {:?}",
+            l.edge,
+            l.positions
+        );
     }
     LifetimeTable { lifetimes, num_positions }
 }
@@ -176,6 +184,25 @@ mod tests {
             let (s, t) = (l.start().unwrap(), l.end().unwrap());
             assert_eq!(l.len(), t - s + 1, "lifetime of {e} not contiguous: {:?}", l.positions);
         }
+    }
+
+    /// Every stem edge lives on one interval of stem positions, on the
+    /// planner's Sycamore stems and on random circuits.
+    #[test]
+    fn stem_lifetimes_are_intervals() {
+        let stems =
+            crate::test_stems::sycamore_seed_set().iter().chain(crate::test_stems::random_rqcs());
+        let mut checked = 0;
+        for (name, stem) in stems {
+            let table = compute_lifetimes(stem);
+            for e in table.edges() {
+                let positions = &table.get(e).unwrap().positions;
+                let (first, last) = (positions[0], positions[positions.len() - 1]);
+                assert_eq!(positions, &(first..=last).collect::<Vec<_>>(), "{name}: edge {e}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 1000, "only {checked} lifetimes checked");
     }
 
     #[test]

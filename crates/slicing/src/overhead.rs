@@ -16,7 +16,7 @@
 
 use crate::marks::SliceMarks;
 use qtn_tensor::IndexId;
-use qtn_tensornet::{log2_sum, LogCost, Stem};
+use qtn_tensornet::{log2_sum, LogCost, Stem, StemStep};
 
 /// A slicing decision: the set of sliced edges and the memory target it was
 /// computed for (tensors are required to have rank ≤ `target_rank` after
@@ -56,7 +56,21 @@ impl SlicingPlan {
 /// log2 of the total sliced time complexity over the stem (Eq. 4, restricted
 /// to the stem's contractions).
 pub fn sliced_log_cost(stem: &Stem, sliced: &[IndexId]) -> LogCost {
-    StepUnions::new(stem).sliced_log_cost(&SliceMarks::new(sliced))
+    let sliced = SliceMarks::new(sliced);
+    log2_sum(stem.steps.iter().map(|step| step_exponent(step, &sliced) as LogCost))
+}
+
+/// [`sliced_exponent`] of a stem step, read off lengths and counts: the
+/// step's result is its operands' symmetric difference, so its union holds
+/// `(|before| + |branch| + |result|) / 2` edges, and the same identity on
+/// the three sets' sliced edges counts `|u ∩ S|`.
+pub(crate) fn step_exponent(step: &StemStep, sliced: &SliceMarks) -> usize {
+    let [before, branch, result] = [&step.stem_before, &step.branch, &step.result];
+    let union = (before.len() + branch.len() + result.len()) / 2;
+    let hit = (sliced.count_in(before) + sliced.count_in(branch) + sliced.count_in(result)) / 2;
+    let exponent = union + sliced.len() - hit;
+    debug_assert_eq!(exponent, sliced_exponent(&step.union(), sliced), "result = before Δ branch");
+    exponent
 }
 
 /// Slicing overhead of `sliced` on the stem (Eq. 2), as a linear ratio ≥ 1
@@ -84,26 +98,9 @@ pub fn is_feasible(stem: &Stem, plan: &SlicingPlan) -> bool {
     sliced_max_rank(stem, &plan.sliced) <= plan.target_rank
 }
 
-/// Every stem step's index union `s_v1 ∪ s_v2 ∪ s_v3`, built once so that
-/// pricing a slicing set (Eq. 4) is one pass over them with no allocation —
-/// the simulated-annealing refiner prices every trial this way, on a stem
-/// that does not change while it runs.
-pub(crate) struct StepUnions(Vec<Vec<IndexId>>);
-
-impl StepUnions {
-    pub(crate) fn new(stem: &Stem) -> Self {
-        Self(stem.steps.iter().map(|step| step.union()).collect())
-    }
-
-    /// Eq. 4 over the stem: each step costs `|u| + |S| − |u ∩ S|`, summed
-    /// in the log2 domain in step order.
-    pub(crate) fn sliced_log_cost(&self, sliced: &SliceMarks) -> LogCost {
-        log2_sum(
-            self.0
-                .iter()
-                .map(|union| (union.len() + sliced.len() - sliced.count_in(union)) as LogCost),
-        )
-    }
+/// Eq. 4's exponent for one stem step with union `u`: `|u| + |S| − |u ∩ S|`.
+pub(crate) fn sliced_exponent(union: &[IndexId], sliced: &SliceMarks) -> usize {
+    union.len() + sliced.len() - sliced.count_in(union)
 }
 
 /// The running stem tensors by position: the start tensor, then every
@@ -122,6 +119,7 @@ pub(crate) fn max_rank(stem: &Stem, sliced: &SliceMarks) -> usize {
 /// exactly the target. These are the tensors that pin the memory bound; a
 /// sliced edge whose lifetime contains none of them contributes nothing to
 /// memory reduction.
+#[cfg(test)]
 pub(crate) fn critical(stem: &Stem, sliced: &SliceMarks, target_rank: usize) -> Vec<usize> {
     stem_tensors(stem)
         .enumerate()

@@ -11,14 +11,28 @@
 //! `exp((C_ori − C_new)/C_ori/T)` so the search can escape local minima,
 //! with the temperature decaying geometrically until it reaches the final
 //! temperature.
+//!
+//! A stem edge's lifetime is one interval of stem positions (see
+//! [`crate::lifetime`]), so the refiner keeps two integer arrays instead of
+//! rescanning the stem: every position's rank after slicing and every
+//! step's Eq. 4 exponent `|u| + |S| − |u ∩ S|`. A swap moves each entry by
+//! at most one, over the intervals of the two edges it exchanges. A trial
+//! reads both arrays with those two intervals applied and writes nothing;
+//! only an accepted swap updates them. The candidates of a pick are the
+//! unsliced edges whose interval contains the pick's critical positions.
+//! The trial's cost folds the same integers in the same step order as
+//! [`crate::sliced_log_cost`], resuming from the stored fold of the steps
+//! before the first one the swap touches, and the random draws are the
+//! same, so the refined plan is the one a full rescan per trial finds.
 
-use crate::lifetime::{compute_lifetimes, Lifetime, LifetimeTable};
 use crate::marks::SliceMarks;
-use crate::overhead::{critical, max_rank, SlicingPlan, StepUnions};
+use crate::overhead::{step_exponent, SlicingPlan};
 use qtn_tensor::IndexId;
-use qtn_tensornet::Stem;
+use qtn_tensornet::cost::LOG_ZERO;
+use qtn_tensornet::{log2_add, LogCost, Stem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::RangeInclusive;
 
 /// Parameters of the simulated-annealing refiner.
 #[derive(Debug, Clone)]
@@ -41,30 +55,20 @@ impl Default for RefinerConfig {
 
 /// Refine a slicing plan with simulated annealing (Algorithm 2), returning a
 /// plan of the same size whose overhead is no worse than the input's.
-///
-/// The stem does not change while the refiner runs, so its step unions are
-/// built once and the current set lives in an edge-indexed table: a trial
-/// swaps one edge out and one in, is priced in one pass over the unions,
-/// and is swapped back if rejected.
 pub fn refine_slicing(stem: &Stem, plan: &SlicingPlan, config: &RefinerConfig) -> SlicingPlan {
     if plan.is_empty() || stem.is_empty() {
         return plan.clone();
     }
-    let table = compute_lifetimes(stem);
-    // Every stem edge's lifetime in edge order, read by each iteration's
-    // candidate scan without a hash lookup or a sort.
-    let mut lifetimes: Vec<&Lifetime> = table.edges().filter_map(|e| table.get(e)).collect();
-    lifetimes.sort_unstable_by_key(|l| l.edge);
-    let unions = StepUnions::new(stem);
     let mut rng = StdRng::seed_from_u64(config.seed);
     let target = plan.target_rank;
+    let mut state = SliceState::new(stem, &plan.sliced);
 
     // Drop sliced edges whose lifetime contains no critical tensor: they do
     // not contribute to memory reduction (§4.3) and removing them keeps the
     // plan feasible while strictly lowering the overhead.
-    let (mut current, mut marks) = drop_useless_edges(stem, &table, plan.sliced.clone(), target);
+    let mut current = state.drop_useless_edges(plan.sliced.clone(), target);
 
-    let mut current_cost = unions.sliced_log_cost(&marks);
+    let mut current_cost = state.log_cost(None, None);
     let mut best = current.clone();
     let mut best_cost = current_cost;
 
@@ -73,17 +77,21 @@ pub fn refine_slicing(stem: &Stem, plan: &SlicingPlan, config: &RefinerConfig) -
         // Randomly choose a sliced index to try to replace.
         let pick = rng.gen_range(0..current.len());
         let index = current[pick];
+        let out = state.span(index);
 
-        // Critical tensors within the lifetime of the picked index.
-        let crit = critical_in_lifetime(stem, &table, &marks, index, target);
-        let candidates = find_candidate_indices(&lifetimes, &marks, &crit);
-
-        for can in candidates {
+        // The candidates are the unsliced edges whose lifetime contains
+        // every critical tensor within the picked index's lifetime; as
+        // lifetimes are intervals, the first and the last of them.
+        let critical = out.and_then(|span| state.critical_bounds(span, target));
+        for k in 0..state.edges.len() {
+            let (can, span) = state.edges[k];
+            let covers = critical.is_none_or(|(lo, hi)| span.start <= lo && hi <= span.end);
+            if state.marks.contains(can) || !covers {
+                continue;
+            }
             // The trial set: `current` with `index` replaced by `can`.
-            marks.remove(index);
-            marks.insert(can);
-            let accept = max_rank(stem, &marks) <= target && {
-                let new_cost = unions.sliced_log_cost(&marks);
+            let accept = state.max_rank(out, Some(span)) <= target && {
+                let new_cost = state.log_cost(out, Some(span));
                 let accept = if new_cost < current_cost {
                     true
                 } else {
@@ -99,6 +107,7 @@ pub fn refine_slicing(stem: &Stem, plan: &SlicingPlan, config: &RefinerConfig) -
                 accept
             };
             if accept {
+                state.swap(index, can);
                 current[pick] = can;
                 if current_cost < best_cost {
                     best = current.clone();
@@ -106,8 +115,6 @@ pub fn refine_slicing(stem: &Stem, plan: &SlicingPlan, config: &RefinerConfig) -
                 }
                 break;
             }
-            marks.remove(can);
-            marks.insert(index);
         }
         temperature *= config.alpha;
     }
@@ -115,80 +122,345 @@ pub fn refine_slicing(stem: &Stem, plan: &SlicingPlan, config: &RefinerConfig) -
     SlicingPlan::new(best, target)
 }
 
-/// Remove sliced edges whose lifetime contains no critical tensor, repeating
-/// until a fixed point (removals can create new critical tensors, so the
-/// criticality is recomputed each pass). Returns the kept edges and their
-/// table.
-fn drop_useless_edges(
-    stem: &Stem,
-    table: &LifetimeTable,
-    mut sliced: Vec<IndexId>,
-    target: usize,
-) -> (Vec<IndexId>, SliceMarks) {
-    let mut marks = SliceMarks::new(&sliced);
-    loop {
-        let crit = critical(stem, &marks, target);
-        let mut removed = false;
-        let mut i = 0;
-        while i < sliced.len() {
-            let e = sliced[i];
-            let covers_some =
-                table.get(e).map(|l| crit.iter().any(|&p| l.contains(p))).unwrap_or(false);
-            if !covers_some {
-                // Removing must stay feasible; verify before committing.
-                marks.remove(e);
-                if max_rank(stem, &marks) <= target {
+/// An interval `start..=end` of stem positions (an edge's lifetime) or of
+/// stem steps.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: usize,
+    end: usize,
+}
+
+impl Span {
+    fn positions(self) -> RangeInclusive<usize> {
+        self.start..=self.end
+    }
+
+    /// The steps whose union `s_v1 ∪ s_v2 ∪ s_v3` holds the edge living on
+    /// these positions. Step `i` joins the stem tensors at positions `i`
+    /// and `i + 1`, and its branch is their symmetric difference, so the
+    /// union holds an edge exactly when one of those two positions does.
+    fn steps(self, num_steps: usize) -> Span {
+        Span { start: self.start.saturating_sub(1), end: self.end.min(num_steps - 1) }
+    }
+}
+
+/// `1` if `at` lies in the optional interval, else `0`.
+fn hit(span: Option<Span>, at: usize) -> usize {
+    usize::from(span.is_some_and(|s| s.start <= at && at <= s.end))
+}
+
+/// The slicing set and what it does to the stem, kept as integers.
+struct SliceState {
+    /// The lifetime of every stem edge, indexed by edge id.
+    spans: Vec<Option<Span>>,
+    /// Every stem edge with its lifetime, in increasing edge order: the
+    /// order candidates are tried in.
+    edges: Vec<(IndexId, Span)>,
+    /// Per stem position: the rank of its tensor after slicing.
+    ranks: Vec<usize>,
+    /// Per stem step: the Eq. 4 exponent `|u| + |S| − |u ∩ S|`.
+    exponents: Vec<usize>,
+    /// `folds[i]`: the exponents of steps `..i` summed in the log2 domain
+    /// in step order, so `folds[steps]` is the set's Eq. 4 cost. A trial
+    /// that leaves steps `..i` alone continues from `folds[i]`.
+    folds: Vec<LogCost>,
+    /// The slicing set `S`.
+    marks: SliceMarks,
+}
+
+impl SliceState {
+    fn new(stem: &Stem, sliced: &[IndexId]) -> Self {
+        let tensors = || {
+            std::iter::once(stem.start_indices.as_slice())
+                .chain(stem.steps.iter().map(|step| step.result.as_slice()))
+        };
+        // Every stem edge's first and last position, and how many positions
+        // carry it: as many as its interval holds (see `crate::lifetime`).
+        let num_edges = tensors().flatten().max().map_or(0, |&e| e as usize + 1);
+        let mut spans: Vec<Option<Span>> = vec![None; num_edges];
+        let mut carried = vec![0; num_edges];
+        for (p, tensor) in tensors().enumerate() {
+            for &e in tensor {
+                spans[e as usize].get_or_insert(Span { start: p, end: p }).end = p;
+                carried[e as usize] += 1;
+            }
+        }
+        let edges: Vec<(IndexId, Span)> =
+            (0..num_edges).filter_map(|e| Some((e as IndexId, spans[e]?))).collect();
+        debug_assert!(
+            edges.iter().all(|&(e, s)| carried[e as usize] == s.end - s.start + 1),
+            "every stem edge's lifetime is an interval"
+        );
+        let marks = SliceMarks::new(sliced);
+        debug_assert_eq!(marks.len(), sliced.len(), "a slicing plan holds distinct edges");
+        let ranks = tensors().map(|t| marks.count_unsliced(t)).collect();
+        let exponents = stem.steps.iter().map(|step| step_exponent(step, &marks)).collect();
+        let mut state = Self { spans, edges, ranks, exponents, folds: Vec::new(), marks };
+        state.refold(0);
+        state
+    }
+
+    /// Recompute the folds from step `from` on.
+    fn refold(&mut self, from: usize) {
+        self.folds.resize(self.exponents.len() + 1, LOG_ZERO);
+        for i in from..self.exponents.len() {
+            self.folds[i + 1] = log2_add(self.folds[i], self.exponents[i] as LogCost);
+        }
+    }
+
+    /// The lifetime of `edge`, if it lies on the stem.
+    fn span(&self, edge: IndexId) -> Option<Span> {
+        self.spans.get(edge as usize).copied().flatten()
+    }
+
+    /// The first and the last critical position (rank after slicing equal
+    /// to the target) within `span`, if it holds any.
+    fn critical_bounds(&self, span: Span, target: usize) -> Option<(usize, usize)> {
+        let mut critical = span.positions().filter(|&p| self.ranks[p] == target);
+        let first = critical.next()?;
+        Some((first, critical.next_back().unwrap_or(first)))
+    }
+
+    /// The largest rank after slicing with the edge of lifetime `out`
+    /// unsliced and the edge of lifetime `into` sliced.
+    fn max_rank(&self, out: Option<Span>, into: Option<Span>) -> usize {
+        (0..self.ranks.len()).map(|p| self.ranks[p] + hit(out, p) - hit(into, p)).max().unwrap_or(0)
+    }
+
+    /// Eq. 4 over the stem with the edge of lifetime `out` unsliced and the
+    /// edge of lifetime `into` sliced (`|S|` unchanged), summed in the log2
+    /// domain in step order: the steps before the first one either edge
+    /// touches read their fold, the rest are folded on from it.
+    fn log_cost(&self, out: Option<Span>, into: Option<Span>) -> LogCost {
+        let steps = self.exponents.len();
+        let (out, into) = (out.map(|s| s.steps(steps)), into.map(|s| s.steps(steps)));
+        let from = out.iter().chain(&into).map(|s| s.start).min().unwrap_or(steps);
+        (from..steps).fold(self.folds[from], |acc, i| {
+            log2_add(acc, (self.exponents[i] + hit(out, i) - hit(into, i)) as LogCost)
+        })
+    }
+
+    /// Replace the sliced edge `out` by the unsliced stem edge `into`.
+    fn swap(&mut self, out: IndexId, into: IndexId) {
+        let steps = self.exponents.len();
+        let mut from = steps;
+        if let Some(span) = self.span(out) {
+            span.positions().for_each(|p| self.ranks[p] += 1);
+            let on = span.steps(steps);
+            on.positions().for_each(|i| self.exponents[i] += 1);
+            from = on.start;
+        }
+        let span = self.span(into).expect("a candidate lies on the stem");
+        span.positions().for_each(|p| self.ranks[p] -= 1);
+        let on = span.steps(steps);
+        on.positions().for_each(|i| self.exponents[i] -= 1);
+        self.refold(from.min(on.start));
+        self.marks.remove(out);
+        self.marks.insert(into);
+    }
+
+    /// Unslice `edge`: its tensors gain a rank, and every step loses the
+    /// `|S|` term except those whose union holds the edge.
+    fn remove(&mut self, edge: IndexId) {
+        let steps = self.exponents.len();
+        let span = self.span(edge);
+        let on = span.map(|s| s.steps(steps));
+        for i in 0..steps {
+            self.exponents[i] = self.exponents[i] + hit(on, i) - 1;
+        }
+        self.refold(0);
+        if let Some(span) = span {
+            span.positions().for_each(|p| self.ranks[p] += 1);
+        }
+        self.marks.remove(edge);
+    }
+
+    /// Remove sliced edges whose lifetime contains no critical tensor,
+    /// repeating until a fixed point (removals can create new critical
+    /// tensors, so the criticality is recomputed each pass). Returns the
+    /// kept edges.
+    fn drop_useless_edges(&mut self, mut sliced: Vec<IndexId>, target: usize) -> Vec<IndexId> {
+        loop {
+            let critical: Vec<bool> = self.ranks.iter().map(|&r| r == target).collect();
+            let mut removed = false;
+            let mut i = 0;
+            while i < sliced.len() {
+                let e = sliced[i];
+                let span = self.span(e);
+                let covers_some = span.is_some_and(|s| s.positions().any(|p| critical[p]));
+                // Removing must stay feasible.
+                if !covers_some && self.max_rank(span, None) <= target {
+                    self.remove(e);
                     sliced.remove(i);
                     removed = true;
                     continue;
                 }
-                marks.insert(e);
+                i += 1;
             }
-            i += 1;
-        }
-        if !removed {
-            return (sliced, marks);
+            if !removed {
+                return sliced;
+            }
         }
     }
-}
-
-/// Critical tensors (positions) lying within the lifetime of `index`.
-fn critical_in_lifetime(
-    stem: &Stem,
-    table: &LifetimeTable,
-    sliced: &SliceMarks,
-    index: IndexId,
-    target: usize,
-) -> Vec<usize> {
-    match table.get(index) {
-        Some(l) => critical(stem, sliced, target).into_iter().filter(|&p| l.contains(p)).collect(),
-        None => Vec::new(),
-    }
-}
-
-/// Unsliced indices whose lifetime contains every given critical position,
-/// in increasing order (`lifetimes` is in edge order).
-fn find_candidate_indices(
-    lifetimes: &[&Lifetime],
-    sliced: &SliceMarks,
-    critical: &[usize],
-) -> Vec<IndexId> {
-    lifetimes
-        .iter()
-        .filter(|l| !sliced.contains(l.edge) && critical.iter().all(|&p| l.contains(p)))
-        .map(|l| l.edge)
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::finder::lifetime_slice_finder;
-    use crate::overhead::{is_feasible, sliced_max_rank, slicing_overhead};
+    use crate::lifetime::{compute_lifetimes, Lifetime};
+    use crate::overhead::{
+        critical, is_feasible, max_rank, sliced_exponent, sliced_max_rank, slicing_overhead,
+    };
     use qtn_circuit::{circuit_to_network, OutputSpec, RqcConfig};
+    use qtn_tensornet::log2_sum;
     use qtn_tensornet::{
         extract_stem, greedy_path, simplify_network, ContractionTree, PathConfig, TensorNetwork,
     };
+
+    /// `refine_slicing` as it was before the interval arrays: every
+    /// iteration rescans the stem for critical tensors and every lifetime
+    /// for candidates, and every trial edits the slicing set and rescans
+    /// the stem for its rank and its Eq. 4 cost. The exactness oracle for
+    /// the refiner.
+    fn full_rescan_refine_slicing(
+        stem: &Stem,
+        plan: &SlicingPlan,
+        config: &RefinerConfig,
+    ) -> SlicingPlan {
+        if plan.is_empty() || stem.is_empty() {
+            return plan.clone();
+        }
+        let table = compute_lifetimes(stem);
+        let mut lifetimes: Vec<&Lifetime> = table.edges().filter_map(|e| table.get(e)).collect();
+        lifetimes.sort_unstable_by_key(|l| l.edge);
+        let unions: Vec<Vec<IndexId>> = stem.steps.iter().map(|step| step.union()).collect();
+        let price = |marks: &SliceMarks| {
+            log2_sum(unions.iter().map(|union| sliced_exponent(union, marks) as LogCost))
+        };
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let target = plan.target_rank;
+
+        // Drop sliced edges whose lifetime contains no critical tensor.
+        let mut current = plan.sliced.clone();
+        let mut marks = SliceMarks::new(&current);
+        loop {
+            let crit = critical(stem, &marks, target);
+            let mut removed = false;
+            let mut i = 0;
+            while i < current.len() {
+                let e = current[i];
+                let covers_some =
+                    table.get(e).map(|l| crit.iter().any(|&p| l.contains(p))).unwrap_or(false);
+                if !covers_some {
+                    marks.remove(e);
+                    if max_rank(stem, &marks) <= target {
+                        current.remove(i);
+                        removed = true;
+                        continue;
+                    }
+                    marks.insert(e);
+                }
+                i += 1;
+            }
+            if !removed {
+                break;
+            }
+        }
+
+        let mut current_cost = price(&marks);
+        let mut best = current.clone();
+        let mut best_cost = current_cost;
+        let mut temperature = config.initial_temperature;
+        while temperature >= config.final_temperature && !current.is_empty() {
+            let pick = rng.gen_range(0..current.len());
+            let index = current[pick];
+            let crit: Vec<usize> = match table.get(index) {
+                Some(l) => {
+                    critical(stem, &marks, target).into_iter().filter(|&p| l.contains(p)).collect()
+                }
+                None => Vec::new(),
+            };
+            let candidates: Vec<IndexId> = lifetimes
+                .iter()
+                .filter(|l| !marks.contains(l.edge) && crit.iter().all(|&p| l.contains(p)))
+                .map(|l| l.edge)
+                .collect();
+            for can in candidates {
+                marks.remove(index);
+                marks.insert(can);
+                let accept = max_rank(stem, &marks) <= target && {
+                    let new_cost = price(&marks);
+                    let accept = if new_cost < current_cost {
+                        true
+                    } else {
+                        let c_ori = current_cost.exp2();
+                        let c_new = new_cost.exp2();
+                        let p = ((c_ori - c_new) / c_ori / temperature).exp();
+                        rng.gen_bool(p.clamp(0.0, 1.0))
+                    };
+                    if accept {
+                        current_cost = new_cost;
+                    }
+                    accept
+                };
+                if accept {
+                    current[pick] = can;
+                    if current_cost < best_cost {
+                        best = current.clone();
+                        best_cost = current_cost;
+                    }
+                    break;
+                }
+                marks.remove(can);
+                marks.insert(index);
+            }
+            temperature *= config.alpha;
+        }
+        SlicingPlan::new(best, target)
+    }
+
+    /// The interval refiner returns the full-rescan refiner's plan on every
+    /// test stem, at the planner's target and at tighter ones, from the
+    /// finder's plan and from a plan padded with an edge to drop, at the
+    /// default schedule and at a hot, slow-cooling one.
+    #[test]
+    fn interval_refiner_matches_full_rescan() {
+        let stems =
+            crate::test_stems::sycamore_seed_set().iter().chain(crate::test_stems::random_rqcs());
+        let configs = [
+            RefinerConfig::default(),
+            RefinerConfig { seed: 7, ..Default::default() },
+            RefinerConfig { initial_temperature: 10.0, alpha: 0.97, seed: 3, ..Default::default() },
+        ];
+        let (mut moved, mut dropped) = (0, 0);
+        for (name, stem) in stems {
+            let full = sliced_max_rank(stem, &[]);
+            let targets: Vec<usize> = if full > 30 {
+                vec![30, 28]
+            } else {
+                vec![full.saturating_sub(3).max(4), full.saturating_sub(5).max(4)]
+            };
+            for target in targets {
+                let found = lifetime_slice_finder(stem, target);
+                // An edge off every critical tensor: the refiner drops it.
+                let table = compute_lifetimes(stem);
+                let mut padded = found.sliced.clone();
+                padded.extend(table.edges().filter(|&e| table.length(e) == 1).take(1));
+                let padded = SlicingPlan::new(padded, target);
+                for plan in [&found, &padded] {
+                    for config in &configs {
+                        let got = refine_slicing(stem, plan, config);
+                        let want = full_rescan_refine_slicing(stem, plan, config);
+                        assert_eq!(got, want, "{name}, target {target}, {plan:?}, {config:?}");
+                        moved += usize::from(got.sliced != plan.sliced);
+                        dropped += usize::from(got.len() < plan.len());
+                    }
+                }
+            }
+        }
+        assert!(moved > 0 && dropped > 0, "no case swapped or dropped an edge");
+    }
 
     fn rqc_stem(rows: usize, cols: usize, cycles: usize, seed: u64) -> Stem {
         let cfg = RqcConfig::small(rows, cols, cycles, seed);

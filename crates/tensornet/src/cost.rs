@@ -9,6 +9,12 @@
 pub type LogCost = f64;
 
 /// log2(2^a + 2^b), numerically stable.
+///
+/// A term at least 2^53 times smaller than the other is skipped: `2^(lo −
+/// hi)` is then at most `2^-53`, `1 + 2^(lo − hi)` rounds to exactly 1 and
+/// its log2 to 0, so the sum is `hi` to the bit, with or without the two
+/// transcendental calls. Large folds (a tree's total cost, whose branch
+/// nodes are tiny beside its stem) skip most of their terms this way.
 pub fn log2_add(a: LogCost, b: LogCost) -> LogCost {
     if a == f64::NEG_INFINITY {
         return b;
@@ -17,6 +23,9 @@ pub fn log2_add(a: LogCost, b: LogCost) -> LogCost {
         return a;
     }
     let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
+    if lo - hi <= -53.0 {
+        return hi;
+    }
     hi + (1.0 + (lo - hi).exp2()).log2()
 }
 
@@ -68,6 +77,29 @@ mod tests {
         let a = log2_add(12.3, 45.6);
         let b = log2_add(45.6, 12.3);
         assert!((a - b).abs() < 1e-12);
+    }
+
+    /// Skipping a term 2^53 times smaller returns the bits the full
+    /// formula returns, at every magnitude and around the cut.
+    #[test]
+    fn skipped_terms_round_away() {
+        let full = |a: LogCost, b: LogCost| {
+            let (hi, lo) = if a >= b { (a, b) } else { (b, a) };
+            hi + (1.0 + (lo - hi).exp2()).log2()
+        };
+        let mut checked = 0;
+        for hi in [0.0, 1.0, 17.25, 53.0, 61.0, 80.123456789, 99.5, 1000.0, 1e6] {
+            for k in 0..4000 {
+                let gap = 40.0 + k as f64 * 0.005 + (k % 7) as f64 * 1e-9;
+                for gap in [gap, 53.0, 53.0 + f64::EPSILON * 64.0, 53.0 - f64::EPSILON * 64.0] {
+                    let lo = hi - gap;
+                    assert_eq!(log2_add(hi, lo).to_bits(), full(hi, lo).to_bits(), "{hi} {lo}");
+                    assert_eq!(log2_add(lo, hi).to_bits(), full(lo, hi).to_bits(), "{lo} {hi}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 100_000);
     }
 
     #[test]

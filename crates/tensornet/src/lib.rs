@@ -22,6 +22,8 @@ pub mod refine;
 mod sets;
 pub mod simplify;
 pub mod stem;
+#[cfg(test)]
+mod test_trees;
 pub mod tree;
 
 pub use classify::{

@@ -85,18 +85,50 @@ fn greedy_path_cost(
     network: &mut TensorNetwork,
     config: &PathConfig,
 ) -> (Vec<(usize, usize)>, LogCost) {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let pow2: [f64; 61] = std::array::from_fn(|r| (r as f64).exp2());
-    let mut pairs = Vec::new();
+    let heap = initial_candidates(network);
+    greedy_from(network, heap, config)
+}
+
+/// `2^r` for `r ≤ 60`, the sizes [`greedy_score`] reads.
+fn powers_of_two() -> [f64; 61] {
+    std::array::from_fn(|r| (r as f64).exp2())
+}
+
+/// The candidate heap greedy starts from: a [`candidate_key`] for every
+/// pair of adjacent vertices. It depends on the network alone, so every
+/// run on the same network starts from a clone of one heap.
+fn initial_candidates(network: &TensorNetwork) -> BinaryHeap<Reverse<u128>> {
     // Every vertex id, intermediates included, fits the key's 32-bit fields.
     assert!(network.num_slots() + network.num_active() <= u32::MAX as usize, "network too large");
+    let pow2 = powers_of_two();
+    let mut keys = Vec::new();
+    let mut adjacent = Vec::new();
+    for v in network.active_vertices() {
+        network.neighbor_overlaps(v, &mut adjacent);
+        let rv = network.rank(v);
+        for &(u, shared) in adjacent.iter().filter(|&&(u, _)| u > v) {
+            let score = greedy_score(&pow2, rv, network.rank(u), shared);
+            keys.push(Reverse(candidate_key(score, v, u)));
+        }
+    }
+    BinaryHeap::from(keys)
+}
+
+/// [`greedy_path_cost`] from the network's [`initial_candidates`].
+fn greedy_from(
+    network: &mut TensorNetwork,
+    mut heap: BinaryHeap<Reverse<u128>>,
+    config: &PathConfig,
+) -> (Vec<(usize, usize)>, LogCost) {
+    let mut rng = StdRng::seed_from_u64(config.seed);
+    let pow2 = powers_of_two();
+    let mut pairs = Vec::new();
     // Candidates are `candidate_key`s, best first in ascending order; every
     // candidate pair is pushed once, so no two keys are equal and any heap
     // pops them in the same order. `pool` holds the `width` best valid
     // candidates, ascending, across steps; the heap holds the rest, plus
     // candidates gone stale when one of their vertices was contracted,
     // dropped as they surface.
-    let mut heap: BinaryHeap<Reverse<u128>> = BinaryHeap::new();
     let mut pool: Vec<u128> = Vec::new();
     let width = if config.temperature <= 0.0 { 1 } else { 8 };
     // Scratch reused across steps: one vertex's neighbours with their
@@ -104,15 +136,6 @@ fn greedy_path_cost(
     let mut adjacent = Vec::new();
     let mut weights: Vec<f64> = Vec::new();
     let mut cost = LOG_ZERO;
-
-    for v in network.active_vertices() {
-        network.neighbor_overlaps(v, &mut adjacent);
-        let rv = network.rank(v);
-        for &(u, shared) in adjacent.iter().filter(|&&(u, _)| u > v) {
-            let score = greedy_score(&pow2, rv, network.rank(u), shared);
-            heap.push(Reverse(candidate_key(score, v, u)));
-        }
-    }
 
     while network.num_active() > 1 {
         let valid = |key: u128| {
@@ -195,13 +218,14 @@ pub fn random_greedy_paths(
     count: usize,
     base_seed: u64,
 ) -> Vec<(LogCost, Vec<(usize, usize)>)> {
+    let heap = initial_candidates(network);
     let mut results: Vec<(LogCost, Vec<(usize, usize)>)> = (0..count)
         .map(|i| {
             let config = PathConfig {
                 temperature: if i == 0 { 0.0 } else { 0.3 + 0.2 * ((i % 5) as f64) },
                 seed: base_seed.wrapping_add(i as u64),
             };
-            let (pairs, cost) = greedy_path_cost(&mut network.clone(), &config);
+            let (pairs, cost) = greedy_from(&mut network.clone(), heap.clone(), &config);
             (cost, pairs)
         })
         .collect();
@@ -402,6 +426,37 @@ mod tests {
                 tree.node(l).rank() + tree.node(r).rank()
             );
             assert_eq!(cost.to_bits(), tree.total_log_cost().to_bits());
+        }
+    }
+
+    /// The candidates of one shared initial heap are the paths each run
+    /// finds from a heap of its own built by pushing every key, at
+    /// temperature 0 and above.
+    #[test]
+    fn shared_initial_heap_changes_no_path() {
+        for (rows, cols, cycles, seed) in [(3, 4, 8, 1u64), (4, 5, 12, 2), (5, 6, 10, 3)] {
+            let mut g = small_rqc_network(rows, cols, cycles);
+            simplify_network(&mut g);
+            let mut want: Vec<(LogCost, Vec<(usize, usize)>)> = (0..6)
+                .map(|i| {
+                    let config = PathConfig {
+                        temperature: if i == 0 { 0.0 } else { 0.3 + 0.2 * ((i % 5) as f64) },
+                        seed: seed.wrapping_add(i as u64),
+                    };
+                    let mut heap = BinaryHeap::new();
+                    for key in initial_candidates(&g).into_vec() {
+                        heap.push(key);
+                    }
+                    let (pairs, cost) = greedy_from(&mut g.clone(), heap, &config);
+                    (cost, pairs)
+                })
+                .collect();
+            want.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
+            let got = random_greedy_paths(&g, 6, seed);
+            assert_eq!(got.len(), want.len());
+            for (k, ((gc, gp), (wc, wp))) in got.iter().zip(&want).enumerate() {
+                assert_eq!((gc.to_bits(), gp), (wc.to_bits(), wp), "{rows}x{cols}: candidate {k}");
+            }
         }
     }
 

@@ -19,11 +19,18 @@
 //! sweep makes no further progress or the sweep cap is reached. After the
 //! first sweep, a sweep evaluates only the nodes a rotation made stale;
 //! every other node would reject again.
+//!
+//! A trial is priced from lengths and writes nothing. Every price reads
+//! only sizes: a node holds `l Δ r`, so its cost `|l ∪ r|` is
+//! `(|l| + |r| + |l Δ r|) / 2`, and a trial's re-paired node `a Δ o` has
+//! `|a| + |o| − 2|a ∩ o|` indices. One merge that counts `|a ∩ o|` (and,
+//! for the deferral, how many of those are unsliced) prices a trial; only
+//! `MutableTree::rotate` builds an index set, for the trial it applies.
 
 use crate::classify::NodeClass;
 use crate::cost::{log2_add, LogCost};
 use crate::sets::{self, Marks};
-use crate::tree::{union_log_cost, ContractionTree, TreeNode};
+use crate::tree::{ContractionTree, TreeNode};
 use qtn_tensor::IndexId;
 
 /// What the refiner optimises.
@@ -50,10 +57,28 @@ pub struct RefineReport {
     pub sweeps: usize,
 }
 
-/// A mutable, pair-list representation of a contraction tree that supports
-/// local re-association. Internally the tree is stored as, for every
-/// internal node, the pair of child ids; leaves keep their original index
-/// sets.
+/// The lengths of an internal node's children's index sets and of its own,
+/// `[|l|, |r|, |l Δ r|]`: all a trial's price reads of a node. The same
+/// triple with the sliced edges left out gives its post-slicing ranks.
+type Lens = [usize; 3];
+
+/// log2 of the cost `|l ∪ r| = (|l| + |r| + |l Δ r|) / 2` of a node with
+/// these lengths.
+fn lens_cost([l, r, n]: Lens) -> LogCost {
+    ((l + r + n) / 2) as LogCost
+}
+
+/// The lengths of the two nodes a trial re-pairs, `internal := (a, other)`
+/// under `p := (internal, b)`, from `[|a|, |other|, |b|, |p|]` and
+/// `|a ∩ other|`: the internal node holds `a Δ other`; `p` keeps its set.
+fn trial_lens([a, other, b, p]: [usize; 4], shared: usize) -> [Lens; 2] {
+    let internal = a + other - 2 * shared;
+    [[internal, b, p], [a, other, internal]]
+}
+
+/// A contraction tree that supports local re-association: its own nodes,
+/// edited in place, handed back renumbered in the order the pair list
+/// emits them.
 ///
 /// A sweep evaluates only *stale* nodes. Evaluating `n` reads the children
 /// of `n` and of `n`'s children, and the index sets (and classes) of
@@ -62,33 +87,22 @@ pub struct RefineReport {
 /// changes. Only [`MutableTree::rotate`] changes them, and it marks every
 /// node that reads what it changed.
 struct MutableTree {
-    /// Per-node indices: leaves fixed, internal recomputed on demand.
-    indices: Vec<Vec<IndexId>>,
-    /// Per-node children (None for leaves).
-    children: Vec<Option<(usize, usize)>>,
-    /// Per-node parent (None for the root).
-    parent: Vec<Option<usize>>,
+    /// The tree's nodes, taken over: a rotation rewrites the children and
+    /// the index set of the nodes it re-pairs, and keeps every `parent`
+    /// current.
+    nodes: Vec<TreeNode>,
     /// Per-node: must the next sweep evaluate it? Every internal node
     /// starts stale.
     stale: Vec<bool>,
-    /// Per-node network vertex of a leaf (None for internal nodes).
-    leaf_vertex: Vec<Option<usize>>,
     root: usize,
 }
 
 impl MutableTree {
-    /// Take the tree over, index sets and all.
+    /// Take the tree over, nodes and all.
     fn from_tree(tree: ContractionTree) -> Self {
         let root = tree.root();
         let nodes = tree.into_nodes();
-        Self {
-            children: nodes.iter().map(|n| n.children).collect(),
-            parent: nodes.iter().map(|n| n.parent).collect(),
-            stale: nodes.iter().map(|n| !n.is_leaf()).collect(),
-            leaf_vertex: nodes.iter().map(|n| n.leaf_vertex).collect(),
-            indices: nodes.into_iter().map(|n| n.indices).collect(),
-            root,
-        }
+        Self { stale: nodes.iter().map(|n| !n.is_leaf()).collect(), nodes, root }
     }
 
     /// Apply a rotation at `p`: its child `i` becomes `i_children` and `p`
@@ -104,16 +118,16 @@ impl MutableTree {
         i_children: (usize, usize),
         p_children: (usize, usize),
     ) {
-        self.children[i] = Some(i_children);
-        self.children[p] = Some(p_children);
+        self.nodes[i].children = Some(i_children);
+        self.nodes[p].children = Some(p_children);
         self.recompute(i);
         for (node, (l, r)) in [(i, i_children), (p, p_children)] {
-            self.parent[l] = Some(node);
-            self.parent[r] = Some(node);
+            self.nodes[l].parent = Some(node);
+            self.nodes[r].parent = Some(node);
         }
         self.stale[p] = true;
         self.stale[i] = true;
-        if let Some(grandparent) = self.parent[p] {
+        if let Some(grandparent) = self.nodes[p].parent {
             self.stale[grandparent] = true;
         }
     }
@@ -133,7 +147,7 @@ impl MutableTree {
         for _ in 0..max_sweeps {
             sweeps += 1;
             let mut progressed = false;
-            for p in 0..self.children.len() {
+            for p in 0..self.nodes.len() {
                 // Cleared before the visit: a rotation at `p` marks it again.
                 if std::mem::take(&mut self.stale[p]) && visit(self, p) {
                     rotations += 1;
@@ -148,7 +162,7 @@ impl MutableTree {
     }
 
     fn is_leaf(&self, n: usize) -> bool {
-        self.children[n].is_none()
+        self.nodes[n].children.is_none()
     }
 
     /// Recompute the index set of an internal node from its children
@@ -159,79 +173,17 @@ impl MutableTree {
     /// leaves' sets — so only that child ever needs this; `p` and every
     /// ancestor keep their indices.
     fn recompute(&mut self, n: usize) {
-        if let Some((l, r)) = self.children[n] {
-            let mut out = std::mem::take(&mut self.indices[n]);
-            sets::sym_diff_into(&self.indices[l], &self.indices[r], &mut out);
-            self.indices[n] = out;
+        if let Some((l, r)) = self.nodes[n].children {
+            let mut out = std::mem::take(&mut self.nodes[n].indices);
+            sets::sym_diff_into(&self.nodes[l].indices, &self.nodes[r].indices, &mut out);
+            self.nodes[n].indices = out;
         }
     }
 
-    fn node_log_cost(&self, n: usize) -> LogCost {
-        self.children[n].map_or(f64::NEG_INFINITY, |(l, r)| {
-            union_log_cost(&self.indices[l], &self.indices[r], &self.indices[n])
-        })
-    }
-
-    /// log2 cost of the two nodes a rotation affects (`p` and its internal
-    /// child `c`).
-    fn local_cost(&self, p: usize, c: usize) -> LogCost {
-        log2_add(self.node_log_cost(p), self.node_log_cost(c))
-    }
-
-    /// Penalty used by the Sunway-adaptive objective: for the two affected
-    /// contractions, count operands whose rank exceeds the LDM bound (those
-    /// force main-memory round trips in the fused design).
-    fn ldm_penalty(&self, p: usize, c: usize, ldm_rank: usize) -> usize {
-        let mut penalty = 0;
-        for n in [p, c] {
-            if let Some((l, r)) = self.children[n] {
-                // The smaller operand is the one the fused kernel streams;
-                // penalise when even the smaller one exceeds the LDM.
-                let small = self.indices[l].len().min(self.indices[r].len());
-                if small > ldm_rank {
-                    penalty += 1;
-                }
-            }
-        }
-        penalty
-    }
-
-    /// The internal nodes in the order the pair list emits them: post-order
-    /// from the root, each node's second subtree before its first.
-    fn post_order(&self) -> Vec<usize> {
-        let mut order = Vec::with_capacity(self.children.len());
-        let mut stack = vec![(self.root, false)];
-        while let Some((n, expanded)) = stack.pop() {
-            if let Some((l, r)) = self.children[n] {
-                if expanded {
-                    order.push(n);
-                } else {
-                    stack.push((n, true));
-                    stack.push((l, false));
-                    stack.push((r, false));
-                }
-            }
-        }
-        order
-    }
-
-    /// The contraction pair list in the SSA numbering of the original
-    /// network: leaves map to their vertex, the `k`-th emitted internal
-    /// node to vertex `leaves + k`.
-    fn to_pairs(&self, order: &[usize]) -> Vec<(usize, usize)> {
-        let mut vertex_of = self.leaf_vertex.clone();
-        let num_leaves = vertex_of.iter().filter(|v| v.is_some()).count();
-        order
-            .iter()
-            .enumerate()
-            .map(|(k, &n)| {
-                let (l, r) = self.children[n].expect("an internal node");
-                let vertex = |c: usize| vertex_of[c].expect("child emitted before parent");
-                let pair = (vertex(l), vertex(r));
-                vertex_of[n] = Some(num_leaves + k);
-                pair
-            })
-            .collect()
+    /// The index-set lengths an internal node's price reads.
+    fn lens(&self, n: usize) -> Lens {
+        let (l, r) = self.nodes[n].children.expect("an internal node");
+        [self.nodes[l].indices.len(), self.nodes[r].indices.len(), self.nodes[n].indices.len()]
     }
 
     /// The pair list and the tree [`ContractionTree::from_pairs`] builds
@@ -240,29 +192,48 @@ impl MutableTree {
     /// `k`-th emitted internal node becomes node `leaves + k`, and each
     /// node's index set moves over instead of being merged again.
     fn into_tree(self) -> (ContractionTree, Vec<(usize, usize)>) {
-        let order = self.post_order();
-        let pairs = self.to_pairs(&order);
-        let num_leaves = self.children.len() - order.len();
-        debug_assert!(self.leaf_vertex[..num_leaves].iter().all(Option::is_some));
-        let mut new_id: Vec<usize> = (0..self.children.len()).collect();
-        for (k, &n) in order.iter().enumerate() {
-            new_id[n] = num_leaves + k;
-        }
-        let MutableTree { mut indices, children, leaf_vertex, .. } = self;
-        let mut nodes: Vec<TreeNode> = Vec::with_capacity(children.len());
-        for n in (0..num_leaves).chain(order.iter().copied()) {
-            let id = nodes.len();
-            let node_children = children[n].map(|(l, r)| (new_id[l], new_id[r]));
-            if let Some((l, r)) = node_children {
-                nodes[l].parent = Some(id);
-                nodes[r].parent = Some(id);
+        let MutableTree { mut nodes, root, .. } = self;
+        let num_nodes = nodes.len();
+        let num_leaves = num_nodes.div_ceil(2);
+        debug_assert!(nodes[..num_leaves].iter().all(TreeNode::is_leaf));
+        // One post-order walk from the root, each node's second subtree
+        // before its first, emits the internal nodes and numbers them. An
+        // emitted node's new id is also its vertex in the pair list's SSA
+        // numbering.
+        let mut new_id: Vec<usize> = (0..num_nodes).collect();
+        let mut pairs = Vec::with_capacity(num_nodes - num_leaves);
+        let mut stack = vec![(root, false)];
+        while let Some((n, expanded)) = stack.pop() {
+            let Some((l, r)) = nodes[n].children else { continue };
+            if !expanded {
+                stack.extend([(n, true), (l, false), (r, false)]);
+                continue;
             }
-            nodes.push(TreeNode {
-                children: node_children,
-                leaf_vertex: leaf_vertex[n],
-                indices: std::mem::take(&mut indices[n]),
-                parent: None,
-            });
+            let vertex = |c: usize| match nodes[c].leaf_vertex {
+                Some(vertex) => vertex,
+                None => new_id[c],
+            };
+            pairs.push((vertex(l), vertex(r)));
+            new_id[n] = num_leaves + pairs.len() - 1;
+        }
+        // Renumber the children, move every internal node to its new id in
+        // place (each swap settles one node), and link the parents anew.
+        for node in &mut nodes[num_leaves..] {
+            let (l, r) = node.children.expect("an internal node");
+            node.children = Some((new_id[l], new_id[r]));
+        }
+        for at in num_leaves..num_nodes {
+            while new_id[at] != at {
+                let to = new_id[at];
+                nodes.swap(at, to);
+                new_id.swap(at, to);
+            }
+        }
+        nodes[num_nodes - 1].parent = None;
+        for id in num_leaves..num_nodes {
+            let (l, r) = nodes[id].children.expect("an internal node");
+            nodes[l].parent = Some(id);
+            nodes[r].parent = Some(id);
         }
         (ContractionTree::from_nodes(nodes), pairs)
     }
@@ -291,13 +262,20 @@ pub fn refine_tree(
     max_sweeps: usize,
 ) -> (ContractionTree, Vec<(usize, usize)>, RefineReport) {
     let mut t = MutableTree::from_tree(tree);
-    let penalty = |t: &MutableTree, p: usize, c: usize| match objective {
+    let no_marks = Marks::new([]);
+    // Penalty used by the Sunway-adaptive objective: of the two affected
+    // contractions, count those whose smaller operand — the one the fused
+    // kernel streams — exceeds the LDM bound (they force main-memory round
+    // trips in the fused design).
+    let penalty = |nodes: [Lens; 2]| match objective {
         RefineObjective::Cost => 0,
-        RefineObjective::SunwayAdaptive { ldm_rank } => t.ldm_penalty(p, c, ldm_rank),
+        RefineObjective::SunwayAdaptive { ldm_rank } => {
+            nodes.iter().filter(|[l, r, _]| *l.min(r) > ldm_rank).count()
+        }
     };
 
     let (rotations, sweeps) = t.sweep(max_sweeps, |t, p| {
-        let Some((c, z)) = t.children[p] else { return false };
+        let Some((c, z)) = t.nodes[p].children else { return false };
         // Only the first internal child is re-associated: when `c` is
         // internal, `z` never plays that role, even if `c` has no improving
         // rotation. The pinned plans depend on this choice.
@@ -306,42 +284,31 @@ pub fn refine_tree(
             (true, false) => (z, c),
             (true, true) => return false,
         };
-        let (x, y) = t.children[internal].unwrap();
-        let before_local = t.local_cost(p, internal);
-        let before_penalty = penalty(t, p, internal);
+        let (x, y) = t.nodes[internal].children.unwrap();
+        let before = [t.lens(p), t.lens(internal)];
+        let before_local = log2_add(lens_cost(before[0]), lens_cost(before[1]));
+        let before_penalty = penalty(before);
         // Candidate re-associations: ((x,other),y) and ((y,other),x).
         // (local cost, internal children, parent children)
         type Candidate = (f64, (usize, usize), (usize, usize));
         let mut best: Option<Candidate> = None;
         for (a, b) in [(x, y), (y, x)] {
             // internal := (a, other); p := (internal, b)
-            t.children[internal] = Some((a, other));
-            t.children[p] = Some((internal, b));
-            t.recompute(internal);
-            let local = t.local_cost(p, internal);
-            let penalty = penalty(t, p, internal);
+            let (shared, _) =
+                sets::shared_lens(&t.nodes[a].indices, &t.nodes[other].indices, &no_marks);
+            let len = |n: usize| t.nodes[n].indices.len();
+            let trial = trial_lens([len(a), len(other), len(b), len(p)], shared);
+            let local = log2_add(lens_cost(trial[0]), lens_cost(trial[1]));
+            let penalty = penalty(trial);
             let improves = local < before_local - 1e-12
                 || (local < before_local + 1e-12 && penalty < before_penalty);
             if improves && best.map(|(bl, _, _)| local < bl).unwrap_or(true) {
                 best = Some((local, (a, other), (internal, b)));
             }
         }
-        match best {
-            Some((_, int_children, p_children)) => {
-                t.rotate(p, internal, int_children, p_children);
-                true
-            }
-            None => {
-                // Restore the original configuration — including p's child
-                // order: when `internal` is p's *second* child,
-                // `(internal, other)` is the reversed pair, and a rejected
-                // rotation must not flip operands.
-                t.children[internal] = Some((x, y));
-                t.children[p] = Some((c, z));
-                t.recompute(internal);
-                false
-            }
-        }
+        let Some((_, int_children, p_children)) = best else { return false };
+        t.rotate(p, internal, int_children, p_children);
+        true
     });
 
     let (tree, pairs) = t.into_tree();
@@ -403,58 +370,55 @@ pub fn defer_projector_joins_tree(
     max_sweeps: usize,
 ) -> (ContractionTree, Vec<(usize, usize)>, RefineReport) {
     let mut t = MutableTree::from_tree(tree);
-    let num_nodes = t.children.len();
+    let num_nodes = t.nodes.len();
     let on_slice = sets::edge_marks(sliced);
     let on_projector = Marks::new(overridable_leaves.iter().copied());
     // Every node's class, as `classify_nodes` assigns it. Children precede
     // parents in a freshly built tree, so one forward pass sets them all.
     let mut classes = vec![NodeClass::Branch; num_nodes];
     for id in 0..num_nodes {
-        classes[id] = match t.children[id] {
+        classes[id] = match t.nodes[id].children {
             Some((l, r)) => classes[l].join(classes[r]),
             None => {
-                let vertex = t.leaf_vertex[id].expect("a leaf has a network vertex");
-                NodeClass::of(on_slice.any(&t.indices[id]), on_projector.contains(vertex))
+                let vertex = t.nodes[id].leaf_vertex.expect("a leaf has a network vertex");
+                NodeClass::of(on_slice.any(&t.nodes[id].indices), on_projector.contains(vertex))
             }
         };
     }
     // Every node's post-slicing rank `|s_n \ S|`, refreshed whenever its
     // index set is.
-    let eff_rank = |t: &MutableTree, n: usize| on_slice.count_unmarked(&t.indices[n]);
+    let eff_rank = |t: &MutableTree, n: usize| on_slice.count_unmarked(&t.nodes[n].indices);
     let mut ranks: Vec<usize> = (0..num_nodes).map(|n| eff_rank(&t, n)).collect();
 
     let subtasks_log2 = sliced.len() as LogCost;
     // What a rotation test reads of the internal nodes `p` and `c`, summed
-    // in log2: (contraction cost, StemMixed cost, execution bill). A node's
-    // bill is its Eq. 4 term `|u \ S| + |S|` for a stem class, its cost
-    // `|u|` for Frontier, and nothing for Branch.
-    // Both sizes read off lengths: `n` holds `l Δ r`, so `|l ∪ r|` is
-    // `(|l| + |r| + |n|) / 2`, and the same holds with `S` removed from
-    // all three.
-    let price = |t: &MutableTree, classes: &[NodeClass], ranks: &[usize], p: usize, c: usize| {
-        let [(p_cost, p_mixed, p_bill), (c_cost, c_mixed, c_bill)] = [p, c].map(|n| {
-            let (l, r) = t.children[n].expect("an internal node");
-            let cost = t.node_log_cost(n);
-            let mixed = if classes[n] == NodeClass::StemMixed { cost } else { f64::NEG_INFINITY };
-            let bill = match classes[n] {
-                NodeClass::StemPure | NodeClass::StemMixed => {
-                    ((ranks[l] + ranks[r] + ranks[n]) / 2) as LogCost + subtasks_log2
-                }
-                NodeClass::Frontier => cost,
-                NodeClass::Branch => f64::NEG_INFINITY,
-            };
-            (cost, mixed, bill)
-        });
+    // in log2: (contraction cost, StemMixed cost, execution bill). A node
+    // is its class, its lengths and its post-slicing ranks. A node's bill
+    // is its Eq. 4 term `|u \ S| + |S|` for a stem class, its cost `|u|`
+    // for Frontier, and nothing for Branch; `|u \ S|` reads off the ranks
+    // as `|u|` reads off the lengths.
+    let price = |nodes: [(NodeClass, Lens, Lens); 2]| {
+        let [(p_cost, p_mixed, p_bill), (c_cost, c_mixed, c_bill)] =
+            nodes.map(|(class, lens, ranks)| {
+                let cost = lens_cost(lens);
+                let mixed = if class == NodeClass::StemMixed { cost } else { f64::NEG_INFINITY };
+                let bill = match class {
+                    NodeClass::StemPure | NodeClass::StemMixed => lens_cost(ranks) + subtasks_log2,
+                    NodeClass::Frontier => cost,
+                    NodeClass::Branch => f64::NEG_INFINITY,
+                };
+                (cost, mixed, bill)
+            });
         (log2_add(p_cost, c_cost), log2_add(p_mixed, c_mixed), log2_add(p_bill, c_bill))
     };
 
     // The feasibility envelope: no rotation may push any affected node's
     // post-slicing rank above what the tree already contains.
     let rank_bound =
-        (0..t.children.len()).filter(|&n| !t.is_leaf(n)).map(|n| ranks[n]).max().unwrap_or(0);
+        (0..t.nodes.len()).filter(|&n| !t.is_leaf(n)).map(|n| ranks[n]).max().unwrap_or(0);
 
     let (rotations, sweeps) = t.sweep(max_sweeps, |t, p| {
-        let Some((c, z)) = t.children[p] else { return false };
+        let Some((c, z)) = t.nodes[p].children else { return false };
         // A rotation must strictly shrink the StemMixed cost of `p` and its
         // internal child. Mixedness only grows toward the root, so when `p`
         // is not mixed neither is its child, that cost is already zero, and
@@ -462,8 +426,13 @@ pub fn defer_projector_joins_tree(
         if classes[p] != NodeClass::StemMixed {
             return false;
         }
-        // (mixed, cost, internal node, internal children, p children)
-        type Candidate = (f64, f64, usize, (usize, usize), (usize, usize));
+        let node = |n: usize| {
+            let (l, r) = t.nodes[n].children.expect("an internal node");
+            (classes[n], t.lens(n), [ranks[l], ranks[r], ranks[n]])
+        };
+        // (mixed, cost, internal node, its post-slicing rank, internal
+        // children, p children)
+        type Candidate = (f64, f64, usize, usize, (usize, usize), (usize, usize));
         let mut best: Option<Candidate> = None;
         // Both children may play the internal (re-associated) role — the
         // spine child of an absorption is as often the second as the first.
@@ -471,44 +440,40 @@ pub fn defer_projector_joins_tree(
             if t.is_leaf(internal) {
                 continue;
             }
-            let (x, y) = t.children[internal].unwrap();
-            let (rank_before, class_before) = (ranks[internal], classes[internal]);
-            let (before_local, before_mixed, before_bill) = price(t, &classes, &ranks, p, internal);
+            let (x, y) = t.nodes[internal].children.unwrap();
+            let (before_local, before_mixed, before_bill) = price([node(p), node(internal)]);
             for (a, b) in [(x, y), (y, x)] {
                 // internal := (a, other); p := (internal, b). Only
                 // `internal`'s subtree changes; p keeps its leaf set, so p's
                 // index set and classes are untouched.
-                t.children[internal] = Some((a, other));
-                t.children[p] = Some((internal, b));
-                t.recompute(internal);
-                classes[internal] = classes[a].join(classes[other]);
-                ranks[internal] = eff_rank(t, internal);
-                let (local, mixed, bill) = price(t, &classes, &ranks, p, internal);
+                let (shared, shared_unsliced) =
+                    sets::shared_lens(&t.nodes[a].indices, &t.nodes[other].indices, &on_slice);
+                let len = |n: usize| t.nodes[n].indices.len();
+                let [p_lens, int_lens] = trial_lens([len(a), len(other), len(b), len(p)], shared);
+                let [p_ranks, int_ranks] =
+                    trial_lens([ranks[a], ranks[other], ranks[b], ranks[p]], shared_unsliced);
+                let rank = int_ranks[2];
+                let (local, mixed, bill) = price([
+                    (classes[p], p_lens, p_ranks),
+                    (classes[a].join(classes[other]), int_lens, int_ranks),
+                ]);
                 let feasible = local <= before_local + 1e-12
-                    && ranks[internal] <= rank_bound
+                    && rank <= rank_bound
                     && mixed < before_mixed - 1e-12
                     && bill <= before_bill + 1e-12;
                 let better = best
                     .map(|(bm, bl, ..)| mixed < bm - 1e-12 || (mixed < bm + 1e-12 && local < bl))
                     .unwrap_or(true);
                 if feasible && better {
-                    best = Some((mixed, local, internal, (a, other), (internal, b)));
+                    best = Some((mixed, local, internal, rank, (a, other), (internal, b)));
                 }
             }
-            // Restore the original configuration — including p's child
-            // *order* (for the second role `(internal, other)` is the
-            // reversed pair) — before trying the other role or applying the
-            // best candidate. A rejected node must be a true no-op.
-            t.children[internal] = Some((x, y));
-            t.children[p] = Some((c, z));
-            t.recompute(internal);
-            classes[internal] = class_before;
-            ranks[internal] = rank_before;
         }
-        let Some((_, _, int_node, (l, r), p_children)) = best else { return false };
+        let Some((_, _, int_node, rank, (l, r), p_children)) = best else { return false };
         t.rotate(p, int_node, (l, r), p_children);
         classes[int_node] = classes[l].join(classes[r]);
-        ranks[int_node] = eff_rank(t, int_node);
+        ranks[int_node] = rank;
+        debug_assert_eq!(rank, eff_rank(t, int_node), "a trial's rank is the rotated node's");
         true
     });
 
@@ -524,7 +489,80 @@ mod tests {
     use crate::graph::TensorNetwork;
     use crate::path::{greedy_path, PathConfig};
     use crate::simplify::simplify_network;
+    use crate::tree::union_log_cost;
     use qtn_circuit::{circuit_to_network, OutputSpec, RqcConfig};
+
+    /// The pricing the full-sweep oracles use: a trial builds its index
+    /// set, and each cost and penalty is read off the built sets. They emit
+    /// their pair lists by a post-order of their own.
+    impl MutableTree {
+        /// The internal nodes in the order the pair list emits them: post-order
+        /// from the root, each node's second subtree before its first.
+        fn post_order(&self) -> Vec<usize> {
+            let mut order = Vec::with_capacity(self.nodes.len());
+            let mut stack = vec![(self.root, false)];
+            while let Some((n, expanded)) = stack.pop() {
+                if let Some((l, r)) = self.nodes[n].children {
+                    if expanded {
+                        order.push(n);
+                    } else {
+                        stack.push((n, true));
+                        stack.push((l, false));
+                        stack.push((r, false));
+                    }
+                }
+            }
+            order
+        }
+
+        /// The contraction pair list in the SSA numbering of the original
+        /// network: leaves map to their vertex, the `k`-th emitted internal
+        /// node to vertex `leaves + k`.
+        fn to_pairs(&self, order: &[usize]) -> Vec<(usize, usize)> {
+            let mut vertex_of: Vec<Option<usize>> =
+                self.nodes.iter().map(|n| n.leaf_vertex).collect();
+            let num_leaves = vertex_of.iter().filter(|v| v.is_some()).count();
+            order
+                .iter()
+                .enumerate()
+                .map(|(k, &n)| {
+                    let (l, r) = self.nodes[n].children.expect("an internal node");
+                    let vertex = |c: usize| vertex_of[c].expect("child emitted before parent");
+                    let pair = (vertex(l), vertex(r));
+                    vertex_of[n] = Some(num_leaves + k);
+                    pair
+                })
+                .collect()
+        }
+
+        fn node_log_cost(&self, n: usize) -> LogCost {
+            self.nodes[n].children.map_or(f64::NEG_INFINITY, |(l, r)| {
+                union_log_cost(
+                    &self.nodes[l].indices,
+                    &self.nodes[r].indices,
+                    &self.nodes[n].indices,
+                )
+            })
+        }
+
+        /// log2 cost of the two nodes a rotation affects (`p` and its
+        /// internal child `c`).
+        fn local_cost(&self, p: usize, c: usize) -> LogCost {
+            log2_add(self.node_log_cost(p), self.node_log_cost(c))
+        }
+
+        /// The Sunway-adaptive penalty: of `p` and `c`, the contractions
+        /// whose smaller operand exceeds the LDM bound.
+        fn ldm_penalty(&self, p: usize, c: usize, ldm_rank: usize) -> usize {
+            [p, c]
+                .into_iter()
+                .filter_map(|n| self.nodes[n].children)
+                .filter(|&(l, r)| {
+                    self.nodes[l].indices.len().min(self.nodes[r].indices.len()) > ldm_rank
+                })
+                .count()
+        }
+    }
 
     /// Dependency bits of every node: does the subtree touch a sliced edge
     /// / an overridable projector leaf? A node is StemMixed iff both. The
@@ -537,7 +575,7 @@ mod tests {
 
     impl DepBits {
         fn recompute(&mut self, t: &MutableTree, n: usize) {
-            if let Some((l, r)) = t.children[n] {
+            if let Some((l, r)) = t.nodes[n].children {
                 self.slice[n] = self.slice[l] || self.slice[r];
                 self.proj[n] = self.proj[l] || self.proj[r];
             }
@@ -562,14 +600,14 @@ mod tests {
         for _ in 0..max_sweeps {
             sweeps += 1;
             let mut progressed = false;
-            for p in 0..t.children.len() {
-                let Some((c, z)) = t.children[p] else { continue };
+            for p in 0..t.nodes.len() {
+                let Some((c, z)) = t.nodes[p].children else { continue };
                 // Only the first internal child is tried: see the `break` below.
                 for (internal, other) in [(c, z), (z, c)] {
                     if t.is_leaf(internal) {
                         continue;
                     }
-                    let (x, y) = t.children[internal].unwrap();
+                    let (x, y) = t.nodes[internal].children.unwrap();
                     let before_local = t.local_cost(p, internal);
                     let before_penalty = match objective {
                         RefineObjective::Cost => 0,
@@ -583,8 +621,8 @@ mod tests {
                     let mut best: Option<Candidate> = None;
                     for (a, b) in [(x, y), (y, x)] {
                         // internal := (a, other); p := (internal, b)
-                        t.children[internal] = Some((a, other));
-                        t.children[p] = Some((internal, b));
+                        t.nodes[internal].children = Some((a, other));
+                        t.nodes[p].children = Some((internal, b));
                         t.recompute(internal);
                         let local = t.local_cost(p, internal);
                         let penalty = match objective {
@@ -601,8 +639,8 @@ mod tests {
                     }
                     match best {
                         Some((_, int_node, int_children, p_children)) => {
-                            t.children[int_node] = Some(int_children);
-                            t.children[p] = Some(p_children);
+                            t.nodes[int_node].children = Some(int_children);
+                            t.nodes[p].children = Some(p_children);
                             t.recompute(int_node);
                             rotations += 1;
                             progressed = true;
@@ -612,8 +650,8 @@ mod tests {
                             // p's child order: when `internal` is p's *second*
                             // child, `(internal, other)` is the reversed pair,
                             // and a rejected rotation must not flip operands.
-                            t.children[internal] = Some((x, y));
-                            t.children[p] = Some((c, z));
+                            t.nodes[internal].children = Some((x, y));
+                            t.nodes[p].children = Some((c, z));
                             t.recompute(internal);
                         }
                     }
@@ -656,10 +694,14 @@ mod tests {
 
         let subtasks_log2 = sliced.len() as LogCost;
         let bill = |t: &MutableTree, deps: &DepBits, n: usize| -> LogCost {
-            match (deps.slice[n], deps.proj[n], t.children[n]) {
+            match (deps.slice[n], deps.proj[n], t.nodes[n].children) {
                 (true, _, Some((l, r))) => {
-                    let unsliced =
-                        sets::union_lens_unmarked(&t.indices[l], &t.indices[r], &on_slice).1;
+                    let unsliced = sets::union_lens_unmarked(
+                        &t.nodes[l].indices,
+                        &t.nodes[r].indices,
+                        &on_slice,
+                    )
+                    .1;
                     unsliced as LogCost + subtasks_log2
                 }
                 (false, true, _) => t.node_log_cost(n),
@@ -670,10 +712,10 @@ mod tests {
             log2_add(bill(t, deps, p), bill(t, deps, c))
         };
 
-        let eff_rank = |t: &MutableTree, n: usize| on_slice.count_unmarked(&t.indices[n]);
+        let eff_rank = |t: &MutableTree, n: usize| on_slice.count_unmarked(&t.nodes[n].indices);
         // The feasibility envelope: no rotation may push any affected node's
         // post-slicing rank above what the tree already contains.
-        let rank_bound = (0..t.children.len())
+        let rank_bound = (0..t.nodes.len())
             .filter(|&n| !t.is_leaf(n))
             .map(|n| eff_rank(&t, n))
             .max()
@@ -691,8 +733,8 @@ mod tests {
         for _ in 0..max_sweeps {
             sweeps += 1;
             let mut progressed = false;
-            for p in 0..t.children.len() {
-                let Some((c, z)) = t.children[p] else { continue };
+            for p in 0..t.nodes.len() {
+                let Some((c, z)) = t.nodes[p].children else { continue };
                 // A rotation must strictly shrink the StemMixed cost of `p` and
                 // its internal child. Mixedness only grows toward the root, so
                 // when `p` is not mixed neither is its child, that cost is
@@ -710,7 +752,7 @@ mod tests {
                     if t.is_leaf(internal) {
                         continue;
                     }
-                    let (x, y) = t.children[internal].unwrap();
+                    let (x, y) = t.nodes[internal].children.unwrap();
                     let before_local = t.local_cost(p, internal);
                     let before_mixed = local_mixed(&t, &deps, p, internal);
                     let before_bill = local_bill(&t, &deps, p, internal);
@@ -718,8 +760,8 @@ mod tests {
                         // internal := (a, other); p := (internal, b). Only
                         // `internal`'s subtree changes; p keeps its leaf set,
                         // so p's index set and classes are untouched.
-                        t.children[internal] = Some((a, other));
-                        t.children[p] = Some((internal, b));
+                        t.nodes[internal].children = Some((a, other));
+                        t.nodes[p].children = Some((internal, b));
                         t.recompute(internal);
                         deps.recompute(&t, internal);
                         let local = t.local_cost(p, internal);
@@ -741,14 +783,14 @@ mod tests {
                     // *order* (for the second role `(internal, other)` is the
                     // reversed pair) — before trying the other role or applying
                     // the best candidate. A rejected sweep must be a true no-op.
-                    t.children[internal] = Some((x, y));
-                    t.children[p] = Some((c, z));
+                    t.nodes[internal].children = Some((x, y));
+                    t.nodes[p].children = Some((c, z));
                     t.recompute(internal);
                     deps.recompute(&t, internal);
                 }
                 if let Some((_, _, int_node, int_children, p_children)) = best {
-                    t.children[int_node] = Some(int_children);
-                    t.children[p] = Some(p_children);
+                    t.nodes[int_node].children = Some(int_children);
+                    t.nodes[p].children = Some(p_children);
                     t.recompute(int_node);
                     deps.recompute(&t, int_node);
                     rotations += 1;
@@ -779,42 +821,6 @@ mod tests {
         pairs.extend(greedy_path(&mut work, &PathConfig { temperature: 0.5, seed }));
         let tree = ContractionTree::from_pairs(&g, &pairs);
         (g, tree)
-    }
-
-    /// The trees the exactness oracle runs on: RQC grids from 3x3 to 5x6
-    /// and the 53-qubit Sycamore at m = 12, each planned by simplification
-    /// plus a greedy path at temperature 0 and 0.5.
-    fn oracle_trees() -> Vec<(String, TensorNetwork, ContractionTree, Vec<usize>)> {
-        let mut circuits: Vec<(String, qtn_circuit::Circuit, u64)> = Vec::new();
-        for (rows, cols, cycles) in
-            [(3, 3, 8), (3, 4, 10), (4, 4, 10), (4, 5, 12), (5, 5, 10), (5, 6, 12)]
-        {
-            for seed in [1u64, 7] {
-                let c = RqcConfig::small(rows, cols, cycles, seed).build();
-                circuits.push((format!("{rows}x{cols}x{cycles} seed {seed}"), c, seed));
-            }
-        }
-        circuits.push(("sycamore m=12".into(), RqcConfig::sycamore(12, 5).build(), 0));
-        let mut trees = Vec::new();
-        for (name, c, seed) in circuits {
-            let b = circuit_to_network(&c, &OutputSpec::Amplitude(vec![0; c.num_qubits()]));
-            let g = TensorNetwork::from_build(&b);
-            let overridable: Vec<usize> =
-                b.projector_leaves.iter().map(|&(_, node)| node).collect();
-            for temperature in [0.0, 0.5] {
-                let mut work = g.clone();
-                let mut pairs = simplify_network(&mut work);
-                pairs.extend(greedy_path(&mut work, &PathConfig { temperature, seed }));
-                let tree = ContractionTree::from_pairs(&g, &pairs);
-                trees.push((
-                    format!("{name} T={temperature}"),
-                    g.clone(),
-                    tree,
-                    overridable.clone(),
-                ));
-            }
-        }
-        trees
     }
 
     /// Three slicing sets per tree: two edges of the root contraction's
@@ -855,7 +861,7 @@ mod tests {
     /// report, and the tree `from_pairs` builds from those pairs.
     #[test]
     fn stale_node_sweeps_match_full_sweeps() {
-        let trees = oracle_trees();
+        let trees = crate::test_trees::oracle_trees();
         assert!(trees.len() >= 24);
         let objectives = [RefineObjective::Cost, RefineObjective::SunwayAdaptive { ldm_rank: 13 }];
         // Rotations applied after the first sweep: where skipping happens.

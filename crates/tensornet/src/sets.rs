@@ -58,6 +58,21 @@ fn sym_diff_each(a: &[IndexId], b: &[IndexId], mut emit: impl FnMut(IndexId)) {
     a[i..].iter().chain(&b[j..]).for_each(|&e| emit(e));
 }
 
+/// `(|a ∩ b|, |(a ∩ b) \ S|)` for the set `S` marked in `skip`, by one
+/// merge that writes nothing.
+pub(crate) fn shared_lens(a: &[IndexId], b: &[IndexId], skip: &Marks) -> (usize, usize) {
+    debug_assert!(is_sorted_set(a) && is_sorted_set(b), "merge operands must be sorted sets");
+    let (mut i, mut j, mut shared, mut shared_unmarked) = (0, 0, 0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        shared += usize::from(x == y);
+        shared_unmarked += usize::from(x == y && !skip.contains(x as usize));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    (shared, shared_unmarked)
+}
+
 /// `a Δ b` as a fresh sorted list.
 pub(crate) fn sym_diff(a: &[IndexId], b: &[IndexId]) -> Vec<IndexId> {
     let mut out = Vec::with_capacity(a.len() + b.len());
@@ -240,6 +255,9 @@ mod tests {
                 assert_eq!(union3(&a, &b, c).collect::<Vec<_>>(), naive3, "{a:?} ∪ {b:?} ∪ {c:?}");
             }
             assert_eq!(sym_diff(&a, &b), naive_diff, "{a:?} Δ {b:?}");
+            let shared = a.iter().filter(|e| b.contains(e)).count();
+            // A trial's re-paired node: |a Δ b| = |a| + |b| − 2|a ∩ b|.
+            assert_eq!(naive_diff.len(), a.len() + b.len() - 2 * shared);
             // The lengths alone give the union: what a tree node's cost reads.
             assert_eq!((a.len() + b.len() + naive_diff.len()) / 2, naive_union.len());
             let mut reused = vec![99; 3];
@@ -253,6 +271,8 @@ mod tests {
                 let marks = edge_marks(&skip);
                 let naive = naive_union.iter().filter(|e| !skip.contains(e)).count();
                 let lens = union_lens_unmarked(&a, &b, &marks);
+                let shared_unmarked = a.iter().filter(|e| b.contains(e) && !skip.contains(e));
+                assert_eq!(shared_lens(&a, &b, &marks), (shared, shared_unmarked.count()));
                 assert_eq!(lens, (naive_union.len(), naive), "{a:?} ∪ {b:?} \\ {skip:?}");
                 let unmarked = a.iter().filter(|e| !skip.contains(e)).count();
                 assert_eq!(marks.count_unmarked(&a), unmarked);
