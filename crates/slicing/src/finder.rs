@@ -8,7 +8,14 @@
 //! indices maximises the number of *other* tensors each slice also shrinks,
 //! which is what produces slicing sets that are as small as possible
 //! (Theorem 1 then links small sets to low overhead).
+//!
+//! A stem edge's lifetime is one interval of positions, so its length over
+//! the remaining positions is the number of them inside the interval, and
+//! slicing it lowers the rank of exactly the positions in the interval. The
+//! finder keeps every position's rank after slicing as an integer and
+//! counts lifetimes on the sorted remaining positions.
 
+use crate::lifetime::{stem_tensors, Lifetimes, Span};
 use crate::marks::SliceMarks;
 use crate::overhead::SlicingPlan;
 use qtn_tensor::IndexId;
@@ -19,52 +26,40 @@ use qtn_tensornet::Stem;
 /// `target_rank` is the maximum tensor rank allowed after slicing (the `t`
 /// of the paper, i.e. log2 of the memory budget in elements).
 pub fn lifetime_slice_finder(stem: &Stem, target_rank: usize) -> SlicingPlan {
-    // Stem tensor index sets by position.
-    let mut tensors: Vec<Vec<IndexId>> = vec![stem.start_indices.clone()];
-    for step in &stem.steps {
-        tensors.push(step.result.clone());
-    }
-
+    let tensors: Vec<&[IndexId]> = stem_tensors(stem).collect();
+    let lifetimes = Lifetimes::new(stem);
     let mut sliced = SliceMarks::default();
-    // Remaining stem positions, kept in stem order.
-    let mut remaining: Vec<usize> = (0..tensors.len()).collect();
-
-    let dim_of = |pos: usize, sliced: &SliceMarks| sliced.count_unsliced(&tensors[pos]);
-    // Lifetime length restricted to the remaining positions (stem index
-    // lists are sorted).
-    let lifetime_len = |edge: IndexId, remaining: &[usize]| {
-        remaining.iter().filter(|&&p| tensors[p].binary_search(&edge).is_ok()).count()
-    };
-
-    // Drop positions that already satisfy the target.
-    remaining.retain(|&p| dim_of(p, &sliced) > target_rank);
+    // Per stem position: the rank of its tensor after slicing.
+    let mut ranks: Vec<usize> = tensors.iter().map(|t| t.len()).collect();
+    // The positions that do not fit the target yet, in stem order.
+    let mut remaining: Vec<usize> =
+        (0..tensors.len()).filter(|&p| ranks[p] > target_rank).collect();
 
     let mut chosen_edges = Vec::new();
-    while !remaining.is_empty() {
-        let first = remaining[0];
-        let last = *remaining.last().unwrap();
-        let (df, dl) = (dim_of(first, &sliced), dim_of(last, &sliced));
-        let chosen = if df < dl { first } else { last };
-        let dim = dim_of(chosen, &sliced);
-
-        if dim > target_rank {
-            // Candidate indices of the chosen tensor, not yet sliced, ranked
-            // by lifetime length over the remaining stem.
-            let mut candidates: Vec<(usize, IndexId)> = tensors[chosen]
-                .iter()
-                .filter(|&&e| !sliced.contains(e))
-                .map(|&e| (lifetime_len(e, &remaining), e))
-                .collect();
-            candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-            for (_, e) in candidates.into_iter().take(dim - target_rank) {
-                sliced.insert(e);
-                chosen_edges.push(e);
-            }
+    while let (Some(&first), Some(&last)) = (remaining.first(), remaining.last()) {
+        let chosen = if ranks[first] < ranks[last] { first } else { last };
+        // Candidate indices of the chosen tensor, not yet sliced, ranked by
+        // lifetime length over the remaining stem.
+        let mut candidates: Vec<(usize, IndexId, Span)> = tensors[chosen]
+            .iter()
+            .filter(|&&e| !sliced.contains(e))
+            .map(|&e| {
+                let span = lifetimes.span(e).expect("a stem tensor's edge lies on the stem");
+                let inside = remaining.partition_point(|&p| p <= span.end)
+                    - remaining.partition_point(|&p| p < span.start);
+                (inside, e, span)
+            })
+            .collect();
+        candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        for (_, e, span) in candidates.into_iter().take(ranks[chosen] - target_rank) {
+            sliced.insert(e);
+            chosen_edges.push(e);
+            span.positions().for_each(|p| ranks[p] -= 1);
         }
 
         // Remove every tensor that now fits the target (the chosen tensor is
         // always removed because it was just sliced down to the target).
-        remaining.retain(|&p| dim_of(p, &sliced) > target_rank);
+        remaining.retain(|&p| ranks[p] > target_rank);
     }
 
     SlicingPlan::new(chosen_edges, target_rank)
@@ -78,6 +73,64 @@ mod tests {
     use qtn_tensornet::{
         extract_stem, greedy_path, simplify_network, ContractionTree, PathConfig, TensorNetwork,
     };
+
+    /// `lifetime_slice_finder` as it was before the interval table: it
+    /// clones the stem's tensors, recounts each position's rank against the
+    /// slicing set, and measures a lifetime by binary-searching every
+    /// remaining tensor for the edge. The exactness oracle for the finder.
+    fn rescan_slice_finder(stem: &Stem, target_rank: usize) -> SlicingPlan {
+        let mut tensors: Vec<Vec<IndexId>> = vec![stem.start_indices.clone()];
+        for step in &stem.steps {
+            tensors.push(step.result.clone());
+        }
+        let mut sliced = SliceMarks::default();
+        let mut remaining: Vec<usize> = (0..tensors.len()).collect();
+        let dim_of = |pos: usize, sliced: &SliceMarks| sliced.count_unsliced(&tensors[pos]);
+        let lifetime_len = |edge: IndexId, remaining: &[usize]| {
+            remaining.iter().filter(|&&p| tensors[p].binary_search(&edge).is_ok()).count()
+        };
+        remaining.retain(|&p| dim_of(p, &sliced) > target_rank);
+        let mut chosen_edges = Vec::new();
+        while !remaining.is_empty() {
+            let first = remaining[0];
+            let last = *remaining.last().unwrap();
+            let (df, dl) = (dim_of(first, &sliced), dim_of(last, &sliced));
+            let chosen = if df < dl { first } else { last };
+            let dim = dim_of(chosen, &sliced);
+            if dim > target_rank {
+                let mut candidates: Vec<(usize, IndexId)> = tensors[chosen]
+                    .iter()
+                    .filter(|&&e| !sliced.contains(e))
+                    .map(|&e| (lifetime_len(e, &remaining), e))
+                    .collect();
+                candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+                for (_, e) in candidates.into_iter().take(dim - target_rank) {
+                    sliced.insert(e);
+                    chosen_edges.push(e);
+                }
+            }
+            remaining.retain(|&p| dim_of(p, &sliced) > target_rank);
+        }
+        SlicingPlan::new(chosen_edges, target_rank)
+    }
+
+    /// The interval finder returns the rescan finder's plan on every test
+    /// stem at every target from 3 up to the stem's full rank.
+    #[test]
+    fn interval_finder_matches_rescan_finder() {
+        let stems =
+            crate::test_stems::sycamore_seed_set().iter().chain(crate::test_stems::random_rqcs());
+        let (mut cases, mut sliced) = (0, 0);
+        for (name, stem) in stems {
+            for target in 3..=sliced_max_rank(stem, &[]) {
+                let got = lifetime_slice_finder(stem, target);
+                assert_eq!(got, rescan_slice_finder(stem, target), "{name}, target {target}");
+                cases += 1;
+                sliced += got.len();
+            }
+        }
+        assert!(cases > 1000 && sliced > 0, "{cases} cases, {sliced} edges sliced");
+    }
 
     fn rqc_stem(rows: usize, cols: usize, cycles: usize, seed: u64) -> Stem {
         let cfg = RqcConfig::small(rows, cols, cycles, seed);

@@ -10,9 +10,10 @@
 //!
 //! This crate implements:
 //!
-//! * [`lifetime`] — Definition 1: the lifetime of an edge is the set of
-//!   tensors (contraction-tree nodes / stem positions) whose index set
-//!   contains it;
+//! * Definition 1: the lifetime of an edge is the set of stem tensors whose
+//!   index set contains it. On a stem it is one interval of positions, and
+//!   the finder and the refiner read every edge's interval from one
+//!   crate-private table;
 //! * [`overhead`] — Eq. (2) and Eq. (4): the sliced time complexity and the
 //!   overhead ratio of a slicing set;
 //! * [`finder`] — Algorithm 1: the lifetime-based slice finder that works
@@ -28,7 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod finder;
-pub mod lifetime;
+mod lifetime;
 mod marks;
 pub mod overhead;
 pub mod refiner;
@@ -36,6 +37,5 @@ pub mod refiner;
 mod test_stems;
 
 pub use finder::lifetime_slice_finder;
-pub use lifetime::{compute_lifetimes, Lifetime, LifetimeTable};
 pub use overhead::{sliced_log_cost, sliced_max_rank, slicing_overhead, SlicingPlan};
 pub use refiner::{refine_slicing, RefinerConfig};

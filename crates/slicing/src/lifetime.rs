@@ -12,138 +12,86 @@
 //! The *length* of a lifetime — how many stem tensors carry the edge — is
 //! the quantity Algorithm 1 ranks candidate slices by: slicing a long-lived
 //! edge shrinks many tensors and leaves few contractions untouched, which is
-//! exactly what keeps the overhead low.
+//! exactly what keeps the overhead low. Algorithm 2 reads the same intervals
+//! to price a swap. Both read one [`Lifetimes`] table.
 
 use qtn_tensor::IndexId;
 use qtn_tensornet::Stem;
-use std::collections::HashMap;
+use std::ops::RangeInclusive;
 
-/// The lifetime of one edge over the stem.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Lifetime {
-    /// The edge this lifetime describes.
-    pub edge: IndexId,
-    /// Stem tensor positions (0 = stem start tensor, `stem.len()` = final
-    /// result) whose index set contains the edge, in increasing order.
-    pub positions: Vec<usize>,
+/// An interval `start..=end` of stem positions (an edge's lifetime) or of
+/// stem steps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Span {
+    pub(crate) start: usize,
+    pub(crate) end: usize,
 }
 
-impl Lifetime {
-    /// Number of stem tensors that carry this edge.
-    pub fn len(&self) -> usize {
-        self.positions.len()
+impl Span {
+    pub(crate) fn positions(self) -> RangeInclusive<usize> {
+        self.start..=self.end
     }
 
-    /// True if the edge never appears on the stem (it lives on a branch).
-    pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
-    }
-
-    /// First stem position carrying the edge.
-    pub fn start(&self) -> Option<usize> {
-        self.positions.first().copied()
-    }
-
-    /// Last stem position carrying the edge.
-    pub fn end(&self) -> Option<usize> {
-        self.positions.last().copied()
-    }
-
-    /// Whether the lifetime contains a given stem tensor position.
-    pub fn contains(&self, pos: usize) -> bool {
-        self.positions.binary_search(&pos).is_ok()
-    }
-
-    /// Whether this lifetime contains every position of `other`
-    /// (the containment relation §4.2 uses in place of raw length).
-    pub fn covers(&self, other: &Lifetime) -> bool {
-        other.positions.iter().all(|p| self.contains(*p))
-    }
-
-    /// Whether the lifetime spans every stem tensor of a stem with
-    /// `num_positions` tensors — the only case in which slicing the edge
-    /// incurs no overhead at all (§3.2).
-    pub fn spans_all(&self, num_positions: usize) -> bool {
-        self.len() == num_positions
+    /// The steps whose union `s_v1 ∪ s_v2 ∪ s_v3` holds the edge living on
+    /// these positions. Step `i` joins the stem tensors at positions `i`
+    /// and `i + 1`, and its branch is their symmetric difference, so the
+    /// union holds an edge exactly when one of those two positions does.
+    pub(crate) fn steps(self, num_steps: usize) -> Span {
+        Span { start: self.start.saturating_sub(1), end: self.end.min(num_steps - 1) }
     }
 }
 
-/// Lifetimes of all edges appearing on a stem.
-#[derive(Debug, Clone)]
-pub struct LifetimeTable {
-    lifetimes: HashMap<IndexId, Lifetime>,
-    /// Number of stem tensor positions (stem steps + 1).
-    num_positions: usize,
+/// The running stem tensors by position: the start tensor (position 0),
+/// then the result of every step (step `p − 1` gives position `p`).
+pub(crate) fn stem_tensors(stem: &Stem) -> impl Iterator<Item = &[IndexId]> {
+    std::iter::once(stem.start_indices.as_slice())
+        .chain(stem.steps.iter().map(|step| step.result.as_slice()))
 }
 
-impl LifetimeTable {
-    /// Lifetime of an edge, if it appears on the stem.
-    pub fn get(&self, edge: IndexId) -> Option<&Lifetime> {
-        self.lifetimes.get(&edge)
-    }
-
-    /// Length of an edge's lifetime (0 if it does not appear on the stem).
-    pub fn length(&self, edge: IndexId) -> usize {
-        self.lifetimes.get(&edge).map(|l| l.len()).unwrap_or(0)
-    }
-
-    /// All edges with a non-empty lifetime.
-    pub fn edges(&self) -> impl Iterator<Item = IndexId> + '_ {
-        self.lifetimes.keys().copied()
-    }
-
-    /// Number of stem tensor positions covered by the table.
-    pub fn num_positions(&self) -> usize {
-        self.num_positions
-    }
-
-    /// The `count` edges with the longest lifetimes among `candidates`,
-    /// longest first (ties broken by edge id for determinism).
-    pub fn longest_lived(&self, candidates: &[IndexId], count: usize) -> Vec<IndexId> {
-        let mut scored: Vec<(usize, IndexId)> =
-            candidates.iter().map(|&e| (self.length(e), e)).collect();
-        scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        scored.into_iter().take(count).map(|(_, e)| e).collect()
-    }
+/// The lifetime of every stem edge as one [`Span`] of positions.
+pub(crate) struct Lifetimes {
+    /// Indexed by edge id; `None` for an edge no stem tensor carries.
+    spans: Vec<Option<Span>>,
+    /// Every stem edge with its lifetime, in increasing edge order.
+    edges: Vec<(IndexId, Span)>,
 }
 
-/// Compute the lifetime of every edge on the stem.
-pub fn compute_lifetimes(stem: &Stem) -> LifetimeTable {
-    let num_positions = stem.len() + 1;
-    let mut lifetimes: HashMap<IndexId, Lifetime> = HashMap::new();
-    let mut record = |edge: IndexId, pos: usize| {
-        lifetimes
-            .entry(edge)
-            .or_insert_with(|| Lifetime { edge, positions: Vec::new() })
-            .positions
-            .push(pos);
-    };
-    for &e in &stem.start_indices {
-        record(e, 0);
-    }
-    for (i, step) in stem.steps.iter().enumerate() {
-        for &e in &step.result {
-            record(e, i + 1);
+impl Lifetimes {
+    /// The table of `stem`, built in one pass over its tensors.
+    pub(crate) fn new(stem: &Stem) -> Self {
+        let num_edges = stem_tensors(stem).flatten().max().map_or(0, |&e| e as usize + 1);
+        let mut spans: Vec<Option<Span>> = vec![None; num_edges];
+        for (p, tensor) in stem_tensors(stem).enumerate() {
+            for &e in tensor {
+                let span = spans[e as usize].get_or_insert(Span { start: p, end: p });
+                debug_assert!(
+                    span.end + 1 >= p,
+                    "edge {e} leaves at {} and returns at {p}",
+                    span.end
+                );
+                span.end = p;
+            }
         }
+        let edges = (0..num_edges).filter_map(|e| Some((e as IndexId, spans[e]?))).collect();
+        Self { spans, edges }
     }
-    // Positions were pushed in increasing order already; dedup defensively.
-    // Every lifetime is one interval (see the module doc): the slice
-    // refiner prices its trials from the two ends alone.
-    for l in lifetimes.values_mut() {
-        l.positions.dedup();
-        debug_assert!(
-            l.positions.windows(2).all(|w| w[1] == w[0] + 1),
-            "the lifetime of edge {} is not an interval: {:?}",
-            l.edge,
-            l.positions
-        );
+
+    /// The lifetime of `edge`, if it lies on the stem.
+    pub(crate) fn span(&self, edge: IndexId) -> Option<Span> {
+        self.spans.get(edge as usize).copied().flatten()
     }
-    LifetimeTable { lifetimes, num_positions }
+
+    /// Every stem edge with its lifetime, in increasing edge order: the
+    /// order the refiner tries candidates in.
+    pub(crate) fn edges(&self) -> &[(IndexId, Span)] {
+        &self.edges
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_stems::{lifetime_positions, longest_lived};
     use qtn_circuit::{circuit_to_network, OutputSpec, RqcConfig};
     use qtn_tensor::IndexSet;
     use qtn_tensornet::{
@@ -163,8 +111,8 @@ mod tests {
         extract_stem(&tree)
     }
 
-    fn rqc_stem() -> Stem {
-        let cfg = RqcConfig::small(3, 4, 8, 9);
+    fn rqc_stem(rows: usize, cols: usize, cycles: usize, seed: u64) -> Stem {
+        let cfg = RqcConfig::small(rows, cols, cycles, seed);
         let c = cfg.build();
         let b = circuit_to_network(&c, &OutputSpec::Amplitude(vec![0; c.num_qubits()]));
         let g = TensorNetwork::from_build(&b);
@@ -174,104 +122,102 @@ mod tests {
         extract_stem(&ContractionTree::from_pairs(&g, &pairs))
     }
 
+    /// The table's span of every edge against the positions a direct scan
+    /// of the stem finds for it.
+    fn assert_table_matches_scan(name: &str, stem: &Stem) -> usize {
+        let table = Lifetimes::new(stem);
+        let scan = lifetime_positions(stem);
+        let edges: Vec<IndexId> = table.edges().iter().map(|&(e, _)| e).collect();
+        let scanned: Vec<IndexId> = scan.iter().map(|(e, _)| *e).collect();
+        assert_eq!(edges, scanned, "{name}: the table's edges");
+        for (&(e, span), (_, positions)) in table.edges().iter().zip(&scan) {
+            assert_eq!(table.span(e), Some(span), "{name}: edge {e}");
+            assert_eq!(positions, &span.positions().collect::<Vec<_>>(), "{name}: edge {e}");
+        }
+        scan.len()
+    }
+
     #[test]
     fn chain_lifetimes_are_contiguous_intervals() {
         let stem = small_stem();
-        let table = compute_lifetimes(&stem);
+        assert_table_matches_scan("chain", &stem);
         // Edge 1 enters after T1 is absorbed and leaves when T2 is absorbed.
-        for e in table.edges().collect::<Vec<_>>() {
-            let l = table.get(e).unwrap();
-            let (s, t) = (l.start().unwrap(), l.end().unwrap());
-            assert_eq!(l.len(), t - s + 1, "lifetime of {e} not contiguous: {:?}", l.positions);
-        }
+        let table = Lifetimes::new(&stem);
+        assert_eq!(table.span(1).map(|s| s.end), Some(1));
+        assert_eq!(table.edges().len(), 4);
     }
 
     /// Every stem edge lives on one interval of stem positions, on the
-    /// planner's Sycamore stems and on random circuits.
+    /// planner's Sycamore stems and on random circuits, and the table holds
+    /// that interval.
     #[test]
     fn stem_lifetimes_are_intervals() {
         let stems =
             crate::test_stems::sycamore_seed_set().iter().chain(crate::test_stems::random_rqcs());
-        let mut checked = 0;
-        for (name, stem) in stems {
-            let table = compute_lifetimes(stem);
-            for e in table.edges() {
-                let positions = &table.get(e).unwrap().positions;
-                let (first, last) = (positions[0], positions[positions.len() - 1]);
-                assert_eq!(positions, &(first..=last).collect::<Vec<_>>(), "{name}: edge {e}");
-                checked += 1;
-            }
-        }
+        let checked: usize = stems.map(|(name, stem)| assert_table_matches_scan(name, stem)).sum();
         assert!(checked > 1000, "only {checked} lifetimes checked");
     }
 
     #[test]
     fn lifetime_positions_match_stem_tensors() {
-        let stem = rqc_stem();
-        let table = compute_lifetimes(&stem);
+        let stem = rqc_stem(3, 4, 8, 9);
+        let table = Lifetimes::new(&stem);
         // Cross-check: position p carries exactly the indices of the stem
         // tensor at p.
-        let mut tensors: Vec<Vec<IndexId>> = vec![stem.start_indices.clone()];
-        for s in &stem.steps {
-            tensors.push(s.result.clone());
-        }
-        for (p, t) in tensors.iter().enumerate() {
-            let mut expected = t.clone();
+        for (p, t) in stem_tensors(&stem).enumerate() {
+            let mut expected = t.to_vec();
             expected.sort_unstable();
-            let mut carried: Vec<IndexId> =
-                table.edges().filter(|&e| table.get(e).unwrap().contains(p)).collect();
-            carried.sort_unstable();
+            let carried: Vec<IndexId> = table
+                .edges()
+                .iter()
+                .filter(|(_, span)| span.positions().contains(&p))
+                .map(|&(e, _)| e)
+                .collect();
             assert_eq!(carried, expected, "mismatch at position {p}");
         }
     }
 
+    /// The sum of lifetime lengths equals the sum of stem tensor ranks:
+    /// every (tensor, index) incidence is counted exactly once.
     #[test]
-    fn longest_lived_selects_by_length() {
-        let stem = rqc_stem();
-        let table = compute_lifetimes(&stem);
-        let candidates: Vec<IndexId> = table.edges().collect();
-        let top3 = table.longest_lived(&candidates, 3);
-        assert_eq!(top3.len(), 3.min(candidates.len()));
-        let max_len = candidates.iter().map(|&e| table.length(e)).max().unwrap();
-        assert_eq!(table.length(top3[0]), max_len);
-        // Monotone non-increasing.
-        for w in top3.windows(2) {
-            assert!(table.length(w[0]) >= table.length(w[1]));
+    fn lifetimes_partition_stem_tensor_ranks() {
+        for seed in 0..40 {
+            let stem = rqc_stem(3, 3, 8, seed);
+            let table = Lifetimes::new(&stem);
+            let lifetime_sum: usize =
+                table.edges().iter().map(|(_, s)| s.positions().count()).sum();
+            let rank_sum: usize =
+                stem.start_indices.len() + stem.steps.iter().map(|s| s.result.len()).sum::<usize>();
+            assert_eq!(lifetime_sum, rank_sum, "seed {seed}");
         }
     }
 
+    /// The overhead tests' edge picker orders by lifetime length, longest
+    /// first.
     #[test]
-    fn covers_relation() {
-        let a = Lifetime { edge: 0, positions: vec![2, 3, 4, 5] };
-        let b = Lifetime { edge: 1, positions: vec![3, 4] };
-        assert!(a.covers(&b));
-        assert!(!b.covers(&a));
-        assert!(a.covers(&a));
-    }
-
-    #[test]
-    fn spans_all_detection() {
-        let stem = small_stem();
-        let table = compute_lifetimes(&stem);
-        // In the chain, no edge spans all positions (each edge is contracted
-        // away midway).
-        for e in table.edges().collect::<Vec<_>>() {
-            assert!(!table.get(e).unwrap().spans_all(table.num_positions()));
+    fn longest_lived_selects_by_length() {
+        let stem = rqc_stem(3, 4, 8, 9);
+        let scan = lifetime_positions(&stem);
+        let length = |e: IndexId| scan.iter().find(|(f, _)| *f == e).map_or(0, |(_, p)| p.len());
+        let top3 = longest_lived(&stem, 3);
+        assert_eq!(top3.len(), 3.min(scan.len()));
+        let max_len = scan.iter().map(|(_, p)| p.len()).max().unwrap();
+        assert_eq!(length(top3[0]), max_len);
+        // Monotone non-increasing, ties by increasing edge id.
+        for w in top3.windows(2) {
+            assert!((length(w[1]), w[0]) < (length(w[0]), w[1]), "{top3:?}");
         }
     }
 
     #[test]
     fn absent_edge_has_zero_length() {
-        let stem = small_stem();
-        let table = compute_lifetimes(&stem);
-        assert_eq!(table.length(9999), 0);
-        assert!(table.get(9999).is_none());
+        let table = Lifetimes::new(&small_stem());
+        assert!(table.span(9999).is_none());
     }
 
     #[test]
     fn num_positions_is_steps_plus_one() {
-        let stem = rqc_stem();
-        let table = compute_lifetimes(&stem);
-        assert_eq!(table.num_positions(), stem.len() + 1);
+        let stem = rqc_stem(3, 4, 8, 9);
+        assert_eq!(stem_tensors(&stem).count(), stem.len() + 1);
     }
 }

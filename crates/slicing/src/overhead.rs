@@ -14,6 +14,7 @@
 //! by none of the sliced edges is recomputed in every one of the `2^|S|`
 //! subtasks.
 
+use crate::lifetime::stem_tensors;
 use crate::marks::SliceMarks;
 use qtn_tensor::IndexId;
 use qtn_tensornet::{log2_sum, LogCost, Stem, StemStep};
@@ -94,20 +95,14 @@ pub fn sliced_max_rank(stem: &Stem, sliced: &[IndexId]) -> usize {
 }
 
 /// Whether the slicing plan meets its memory target on the stem.
-pub fn is_feasible(stem: &Stem, plan: &SlicingPlan) -> bool {
+#[cfg(test)]
+pub(crate) fn is_feasible(stem: &Stem, plan: &SlicingPlan) -> bool {
     sliced_max_rank(stem, &plan.sliced) <= plan.target_rank
 }
 
 /// Eq. 4's exponent for one stem step with union `u`: `|u| + |S| − |u ∩ S|`.
 pub(crate) fn sliced_exponent(union: &[IndexId], sliced: &SliceMarks) -> usize {
     union.len() + sliced.len() - sliced.count_in(union)
-}
-
-/// The running stem tensors by position: the start tensor, then every
-/// step's result.
-fn stem_tensors(stem: &Stem) -> impl Iterator<Item = &[IndexId]> {
-    std::iter::once(stem.start_indices.as_slice())
-        .chain(stem.steps.iter().map(|step| step.result.as_slice()))
 }
 
 /// [`sliced_max_rank`] against a prepared slicing table.
@@ -131,7 +126,7 @@ pub(crate) fn critical(stem: &Stem, sliced: &SliceMarks, target_rank: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lifetime::compute_lifetimes;
+    use crate::test_stems::{lifetime_positions, longest_lived};
     use qtn_circuit::{circuit_to_network, OutputSpec, RqcConfig};
     use qtn_tensornet::{
         extract_stem, greedy_path, simplify_network, ContractionTree, PathConfig, TensorNetwork,
@@ -158,10 +153,8 @@ mod tests {
     #[test]
     fn slicing_reduces_max_rank() {
         let stem = rqc_stem(10, 2);
-        let table = compute_lifetimes(&stem);
-        let candidates: Vec<IndexId> = table.edges().collect();
         let before = sliced_max_rank(&stem, &[]);
-        let top = table.longest_lived(&candidates, 3);
+        let top = longest_lived(&stem, 3);
         let after = sliced_max_rank(&stem, &top);
         assert!(after < before, "slicing must reduce the maximum rank ({before} -> {after})");
     }
@@ -169,9 +162,7 @@ mod tests {
     #[test]
     fn overhead_at_least_one_and_grows_with_set_size() {
         let stem = rqc_stem(10, 3);
-        let table = compute_lifetimes(&stem);
-        let candidates: Vec<IndexId> = table.edges().collect();
-        let top = table.longest_lived(&candidates, 5);
+        let top = longest_lived(&stem, 5);
         let mut prev = 1.0;
         for k in 0..=top.len() {
             let o = slicing_overhead(&stem, &top[..k]);
@@ -200,10 +191,11 @@ mod tests {
         ]);
         let tree = ContractionTree::from_pairs(&g, &[(0, 1), (4, 2), (5, 3)]);
         let stem = extract_stem(&tree);
-        let table = compute_lifetimes(&stem);
         // Edge 9 appears in the start tensor and survives until the last
         // contraction.
-        if table.get(9).map(|l| l.spans_all(table.num_positions())).unwrap_or(false) {
+        let positions = lifetime_positions(&stem);
+        let all: Vec<usize> = (0..=stem.len()).collect();
+        if positions.iter().any(|(e, p)| *e == 9 && *p == all) {
             let o = slicing_overhead(&stem, &[9]);
             assert!((o - 1.0).abs() < 1e-9, "overhead of a spanning edge is {o}");
         }
@@ -215,14 +207,12 @@ mod tests {
     #[test]
     fn feasibility_check() {
         let stem = rqc_stem(10, 5);
-        let table = compute_lifetimes(&stem);
-        let candidates: Vec<IndexId> = table.edges().collect();
         let max0 = sliced_max_rank(&stem, &[]);
         let plan_empty = SlicingPlan::new(vec![], max0);
         assert!(is_feasible(&stem, &plan_empty));
         let plan_tight = SlicingPlan::new(vec![], max0 - 1);
         assert!(!is_feasible(&stem, &plan_tight));
-        let top = table.longest_lived(&candidates, 2);
+        let top = longest_lived(&stem, 2);
         let plan_sliced = SlicingPlan::new(top, max0 - 1);
         // Slicing the two longest-lived edges reduces the max rank by at
         // least one on this workload.
@@ -233,15 +223,10 @@ mod tests {
     fn critical_positions_have_target_rank() {
         let stem = rqc_stem(10, 7);
         let target = sliced_max_rank(&stem, &[]) - 1;
-        let table = compute_lifetimes(&stem);
-        let candidates: Vec<IndexId> = table.edges().collect();
-        let s = table.longest_lived(&candidates, 3);
+        let s = longest_lived(&stem, 3);
         let crit = critical(&stem, &SliceMarks::new(&s), target);
         let set: std::collections::HashSet<IndexId> = s.iter().copied().collect();
-        let mut tensors: Vec<&Vec<IndexId>> = vec![&stem.start_indices];
-        for step in &stem.steps {
-            tensors.push(&step.result);
-        }
+        let tensors: Vec<&[IndexId]> = stem_tensors(&stem).collect();
         for p in crit {
             let r = tensors[p].iter().filter(|e| !set.contains(e)).count();
             assert_eq!(r, target);

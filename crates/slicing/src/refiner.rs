@@ -12,19 +12,20 @@
 //! with the temperature decaying geometrically until it reaches the final
 //! temperature.
 //!
-//! A stem edge's lifetime is one interval of stem positions (see
-//! [`crate::lifetime`]), so the refiner keeps two integer arrays instead of
-//! rescanning the stem: every position's rank after slicing and every
-//! step's Eq. 4 exponent `|u| + |S| − |u ∩ S|`. A swap moves each entry by
-//! at most one, over the intervals of the two edges it exchanges. A trial
-//! reads both arrays with those two intervals applied and writes nothing;
-//! only an accepted swap updates them. The candidates of a pick are the
+//! A stem edge's lifetime is one interval of stem positions, read from the
+//! lifetime table the finder reads too, so the refiner keeps two integer
+//! arrays instead of rescanning the stem: every position's rank after
+//! slicing and every step's Eq. 4 exponent `|u| + |S| − |u ∩ S|`. A swap
+//! moves each entry by at most one, over the intervals of the two edges it
+//! exchanges. A trial reads both arrays with those two intervals applied
+//! and writes nothing; only an accepted swap updates them. The candidates of a pick are the
 //! unsliced edges whose interval contains the pick's critical positions.
 //! The trial's cost folds the same integers in the same step order as
 //! [`crate::sliced_log_cost`], resuming from the stored fold of the steps
 //! before the first one the swap touches, and the random draws are the
 //! same, so the refined plan is the one a full rescan per trial finds.
 
+use crate::lifetime::{stem_tensors, Lifetimes, Span};
 use crate::marks::SliceMarks;
 use crate::overhead::{step_exponent, SlicingPlan};
 use qtn_tensor::IndexId;
@@ -32,7 +33,6 @@ use qtn_tensornet::cost::LOG_ZERO;
 use qtn_tensornet::{log2_add, LogCost, Stem};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::ops::RangeInclusive;
 
 /// Parameters of the simulated-annealing refiner.
 #[derive(Debug, Clone)]
@@ -77,71 +77,41 @@ pub fn refine_slicing(stem: &Stem, plan: &SlicingPlan, config: &RefinerConfig) -
         // Randomly choose a sliced index to try to replace.
         let pick = rng.gen_range(0..current.len());
         let index = current[pick];
-        let out = state.span(index);
+        let out = state.lifetimes.span(index);
 
         // The candidates are the unsliced edges whose lifetime contains
         // every critical tensor within the picked index's lifetime; as
         // lifetimes are intervals, the first and the last of them.
         let critical = out.and_then(|span| state.critical_bounds(span, target));
-        for k in 0..state.edges.len() {
-            let (can, span) = state.edges[k];
+        let accepted = state.lifetimes.edges().iter().find(|&&(can, span)| {
             let covers = critical.is_none_or(|(lo, hi)| span.start <= lo && hi <= span.end);
-            if state.marks.contains(can) || !covers {
-                continue;
-            }
             // The trial set: `current` with `index` replaced by `can`.
-            let accept = state.max_rank(out, Some(span)) <= target && {
-                let new_cost = state.log_cost(out, Some(span));
-                let accept = if new_cost < current_cost {
-                    true
-                } else {
-                    // Boltzmann acceptance on the relative cost increase.
-                    let c_ori = current_cost.exp2();
-                    let c_new = new_cost.exp2();
-                    let p = ((c_ori - c_new) / c_ori / temperature).exp();
-                    rng.gen_bool(p.clamp(0.0, 1.0))
-                };
-                if accept {
-                    current_cost = new_cost;
-                }
-                accept
+            if state.marks.contains(can) || !covers || state.max_rank(out, Some(span)) > target {
+                return false;
+            }
+            let new_cost = state.log_cost(out, Some(span));
+            // Boltzmann acceptance on the relative cost increase.
+            let accept = new_cost < current_cost || {
+                let (c_ori, c_new) = (current_cost.exp2(), new_cost.exp2());
+                rng.gen_bool(((c_ori - c_new) / c_ori / temperature).exp().clamp(0.0, 1.0))
             };
             if accept {
-                state.swap(index, can);
-                current[pick] = can;
-                if current_cost < best_cost {
-                    best = current.clone();
-                    best_cost = current_cost;
-                }
-                break;
+                current_cost = new_cost;
+            }
+            accept
+        });
+        if let Some(&(can, _)) = accepted {
+            state.swap(index, can);
+            current[pick] = can;
+            if current_cost < best_cost {
+                best = current.clone();
+                best_cost = current_cost;
             }
         }
         temperature *= config.alpha;
     }
 
     SlicingPlan::new(best, target)
-}
-
-/// An interval `start..=end` of stem positions (an edge's lifetime) or of
-/// stem steps.
-#[derive(Debug, Clone, Copy)]
-struct Span {
-    start: usize,
-    end: usize,
-}
-
-impl Span {
-    fn positions(self) -> RangeInclusive<usize> {
-        self.start..=self.end
-    }
-
-    /// The steps whose union `s_v1 ∪ s_v2 ∪ s_v3` holds the edge living on
-    /// these positions. Step `i` joins the stem tensors at positions `i`
-    /// and `i + 1`, and its branch is their symmetric difference, so the
-    /// union holds an edge exactly when one of those two positions does.
-    fn steps(self, num_steps: usize) -> Span {
-        Span { start: self.start.saturating_sub(1), end: self.end.min(num_steps - 1) }
-    }
 }
 
 /// `1` if `at` lies in the optional interval, else `0`.
@@ -151,11 +121,9 @@ fn hit(span: Option<Span>, at: usize) -> usize {
 
 /// The slicing set and what it does to the stem, kept as integers.
 struct SliceState {
-    /// The lifetime of every stem edge, indexed by edge id.
-    spans: Vec<Option<Span>>,
-    /// Every stem edge with its lifetime, in increasing edge order: the
-    /// order candidates are tried in.
-    edges: Vec<(IndexId, Span)>,
+    /// The lifetime of every stem edge; its edge order is the order
+    /// candidates are tried in.
+    lifetimes: Lifetimes,
     /// Per stem position: the rank of its tensor after slicing.
     ranks: Vec<usize>,
     /// Per stem step: the Eq. 4 exponent `|u| + |S| − |u ∩ S|`.
@@ -170,32 +138,12 @@ struct SliceState {
 
 impl SliceState {
     fn new(stem: &Stem, sliced: &[IndexId]) -> Self {
-        let tensors = || {
-            std::iter::once(stem.start_indices.as_slice())
-                .chain(stem.steps.iter().map(|step| step.result.as_slice()))
-        };
-        // Every stem edge's first and last position, and how many positions
-        // carry it: as many as its interval holds (see `crate::lifetime`).
-        let num_edges = tensors().flatten().max().map_or(0, |&e| e as usize + 1);
-        let mut spans: Vec<Option<Span>> = vec![None; num_edges];
-        let mut carried = vec![0; num_edges];
-        for (p, tensor) in tensors().enumerate() {
-            for &e in tensor {
-                spans[e as usize].get_or_insert(Span { start: p, end: p }).end = p;
-                carried[e as usize] += 1;
-            }
-        }
-        let edges: Vec<(IndexId, Span)> =
-            (0..num_edges).filter_map(|e| Some((e as IndexId, spans[e]?))).collect();
-        debug_assert!(
-            edges.iter().all(|&(e, s)| carried[e as usize] == s.end - s.start + 1),
-            "every stem edge's lifetime is an interval"
-        );
+        let lifetimes = Lifetimes::new(stem);
         let marks = SliceMarks::new(sliced);
         debug_assert_eq!(marks.len(), sliced.len(), "a slicing plan holds distinct edges");
-        let ranks = tensors().map(|t| marks.count_unsliced(t)).collect();
+        let ranks = stem_tensors(stem).map(|t| marks.count_unsliced(t)).collect();
         let exponents = stem.steps.iter().map(|step| step_exponent(step, &marks)).collect();
-        let mut state = Self { spans, edges, ranks, exponents, folds: Vec::new(), marks };
+        let mut state = Self { lifetimes, ranks, exponents, folds: Vec::new(), marks };
         state.refold(0);
         state
     }
@@ -206,11 +154,6 @@ impl SliceState {
         for i in from..self.exponents.len() {
             self.folds[i + 1] = log2_add(self.folds[i], self.exponents[i] as LogCost);
         }
-    }
-
-    /// The lifetime of `edge`, if it lies on the stem.
-    fn span(&self, edge: IndexId) -> Option<Span> {
-        self.spans.get(edge as usize).copied().flatten()
     }
 
     /// The first and the last critical position (rank after slicing equal
@@ -244,13 +187,13 @@ impl SliceState {
     fn swap(&mut self, out: IndexId, into: IndexId) {
         let steps = self.exponents.len();
         let mut from = steps;
-        if let Some(span) = self.span(out) {
+        if let Some(span) = self.lifetimes.span(out) {
             span.positions().for_each(|p| self.ranks[p] += 1);
             let on = span.steps(steps);
             on.positions().for_each(|i| self.exponents[i] += 1);
             from = on.start;
         }
-        let span = self.span(into).expect("a candidate lies on the stem");
+        let span = self.lifetimes.span(into).expect("a candidate lies on the stem");
         span.positions().for_each(|p| self.ranks[p] -= 1);
         let on = span.steps(steps);
         on.positions().for_each(|i| self.exponents[i] -= 1);
@@ -263,7 +206,7 @@ impl SliceState {
     /// `|S|` term except those whose union holds the edge.
     fn remove(&mut self, edge: IndexId) {
         let steps = self.exponents.len();
-        let span = self.span(edge);
+        let span = self.lifetimes.span(edge);
         let on = span.map(|s| s.steps(steps));
         for i in 0..steps {
             self.exponents[i] = self.exponents[i] + hit(on, i) - 1;
@@ -286,7 +229,7 @@ impl SliceState {
             let mut i = 0;
             while i < sliced.len() {
                 let e = sliced[i];
-                let span = self.span(e);
+                let span = self.lifetimes.span(e);
                 let covers_some = span.is_some_and(|s| s.positions().any(|p| critical[p]));
                 // Removing must stay feasible.
                 if !covers_some && self.max_rank(span, None) <= target {
@@ -308,10 +251,10 @@ impl SliceState {
 mod tests {
     use super::*;
     use crate::finder::lifetime_slice_finder;
-    use crate::lifetime::{compute_lifetimes, Lifetime};
     use crate::overhead::{
         critical, is_feasible, max_rank, sliced_exponent, sliced_max_rank, slicing_overhead,
     };
+    use crate::test_stems::lifetime_positions;
     use qtn_circuit::{circuit_to_network, OutputSpec, RqcConfig};
     use qtn_tensornet::log2_sum;
     use qtn_tensornet::{
@@ -321,8 +264,9 @@ mod tests {
     /// `refine_slicing` as it was before the interval arrays: every
     /// iteration rescans the stem for critical tensors and every lifetime
     /// for candidates, and every trial edits the slicing set and rescans
-    /// the stem for its rank and its Eq. 4 cost. The exactness oracle for
-    /// the refiner.
+    /// the stem for its rank and its Eq. 4 cost. Its lifetimes come from a
+    /// direct position scan, not from the crate's lifetime table. The
+    /// exactness oracle for the refiner.
     fn full_rescan_refine_slicing(
         stem: &Stem,
         plan: &SlicingPlan,
@@ -331,9 +275,10 @@ mod tests {
         if plan.is_empty() || stem.is_empty() {
             return plan.clone();
         }
-        let table = compute_lifetimes(stem);
-        let mut lifetimes: Vec<&Lifetime> = table.edges().filter_map(|e| table.get(e)).collect();
-        lifetimes.sort_unstable_by_key(|l| l.edge);
+        // Every stem edge with its positions, in increasing edge order.
+        let lifetimes = lifetime_positions(stem);
+        let positions =
+            |e: IndexId| lifetimes.binary_search_by_key(&e, |l| l.0).ok().map(|i| &lifetimes[i].1);
         let unions: Vec<Vec<IndexId>> = stem.steps.iter().map(|step| step.union()).collect();
         let price = |marks: &SliceMarks| {
             log2_sum(unions.iter().map(|union| sliced_exponent(union, marks) as LogCost))
@@ -350,8 +295,7 @@ mod tests {
             let mut i = 0;
             while i < current.len() {
                 let e = current[i];
-                let covers_some =
-                    table.get(e).map(|l| crit.iter().any(|&p| l.contains(p))).unwrap_or(false);
+                let covers_some = positions(e).is_some_and(|l| crit.iter().any(|p| l.contains(p)));
                 if !covers_some {
                     marks.remove(e);
                     if max_rank(stem, &marks) <= target {
@@ -375,16 +319,16 @@ mod tests {
         while temperature >= config.final_temperature && !current.is_empty() {
             let pick = rng.gen_range(0..current.len());
             let index = current[pick];
-            let crit: Vec<usize> = match table.get(index) {
+            let crit: Vec<usize> = match positions(index) {
                 Some(l) => {
-                    critical(stem, &marks, target).into_iter().filter(|&p| l.contains(p)).collect()
+                    critical(stem, &marks, target).into_iter().filter(|p| l.contains(p)).collect()
                 }
                 None => Vec::new(),
             };
             let candidates: Vec<IndexId> = lifetimes
                 .iter()
-                .filter(|l| !marks.contains(l.edge) && crit.iter().all(|&p| l.contains(p)))
-                .map(|l| l.edge)
+                .filter(|(e, l)| !marks.contains(*e) && crit.iter().all(|p| l.contains(p)))
+                .map(|(e, _)| *e)
                 .collect();
             for can in candidates {
                 marks.remove(index);
@@ -444,9 +388,11 @@ mod tests {
             for target in targets {
                 let found = lifetime_slice_finder(stem, target);
                 // An edge off every critical tensor: the refiner drops it.
-                let table = compute_lifetimes(stem);
+                let lifetimes = lifetime_positions(stem);
                 let mut padded = found.sliced.clone();
-                padded.extend(table.edges().filter(|&e| table.length(e) == 1).take(1));
+                padded.extend(
+                    lifetimes.iter().filter(|(_, l)| l.len() == 1).map(|(e, _)| *e).take(1),
+                );
                 let padded = SlicingPlan::new(padded, target);
                 for plan in [&found, &padded] {
                     for config in &configs {
@@ -534,8 +480,7 @@ mod tests {
         // No slicing needed at all; hand the refiner a plan that slices one
         // random edge anyway.
         let target = full;
-        let table = compute_lifetimes(&stem);
-        let some_edge = table.edges().next().unwrap();
+        let some_edge = lifetime_positions(&stem)[0].0;
         let plan = SlicingPlan::new(vec![some_edge], target);
         let refined = refine_slicing(&stem, &plan, &RefinerConfig::default());
         assert!(refined.is_empty(), "pointless slice was not removed");

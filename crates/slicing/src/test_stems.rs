@@ -1,14 +1,17 @@
 //! The stems the slicing tests check exactness on: Sycamore m = 20 planned
 //! at each seed of the pinned 17-seed set, and seeded random circuits
-//! planned by greedy at temperature 0 and above.
+//! planned by greedy at temperature 0 and above; and a direct position scan
+//! of a stem's lifetimes that shares nothing with the crate's table.
 
 use crate::finder::lifetime_slice_finder;
 use crate::refiner::{refine_slicing, RefinerConfig};
 use qtn_circuit::{circuit_to_network, OutputSpec, RqcConfig};
+use qtn_tensor::IndexId;
 use qtn_tensornet::{
     defer_projector_joins_tree, extract_stem, greedy_path, random_greedy_paths, refine_tree,
     simplify_network, ContractionTree, PathConfig, RefineObjective, Stem, TensorNetwork,
 };
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 /// Sycamore m = 20 (circuit seed 5) at planner seeds 0–15 and 2023, as the
@@ -68,4 +71,26 @@ fn build_random_rqcs() -> Vec<(String, Stem)> {
         }
     }
     stems
+}
+
+/// Every stem edge with the positions whose tensor carries it, in
+/// increasing edge order, from a direct scan of the stem's tensors.
+pub(crate) fn lifetime_positions(stem: &Stem) -> Vec<(IndexId, Vec<usize>)> {
+    let mut positions: BTreeMap<IndexId, Vec<usize>> = BTreeMap::new();
+    let results = stem.steps.iter().map(|step| &step.result);
+    for (p, tensor) in std::iter::once(&stem.start_indices).chain(results).enumerate() {
+        for &e in tensor {
+            positions.entry(e).or_default().push(p);
+        }
+    }
+    positions.into_iter().collect()
+}
+
+/// The `count` stem edges with the longest lifetimes, longest first, ties
+/// broken by increasing edge id.
+pub(crate) fn longest_lived(stem: &Stem, count: usize) -> Vec<IndexId> {
+    let mut scored: Vec<(usize, IndexId)> =
+        lifetime_positions(stem).into_iter().map(|(e, p)| (p.len(), e)).collect();
+    scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    scored.into_iter().take(count).map(|(_, e)| e).collect()
 }

@@ -258,26 +258,22 @@ impl NodeClassification {
 
 /// Per-node dependency masks over the ordinals of `leaves` (network vertex
 /// ids): a designated leaf seeds its own ordinal bit, internal nodes union
-/// their children in a child-before-parent pass over the tree schedule.
-pub fn dependency_masks(tree: &ContractionTree, leaves: &[usize]) -> DependencyMasks {
-    let nodes = tree.nodes();
+/// their children in a child-before-parent pass over `schedule`.
+/// `node_of_vertex` maps a leaf's vertex id to its tree node.
+fn dependency_masks(
+    num_nodes: usize,
+    schedule: &[(usize, usize, usize)],
+    node_of_vertex: &[Option<usize>],
+    leaves: &[usize],
+) -> DependencyMasks {
     let words_per_node = leaves.len().div_ceil(64);
-    let mut bits = vec![0u64; nodes.len() * words_per_node];
-    let mut node_of_vertex = vec![None; nodes.len()];
-    for (id, node) in nodes.iter().enumerate() {
-        if let Some(vertex) = node.leaf_vertex {
-            if vertex >= node_of_vertex.len() {
-                node_of_vertex.resize(vertex + 1, None);
-            }
-            node_of_vertex[vertex] = Some(id);
-        }
-    }
+    let mut bits = vec![0u64; num_nodes * words_per_node];
     for (ordinal, &vertex) in leaves.iter().enumerate() {
         if let Some(&Some(id)) = node_of_vertex.get(vertex) {
             bits[id * words_per_node + ordinal / 64] |= 1u64 << (ordinal % 64);
         }
     }
-    for &(l, r, out) in &tree.schedule() {
+    for &(l, r, out) in schedule {
         for w in 0..words_per_node {
             bits[out * words_per_node + w] =
                 bits[l * words_per_node + w] | bits[r * words_per_node + w];
@@ -310,15 +306,17 @@ pub fn classify_nodes(
     // Leaves first: the only place dependencies originate.
     let sliced_marks = sets::edge_marks(sliced);
     let overridable_marks = Marks::new(overridable_leaves.iter().copied());
+    let mut node_of_vertex = vec![None; nodes.len()];
     for (id, node) in nodes.iter().enumerate() {
         if let Some(vertex) = node.leaf_vertex {
             classes[id] =
                 NodeClass::of(sliced_marks.any(&node.indices), overridable_marks.contains(vertex));
+            if vertex >= node_of_vertex.len() {
+                node_of_vertex.resize(vertex + 1, None);
+            }
+            node_of_vertex[vertex] = Some(id);
         }
     }
-
-    let projector_masks = dependency_masks(tree, overridable_leaves);
-    let param_masks = dependency_masks(tree, param_leaves);
 
     // Internal nodes in execution order (children precede parents), so a
     // single pass propagates the lattice join upward.
@@ -326,6 +324,8 @@ pub fn classify_nodes(
     for &(l, r, out) in &schedule {
         classes[out] = classes[l].join(classes[r]);
     }
+    let masks = |leaves| dependency_masks(nodes.len(), &schedule, &node_of_vertex, leaves);
+    let (projector_masks, param_masks) = (masks(overridable_leaves), masks(param_leaves));
 
     // One schedule in program order: a stable sort by lifetime run keeps
     // the tree schedule's order inside each run.
@@ -593,11 +593,6 @@ mod tests {
         // executions, so a gate leaf stays Branch.
         assert_eq!(c.class(1), NodeClass::Branch);
         assert_eq!(c.class(2), NodeClass::Branch);
-        // The standalone builder produces the same masks.
-        let standalone = dependency_masks(&tree, &[1, 2]);
-        for n in 0..7 {
-            assert_eq!(standalone.mask(n), m.mask(n));
-        }
         // The empty rebind set has an empty cone.
         let none = ordinal_words(2, &[]);
         assert!((0..7).all(|n| !m.intersects(n, &none)));

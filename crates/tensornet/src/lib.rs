@@ -26,9 +26,7 @@ pub mod stem;
 mod test_trees;
 pub mod tree;
 
-pub use classify::{
-    classify_nodes, dependency_masks, ordinal_words, DependencyMasks, NodeClass, NodeClassification,
-};
+pub use classify::{classify_nodes, ordinal_words, DependencyMasks, NodeClass, NodeClassification};
 pub use cost::{log2_add, log2_sum, LogCost};
 pub use graph::TensorNetwork;
 pub use lifetime::{
