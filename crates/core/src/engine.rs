@@ -448,8 +448,8 @@ impl Engine {
             }
         };
 
-        // Refuse plans the kernels cannot address at all, then (the lifetime
-        // analysis gives the slicing's "memory budget" a real number to be
+        // Refuse plans the kernels cannot address at all, then (the memory
+        // plan gives the slicing's "memory budget" a real number to be
         // checked against) plans whose worst predicted home exceeds the
         // configured byte budget — under a single execution or a batched
         // one, whichever holds more, since a compiled circuit may run
@@ -1012,22 +1012,31 @@ mod tests {
         // it with a typed error instead of handing out a plan whose
         // execution would panic or abort while allocating.
         let n = 34;
-        let mut circuit = Circuit::new(n);
+        let mut chain = Circuit::new(n);
         for q in 0..n {
-            circuit.push1(Gate::H, q);
+            chain.push1(Gate::H, q);
         }
         for q in 0..n - 1 {
-            circuit.push2(Gate::Cz, q, q + 1);
+            chain.push2(Gate::Cz, q, q + 1);
         }
-        let spec = OutputSpec::Open { fixed: vec![0; n], open: (0..n).collect() };
-        let engine =
-            Engine::new().with_planner(PlannerConfig { target_rank: 40, ..Default::default() });
-        match engine.compile(&circuit, &spec) {
-            Err(Error::TensorTooLarge { rank, max }) => {
-                assert_eq!(max, qtn_tensor::MAX_RANK);
-                assert!(rank > max, "rank {rank} reported against limit {max}");
+        // 40 or 53 open Sycamore qubits at target rank 64 leave tensors of
+        // rank 60 and more, whose 16 · 2^rank bytes no u64 holds: the
+        // memory plan saturates instead of overflowing.
+        let sycamore = RqcConfig::sycamore(20, 5).build();
+        for (circuit, open, target_rank) in
+            [(&chain, n, 40), (&sycamore, 40, 64), (&sycamore, 53, 64)]
+        {
+            let engine =
+                Engine::new().with_planner(PlannerConfig { target_rank, ..Default::default() });
+            let fixed = vec![0; circuit.num_qubits()];
+            let spec = OutputSpec::Open { fixed, open: (0..open).collect() };
+            match engine.compile(circuit, &spec) {
+                Err(Error::TensorTooLarge { rank, max }) => {
+                    assert_eq!(max, qtn_tensor::MAX_RANK);
+                    assert!(rank > max, "rank {rank} reported against limit {max}");
+                }
+                other => panic!("expected TensorTooLarge, got {:?}", other.map(|_| ())),
             }
-            other => panic!("expected TensorTooLarge, got {:?}", other.map(|_| ())),
         }
     }
 

@@ -47,7 +47,7 @@ pub enum Error {
         requested: &'static str,
     },
     /// A compiled plan's predicted peak buffer memory (from the plan-time
-    /// lifetime analysis) exceeds the configured
+    /// memory plan) exceeds the configured
     /// [`crate::PlannerConfig::memory_budget_bytes`]. Raise the budget or
     /// lower `target_rank` so slicing produces smaller subtasks.
     MemoryBudgetExceeded {

@@ -17,10 +17,10 @@
 //!   dependent-bits key differs from the one the buffer holds.
 //!
 //! [`Program::interpret`] picks between them from the batch size it
-//! observes, and each sequence of acquires and releases mirrors a
-//! [`qtn_tensornet::lifetime`] phase simulation step for step
-//! (`MemoryPlan::stem` for a batch of one, `MemoryPlan::batched_stem`
-//! otherwise), which is why the predicted peak and slot counts are exact.
+//! observes, and each sequence of acquires and releases mirrors a walk of
+//! [`qtn_tensornet::analyze_memory`] step for step (`MemoryPlan::stem` for
+//! a batch of one, `MemoryPlan::batched_stem` otherwise), which is why the
+//! predicted peak and slot counts are exact.
 
 use super::program::{Homes, LeafSource, Operand, Program, StemLeaf, Step};
 use super::stats::{Bills, SKIPPED};

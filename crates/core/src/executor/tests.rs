@@ -5,8 +5,7 @@ use super::*;
 use crate::planner::{plan_simulation, PlannerConfig};
 use qtn_circuit::{OutputSpec, RqcConfig};
 use qtn_statevector::StateVector;
-use qtn_tensornet::lifetime::bytes_of_rank;
-use qtn_tensornet::{NodeClass, BYTES_PER_AMPLITUDE};
+use qtn_tensornet::{bytes_of_rank, NodeClass, BYTES_PER_AMPLITUDE};
 
 /// Execute a batch of one bitstring.
 fn execute_one(

@@ -54,7 +54,7 @@ pub struct PlannerConfig {
     /// ([`SimulationPlan::predicted_peak_bytes`]) and a batched one's
     /// ([`SimulationPlan::predicted_batched_peak_bytes`]), since a compiled
     /// circuit may run either. `target_rank` only bounds the largest single
-    /// tensor; the lifetime analysis predicts the real per-worker working
+    /// tensor; the memory plan predicts the real per-worker working
     /// set, and [`crate::Engine::compile`] rejects plans exceeding this
     /// budget with [`crate::Error::MemoryBudgetExceeded`]. The budget is
     /// per worker: it is not multiplied by the worker count. `None`
@@ -122,10 +122,10 @@ pub struct SimulationPlan {
     /// driving the executor's stem-only sweep (which contractions run once
     /// per plan, once per execution, or per subtask).
     pub classification: NodeClassification,
-    /// Plan-time lifetime analysis of the executor's homes: the branch
-    /// store's build peak, the frontier arena, and for the pooled stem the
-    /// buffer liveness intervals, greedy slot assignment by size class and
-    /// the peak bytes its buffer traffic is checked against.
+    /// Plan-time memory plan of the executor's homes: the branch store's
+    /// build peak, the frontier arena, and for the pooled stem the slots
+    /// per size class and the peak bytes its buffer traffic is checked
+    /// against.
     pub memory_plan: MemoryPlan,
     /// Per-worker stem buffer pools, persisted across executions of this
     /// plan (and all its clones) like the branch store: the second

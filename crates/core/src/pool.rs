@@ -8,10 +8,11 @@
 //! rather than a search; the pooled executor
 //! acquires every stem-loop buffer (sliced leaves and contraction outputs —
 //! contraction reads its operands in place, so there is no scratch) from it
-//! and releases them when their statically known lifetime ends (see [`qtn_tensornet::lifetime`]). After the first
-//! slice subtask warms the free lists, the loop allocates nothing: the
-//! plan-time greedy slot assignment proves the working set, and the pool
-//! realises it.
+//! and releases them when their statically known lifetime ends. After the
+//! first slice subtask warms the free lists, the loop allocates nothing:
+//! the plan-time count of live buffers per size class
+//! ([`qtn_tensornet::analyze_memory`]) proves the working set, and the
+//! pool realises it.
 //!
 //! Pools are **per worker** — each worker thread owns one, so no
 //! synchronisation happens inside the subtask loop — and persist across
@@ -23,8 +24,8 @@
 //! keep set of a subtask simply stays checked out across the whole
 //! bitstring batch (the buffers the size classes serve are identical, so a
 //! pool warmed by single executions also serves batched ones and vice
-//! versa), and the plan's `batched_stem` lifetime phase predicts that
-//! traffic exactly.
+//! versa), and the plan's `batched_stem` walk predicts that traffic
+//! exactly.
 //!
 //! [`PoolCounters`] are per-execution observability: how many buffers were
 //! freshly allocated vs recycled, and the exact high-water mark of bytes

@@ -1,4 +1,4 @@
-//! Integration tests for lifetime-based memory planning and the pooled
+//! Integration tests for the memory plan and the pooled
 //! zero-allocation stem sweep: pooling must be an *invisible* optimisation
 //! (bit-identical amplitudes), the pool counters must prove the
 //! zero-allocation steady state, and the plan-time peak prediction must
@@ -128,7 +128,7 @@ fn measured_peak_never_exceeds_the_prediction() {
             report.stats.peak_bytes_in_flight,
             report.stats.predicted_peak_bytes
         );
-        // The lifetime model mirrors the executor exactly, so the bound is
+        // The memory plan mirrors the executor exactly, so the bound is
         // tight, not just safe.
         assert_eq!(report.stats.peak_bytes_in_flight, predicted);
     }
@@ -141,16 +141,21 @@ fn slot_assignment_respects_live_set_maxima() {
     let engine = Engine::with_configs(planner(), executor(true));
     let compiled = engine.compile(&circuit, &OutputSpec::Amplitude(vec![0; n])).unwrap();
     let memory = &compiled.plan().memory_plan;
-    for phase in [&memory.stem, &memory.batched_stem] {
-        let slots = phase.slot_count_by_rank();
-        for (rank, peak) in phase.peak_live_by_rank() {
-            assert!(
-                slots.get(rank) <= Some(peak),
-                "slot count must not exceed the live-set maximum for rank {rank}"
-            );
-        }
-        assert!(phase.arena_bytes() >= phase.peak_bytes());
-    }
+    // A cold pool opens a buffer only when every buffer of its size class
+    // is live, so each worker allocates exactly the planned slots: the
+    // per-class live-set maxima of the phase it runs.
+    let (_, single) = compiled.execute_amplitude(&vec![0; n]).unwrap();
+    let slots = memory.stem.num_slots() as u64;
+    assert_eq!(single.stats.buffers_allocated, single.stats.workers as u64 * slots);
+    // Pools persist on the plan, so the batched run needs a plan of its own.
+    let bitstrings = bitstrings(n, 8);
+    let batch: Vec<&[u8]> = bitstrings.iter().map(Vec::as_slice).collect();
+    let cold = Engine::with_configs(planner(), executor(true))
+        .compile(&circuit, &OutputSpec::Amplitude(vec![0; n]))
+        .unwrap();
+    let (_, batched) = cold.execute_amplitudes(&batch).unwrap();
+    let slots = cold.plan().memory_plan.batched_stem.num_slots() as u64;
+    assert_eq!(batched.stats.buffers_allocated, batched.stats.workers as u64 * slots);
     // The plan-level peak is the worst home.
     let worst = memory.branch_bytes.max(memory.frontier_bytes).max(memory.stem.peak_bytes());
     assert_eq!(memory.peak_bytes(), worst);

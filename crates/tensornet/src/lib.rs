@@ -16,7 +16,7 @@
 pub mod classify;
 pub mod cost;
 pub mod graph;
-pub mod lifetime;
+mod memory;
 pub mod path;
 pub mod refine;
 mod sets;
@@ -29,9 +29,7 @@ pub mod tree;
 pub use classify::{classify_nodes, ordinal_words, DependencyMasks, NodeClass, NodeClassification};
 pub use cost::{log2_add, log2_sum, LogCost};
 pub use graph::TensorNetwork;
-pub use lifetime::{
-    analyze_memory, BufferInterval, MemoryPlan, PhaseMemoryPlan, BYTES_PER_AMPLITUDE,
-};
+pub use memory::{analyze_memory, bytes_of_rank, MemoryPlan, PhaseMemoryPlan, BYTES_PER_AMPLITUDE};
 pub use path::{greedy_path, random_greedy_paths, PathConfig};
 pub use refine::{
     defer_projector_joins, defer_projector_joins_tree, refine_path, refine_tree, RefineObjective,
